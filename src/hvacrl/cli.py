@@ -96,13 +96,6 @@ def config_fingerprint(cfg: dict) -> str:
     return fingerprint(cfg)
 
 
-def _harness_from(cfg: dict, **overrides) -> HarnessConfig:
-    block = {k: (tuple(v) if isinstance(v, list) else v)
-             for k, v in cfg["harness"].items()}
-    block.update(overrides)
-    return HarnessConfig(**block)
-
-
 # ---------------------------------------------------------------------------
 # small helpers
 
@@ -203,8 +196,7 @@ def cmd_collect(args, cfg: dict, argv, env_vars) -> int:
         data["expert"] = args.expert
     scenario = args.scenario or data["scenario"]
     seed = cfg["seed"]
-    out = Path(env_vars.get(ENV_OUT_DIR) or ".") / args.out \
-        if env_vars.get(ENV_OUT_DIR) else Path(args.out)
+    out = Path(env_vars.get(ENV_OUT_DIR) or "") / args.out
     env = _env_from(cfg, days=data["days"])
     if scenario == "final-buffer":
         ds, _ = collect_final_buffer(env, data["algo"],
@@ -303,7 +295,7 @@ def cmd_sweep(args, cfg: dict, argv, env_vars) -> int:
     if cap is not None:
         jobs = min(jobs, int(cap))
     overrides["jobs"] = max(jobs, 1)
-    hcfg = _harness_from(cfg, **overrides)
+    hcfg = HarnessConfig.from_jsonable(cfg["harness"], **overrides)
     fp = config_fingerprint(cfg)
     result = RQ_RUNNERS[args.rq](hcfg)
     _audit(Path(hcfg.out_dir), argv, "sweep", fp,
@@ -315,8 +307,7 @@ def cmd_sweep(args, cfg: dict, argv, env_vars) -> int:
 
 def cmd_regret(args, cfg: dict, argv, env_vars) -> int:
     t0 = time.perf_counter()
-    out = Path(env_vars.get(ENV_OUT_DIR)) / args.out \
-        if env_vars.get(ENV_OUT_DIR) else Path(args.out)
+    out = Path(env_vars.get(ENV_OUT_DIR) or "") / args.out
     if not Path(args.expert).exists():
         raise DataError(f"expert checkpoint {args.expert} not found")
     ds = read_dataset(args.data)

@@ -641,7 +641,8 @@ def write_dataset(ds: Dataset, path) -> None:
     tmp.replace(path)
 
 
-def read_dataset_header(path) -> dict:
+def _read_header(path) -> tuple[dict, int]:
+    """The header and the file offset where the column payloads start."""
     with open(path, "rb") as f:
         magic = f.read(8)
         if magic != MAGIC:
@@ -653,17 +654,16 @@ def read_dataset_header(path) -> dict:
         blob = f.read(hlen)
         if len(blob) != hlen:
             raise DataError(f"{path}: truncated header")
-        return json.loads(blob)
+        return json.loads(blob), 12 + hlen
 
 
-def _data_start(path, header) -> int:
-    return 8 + 4 + len(canonical_json(header).encode())
+def read_dataset_header(path) -> dict:
+    return _read_header(path)[0]
 
 
 def read_dataset_columns(path, names) -> dict[str, np.ndarray]:
     """Load only the requested columns, one at a time, verifying CRCs."""
-    header = read_dataset_header(path)
-    base = _data_start(path, header)
+    header, base = _read_header(path)
     by_name = {e["name"]: e for e in header["columns"]}
     out = {}
     with open(path, "rb") as f:
@@ -688,8 +688,7 @@ def read_dataset_columns(path, names) -> dict[str, np.ndarray]:
 
 def verify_dataset(path, chunk_bytes: int = 1 << 20) -> dict:
     """Streaming integrity check; memory stays bounded by the chunk size."""
-    header = read_dataset_header(path)
-    base = _data_start(path, header)
+    header, base = _read_header(path)
     with open(path, "rb") as f:
         for e in header["columns"]:
             f.seek(base + e["offset"])

@@ -136,16 +136,6 @@ class Action:
     normalized: bool = False  # True: values in [-1, 1]; False: physical units
 
 
-@dataclass(frozen=True)
-class Transition:
-    obs: Observation
-    act: Action  # stored normalized
-    reward: float
-    next_obs: Observation
-    terminal: bool
-    episode_id: int
-
-
 @dataclass
 class ClipCounter:
     """Counts out-of-range values clipped during observation normalization."""

@@ -13,12 +13,18 @@ plus per-zone temperature quantiles for box plots. The violation fraction
 is recounted from the exported trajectory CSV on every evaluation as a
 self-audit.
 
-The five experiment runners (`run_rq1` .. `run_rq5`) share one pattern:
-build the datasets they need, expand a grid of independent cells, execute
-the cells with bounded parallelism, and write one directory per cell
-(``<out>/<rq>/<cell-fingerprint>/{report.json, curve.csv, quality.json}``)
-plus a flat summary CSV per runner. Result files contain no timestamps,
-so identical configs reproduce identical bytes.
+The five experiment runners (`run_rq1` .. `run_rq5`) are one sweep
+skeleton, `_sweep`, fed by a per-runner grid. Each runner names its axes
+and a ``cells()`` generator; the skeleton expands every cell into one job
+per training seed, skips cells whose result directory already exists,
+executes the rest with bounded parallelism, and writes one directory per
+cell (``<out>/<rq>/<cell-fingerprint>/{report.json, curve.csv,
+quality.json}``) plus a flat summary CSV per runner. A zero-seed grid runs
+nothing: ``cells()`` is never called, so no expert or dataset is built.
+Every job trains one agent with `_run_cell`: offline on a dataset file
+when the cell names one, online against the rotating training presets
+otherwise. Result files contain no timestamps, so identical configs
+reproduce identical bytes.
 """
 from __future__ import annotations
 
@@ -39,8 +45,9 @@ from .agents import (Agent, AgentConfig, PolicyController, load_agent,
 from .buildsim import (EVAL_PRESET, TRAIN_PRESETS, BuildingEnv, EnvConfig,
                        read_trajectory_csv, rule_controller, run_episode,
                        write_trajectory_csv)
-from .datagen import (Dataset, build_quality_report, collect_final_buffer,
-                      collect_trained, read_dataset, subsample, write_dataset)
+from .datagen import (build_quality_report, collect_final_buffer,
+                      collect_trained, preset_rotation, read_dataset,
+                      subsample, write_dataset)
 from .errors import DataError, FingerprintMismatchError, SimulationFault, UsageError
 from .fingerprint import canonical_json, fingerprint, to_jsonable
 
@@ -246,7 +253,6 @@ class HarnessConfig:
     batch_size: int = 256
     jobs: int = 1                  # parallel cell workers
     skip_existing: bool = True     # reuse finished cell directories
-    keep_datasets: bool = True
     expert_path: str = ""          # blank = train one on demand
     expert_algo: str = "sac"
     expert_history: bool = True
@@ -282,12 +288,19 @@ class HarnessConfig:
         return {k: (list(v) if isinstance(v, tuple) else v)
                 for k, v in asdict(self).items()}
 
+    @classmethod
+    def from_jsonable(cls, d: dict, **overrides) -> "HarnessConfig":
+        """Inverse of `to_jsonable` (JSON lists become tuples again), with
+        ``overrides`` replacing single fields before validation."""
+        block = {k: (tuple(v) if isinstance(v, list) else v)
+                 for k, v in d.items()}
+        return cls(**{**block, **overrides})
+
     def fingerprint(self) -> str:
         d = self.to_jsonable()
         d.pop("out_dir")         # where results land does not change them
         d.pop("jobs")
         d.pop("skip_existing")
-        d.pop("keep_datasets")
         return fingerprint(d)
 
 
@@ -308,13 +321,6 @@ def _atomic_write_text(path: Path, text: str) -> None:
     tmp.replace(path)
 
 
-def _publish_cell_dir(tmp_dir: Path, final_dir: Path) -> None:
-    final_dir.parent.mkdir(parents=True, exist_ok=True)
-    if final_dir.exists():
-        shutil.rmtree(final_dir)
-    os.replace(tmp_dir, final_dir)
-
-
 def _write_cell(out_root: Path, rq: str, cell_fp: str, report: dict,
                 curve_rows: list, quality: dict | None) -> Path:
     """Atomically materialize one cell directory (temp dir then rename)."""
@@ -333,7 +339,9 @@ def _write_cell(out_root: Path, rq: str, cell_fp: str, report: dict,
     (tmp_dir / "curve.csv").write_text(buf.getvalue())
     if quality is not None:
         (tmp_dir / "quality.json").write_text(canonical_json(quality))
-    _publish_cell_dir(tmp_dir, final_dir)
+    if final_dir.exists():
+        shutil.rmtree(final_dir)
+    os.replace(tmp_dir, final_dir)
     return final_dir
 
 
@@ -376,14 +384,7 @@ def ensure_expert(cfg: HarnessConfig) -> str:
     if path.exists():
         return str(path)
     agent = make_agent(acfg, env.obs_spec.size, env.act_spec.size)
-    presets = list(TRAIN_PRESETS[cfg.env_kind])
-
-    def make_env(ep):
-        c = replace(env.config, weather=f"preset:{presets[ep % len(presets)]}")
-        return BuildingEnv(c, thermal=env.thermal,
-                           reward_params=env.reward_params)
-
-    train_online(agent, make_env)
+    train_online(agent, preset_rotation(env)[0])
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(".tmp")
     agent.save(tmp, epoch=0, step=cfg.expert_steps)
@@ -395,50 +396,39 @@ def ensure_expert(cfg: HarnessConfig) -> str:
 # dataset materialization
 
 
-def _dataset_path(cfg: HarnessConfig, tag: str) -> Path:
-    return Path(cfg.out_dir) / "datasets" / f"{tag}.hvds"
+def _cached_dataset(cfg: HarnessConfig, tag: str, build) -> str:
+    """Path of dataset ``tag`` under the output directory; ``build()``
+    produces and writes it unless a previous run already did."""
+    path = Path(cfg.out_dir) / "datasets" / f"{tag}.hvds"
+    if not (path.exists() and cfg.skip_existing):
+        write_dataset(build(), path)
+    return str(path)
 
 
 def materialize_trained_dataset(cfg: HarnessConfig, expert_path: str,
                                 epsilon: float, sigma: float,
-                                total_steps: int, seed: int = 0) -> Path:
+                                total_steps: int, seed: int = 0) -> str:
     """Collect (or reuse) a frozen-expert dataset with the given noise."""
     expert, _ = load_agent(expert_path)
     env = base_env(cfg, days=cfg.data_days)
     tag = "trained-" + fingerprint({
         "expert": expert.fingerprint(), "env": env.fingerprint(),
         "eps": epsilon, "sigma": sigma, "steps": total_steps, "seed": seed})
-    path = _dataset_path(cfg, tag)
-    if path.exists() and cfg.skip_existing:
-        return path
-    ds = collect_trained(env, expert, total_steps=total_steps,
-                         epsilon=epsilon, sigma=sigma, seed=seed)
-    write_dataset(ds, path)
-    return path
+    return _cached_dataset(cfg, tag, lambda: collect_trained(
+        env, expert, total_steps=total_steps, epsilon=epsilon, sigma=sigma,
+        seed=seed))
 
 
 def materialize_final_buffer_dataset(cfg: HarnessConfig, algo: str = "td3",
                                      total_steps: int | None = None,
-                                     seed: int = 0) -> Path:
+                                     seed: int = 0) -> str:
     env = base_env(cfg, days=cfg.data_days)
     steps = total_steps or cfg.dataset_steps
     tag = "final-buffer-" + fingerprint({
         "algo": algo, "env": env.fingerprint(), "sigma": cfg.sigma,
         "steps": steps, "seed": seed})
-    path = _dataset_path(cfg, tag)
-    if path.exists() and cfg.skip_existing:
-        return path
-    ds, _ = collect_final_buffer(env, algo, total_steps=steps,
-                                 noise=cfg.sigma, seed=seed)
-    write_dataset(ds, path)
-    return path
-
-
-def dataset_quality(cfg: HarnessConfig, dataset_path, expert_path) -> dict:
-    ds = read_dataset(dataset_path)
-    expert, _ = load_agent(expert_path)
-    env = base_env(cfg, days=cfg.data_days)
-    return build_quality_report(ds, expert, env).to_jsonable()
+    return _cached_dataset(cfg, tag, lambda: collect_final_buffer(
+        env, algo, total_steps=steps, noise=cfg.sigma, seed=seed)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -468,53 +458,15 @@ class SweepResult:
                                 for r in self.cells[key]]))
 
 
-def _offline_cell(payload: dict) -> dict:
-    """Train one offline agent on a dataset file and report its best epoch.
+def _run_cell(job: dict) -> tuple:
+    """Train one seed of one cell and report its best epoch.
 
-    Runs in a worker process; everything in ``payload`` is plain JSON.
+    Trains offline on ``job["dataset"]`` when it names a file, otherwise
+    online against the rotating training presets. Runs in a worker
+    process; everything in ``job`` is plain JSON.
     """
-    cfg = HarnessConfig(**{k: (tuple(v) if isinstance(v, list) else v)
-                           for k, v in payload["harness"].items()})
-    acfg = AgentConfig(**payload["agent"])
-    ds = read_dataset(payload["dataset"])
-    data = ds.view()
-    agent = make_agent(acfg, data.obs_dim, data.act_dim)
-    eval_env = base_env(cfg)
-    rp = eval_env.reward_params
-
-    curve_rows = []
-
-    def eval_fn(a, epoch):
-        reports = evaluate_policy(a, eval_env, seeds=(cfg.eval_seed,))
-        rep = reports[0]
-        row = {"epoch": epoch, "seed": acfg.seed,
-               "avg_reward": rep.avg_reward, "violation": rep.violation,
-               "avg_power_kw": rep.avg_power_kw}
-        curve_rows.append(row)
-        return rep.to_jsonable()
-
-    summary = train_offline(agent, data, eval_fn=eval_fn)
-    best = summary.best_eval
-    return {"seed": acfg.seed, "best_epoch": summary.best_epoch,
-            "report": best, "curve": curve_rows,
-            "final_report": summary.records[-1]["eval"]}
-
-
-def _online_cell(payload: dict) -> dict:
-    """Train one off-policy agent online and report its best epoch."""
-    cfg = HarnessConfig(**{k: (tuple(v) if isinstance(v, list) else v)
-                           for k, v in payload["harness"].items()})
-    acfg = AgentConfig(**payload["agent"])
-    env = base_env(cfg, days=cfg.data_days)
-    presets = list(TRAIN_PRESETS[cfg.env_kind])
-
-    def make_env(ep):
-        c = replace(env.config,
-                    weather=f"preset:{presets[ep % len(presets)]}")
-        return BuildingEnv(c, thermal=env.thermal,
-                           reward_params=env.reward_params)
-
-    agent = make_agent(acfg, env.obs_spec.size, env.act_spec.size)
+    cfg = HarnessConfig.from_jsonable(job["harness"])
+    acfg = AgentConfig(**job["agent"])
     eval_env = base_env(cfg)
     curve_rows = []
 
@@ -526,18 +478,19 @@ def _online_cell(payload: dict) -> dict:
                            "avg_power_kw": rep.avg_power_kw})
         return rep.to_jsonable()
 
-    summary = train_online(agent, make_env, eval_fn=eval_fn)
-    return {"seed": acfg.seed, "best_epoch": summary.best_epoch,
-            "report": summary.best_eval, "curve": curve_rows,
-            "final_report": summary.records[-1]["eval"]}
-
-
-_CELL_KINDS = {"offline": _offline_cell, "online": _online_cell}
-
-
-def _run_one_cell(job: dict) -> tuple:
-    out = _CELL_KINDS[job["kind"]](job["payload"])
-    return job["key"], job["seed_index"], out
+    if job["dataset"]:
+        data = read_dataset(job["dataset"]).view()
+        agent = make_agent(acfg, data.obs_dim, data.act_dim)
+        summary = train_offline(agent, data, eval_fn=eval_fn)
+    else:
+        env = base_env(cfg, days=cfg.data_days)
+        agent = make_agent(acfg, env.obs_spec.size, env.act_spec.size)
+        summary = train_online(agent, preset_rotation(env)[0],
+                               eval_fn=eval_fn)
+    return job["key"], job["seed_index"], {
+        "seed": acfg.seed, "best_epoch": summary.best_epoch,
+        "report": summary.best_eval, "curve": curve_rows,
+        "final_report": summary.records[-1]["eval"]}
 
 
 def _execute(jobs: list, n_workers: int) -> dict:
@@ -545,11 +498,11 @@ def _execute(jobs: list, n_workers: int) -> dict:
     results = {}
     if n_workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            for key, idx, out in pool.map(_run_one_cell, jobs):
+            for key, idx, out in pool.map(_run_cell, jobs):
                 results.setdefault(key, {})[idx] = out
     else:
         for job in jobs:
-            key, idx, out = _run_one_cell(job)
+            key, idx, out = _run_cell(job)
             results.setdefault(key, {})[idx] = out
     # deterministic per-cell ordering by seed index
     return {key: [per_seed[i] for i in sorted(per_seed)]
@@ -560,13 +513,6 @@ def _cell_fingerprint(rq: str, cfg: HarnessConfig, axes: dict) -> str:
     return fingerprint({"rq": rq, "config": cfg.fingerprint(), "axes": axes})
 
 
-def _empty_result(rq: str, cfg: HarnessConfig, axes: dict) -> SweepResult:
-    """Zero training seeds: record the grid axes, run nothing."""
-    summary_path = Path(cfg.out_dir) / rq / "summary.csv"
-    _atomic_write_text(summary_path, "")
-    return SweepResult(rq=rq, axes=axes, summary_path=str(summary_path))
-
-
 def _assemble(rq: str, cfg: HarnessConfig, axes: dict, cell_axes: dict,
               outcomes: dict, quality: dict) -> SweepResult:
     """Write per-cell directories plus the flat summary CSV."""
@@ -575,22 +521,20 @@ def _assemble(rq: str, cfg: HarnessConfig, axes: dict, cell_axes: dict,
     summary_rows = []
     for key in sorted(cell_axes):
         fp = _cell_fingerprint(rq, cfg, cell_axes[key])
-        if key in outcomes:
-            seeds_out = outcomes[key]
-        else:                       # reused from a previous run
+        seeds_out = outcomes.get(key)
+        if seeds_out is None:       # reused from a previous run
             cached = load_cell(out_root, rq, fp)
             if cached is None:
                 raise DataError(f"missing results for cell {key}")
             seeds_out = cached["seeds"]
-        report = {"rq": rq, "cell": key, "axes": cell_axes[key],
-                  "config_fingerprint": cfg.fingerprint(),
-                  "cell_fingerprint": fp, "seeds": seeds_out}
         curve_rows = [row for s in seeds_out for row in s["curve"]]
         if key in outcomes:
-            result.cell_dirs[key] = str(_write_cell(
-                out_root, rq, fp, report, curve_rows, quality.get(key)))
-        else:
-            result.cell_dirs[key] = str(out_root / rq / fp)
+            report = {"rq": rq, "cell": key, "axes": cell_axes[key],
+                      "config_fingerprint": cfg.fingerprint(),
+                      "cell_fingerprint": fp, "seeds": seeds_out}
+            _write_cell(out_root, rq, fp, report, curve_rows,
+                        quality.get(key))
+        result.cell_dirs[key] = str(out_root / rq / fp)
         result.cells[key] = [RunReport.from_jsonable(s["report"])
                              for s in seeds_out]
         result.curves[key] = curve_rows
@@ -604,49 +548,59 @@ def _assemble(rq: str, cfg: HarnessConfig, axes: dict, cell_axes: dict,
                    "episode_return": rep["episode_return"]}
             row.update({f"axis_{a}": v for a, v in cell_axes[key].items()})
             summary_rows.append(row)
+    buf = io.StringIO()
     if summary_rows:
         cols = sorted({c for row in summary_rows for c in row})
-        buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=cols, lineterminator="\n",
                                 restval="")
         writer.writeheader()
         writer.writerows(summary_rows)
-        summary = buf.getvalue()
-    else:
-        summary = ""
     summary_path = out_root / rq / "summary.csv"
-    _atomic_write_text(summary_path, summary)
+    _atomic_write_text(summary_path, buf.getvalue())
     result.summary_path = str(summary_path)
     return result
-
-
-def _plan_cells(rq: str, cfg: HarnessConfig, specs: list) -> tuple:
-    """Split cell specs into fresh jobs and cells reusable from disk.
-
-    Each spec is (key, axes, jobs). Returns (jobs_to_run, cell_axes).
-    """
-    out_root = Path(cfg.out_dir)
-    jobs, cell_axes = [], {}
-    for key, axes, cell_jobs in specs:
-        cell_axes[key] = axes
-        fp = _cell_fingerprint(rq, cfg, axes)
-        if cfg.skip_existing and load_cell(out_root, rq, fp) is not None:
-            continue
-        jobs.extend(cell_jobs)
-    return jobs, cell_axes
 
 
 def _agent_json(cfg: HarnessConfig, algo: str, seed: int, *,
                 history=False, seq_len=1, batch=None, steps=None,
                 epoch=None) -> dict:
+    steps = steps if steps is not None else cfg.train_steps
     return to_jsonable(AgentConfig(
         algo=algo, history=history, seq_len=seq_len,
-        batch_size=batch or cfg.batch_size,
-        train_steps=steps if steps is not None else cfg.train_steps,
-        epoch_steps=min(epoch or cfg.epoch_steps,
-                        max(steps if steps is not None else cfg.train_steps,
-                            1)),
-        seed=seed))
+        batch_size=batch or cfg.batch_size, train_steps=steps,
+        epoch_steps=min(epoch or cfg.epoch_steps, max(steps, 1)), seed=seed))
+
+
+def _sweep(rq: str, cfg: HarnessConfig, axes: dict, cells) -> SweepResult:
+    """Run one research-question grid.
+
+    ``cells()`` yields one ``(key, cell_axes, agent, dataset, quality)``
+    tuple per grid cell: a unique cell key, the axis values that (with the
+    config fingerprint) name the cell directory, `_agent_json` keyword
+    arguments, a dataset path to train on offline or None to train
+    online, and a quality report to store beside the cell or None. It is
+    called only when there is at least one seed, so datasets and experts
+    are built lazily. Cells whose directory exists are reused when
+    ``cfg.skip_existing`` is set.
+    """
+    if cfg.seeds == 0:
+        return _assemble(rq, cfg, axes, {}, {}, {})
+    out_root = Path(cfg.out_dir)
+    jobs, cell_axes, quality = [], {}, {}
+    for key, c_axes, agent, dataset, q in cells():
+        cell_axes[key] = c_axes
+        if q is not None:
+            quality[key] = q
+        fp = _cell_fingerprint(rq, cfg, c_axes)
+        if cfg.skip_existing and load_cell(out_root, rq, fp) is not None:
+            continue
+        jobs.extend({"key": key, "seed_index": s,
+                     "harness": cfg.to_jsonable(),
+                     "agent": _agent_json(cfg, seed=s, **agent),
+                     "dataset": dataset}
+                    for s in range(cfg.seeds))
+    return _assemble(rq, cfg, axes, cell_axes, _execute(jobs, cfg.jobs),
+                     quality)
 
 
 # ---------------------------------------------------------------------------
@@ -663,102 +617,75 @@ def run_rq1(cfg: HarnessConfig) -> SweepResult:
     """
     axes = {"scenario": list(cfg.rq1_scenarios),
             "algo": list(cfg.rq1_algos), "seeds": cfg.seeds}
-    if cfg.seeds == 0:
-        return _empty_result("rq1", cfg, axes)
-    datasets = {}
-    for scenario in cfg.rq1_scenarios:
-        if scenario == "final_buffer":
-            datasets[scenario] = str(materialize_final_buffer_dataset(
-                cfg, total_steps=cfg.dataset_steps))
-        elif scenario == "trained":
-            expert = ensure_expert(cfg)
-            datasets[scenario] = str(materialize_trained_dataset(
-                cfg, expert, cfg.epsilon, cfg.sigma, cfg.dataset_steps))
-        else:
-            raise UsageError(f"unknown scenario {scenario!r}")
-    specs = []
-    for scenario in cfg.rq1_scenarios:
-        for algo in cfg.rq1_algos:
-            key = f"{scenario}-{algo}"
-            cell_axes = {"scenario": scenario, "algo": algo}
-            jobs = [{"kind": "offline", "key": key, "seed_index": s,
-                     "payload": {"harness": cfg.to_jsonable(),
-                                 "agent": _agent_json(cfg, algo, s),
-                                 "dataset": datasets[scenario]}}
-                    for s in range(cfg.seeds)]
-            specs.append((key, cell_axes, jobs))
-    jobs, cell_axes = _plan_cells("rq1", cfg, specs)
-    outcomes = _execute(jobs, cfg.jobs)
-    return _assemble("rq1", cfg, axes, cell_axes, outcomes, {})
+
+    def cells():
+        datasets = {}
+        for scenario in cfg.rq1_scenarios:
+            if scenario == "final_buffer":
+                datasets[scenario] = materialize_final_buffer_dataset(
+                    cfg, total_steps=cfg.dataset_steps)
+            elif scenario == "trained":
+                datasets[scenario] = materialize_trained_dataset(
+                    cfg, ensure_expert(cfg), cfg.epsilon, cfg.sigma,
+                    cfg.dataset_steps)
+            else:
+                raise UsageError(f"unknown scenario {scenario!r}")
+        for scenario in cfg.rq1_scenarios:
+            for algo in cfg.rq1_algos:
+                yield (f"{scenario}-{algo}",
+                       {"scenario": scenario, "algo": algo},
+                       {"algo": algo}, datasets[scenario], None)
+
+    return _sweep("rq1", cfg, axes, cells)
 
 
 def run_rq2(cfg: HarnessConfig) -> SweepResult:
     """History encoder on versus off, offline (CQL) and online (SAC)."""
     axes = {"mode": list(cfg.rq2_modes), "history": [False, True],
             "seq_len": cfg.rq2_seq_len, "seeds": cfg.seeds}
-    if cfg.seeds == 0:
-        return _empty_result("rq2", cfg, axes)
-    dataset = None
-    if any(mode not in ("td3", "sac") for mode in cfg.rq2_modes):
-        expert = ensure_expert(cfg)
-        dataset = str(materialize_trained_dataset(
-            cfg, expert, cfg.epsilon, cfg.sigma, cfg.dataset_steps))
-    specs = []
-    for mode in cfg.rq2_modes:
-        for history in (False, True):
-            key = f"{mode}-{'hist' if history else 'flat'}"
-            cell_axes = {"mode": mode, "history": history,
-                         "seq_len": cfg.rq2_seq_len if history else 1}
-            jobs = []
-            for s in range(cfg.seeds):
-                agent = _agent_json(
-                    cfg, mode, s, history=history,
-                    seq_len=cfg.rq2_seq_len if history else 1,
-                    batch=cfg.rq2_batch,
-                    steps=cfg.rq2_online_steps if mode in ("td3", "sac")
-                    else cfg.train_steps)
-                kind = "online" if mode in ("td3", "sac") else "offline"
-                payload = {"harness": cfg.to_jsonable(), "agent": agent}
-                if kind == "offline":
-                    payload["dataset"] = dataset
-                jobs.append({"kind": kind, "key": key, "seed_index": s,
-                             "payload": payload})
-            specs.append((key, cell_axes, jobs))
-    jobs, cell_axes = _plan_cells("rq2", cfg, specs)
-    outcomes = _execute(jobs, cfg.jobs)
-    return _assemble("rq2", cfg, axes, cell_axes, outcomes, {})
+
+    def cells():
+        dataset = None
+        if any(mode not in ("td3", "sac") for mode in cfg.rq2_modes):
+            dataset = materialize_trained_dataset(
+                cfg, ensure_expert(cfg), cfg.epsilon, cfg.sigma,
+                cfg.dataset_steps)
+        for mode in cfg.rq2_modes:
+            online = mode in ("td3", "sac")
+            for history in (False, True):
+                seq_len = cfg.rq2_seq_len if history else 1
+                yield (f"{mode}-{'hist' if history else 'flat'}",
+                       {"mode": mode, "history": history, "seq_len": seq_len},
+                       {"algo": mode, "history": history, "seq_len": seq_len,
+                        "batch": cfg.rq2_batch,
+                        "steps": cfg.rq2_online_steps if online
+                        else cfg.train_steps},
+                       None if online else dataset, None)
+
+    return _sweep("rq2", cfg, axes, cells)
 
 
 def run_rq3(cfg: HarnessConfig) -> SweepResult:
     """Dataset-quality grid: perturbation rate and scale versus outcome."""
     axes = {"epsilon": list(cfg.rq3_epsilons), "sigma": list(cfg.rq3_sigmas),
             "seeds": cfg.seeds}
-    if cfg.seeds == 0:
-        return _empty_result("rq3", cfg, axes)
-    quality = {}
-    datasets = {}
-    expert = ensure_expert(cfg)
-    specs = []
-    for eps in cfg.rq3_epsilons:
-        for sg in cfg.rq3_sigmas:
-            key = f"eps{eps:g}-sigma{sg:g}"
-            cell_axes = {"epsilon": eps, "sigma": sg}
-            path = str(materialize_trained_dataset(
-                cfg, expert, eps, sg, cfg.rq3_dataset_steps))
-            datasets[key] = path
-            quality[key] = dataset_quality(cfg, path, expert)
-            jobs = [{"kind": "offline", "key": key, "seed_index": s,
-                     "payload": {"harness": cfg.to_jsonable(),
-                                 "agent": _agent_json(
-                                     cfg, "cql", s,
-                                     steps=cfg.rq3_train_steps,
-                                     epoch=max(cfg.rq3_train_steps // 4, 1)),
-                                 "dataset": datasets.get(key)}}
-                    for s in range(cfg.seeds)]
-            specs.append((key, cell_axes, jobs))
-    jobs, cell_axes = _plan_cells("rq3", cfg, specs)
-    outcomes = _execute(jobs, cfg.jobs)
-    return _assemble("rq3", cfg, axes, cell_axes, outcomes, quality)
+
+    def cells():
+        expert = ensure_expert(cfg)
+        for eps in cfg.rq3_epsilons:
+            for sg in cfg.rq3_sigmas:
+                path = materialize_trained_dataset(
+                    cfg, expert, eps, sg, cfg.rq3_dataset_steps)
+                quality = build_quality_report(
+                    read_dataset(path), load_agent(expert)[0],
+                    base_env(cfg, days=cfg.data_days)).to_jsonable()
+                yield (f"eps{eps:g}-sigma{sg:g}",
+                       {"epsilon": eps, "sigma": sg},
+                       {"algo": "cql", "steps": cfg.rq3_train_steps,
+                        "epoch": max(cfg.rq3_train_steps // 4, 1)},
+                       path, quality)
+
+    return _sweep("rq3", cfg, axes, cells)
 
 
 def run_rq4(cfg: HarnessConfig) -> SweepResult:
@@ -766,64 +693,41 @@ def run_rq4(cfg: HarnessConfig) -> SweepResult:
     eps, sg = RQ4_NOISE[cfg.env_kind]
     axes = {"size": list(cfg.rq4_sizes), "epsilon": eps, "sigma": sg,
             "seeds": cfg.seeds}
-    if cfg.seeds == 0:
-        return _empty_result("rq4", cfg, axes)
-    sizes = sorted(cfg.rq4_sizes)
-    expert = ensure_expert(cfg)
-    parent_path = materialize_trained_dataset(cfg, expert, eps, sg,
-                                              max(sizes))
-    parent = read_dataset(parent_path)
-    subsets = {}
-    for size in sizes:
-        if size == max(sizes):
-            subsets[size] = str(parent_path)
-            continue
-        tag = f"rq4-size{size}-" + fingerprint(
-            {"parent": parent.fingerprint(), "size": size})
-        path = _dataset_path(cfg, tag)
-        if not (path.exists() and cfg.skip_existing):
-            write_dataset(subsample(parent, target=size, seed=0), path)
-        subsets[size] = str(path)
-    specs = []
-    for size in sizes:
-        key = f"size{size}"
-        cell_axes = {"size": size, "epsilon": eps, "sigma": sg}
-        jobs = [{"kind": "offline", "key": key, "seed_index": s,
-                 "payload": {"harness": cfg.to_jsonable(),
-                             "agent": _agent_json(cfg, "cql", s),
-                             "dataset": subsets.get(size)}}
-                for s in range(cfg.seeds)]
-        specs.append((key, cell_axes, jobs))
-    jobs, cell_axes = _plan_cells("rq4", cfg, specs)
-    outcomes = _execute(jobs, cfg.jobs)
-    return _assemble("rq4", cfg, axes, cell_axes, outcomes, {})
+
+    def cells():
+        sizes = sorted(cfg.rq4_sizes)
+        parent_path = materialize_trained_dataset(
+            cfg, ensure_expert(cfg), eps, sg, max(sizes))
+        parent = read_dataset(parent_path)
+        for size in sizes:
+            path = parent_path
+            if size != max(sizes):
+                tag = f"rq4-size{size}-" + fingerprint(
+                    {"parent": parent.fingerprint(), "size": size})
+                path = _cached_dataset(cfg, tag, lambda: subsample(
+                    parent, target=size, seed=0))
+            yield (f"size{size}", {"size": size, "epsilon": eps, "sigma": sg},
+                   {"algo": "cql"}, path, None)
+
+    return _sweep("rq4", cfg, axes, cells)
 
 
 def run_rq5(cfg: HarnessConfig) -> SweepResult:
     """Sequence-length sweep for the history encoder."""
     axes = {"seq_len": list(cfg.rq5_seq_lens), "seeds": cfg.seeds}
-    if cfg.seeds == 0:
-        return _empty_result("rq5", cfg, axes)
-    expert = ensure_expert(cfg)
-    dataset = str(materialize_trained_dataset(
-        cfg, expert, cfg.epsilon, cfg.sigma, cfg.dataset_steps))
-    specs = []
-    for L in cfg.rq5_seq_lens:
-        key = f"len{L:02d}"
-        cell_axes = {"seq_len": L}
-        jobs = [{"kind": "offline", "key": key, "seed_index": s,
-                 "payload": {"harness": cfg.to_jsonable(),
-                             "agent": _agent_json(
-                                 cfg, "cql", s, history=True, seq_len=L,
-                                 batch=cfg.rq5_batch,
-                                 steps=cfg.rq5_train_steps,
-                                 epoch=max(cfg.rq5_train_steps // 4, 1)),
-                             "dataset": dataset}}
-                for s in range(cfg.seeds)]
-        specs.append((key, cell_axes, jobs))
-    jobs, cell_axes = _plan_cells("rq5", cfg, specs)
-    outcomes = _execute(jobs, cfg.jobs)
-    return _assemble("rq5", cfg, axes, cell_axes, outcomes, {})
+
+    def cells():
+        dataset = materialize_trained_dataset(
+            cfg, ensure_expert(cfg), cfg.epsilon, cfg.sigma,
+            cfg.dataset_steps)
+        for L in cfg.rq5_seq_lens:
+            yield (f"len{L:02d}", {"seq_len": L},
+                   {"algo": "cql", "history": True, "seq_len": L,
+                    "batch": cfg.rq5_batch, "steps": cfg.rq5_train_steps,
+                    "epoch": max(cfg.rq5_train_steps // 4, 1)},
+                   dataset, None)
+
+    return _sweep("rq5", cfg, axes, cells)
 
 
 RQ_RUNNERS = {"1": run_rq1, "2": run_rq2, "3": run_rq3, "4": run_rq4,

@@ -58,30 +58,37 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray],
     tmp.replace(path)
 
 
-def read_header(path) -> dict:
+def _read_header(path) -> tuple[dict, int]:
+    """The header and the file offset where the tensor payloads start."""
     path = Path(path)
     with open(path, "rb") as f:
         magic = f.read(8)
         if magic != MAGIC:
             raise DataError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        (hlen,) = struct.unpack("<I", f.read(4))
+        raw = f.read(4)
+        if len(raw) < 4:
+            raise DataError(f"{path}: truncated header length")
+        (hlen,) = struct.unpack("<I", raw)
         blob = f.read(hlen)
         if len(blob) != hlen:
             raise DataError(f"{path}: truncated header")
-        return json.loads(blob)
+        return json.loads(blob), 12 + hlen
+
+
+def read_header(path) -> dict:
+    return _read_header(path)[0]
 
 
 def load_checkpoint(path, expect_fingerprint: str | None = None
                     ) -> tuple[dict[str, np.ndarray], dict]:
     path = Path(path)
-    header = read_header(path)
+    header, base = _read_header(path)
     if expect_fingerprint is not None:
         got = header.get("config_fingerprint")
         if got != expect_fingerprint:
             raise FingerprintMismatchError(
                 f"{path}: checkpoint built for config {got}, "
                 f"expected {expect_fingerprint}")
-    base = 8 + 4 + len(canonical_json(header).encode())
     arrays: dict[str, np.ndarray] = {}
     with open(path, "rb") as f:
         for entry in header["tensors"]:

@@ -56,9 +56,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
@@ -98,7 +95,7 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def parameter(data, rng: np.random.Generator | None = None) -> Tensor:
+def parameter(data) -> Tensor:
     """Leaf tensor that accumulates gradients."""
     arr = np.asarray(data, dtype=np.float32)
     return Tensor(arr, requires_grad=True)

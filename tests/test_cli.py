@@ -235,6 +235,14 @@ class TestEval:
         assert "FingerprintMismatchError" in capsys.readouterr().err
 
 
+    def test_truncated_checkpoint_is_data_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "short.ckpt"
+        ckpt.write_bytes(b"HVCK0001\x00")
+        assert run(["eval", "--ckpt", str(ckpt), "--days", "0.25",
+                    "--out", str(tmp_path / "e")]) == 3
+        assert "DataError" in capsys.readouterr().err
+
+
 class TestRegret:
     def test_quality_file_shape(self, workspace, tmp_path):
         out = tmp_path / "quality.json"

@@ -10,6 +10,8 @@ from hvacrl.agents import AgentConfig, PolicyController, make_agent
 from hvacrl.buildsim import TRAIN_PRESETS, BuildingEnv, EnvConfig, run_episode
 from hvacrl.errors import DataError, UsageError
 
+from test_networks import respace_header
+
 
 def dc_env(days=1.0):
     return BuildingEnv(EnvConfig(kind="dc", days=days))
@@ -371,6 +373,14 @@ class TestContainer:
         p.write_bytes(blob[:len(blob) - 10])
         with pytest.raises(DataError):
             dg.verify_dataset(p)
+
+    def test_noncanonical_header_spacing_reads(self, tmp_path):
+        ds = synthetic_dataset()
+        p = tmp_path / "d.hvds"
+        dg.write_dataset(ds, p)
+        respace_header(p)
+        dg.verify_dataset(p)
+        assert dg.read_dataset(p).fingerprint() == ds.fingerprint()
 
     def test_partial_column_read(self, tmp_path):
         ds = synthetic_dataset()

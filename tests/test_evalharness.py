@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hvacrl.agents import AgentConfig, make_agent
 from hvacrl.buildsim import (EVAL_PRESET, TRAIN_PRESETS, BuildingEnv,
                              EnvConfig, rule_controller)
+from hvacrl.datagen import read_dataset
 from hvacrl.errors import DataError, FingerprintMismatchError, UsageError
 from hvacrl.evalharness import (
     RQ4_NOISE,
@@ -30,6 +31,7 @@ from hvacrl.evalharness import (
     run_rq1,
     run_rq2,
     run_rq3,
+    run_rq4,
     run_rq5,
     spearman_rho,
     temperature_quantiles,
@@ -190,8 +192,7 @@ class TestHarnessConfig:
 
     def test_fingerprint_ignores_location_and_workers(self):
         a = HarnessConfig(out_dir="x", jobs=1, skip_existing=True)
-        b = HarnessConfig(out_dir="y", jobs=8, skip_existing=False,
-                          keep_datasets=False)
+        b = HarnessConfig(out_dir="y", jobs=8, skip_existing=False)
         assert a.fingerprint() == b.fingerprint()
         assert a.fingerprint() != HarnessConfig(env_kind="mu").fingerprint()
 
@@ -252,7 +253,8 @@ def tiny_config(out_dir, **overrides) -> HarnessConfig:
 class TestZeroSeedGrids:
     def test_empty_result_keeps_axes(self, tmp_path):
         cfg = tiny_config(tmp_path, seeds=0)
-        for runner, rq in ((run_rq1, "rq1"), (run_rq3, "rq3"),
+        for runner, rq in ((run_rq1, "rq1"), (run_rq2, "rq2"),
+                           (run_rq3, "rq3"), (run_rq4, "rq4"),
                            (run_rq5, "rq5")):
             res = runner(cfg)
             assert res.rq == rq
@@ -260,6 +262,9 @@ class TestZeroSeedGrids:
             assert res.axes["seeds"] == 0
             assert os.path.exists(res.summary_path)
             assert open(res.summary_path).read() == ""
+        # nothing to train, so no expert or dataset is built
+        assert not (tmp_path / "datasets").exists()
+        assert not (tmp_path / "experts").exists()
 
     def test_validate_flags_missing_seeds(self):
         res = SweepResult(rq="rq5", axes={})
@@ -327,3 +332,34 @@ class TestMiniatureSweep:
         assert sorted(res.cells) == ["sac-flat", "sac-hist"]
         for key in res.cells:
             assert res.cells[key][0].steps == base_env(cfg).horizon
+
+    def test_offline_algorithms_on_both_scenarios(self, tmp_path):
+        cfg = tiny_config(tmp_path, rq1_algos=("td3", "cql"))
+        res = run_rq1(cfg)
+        assert sorted(res.cells) == ["final_buffer-cql", "final_buffer-td3",
+                                     "trained-cql", "trained-td3"]
+        res.validate(min_seeds=1)
+        names = sorted(p.name for p in (tmp_path / "datasets").iterdir())
+        assert [n.split("-")[0] for n in names] == ["final", "trained"]
+        rows = open(res.summary_path).read().splitlines()
+        assert len(rows) == 5 and "axis_scenario" in rows[0]
+
+    def test_quality_grid_writes_quality_per_cell(self, tmp_path):
+        cfg = tiny_config(tmp_path, rq3_epsilons=(0.0, 0.2),
+                          rq3_sigmas=(0.1,), rq3_dataset_steps=144,
+                          rq3_train_steps=8)
+        res = run_rq3(cfg)
+        assert sorted(res.cells) == ["eps0-sigma0.1", "eps0.2-sigma0.1"]
+        assert sorted(res.quality) == sorted(res.cells)
+        for key, d in res.cell_dirs.items():
+            with open(os.path.join(d, "quality.json")) as f:
+                assert json.load(f) == res.quality[key]
+
+    def test_quantity_sweep_subsamples_each_smaller_size(self, tmp_path):
+        cfg = tiny_config(tmp_path, rq4_sizes=(72, 360))
+        res = run_rq4(cfg)
+        assert sorted(res.cells) == ["size360", "size72"]
+        subsets = sorted((tmp_path / "datasets").glob("rq4-size72-*.hvds"))
+        assert len(subsets) == 1
+        assert 72 <= len(read_dataset(subsets[0])) < 360
+        assert not list((tmp_path / "datasets").glob("rq4-size360-*"))

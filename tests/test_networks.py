@@ -1,4 +1,6 @@
 """Layer, encoder, optimizer, sampler, and checkpoint behavior."""
+import json
+
 import numpy as np
 import pytest
 
@@ -312,3 +314,28 @@ class TestCheckpoint:
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
         with pytest.raises(DataError):
             read_header(path)
+
+    def test_short_header_length_detected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"HVCK0001\x00")      # one of four length bytes
+        with pytest.raises(DataError):
+            read_header(path)
+
+    def test_noncanonical_header_spacing_loads(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        arrays = self.arrays()
+        save_checkpoint(path, arrays, "abc123", {})
+        respace_header(path)
+        loaded, _ = load_checkpoint(path, expect_fingerprint="abc123")
+        for name in arrays:
+            assert np.array_equal(loaded[name], arrays[name])
+
+
+def respace_header(path):
+    """Rewrite a container's JSON header with indentation, keeping the
+    documented layout: magic, u32 header length, header, payload."""
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[8:12], "little")
+    blob = json.dumps(json.loads(raw[12:12 + hlen]), indent=2).encode()
+    path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob
+                     + raw[12 + hlen:])
