@@ -14,23 +14,26 @@ from __future__ import annotations
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import DivergenceError, SpecError
+from .. import container
+from ..errors import DivergenceError, FingerprintMismatchError, SpecError
 from ..fingerprint import fingerprint, to_jsonable
 from ..neuralsub import tensor as T
-from ..neuralsub.checkpoint import load_checkpoint, read_header, save_checkpoint
 from ..neuralsub.layers import Module
 from ..neuralsub.optim import Adam
+from ..neuralsub.sampling import sample_tanh_gaussian
 from ..neuralsub.tensor import Tensor
 from .config import AgentConfig
 from .nets import DeterministicActor, GaussianActor, TwinCritic
 from .replay import ReplayBuffer, ReplayView, WindowBatch
 
 Q_DIVERGENCE_LIMIT = 1e6
+CHECKPOINT_MAGIC = b"HVCK0002"
 
 
 class Agent:
@@ -97,11 +100,15 @@ class Agent:
         }
         if extra_meta:
             meta.update(extra_meta)
-        save_checkpoint(
-            path, self.state_arrays(),
-            config_fingerprint=self.fingerprint(),
-            seed_record={"seed": self.cfg.seed, "update_count": self.update_count},
-            meta=meta)
+        header = {
+            "config_fingerprint": self.fingerprint(),
+            "seed_record": {"seed": self.cfg.seed,
+                            "update_count": self.update_count},
+            "meta": meta,
+        }
+        container.write(path, CHECKPOINT_MAGIC, header,
+                        [(name, np.asarray(arr, np.float32)) for name, arr
+                         in sorted(self.state_arrays().items())])
 
     # -- acting ---------------------------------------------------------
 
@@ -351,8 +358,7 @@ class CQLAgent(SACAgent):
             mean, log_std = self.actor.dist_params(windows, valid)
             wide_mean = Tensor(np.repeat(mean.data, m, axis=0))
             wide_std = Tensor(np.repeat(log_std.data, m, axis=0))
-            a_pi, _ = self.actor.sample_from_params(wide_mean, wide_std,
-                                                    self.rng)
+            a_pi, _ = sample_tanh_gaussian(wide_mean, wide_std, self.rng)
         return a_pi.data
 
     def _critic_penalty(self, td, feat, batch, qs):
@@ -403,12 +409,19 @@ def make_agent(cfg: AgentConfig, obs_dim: int, act_dim: int) -> Agent:
 
 
 def load_agent(path) -> tuple[Agent, dict]:
-    """Rebuild an agent from a checkpoint; returns (agent, header)."""
-    header = read_header(path)
+    """Rebuild an agent from a checkpoint; returns (agent, header).
+
+    The stored config fingerprint must match the one the rebuilt agent
+    computes, so a checkpoint never loads into a changed configuration.
+    """
+    header, arrays = container.read(path, CHECKPOINT_MAGIC)
     meta = header["meta"]
     cfg = AgentConfig(**meta["agent_config"])
     agent = make_agent(cfg, int(meta["obs_dim"]), int(meta["act_dim"]))
-    arrays, _ = load_checkpoint(path, expect_fingerprint=agent.fingerprint())
+    if header["config_fingerprint"] != agent.fingerprint():
+        raise FingerprintMismatchError(
+            f"{path}: checkpoint built for config "
+            f"{header['config_fingerprint']}, expected {agent.fingerprint()}")
     agent.load_state(arrays)
     return agent, header
 
@@ -521,6 +534,19 @@ def _append_jsonl(path, row: dict):
         f.write(json.dumps(row, sort_keys=True) + "\n")
 
 
+@contextmanager
+def _logged_divergence(log_path, seed: int):
+    """Append one error row with the numeric diagnostics, then re-raise."""
+    try:
+        yield
+    except DivergenceError as e:
+        numeric = {k: v for k, v in e.diagnostics.items()
+                   if isinstance(v, (int, float))}
+        _append_jsonl(log_path, {"error": str(e), "seed": seed,
+                                 "diagnostics": numeric})
+        raise
+
+
 def _mean_of(rows: list[dict]) -> dict:
     if not rows:
         return {}
@@ -569,7 +595,7 @@ def train_offline(agent: Agent, data: ReplayView, *, eval_fn=None,
                       checkpoint_dir, log_path, t0, cfg.seed)
         return summary
     epoch_infos: list[dict] = []
-    try:
+    with _logged_divergence(log_path, cfg.seed):
         for step in range(1, cfg.train_steps + 1):
             batch = data.sample_batch(cfg.batch_size, cfg.seq_len, agent.rng)
             epoch_infos.append(agent.update(batch))
@@ -578,12 +604,6 @@ def train_offline(agent: Agent, data: ReplayView, *, eval_fn=None,
                 _finish_epoch(agent, summary, epoch, step, epoch_infos,
                               eval_fn, checkpoint_dir, log_path, t0, cfg.seed)
                 epoch_infos = []
-    except DivergenceError as e:
-        _append_jsonl(log_path, {"error": str(e), "seed": cfg.seed,
-                                 "diagnostics": {k: v for k, v in
-                                                 e.diagnostics.items()
-                                                 if isinstance(v, (int, float))}})
-        raise
     return summary
 
 
@@ -616,7 +636,7 @@ def train_online(agent: Agent, make_env, *, start_steps: int = 1000,
     window.push(obs_n)
     update_after = max(start_steps, cfg.batch_size)
     epoch_infos: list[dict] = []
-    try:
+    with _logged_divergence(log_path, cfg.seed):
         for step in range(1, cfg.train_steps + 1):
             if step <= start_steps:
                 act_n = agent.rng.uniform(-1.0, 1.0,
@@ -646,7 +666,4 @@ def train_online(agent: Agent, make_env, *, start_steps: int = 1000,
                 _finish_epoch(agent, summary, epoch, step, epoch_infos,
                               eval_fn, checkpoint_dir, log_path, t0, cfg.seed)
                 epoch_infos = []
-    except DivergenceError as e:
-        _append_jsonl(log_path, {"error": str(e), "seed": cfg.seed})
-        raise
     return summary

@@ -98,11 +98,9 @@ class DeterministicActor(Module):
     def __call__(self, windows, valid) -> Tensor:
         return T.tanh(self.head(self.encoder(windows, valid)))
 
-    def act(self, windows, valid, rng=None, noise_scale: float = 0.0):
+    def act(self, windows, valid):
         with T.no_grad():
             a = self(windows, valid).data.copy()
-        if noise_scale > 0.0:
-            a += rng.normal(0.0, noise_scale, size=a.shape).astype(np.float32)
         return np.clip(a, -1.0, 1.0)
 
 
@@ -126,14 +124,8 @@ class GaussianActor(Module):
         mean, log_std = self.dist_params(windows, valid)
         return sample_tanh_gaussian(mean, log_std, rng, deterministic=deterministic)
 
-    def sample_from_params(self, mean, log_std, rng, deterministic=False):
-        return sample_tanh_gaussian(mean, log_std, rng, deterministic=deterministic)
-
-    def act(self, windows, valid, rng=None, noise_scale: float = 0.0,
-            deterministic: bool = True):
+    def act(self, windows, valid, rng=None, deterministic: bool = True):
         with T.no_grad():
             a, _ = self.sample(windows, valid, rng, deterministic=deterministic)
             a = a.data.copy()
-        if noise_scale > 0.0:
-            a += rng.normal(0.0, noise_scale, size=a.shape).astype(np.float32)
         return np.clip(a, -1.0, 1.0)

@@ -25,10 +25,12 @@ import numpy as np
 
 from .agents import AgentConfig, load_agent, make_agent, train_offline
 from .buildsim import BuildingEnv, EnvConfig, rule_controller
+from .container import atomic_write
 from .datagen import (
     build_quality_report,
     collect_final_buffer,
     collect_trained,
+    delta_stats,
     read_dataset,
     write_dataset,
 )
@@ -101,10 +103,7 @@ def config_fingerprint(cfg: dict) -> str:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(canonical_json(obj))
-    tmp.replace(path)
+    atomic_write(path, [canonical_json(obj).encode()])
 
 
 def _audit(out_dir: Path, argv, subcommand: str, fp: str, seeds,
@@ -320,7 +319,7 @@ def cmd_regret(args, cfg: dict, argv, env_vars) -> int:
                       **report.to_jsonable()})
     _audit(out.parent, argv, "regret", fp, [], t0)
     print(f"regret: {out} episodes={len(report.deltas)} "
-          f"mean_delta={report.mean:.6f}")
+          f"mean_delta={delta_stats(report.deltas)['mean']:.6f}")
     return 0
 
 

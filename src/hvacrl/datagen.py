@@ -8,28 +8,27 @@ Two collection scenarios produce training data:
 * trained: a frozen expert policy is rolled out, and each step is perturbed
   with probability epsilon by Gaussian noise of scale sigma.
 
-Datasets are stored in a single-file column container (magic ``HVDS0001``):
-a JSON header with byte offsets and episode boundaries, little-endian
-float32 columns (terminals as bytes), and a trailing CRC32 after each
-column so readers can verify integrity while streaming one column at a
-time.
+Datasets are stored in the `hvacrl.container` layout under magic
+``HVDS0001``: the header carries the environment, specs, episode starts
+and metadata, and the arrays are the float32 ``obs``, ``act`` and
+``reward`` columns plus ``terminal`` as bytes.
 """
 from __future__ import annotations
 
 import csv
-import json
 import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import container
 from .agents import (Agent, AgentConfig, PolicyController, RolloutWindow,
                      load_agent, make_agent, train_online)
 from .agents.replay import ReplayView
 from .buildsim import TRAIN_PRESETS, BuildingEnv, run_episode
 from .errors import DataError, SpecError, UsageError
-from .fingerprint import canonical_json, fingerprint
+from .fingerprint import fingerprint
 
 MAGIC = b"HVDS0001"
 REFERENCE_SEED = 424243  # fixed reset seed for expert reference rollouts
@@ -91,25 +90,16 @@ class Dataset:
         return int(seeds[i]) if i < len(seeds) else None
 
     def validate(self) -> None:
-        n = len(self)
-        starts = self.episode_starts
-        if n == 0:
-            raise DataError("dataset has no transitions")
-        if starts.size == 0 or starts[0] != 0 or starts[-1] >= n \
-                or np.any(np.diff(starts) <= 0):
-            raise DataError("episode boundaries do not partition the steps")
-        ends = np.concatenate([starts[1:] - 1, [n - 1]])
-        interior = np.ones(n, dtype=bool)
-        interior[ends] = False
-        if not self.terminals[ends].all() or self.terminals[interior].any():
-            raise DataError("episode boundaries inconsistent with terminals")
+        """`ReplayView` checks the columns and episode boundaries; a stored
+        dataset must also close its last episode, keep actions in [-1, 1]
+        and have finite rewards."""
+        self.view()
+        if not self.terminals[-1]:
+            raise DataError("final episode is not terminal")
         if self.actions.min() < -1.0 or self.actions.max() > 1.0:
             raise DataError("actions leave [-1, 1]")
         if not np.all(np.isfinite(self.rewards)):
             raise DataError("non-finite rewards")
-        if not (len(self.actions) == len(self.rewards)
-                == len(self.terminals) == n):
-            raise DataError("column lengths disagree")
 
     def header_dict(self) -> dict:
         return {
@@ -126,12 +116,15 @@ class Dataset:
             "metadata": self.metadata,
         }
 
+    def columns(self) -> list:
+        """The stored ``(name, array)`` columns, in file order."""
+        return [("obs", self.obs), ("act", self.actions),
+                ("reward", self.rewards),
+                ("terminal", self.terminals.astype(np.uint8))]
+
     def fingerprint(self) -> str:
         crcs = {name: zlib.crc32(np.ascontiguousarray(col).data)
-                for name, col in [("obs", self.obs),
-                                  ("act", self.actions),
-                                  ("reward", self.rewards),
-                                  ("terminal", self.terminals.astype(np.uint8))]}
+                for name, col in self.columns()}
         return fingerprint({"header": self.header_dict(), "crcs": crcs})
 
     def view(self) -> ReplayView:
@@ -380,6 +373,12 @@ def expert_reference_return(env_template: BuildingEnv, expert: Agent,
     return float(traj.rewards.sum())
 
 
+def delta_stats(deltas) -> dict:
+    """The min, max, mean and variance of regret deltas."""
+    return {"min": float(np.min(deltas)), "max": float(np.max(deltas)),
+            "mean": float(np.mean(deltas)), "variance": float(np.var(deltas))}
+
+
 @dataclass
 class GroupStats:
     preset: str
@@ -387,28 +386,10 @@ class GroupStats:
     deltas: list
     flagged: bool
 
-    @property
-    def minimum(self):
-        return float(np.min(self.deltas))
-
-    @property
-    def maximum(self):
-        return float(np.max(self.deltas))
-
-    @property
-    def mean(self):
-        return float(np.mean(self.deltas))
-
-    @property
-    def variance(self):
-        return float(np.var(self.deltas))
-
     def to_jsonable(self):
         return {"preset": self.preset, "r_opt": self.r_opt,
                 "deltas": [float(d) for d in self.deltas],
-                "flagged": self.flagged, "min": self.minimum,
-                "max": self.maximum, "mean": self.mean,
-                "variance": self.variance}
+                "flagged": self.flagged, **delta_stats(self.deltas)}
 
 
 @dataclass
@@ -420,22 +401,6 @@ class QualityReport:
     groups: dict                 # preset -> GroupStats
     r_opt_by_preset: dict
 
-    @property
-    def minimum(self):
-        return float(np.min(self.deltas))
-
-    @property
-    def maximum(self):
-        return float(np.max(self.deltas))
-
-    @property
-    def mean(self):
-        return float(np.mean(self.deltas))
-
-    @property
-    def variance(self):
-        return float(np.var(self.deltas))
-
     def to_jsonable(self):
         return {
             "deltas": [float(d) for d in self.deltas],
@@ -443,8 +408,7 @@ class QualityReport:
             "r_opt_by_preset": {k: float(v)
                                 for k, v in self.r_opt_by_preset.items()},
             "groups": {k: g.to_jsonable() for k, g in self.groups.items()},
-            "min": self.minimum, "max": self.maximum,
-            "mean": self.mean, "variance": self.variance,
+            **delta_stats(self.deltas),
         }
 
 
@@ -604,123 +568,26 @@ def merge_datasets(shards: list) -> Dataset:
 # container i/o
 
 
-def _columns_of(ds: Dataset):
-    return [("obs", ds.obs.astype("<f4")),
-            ("act", ds.actions.astype("<f4")),
-            ("reward", ds.rewards.astype("<f4")),
-            ("terminal", ds.terminals.astype(np.uint8))]
-
-
 def write_dataset(ds: Dataset, path) -> None:
     ds.validate()
-    path = Path(path)
-    cols = _columns_of(ds)
-    entries, offset = [], 0
-    for name, arr in cols:
-        raw_len = arr.nbytes
-        entries.append({
-            "name": name,
-            "dtype": str(arr.dtype),
-            "shape": list(arr.shape),
-            "offset": offset,
-            "nbytes": raw_len,
-            "crc32": zlib.crc32(np.ascontiguousarray(arr).data),
-        })
-        offset += raw_len + 4  # payload plus trailing CRC32
-    header = dict(ds.header_dict(), columns=entries)
-    blob = canonical_json(header).encode()
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(tmp, "wb") as f:
-        f.write(MAGIC)
-        f.write(len(blob).to_bytes(4, "little"))
-        f.write(blob)
-        for (name, arr), entry in zip(cols, entries):
-            f.write(np.ascontiguousarray(arr).data)
-            f.write(entry["crc32"].to_bytes(4, "little"))
-    tmp.replace(path)
-
-
-def _read_header(path) -> tuple[dict, int]:
-    """The header and the file offset where the column payloads start."""
-    with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != MAGIC:
-            raise DataError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        raw = f.read(4)
-        if len(raw) < 4:
-            raise DataError(f"{path}: truncated header length")
-        hlen = int.from_bytes(raw, "little")
-        blob = f.read(hlen)
-        if len(blob) != hlen:
-            raise DataError(f"{path}: truncated header")
-        return json.loads(blob), 12 + hlen
+    container.write(path, MAGIC, ds.header_dict(), ds.columns())
 
 
 def read_dataset_header(path) -> dict:
-    return _read_header(path)[0]
+    return container.read_header(path, MAGIC)
 
 
-def read_dataset_columns(path, names) -> dict[str, np.ndarray]:
-    """Load only the requested columns, one at a time, verifying CRCs."""
-    header, base = _read_header(path)
-    by_name = {e["name"]: e for e in header["columns"]}
-    out = {}
-    with open(path, "rb") as f:
-        for name in names:
-            if name not in by_name:
-                raise DataError(f"{path}: no column {name!r}")
-            e = by_name[name]
-            f.seek(base + e["offset"])
-            arr = np.fromfile(f, dtype=np.dtype(e["dtype"]),
-                              count=int(np.prod(e["shape"])) or 0)
-            if arr.nbytes != e["nbytes"]:
-                raise DataError(f"{path}: column {name} truncated")
-            trailer = f.read(4)
-            if len(trailer) < 4:
-                raise DataError(f"{path}: column {name} missing checksum")
-            crc = zlib.crc32(arr.data)
-            if crc != e["crc32"] or crc != int.from_bytes(trailer, "little"):
-                raise DataError(f"{path}: column {name} checksum mismatch")
-            out[name] = arr.reshape(e["shape"])
-    return out
-
-
-def verify_dataset(path, chunk_bytes: int = 1 << 20) -> dict:
-    """Streaming integrity check; memory stays bounded by the chunk size."""
-    header, base = _read_header(path)
-    with open(path, "rb") as f:
-        for e in header["columns"]:
-            f.seek(base + e["offset"])
-            remaining, crc = e["nbytes"], 0
-            while remaining > 0:
-                block = f.read(min(chunk_bytes, remaining))
-                if not block:
-                    raise DataError(f"{path}: column {e['name']} truncated")
-                crc = zlib.crc32(block, crc)
-                remaining -= len(block)
-            trailer = f.read(4)
-            if len(trailer) < 4:
-                raise DataError(f"{path}: column {e['name']} missing checksum")
-            if crc != e["crc32"] or crc != int.from_bytes(trailer, "little"):
-                raise DataError(f"{path}: column {e['name']} checksum "
-                                f"mismatch")
-    return header
+def verify_dataset(path) -> dict:
+    """Streaming integrity check of every column; returns the header."""
+    return container.verify(path, MAGIC)
 
 
 def read_dataset(path) -> Dataset:
-    header = read_dataset_header(path)
-    cols = read_dataset_columns(path, ["obs", "act", "reward", "terminal"])
-    ds = Dataset(
-        env_kind=header["env_kind"], days=header["days"],
-        horizon=header["horizon"],
-        obs_spec_fingerprint=header["obs_spec_fingerprint"],
-        act_spec_fingerprint=header["act_spec_fingerprint"],
-        obs_lows=header["obs_lows"], obs_highs=header["obs_highs"],
-        act_lows=header["act_lows"], act_highs=header["act_highs"],
-        episode_starts=header["episode_starts"], metadata=header["metadata"],
-        obs=cols["obs"], actions=cols["act"], rewards=cols["reward"],
-        terminals=cols["terminal"].astype(bool))
+    header, cols = container.read(path, MAGIC)
+    del header["columns"]
+    ds = Dataset(**header, obs=cols["obs"], actions=cols["act"],
+                 rewards=cols["reward"],
+                 terminals=cols["terminal"].astype(bool))
     ds.validate()
     return ds
 

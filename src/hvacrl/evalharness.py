@@ -40,11 +40,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .agents import (Agent, AgentConfig, PolicyController, load_agent,
-                     make_agent, train_offline, train_online)
+from .agents import (CHECKPOINT_MAGIC, Agent, AgentConfig, PolicyController,
+                     load_agent, make_agent, train_offline, train_online)
 from .buildsim import (EVAL_PRESET, TRAIN_PRESETS, BuildingEnv, EnvConfig,
                        read_trajectory_csv, rule_controller, run_episode,
                        write_trajectory_csv)
+from .container import atomic_write
 from .datagen import (build_quality_report, collect_final_buffer,
                       collect_trained, preset_rotation, read_dataset,
                       subsample, write_dataset)
@@ -314,13 +315,6 @@ def base_env(cfg: HarnessConfig, days: float | None = None) -> BuildingEnv:
 # atomic result emission
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(text)
-    tmp.replace(path)
-
-
 def _write_cell(out_root: Path, rq: str, cell_fp: str, report: dict,
                 curve_rows: list, quality: dict | None) -> Path:
     """Atomically materialize one cell directory (temp dir then rename)."""
@@ -370,7 +364,8 @@ def ensure_expert(cfg: HarnessConfig) -> str:
 
     Uses ``cfg.expert_path`` when given; otherwise trains an online agent
     against the rotating training presets and caches the checkpoint under
-    the output directory, keyed by its configuration fingerprint.
+    the output directory, keyed by its configuration fingerprint and the
+    checkpoint format, so a cache in an older format is retrained.
     """
     if cfg.expert_path:
         if not Path(cfg.expert_path).exists():
@@ -379,16 +374,14 @@ def ensure_expert(cfg: HarnessConfig) -> str:
     acfg = expert_config(cfg)
     env = base_env(cfg, days=cfg.data_days)
     tag = fingerprint({"agent": to_jsonable(acfg), "env": env.fingerprint(),
-                       "steps": cfg.expert_steps})
+                       "steps": cfg.expert_steps,
+                       "format": CHECKPOINT_MAGIC.decode()})
     path = Path(cfg.out_dir) / "experts" / f"expert-{tag}.ckpt"
     if path.exists():
         return str(path)
     agent = make_agent(acfg, env.obs_spec.size, env.act_spec.size)
     train_online(agent, preset_rotation(env)[0])
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    agent.save(tmp, epoch=0, step=cfg.expert_steps)
-    tmp.replace(path)
+    agent.save(path, epoch=0, step=cfg.expert_steps)
     return str(path)
 
 
@@ -556,7 +549,7 @@ def _assemble(rq: str, cfg: HarnessConfig, axes: dict, cell_axes: dict,
         writer.writeheader()
         writer.writerows(summary_rows)
     summary_path = out_root / rq / "summary.csv"
-    _atomic_write_text(summary_path, buf.getvalue())
+    atomic_write(summary_path, [buf.getvalue().encode()])
     result.summary_path = str(summary_path)
     return result
 

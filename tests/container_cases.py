@@ -1,0 +1,147 @@
+"""Behaviour every stored array format shares.
+
+`ContainerCases` holds the tests once; each format's test class inherits it
+and sets ``fmt`` to an object with:
+
+* ``magic``: the format's 8-byte magic;
+* ``save(path) -> (state, arrays)``: write a file through the format's API
+  and return what a round trip must preserve;
+* ``load(path) -> (state, arrays)``: the same, read back through the API;
+* ``resave(src, dst)``: load ``src`` and save it again as ``dst``;
+* ``verify(path)``: the format's streaming integrity check.
+"""
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from hvacrl import container
+from hvacrl.errors import DataError
+
+
+def rewrite_header(path, edit=lambda header: header):
+    """Rewrite a container's JSON header indented (not canonical), after
+    ``edit``, keeping the layout: magic, u32 header length, header,
+    payloads."""
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[8:12], "little")
+    blob = json.dumps(edit(json.loads(raw[12:12 + hlen])), indent=2).encode()
+    path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob
+                     + raw[12 + hlen:])
+
+
+class ContainerCases:
+    fmt = None
+
+    def assert_rejected(self, path):
+        with pytest.raises(DataError):
+            self.fmt.load(path)
+        with pytest.raises(DataError):
+            self.fmt.verify(path)
+
+    def test_roundtrip(self, tmp_path):
+        path = tmp_path / "a"
+        state, arrays = self.fmt.save(path)
+        assert path.read_bytes()[:8] == self.fmt.magic
+        got_state, got = self.fmt.load(path)
+        assert got_state == state
+        assert got.keys() == arrays.keys()
+        for name, arr in arrays.items():
+            assert got[name].dtype == arr.dtype
+            assert got[name].shape == arr.shape
+            assert got[name].tobytes() == arr.tobytes()
+
+    def test_resave_is_byte_identical(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        self.fmt.save(a)
+        self.fmt.resave(a, b)
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_corruption_detected(self, tmp_path):
+        path = tmp_path / "a"
+        self.fmt.save(path)
+        raw = path.read_bytes()
+        base = 12 + int.from_bytes(raw[8:12], "little")
+        largest = max(container.read_header(path, self.fmt.magic)["columns"],
+                      key=lambda e: e["nbytes"])
+        # a byte inside the largest payload, then the last array's trailer
+        for at in (base + largest["offset"] + largest["nbytes"] // 2,
+                   len(raw) - 2):
+            flipped = bytearray(raw)
+            flipped[at] ^= 0xFF
+            path.write_bytes(bytes(flipped))
+            self.assert_rejected(path)
+
+    def test_truncation_detected(self, tmp_path):
+        path = tmp_path / "a"
+        self.fmt.save(path)
+        path.write_bytes(path.read_bytes()[:-10])
+        self.assert_rejected(path)
+
+    def test_bad_magic_detected(self, tmp_path):
+        path = tmp_path / "a"
+        self.fmt.save(path)
+        path.write_bytes(b"X" + path.read_bytes()[1:])
+        self.assert_rejected(path)
+        with pytest.raises(DataError):
+            container.read_header(path, self.fmt.magic)
+
+    def test_short_header_length_detected(self, tmp_path):
+        path = tmp_path / "a"
+        path.write_bytes(self.fmt.magic + b"\x00")  # one of four length bytes
+        self.assert_rejected(path)
+
+    def test_shape_size_mismatch_detected(self, tmp_path):
+        path = tmp_path / "a"
+        self.fmt.save(path)
+
+        def grow_first_array(header):
+            header["columns"][0]["shape"][0] += 1
+            return header
+
+        rewrite_header(path, grow_first_array)
+        with pytest.raises(DataError):
+            self.fmt.load(path)
+
+    def test_noncanonical_header_spacing_loads(self, tmp_path):
+        path = tmp_path / "a"
+        state, arrays = self.fmt.save(path)
+        rewrite_header(path)
+        self.fmt.verify(path)
+        got_state, got = self.fmt.load(path)
+        assert got_state == state
+        for name, arr in arrays.items():
+            assert np.array_equal(got[name], arr)
+
+    def test_partial_column_read(self, tmp_path):
+        path = tmp_path / "a"
+        _, arrays = self.fmt.save(path)
+        name = sorted(arrays)[-1]
+        _, got = container.read(path, self.fmt.magic, names=[name])
+        assert list(got) == [name]
+        assert np.array_equal(got[name], arrays[name])
+        with pytest.raises(DataError):
+            container.read(path, self.fmt.magic, names=["nope"])
+
+    def test_streaming_memory_stays_below_column_size(self, tmp_path):
+        # a 16 MB array: verification must stream in blocks, and reading
+        # that one array must hold about one copy of it, not the file
+        rng = np.random.default_rng(0)
+        big = rng.random((1_000_000, 4), dtype=np.float32)
+        path = tmp_path / "big"
+        container.write(path, self.fmt.magic, {},
+                        [("big", big), ("small", big[:10, 0].copy())])
+
+        tracemalloc.start()
+        self.fmt.verify(path)
+        _, peak_verify = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak_verify < big.nbytes // 2, peak_verify
+
+        tracemalloc.start()
+        _, got = container.read(path, self.fmt.magic, names=["big"])
+        _, peak_read = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak_read < 2 * big.nbytes, peak_read
+        assert np.array_equal(got["big"], big)

@@ -701,6 +701,22 @@ class TestTrainLoops:
         rows = [json.loads(line) for line in log.read_text().splitlines()]
         assert any("error" in r for r in rows)
 
+    def test_online_divergence_logs_diagnostics(self, tmp_path):
+        def make_env(ep):
+            return BuildingEnv(EnvConfig(kind="dc", weather="preset:chicago",
+                                         days=1))
+
+        agent = make_agent(AgentConfig(algo="td3", batch_size=16,
+                                       train_steps=50, seed=11), 8, 4)
+        agent.critic.q1_head.layers[-1].b.data[:] = 5e6
+        log = tmp_path / "log.jsonl"
+        with pytest.raises(DivergenceError):
+            train_online(agent, make_env, start_steps=20, log_path=log)
+        rows = [json.loads(line) for line in log.read_text().splitlines()]
+        errors = [r for r in rows if "error" in r]
+        assert len(errors) == 1
+        assert errors[0]["diagnostics"]["update"] == 1
+
     def test_checkpoint_roundtrip_restores_policy_exactly(self, tmp_path):
         view = make_view(n=400, ep=100, seed=14)
         cfg = AgentConfig(algo="cql", batch_size=16, train_steps=40,

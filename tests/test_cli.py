@@ -237,7 +237,7 @@ class TestEval:
 
     def test_truncated_checkpoint_is_data_error(self, tmp_path, capsys):
         ckpt = tmp_path / "short.ckpt"
-        ckpt.write_bytes(b"HVCK0001\x00")
+        ckpt.write_bytes(b"HVCK0002\x00")
         assert run(["eval", "--ckpt", str(ckpt), "--days", "0.25",
                     "--out", str(tmp_path / "e")]) == 3
         assert "DataError" in capsys.readouterr().err

@@ -1,5 +1,4 @@
 """Dataset collection, the column container, regret scoring, subsampling."""
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +9,7 @@ from hvacrl.agents import AgentConfig, PolicyController, make_agent
 from hvacrl.buildsim import TRAIN_PRESETS, BuildingEnv, EnvConfig, run_episode
 from hvacrl.errors import DataError, UsageError
 
-from test_networks import respace_header
+from container_cases import ContainerCases
 
 
 def dc_env(days=1.0):
@@ -205,7 +204,8 @@ class TestRegret:
         rep = dg.build_quality_report(ds, expert, env,
                                       reference_seed=seed * 100_003)
         assert abs(rep.deltas[0]) < 1e-5
-        assert rep.minimum <= rep.mean <= rep.maximum
+        stats = dg.delta_stats(rep.deltas)
+        assert stats["min"] <= stats["mean"] <= stats["max"]
 
     def test_quality_report_groups_by_preset(self):
         env = dc_env()
@@ -217,8 +217,9 @@ class TestRegret:
         assert sum(len(g.deltas) for g in rep.groups.values()) \
             == ds.num_episodes
         for g in rep.groups.values():
-            assert g.minimum <= g.mean <= g.maximum
-            assert g.variance >= 0.0
+            stats = dg.delta_stats(g.deltas)
+            assert stats["min"] <= stats["mean"] <= stats["max"]
+            assert stats["variance"] >= 0.0
         j = rep.to_jsonable()
         assert set(j) >= {"deltas", "groups", "min", "max", "mean",
                           "variance"}
@@ -234,7 +235,8 @@ class TestRegret:
                                    epsilon=0.8, sigma=0.6, seed=3)
         rep_c = dg.build_quality_report(clean, expert, env)
         rep_n = dg.build_quality_report(noisy, expert, env)
-        assert rep_n.variance > rep_c.variance
+        assert dg.delta_stats(rep_n.deltas)["variance"] \
+            > dg.delta_stats(rep_c.deltas)["variance"]
         assert max(map(abs, rep_n.deltas)) > max(map(abs, rep_c.deltas))
 
 
@@ -322,111 +324,29 @@ class TestMerge:
             dg.merge_datasets([])
 
 
-class TestContainer:
-    def test_write_read_write_is_byte_identical(self, tmp_path):
+class DatasetFormat:
+    """HVDS datasets, written by `write_dataset`, read by `read_dataset`."""
+
+    magic = dg.MAGIC
+
+    def save(self, path):
         ds = synthetic_dataset()
-        p1, p2 = tmp_path / "a.hvds", tmp_path / "b.hvds"
-        dg.write_dataset(ds, p1)
-        again = dg.read_dataset(p1)
-        dg.write_dataset(again, p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        dg.write_dataset(ds, path)
+        return ds.header_dict(), dict(ds.columns())
 
-    def test_roundtrip_preserves_everything(self, tmp_path):
-        ds = synthetic_dataset()
-        p = tmp_path / "d.hvds"
-        dg.write_dataset(ds, p)
-        back = dg.read_dataset(p)
-        assert back.fingerprint() == ds.fingerprint()
-        assert np.array_equal(back.obs, ds.obs)
-        assert back.metadata == ds.metadata
-        assert back.env_kind == ds.env_kind
-        assert back.horizon == ds.horizon
+    def load(self, path):
+        ds = dg.read_dataset(path)
+        return ds.header_dict(), dict(ds.columns())
 
-    def test_magic_and_header_integrity(self, tmp_path):
-        ds = synthetic_dataset()
-        p = tmp_path / "d.hvds"
-        dg.write_dataset(ds, p)
-        assert p.read_bytes()[:8] == b"HVDS0001"
-        blob = bytearray(p.read_bytes())
-        blob[0] = ord("X")
-        p.write_bytes(bytes(blob))
-        with pytest.raises(DataError):
-            dg.read_dataset_header(p)
+    def resave(self, src, dst):
+        dg.write_dataset(dg.read_dataset(src), dst)
 
-    def test_corrupted_column_fails_checksum(self, tmp_path):
-        ds = synthetic_dataset()
-        p = tmp_path / "d.hvds"
-        dg.write_dataset(ds, p)
-        blob = bytearray(p.read_bytes())
-        blob[len(blob) // 2] ^= 0xFF        # flip a payload byte
-        p.write_bytes(bytes(blob))
-        with pytest.raises(DataError):
-            dg.read_dataset(p)
-        with pytest.raises(DataError):
-            dg.verify_dataset(p)
+    def verify(self, path):
+        dg.verify_dataset(path)
 
-    def test_truncated_file_detected(self, tmp_path):
-        ds = synthetic_dataset()
-        p = tmp_path / "d.hvds"
-        dg.write_dataset(ds, p)
-        blob = p.read_bytes()
-        p.write_bytes(blob[:len(blob) - 10])
-        with pytest.raises(DataError):
-            dg.verify_dataset(p)
 
-    def test_noncanonical_header_spacing_reads(self, tmp_path):
-        ds = synthetic_dataset()
-        p = tmp_path / "d.hvds"
-        dg.write_dataset(ds, p)
-        respace_header(p)
-        dg.verify_dataset(p)
-        assert dg.read_dataset(p).fingerprint() == ds.fingerprint()
-
-    def test_partial_column_read(self, tmp_path):
-        ds = synthetic_dataset()
-        p = tmp_path / "d.hvds"
-        dg.write_dataset(ds, p)
-        cols = dg.read_dataset_columns(p, ["reward", "terminal"])
-        assert np.array_equal(cols["reward"], ds.rewards)
-        assert np.array_equal(cols["terminal"].astype(bool), ds.terminals)
-        with pytest.raises(DataError):
-            dg.read_dataset_columns(p, ["nope"])
-
-    def test_streaming_memory_stays_below_column_size(self, tmp_path):
-        # a million rows: obs column is 16 MB, but verification must
-        # stream in chunks and a single-column read must not pull in the
-        # whole file
-        n, obs_dim, ep_len = 1_000_000, 4, 1000
-        rng = np.random.default_rng(0)
-        starts = np.arange(0, n, ep_len)
-        terminals = np.zeros(n, dtype=bool)
-        terminals[np.concatenate([starts[1:] - 1, [n - 1]])] = True
-        ds = dg.Dataset(
-            env_kind="dc", days=float(ep_len) / 144.0, horizon=ep_len,
-            obs_spec_fingerprint="obs-test", act_spec_fingerprint="act-test",
-            obs_lows=[0.0] * obs_dim, obs_highs=[1.0] * obs_dim,
-            act_lows=[-1.0], act_highs=[1.0],
-            episode_starts=starts, metadata={"scenario": "synthetic"},
-            obs=rng.random((n, obs_dim), dtype=np.float32),
-            actions=rng.uniform(-1, 1, (n, 1)).astype(np.float32),
-            rewards=np.zeros(n, dtype=np.float32),
-            terminals=terminals)
-        p = tmp_path / "big.hvds"
-        dg.write_dataset(ds, p)
-        obs_bytes = ds.obs.nbytes
-
-        tracemalloc.start()
-        dg.verify_dataset(p)
-        _, peak_verify = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert peak_verify < obs_bytes // 2, peak_verify
-
-        tracemalloc.start()
-        cols = dg.read_dataset_columns(p, ["obs"])
-        _, peak_read = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert peak_read < 2 * obs_bytes, peak_read
-        assert cols["obs"].shape == (n, obs_dim)
+class TestContainer(ContainerCases):
+    fmt = DatasetFormat()
 
     def test_csv_export_shape(self, tmp_path):
         ds = synthetic_dataset(n=50, ep_len=25)

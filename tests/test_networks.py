@@ -1,16 +1,17 @@
 """Layer, encoder, optimizer, sampler, and checkpoint behavior."""
-import json
-
 import numpy as np
 import pytest
 
+from hvacrl import container
+from hvacrl.agents import CHECKPOINT_MAGIC, AgentConfig, load_agent, make_agent
+from hvacrl.cli import main
 from hvacrl.errors import DataError, FingerprintMismatchError, SpecError
 from hvacrl.neuralsub import tensor as T
-from hvacrl.neuralsub.checkpoint import load_checkpoint, read_header, save_checkpoint
 from hvacrl.neuralsub.layers import MLP, EncoderConfig, HistoryEncoder, Linear
 from hvacrl.neuralsub.optim import Adam
 from hvacrl.neuralsub.sampling import sample_tanh_gaussian, tanh_gaussian_log_prob
 
+from container_cases import ContainerCases, rewrite_header
 from gradcheck import TOL, check_module
 
 SMALL = EncoderConfig(window=6, feat=16, blocks=2, heads=4, hidden=24)
@@ -260,82 +261,50 @@ class TestTanhGaussianSampler:
         assert log_std.grad is not None and np.isfinite(log_std.grad).all()
 
 
-class TestCheckpoint:
-    def arrays(self):
-        rng = np.random.default_rng(0)
-        return {
-            "actor.w": rng.normal(size=(4, 3)).astype(np.float32),
-            "actor.b": rng.normal(size=3).astype(np.float32),
-            "critic.w": rng.normal(size=(7, 1)).astype(np.float32),
-        }
+class CheckpointFormat:
+    """Agent checkpoints, written by `Agent.save`, read by `load_agent`."""
 
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        arrays = self.arrays()
-        save_checkpoint(path, arrays, "abc123", {"seed": 7}, {"step": 100})
-        loaded, header = load_checkpoint(path, expect_fingerprint="abc123")
-        assert set(loaded) == set(arrays)
-        for name in arrays:
-            assert np.array_equal(loaded[name], arrays[name])
-        assert header["seed_record"] == {"seed": 7}
-        assert header["meta"]["step"] == 100
+    magic = CHECKPOINT_MAGIC
 
-    def test_resave_is_byte_identical(self, tmp_path):
-        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        arrays = self.arrays()
-        save_checkpoint(p1, arrays, "abc123", {"seed": 7})
-        save_checkpoint(p2, arrays, "abc123", {"seed": 7})
-        assert p1.read_bytes() == p2.read_bytes()
+    def save(self, path):
+        agent = make_agent(AgentConfig(algo="sac", hidden=16, seed=7), 4, 2)
+        agent.save(path, epoch=1, step=100)
+        return self.state(agent, {"seed": 7, "update_count": 0}, 100), \
+            agent.state_arrays()
+
+    def load(self, path):
+        agent, header = load_agent(path)
+        return self.state(agent, header["seed_record"],
+                          header["meta"]["step"]), agent.state_arrays()
+
+    @staticmethod
+    def state(agent, seed_record, step):
+        return {"config": agent.fingerprint(), "seed_record": seed_record,
+                "step": step}
+
+    def resave(self, src, dst):
+        load_agent(src)[0].save(dst, epoch=1, step=100)
+
+    def verify(self, path):
+        container.verify(path, self.magic)
+
+
+class TestCheckpoint(ContainerCases):
+    fmt = CheckpointFormat()
 
     def test_fingerprint_mismatch_refuses_to_load(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, self.arrays(), "abc123", {})
+        self.fmt.save(path)
+        rewrite_header(path, lambda h: {**h, "config_fingerprint": "zzz999"})
         with pytest.raises(FingerprintMismatchError):
-            load_checkpoint(path, expect_fingerprint="zzz999")
+            load_agent(path)
 
-    def test_corruption_detected(self, tmp_path):
+    def test_previous_format_rejected(self, tmp_path, capsys):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, self.arrays(), "abc123", {})
-        raw = bytearray(path.read_bytes())
-        raw[-2] ^= 0xFF  # flip a payload byte
-        path.write_bytes(bytes(raw))
-        with pytest.raises(DataError):
-            load_checkpoint(path)
-
-    def test_truncation_detected(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, self.arrays(), "abc123", {})
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(DataError):
-            load_checkpoint(path)
-
-    def test_bad_magic_detected(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
-        with pytest.raises(DataError):
-            read_header(path)
-
-    def test_short_header_length_detected(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        path.write_bytes(b"HVCK0001\x00")      # one of four length bytes
-        with pytest.raises(DataError):
-            read_header(path)
-
-    def test_noncanonical_header_spacing_loads(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        arrays = self.arrays()
-        save_checkpoint(path, arrays, "abc123", {})
-        respace_header(path)
-        loaded, _ = load_checkpoint(path, expect_fingerprint="abc123")
-        for name in arrays:
-            assert np.array_equal(loaded[name], arrays[name])
-
-
-def respace_header(path):
-    """Rewrite a container's JSON header with indentation, keeping the
-    documented layout: magic, u32 header length, header, payload."""
-    raw = path.read_bytes()
-    hlen = int.from_bytes(raw[8:12], "little")
-    blob = json.dumps(json.loads(raw[12:12 + hlen]), indent=2).encode()
-    path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob
-                     + raw[12 + hlen:])
+        self.fmt.save(path)
+        path.write_bytes(b"HVCK0001" + path.read_bytes()[8:])
+        with pytest.raises(DataError, match="HVCK0001.*HVCK0002"):
+            load_agent(path)
+        assert main(["eval", "--ckpt", str(path), "--days", "0.25",
+                     "--out", str(tmp_path / "e")], env_vars={}) == 3
+        assert "HVCK0002" in capsys.readouterr().err
