@@ -1,4 +1,5 @@
-"""The four control-learning algorithms and their training loops.
+"""The four control-learning algorithms, their training loops, and the
+rollout plumbing that connects a policy to a simulator.
 
 All agents share the same skeleton: twin critics trained on the one-step
 bootstrap target r + gamma * (1 - terminal) * min(Q1', Q2'), an actor
@@ -8,6 +9,13 @@ actor objective is shaped, and whether an entropy temperature is tuned.
 
 Everything is deterministic given the config seed: network init, batch
 sampling, exploration, and target smoothing all consume one generator.
+
+Policies act on normalized observations and emit normalized actions.
+`PolicyController` adapts one to the physical-units controller interface
+of a single rollout; `EpisodeDriver` is the one online episode loop, used
+by `train_online` and by the frozen-expert collection scenario: it
+rotates environments between episodes, owns the reset-seed rule, and
+keeps the observation window the next action is chosen from.
 """
 from __future__ import annotations
 
@@ -20,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .. import container
+from .. import container, envcore
 from ..errors import DivergenceError, FingerprintMismatchError, SpecError
 from ..fingerprint import fingerprint, to_jsonable
 from ..neuralsub import tensor as T
@@ -435,6 +443,12 @@ def select_action(agent: Agent, window: np.ndarray, valid: np.ndarray,
     return agent.policy_action(window, valid, deterministic=deterministic)[0]
 
 
+def _physical(act_n, spec) -> envcore.Action:
+    """Physical-units action for a normalized policy action."""
+    return envcore.denormalize_action(envcore.Action(
+        values=np.asarray(act_n, dtype=np.float64), normalized=True), spec)
+
+
 class PolicyController:
     """Adapts an agent to the physical-units controller interface.
 
@@ -444,14 +458,10 @@ class PolicyController:
 
     def __init__(self, agent: "Agent", obs_spec, act_spec,
                  deterministic: bool = True):
-        from ..envcore import Action, denormalize_action, normalize_obs
         if agent.obs_dim != obs_spec.size or agent.act_dim != act_spec.size:
             raise SpecError(
                 f"policy was built for {agent.obs_dim}/{agent.act_dim} dims, "
                 f"environment provides {obs_spec.size}/{act_spec.size}")
-        self._normalize_obs = normalize_obs
-        self._denormalize = denormalize_action
-        self._action_cls = Action
         self.agent = agent
         self.obs_spec = obs_spec
         self.act_spec = act_spec
@@ -462,15 +472,12 @@ class PolicyController:
         self.window.reset()
 
     def normalized_action(self, obs) -> np.ndarray:
-        self.window.push(self._normalize_obs(obs, self.obs_spec))
+        self.window.push(envcore.normalize_obs(obs, self.obs_spec))
         return self.agent.policy_action(*self.window.arrays(),
                                         deterministic=self.deterministic)[0]
 
     def __call__(self, obs):
-        act_n = self.normalized_action(obs)
-        return self._denormalize(
-            self._action_cls(values=np.asarray(act_n, dtype=np.float64),
-                             normalized=True), self.act_spec)
+        return _physical(self.normalized_action(obs), self.act_spec)
 
 
 class RolloutWindow:
@@ -500,6 +507,47 @@ class RolloutWindow:
         return self.buf[None], valid
 
 
+class EpisodeDriver:
+    """Steps a rotation of environments with normalized actions.
+
+    Episode ``i`` runs on ``make_env(i)``, reset with a seed derived from
+    ``seed`` and ``i`` and recorded as ``reset_seeds[i]``. The next
+    episode begins as soon as one ends, so ``window`` always holds the
+    normalized observations the next action is chosen from.
+    """
+
+    def __init__(self, make_env, seed: int, obs_dim: int, seq_len: int):
+        self.make_env = make_env
+        self.seed = seed
+        self.window = RolloutWindow(obs_dim, seq_len)
+        self.reset_seeds: list[int] = []
+        self._begin_episode()
+
+    def _begin_episode(self):
+        episode = len(self.reset_seeds)
+        self.env = self.make_env(episode)
+        self.reset_seeds.append(self.seed * 100_003 + episode)
+        self.window.reset()
+        self._observe(self.env.reset(seed=self.reset_seeds[-1]))
+
+    def _observe(self, obs):
+        self.obs_n = envcore.normalize_obs(obs, self.env.obs_spec)
+        self.window.push(self.obs_n)
+
+    def step(self, act_n) -> tuple:
+        """Apply one normalized action and return the transition
+        ``(obs_n, act_n, reward, done)``, where ``obs_n`` is the normalized
+        observation the action was chosen from."""
+        obs_n = self.obs_n
+        obs, reward, done, _ = self.env.step(_physical(act_n,
+                                                       self.env.act_spec))
+        if done:
+            self._begin_episode()
+        else:
+            self._observe(obs)
+        return obs_n, act_n, reward, done
+
+
 # ---------------------------------------------------------------------------
 # training loops
 
@@ -513,6 +561,7 @@ class TrainSummary:
     best_epoch: int | None = None
     best_eval: dict | None = None
     buffer: ReplayBuffer | None = None
+    reset_seeds: list = field(default_factory=list)
 
     def consider(self, epoch: int, eval_metrics: dict | None):
         if not eval_metrics:
@@ -614,26 +663,21 @@ def train_online(agent: Agent, make_env, *, start_steps: int = 1000,
 
     `make_env(episode_index)` supplies the environment for each episode, so
     callers can rotate weather conditions between episodes.  Runs
-    cfg.train_steps environment steps with one gradient update per step
-    once the warmup of uniform-random actions has filled the buffer.
-    Episode ends are stored as terminal steps.  Observations are stored
-    normalized; actions are stored in the normalized space the policy acts
-    in.  The filled replay buffer is returned on the summary.
+    cfg.train_steps environment steps through one `EpisodeDriver`, with
+    one gradient update per step once the warmup of uniform-random actions
+    has filled the buffer.  Episode ends are stored as terminal steps.
+    Observations are stored normalized; actions are stored in the
+    normalized space the policy acts in.  The filled replay buffer and the
+    episodes' reset seeds are returned on the summary.
     """
-    from ..envcore import Action, denormalize_action, normalize_obs
-
     cfg = agent.cfg
     summary = TrainSummary()
     t0 = time.perf_counter()
-    env = make_env(0)
+    driver = EpisodeDriver(make_env, cfg.seed, agent.obs_dim, cfg.seq_len)
     buffer = ReplayBuffer(agent.obs_dim, agent.act_dim,
                           capacity=buffer_capacity)
     summary.buffer = buffer
-    window = RolloutWindow(agent.obs_dim, cfg.seq_len)
-    episode = 0
-    obs_n = normalize_obs(env.reset(seed=cfg.seed * 100_003 + episode),
-                          env.obs_spec)
-    window.push(obs_n)
+    summary.reset_seeds = driver.reset_seeds
     update_after = max(start_steps, cfg.batch_size)
     epoch_infos: list[dict] = []
     with _logged_divergence(log_path, cfg.seed):
@@ -642,21 +686,8 @@ def train_online(agent: Agent, make_env, *, start_steps: int = 1000,
                 act_n = agent.rng.uniform(-1.0, 1.0,
                                           size=agent.act_dim).astype(np.float32)
             else:
-                act_n = agent.explore_action(*window.arrays())[0]
-            phys = denormalize_action(
-                Action(values=np.asarray(act_n, dtype=np.float64),
-                       normalized=True), env.act_spec)
-            next_obs, reward, done, _ = env.step(phys)
-            buffer.add(obs_n, act_n, reward, done)
-            if done:
-                episode += 1
-                env = make_env(episode)
-                obs_n = normalize_obs(
-                    env.reset(seed=cfg.seed * 100_003 + episode), env.obs_spec)
-                window.reset()
-            else:
-                obs_n = normalize_obs(next_obs, env.obs_spec)
-            window.push(obs_n)
+                act_n = agent.explore_action(*driver.window.arrays())[0]
+            buffer.add(*driver.step(act_n))
             if step > update_after:
                 batch = buffer.view().sample_batch(cfg.batch_size, cfg.seq_len,
                                                    agent.rng)

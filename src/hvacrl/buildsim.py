@@ -541,6 +541,25 @@ class BuildingEnv:
         self.state: EnvState | None = None
         self._steps_this_episode = 0
 
+    def variant(self, weather: str | None = None,
+                days: float | None = None) -> "BuildingEnv":
+        """This environment with other weather or episode length.
+
+        Thermal and reward parameters are kept; a bare weather name means
+        ``preset:NAME``, and a blank one keeps the current weather. Returns
+        ``self`` when nothing changes.
+        """
+        cfg = self.config
+        if weather:
+            cfg = replace(cfg, weather=weather if ":" in weather
+                          else f"preset:{weather}")
+        if days is not None:
+            cfg = replace(cfg, days=days)
+        if cfg == self.config:
+            return self
+        return BuildingEnv(cfg, thermal=self.thermal,
+                           reward_params=self.reward_params)
+
     def fingerprint(self) -> str:
         return fingerprint({
             "config": to_jsonable(self.config),

@@ -126,22 +126,12 @@ def _out_dir(flag_value: str | None, cfg: dict, args_env: dict) -> Path:
     return Path(value)
 
 
-def _weather_spec(value: str | None) -> str:
-    if not value:
-        return ""
-    return value if ":" in value else f"preset:{value}"
-
-
 def _env_from(cfg: dict, kind: str | None = None, weather: str | None = None,
               days: float | None = None) -> BuildingEnv:
     block = dict(cfg["environment"])
     if kind:
         block["kind"] = kind
-    if weather is not None:
-        block["weather"] = _weather_spec(weather)
-    if days is not None:
-        block["days"] = days
-    return BuildingEnv(EnvConfig(**block))
+    return BuildingEnv(EnvConfig(**block)).variant(weather, days)
 
 
 def _median_summary(reports: list) -> dict:

@@ -8,6 +8,12 @@ Two collection scenarios produce training data:
 * trained: a frozen expert policy is rolled out, and each step is perturbed
   with probability epsilon by Gaussian noise of scale sigma.
 
+Both run the same episode loop, `agents.EpisodeDriver` (the first inside
+`train_online`), over the rotating training presets, store its
+transitions in a `ReplayBuffer`, and turn the buffer into a `Dataset`
+with the same provenance keys: the policy fingerprint, the weather preset
+and reset seed of every episode, the seed and the requested size.
+
 Datasets are stored in the `hvacrl.container` layout under magic
 ``HVDS0001``: the header carries the environment, specs, episode starts
 and metadata, and the arrays are the float32 ``obs``, ``act`` and
@@ -23,9 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .agents import (Agent, AgentConfig, PolicyController, RolloutWindow,
-                     load_agent, make_agent, train_online)
-from .agents.replay import ReplayView
+from .agents import (Agent, AgentConfig, EpisodeDriver, PolicyController,
+                     ReplayBuffer, ReplayView, load_agent, make_agent,
+                     train_online)
 from .buildsim import TRAIN_PRESETS, BuildingEnv, run_episode
 from .errors import DataError, SpecError, UsageError
 from .fingerprint import fingerprint
@@ -156,36 +162,37 @@ def dataset_from_env(env: BuildingEnv, *, episode_starts, obs, actions,
 
 
 def preset_rotation(env: BuildingEnv, presets=None):
-    """Environment factory that cycles training weather between episodes."""
-    if env.config.weather.startswith("csv:"):
-        names = [env.config.weather]
-        def make_env(ep):
-            return BuildingEnv(env.config, thermal=env.thermal,
-                               reward_params=env.reward_params)
-        return make_env, names
-    names = list(presets) if presets else list(TRAIN_PRESETS[env.config.kind])
-
-    def make_env(ep):
-        cfg = replace(env.config, weather=f"preset:{names[ep % len(names)]}")
-        return BuildingEnv(cfg, thermal=env.thermal,
-                           reward_params=env.reward_params)
-
-    return make_env, names
+    """Environment factory that cycles training weather between episodes;
+    a trace-driven environment keeps its trace."""
+    names = ([env.config.weather] if env.config.weather.startswith("csv:")
+             else list(presets or TRAIN_PRESETS[env.config.kind]))
+    return (lambda ep: env.variant(weather=names[ep % len(names)])), names
 
 
-def _close_last_episode(view: ReplayView):
-    """Trim a live (unterminated) tail so boundary-iff-terminal holds."""
-    term = view.terminals
-    if term[-1]:
-        return view.obs, view.actions, view.rewards, term, \
-            view.episode_starts, 0
-    last = int(np.nonzero(term)[0].max()) if term.any() else -1
-    if last < 0:
+def _collected_dataset(env: BuildingEnv, buffer: ReplayBuffer, reset_seeds,
+                       names, policy: Agent, seed: int, total_steps: int,
+                       **metadata) -> Dataset:
+    """The buffer's completed episodes as a `Dataset`, with the provenance
+    both scenarios record; a live (unterminated) tail is left out."""
+    view = buffer.view()
+    ends = np.nonzero(view.terminals)[0]
+    if ends.size == 0:
         raise DataError("no completed episode to store")
-    keep = last + 1
-    starts = view.episode_starts[view.episode_starts <= last]
-    return (view.obs[:keep], view.actions[:keep], view.rewards[:keep],
-            term[:keep], starts, len(view) - keep)
+    keep = int(ends[-1]) + 1
+    starts = view.episode_starts[view.episode_starts < keep]
+    metadata.update({
+        "policy_fingerprint": policy.fingerprint(),
+        "weather_preset": ",".join(names),
+        "weather_presets": [names[i % len(names)]
+                            for i in range(len(starts))],
+        "reset_seeds": reset_seeds[:len(starts)],
+        "seed": int(seed),
+        "requested_steps": int(total_steps),
+    })
+    return dataset_from_env(env, episode_starts=starts, obs=view.obs[:keep],
+                            actions=view.actions[:keep],
+                            rewards=view.rewards[:keep],
+                            terminals=view.terminals[:keep], metadata=metadata)
 
 
 def collect_final_buffer(env: BuildingEnv, algo: str, total_steps: int,
@@ -212,25 +219,12 @@ def collect_final_buffer(env: BuildingEnv, algo: str, total_steps: int,
     start_steps = min(1000, max(cfg.batch_size, total_steps // 10))
     summary = train_online(agent, make_env, start_steps=start_steps,
                            buffer_capacity=total_steps)
-    obs, actions, rewards, terminals, starts, dropped = \
-        _close_last_episode(summary.buffer.view())
-    n_eps = len(starts)
-    metadata = {
-        "scenario": "final_buffer",
-        "algo": algo,
-        "epsilon": 1.0,           # every step carries exploration noise
-        "sigma": float(noise),
-        "policy_fingerprint": agent.fingerprint(),
-        "weather_preset": ",".join(names),
-        "weather_presets": [names[i % len(names)] for i in range(n_eps)],
-        "reset_seeds": [seed * 100_003 + i for i in range(n_eps)],
-        "seed": int(seed),
-        "requested_steps": int(total_steps),
-        "dropped_tail_steps": int(dropped),
-    }
-    ds = dataset_from_env(env, episode_starts=starts, obs=obs,
-                          actions=actions, rewards=rewards,
-                          terminals=terminals, metadata=metadata)
+    ds = _collected_dataset(
+        env, summary.buffer, summary.reset_seeds, names, agent, seed,
+        total_steps, scenario="final_buffer", algo=algo,
+        epsilon=1.0,              # every step carries exploration noise
+        sigma=float(noise))
+    ds.metadata["dropped_tail_steps"] = len(summary.buffer) - len(ds)
     return ds, agent
 
 
@@ -258,55 +252,24 @@ def collect_trained(env: BuildingEnv, expert, total_steps: int,
         raise UsageError("epsilon must be in [0, 1]")
     if sigma < 0.0:
         raise UsageError("sigma must be >= 0")
-    from .envcore import Action, denormalize_action, normalize_obs
-
     make_env, names = preset_rotation(env, presets)
+    driver = EpisodeDriver(make_env, seed, expert.obs_dim, expert.cfg.seq_len)
+    # whole episodes: the last one starts before total_steps is reached
+    buffer = ReplayBuffer(expert.obs_dim, expert.act_dim,
+                          capacity=total_steps + env.horizon)
     rng = np.random.default_rng(seed)
-    obs_rows, act_rows, rew_rows, term_rows, starts = [], [], [], [], []
-    presets_used = []
-    noisy_steps = 0
-    episode = 0
-    while len(obs_rows) < total_steps:
-        ep_env = make_env(episode)
-        presets_used.append(names[episode % len(names)])
-        starts.append(len(obs_rows))
-        window = RolloutWindow(expert.obs_dim, expert.cfg.seq_len)
-        obs = ep_env.reset(seed=seed * 100_003 + episode)
-        done = False
-        while not done:
-            obs_n = normalize_obs(obs, ep_env.obs_spec)
-            window.push(obs_n)
-            act_n = expert.policy_action(*window.arrays(),
-                                         deterministic=True)[0]
-            act_n, perturbed = perturb_action(rng, act_n, epsilon, sigma)
-            noisy_steps += perturbed
-            phys = denormalize_action(
-                Action(values=np.asarray(act_n, dtype=np.float64),
-                       normalized=True), ep_env.act_spec)
-            obs, reward, done, _ = ep_env.step(phys)
-            obs_rows.append(obs_n.astype(np.float32))
-            act_rows.append(act_n)
-            rew_rows.append(reward)
-            term_rows.append(done)
-        episode += 1
-    metadata = {
-        "scenario": "trained",
-        "algo": expert.cfg.algo,
-        "epsilon": float(epsilon),
-        "sigma": float(sigma),
-        "policy_fingerprint": expert.fingerprint(),
-        "weather_preset": ",".join(names),
-        "weather_presets": presets_used,
-        "reset_seeds": [seed * 100_003 + i for i in range(episode)],
-        "seed": int(seed),
-        "requested_steps": int(total_steps),
-        "noisy_steps": int(noisy_steps),
-    }
-    return dataset_from_env(
-        env, episode_starts=starts,
-        obs=np.stack(obs_rows), actions=np.stack(act_rows),
-        rewards=np.asarray(rew_rows, np.float32),
-        terminals=np.asarray(term_rows, bool), metadata=metadata)
+    noisy_steps, done = 0, False
+    while not (done and len(buffer) >= total_steps):
+        act_n = expert.policy_action(*driver.window.arrays(),
+                                     deterministic=True)[0]
+        act_n, perturbed = perturb_action(rng, act_n, epsilon, sigma)
+        noisy_steps += perturbed
+        obs_n, act_n, reward, done = driver.step(act_n)
+        buffer.add(obs_n, act_n, reward, done)
+    return _collected_dataset(
+        env, buffer, driver.reset_seeds, names, expert, seed, total_steps,
+        scenario="trained", algo=expert.cfg.algo, epsilon=float(epsilon),
+        sigma=float(sigma), noisy_steps=int(noisy_steps))
 
 
 def perturb_action(rng: np.random.Generator, action: np.ndarray,
@@ -357,14 +320,9 @@ def regret_ratio(r_tau: float, r_opt: float) -> RegretValue:
 def expert_reference_return(env_template: BuildingEnv, expert: Agent,
                             preset: str, days: float,
                             seed: int = REFERENCE_SEED) -> float:
-    """Undiscounted expert return on one weather preset and horizon."""
-    if preset.startswith("csv:"):
-        cfg = replace(env_template.config, weather=preset, days=days)
-    else:
-        cfg = replace(env_template.config, weather=f"preset:{preset}",
-                      days=days)
-    env = BuildingEnv(cfg, thermal=env_template.thermal,
-                      reward_params=env_template.reward_params)
+    """Undiscounted expert return on one weather preset (a bare name, a
+    ``csv:`` trace, or blank for the template's own weather) and horizon."""
+    env = env_template.variant(weather=preset, days=days)
     controller = PolicyController(expert, env.obs_spec, env.act_spec)
     traj = run_episode(env, controller, seed=seed)
     if traj.fault is not None:
@@ -427,7 +385,7 @@ def build_quality_report(dataset: Dataset, expert: Agent,
     """
     dataset.validate()
     presets = [dataset.episode_preset(i) or
-               env_template.config.weather.split(":", 1)[-1]
+               env_template.config.weather.removeprefix("preset:")
                for i in range(dataset.num_episodes)]
     seeds = [dataset.episode_reset_seed(i)
              for i in range(dataset.num_episodes)]

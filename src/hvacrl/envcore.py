@@ -61,12 +61,6 @@ class VectorSpec:
     def fingerprint(self) -> str:
         return fingerprint([[d.name, d.low, d.high, d.unit] for d in self.dims])
 
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise SpecError(f"no dimension named {name!r} in {self.kind} spec") from None
-
     def validate_physical(self, values) -> None:
         """Reject vectors of the wrong size or outside the physical ranges."""
         values = np.asarray(values, dtype=np.float64)

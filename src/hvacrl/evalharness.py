@@ -35,7 +35,8 @@ import os
 import shutil
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -157,20 +158,6 @@ def _controller_for(policy, env: BuildingEnv):
     return policy, getattr(policy, "__name__", type(policy).__name__)
 
 
-def _env_with(env: BuildingEnv, weather: str | None,
-              days: float | None) -> BuildingEnv:
-    cfg = env.config
-    if weather:
-        spec = weather if ":" in weather else f"preset:{weather}"
-        cfg = replace(cfg, weather=spec)
-    if days is not None:
-        cfg = replace(cfg, days=days)
-    if cfg is env.config:
-        return env
-    return BuildingEnv(cfg, thermal=env.thermal,
-                       reward_params=env.reward_params)
-
-
 def evaluate_policy(policy, env: BuildingEnv, weather: str | None = None,
                     horizon: float | None = None, seeds=(0,),
                     out_dir=None) -> list:
@@ -180,36 +167,31 @@ def evaluate_policy(policy, env: BuildingEnv, weather: str | None = None,
     callable. ``horizon`` is in days. Each rollout is exported to CSV and
     the violation fraction is recounted from the file; a mismatch aborts.
     """
-    run_env = _env_with(env, weather, horizon)
+    run_env = env.variant(weather, horizon)
     controller, policy_fp = _controller_for(policy, run_env)
     rp = run_env.reward_params
     cfg_fp = fingerprint({
         "policy": policy_fp, "env": run_env.fingerprint(),
         "weather": weather or "", "days": run_env.config.days})
     reports = []
-    for seed in seeds:
-        if hasattr(controller, "reset"):
-            controller.reset()
-        traj = run_episode(run_env, controller, seed=int(seed))
-        report = report_from_trajectory(traj, rp.band_low, rp.band_high,
-                                        cfg_fp)
-        if out_dir is not None:
-            Path(out_dir).mkdir(parents=True, exist_ok=True)
-            csv_path = Path(out_dir) / f"trajectory_seed{seed}.csv"
+    with (nullcontext(out_dir) if out_dir is not None
+          else tempfile.TemporaryDirectory()) as csv_dir:
+        for seed in seeds:
+            if hasattr(controller, "reset"):
+                controller.reset()
+            traj = run_episode(run_env, controller, seed=int(seed))
+            report = report_from_trajectory(traj, rp.band_low, rp.band_high,
+                                            cfg_fp)
+            Path(csv_dir).mkdir(parents=True, exist_ok=True)
+            csv_path = Path(csv_dir) / f"trajectory_seed{seed}.csv"
             write_trajectory_csv(traj, csv_path)
             recount = audit_violation_from_csv(csv_path, run_env.config.kind,
                                                rp.band_low, rp.band_high)
-        else:
-            with tempfile.TemporaryDirectory() as td:
-                csv_path = Path(td) / "trajectory.csv"
-                write_trajectory_csv(traj, csv_path)
-                recount = audit_violation_from_csv(
-                    csv_path, run_env.config.kind, rp.band_low, rp.band_high)
-        if recount != report.violation:
-            raise DataError(
-                f"violation self-audit failed: harness {report.violation} "
-                f"vs CSV recount {recount}")
-        reports.append(report)
+            if recount != report.violation:
+                raise DataError(
+                    f"violation self-audit failed: harness {report.violation} "
+                    f"vs CSV recount {recount}")
+            reports.append(report)
     return reports
 
 
@@ -385,6 +367,11 @@ def ensure_expert(cfg: HarnessConfig) -> str:
     return str(path)
 
 
+def _expert(cfg: HarnessConfig) -> Agent:
+    """The collection/reference expert, loaded from `ensure_expert`."""
+    return load_agent(ensure_expert(cfg))[0]
+
+
 # ---------------------------------------------------------------------------
 # dataset materialization
 
@@ -398,11 +385,10 @@ def _cached_dataset(cfg: HarnessConfig, tag: str, build) -> str:
     return str(path)
 
 
-def materialize_trained_dataset(cfg: HarnessConfig, expert_path: str,
+def materialize_trained_dataset(cfg: HarnessConfig, expert: Agent,
                                 epsilon: float, sigma: float,
                                 total_steps: int, seed: int = 0) -> str:
     """Collect (or reuse) a frozen-expert dataset with the given noise."""
-    expert, _ = load_agent(expert_path)
     env = base_env(cfg, days=cfg.data_days)
     tag = "trained-" + fingerprint({
         "expert": expert.fingerprint(), "env": env.fingerprint(),
@@ -619,7 +605,7 @@ def run_rq1(cfg: HarnessConfig) -> SweepResult:
                     cfg, total_steps=cfg.dataset_steps)
             elif scenario == "trained":
                 datasets[scenario] = materialize_trained_dataset(
-                    cfg, ensure_expert(cfg), cfg.epsilon, cfg.sigma,
+                    cfg, _expert(cfg), cfg.epsilon, cfg.sigma,
                     cfg.dataset_steps)
             else:
                 raise UsageError(f"unknown scenario {scenario!r}")
@@ -641,7 +627,7 @@ def run_rq2(cfg: HarnessConfig) -> SweepResult:
         dataset = None
         if any(mode not in ("td3", "sac") for mode in cfg.rq2_modes):
             dataset = materialize_trained_dataset(
-                cfg, ensure_expert(cfg), cfg.epsilon, cfg.sigma,
+                cfg, _expert(cfg), cfg.epsilon, cfg.sigma,
                 cfg.dataset_steps)
         for mode in cfg.rq2_modes:
             online = mode in ("td3", "sac")
@@ -664,13 +650,13 @@ def run_rq3(cfg: HarnessConfig) -> SweepResult:
             "seeds": cfg.seeds}
 
     def cells():
-        expert = ensure_expert(cfg)
+        expert = _expert(cfg)
         for eps in cfg.rq3_epsilons:
             for sg in cfg.rq3_sigmas:
                 path = materialize_trained_dataset(
                     cfg, expert, eps, sg, cfg.rq3_dataset_steps)
                 quality = build_quality_report(
-                    read_dataset(path), load_agent(expert)[0],
+                    read_dataset(path), expert,
                     base_env(cfg, days=cfg.data_days)).to_jsonable()
                 yield (f"eps{eps:g}-sigma{sg:g}",
                        {"epsilon": eps, "sigma": sg},
@@ -690,7 +676,7 @@ def run_rq4(cfg: HarnessConfig) -> SweepResult:
     def cells():
         sizes = sorted(cfg.rq4_sizes)
         parent_path = materialize_trained_dataset(
-            cfg, ensure_expert(cfg), eps, sg, max(sizes))
+            cfg, _expert(cfg), eps, sg, max(sizes))
         parent = read_dataset(parent_path)
         for size in sizes:
             path = parent_path
@@ -711,8 +697,7 @@ def run_rq5(cfg: HarnessConfig) -> SweepResult:
 
     def cells():
         dataset = materialize_trained_dataset(
-            cfg, ensure_expert(cfg), cfg.epsilon, cfg.sigma,
-            cfg.dataset_steps)
+            cfg, _expert(cfg), cfg.epsilon, cfg.sigma, cfg.dataset_steps)
         for L in cfg.rq5_seq_lens:
             yield (f"len{L:02d}", {"seq_len": L},
                    {"algo": "cql", "history": True, "seq_len": L,

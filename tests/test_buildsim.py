@@ -352,6 +352,17 @@ class TestEpisodes:
         f3 = BuildingEnv(EnvConfig(kind="dc", days=3.0)).fingerprint()
         assert f1 == f2 != f3
 
+    def test_variant_keeps_parameters_and_reuses_unchanged_env(self):
+        env = BuildingEnv(EnvConfig(kind="dc", days=1.0))
+        assert env.variant() is env
+        assert env.variant(weather="", days=1.0) is env
+        other = env.variant(weather="chicago", days=0.5)
+        assert other.config.weather == "preset:chicago"
+        assert other.horizon == env.horizon // 2
+        assert other.thermal is env.thermal
+        assert other.reward_params is env.reward_params
+        assert other.variant(weather="preset:chicago") is other
+
     def test_trajectory_csv_roundtrip_is_exact(self, tmp_path):
         env = BuildingEnv(EnvConfig(kind="dc", days=1.0))
         traj = run_episode(env, lambda o: rule_controller(o, "dc"), seed=5,

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from hvacrl.agents import load_agent
+from hvacrl.buildsim import EVAL_PRESET, BuildingEnv, EnvConfig
 from hvacrl.cli import ENV_MAX_JOBS, ENV_OUT_DIR, default_config, main
-from hvacrl.datagen import read_dataset
+from hvacrl.datagen import expert_reference_return, read_dataset, write_dataset
 
 
 def run(argv, env=None):
@@ -253,6 +255,24 @@ class TestRegret:
         assert doc["run_fingerprint"] and doc["dataset_fingerprint"]
         assert len(doc["deltas"]) == 2
         assert set(doc["groups"]) == set(doc["r_opt_by_preset"])
+
+    def test_dataset_without_episode_presets(self, workspace, tmp_path):
+        # no per-episode presets or seeds: one reference rollout on the
+        # template environment's own (default) weather
+        ds = read_dataset(workspace["data"])
+        del ds.metadata["weather_presets"], ds.metadata["reset_seeds"]
+        data = tmp_path / "bare.hvds"
+        write_dataset(ds, data)
+        out = tmp_path / "quality.json"
+        assert run(["regret", "--data", str(data),
+                    "--expert", str(workspace["ckpt"]),
+                    "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert len(doc["deltas"]) == 2
+        env = BuildingEnv(EnvConfig(kind="dc", days=ds.days))
+        r_opt = expert_reference_return(
+            env, load_agent(workspace["ckpt"])[0], EVAL_PRESET["dc"], ds.days)
+        assert list(doc["r_opt_by_preset"].values()) == [r_opt]
 
 
 class TestSweepAndReport:

@@ -1,12 +1,11 @@
 """Dataset collection, the column container, regret scoring, subsampling."""
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from hvacrl import datagen as dg
 from hvacrl.agents import AgentConfig, PolicyController, make_agent
 from hvacrl.buildsim import TRAIN_PRESETS, BuildingEnv, EnvConfig, run_episode
+from hvacrl.envcore import Observation, normalize_obs
 from hvacrl.errors import DataError, UsageError
 
 from container_cases import ContainerCases
@@ -102,13 +101,38 @@ class TestCollection:
         c = dg.collect_trained(env, expert, total_steps=144, epsilon=0.0,
                                sigma=0.5, seed=9)
         assert c.fingerprint() == a.fingerprint()
-        # and the rollout matches the plain controller episode exactly
-        cfg = replace(env.config, weather="preset:chicago")
-        ep_env = BuildingEnv(cfg, thermal=env.thermal,
-                             reward_params=env.reward_params)
+        # and the rollout matches the plain controller episode bit for bit
+        ep_env = env.variant(weather="chicago")
         controller = PolicyController(expert, ep_env.obs_spec, ep_env.act_spec)
         traj = run_episode(ep_env, controller, seed=9 * 100_003)
-        assert np.allclose(a.rewards.sum(), traj.rewards.sum(), rtol=1e-5)
+        obs_n = [normalize_obs(Observation(values=o), ep_env.obs_spec)
+                 for o in traj.obs[:-1]]
+        assert np.array_equal(a.obs, np.asarray(obs_n, dtype=np.float32))
+        assert np.array_equal(a.rewards, traj.rewards.astype(np.float32))
+
+    @pytest.mark.parametrize("scenario", ["final_buffer", "trained"])
+    def test_recorded_resets_reproduce_episode_starts(self, scenario):
+        env = dc_env(days=0.25)
+        if scenario == "trained":
+            ds = dg.collect_trained(env, frozen_expert(env),
+                                    total_steps=3 * env.horizon,
+                                    epsilon=0.5, seed=4)
+        else:
+            # three whole episodes plus an unfinished tail that is dropped
+            ds, _ = dg.collect_final_buffer(
+                env, "td3", total_steps=3 * env.horizon + 5, seed=4)
+        md = ds.metadata
+        assert ds.num_episodes == 3
+        assert len(md["reset_seeds"]) == len(md["weather_presets"]) == 3
+        make_env, _ = dg.preset_rotation(env)
+        for i in range(ds.num_episodes):
+            ep_env = make_env(i)
+            assert ep_env.config.weather == \
+                f"preset:{md['weather_presets'][i]}"
+            first = normalize_obs(ep_env.reset(seed=md["reset_seeds"][i]),
+                                  ep_env.obs_spec)
+            assert np.array_equal(ds.obs[ds.episode_starts[i]],
+                                  first.astype(np.float32))
 
     def test_perturbed_fraction_matches_epsilon(self):
         rng = np.random.default_rng(11)

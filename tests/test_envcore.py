@@ -66,7 +66,7 @@ class TestNormalizeObs:
         spec = mixeduse_obs_spec()
         obs = Observation(np.array([0, 0, 0, 50, 25.0, 20, 20, 20], dtype=float))
         unit = normalize_obs(obs, spec)
-        assert unit[spec.index("outdoor_temp")] == pytest.approx(0.7)
+        assert unit[spec.names.index("outdoor_temp")] == pytest.approx(0.7)
 
     def test_boundaries(self):
         spec = datacenter_obs_spec()
@@ -76,10 +76,10 @@ class TestNormalizeObs:
     def test_clipping_counts(self):
         spec = mixeduse_obs_spec()
         values = spec.lows.copy()
-        values[spec.index("outdoor_temp")] = 60.0  # above the [-10, 40] range
+        values[spec.names.index("outdoor_temp")] = 60.0  # above the [-10, 40] range
         counter = ClipCounter()
         unit = normalize_obs(Observation(values), spec, counter)
-        assert unit[spec.index("outdoor_temp")] == 1.0
+        assert unit[spec.names.index("outdoor_temp")] == 1.0
         assert counter.events == 1
 
     def test_dimension_mismatch(self):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hvacrl import evalharness
 from hvacrl.agents import AgentConfig, make_agent
 from hvacrl.buildsim import (EVAL_PRESET, TRAIN_PRESETS, BuildingEnv,
                              EnvConfig, rule_controller)
@@ -354,6 +355,17 @@ class TestMiniatureSweep:
         for key, d in res.cell_dirs.items():
             with open(os.path.join(d, "quality.json")) as f:
                 assert json.load(f) == res.quality[key]
+
+    def test_quality_grid_loads_expert_once(self, tmp_path, monkeypatch):
+        loads = []
+        real = evalharness.load_agent
+        monkeypatch.setattr(evalharness, "load_agent",
+                            lambda path: loads.append(path) or real(path))
+        cfg = tiny_config(tmp_path, rq3_epsilons=(0.0, 0.2),
+                          rq3_sigmas=(0.1,), rq3_dataset_steps=144,
+                          rq3_train_steps=8)
+        run_rq3(cfg)
+        assert loads == [ensure_expert(cfg)]
 
     def test_quantity_sweep_subsamples_each_smaller_size(self, tmp_path):
         cfg = tiny_config(tmp_path, rq4_sizes=(72, 360))
