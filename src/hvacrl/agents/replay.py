@@ -1,10 +1,13 @@
 """Episodic transition storage with history-window sampling.
 
-Transitions live in flat column arrays plus a list of episode start
-indices.  Sampling assembles fixed-length observation windows whose valid
-slots are left-aligned and whose last valid slot is the sampled step, so a
-window never reaches across an episode boundary.  With ``seq_len == 1``
-the windows collapse to plain flat transitions.
+Transitions live in flat column arrays (`ReplayView.COLUMNS`) plus a list
+of episode start indices.  `ReplayView` is the one store of such columns:
+an online `ReplayBuffer` hands one out per update, and a stored dataset
+(`datagen.Dataset`) is a `ReplayView` with a header.  Sampling assembles
+fixed-length observation windows whose valid slots are left-aligned and
+whose last valid slot is the sampled step, so a window never reaches
+across an episode boundary.  With ``seq_len == 1`` the windows collapse to
+plain flat transitions.
 """
 from __future__ import annotations
 
@@ -38,18 +41,38 @@ class WindowBatch:
 
 
 class ReplayView:
-    """Read-only window sampler over flat episodic columns."""
+    """Read-only window sampler over flat episodic columns.
+
+    The columns are checked once, on construction, by `validate`; a
+    subclass with stricter rules extends that method.
+    """
+
+    #: the per-step columns, in constructor order
+    COLUMNS = ("obs", "actions", "rewards", "terminals")
 
     def __init__(self, obs, actions, rewards, terminals, episode_starts):
-        obs = np.asarray(obs, dtype=np.float32)
-        actions = np.asarray(actions, dtype=np.float32)
-        rewards = np.asarray(rewards, dtype=np.float32)
-        terminals = np.asarray(terminals, dtype=bool)
-        starts = np.asarray(episode_starts, dtype=np.int64)
-        n = obs.shape[0]
-        if obs.ndim != 2 or actions.ndim != 2:
+        self.obs = np.asarray(obs, dtype=np.float32)
+        self.actions = np.asarray(actions, dtype=np.float32)
+        self.rewards = np.asarray(rewards, dtype=np.float32)
+        self.terminals = np.asarray(terminals, dtype=bool)
+        self.episode_starts = np.asarray(episode_starts, dtype=np.int64)
+        self.validate()
+        n, starts = len(self), self.episode_starts
+        lengths = np.diff(np.concatenate([starts, [n]]))
+        self._start_of = np.repeat(starts, lengths)
+        # the last stored step only has a successor once its episode closed
+        self._sampleable = n if self.terminals[n - 1] else n - 1
+        if self._sampleable == 0:
+            raise DataError("no sampleable transitions yet")
+
+    def validate(self) -> None:
+        """The columns agree in length and every episode boundary, except
+        possibly the live tail's, sits on a terminal step."""
+        if self.obs.ndim != 2 or self.actions.ndim != 2:
             raise SpecError("obs and actions must be 2-D column arrays")
-        if not (actions.shape[0] == rewards.shape[0] == terminals.shape[0] == n):
+        n, starts, terminals = len(self), self.episode_starts, self.terminals
+        if not (self.actions.shape[0] == self.rewards.shape[0]
+                == terminals.shape[0] == n):
             raise SpecError("column lengths disagree")
         if n == 0:
             raise DataError("empty transition store")
@@ -57,7 +80,6 @@ class ReplayView:
             raise DataError("episode starts must begin at index 0")
         if np.any(np.diff(starts) <= 0) or starts[-1] >= n:
             raise DataError("episode starts must be increasing and in range")
-        # every episode end except possibly the live tail must be terminal
         ends = np.concatenate([starts[1:] - 1, [n - 1]])
         if not terminals[ends[:-1]].all():
             raise DataError("episode boundary without a terminal step")
@@ -65,18 +87,6 @@ class ReplayView:
         interior[ends] = False
         if terminals[interior].any():
             raise DataError("terminal step without an episode boundary")
-
-        self.obs = obs
-        self.actions = actions
-        self.rewards = rewards
-        self.terminals = terminals
-        self.episode_starts = starts
-        lengths = np.diff(np.concatenate([starts, [n]]))
-        self._start_of = np.repeat(starts, lengths)
-        # the last stored step only has a successor once its episode closed
-        self._sampleable = n if terminals[n - 1] else n - 1
-        if self._sampleable == 0:
-            raise DataError("no sampleable transitions yet")
 
     def __len__(self):
         return self.obs.shape[0]

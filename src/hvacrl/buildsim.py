@@ -501,8 +501,14 @@ class EnvConfig:
         if self.days <= 0:
             raise SpecError("days must be positive")
 
+    @property
+    def weather_spec(self) -> str:
+        """The weather this config runs: ``weather``, or the kind's
+        evaluation preset when that is blank."""
+        return self.weather or f"preset:{EVAL_PRESET[self.kind]}"
+
     def resolve_weather(self, dt_s: float):
-        spec = self.weather or f"preset:{EVAL_PRESET[self.kind]}"
+        spec = self.weather_spec
         if spec.startswith("preset:"):
             name = spec.split(":", 1)[1]
             if name not in WEATHER_PRESETS:
@@ -727,22 +733,28 @@ def run_episode(env: BuildingEnv, controller, seed: int,
     )
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    path = Path(path)
-    n_obs = traj.obs.shape[1]
-    n_act = traj.actions.shape[1]
-    header = (["step"] + [f"obs_{i}" for i in range(n_obs)]
-              + [f"act_{i}" for i in range(n_act)] + ["reward", "terminal"])
+def write_columns_csv(path, obs, actions, rewards, terminals) -> None:
+    """One row per step: ``step, obs_*, act_*, reward, terminal``, the layout
+    `read_trajectory_csv` reads."""
+    header = (["step"] + [f"obs_{i}" for i in range(obs.shape[1])]
+              + [f"act_{i}" for i in range(actions.shape[1])]
+              + ["reward", "terminal"])
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
-        for t in range(len(traj)):
-            # str(float) is the shortest exact representation, so reading
+        for t in range(len(rewards)):
+            # repr(float) is the shortest exact representation, so reading
             # the file back reproduces the in-memory values bit for bit
-            row = ([t] + [repr(float(v)) for v in traj.obs[t + 1]]
-                   + [repr(float(v)) for v in traj.actions[t]]
-                   + [repr(float(traj.rewards[t])), int(traj.terminals[t])])
+            row = ([t] + [repr(float(v)) for v in obs[t]]
+                   + [repr(float(v)) for v in actions[t]]
+                   + [repr(float(rewards[t])), int(terminals[t])])
             writer.writerow(row)
+
+
+def write_trajectory_csv(traj: Trajectory, path) -> None:
+    """Post-step observations, actions, rewards and terminals of ``traj``."""
+    write_columns_csv(path, traj.obs[1:], traj.actions, traj.rewards,
+                      traj.terminals)
 
 
 def read_trajectory_csv(path) -> dict[str, np.ndarray]:

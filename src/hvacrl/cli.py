@@ -225,10 +225,9 @@ def cmd_train(args, cfg: dict, argv, env_vars) -> int:
         block["seq_len"] = args.seq_len
     acfg = AgentConfig(**block)
     ds = read_dataset(args.data)
-    view = ds.view()
-    agent = make_agent(acfg, view.obs_dim, view.act_dim)
+    agent = make_agent(acfg, ds.obs_dim, ds.act_dim)
     fp = config_fingerprint(cfg)
-    summary = train_offline(agent, view,
+    summary = train_offline(agent, ds,
                             checkpoint_dir=out / "checkpoints",
                             log_path=out / "train_log.jsonl")
     final = out / "agent.ckpt"

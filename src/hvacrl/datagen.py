@@ -14,6 +14,13 @@ transitions in a `ReplayBuffer`, and turn the buffer into a `Dataset`
 with the same provenance keys: the policy fingerprint, the weather preset
 and reset seed of every episode, the seed and the requested size.
 
+A `Dataset` is a `ReplayView` with a header: the columns, episode starts,
+boundary checks and window sampling are the view's, and the dataset adds
+the environment fields, provenance metadata and the stored-dataset rules
+(closed last episode, actions in [-1, 1], finite rewards). It is checked
+once, when built, and trains directly. Subsampling and merging join whole
+episodes under the parent's header.
+
 Datasets are stored in the `hvacrl.container` layout under magic
 ``HVDS0001``: the header carries the environment, specs, episode starts
 and metadata, and the arrays are the float32 ``obs``, ``act`` and
@@ -21,9 +28,8 @@ and metadata, and the arrays are the float32 ``obs``, ``act`` and
 """
 from __future__ import annotations
 
-import csv
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +38,8 @@ from . import container
 from .agents import (Agent, AgentConfig, EpisodeDriver, PolicyController,
                      ReplayBuffer, ReplayView, load_agent, make_agent,
                      train_online)
-from .buildsim import TRAIN_PRESETS, BuildingEnv, run_episode
+from .buildsim import (TRAIN_PRESETS, BuildingEnv, run_episode,
+                       write_columns_csv)
 from .errors import DataError, SpecError, UsageError
 from .fingerprint import fingerprint
 
@@ -44,44 +51,28 @@ REFERENCE_SEED = 424243  # fixed reset seed for expert reference rollouts
 # dataset type
 
 
-@dataclass
-class Dataset:
-    """Episodic transitions plus the provenance needed to reuse them."""
+class Dataset(ReplayView):
+    """Episodic transitions plus the header needed to reuse them.
 
-    env_kind: str
-    days: float
-    horizon: int
-    obs_spec_fingerprint: str
-    act_spec_fingerprint: str
-    obs_lows: list
-    obs_highs: list
-    act_lows: list
-    act_highs: list
-    episode_starts: np.ndarray
-    metadata: dict = field(default_factory=dict)
-    obs: np.ndarray = None          # (N, obs_dim) float32, unit interval
-    actions: np.ndarray = None      # (N, act_dim) float32, [-1, 1]
-    rewards: np.ndarray = None      # (N,) float32
-    terminals: np.ndarray = None    # (N,) bool
+    A dataset is a `ReplayView` (the columns, episode starts, checks and
+    window sampling) with a header: the environment it was collected on,
+    and provenance ``metadata``. Training samples it directly.
+    """
 
-    def __post_init__(self):
-        self.episode_starts = np.asarray(self.episode_starts, dtype=np.int64)
-        self.obs = np.asarray(self.obs, dtype=np.float32)
-        self.actions = np.asarray(self.actions, dtype=np.float32)
-        self.rewards = np.asarray(self.rewards, dtype=np.float32)
-        self.terminals = np.asarray(self.terminals, dtype=bool)
+    #: the header's keys, as stored in the file beside the column table
+    HEADER = ("env_kind", "days", "horizon", "obs_spec_fingerprint",
+              "act_spec_fingerprint", "obs_lows", "obs_highs", "act_lows",
+              "act_highs", "episode_starts", "metadata")
 
-    def __len__(self):
-        return self.obs.shape[0]
-
-    @property
-    def num_episodes(self):
-        return len(self.episode_starts)
-
-    def episode_slice(self, i: int) -> slice:
-        starts = self.episode_starts
-        stop = starts[i + 1] if i + 1 < len(starts) else len(self)
-        return slice(int(starts[i]), int(stop))
+    def __init__(self, obs, actions, rewards, terminals, **header):
+        unknown = sorted(set(header) - set(self.HEADER))
+        missing = [key for key in self.HEADER if key not in header]
+        if unknown or missing:
+            raise DataError(f"dataset header has unknown fields {unknown} "
+                            f"and lacks fields {missing}")
+        starts = header.pop("episode_starts")
+        vars(self).update(header)
+        super().__init__(obs, actions, rewards, terminals, starts)
 
     def episode_return(self, i: int) -> float:
         return float(self.rewards[self.episode_slice(i)].sum())
@@ -96,10 +87,9 @@ class Dataset:
         return int(seeds[i]) if i < len(seeds) else None
 
     def validate(self) -> None:
-        """`ReplayView` checks the columns and episode boundaries; a stored
-        dataset must also close its last episode, keep actions in [-1, 1]
-        and have finite rewards."""
-        self.view()
+        """`ReplayView`'s checks, and a stored dataset also closes its last
+        episode, keeps actions in [-1, 1] and has finite rewards."""
+        super().validate()
         if not self.terminals[-1]:
             raise DataError("final episode is not terminal")
         if self.actions.min() < -1.0 or self.actions.max() > 1.0:
@@ -108,19 +98,8 @@ class Dataset:
             raise DataError("non-finite rewards")
 
     def header_dict(self) -> dict:
-        return {
-            "env_kind": self.env_kind,
-            "days": self.days,
-            "horizon": self.horizon,
-            "obs_spec_fingerprint": self.obs_spec_fingerprint,
-            "act_spec_fingerprint": self.act_spec_fingerprint,
-            "obs_lows": list(map(float, self.obs_lows)),
-            "obs_highs": list(map(float, self.obs_highs)),
-            "act_lows": list(map(float, self.act_lows)),
-            "act_highs": list(map(float, self.act_highs)),
-            "episode_starts": [int(s) for s in self.episode_starts],
-            "metadata": self.metadata,
-        }
+        return {**{key: getattr(self, key) for key in self.HEADER},
+                "episode_starts": [int(s) for s in self.episode_starts]}
 
     def columns(self) -> list:
         """The stored ``(name, array)`` columns, in file order."""
@@ -133,28 +112,17 @@ class Dataset:
                 for name, col in self.columns()}
         return fingerprint({"header": self.header_dict(), "crcs": crcs})
 
-    def view(self) -> ReplayView:
-        return ReplayView(self.obs, self.actions, self.rewards,
-                          self.terminals, self.episode_starts)
 
-
-def dataset_from_env(env: BuildingEnv, *, episode_starts, obs, actions,
-                     rewards, terminals, metadata) -> Dataset:
-    ds = Dataset(
-        env_kind=env.config.kind,
-        days=env.config.days,
-        horizon=env.horizon,
-        obs_spec_fingerprint=env.obs_spec.fingerprint(),
-        act_spec_fingerprint=env.act_spec.fingerprint(),
-        obs_lows=list(map(float, env.obs_spec.lows)),
-        obs_highs=list(map(float, env.obs_spec.highs)),
-        act_lows=list(map(float, env.act_spec.lows)),
-        act_highs=list(map(float, env.act_spec.highs)),
-        episode_starts=episode_starts,
-        metadata=metadata,
-        obs=obs, actions=actions, rewards=rewards, terminals=terminals)
-    ds.validate()
-    return ds
+def _from_episodes(parent: Dataset, parts, metadata: dict) -> Dataset:
+    """The whole episodes ``(dataset, episode index)`` of ``parts``, joined
+    in order into one dataset under ``parent``'s environment header."""
+    slices = [(ds, ds.episode_slice(i)) for ds, i in parts]
+    lengths = [s.stop - s.start for _, s in slices]
+    return Dataset(
+        *(np.concatenate([getattr(ds, col)[s] for ds, s in slices])
+          for col in Dataset.COLUMNS),
+        **{**parent.header_dict(), "metadata": metadata,
+           "episode_starts": np.cumsum([0] + lengths[:-1])})
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +157,16 @@ def _collected_dataset(env: BuildingEnv, buffer: ReplayBuffer, reset_seeds,
         "seed": int(seed),
         "requested_steps": int(total_steps),
     })
-    return dataset_from_env(env, episode_starts=starts, obs=view.obs[:keep],
-                            actions=view.actions[:keep],
-                            rewards=view.rewards[:keep],
-                            terminals=view.terminals[:keep], metadata=metadata)
+    return Dataset(
+        *(getattr(view, col)[:keep] for col in Dataset.COLUMNS),
+        episode_starts=starts, metadata=metadata,
+        env_kind=env.config.kind, days=env.config.days, horizon=env.horizon,
+        obs_spec_fingerprint=env.obs_spec.fingerprint(),
+        act_spec_fingerprint=env.act_spec.fingerprint(),
+        obs_lows=list(map(float, env.obs_spec.lows)),
+        obs_highs=list(map(float, env.obs_spec.highs)),
+        act_lows=list(map(float, env.act_spec.lows)),
+        act_highs=list(map(float, env.act_spec.highs)))
 
 
 def collect_final_buffer(env: BuildingEnv, algo: str, total_steps: int,
@@ -385,7 +359,7 @@ def build_quality_report(dataset: Dataset, expert: Agent,
     """
     dataset.validate()
     presets = [dataset.episode_preset(i) or
-               env_template.config.weather.removeprefix("preset:")
+               env_template.config.weather_spec.removeprefix("preset:")
                for i in range(dataset.num_episodes)]
     seeds = [dataset.episode_reset_seed(i)
              for i in range(dataset.num_episodes)]
@@ -440,11 +414,6 @@ def subsample(dataset: Dataset, target: int, seed: int = 0) -> Dataset:
         if total >= target:
             break
     picked.sort()
-    slices = [dataset.episode_slice(i) for i in picked]
-    starts, at = [], 0
-    for s in slices:
-        starts.append(at)
-        at += s.stop - s.start
     parent_presets = dataset.metadata.get("weather_presets", [])
     parent_seeds = dataset.metadata.get("reset_seeds", [])
     metadata = dict(dataset.metadata)
@@ -457,17 +426,7 @@ def subsample(dataset: Dataset, target: int, seed: int = 0) -> Dataset:
         "reset_seeds": [parent_seeds[i] for i in picked]
         if parent_seeds else [],
     })
-    return Dataset(
-        env_kind=dataset.env_kind, days=dataset.days, horizon=dataset.horizon,
-        obs_spec_fingerprint=dataset.obs_spec_fingerprint,
-        act_spec_fingerprint=dataset.act_spec_fingerprint,
-        obs_lows=dataset.obs_lows, obs_highs=dataset.obs_highs,
-        act_lows=dataset.act_lows, act_highs=dataset.act_highs,
-        episode_starts=starts, metadata=metadata,
-        obs=np.concatenate([dataset.obs[s] for s in slices]),
-        actions=np.concatenate([dataset.actions[s] for s in slices]),
-        rewards=np.concatenate([dataset.rewards[s] for s in slices]),
-        terminals=np.concatenate([dataset.terminals[s] for s in slices]))
+    return _from_episodes(dataset, [(dataset, i) for i in picked], metadata)
 
 
 def merge_datasets(shards: list) -> Dataset:
@@ -483,15 +442,12 @@ def merge_datasets(shards: list) -> Dataset:
             raise DataError("shards disagree on environment or specs")
     ordered = sorted(shards, key=lambda s: (
         s.metadata.get("weather_preset", ""), s.metadata.get("seed", 0)))
-    starts, at, presets, reset_seeds = [], 0, [], []
+    presets, reset_seeds = [], []
     for s in ordered:
-        starts.extend(int(b) + at for b in s.episode_starts)
         presets.extend(s.metadata.get("weather_presets", []))
         shard_seeds = s.metadata.get("reset_seeds", [])
         reset_seeds.extend(shard_seeds if len(shard_seeds)
-                           == len(s.episode_starts) else
-                           [None] * len(s.episode_starts))
-        at += len(s)
+                           == s.num_episodes else [None] * s.num_episodes)
     lead = ordered[0].metadata
     metadata = {
         "scenario": lead.get("scenario", "merged"),
@@ -509,17 +465,8 @@ def merge_datasets(shards: list) -> Dataset:
             for p in str(s.metadata.get("weather_preset", "")).split(",")})),
         "seed": lead.get("seed"),
     }
-    return Dataset(
-        env_kind=first.env_kind, days=first.days, horizon=first.horizon,
-        obs_spec_fingerprint=first.obs_spec_fingerprint,
-        act_spec_fingerprint=first.act_spec_fingerprint,
-        obs_lows=first.obs_lows, obs_highs=first.obs_highs,
-        act_lows=first.act_lows, act_highs=first.act_highs,
-        episode_starts=starts, metadata=metadata,
-        obs=np.concatenate([s.obs for s in ordered]),
-        actions=np.concatenate([s.actions for s in ordered]),
-        rewards=np.concatenate([s.rewards for s in ordered]),
-        terminals=np.concatenate([s.terminals for s in ordered]))
+    return _from_episodes(first, [(s, i) for s in ordered
+                                  for i in range(s.num_episodes)], metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -541,27 +488,17 @@ def verify_dataset(path) -> dict:
 
 
 def read_dataset(path) -> Dataset:
+    """The dataset at ``path``. The CRCs do not cover the header, so an
+    unknown or missing header field is a `DataError` too."""
     header, cols = container.read(path, MAGIC)
     del header["columns"]
-    ds = Dataset(**header, obs=cols["obs"], actions=cols["act"],
-                 rewards=cols["reward"],
-                 terminals=cols["terminal"].astype(bool))
-    ds.validate()
-    return ds
+    return Dataset(cols["obs"], cols["act"], cols["reward"], cols["terminal"],
+                   **header)
 
 
 def export_dataset_csv(ds: Dataset, path) -> None:
-    """Inspection CSV with the same column style as trajectory exports."""
+    """Inspection CSV in the trajectory layout (`write_columns_csv`), with
+    each step's pre-step observation."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    od, ad = ds.obs.shape[1], ds.actions.shape[1]
-    headers = (["step"] + [f"obs_{i}" for i in range(od)]
-               + [f"act_{i}" for i in range(ad)] + ["reward", "terminal"])
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(headers)
-        for t in range(len(ds)):
-            row = ([t] + [repr(float(v)) for v in ds.obs[t]]
-                   + [repr(float(v)) for v in ds.actions[t]]
-                   + [repr(float(ds.rewards[t])), int(ds.terminals[t])])
-            w.writerow(row)
+    write_columns_csv(path, ds.obs, ds.actions, ds.rewards, ds.terminals)

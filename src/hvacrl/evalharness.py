@@ -376,19 +376,25 @@ def _expert(cfg: HarnessConfig) -> Agent:
 # dataset materialization
 
 
-def _cached_dataset(cfg: HarnessConfig, tag: str, build) -> str:
-    """Path of dataset ``tag`` under the output directory; ``build()``
-    produces and writes it unless a previous run already did."""
+def _cached_dataset(cfg: HarnessConfig, tag: str, build) -> tuple:
+    """``(path, dataset)`` of dataset ``tag`` under the output directory.
+
+    ``build()`` produces and writes it unless a previous run already did;
+    the dataset is None then, so a caller that needs it reads the file.
+    """
     path = Path(cfg.out_dir) / "datasets" / f"{tag}.hvds"
-    if not (path.exists() and cfg.skip_existing):
-        write_dataset(build(), path)
-    return str(path)
+    if path.exists() and cfg.skip_existing:
+        return str(path), None
+    ds = build()
+    write_dataset(ds, path)
+    return str(path), ds
 
 
 def materialize_trained_dataset(cfg: HarnessConfig, expert: Agent,
                                 epsilon: float, sigma: float,
-                                total_steps: int, seed: int = 0) -> str:
-    """Collect (or reuse) a frozen-expert dataset with the given noise."""
+                                total_steps: int, seed: int = 0) -> tuple:
+    """Collect (or reuse) a frozen-expert dataset with the given noise;
+    ``(path, dataset or None)`` as `_cached_dataset` returns it."""
     env = base_env(cfg, days=cfg.data_days)
     tag = "trained-" + fingerprint({
         "expert": expert.fingerprint(), "env": env.fingerprint(),
@@ -400,7 +406,7 @@ def materialize_trained_dataset(cfg: HarnessConfig, expert: Agent,
 
 def materialize_final_buffer_dataset(cfg: HarnessConfig, algo: str = "td3",
                                      total_steps: int | None = None,
-                                     seed: int = 0) -> str:
+                                     seed: int = 0) -> tuple:
     env = base_env(cfg, days=cfg.data_days)
     steps = total_steps or cfg.dataset_steps
     tag = "final-buffer-" + fingerprint({
@@ -458,7 +464,7 @@ def _run_cell(job: dict) -> tuple:
         return rep.to_jsonable()
 
     if job["dataset"]:
-        data = read_dataset(job["dataset"]).view()
+        data = read_dataset(job["dataset"])
         agent = make_agent(acfg, data.obs_dim, data.act_dim)
         summary = train_offline(agent, data, eval_fn=eval_fn)
     else:
@@ -602,11 +608,11 @@ def run_rq1(cfg: HarnessConfig) -> SweepResult:
         for scenario in cfg.rq1_scenarios:
             if scenario == "final_buffer":
                 datasets[scenario] = materialize_final_buffer_dataset(
-                    cfg, total_steps=cfg.dataset_steps)
+                    cfg, total_steps=cfg.dataset_steps)[0]
             elif scenario == "trained":
                 datasets[scenario] = materialize_trained_dataset(
                     cfg, _expert(cfg), cfg.epsilon, cfg.sigma,
-                    cfg.dataset_steps)
+                    cfg.dataset_steps)[0]
             else:
                 raise UsageError(f"unknown scenario {scenario!r}")
         for scenario in cfg.rq1_scenarios:
@@ -628,7 +634,7 @@ def run_rq2(cfg: HarnessConfig) -> SweepResult:
         if any(mode not in ("td3", "sac") for mode in cfg.rq2_modes):
             dataset = materialize_trained_dataset(
                 cfg, _expert(cfg), cfg.epsilon, cfg.sigma,
-                cfg.dataset_steps)
+                cfg.dataset_steps)[0]
         for mode in cfg.rq2_modes:
             online = mode in ("td3", "sac")
             for history in (False, True):
@@ -653,10 +659,10 @@ def run_rq3(cfg: HarnessConfig) -> SweepResult:
         expert = _expert(cfg)
         for eps in cfg.rq3_epsilons:
             for sg in cfg.rq3_sigmas:
-                path = materialize_trained_dataset(
+                path, ds = materialize_trained_dataset(
                     cfg, expert, eps, sg, cfg.rq3_dataset_steps)
                 quality = build_quality_report(
-                    read_dataset(path), expert,
+                    read_dataset(path) if ds is None else ds, expert,
                     base_env(cfg, days=cfg.data_days)).to_jsonable()
                 yield (f"eps{eps:g}-sigma{sg:g}",
                        {"epsilon": eps, "sigma": sg},
@@ -675,16 +681,17 @@ def run_rq4(cfg: HarnessConfig) -> SweepResult:
 
     def cells():
         sizes = sorted(cfg.rq4_sizes)
-        parent_path = materialize_trained_dataset(
+        parent_path, parent = materialize_trained_dataset(
             cfg, _expert(cfg), eps, sg, max(sizes))
-        parent = read_dataset(parent_path)
+        if parent is None:
+            parent = read_dataset(parent_path)
         for size in sizes:
             path = parent_path
             if size != max(sizes):
                 tag = f"rq4-size{size}-" + fingerprint(
                     {"parent": parent.fingerprint(), "size": size})
                 path = _cached_dataset(cfg, tag, lambda: subsample(
-                    parent, target=size, seed=0))
+                    parent, target=size, seed=0))[0]
             yield (f"size{size}", {"size": size, "epsilon": eps, "sigma": sg},
                    {"algo": "cql"}, path, None)
 
@@ -697,7 +704,7 @@ def run_rq5(cfg: HarnessConfig) -> SweepResult:
 
     def cells():
         dataset = materialize_trained_dataset(
-            cfg, _expert(cfg), cfg.epsilon, cfg.sigma, cfg.dataset_steps)
+            cfg, _expert(cfg), cfg.epsilon, cfg.sigma, cfg.dataset_steps)[0]
         for L in cfg.rq5_seq_lens:
             yield (f"len{L:02d}", {"seq_len": L},
                    {"algo": "cql", "history": True, "seq_len": L,

@@ -10,6 +10,8 @@ from hvacrl.buildsim import EVAL_PRESET, BuildingEnv, EnvConfig
 from hvacrl.cli import ENV_MAX_JOBS, ENV_OUT_DIR, default_config, main
 from hvacrl.datagen import expert_reference_return, read_dataset, write_dataset
 
+from container_cases import rewrite_header
+
 
 def run(argv, env=None):
     return main(argv, env_vars=env or {})
@@ -215,6 +217,19 @@ class TestTrain:
         assert run(["train", "--algo", "cql", "--data", str(bad),
                     "--out", str(tmp_path / "t")]) == 3
 
+    @pytest.mark.parametrize("edit", [
+        lambda h: {**h, "collected_by": "someone"},
+        lambda h: {k: v for k, v in h.items() if k != "horizon"},
+    ], ids=["unknown", "missing"])
+    def test_bad_header_fields_rejected(self, workspace, tmp_path, edit,
+                                        capsys):
+        bad = tmp_path / "bad.hvds"
+        bad.write_bytes(workspace["data"].read_bytes())
+        rewrite_header(bad, edit)
+        assert run(["train", "--algo", "cql", "--data", str(bad),
+                    "--out", str(tmp_path / "t")]) == 3
+        assert "DataError" in capsys.readouterr().err
+
 
 class TestEval:
     def test_reports_per_seed_with_median(self, workspace, tmp_path):
@@ -272,7 +287,7 @@ class TestRegret:
         env = BuildingEnv(EnvConfig(kind="dc", days=ds.days))
         r_opt = expert_reference_return(
             env, load_agent(workspace["ckpt"])[0], EVAL_PRESET["dc"], ds.days)
-        assert list(doc["r_opt_by_preset"].values()) == [r_opt]
+        assert doc["r_opt_by_preset"] == {EVAL_PRESET["dc"]: r_opt}
 
 
 class TestSweepAndReport:

@@ -1,14 +1,17 @@
 """Dataset collection, the column container, regret scoring, subsampling."""
+import hashlib
+
 import numpy as np
 import pytest
 
 from hvacrl import datagen as dg
 from hvacrl.agents import AgentConfig, PolicyController, make_agent
-from hvacrl.buildsim import TRAIN_PRESETS, BuildingEnv, EnvConfig, run_episode
+from hvacrl.buildsim import (TRAIN_PRESETS, BuildingEnv, EnvConfig,
+                             read_trajectory_csv, run_episode)
 from hvacrl.envcore import Observation, normalize_obs
 from hvacrl.errors import DataError, UsageError
 
-from container_cases import ContainerCases
+from container_cases import ContainerCases, rewrite_header
 
 
 def dc_env(days=1.0):
@@ -316,8 +319,7 @@ class TestSubsample:
         ds = synthetic_dataset()
         sub = dg.subsample(ds, target=150, seed=3)
         sub.validate()
-        view = sub.view()
-        batch = view.sample_batch(16, 4, np.random.default_rng(0))
+        batch = sub.sample_batch(16, 4, np.random.default_rng(0))
         assert batch.windows.shape == (16, 4, ds.obs.shape[1])
 
 
@@ -369,8 +371,55 @@ class DatasetFormat:
         dg.verify_dataset(path)
 
 
+def golden_dataset():
+    """Two three-step episodes with exact binary values, built by hand."""
+    return dg.Dataset(
+        env_kind="dc", days=3 / 144, horizon=3,
+        obs_spec_fingerprint="obs-golden", act_spec_fingerprint="act-golden",
+        obs_lows=[0.0, 0.0], obs_highs=[1.0, 1.0],
+        act_lows=[-1.0], act_highs=[1.0],
+        episode_starts=[0, 3],
+        metadata={"scenario": "golden", "weather_presets": ["a", "b"],
+                  "reset_seeds": [1, 2]},
+        obs=np.arange(12, dtype=np.float32).reshape(6, 2) / 16,
+        actions=np.linspace(-1, 1, 6, dtype=np.float32).reshape(6, 1),
+        rewards=np.array([-0.5, 0.25, 1.0, -2.0, 0.125, 3.0],
+                         dtype=np.float32),
+        terminals=[False, False, True, False, False, True])
+
+
 class TestContainer(ContainerCases):
     fmt = DatasetFormat()
+
+    def test_golden_file_bytes(self, tmp_path):
+        # pins the HVDS0001 layout: a change here is a format change
+        path = tmp_path / "golden.hvds"
+        dg.write_dataset(golden_dataset(), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "996a223c03f960c4108e9828d86b43d4a67170ea65490050670ad80d47632809"
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: {**h, "collected_by": "someone"},
+        lambda h: {k: v for k, v in h.items() if k != "horizon"},
+        lambda h: {k: v for k, v in h.items() if k != "episode_starts"},
+    ], ids=["unknown", "missing", "missing-starts"])
+    def test_bad_header_fields_are_data_errors(self, tmp_path, edit):
+        path = tmp_path / "a.hvds"
+        dg.write_dataset(golden_dataset(), path)
+        rewrite_header(path, edit)
+        with pytest.raises(DataError, match="collected_by|horizon|starts"):
+            dg.read_dataset(path)
+
+    def test_csv_export_reads_back_as_trajectory(self, tmp_path):
+        ds = synthetic_dataset(n=50, ep_len=25)
+        p = tmp_path / "d.csv"
+        dg.export_dataset_csv(ds, p)
+        assert b"\r" not in p.read_bytes()
+        cols = read_trajectory_csv(p)
+        assert np.array_equal(cols["obs"], ds.obs)
+        assert np.array_equal(cols["actions"], ds.actions)
+        assert np.array_equal(cols["rewards"], ds.rewards)
+        assert np.array_equal(cols["terminals"], ds.terminals)
 
     def test_csv_export_shape(self, tmp_path):
         ds = synthetic_dataset(n=50, ep_len=25)
@@ -416,8 +465,11 @@ class TestValidation:
         with pytest.raises(DataError):
             ds.validate()
 
-    def test_view_roundtrip_matches_source(self):
+    def test_checked_on_construction(self):
         ds = synthetic_dataset()
-        view = ds.view()
-        assert len(view) == len(ds)
-        assert view.num_episodes == ds.num_episodes
+        terminals = ds.terminals.copy()
+        terminals[5] = True
+        with pytest.raises(DataError):
+            dg.Dataset(ds.obs, ds.actions, ds.rewards, terminals,
+                       **{**ds.header_dict(),
+                          "episode_starts": ds.episode_starts})

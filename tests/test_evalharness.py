@@ -367,6 +367,26 @@ class TestMiniatureSweep:
         run_rq3(cfg)
         assert loads == [ensure_expert(cfg)]
 
+    @pytest.mark.parametrize("runner,overrides", [
+        (run_rq3, dict(rq3_epsilons=(0.0, 0.2), rq3_sigmas=(0.1,),
+                       rq3_dataset_steps=144, rq3_train_steps=8)),
+        (run_rq4, dict(rq4_sizes=(72, 360))),
+    ], ids=["rq3", "rq4"])
+    def test_fresh_datasets_are_read_only_to_train(self, tmp_path,
+                                                   monkeypatch, runner,
+                                                   overrides):
+        calls = []
+
+        def counting(name):
+            real = getattr(evalharness, name)
+            return lambda *args: calls.append(name) or real(*args)
+
+        for name in ("write_dataset", "read_dataset"):
+            monkeypatch.setattr(evalharness, name, counting(name))
+        runner(tiny_config(tmp_path, **overrides))
+        # two datasets built and written; each read once by its training job
+        assert sorted(calls) == ["read_dataset"] * 2 + ["write_dataset"] * 2
+
     def test_quantity_sweep_subsamples_each_smaller_size(self, tmp_path):
         cfg = tiny_config(tmp_path, rq4_sizes=(72, 360))
         res = run_rq4(cfg)
