@@ -34,7 +34,7 @@ from ..fingerprint import fingerprint, to_jsonable
 from ..neuralsub import tensor as T
 from ..neuralsub.layers import Module
 from ..neuralsub.optim import Adam
-from ..neuralsub.sampling import sample_tanh_gaussian
+from ..neuralsub.sampling import tanh_gaussian_action
 from ..neuralsub.tensor import Tensor
 from .config import AgentConfig
 from .nets import DeterministicActor, GaussianActor, TwinCritic
@@ -364,10 +364,8 @@ class CQLAgent(SACAgent):
         """m actions per window drawn from the current policy, (B*m, A)."""
         with T.no_grad():
             mean, log_std = self.actor.dist_params(windows, valid)
-            wide_mean = Tensor(np.repeat(mean.data, m, axis=0))
-            wide_std = Tensor(np.repeat(log_std.data, m, axis=0))
-            a_pi, _ = sample_tanh_gaussian(wide_mean, wide_std, self.rng)
-        return a_pi.data
+        return tanh_gaussian_action(np.repeat(mean.data, m, axis=0),
+                                    np.repeat(log_std.data, m, axis=0), self.rng)
 
     def _critic_penalty(self, td, feat, batch, qs):
         cfg = self.cfg

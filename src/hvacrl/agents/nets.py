@@ -12,7 +12,7 @@ import numpy as np
 from ..errors import SpecError
 from ..neuralsub import tensor as T
 from ..neuralsub.layers import MLP, EncoderConfig, HistoryEncoder, Module
-from ..neuralsub.sampling import sample_tanh_gaussian
+from ..neuralsub.sampling import sample_tanh_gaussian, tanh_gaussian_action
 from ..neuralsub.tensor import Tensor
 from .config import AgentConfig
 
@@ -126,6 +126,6 @@ class GaussianActor(Module):
 
     def act(self, windows, valid, rng=None, deterministic: bool = True):
         with T.no_grad():
-            a, _ = self.sample(windows, valid, rng, deterministic=deterministic)
-            a = a.data.copy()
+            mean, log_std = self.dist_params(windows, valid)
+        a = tanh_gaussian_action(mean.data, log_std.data, rng, deterministic)
         return np.clip(a, -1.0, 1.0)

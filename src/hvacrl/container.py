@@ -30,6 +30,9 @@ from .errors import DataError
 from .fingerprint import canonical_json
 
 CHUNK_BYTES = 1 << 20   # streaming verification block size
+# the dtype names `write` can record: booleans, integers and floats
+_DTYPES = frozenset(str(np.dtype(c)) for c in
+                   "?" + np.typecodes["AllInteger"] + np.typecodes["Float"])
 
 
 def atomic_write(path, chunks) -> None:
@@ -86,7 +89,31 @@ def _header(f, path, magic: bytes) -> tuple[dict, int]:
     blob = f.read(hlen)
     if len(blob) != hlen:
         raise DataError(f"{path}: truncated header")
-    return json.loads(blob), 12 + hlen
+    try:
+        header = json.loads(blob)
+    except (ValueError, RecursionError) as e:   # not utf-8, not JSON, too deep
+        raise DataError(f"{path}: unreadable header: {e}") from None
+    columns = header.get("columns") if isinstance(header, dict) else None
+    if not isinstance(columns, list):
+        raise DataError(f"{path}: header is not an object with a list of columns")
+    for entry in columns:
+        if not _column_ok(entry):
+            raise DataError(f"{path}: malformed column record {entry!r}")
+    return header, 12 + hlen
+
+
+def _count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _column_ok(entry) -> bool:
+    """Whether a header column record has the fields and types `write`
+    gives it: str name, numeric dtype, integer shape, offset, nbytes, crc32."""
+    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("dtype"), str) and entry["dtype"] in _DTYPES
+            and isinstance(entry.get("shape"), list)
+            and all(_count(n) for n in entry["shape"])
+            and all(_count(entry.get(k)) for k in ("offset", "nbytes", "crc32")))
 
 
 def _check(path, entry: dict, crc: int, trailer: bytes) -> None:

@@ -86,10 +86,7 @@ class MLP(Module):
                        for i in range(len(sizes) - 1)]
 
     def __call__(self, x) -> Tensor:
-        h = x
-        for layer in self.layers[:-1]:
-            h = T.relu(layer(h))
-        return self.layers[-1](h)
+        return T.mlp(x, [(layer.w, layer.b) for layer in self.layers])
 
 
 class LayerNorm(Module):
@@ -149,7 +146,8 @@ class EncoderBlock(Module):
 
     def __call__(self, x: Tensor, mask_bias: np.ndarray) -> Tensor:
         x = self.norm1(T.add(x, self.attn(x, mask_bias)))
-        x = self.norm2(T.add(x, self.ff2(T.relu(self.ff1(x)))))
+        ff = T.mlp(x, [(self.ff1.w, self.ff1.b), (self.ff2.w, self.ff2.b)])
+        x = self.norm2(T.add(x, ff))
         return x
 
 

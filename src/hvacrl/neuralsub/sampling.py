@@ -44,6 +44,18 @@ def sample_tanh_gaussian(mean: Tensor, log_std: Tensor,
     return action, log_prob
 
 
+def tanh_gaussian_action(mean: np.ndarray, log_std: np.ndarray,
+                         rng: np.random.Generator,
+                         deterministic: bool = False) -> np.ndarray:
+    """The action `sample_tanh_gaussian` draws, in plain numpy (no tape and
+    no log-prob): the same ops in the same order, the same noise draw."""
+    if deterministic:
+        return np.tanh(mean)
+    std = np.exp(np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX))
+    noise = rng.standard_normal(size=mean.shape).astype(np.float32)
+    return np.tanh(mean + std * noise)
+
+
 def tanh_gaussian_log_prob(mean: np.ndarray, log_std: np.ndarray,
                            action: np.ndarray) -> np.ndarray:
     """Log-prob of a given squashed action under N(mean, exp(log_std)^2).

@@ -4,6 +4,13 @@ Tensors default to float32 (the training substrate); ops preserve float64
 inputs so gradient checks can run the identical graph at high precision.
 Graphs are per-loss tapes: build forward, call `backward(loss)`, read
 `.grad` off the leaves.
+
+Gradient arrays are never written in place. A tensor's first gradient
+contribution is stored as it arrives, possibly shared with another tensor,
+and later contributions replace it with a new sum; so code that reads a
+`.grad` must not write into it. The one exception is internal to `mlp`:
+its hidden activations never leave the node, so its backward pass
+overwrites each spent activation buffer with that layer's gradient.
 """
 from __future__ import annotations
 
@@ -122,10 +129,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = g.astype(t.data.dtype, copy=True)
-    else:
-        t.grad += g
+    # cast after adding, so a float64 contribution is rounded only once
+    grad = g if t.grad is None else t.grad + g
+    t.grad = grad.astype(t.data.dtype, copy=False)
 
 
 def backward(loss: Tensor, seed_grad=None) -> None:
@@ -229,24 +235,76 @@ def matmul(a, b) -> Tensor:
     return _make(out_data, (a, b), bwd)
 
 
+def _affine_data(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b, adding the bias in the product's buffer when the dtypes
+    agree (an in-place add into float32 would round a float64 bias)."""
+    out = x @ w
+    if out.dtype != b.dtype:
+        return out + b
+    out += b
+    return out
+
+
+def _affine_param_grads(x: np.ndarray, w: Tensor, b: Tensor, g: np.ndarray) -> None:
+    if w.requires_grad:
+        if x.ndim == 2:
+            _accumulate(w, x.T @ g)
+        else:
+            k = x.shape[-1]
+            _accumulate(w, x.reshape(-1, k).T @ g.reshape(-1, g.shape[-1]))
+    if b.requires_grad:
+        _accumulate(b, g.reshape(-1, g.shape[-1]).sum(axis=0))
+
+
 def affine(x, w, b) -> Tensor:
     """x @ w + b with 2-D or 3-D x; fused to keep the tape short."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    out_data = x.data @ w.data + b.data
 
     def bwd(g):
         if x.requires_grad:
             _accumulate(x, g @ w.data.T)
-        if w.requires_grad:
-            if x.data.ndim == 2:
-                _accumulate(w, x.data.T @ g)
-            else:
-                k = x.data.shape[-1]
-                _accumulate(w, x.data.reshape(-1, k).T @ g.reshape(-1, g.shape[-1]))
-        if b.requires_grad:
-            _accumulate(b, g.reshape(-1, g.shape[-1]).sum(axis=0))
+        _affine_param_grads(x.data, w, b, g)
 
-    return _make(out_data, (x, w, b), bwd)
+    return _make(_affine_data(x.data, w.data, b.data), (x, w, b), bwd)
+
+
+def mlp(x, layers) -> Tensor:
+    """ReLU stack as one tape node: `affine` then `relu` for every (w, b)
+    pair but the last, which stays affine.
+
+    Values and gradients are bit-identical to the composed graph. The
+    hidden activations live only inside the node, so the backward pass
+    writes each layer's input gradient into that layer's spent input
+    activation instead of allocating a new array.
+    """
+    x = as_tensor(x)
+    layers = [(as_tensor(w), as_tensor(b)) for w, b in layers]
+    inputs = [x.data]          # each layer's input; all but the first are owned
+    h = x.data
+    for w, b in layers[:-1]:
+        h = _affine_data(h, w.data, b.data)
+        np.maximum(h, 0, out=h)
+        inputs.append(h)
+    w, b = layers[-1]
+    out_data = _affine_data(h, w.data, b.data)
+
+    def bwd(g):
+        for (w, b), inp in zip(reversed(layers[1:]), reversed(inputs[1:])):
+            _affine_param_grads(inp, w, b, g)
+            mask = inp > 0
+            if w.data.shape[1] == 1:
+                np.multiply(g, w.data.T, out=inp)   # a K=1 product, no gemm
+            else:
+                np.matmul(g, w.data.T, out=inp)
+            inp *= mask
+            g = inp
+        w, b = layers[0]
+        _affine_param_grads(x.data, w, b, g)
+        if x.requires_grad:
+            _accumulate(x, g @ w.data.T)
+
+    parents = (x,) + tuple(t for pair in layers for t in pair)
+    return _make(out_data, parents, bwd)
 
 
 def relu(x) -> Tensor:
@@ -369,7 +427,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
             gx = g * gain.data
             dx = inv_std * (gx - gx.mean(axis=-1, keepdims=True)
                             - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
-            _accumulate(x, dx.astype(x.data.dtype))
+            _accumulate(x, dx)
 
     return _make(out_data, (x, gain, bias), bwd)
 

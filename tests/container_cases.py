@@ -31,6 +31,30 @@ def rewrite_header(path, edit=lambda header: header):
                      + raw[12 + hlen:])
 
 
+def _first_column(change):
+    """A header edit that applies ``change`` to the first column record."""
+    def edit(header):
+        change(header["columns"][0])
+        return header
+    return edit
+
+
+MALFORMED_HEADERS = {
+    "no-columns": lambda h: {k: v for k, v in h.items() if k != "columns"},
+    "columns-not-list": lambda h: {**h, "columns": 5},
+    "column-not-record": lambda h: {**h, "columns": ["x"] + h["columns"][1:]},
+    "header-is-list": lambda h: [h],
+    "no-dtype": _first_column(lambda c: c.pop("dtype")),
+    "unknown-dtype": _first_column(lambda c: c.update(dtype="f4,(")),
+    "name-not-str": _first_column(lambda c: c.update(name=3)),
+    "shape-str": _first_column(lambda c: c.update(shape="ab")),
+    "shape-negative": _first_column(lambda c: c.update(shape=[-1])),
+    "offset-str": _first_column(lambda c: c.update(offset="0")),
+    "nbytes-float": _first_column(lambda c: c.update(nbytes=4.0)),
+    "crc32-bool": _first_column(lambda c: c.update(crc32=True)),
+}
+
+
 class ContainerCases:
     fmt = None
 
@@ -103,6 +127,27 @@ class ContainerCases:
         rewrite_header(path, grow_first_array)
         with pytest.raises(DataError):
             self.fmt.load(path)
+
+    @pytest.mark.parametrize("edit", MALFORMED_HEADERS.values(),
+                             ids=MALFORMED_HEADERS.keys())
+    def test_malformed_header_is_data_error(self, tmp_path, edit):
+        path = tmp_path / "a"
+        self.fmt.save(path)
+        rewrite_header(path, edit)
+        self.assert_rejected(path)
+        with pytest.raises(DataError):
+            container.read_header(path, self.fmt.magic)
+
+    @pytest.mark.parametrize("blob", [b"\xff{}", b"{", b"[" * 100_000],
+                             ids=["not-utf8", "not-json", "too-deep"])
+    def test_unreadable_header_is_data_error(self, tmp_path, blob):
+        path = tmp_path / "a"
+        self.fmt.save(path)
+        raw = path.read_bytes()
+        hlen = int.from_bytes(raw[8:12], "little")
+        path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob
+                         + raw[12 + hlen:])
+        self.assert_rejected(path)
 
     def test_noncanonical_header_spacing_loads(self, tmp_path):
         path = tmp_path / "a"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hvacrl.neuralsub import tensor as T
+from hvacrl.neuralsub.optim import Adam
 
 from gradcheck import TOL, check_op
 
@@ -274,3 +275,103 @@ class TestTapeMechanics:
         x = T.parameter(np.ones(2, dtype=np.float32))
         y = T.mul(x, 2.0).detach()
         assert not y.requires_grad
+
+
+def composed_mlp(x, layers):
+    """The reference graph `T.mlp` must reproduce bit for bit."""
+    h = x
+    for w, b in layers[:-1]:
+        h = T.relu(T.affine(h, w, b))
+    return T.affine(h, *layers[-1])
+
+
+class TestMLPNode:
+    @staticmethod
+    def run(forward, x_arr, layer_arrs, x_grad, applications):
+        x = T.Tensor(x_arr, requires_grad=x_grad)
+        layers = [(T.parameter(w), T.parameter(b)) for w, b in layer_arrs]
+        outs = [forward(T.scale(x, c), layers) for c in (1.0, -0.5)[:applications]]
+        # a random linear readout makes every upstream gradient entry differ
+        readout = np.random.default_rng(0).uniform(
+            -1, 1, size=outs[0].shape).astype(np.float32)
+        loss = T.sum_(T.mul(outs[0], readout))
+        for out in outs[1:]:
+            loss = T.add(loss, T.mean(T.square(out)))
+        T.backward(loss)
+        grads = [x.grad] + [t.grad for pair in layers for t in pair]
+        return [o.data for o in outs], grads
+
+    @pytest.mark.parametrize("applications", [1, 2])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    @pytest.mark.parametrize("out_width", [1, 3])
+    @pytest.mark.parametrize("depth", [1, 3])
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_bit_equal_to_composed_graph(self, ndim, depth, out_width, x_grad,
+                                         applications):
+        rng = np.random.default_rng(ndim * 100 + depth * 10 + out_width)
+        sizes = [7] + [16] * (depth - 1) + [out_width]
+        lead = (32,) if ndim == 2 else (4, 8)
+        x_arr = rng.normal(size=lead + (7,)).astype(np.float32)
+        layer_arrs = [(rng.uniform(-0.6, 0.6, size=(i, o)).astype(np.float32),
+                       rng.uniform(-0.3, 0.3, size=o).astype(np.float32))
+                      for i, o in zip(sizes[:-1], sizes[1:])]
+        got_outs, got_grads = self.run(T.mlp, x_arr, layer_arrs, x_grad,
+                                       applications)
+        ref_outs, ref_grads = self.run(composed_mlp, x_arr, layer_arrs, x_grad,
+                                       applications)
+        for got, ref in zip(got_outs, ref_outs):
+            assert got.dtype == ref.dtype == np.float32
+            assert np.array_equal(got, ref)
+        assert (got_grads[0] is None) == (not x_grad)
+        for got, ref in zip(got_grads, ref_grads):
+            if ref is None:
+                assert got is None
+            else:
+                assert got.dtype == ref.dtype
+                assert np.array_equal(got, ref)
+
+    def test_no_grad_forward_matches(self):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(5, 4))
+        layers = [(T.parameter(rng.normal(size=(4, 6))), T.parameter(rng.normal(size=6))),
+                  (T.parameter(rng.normal(size=(6, 2))), T.parameter(rng.normal(size=2)))]
+        with T.no_grad():
+            out = T.mlp(x, layers)
+        assert not out.requires_grad
+        assert np.array_equal(out.data, composed_mlp(x, layers).data)
+
+    def test_gradcheck(self):
+        rng = np.random.default_rng(800)
+        arrays = [rand(rng, 6, 4), rand(rng, 4, 5), rand(rng, 5),
+                  rand(rng, 5, 5), rand(rng, 5), rand(rng, 5, 1), rand(rng, 1)]
+
+        def build(ts):
+            x, *flat = ts
+            layers = list(zip(flat[0::2], flat[1::2]))
+            return T.mean(T.square(T.mlp(x, layers)))
+
+        assert check_op(build, arrays) <= TOL
+
+
+class TestGradientsNeverWrittenInPlace:
+    def test_shared_gradient_survives_later_accumulation_and_adam(self):
+        a = T.parameter(np.ones(3))
+        b = T.parameter(np.full(3, 2.0))
+        T.backward(T.sum_(T.add(a, b)))
+        assert np.shares_memory(a.grad, b.grad)   # one array, two leaves
+        before = b.grad.copy()
+        T.backward(T.sum_(T.scale(a, 3.0)))       # a further backward into a
+        assert np.array_equal(a.grad, before + 3.0)
+        assert np.array_equal(b.grad, before)
+        Adam([a, b], lr=0.1).step()
+        assert np.array_equal(b.grad, before)
+        assert np.array_equal(a.grad, before + 3.0)
+
+    def test_float64_contribution_rounds_once(self):
+        # 1 + 2^-24 + 2^-50 rounds up to 1 + 2^-23 in float32; rounding the
+        # contribution to float32 first leaves an exact tie that rounds to 1
+        t = T.parameter(np.ones(1))
+        T._accumulate(t, np.ones(1, dtype=np.float32))
+        T._accumulate(t, np.array([2.0 ** -24 + 2.0 ** -50]))
+        assert t.grad.dtype == np.float32
+        assert t.grad[0] == np.float32(1.0 + 2.0 ** -23)

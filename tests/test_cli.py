@@ -231,6 +231,17 @@ class TestTrain:
         assert "DataError" in capsys.readouterr().err
 
 
+    def test_malformed_container_header_exits_3(self, workspace, tmp_path,
+                                                capsys):
+        bad = tmp_path / "bad.hvds"
+        bad.write_bytes(workspace["data"].read_bytes())
+        rewrite_header(bad, lambda h: {k: v for k, v in h.items()
+                                       if k != "columns"})
+        assert run(["train", "--algo", "cql", "--data", str(bad),
+                    "--out", str(tmp_path / "t")]) == 3
+        assert "DataError" in capsys.readouterr().err
+
+
 class TestEval:
     def test_reports_per_seed_with_median(self, workspace, tmp_path):
         out = tmp_path / "e"

@@ -9,7 +9,8 @@ from hvacrl.errors import DataError, FingerprintMismatchError, SpecError
 from hvacrl.neuralsub import tensor as T
 from hvacrl.neuralsub.layers import MLP, EncoderConfig, HistoryEncoder, Linear
 from hvacrl.neuralsub.optim import Adam
-from hvacrl.neuralsub.sampling import sample_tanh_gaussian, tanh_gaussian_log_prob
+from hvacrl.neuralsub.sampling import (sample_tanh_gaussian, tanh_gaussian_action,
+                                       tanh_gaussian_log_prob)
 
 from container_cases import ContainerCases, rewrite_header
 from gradcheck import TOL, check_module
@@ -226,6 +227,18 @@ class TestTanhGaussianSampler:
                                      log_std.astype(np.float64),
                                      a.data.astype(np.float64))
         assert np.allclose(logp.data, ref, atol=1e-3)
+
+    @pytest.mark.parametrize("deterministic", [False, True])
+    def test_plain_action_matches_taped_sample(self, deterministic):
+        mean = np.random.default_rng(4).normal(size=(64, 3)).astype(np.float32)
+        log_std = np.linspace(-25, 5, 192, dtype=np.float32).reshape(64, 3)
+        rng_taped, rng_plain = np.random.default_rng(11), np.random.default_rng(11)
+        a, _ = sample_tanh_gaussian(T.Tensor(mean), T.Tensor(log_std), rng_taped,
+                                    deterministic=deterministic)
+        got = tanh_gaussian_action(mean, log_std, rng_plain, deterministic)
+        assert got.dtype == a.data.dtype
+        assert np.array_equal(got, a.data)
+        assert rng_plain.bit_generator.state == rng_taped.bit_generator.state
 
     def test_entropy_matches_quadrature_oracle(self):
         # oracle: H(tanh(u)) = H(u) + E[log(1 - tanh(u)^2)], the expectation
