@@ -245,9 +245,11 @@ class TD3Agent(Agent):
     def _policy_update(self, batch: WindowBatch) -> dict:
         if self.update_count % self.cfg.policy_delay != 0:
             return {}
-        loss, extra = self._actor_loss(batch)
-        self.actor_opt.zero_grad()
-        loss.backward()
+        # the actor loss runs through the critic, which must not learn from it
+        with self.critic.frozen():
+            loss, extra = self._actor_loss(batch)
+            self.actor_opt.zero_grad()
+            loss.backward()
         self.actor_opt.step()
         return {"actor_loss": float(loss.data), **extra}
 
@@ -329,12 +331,13 @@ class SACAgent(Agent):
                 + cfg.gamma * (1.0 - batch.terminals) * boot).astype(np.float32)
 
     def _policy_update(self, batch: WindowBatch) -> dict:
-        a, logp = self.actor.sample(batch.windows, batch.valid, self.rng)
-        q1, q2 = self.critic.both(batch.windows, batch.valid, a)
-        qmin = T.minimum(q1, q2)
-        loss = T.mean(T.sub(T.scale(logp, self.alpha), qmin))
-        self.actor_opt.zero_grad()
-        loss.backward()
+        with self.critic.frozen():
+            a, logp = self.actor.sample(batch.windows, batch.valid, self.rng)
+            q1, q2 = self.critic.both(batch.windows, batch.valid, a)
+            qmin = T.minimum(q1, q2)
+            loss = T.mean(T.sub(T.scale(logp, self.alpha), qmin))
+            self.actor_opt.zero_grad()
+            loss.backward()
         self.actor_opt.step()
 
         # temperature follows the entropy gap: when entropy falls below the

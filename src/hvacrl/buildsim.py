@@ -76,13 +76,17 @@ class GainSchedule:
         if self.zone_phase_rad is not None \
                 and len(self.zone_phase_rad) != len(self.base_w):
             raise SpecError("zone_phase_rad length must match zone count")
+        # arrays for `at`; not fields, so not fingerprinted
+        object.__setattr__(self, "_stagger", np.zeros(len(self.base_w))
+                           if self.zone_phase_rad is None
+                           else np.asarray(self.zone_phase_rad))
+        object.__setattr__(self, "_base", np.array(self.base_w))
+        object.__setattr__(self, "_amplitude", np.array(self.amplitude_w))
 
     def at(self, t_seconds: float, phase: float) -> np.ndarray:
         hour_angle = 2.0 * math.pi * (t_seconds % SECONDS_PER_DAY) / SECONDS_PER_DAY
-        stagger = np.zeros(len(self.base_w)) if self.zone_phase_rad is None \
-            else np.asarray(self.zone_phase_rad)
-        s = np.sin(hour_angle + phase + stagger)
-        return np.array(self.base_w) + s * np.array(self.amplitude_w)
+        s = np.sin(hour_angle + phase + self._stagger)
+        return self._base + s * self._amplitude
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +372,7 @@ def _advance_temps(temps: np.ndarray, t_out: float, gains: np.ndarray,
         flux[i] += q
         flux[j] -= q
     new = temps + params.dt_s * flux / np.array(params.capacity_j_per_k)
-    if not np.all(np.isfinite(new)):
+    if not np.isfinite(new).all():
         raise SimulationFault(
             "non-finite zone temperature",
             state_dump={"temps": temps.tolist(), "t_out": t_out,
@@ -389,9 +393,9 @@ def step_datacenter(state: EnvState, act: Action, params: ThermalParams,
     new_temps = _advance_temps(temps, t_out, gains, hvac_heat, params)
 
     cop = params.cop(t_out)
-    fan_w = float(np.sum(params.fan_coeff * flows ** 3))
-    coil_w = float(np.sum(flows * params.supply_cp
-                          * np.maximum(temps - setpoints, 0.0)) / cop)
+    fan_w = float((params.fan_coeff * flows ** 3).sum())
+    coil_w = float((flows * params.supply_cp
+                    * np.maximum(temps - setpoints, 0.0)).sum() / cop)
     power = PowerBreakdown(building_w=float(gains.sum()), fan_w=fan_w,
                            coil_w=coil_w)
     new_state = EnvState(zone_temps_c=new_temps,
@@ -442,8 +446,8 @@ def step_mixeduse(state: EnvState, act: Action, params: ThermalParams,
     # AHU fan work follows commanded flow even when dampers are shut
     ahu_peaks = (params.max_flow_kg_s[1], params.max_flow_kg_s[0] + params.max_flow_kg_s[2])
     fan_w = params.fan_coeff * ((f1 * ahu_peaks[0]) ** 3 + (f2 * ahu_peaks[1]) ** 3)
-    cooling = float(np.sum(np.maximum(-hvac_heat, 0.0)))
-    heating = float(np.sum(np.maximum(hvac_heat, 0.0)))
+    cooling = float(np.maximum(-hvac_heat, 0.0).sum())
+    heating = float(np.maximum(hvac_heat, 0.0).sum())
     power = PowerBreakdown(building_w=float(gains.sum()), fan_w=float(fan_w),
                            coil_w=cooling / cop + heating)
     new_state = EnvState(zone_temps_c=new_temps,
@@ -629,6 +633,10 @@ class RuleGains:
 # measurable room on both comfort and fan energy.
 DEFAULT_RULE_GAINS = {"dc": RuleGains(setpoint_gain=7.0, flow_gain=3.5),
                       "mu": RuleGains(setpoint_gain=14.0, flow_gain=3.5)}
+# the action spec and default reward parameters `rule_controller` reads on
+# every step, built once
+_RULE_SPECS = {"dc": (datacenter_act_spec(), datacenter_reward_params()),
+               "mu": (mixeduse_act_spec(), mixeduse_reward_params())}
 
 
 def rule_controller(obs: Observation, kind: str,
@@ -636,9 +644,9 @@ def rule_controller(obs: Observation, kind: str,
                     reward_params: RewardParams | None = None) -> Action:
     """Deadband-plus-proportional baseline; deterministic in the observation."""
     g = gains or DEFAULT_RULE_GAINS[kind]
+    spec, default_params = _RULE_SPECS[kind]
+    params = reward_params or default_params
     if kind == "dc":
-        params = reward_params or datacenter_reward_params()
-        spec = datacenter_act_spec()
         temps = obs.values[5:7]
         values = np.empty(4)
         for i, (temp, target) in enumerate(zip(temps, params.target)):
@@ -652,8 +660,6 @@ def rule_controller(obs: Observation, kind: str,
                 flo, fhi = spec.dims[2 + i].low, spec.dims[2 + i].high
                 values[2 + i] = min(max(flo + g.flow_gain * abs(err), flo), fhi)
         return Action(values=values)
-    params = reward_params or mixeduse_reward_params()
-    spec = mixeduse_act_spec()
     target = params.target[1]   # shared comfort target
     zone4, zone5, avg6 = obs.values[5:8]
     err1 = zone5 - target

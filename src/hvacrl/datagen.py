@@ -51,6 +51,23 @@ REFERENCE_SEED = 424243  # fixed reset seed for expert reference rollouts
 # dataset type
 
 
+def _has_type(value, kind) -> bool:
+    """Whether ``value`` is of type ``kind``, or, for ``kind = [item_type]``,
+    a list, tuple or 1-D array of such items. A bool is neither an int nor
+    a float, and an int is also a float."""
+    if isinstance(kind, list):
+        return (isinstance(value, (list, tuple))
+                or isinstance(value, np.ndarray) and value.ndim == 1) \
+            and all(_has_type(item, kind[0]) for item in value)
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, (int, float, np.integer, np.floating))
+    if kind is int:
+        return isinstance(value, (int, np.integer))
+    return isinstance(value, kind)
+
+
 class Dataset(ReplayView):
     """Episodic transitions plus the header needed to reuse them.
 
@@ -59,10 +76,12 @@ class Dataset(ReplayView):
     and provenance ``metadata``. Training samples it directly.
     """
 
-    #: the header's keys, as stored in the file beside the column table
-    HEADER = ("env_kind", "days", "horizon", "obs_spec_fingerprint",
-              "act_spec_fingerprint", "obs_lows", "obs_highs", "act_lows",
-              "act_highs", "episode_starts", "metadata")
+    #: the header's keys, as stored in the file beside the column table,
+    #: with the type of each value (see `_has_type`)
+    HEADER = {"env_kind": str, "days": float, "horizon": int,
+              "obs_spec_fingerprint": str, "act_spec_fingerprint": str,
+              "obs_lows": [float], "obs_highs": [float], "act_lows": [float],
+              "act_highs": [float], "episode_starts": [int], "metadata": dict}
 
     def __init__(self, obs, actions, rewards, terminals, **header):
         unknown = sorted(set(header) - set(self.HEADER))
@@ -70,6 +89,10 @@ class Dataset(ReplayView):
         if unknown or missing:
             raise DataError(f"dataset header has unknown fields {unknown} "
                             f"and lacks fields {missing}")
+        mistyped = [key for key, kind in self.HEADER.items()
+                    if not _has_type(header[key], kind)]
+        if mistyped:
+            raise DataError(f"dataset header fields {mistyped} have the wrong type")
         starts = header.pop("episode_starts")
         vars(self).update(header)
         super().__init__(obs, actions, rewards, terminals, starts)

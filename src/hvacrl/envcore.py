@@ -39,8 +39,14 @@ class VectorSpec:
         names = [d.name for d in self.dims]
         if len(set(names)) != len(names):
             raise SpecError(f"duplicate dimension names in {self.kind} spec: {names}")
-        object.__setattr__(self, "_lows", np.array([d.low for d in self.dims], dtype=np.float64))
-        object.__setattr__(self, "_highs", np.array([d.high for d in self.dims], dtype=np.float64))
+        lows = np.array([d.low for d in self.dims], dtype=np.float64)
+        highs = np.array([d.high for d in self.dims], dtype=np.float64)
+        # derived arrays are not fields, so they stay out of `to_jsonable`
+        object.__setattr__(self, "_lows", lows)
+        object.__setattr__(self, "_highs", highs)
+        object.__setattr__(self, "_span", highs - lows)
+        object.__setattr__(self, "_lows_tol", lows - 1e-6)
+        object.__setattr__(self, "_highs_tol", highs + 1e-6)
 
     @property
     def size(self) -> int:
@@ -58,6 +64,11 @@ class VectorSpec:
     def highs(self) -> np.ndarray:
         return self._highs
 
+    @property
+    def span(self) -> np.ndarray:
+        """``highs - lows``."""
+        return self._span
+
     def fingerprint(self) -> str:
         return fingerprint([[d.name, d.low, d.high, d.unit] for d in self.dims])
 
@@ -67,9 +78,9 @@ class VectorSpec:
         if values.shape != (self.size,):
             raise SpecError(f"{self.kind} vector has shape {values.shape}, "
                             f"expected ({self.size},)")
-        if np.any(values < self._lows - 1e-6) or np.any(values > self._highs + 1e-6):
+        if (values < self._lows_tol).any() or (values > self._highs_tol).any():
             bad = [self.dims[i].name for i in range(self.size)
-                   if not (self._lows[i] - 1e-6 <= values[i] <= self._highs[i] + 1e-6)]
+                   if not (self._lows_tol[i] <= values[i] <= self._highs_tol[i])]
             raise SpecError(f"{self.kind} values out of range for {bad}")
 
 
@@ -149,9 +160,9 @@ def normalize_obs(obs: Observation, spec: VectorSpec, counter: ClipCounter | Non
     values = np.asarray(obs.values, dtype=np.float64)
     if values.shape != (spec.size,):
         raise SpecError(f"observation has shape {values.shape}, spec expects ({spec.size},)")
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise DataError(f"non-finite observation values: {values}")
-    unit = (values - spec.lows) / (spec.highs - spec.lows)
+    unit = (values - spec.lows) / spec.span
     clipped = np.clip(unit, 0.0, 1.0)
     if counter is not None:
         counter.add(int(np.sum(clipped != unit)))
@@ -168,7 +179,7 @@ def normalize_action(act: Action, spec: VectorSpec) -> Action:
     if np.any(values < spec.lows - 1e-6) or np.any(values > spec.highs + 1e-6):
         raise DataError(f"physical action outside spec range: {values}")
     values = np.clip(values, spec.lows, spec.highs)
-    unit = 2.0 * (values - spec.lows) / (spec.highs - spec.lows) - 1.0
+    unit = 2.0 * (values - spec.lows) / spec.span - 1.0
     return Action(values=unit, normalized=True)
 
 
@@ -180,7 +191,7 @@ def denormalize_action(act: Action, spec: VectorSpec) -> Action:
     if values.shape != (spec.size,):
         raise SpecError(f"action has shape {values.shape}, spec expects ({spec.size},)")
     unit = np.clip(values, -1.0, 1.0)
-    phys = spec.lows + (unit + 1.0) * 0.5 * (spec.highs - spec.lows)
+    phys = spec.lows + (unit + 1.0) * 0.5 * spec.span
     return Action(values=np.clip(phys, spec.lows, spec.highs), normalized=False)
 
 
@@ -210,6 +221,10 @@ class RewardParams:
         for lo, tc, hi in zip(self.band_low, self.target, self.band_high):
             if not lo <= tc <= hi:
                 raise SpecError(f"band [{lo}, {hi}] must contain target {tc}")
+        # arrays for `compute_reward`; not fields, so not fingerprinted
+        object.__setattr__(self, "_target", np.asarray(self.target))
+        object.__setattr__(self, "_band_low", np.asarray(self.band_low))
+        object.__setattr__(self, "_band_high", np.asarray(self.band_high))
 
     @property
     def n_zones(self) -> int:
@@ -245,16 +260,15 @@ def compute_reward(zone_temps: np.ndarray, total_power_w: float, params: RewardP
     temps = np.asarray(zone_temps, dtype=np.float64)
     if temps.shape != (params.n_zones,):
         raise SpecError(f"expected {params.n_zones} zone temperatures, got shape {temps.shape}")
-    if not np.all(np.isfinite(temps)) or not math.isfinite(total_power_w):
+    if not np.isfinite(temps).all() or not math.isfinite(total_power_w):
         raise DataError("non-finite reward inputs")
     if total_power_w < 0:
         raise DataError(f"negative total power: {total_power_w}")
-    target = np.asarray(params.target)
-    gauss = np.exp(-params.lambda_shape * (temps - target) ** 2)
-    trap = np.maximum(temps - np.asarray(params.band_high), 0.0) \
-        + np.maximum(np.asarray(params.band_low) - temps, 0.0)
+    gauss = np.exp(-params.lambda_shape * (temps - params._target) ** 2)
+    trap = np.maximum(temps - params._band_high, 0.0) \
+        + np.maximum(params._band_low - temps, 0.0)
     sign = 1.0 if params.literal_trapezoid_sign else -1.0
-    r_temp = float(np.sum(gauss + sign * params.lambda_trapezoid * trap))
+    r_temp = float((gauss + sign * params.lambda_trapezoid * trap).sum())
     r_power = -float(total_power_w)
     return RewardTerms(r_temp + params.lambda_power * r_power, r_temp, r_power)
 

@@ -2,6 +2,7 @@
 causal self-attention encoder that summarizes an observation window."""
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,24 @@ class Module:
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
+
+    @contextmanager
+    def frozen(self):
+        """Record no gradients for this module's parameters inside the block.
+
+        Tape nodes that read only frozen parameters and constants are not
+        recorded, and `backward` leaves the parameters' ``.grad`` alone.
+        Put the `backward` call inside the block too: backward passes read
+        ``requires_grad`` when they run.
+        """
+        params = self.parameters()   # empty once frozen, so capture them now
+        for p in params:
+            p.requires_grad = False
+        try:
+            yield
+        finally:
+            for p in params:
+                p.requires_grad = True
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.named_parameters()}
@@ -105,32 +124,16 @@ class SelfAttention(Module):
         if feat % heads != 0:
             raise SpecError(f"feature size {feat} not divisible by {heads} heads")
         self.heads = heads
-        self.head_size = feat // heads
         self.wq = Linear(feat, feat, rng)
         self.wk = Linear(feat, feat, rng)
         self.wv = Linear(feat, feat, rng)
         self.wo = Linear(feat, feat, rng)
 
     def __call__(self, x: Tensor, mask_bias: np.ndarray) -> Tensor:
-        b, n, d = x.shape
-        h, hs = self.heads, self.head_size
-
-        def split(t: Tensor) -> Tensor:
-            # (b, n, d) -> (b*h, n, hs)
-            t = T.reshape(t, (b, n, h, hs))
-            t = T.swapaxes(t, 1, 2)
-            return T.reshape(t, (b * h, n, hs))
-
-        q = split(self.wq(x))
-        k = split(self.wk(x))
-        v = split(self.wv(x))
-        scores = T.scale(T.matmul(q, T.swapaxes(k, 1, 2)), 1.0 / np.sqrt(hs))
-        attn = T.softmax(scores, axis=-1, mask_bias=np.repeat(mask_bias, h, axis=0))
-        out = T.matmul(attn, v)
-        out = T.reshape(out, (b, h, n, hs))
-        out = T.swapaxes(out, 1, 2)
-        out = T.reshape(out, (b, n, d))
-        return self.wo(out)
+        """``mask_bias`` is the additive score mask per (sample, head) pair,
+        shaped (batch * heads, seq, seq); see `tensor.attention`."""
+        return self.wo(T.attention(self.wq(x), self.wk(x), self.wv(x),
+                                   self.heads, mask_bias))
 
 
 class EncoderBlock(Module):
@@ -184,6 +187,8 @@ class HistoryEncoder(Module):
             rng.normal(0.0, 0.02, size=(cfg.window, cfg.feat)))
         self.blocks = [EncoderBlock(cfg.feat, cfg.heads, cfg.hidden, rng)
                        for _ in range(cfg.blocks)]
+        # a plain array, so neither a parameter nor a checkpoint entry
+        self.causal = np.tril(np.ones((cfg.window, cfg.window), dtype=bool))
 
     def __call__(self, window: np.ndarray, valid: np.ndarray) -> Tensor:
         """window: (batch, window, obs), valid: (batch, window) bool mask."""
@@ -197,9 +202,9 @@ class HistoryEncoder(Module):
             raise SpecError("valid slots must form a left-aligned prefix")
         x = T.add(self.embed(window), T.reshape(self.position, (1, n, self.cfg.feat)))
         # keys are visible when they are causal (j <= i) and hold real data
-        causal = np.tril(np.ones((n, n), dtype=bool))
-        visible = causal[None] & valid[:, None, :]
-        bias = np.where(visible, 0.0, -1e9).astype(np.float32)
+        visible = self.causal[None] & valid[:, None, :]
+        bias = np.repeat(np.where(visible, np.float32(0), np.float32(-1e9)),
+                         self.cfg.heads, axis=0)
         for block in self.blocks:
             x = block(x, bias)
         return T.take_per_row(x, counts - 1)

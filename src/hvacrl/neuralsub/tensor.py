@@ -394,28 +394,97 @@ def minimum(a, b) -> Tensor:
     return _make(out_data, (a, b), bwd)
 
 
+def _softmax_data(logits: np.ndarray, axis: int) -> np.ndarray:
+    out = logits - logits.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
+def _softmax_grad(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
+    inner = (g * out).sum(axis=axis, keepdims=True)
+    return (g - inner) * out
+
+
 def softmax(x, axis: int = -1, mask_bias=None) -> Tensor:
     """Softmax along `axis`; `mask_bias` is an additive constant (e.g. -1e9)."""
     x = as_tensor(x)
-    logits = x.data if mask_bias is None else x.data + mask_bias
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = _softmax_data(x.data if mask_bias is None else x.data + mask_bias,
+                             axis)
 
     def bwd(g):
-        inner = (g * out_data).sum(axis=axis, keepdims=True)
-        _accumulate(x, (g - inner) * out_data)
+        _accumulate(x, _softmax_grad(g, out_data, axis))
 
     return _make(out_data, (x,), bwd)
+
+
+def attention(q, k, v, heads: int, bias: np.ndarray) -> Tensor:
+    """Multi-head scaled dot-product attention as one tape node.
+
+    ``q``, ``k`` and ``v`` are (batch, seq, feat) projections; ``bias`` is an
+    additive (batch * heads, seq, seq) score mask, 0 where a key is visible
+    and -1e9 where it is not. Each head takes its slice of ``feat`` and
+    computes ``softmax(q k^T / sqrt(feat / heads) + bias) v``; the heads are
+    merged back to (batch, seq, feat).
+
+    Values and gradients are bit-identical to the composed graph of
+    `reshape`, `swapaxes`, `matmul`, `scale` and `softmax`. Every array
+    reaches numpy in the layout that graph gives it, because the strides
+    decide whether a matmul runs through BLAS or numpy's own loop.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    b, n, d = q.data.shape
+    h, hs = heads, d // heads
+    c = 1.0 / np.sqrt(hs)   # a float64 scalar, as `scale` receives it
+
+    def split(a):   # (b, n, d) -> (b*h, n, hs)
+        return np.ascontiguousarray(
+            a.reshape(b, n, h, hs).swapaxes(1, 2)).reshape(b * h, n, hs)
+
+    def merged_grad(g):   # the split's backward: (b*h, n, hs) -> (b, n, d)
+        return g.reshape(b, h, n, hs).swapaxes(1, 2).reshape(b, n, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    kt = np.ascontiguousarray(kh.swapaxes(1, 2))
+    scores = qh @ kt
+    dtype = scores.dtype
+    scores *= dtype.type(c)
+    attn = _softmax_data(scores + bias, -1)
+    out_data = np.ascontiguousarray(
+        (attn @ vh).reshape(b, h, n, hs).swapaxes(1, 2)).reshape(b, n, d)
+
+    def bwd(g):
+        gh = g.reshape(b, n, h, hs).swapaxes(1, 2).reshape(b * h, n, hs)
+        if q.requires_grad or k.requires_grad:
+            dattn = gh @ vh.swapaxes(-1, -2)
+            # `scale`'s backward multiplied by the float64 constant, and
+            # `_accumulate` rounded that product back to the input dtype
+            dscores = (_softmax_grad(dattn, attn, -1) * c).astype(
+                dtype, copy=False)
+            if q.requires_grad:
+                _accumulate(q, merged_grad(dscores @ kt.swapaxes(-1, -2)))
+            if k.requires_grad:
+                dkt = qh.swapaxes(-1, -2) @ dscores
+                _accumulate(k, merged_grad(dkt.swapaxes(1, 2)))
+        if v.requires_grad:
+            _accumulate(v, merged_grad(attn.swapaxes(-1, -2) @ gh))
+
+    return _make(out_data, (q, k, v), bwd)
+
+
+def _mean_last(a: np.ndarray) -> np.ndarray:
+    """``a.mean(axis=-1, keepdims=True)``, bit for bit, without the Python
+    wrapper that costs about as much as the arithmetic on small rows."""
+    return a.sum(axis=-1, keepdims=True) / a.shape[-1]
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv_std
+    centred = x.data - _mean_last(x.data)
+    # the variance `np.var` computes: the mean of the squared deviations
+    inv_std = 1.0 / np.sqrt(_mean_last(centred * centred) + eps)
+    xhat = centred * inv_std
     out_data = gain.data * xhat + bias.data
 
     def bwd(g):
@@ -425,8 +494,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
             _accumulate(bias, g.reshape(-1, g.shape[-1]).sum(axis=0))
         if x.requires_grad:
             gx = g * gain.data
-            dx = inv_std * (gx - gx.mean(axis=-1, keepdims=True)
-                            - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+            dx = inv_std * (gx - _mean_last(gx) - xhat * _mean_last(gx * xhat))
             _accumulate(x, dx)
 
     return _make(out_data, (x, gain, bias), bwd)

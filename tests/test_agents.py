@@ -2,6 +2,7 @@
 mirrored in plain numpy, convergence on closed-form toy problems, the
 conservative penalty, target-network schedules, and training-loop artifacts.
 """
+import contextlib
 import json
 
 import numpy as np
@@ -15,6 +16,7 @@ from hvacrl.agents import (AgentConfig, ReplayBuffer, ReplayView,
 from hvacrl.buildsim import EnvConfig, BuildingEnv, TRAIN_PRESETS
 from hvacrl.errors import DataError, DivergenceError, SpecError
 from hvacrl.neuralsub import tensor as T
+from hvacrl.neuralsub.layers import Module
 
 
 def make_view(n=200, od=4, ad=2, ep=50, seed=0, reward=None, actions=None):
@@ -606,6 +608,54 @@ class TestSchedules:
                 agent.update(view.sample_batch(16, 1, rng))
             for _, p in agent.critic.named_parameters():
                 assert np.all(np.isfinite(p.data))
+
+
+class TestFrozenCriticInActorUpdates:
+    HISTORY = dict(history=True, seq_len=4, enc_feat=8, enc_blocks=1,
+                   enc_heads=2, enc_hidden=12)
+
+    @staticmethod
+    def trained_state(cfg, steps=4):
+        view = make_view(n=200, ep=50, seed=11)
+        agent = make_agent(cfg, 4, 2)
+        rng = np.random.default_rng(5)
+        for _ in range(steps):
+            agent.update(view.sample_batch(cfg.batch_size, cfg.seq_len, rng))
+        return {f"{prefix}.{name}": arr
+                for prefix, module in agent._containers().items()
+                for name, arr in module.state_arrays().items()}
+
+    @pytest.mark.parametrize("history", [False, True], ids=["flat", "history"])
+    @pytest.mark.parametrize("algo", ["td3", "sac", "td3bc", "cql"])
+    def test_bit_equal_to_updates_that_fill_critic_grads(self, algo, history,
+                                                         monkeypatch):
+        cfg = AgentConfig(algo=algo, batch_size=16, hidden=16, seed=7,
+                          **(self.HISTORY if history else {}))
+        got = self.trained_state(cfg)
+        # the reference: actor losses also backpropagate into the critic
+        monkeypatch.setattr(Module, "frozen",
+                            lambda self: contextlib.nullcontext())
+        ref = self.trained_state(cfg)
+        assert got.keys() == ref.keys()
+        for name in ref:
+            assert np.array_equal(got[name], ref[name]), name
+
+    @pytest.mark.parametrize("algo", ["td3", "sac", "td3bc", "cql"])
+    def test_actor_update_leaves_critic_grads_untouched(self, algo):
+        view = make_view(n=200, ep=50, seed=12)
+        agent = make_agent(AgentConfig(algo=algo, batch_size=16, seed=8,
+                                       **self.HISTORY), 4, 2)
+        batch = view.sample_batch(16, 4, np.random.default_rng(6))
+        agent.update_count = agent.cfg.policy_delay   # an actor step for TD3
+        agent._critic_update(batch)
+        before = [(p.grad, p.grad.copy()) for p in agent.critic.parameters()]
+        agent._policy_update(batch)
+        after = agent.critic.parameters()
+        assert len(after) == len(before)
+        for p, (grad, values) in zip(after, before):
+            assert p.grad is grad
+            assert np.array_equal(p.grad, values)
+        assert all(p.grad is not None for p in agent.actor.parameters())
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hvacrl.cli import ENV_MAX_JOBS, ENV_OUT_DIR, default_config, main
 from hvacrl.datagen import expert_reference_return, read_dataset, write_dataset
 
 from container_cases import rewrite_header
+from test_datagen import MISTYPED_HEADER_FIELDS
 
 
 def run(argv, env=None):
@@ -230,6 +231,16 @@ class TestTrain:
                     "--out", str(tmp_path / "t")]) == 3
         assert "DataError" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("field,value", MISTYPED_HEADER_FIELDS)
+    def test_mistyped_header_fields_exit_3(self, workspace, tmp_path, field,
+                                           value, capsys):
+        bad = tmp_path / "bad.hvds"
+        bad.write_bytes(workspace["data"].read_bytes())
+        rewrite_header(bad, lambda h: {**h, field: value})
+        assert run(["train", "--algo", "cql", "--data", str(bad),
+                    "--out", str(tmp_path / "t")]) == 3
+        assert "DataError" in capsys.readouterr().err
 
     def test_malformed_container_header_exits_3(self, workspace, tmp_path,
                                                 capsys):

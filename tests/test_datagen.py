@@ -388,6 +388,12 @@ def golden_dataset():
         terminals=[False, False, True, False, False, True])
 
 
+#: one wrongly typed value per kind of dataset header field
+MISTYPED_HEADER_FIELDS = [("episode_starts", ["x"]), ("horizon", "abc"),
+                          ("days", [1]), ("metadata", 5), ("env_kind", 7),
+                          ("obs_lows", "zz")]
+
+
 class TestContainer(ContainerCases):
     fmt = DatasetFormat()
 
@@ -408,6 +414,15 @@ class TestContainer(ContainerCases):
         dg.write_dataset(golden_dataset(), path)
         rewrite_header(path, edit)
         with pytest.raises(DataError, match="collected_by|horizon|starts"):
+            dg.read_dataset(path)
+
+    @pytest.mark.parametrize("field,value", MISTYPED_HEADER_FIELDS)
+    def test_mistyped_header_fields_are_data_errors(self, tmp_path, field,
+                                                    value):
+        path = tmp_path / "a.hvds"
+        dg.write_dataset(golden_dataset(), path)
+        rewrite_header(path, lambda h: {**h, field: value})
+        with pytest.raises(DataError, match=field):
             dg.read_dataset(path)
 
     def test_csv_export_reads_back_as_trajectory(self, tmp_path):

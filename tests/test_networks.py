@@ -14,6 +14,7 @@ from hvacrl.neuralsub.sampling import (sample_tanh_gaussian, tanh_gaussian_actio
 
 from container_cases import ContainerCases, rewrite_header
 from gradcheck import TOL, check_module
+from test_autodiff import composed_attention
 
 SMALL = EncoderConfig(window=6, feat=16, blocks=2, heads=4, hidden=24)
 
@@ -113,6 +114,45 @@ class TestEncoder:
 
         assert check_module(enc, forward, rng, samples_per_param=3) <= TOL
 
+    def test_matches_reference_that_rebuilds_the_mask(self):
+        # the pre-node encoder: a fresh causal mask per call, the composed
+        # attention graph and a per-block repeat of the bias over heads
+        cfg = EncoderConfig(window=6, feat=20, blocks=2, heads=4, hidden=24)
+        rng = np.random.default_rng(8)
+        enc = HistoryEncoder(4, cfg, rng)
+        window, valid = make_window(rng, 5, cfg, 4, counts=[1, 6, 3, 2, 5])
+        probe = rng.uniform(-1, 1, size=(5, cfg.feat)).astype(np.float32)
+
+        def reference(window, valid):
+            b, n, _ = window.shape
+            x = T.add(enc.embed(window),
+                      T.reshape(enc.position, (1, n, cfg.feat)))
+            causal = np.tril(np.ones((n, n), dtype=bool))
+            bias = np.where(causal[None] & valid[:, None, :], 0.0,
+                            -1e9).astype(np.float32)
+            for blk in enc.blocks:
+                a = blk.attn
+                att = composed_attention(a.wq(x), a.wk(x), a.wv(x), a.heads,
+                                         np.repeat(bias, a.heads, axis=0))
+                x = blk.norm1(T.add(x, a.wo(att)))
+                ff = T.mlp(x, [(blk.ff1.w, blk.ff1.b), (blk.ff2.w, blk.ff2.b)])
+                x = blk.norm2(T.add(x, ff))
+            return T.take_per_row(x, valid.sum(axis=1) - 1)
+
+        results = []
+        for forward in (enc, reference):
+            for p in enc.parameters():
+                p.grad = None
+            out = forward(window, valid)
+            T.backward(T.sum_(T.mul(out, probe)))
+            results.append([out.data] + [p.grad for p in enc.parameters()])
+        for got, ref in zip(*results):
+            assert np.array_equal(got, ref)
+
+    def test_causal_mask_is_not_a_parameter(self):
+        enc = HistoryEncoder(3, SMALL, np.random.default_rng(9))
+        assert not any("causal" in name for name, _ in enc.named_parameters())
+
     def test_config_validation(self):
         with pytest.raises(SpecError):
             EncoderConfig(window=0)
@@ -160,6 +200,27 @@ class TestMLP:
         wa, wb = a.w.data.copy(), b.w.data.copy()
         a.polyak_from(b, tau=0.25)
         assert np.allclose(a.w.data, 0.75 * wa + 0.25 * wb, atol=1e-6)
+
+
+class TestFrozen:
+    def test_frozen_block_records_no_parameter_gradients(self):
+        rng = np.random.default_rng(20)
+        frozen, live = MLP([3, 4, 1], rng), MLP([3, 4, 3], rng)
+        x = rng.normal(size=(5, 3)).astype(np.float32)
+        with frozen.frozen():
+            assert frozen.parameters() == []
+            T.backward(T.sum_(frozen(live(x))))
+        assert all(p.grad is None for p in frozen.parameters())
+        assert all(p.grad is not None for p in live.parameters())
+
+    def test_requires_grad_restored_after_an_exception(self):
+        mlp = MLP([3, 4, 2], np.random.default_rng(21))
+        names = [name for name, _ in mlp.named_parameters()]
+        with pytest.raises(RuntimeError):
+            with mlp.frozen():
+                raise RuntimeError("inside the block")
+        assert [name for name, _ in mlp.named_parameters()] == names
+        assert all(p.requires_grad for p in mlp.parameters())
 
 
 class TestAdam:
