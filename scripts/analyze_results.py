@@ -1,9 +1,8 @@
 """Summarize sweep results and check each study's headline claim.
 
 Reads results/<rq>/summary.csv (plus the per-cell report.json and
-quality.json) written by run_sweeps.py or ``hvacrl sweep``, prints the
-aggregated tables, and states whether the expected ordering holds on
-this run:
+quality.json) written by ``hvacrl sweep``, prints the aggregated tables,
+and states whether the expected ordering holds on this run:
 
   rq1  conservative offline learners beat naive off-policy ones
   rq2  history encoder raises reward and tightens per-zone spread

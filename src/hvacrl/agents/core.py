@@ -10,6 +10,9 @@ actor objective is shaped, and whether an entropy temperature is tuned.
 Everything is deterministic given the config seed: network init, batch
 sampling, exploration, and target smoothing all consume one generator.
 
+Offline and online training share one epoch loop (`_train`) and differ
+only in where its batches come from.
+
 Policies act on normalized observations and emit normalized actions.
 `PolicyController` adapts one to the physical-units controller interface
 of a single rollout; `EpisodeDriver` is the one online episode loop, used
@@ -154,8 +157,7 @@ class Agent:
         target = self._td_target(batch)
         feat = self.critic.features(batch.windows, batch.valid)
         acts = Tensor(batch.actions)
-        q1 = self.critic.q1_from(feat, acts)
-        q2 = self.critic.q2_from(feat, acts)
+        q1, q2 = self.critic.heads(feat, acts)
         td = T.scale(T.add(T.mse(q1, target), T.mse(q2, target)), 0.5)
         loss, extra = self._critic_penalty(td, feat, batch, (q1, q2))
         self.critic_opt.zero_grad()
@@ -195,8 +197,8 @@ class Agent:
     def q_values(self, windows, valid, actions) -> tuple[np.ndarray, np.ndarray]:
         """Both critic heads as plain arrays (no gradients)."""
         with T.no_grad():
-            q1, q2 = self.critic.both(windows, valid, Tensor(
-                np.asarray(actions, dtype=np.float32)))
+            q1, q2 = self.critic.heads(self.critic.features(windows, valid),
+                                       Tensor(np.asarray(actions, np.float32)))
         return q1.data, q2.data
 
 
@@ -231,15 +233,16 @@ class TD3Agent(Agent):
             noise = self.rng.normal(0.0, cfg.target_noise, size=a2.shape)
             noise = np.clip(noise, -cfg.target_noise_clip, cfg.target_noise_clip)
             a2 = np.clip(a2 + noise.astype(np.float32), -1.0, 1.0)
-            q1t, q2t = self.critic_target.both(
-                batch.next_windows, batch.next_valid, Tensor(a2))
+            q1t, q2t = self.critic_target.heads(self.critic_target.features(
+                batch.next_windows, batch.next_valid), Tensor(a2))
             boot = np.minimum(q1t.data, q2t.data)
         return (batch.rewards
                 + cfg.gamma * (1.0 - batch.terminals) * boot).astype(np.float32)
 
     def _actor_loss(self, batch: WindowBatch):
         a = self.actor(batch.windows, batch.valid)
-        q1 = self.critic.q1(batch.windows, batch.valid, a)
+        (q1,) = self.critic.heads(
+            self.critic.features(batch.windows, batch.valid), a, count=1)
         return T.scale(T.mean(q1), -1.0), {"actor_q_mean": float(q1.data.mean())}
 
     def _policy_update(self, batch: WindowBatch) -> dict:
@@ -271,7 +274,8 @@ class TD3BCAgent(TD3Agent):
 
     def _actor_loss(self, batch: WindowBatch):
         a = self.actor(batch.windows, batch.valid)
-        q1 = self.critic.q1(batch.windows, batch.valid, a)
+        (q1,) = self.critic.heads(
+            self.critic.features(batch.windows, batch.valid), a, count=1)
         bc_dist = T.mean(T.sum_(T.square(T.sub(a, Tensor(batch.actions))),
                                 axis=1))
         if self.cfg.literal_bc_bonus:
@@ -324,8 +328,8 @@ class SACAgent(Agent):
         with T.no_grad():
             a2, logp2 = self.actor.sample(batch.next_windows, batch.next_valid,
                                           self.rng)
-            q1t, q2t = self.critic_target.both(
-                batch.next_windows, batch.next_valid, a2)
+            q1t, q2t = self.critic_target.heads(self.critic_target.features(
+                batch.next_windows, batch.next_valid), a2)
             boot = np.minimum(q1t.data, q2t.data) - self.alpha * logp2.data
         return (batch.rewards
                 + cfg.gamma * (1.0 - batch.terminals) * boot).astype(np.float32)
@@ -333,7 +337,8 @@ class SACAgent(Agent):
     def _policy_update(self, batch: WindowBatch) -> dict:
         with self.critic.frozen():
             a, logp = self.actor.sample(batch.windows, batch.valid, self.rng)
-            q1, q2 = self.critic.both(batch.windows, batch.valid, a)
+            q1, q2 = self.critic.heads(
+                self.critic.features(batch.windows, batch.valid), a)
             qmin = T.minimum(q1, q2)
             loss = T.mean(T.sub(T.scale(logp, self.alpha), qmin))
             self.actor_opt.zero_grad()
@@ -379,9 +384,7 @@ class CQLAgent(SACAgent):
         m = cfg.cql_samples
         a_pi = self._policy_samples(batch.windows, batch.valid, m)
         rep = T.index_select(feat, np.repeat(np.arange(b), m))
-        acts = Tensor(a_pi)
-        q1_pi = self.critic.q1_from(rep, acts)
-        q2_pi = self.critic.q2_from(rep, acts)
+        q1_pi, q2_pi = self.critic.heads(rep, Tensor(a_pi))
         gap = T.sub(T.add(T.mean(q1_pi), T.mean(q2_pi)),
                     T.add(T.mean(q1), T.mean(q2)))
         loss = T.add(td, T.scale(gap, cfg.cql_weight))
@@ -401,9 +404,8 @@ class CQLAgent(SACAgent):
         with T.no_grad():
             feat = self.critic.features(windows, valid)
             rep = T.index_select(feat, np.repeat(np.arange(b), m))
-            q1_pi = self.critic.q1_from(rep, Tensor(a_pi))
-            q2_pi = self.critic.q2_from(rep, Tensor(a_pi))
-            q1, q2 = self.critic.both_from(feat, Tensor(
+            q1_pi, q2_pi = self.critic.heads(rep, Tensor(a_pi))
+            q1, q2 = self.critic.heads(feat, Tensor(
                 np.asarray(actions, dtype=np.float32)))
         return float(q1_pi.data.mean() + q2_pi.data.mean()
                      - q1.data.mean() - q2.data.mean())
@@ -598,14 +600,12 @@ def _logged_divergence(log_path, seed: int):
 
 
 def _mean_of(rows: list[dict]) -> dict:
-    if not rows:
-        return {}
     keys = set().union(*rows)
     return {k: float(np.mean([r[k] for r in rows if k in r])) for k in keys}
 
 
 def _finish_epoch(agent, summary, epoch, step, epoch_infos, eval_fn,
-                  checkpoint_dir, log_path, t0, seed):
+                  checkpoint_dir, log_path, t0):
     eval_metrics = eval_fn(agent, epoch) if eval_fn is not None else None
     if checkpoint_dir is not None:
         ckpt = Path(checkpoint_dir) / f"epoch_{epoch:04d}.ckpt"
@@ -615,7 +615,7 @@ def _finish_epoch(agent, summary, epoch, step, epoch_infos, eval_fn,
     row = {
         "epoch": epoch,
         "step": step,
-        "seed": seed,
+        "seed": agent.cfg.seed,
         "wall_s": round(time.perf_counter() - t0, 3),
         "losses": _mean_of(epoch_infos),
     }
@@ -628,33 +628,44 @@ def _finish_epoch(agent, summary, epoch, step, epoch_infos, eval_fn,
     summary.consider(epoch, eval_metrics)
 
 
-def train_offline(agent: Agent, data: ReplayView, *, eval_fn=None,
-                  checkpoint_dir=None, log_path=None) -> TrainSummary:
-    """Gradient-step training on a fixed dataset.
+def _train(agent, next_batch, summary, eval_fn, checkpoint_dir, log_path
+           ) -> TrainSummary:
+    """The one epoch loop behind `train_offline` and `train_online`.
 
-    Runs cfg.train_steps updates, sampling cfg.batch_size windows per step.
-    Every cfg.epoch_steps steps it checkpoints, optionally evaluates, and
+    Runs cfg.train_steps steps; step ``k`` updates the agent on
+    ``next_batch(k)`` unless that is None.  Every cfg.epoch_steps steps,
+    and after the last one, it checkpoints, optionally evaluates, and
     appends one JSON line to the log.  train_steps == 0 just writes the
     initialized policy (epoch 0) so downstream tooling has a checkpoint.
     """
     cfg = agent.cfg
-    summary = TrainSummary()
     t0 = time.perf_counter()
-    if cfg.train_steps == 0:
-        _finish_epoch(agent, summary, 0, 0, [], eval_fn,
-                      checkpoint_dir, log_path, t0, cfg.seed)
-        return summary
     epoch_infos: list[dict] = []
+    if cfg.train_steps == 0:
+        _finish_epoch(agent, summary, 0, 0, epoch_infos, eval_fn,
+                      checkpoint_dir, log_path, t0)
+        return summary
     with _logged_divergence(log_path, cfg.seed):
         for step in range(1, cfg.train_steps + 1):
-            batch = data.sample_batch(cfg.batch_size, cfg.seq_len, agent.rng)
-            epoch_infos.append(agent.update(batch))
+            batch = next_batch(step)
+            if batch is not None:
+                epoch_infos.append(agent.update(batch))
             if step % cfg.epoch_steps == 0 or step == cfg.train_steps:
                 epoch = (step + cfg.epoch_steps - 1) // cfg.epoch_steps
                 _finish_epoch(agent, summary, epoch, step, epoch_infos,
-                              eval_fn, checkpoint_dir, log_path, t0, cfg.seed)
+                              eval_fn, checkpoint_dir, log_path, t0)
                 epoch_infos = []
     return summary
+
+
+def train_offline(agent: Agent, data: ReplayView, *, eval_fn=None,
+                  checkpoint_dir=None, log_path=None) -> TrainSummary:
+    """Gradient-step training on a fixed dataset: each `_train` step
+    samples one batch of cfg.batch_size windows from ``data``."""
+    cfg = agent.cfg
+    return _train(agent, lambda step: data.sample_batch(
+        cfg.batch_size, cfg.seq_len, agent.rng), TrainSummary(),
+        eval_fn, checkpoint_dir, log_path)
 
 
 def train_online(agent: Agent, make_env, *, start_steps: int = 1000,
@@ -663,39 +674,30 @@ def train_online(agent: Agent, make_env, *, start_steps: int = 1000,
     """Classic off-policy online training against a live environment.
 
     `make_env(episode_index)` supplies the environment for each episode, so
-    callers can rotate weather conditions between episodes.  Runs
-    cfg.train_steps environment steps through one `EpisodeDriver`, with
-    one gradient update per step once the warmup of uniform-random actions
-    has filled the buffer.  Episode ends are stored as terminal steps.
-    Observations are stored normalized; actions are stored in the
-    normalized space the policy acts in.  The filled replay buffer and the
-    episodes' reset seeds are returned on the summary.
+    callers can rotate weather conditions between episodes.  Each `_train`
+    step is one `EpisodeDriver` step, stored in the replay buffer, then one
+    update once the warmup of uniform-random actions has filled it.  The
+    buffer holds normalized observations and actions, with episode ends as
+    terminal steps; it and the episodes' reset seeds are returned on the
+    summary.
     """
     cfg = agent.cfg
-    summary = TrainSummary()
-    t0 = time.perf_counter()
     driver = EpisodeDriver(make_env, cfg.seed, agent.obs_dim, cfg.seq_len)
     buffer = ReplayBuffer(agent.obs_dim, agent.act_dim,
                           capacity=buffer_capacity)
-    summary.buffer = buffer
-    summary.reset_seeds = driver.reset_seeds
+    summary = TrainSummary(buffer=buffer, reset_seeds=driver.reset_seeds)
     update_after = max(start_steps, cfg.batch_size)
-    epoch_infos: list[dict] = []
-    with _logged_divergence(log_path, cfg.seed):
-        for step in range(1, cfg.train_steps + 1):
-            if step <= start_steps:
-                act_n = agent.rng.uniform(-1.0, 1.0,
-                                          size=agent.act_dim).astype(np.float32)
-            else:
-                act_n = agent.explore_action(*driver.window.arrays())[0]
-            buffer.add(*driver.step(act_n))
-            if step > update_after:
-                batch = buffer.view().sample_batch(cfg.batch_size, cfg.seq_len,
-                                                   agent.rng)
-                epoch_infos.append(agent.update(batch))
-            if step % cfg.epoch_steps == 0 or step == cfg.train_steps:
-                epoch = (step + cfg.epoch_steps - 1) // cfg.epoch_steps
-                _finish_epoch(agent, summary, epoch, step, epoch_infos,
-                              eval_fn, checkpoint_dir, log_path, t0, cfg.seed)
-                epoch_infos = []
-    return summary
+
+    def next_batch(step):
+        if step <= start_steps:
+            act_n = agent.rng.uniform(-1.0, 1.0,
+                                      size=agent.act_dim).astype(np.float32)
+        else:
+            act_n = agent.explore_action(*driver.window.arrays())[0]
+        buffer.add(*driver.step(act_n))
+        if step > update_after:
+            return buffer.sample_batch(cfg.batch_size, cfg.seq_len, agent.rng)
+        return None
+
+    return _train(agent, next_batch, summary, eval_fn, checkpoint_dir,
+                  log_path)

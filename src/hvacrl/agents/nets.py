@@ -62,27 +62,14 @@ class TwinCritic(Module):
     def features(self, windows, valid) -> Tensor:
         return self.encoder(windows, valid)
 
-    def _head(self, head, feat: Tensor, actions: Tensor) -> Tensor:
+    def heads(self, feat: Tensor, actions: Tensor, count: int = 2
+              ) -> tuple[Tensor, ...]:
+        """Q values of the first ``count`` heads, in head order, on features
+        from `features`."""
         if actions.data.shape[0] != feat.data.shape[0]:
             raise SpecError("feature/action batch mismatch")
-        x = T.concat([feat, actions], axis=1)
-        return T.reshape(head(x), (-1,))
-
-    def q1_from(self, feat, actions):
-        return self._head(self.q1_head, feat, actions)
-
-    def q2_from(self, feat, actions):
-        return self._head(self.q2_head, feat, actions)
-
-    def both_from(self, feat, actions):
-        return self.q1_from(feat, actions), self.q2_from(feat, actions)
-
-    def q1(self, windows, valid, actions):
-        return self.q1_from(self.features(windows, valid), actions)
-
-    def both(self, windows, valid, actions):
-        feat = self.features(windows, valid)
-        return self.both_from(feat, actions)
+        return tuple(T.reshape(head(T.concat([feat, actions], axis=1)), (-1,))
+                     for head in (self.q1_head, self.q2_head)[:count])
 
 
 class DeterministicActor(Module):

@@ -2,7 +2,7 @@
 
 Transitions live in flat column arrays (`ReplayView.COLUMNS`) plus a list
 of episode start indices.  `ReplayView` is the one store of such columns:
-an online `ReplayBuffer` hands one out per update, and a stored dataset
+an online `ReplayBuffer` is one that grows in place, and a stored dataset
 (`datagen.Dataset`) is a `ReplayView` with a header.  Sampling assembles
 fixed-length observation windows whose valid slots are left-aligned and
 whose last valid slot is the sampled step, so a window never reaches
@@ -62,8 +62,6 @@ class ReplayView:
         self._start_of = np.repeat(starts, lengths)
         # the last stored step only has a successor once its episode closed
         self._sampleable = n if self.terminals[n - 1] else n - 1
-        if self._sampleable == 0:
-            raise DataError("no sampleable transitions yet")
 
     def validate(self) -> None:
         """The columns agree in length and every episode boundary, except
@@ -127,6 +125,8 @@ class ReplayView:
 
     def sample_batch(self, batch_size: int, seq_len: int,
                      rng: np.random.Generator) -> WindowBatch:
+        if self._sampleable == 0:
+            raise DataError("no sampleable transitions yet")
         steps = rng.integers(0, self._sampleable, size=batch_size)
         windows, valid = self._assemble(steps, seq_len)
         term = self.terminals[steps]
@@ -143,32 +143,46 @@ class ReplayView:
         )
 
 
-class ReplayBuffer:
-    """Append-only online buffer; evicts whole oldest episodes at capacity."""
+class ReplayBuffer(ReplayView):
+    """Append-only online buffer; evicts whole oldest episodes at capacity.
+
+    The columns are preallocated and the first ``len`` rows are live; `add`
+    keeps the sampling state current, so the buffer samples in place.
+    """
 
     def __init__(self, obs_dim: int, act_dim: int, capacity: int = 200_000):
         if capacity < 2:
             raise SpecError("capacity too small")
         self.capacity = capacity
-        self._obs = np.zeros((capacity, obs_dim), dtype=np.float32)
-        self._act = np.zeros((capacity, act_dim), dtype=np.float32)
-        self._rew = np.zeros(capacity, dtype=np.float32)
-        self._term = np.zeros(capacity, dtype=bool)
+        self.obs = np.zeros((capacity, obs_dim), dtype=np.float32)
+        self.actions = np.zeros((capacity, act_dim), dtype=np.float32)
+        self.rewards = np.zeros(capacity, dtype=np.float32)
+        self.terminals = np.zeros(capacity, dtype=bool)
+        self._start_of = np.zeros(capacity, dtype=np.int64)
         self._starts = [0]
         self._count = 0
+        self._sampleable = 0
 
     def __len__(self):
         return self._count
+
+    @property
+    def episode_starts(self) -> np.ndarray:
+        starts = self._starts[:-1] if self._starts[-1] == self._count \
+            else self._starts
+        return np.asarray(starts, dtype=np.int64)
 
     def add(self, obs, action, reward, terminal: bool):
         if self._count == self.capacity:
             self._evict_oldest_episode()
         i = self._count
-        self._obs[i] = obs
-        self._act[i] = action
-        self._rew[i] = reward
-        self._term[i] = terminal
+        self.obs[i] = obs
+        self.actions[i] = action
+        self.rewards[i] = reward
+        self.terminals[i] = terminal
+        self._start_of[i] = self._starts[-1]
         self._count += 1
+        self._sampleable = self._count if terminal else i
         if terminal:
             self._starts.append(self._count)
 
@@ -177,18 +191,14 @@ class ReplayBuffer:
             raise DataError("single episode exceeds buffer capacity")
         drop = self._starts[1]
         keep = self._count - drop
-        for col in (self._obs, self._act, self._rew, self._term):
+        for col in (self.obs, self.actions, self.rewards, self.terminals):
             col[:keep] = col[drop:self._count]
+        self._start_of[:keep] = self._start_of[drop:self._count] - drop
         self._starts = [s - drop for s in self._starts[1:]]
         self._count = keep
 
     def view(self) -> ReplayView:
-        starts = self._starts[:-1] if self._starts[-1] == self._count \
-            else self._starts
-        return ReplayView(
-            self._obs[:self._count],
-            self._act[:self._count],
-            self._rew[:self._count],
-            self._term[:self._count],
-            np.asarray(starts, dtype=np.int64),
-        )
+        """A `ReplayView` sharing the live rows' memory until the next `add`."""
+        n = self._count
+        return ReplayView(self.obs[:n], self.actions[:n], self.rewards[:n],
+                          self.terminals[:n], self.episode_starts)

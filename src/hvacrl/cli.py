@@ -242,8 +242,7 @@ def cmd_train(args, cfg: dict, argv, env_vars) -> int:
         "train_steps": acfg.train_steps,
         "epochs": len(summary.records),
         "checkpoint": final.name,
-        "final_losses": summary.records[-1]["losses"] if summary.records
-        else {}})
+        "final_losses": summary.records[-1]["losses"]})
     _audit(out, argv, "train", fp, [acfg.seed], t0)
     print(f"train: {final} algo={acfg.algo} epochs={len(summary.records)}")
     return 0

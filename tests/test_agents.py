@@ -3,6 +3,7 @@ mirrored in plain numpy, convergence on closed-form toy problems, the
 conservative penalty, target-network schedules, and training-loop artifacts.
 """
 import contextlib
+import dataclasses
 import json
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hvacrl.agents import (AgentConfig, ReplayBuffer, ReplayView,
-                           RolloutWindow, load_agent, make_agent,
+                           RolloutWindow, WindowBatch, load_agent, make_agent,
                            select_action, train_offline, train_online)
 from hvacrl.buildsim import EnvConfig, BuildingEnv, TRAIN_PRESETS
 from hvacrl.errors import DataError, DivergenceError, SpecError
@@ -215,6 +216,37 @@ class TestReplayBuffer:
         assert view.obs[:, 0].min() == 1.0  # episode 0 dropped entirely
         assert np.array_equal(view.episode_starts, [0, 4])
 
+    @pytest.mark.parametrize("seq_len", [1, 4])
+    @pytest.mark.parametrize("lengths, live, capacity, stored", [
+        ((5, 7), 3, 100, 15),      # live (unterminated) tail
+        ((5, 7), 0, 100, 12),      # closed tail
+        ((5, 7, 6), 2, 16, 15),    # the first episode was evicted
+    ])
+    def test_samples_in_place_like_its_view(self, lengths, live, capacity,
+                                            stored, seq_len):
+        buf = ReplayBuffer(3, 2, capacity=capacity)
+        rng = np.random.default_rng(3)
+        for n, closed in [(n, True) for n in lengths] + [(live, False)]:
+            for t in range(n):
+                buf.add(rng.uniform(0, 1, 3), rng.uniform(-1, 1, 2),
+                        float(rng.normal()), closed and t == n - 1)
+        assert len(buf) == stored
+        got = buf.sample_batch(64, seq_len, np.random.default_rng(9))
+        want = buf.view().sample_batch(64, seq_len, np.random.default_rng(9))
+        for f in dataclasses.fields(WindowBatch):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+
+    def test_nothing_sampleable_is_data_error(self):
+        buf = ReplayBuffer(1, 1, capacity=4)
+        rng = np.random.default_rng(0)
+        with pytest.raises(DataError):
+            buf.sample_batch(2, 1, rng)
+        buf.add([0.0], [0.0], 0.0, False)   # a live step has no successor
+        for store in (buf, buf.view()):
+            with pytest.raises(DataError):
+                store.sample_batch(2, 1, rng)
+
     def test_single_episode_larger_than_capacity_rejected(self):
         buf = ReplayBuffer(1, 1, capacity=4)
         for t in range(4):
@@ -332,8 +364,12 @@ class TestLearning:
 
     def test_actor_on_frozen_quadratic_critic_drives_actions_to_zero(self):
         class QuadraticCritic:
-            def q1(self, windows, valid, actions):
-                return T.scale(T.sum_(T.square(actions), axis=1), -1.0)
+            def features(self, windows, valid):
+                return None
+
+            def heads(self, feat, actions, count=2):
+                return (T.scale(T.sum_(T.square(actions), axis=1), -1.0),) \
+                    * count
 
         view = make_view(n=200, ep=50, seed=2)
         agent = make_agent(AgentConfig(algo="td3", batch_size=64,
@@ -384,11 +420,14 @@ class TestLearning:
             def __init__(self, c):
                 self.c = c
 
-            def q1(self, windows, valid, actions):
+            def features(self, windows, valid):
+                return None
+
+            def heads(self, feat, actions, count=2):
                 # keep a gradient path so backward() has work to do
                 zero = T.scale(T.sum_(actions, axis=1), 0.0)
-                return T.add(zero, np.full(actions.data.shape[0], self.c,
-                                           np.float32))
+                return (T.add(zero, np.full(actions.data.shape[0], self.c,
+                                            np.float32)),) * count
 
         view = make_view(n=100, ep=50, seed=3)
         agent = make_agent(AgentConfig(algo="td3bc", bc_weight=2.5,
@@ -410,7 +449,8 @@ class TestLearning:
         # reconstruct: -mean(q1) + weight * mean(||pi - a||^2)
         with T.no_grad():
             a = agent.actor(batch.windows, batch.valid)
-            q1 = agent.critic.q1(batch.windows, batch.valid, a)
+            (q1,) = agent.critic.heads(
+                agent.critic.features(batch.windows, batch.valid), a, count=1)
         want = -float(q1.data.mean()) + 2.5 * float(
             ((a.data - batch.actions) ** 2).sum(axis=1).mean())
         assert float(loss.data) == pytest.approx(want, rel=1e-5)

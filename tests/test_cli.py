@@ -1,5 +1,6 @@
 """Command-line contract tests: exit codes, config plumbing, output
 artifacts, byte determinism, and environment-variable overrides."""
+import csv
 import json
 from pathlib import Path
 
@@ -313,7 +314,7 @@ class TestRegret:
 
 
 class TestSweepAndReport:
-    def sweep_config(self, tmp_path) -> Path:
+    def sweep_config(self, tmp_path, **harness) -> Path:
         cfg = {
             "harness": {
                 "seeds": 1, "eval_seed": 5, "eval_days": 0.25,
@@ -323,6 +324,7 @@ class TestSweepAndReport:
                 "rq3_epsilons": [0.0, 0.5], "rq3_sigmas": [0.1],
                 "rq3_dataset_steps": 144, "rq3_train_steps": 4,
                 "out_dir": str(tmp_path / "results"),
+                **harness,
             },
         }
         p = tmp_path / "sweep.json"
@@ -342,6 +344,15 @@ class TestSweepAndReport:
         table = capsys.readouterr().out.splitlines()
         assert table[0].split()[:2] == ["cell", "seed"]
         assert len(table) == 3
+
+    def test_online_cells_with_zero_steps_report_epoch_0(self, tmp_path):
+        cfg = self.sweep_config(tmp_path, rq2_modes=["sac"],
+                                rq2_online_steps=0)
+        assert run(["--config", str(cfg), "sweep", "--rq", "2"]) == 0
+        with open(tmp_path / "results" / "rq2" / "summary.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert sorted(r["cell"] for r in rows) == ["sac-flat", "sac-hist"]
+        assert {r["best_epoch"] for r in rows} == {"0"}
 
     def test_jobs_capped_by_environment(self, tmp_path):
         cfg = self.sweep_config(tmp_path)
