@@ -9,7 +9,8 @@ so a change meant to keep behaviour can be checked with one diff:
     diff a.json b.json
 
 The pipeline, all on a quarter-day (36-step) ``dc`` environment unless
-noted, writes under OUT_DIR, which must not exist or be empty:
+noted, writes under OUT_DIR, which must not exist or be empty (``-h``
+or ``--help`` prints this text instead):
 
 * ``collect_final_buffer`` (TD3, three episodes plus a dropped tail) and
   the trained agent's checkpoint;
@@ -75,7 +76,10 @@ def digests(out: Path) -> dict:
 
 
 def main(argv) -> int:
-    if len(argv) != 1:
+    if "-h" in argv or "--help" in argv:
+        print(__doc__)
+        return 0
+    if len(argv) != 1 or argv[0].startswith("-"):
         print(__doc__, file=sys.stderr)
         return 2
     out = Path(argv[0])

@@ -1,10 +1,12 @@
 """Command-line entry point.
 
-Subcommands: simulate, collect, train, eval, sweep, regret, report. All
-configuration lives in one JSON document whose defaults are embedded here
-and printable via --print-config; flags override single values. Every run
-appends one JSON line to <out>/audit.jsonl recording the command, the
-configuration fingerprint, the seeds involved, and the wall duration.
+Subcommands: simulate, collect, train, eval, sweep, regret, report. Report
+prints a finished sweep's summary table, then the study's claim check on
+it (`evalharness.claim_lines`). All configuration lives in one JSON
+document whose defaults are embedded here and printable via
+--print-config; flags override single values. Every run appends one JSON
+line to <out>/audit.jsonl recording the command, the configuration
+fingerprint, the seeds involved, and the wall duration.
 
 Exit codes: 0 ok, 2 usage, 3 bad data or fingerprint mismatch,
 4 numerical divergence or simulation fault, 5 internal error.
@@ -35,7 +37,8 @@ from .datagen import (
     write_dataset,
 )
 from .errors import DataError, HvacrlError, UsageError
-from .evalharness import RQ_RUNNERS, HarnessConfig, evaluate_policy
+from .evalharness import (RQ_RUNNERS, HarnessConfig, claim_lines,
+                          evaluate_policy, load_sweep)
 from .fingerprint import canonical_json, fingerprint, to_jsonable
 
 ENV_OUT_DIR = "HVACRL_OUT_DIR"     # overrides every --out directory
@@ -312,21 +315,21 @@ def cmd_regret(args, cfg: dict, argv, env_vars) -> int:
 
 
 def cmd_report(args, cfg: dict, argv, env_vars) -> int:
-    root = _out_dir(args.results, cfg, env_vars)
-    path = root / f"rq{args.rq}" / "summary.csv"
-    if not path.exists():
-        raise DataError(f"no summary at {path}; run the sweep first")
-    text = path.read_text().splitlines()
-    if not text:
+    result = load_sweep(_out_dir(args.results, cfg, env_vars),
+                        f"rq{args.rq}")
+    if not result.cells:
         print(f"report: rq{args.rq} is empty (zero-seed grid)")
         return 0
-    rows = list(csv.DictReader(text))
+    with open(result.summary_path, newline="") as f:
+        rows = list(csv.DictReader(f))
     cols = ["cell", "seed", "best_epoch", "avg_reward", "violation",
             "avg_power_kw"]
     widths = {c: max(len(c), *(len(r[c]) for r in rows)) for c in cols}
     print("  ".join(c.ljust(widths[c]) for c in cols))
     for r in rows:
         print("  ".join(r[c].ljust(widths[c]) for c in cols))
+    for line in claim_lines(result):
+        print(line)
     return 0
 
 
@@ -387,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--expert", required=True, metavar="PATH")
     r.add_argument("--out", default="quality.json", metavar="FILE.json")
 
-    q = sub.add_parser("report", help="print a sweep summary table")
+    q = sub.add_parser("report", help="print a sweep summary table and "
+                                      "check the study's claim on it")
     q.add_argument("--rq", required=True, choices=tuple(RQ_RUNNERS))
     q.add_argument("--results", metavar="DIR")
     return p

@@ -6,7 +6,7 @@ the evaluation harness all build on these definitions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,32 +141,18 @@ class Action:
     normalized: bool = False  # True: values in [-1, 1]; False: physical units
 
 
-@dataclass
-class ClipCounter:
-    """Counts out-of-range values clipped during observation normalization."""
-
-    events: int = 0
-
-    def add(self, n: int) -> None:
-        self.events += int(n)
-
-
-def normalize_obs(obs: Observation, spec: VectorSpec, counter: ClipCounter | None = None) -> np.ndarray:
+def normalize_obs(obs: Observation, spec: VectorSpec) -> np.ndarray:
     """Min-max normalize an observation into the unit interval per dimension.
 
-    Out-of-range values clip to the range edge; each clipped entry bumps the
-    counter rather than raising (surrogate excursions are expected).
+    Out-of-range values clip to the range edge rather than raising
+    (surrogate excursions are expected).
     """
     values = np.asarray(obs.values, dtype=np.float64)
     if values.shape != (spec.size,):
         raise SpecError(f"observation has shape {values.shape}, spec expects ({spec.size},)")
     if not np.isfinite(values).all():
         raise DataError(f"non-finite observation values: {values}")
-    unit = (values - spec.lows) / spec.span
-    clipped = np.clip(unit, 0.0, 1.0)
-    if counter is not None:
-        counter.add(int(np.sum(clipped != unit)))
-    return clipped
+    return np.clip((values - spec.lows) / spec.span, 0.0, 1.0)
 
 
 def normalize_action(act: Action, spec: VectorSpec) -> Action:

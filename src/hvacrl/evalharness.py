@@ -25,6 +25,12 @@ Every job trains one agent with `_run_cell`: offline on a dataset file
 when the cell names one, online against the rotating training presets
 otherwise. Result files contain no timestamps, so identical configs
 reproduce identical bytes.
+
+`load_sweep` rebuilds a finished sweep's `SweepResult` from those files,
+and `claim_lines` checks the study's claim on a `SweepResult`: rq1
+offline learners beat off-policy ones, rq2 history helps, rq3 regret
+tracks the perturbation rate, rq4 returns saturate with dataset size,
+rq5 longer windows do not hurt. `hvacrl report` prints both.
 """
 from __future__ import annotations
 
@@ -328,6 +334,14 @@ def load_cell(out_root, rq: str, cell_fp: str) -> dict | None:
     return json.loads(p.read_text())
 
 
+def _finished_cell(out_root: Path, rq: str, key: str, cell_fp: str) -> dict:
+    """The report of a cell a previous run finished; DataError if absent."""
+    report = load_cell(out_root, rq, cell_fp)
+    if report is None:
+        raise DataError(f"missing results for cell {key}")
+    return report
+
+
 # ---------------------------------------------------------------------------
 # expert management
 
@@ -425,12 +439,22 @@ class SweepResult:
     """Outcome of one experiment runner over its grid."""
 
     rq: str
-    axes: dict                  # axis name -> grid values
+    axes: dict                  # axis name -> grid values ({} when loaded)
     cells: dict = field(default_factory=dict)   # key -> RunReport list
     curves: dict = field(default_factory=dict)  # key -> curve row list
     quality: dict = field(default_factory=dict)  # key -> quality jsonable
+    cell_axes: dict = field(default_factory=dict)  # key -> its axis values
     cell_dirs: dict = field(default_factory=dict)
     summary_path: str = ""
+
+    def add_cell(self, key: str, axes: dict, seeds: list,
+                 cell_dir: Path) -> None:
+        """Record one cell from the per-seed entries of its report."""
+        self.cell_axes[key] = axes
+        self.cell_dirs[key] = str(cell_dir)
+        self.cells[key] = [RunReport.from_jsonable(s["report"])
+                           for s in seeds]
+        self.curves[key] = [row for s in seeds for row in s["curve"]]
 
     def validate(self, min_seeds: int) -> None:
         for key, reports in self.cells.items():
@@ -508,21 +532,14 @@ def _assemble(rq: str, cfg: HarnessConfig, axes: dict, cell_axes: dict,
         fp = _cell_fingerprint(rq, cfg, cell_axes[key])
         seeds_out = outcomes.get(key)
         if seeds_out is None:       # reused from a previous run
-            cached = load_cell(out_root, rq, fp)
-            if cached is None:
-                raise DataError(f"missing results for cell {key}")
-            seeds_out = cached["seeds"]
-        curve_rows = [row for s in seeds_out for row in s["curve"]]
+            seeds_out = _finished_cell(out_root, rq, key, fp)["seeds"]
+        result.add_cell(key, cell_axes[key], seeds_out, out_root / rq / fp)
         if key in outcomes:
             report = {"rq": rq, "cell": key, "axes": cell_axes[key],
                       "config_fingerprint": cfg.fingerprint(),
                       "cell_fingerprint": fp, "seeds": seeds_out}
-            _write_cell(out_root, rq, fp, report, curve_rows,
+            _write_cell(out_root, rq, fp, report, result.curves[key],
                         quality.get(key))
-        result.cell_dirs[key] = str(out_root / rq / fp)
-        result.cells[key] = [RunReport.from_jsonable(s["report"])
-                             for s in seeds_out]
-        result.curves[key] = curve_rows
         for s in seeds_out:
             rep = s["report"]
             row = {"rq": rq, "cell": key, "cell_fingerprint": fp,
@@ -543,6 +560,31 @@ def _assemble(rq: str, cfg: HarnessConfig, axes: dict, cell_axes: dict,
     summary_path = out_root / rq / "summary.csv"
     atomic_write(summary_path, [buf.getvalue().encode()])
     result.summary_path = str(summary_path)
+    return result
+
+
+def load_sweep(out_root, rq: str) -> SweepResult:
+    """Rebuild the `SweepResult` of a finished sweep from its files.
+
+    The cells are the ones ``<out_root>/<rq>/summary.csv`` lists; each is
+    read from its cell directory. A missing summary or a listed cell
+    without its directory is a DataError.
+    """
+    out_root = Path(out_root)
+    path = out_root / rq / "summary.csv"
+    if not path.exists():
+        raise DataError(f"no summary at {path}; run the sweep first")
+    with path.open(newline="") as f:
+        listed = {row["cell"]: row["cell_fingerprint"]
+                  for row in csv.DictReader(f)}
+    result = SweepResult(rq=rq, axes={}, summary_path=str(path))
+    for key in sorted(listed):
+        cell = _finished_cell(out_root, rq, key, listed[key])
+        cell_dir = out_root / rq / listed[key]
+        result.add_cell(key, cell["axes"], cell["seeds"], cell_dir)
+        quality = cell_dir / "quality.json"
+        if quality.exists():
+            result.quality[key] = json.loads(quality.read_text())
     return result
 
 
@@ -738,3 +780,114 @@ def spearman_rho(x, y) -> float:
     if denom == 0.0:
         return 0.0
     return float((xc * yc).sum() / denom)
+
+
+# ---------------------------------------------------------------------------
+# the study's claims, checked on a sweep's results
+
+OFFLINE_ALGOS = ("cql", "td3bc")
+BASELINE_ALGOS = ("td3", "sac")
+
+
+def _yes(ok) -> str:
+    return "yes" if ok else "NO"
+
+
+def _grid(result: SweepResult, axis: str) -> list:
+    """Sorted distinct values of one axis over the result's cells."""
+    return sorted({a[axis] for a in result.cell_axes.values()})
+
+
+def _rq1_claims(result: SweepResult) -> list:
+    """Conservative offline learners beat naive off-policy ones."""
+    lines = []
+    algos = _grid(result, "algo")
+    for scenario in _grid(result, "scenario"):
+        med = {a: result.median_metric(f"{scenario}-{a}") for a in algos}
+        line = "  ".join(f"{a}={med[a]:.4f}" for a in algos)
+        offline = [med[a] for a in OFFLINE_ALGOS if a in med]
+        baseline = [med[a] for a in BASELINE_ALGOS if a in med]
+        if offline and baseline:
+            line += f"  offline>baseline: {_yes(min(offline) > max(baseline))}"
+        lines.append(f"rq1 {scenario:13s} {line}")
+    return lines
+
+
+def _rq2_claims(result: SweepResult) -> list:
+    """History raises reward and tightens every zone's spread (CQL)."""
+    lines = []
+    modes = _grid(result, "mode")
+    for mode in modes:
+        flat = result.median_metric(f"{mode}-flat")
+        hist = result.median_metric(f"{mode}-hist")
+        lines.append(f"rq2 {mode:5s} flat={flat:.4f} hist={hist:.4f}  "
+                     f"gain={hist - flat:+.4f}")
+    if "cql" in modes:
+        # median over seeds of each zone's temperature IQR
+        flat_iqr, hist_iqr = (
+            np.median([[z["iqr"] for z in r.zone_quantiles]
+                       for r in result.cells[key]], axis=0)
+            for key in ("cql-flat", "cql-hist"))
+        pairs = "  ".join(f"z{i}: {h:.3f}<{f:.3f}" if h < f
+                          else f"z{i}: {h:.3f}>={f:.3f}"
+                          for i, (h, f) in enumerate(zip(hist_iqr, flat_iqr)))
+        lines.append(f"rq2 cql zone-temp IQR {pairs}  all tighter: "
+                     f"{_yes(np.all(hist_iqr < flat_iqr))}")
+    return lines
+
+
+def _rq3_claims(result: SweepResult) -> list:
+    """Regret tracks the perturbation rate; mild noise helps learning."""
+    lines = []
+    epsilons = _grid(result, "epsilon")
+    for sg in _grid(result, "sigma"):
+        keys = [f"eps{eps:g}-sigma{sg:g}" for eps in epsilons]
+        regrets = [result.quality[k]["mean"] for k in keys]
+        rewards = [result.median_metric(k) for k in keys]
+        line = "  ".join(f"e{e:g}: d={d:.3f} r={r:.3f}"
+                         for e, d, r in zip(epsilons, regrets, rewards))
+        lines.append(f"rq3 sigma={sg:g} {line}")
+        best = epsilons[int(np.argmax(rewards))]
+        lines.append(f"rq3 sigma={sg:g} regret-vs-rate "
+                     f"rho={spearman_rho(epsilons, regrets):.3f}  "
+                     f"best reward at eps={best:g}")
+    return lines
+
+
+def _rq4_claims(result: SweepResult) -> list:
+    """Returns saturate with dataset size."""
+    sizes = _grid(result, "size")
+    ref = result.median_metric(f"size{max(sizes)}")
+    lines = []
+    for size in sizes:
+        med = result.median_metric(f"size{size}")
+        gap = (ref - med) / abs(ref) if ref else 0.0
+        lines.append(f"rq4 size={size:<8d} median A.R. {med:.4f}  "
+                     f"below largest by {gap:+.1%}")
+    return lines
+
+
+def _rq5_claims(result: SweepResult) -> list:
+    """Longer windows do not hurt, and saturate at the top end."""
+    lens = _grid(result, "seq_len")
+    meds = [result.median_metric(f"len{L:02d}") for L in lens]
+    lines = ["rq5 " + "  ".join(f"L{L}: {m:.4f}" for L, m in zip(lens, meds))]
+    if len(meds) >= 2:
+        tail = abs(meds[-1] - meds[-2]) / abs(meds[-2]) if meds[-2] else 0.0
+        lines.append(f"rq5 non-decreasing: {_yes(np.all(np.diff(meds) >= 0))}"
+                     f"  change over last step: {tail:.1%}")
+    return lines
+
+
+_CLAIMS = {"rq1": _rq1_claims, "rq2": _rq2_claims, "rq3": _rq3_claims,
+           "rq4": _rq4_claims, "rq5": _rq5_claims}
+
+
+def claim_lines(result: SweepResult) -> list:
+    """The printed check of the study's claim on one sweep's results.
+
+    Grid values come from each cell's own axes, so a result a runner
+    returns and the same result read back by `load_sweep` give the same
+    lines. A sweep without cells checks nothing.
+    """
+    return _CLAIMS[result.rq](result) if result.cells else []

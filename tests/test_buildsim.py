@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hvacrl import buildsim
 from hvacrl.buildsim import (
     EVAL_PRESET,
     TRAIN_PRESETS,
@@ -88,6 +89,23 @@ class TestWeather:
         for kind in ("dc", "mu"):
             for name in TRAIN_PRESETS[kind] + (EVAL_PRESET[kind],):
                 assert name in WEATHER_PRESETS
+
+    @pytest.mark.parametrize("name", sorted(WEATHER_PRESETS))
+    def test_noise_path_matches_scalar_recursion(self, name, monkeypatch):
+        monkeypatch.setattr(buildsim, "_NOISE_PATHS", {})
+        model = WEATHER_PRESETS[name]
+        path = buildsim._noise_path(model, 52_560)     # one year of steps
+        # reference: the OU recursion stepped on numpy scalars
+        z = np.random.default_rng(model.seed).standard_normal(len(path) + 1)
+        theta, sigma = model.noise_rate, model.noise_scale
+        shock_scale = sigma * math.sqrt(max(2.0 * theta - theta * theta, 0.0))
+        ref = np.empty(len(path))
+        x = sigma * z[0]
+        for k in range(len(path)):
+            x = (1.0 - theta) * x + shock_scale * z[k + 1]
+            ref[k] = x
+        assert path.dtype == np.float64
+        assert path.tobytes() == ref.tobytes()
 
     def test_trace_csv_roundtrip_and_validation(self, tmp_path):
         path = tmp_path / "w.csv"

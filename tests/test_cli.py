@@ -2,6 +2,8 @@
 artifacts, byte determinism, and environment-variable overrides."""
 import csv
 import json
+import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from hvacrl.agents import load_agent
 from hvacrl.buildsim import EVAL_PRESET, BuildingEnv, EnvConfig
 from hvacrl.cli import ENV_MAX_JOBS, ENV_OUT_DIR, default_config, main
 from hvacrl.datagen import expert_reference_return, read_dataset, write_dataset
+from hvacrl.evalharness import claim_lines, load_sweep
 
 from container_cases import rewrite_header
 from test_datagen import MISTYPED_HEADER_FIELDS
@@ -343,7 +346,26 @@ class TestSweepAndReport:
                     "--results", str(tmp_path / "results")]) == 0
         table = capsys.readouterr().out.splitlines()
         assert table[0].split()[:2] == ["cell", "seed"]
-        assert len(table) == 3
+        assert len(table) == 3 + 2             # header + 2 rows, 2 claims
+        num = r"-?\d+\.\d{3}"
+        assert re.fullmatch(rf"rq3 sigma=0\.1 e0: d={num} r={num}  "
+                            rf"e0\.5: d={num} r={num}", table[3])
+        assert re.fullmatch(rf"rq3 sigma=0\.1 regret-vs-rate rho={num}  "
+                            r"best reward at eps=(0|0\.5)", table[4])
+        assert table[3:] == claim_lines(load_sweep(tmp_path / "results",
+                                                   "rq3"))
+
+    def test_report_with_a_cell_directory_missing_is_data_error(
+            self, tmp_path, capsys):
+        cfg = self.sweep_config(tmp_path)
+        assert run(["--config", str(cfg), "sweep", "--rq", "3"]) == 0
+        with open(tmp_path / "results" / "rq3" / "summary.csv") as f:
+            fp = next(csv.DictReader(f))["cell_fingerprint"]
+        shutil.rmtree(tmp_path / "results" / "rq3" / fp)
+        capsys.readouterr()
+        assert run(["report", "--rq", "3",
+                    "--results", str(tmp_path / "results")]) == 3
+        assert "missing results for cell" in capsys.readouterr().err
 
     def test_online_cells_with_zero_steps_report_epoch_0(self, tmp_path):
         cfg = self.sweep_config(tmp_path, rq2_modes=["sac"],

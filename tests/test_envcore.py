@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hvacrl import envcore
 from hvacrl.envcore import (
     Action,
-    ClipCounter,
     Observation,
     RewardParams,
     compute_reward,
@@ -77,10 +76,8 @@ class TestNormalizeObs:
         spec = mixeduse_obs_spec()
         values = spec.lows.copy()
         values[spec.names.index("outdoor_temp")] = 60.0  # above the [-10, 40] range
-        counter = ClipCounter()
-        unit = normalize_obs(Observation(values), spec, counter)
+        unit = normalize_obs(Observation(values), spec)
         assert unit[spec.names.index("outdoor_temp")] == 1.0
-        assert counter.events == 1
 
     def test_dimension_mismatch(self):
         with pytest.raises(SpecError):

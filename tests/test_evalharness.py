@@ -25,9 +25,11 @@ from hvacrl.evalharness import (
     _write_cell,
     audit_violation_from_csv,
     base_env,
+    claim_lines,
     ensure_expert,
     evaluate_policy,
     load_cell,
+    load_sweep,
     rule_baseline_report,
     run_rq1,
     run_rq2,
@@ -241,6 +243,80 @@ class TestSpearman:
         assert spearman_rho([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) == 0.0
 
 
+def claim_report(avg_reward, iqrs=(1.0, 1.0)) -> RunReport:
+    return RunReport(avg_reward=avg_reward, violation=0.0, avg_power_kw=1.0,
+                     episode_return=avg_reward,
+                     zone_quantiles=[{"iqr": q} for q in iqrs], seed=0,
+                     config_fingerprint="fp")
+
+
+def hand_result(rq, cells) -> SweepResult:
+    """A SweepResult from ``{key: (cell axes, [RunReport, ...])}``."""
+    res = SweepResult(rq=rq, axes={})
+    for key, (axes, reports) in cells.items():
+        res.cell_axes[key] = axes
+        res.cells[key] = reports
+    return res
+
+
+class TestClaims:
+    @pytest.mark.parametrize("sac,line", [
+        (-1.2, "rq1 trained       cql=-1.0000  sac=-1.2000  td3bc=-1.1000"
+               "  offline>baseline: yes"),
+        (-1.05, "rq1 trained       cql=-1.0000  sac=-1.0500  td3bc=-1.1000"
+                "  offline>baseline: NO"),
+    ])
+    def test_rq1_offline_must_beat_every_baseline(self, sac, line):
+        res = hand_result("rq1", {
+            f"trained-{algo}": ({"scenario": "trained", "algo": algo}, reps)
+            for algo, reps in (
+                ("cql", [claim_report(r) for r in (-1.5, -1.0, -0.8)]),
+                ("td3bc", [claim_report(-1.1)]),
+                ("sac", [claim_report(sac)]))})
+        assert claim_lines(res) == [line]
+
+    def test_rq1_without_a_baseline_prints_no_verdict(self):
+        res = hand_result("rq1", {
+            "trained-cql": ({"scenario": "trained", "algo": "cql"},
+                            [claim_report(-1.0)])})
+        assert claim_lines(res) == ["rq1 trained       cql=-1.0000"]
+
+    @pytest.mark.parametrize("hist_iqrs,pairs,verdict", [
+        ([(1.0, 2.0), (2.0, 3.0)], "z0: 1.500<2.000  z1: 2.500<3.000",
+         "yes"),
+        ([(1.0, 3.0), (2.0, 4.0)], "z0: 1.500<2.000  z1: 3.500>=3.000",
+         "NO"),
+    ])
+    def test_rq2_history_must_tighten_every_zone(self, hist_iqrs, pairs,
+                                                 verdict):
+        res = hand_result("rq2", {
+            "cql-flat": ({"mode": "cql", "history": False, "seq_len": 1},
+                         [claim_report(-1.0, (2.0, 3.0))]),
+            "cql-hist": ({"mode": "cql", "history": True, "seq_len": 8},
+                         [claim_report(-0.9, q) for q in hist_iqrs])})
+        assert claim_lines(res) == [
+            "rq2 cql   flat=-1.0000 hist=-0.9000  gain=+0.1000",
+            f"rq2 cql zone-temp IQR {pairs}  all tighter: {verdict}"]
+
+    @pytest.mark.parametrize("meds,lines", [
+        ((-1.2, -1.1, -1.0), ["rq5 L1: -1.2000  L5: -1.1000  L10: -1.0000",
+                              "rq5 non-decreasing: yes  "
+                              "change over last step: 9.1%"]),
+        ((-1.2, -1.0, -1.1), ["rq5 L1: -1.2000  L5: -1.0000  L10: -1.1000",
+                              "rq5 non-decreasing: NO  "
+                              "change over last step: 10.0%"]),
+    ])
+    def test_rq5_longer_windows_must_not_hurt(self, meds, lines):
+        res = hand_result("rq5", {
+            f"len{L:02d}": ({"seq_len": L}, [claim_report(m)])
+            for L, m in zip((10, 1, 5), (meds[2], meds[0], meds[1]))})
+        assert claim_lines(res) == lines
+
+    def test_no_cells_check_nothing(self):
+        for rq in ("rq1", "rq2", "rq3", "rq4", "rq5"):
+            assert claim_lines(SweepResult(rq=rq, axes={})) == []
+
+
 def tiny_config(out_dir, **overrides) -> HarnessConfig:
     base = dict(
         out_dir=str(out_dir), seeds=1, eval_seed=5, eval_days=0.25,
@@ -263,6 +339,8 @@ class TestZeroSeedGrids:
             assert res.axes["seeds"] == 0
             assert os.path.exists(res.summary_path)
             assert open(res.summary_path).read() == ""
+            assert claim_lines(res) == []
+            assert load_sweep(tmp_path, rq).cells == {}
         # nothing to train, so no expert or dataset is built
         assert not (tmp_path / "datasets").exists()
         assert not (tmp_path / "experts").exists()
@@ -303,6 +381,9 @@ class TestMiniatureSweep:
         rows = open(res.summary_path).read().splitlines()
         assert len(rows) == 3                        # header + 2 cells
         assert "axis_seq_len" in rows[0]
+        assert len(claim_lines(res)) == 2
+        assert claim_lines(res) == claim_lines(load_sweep(tmp_path / "a",
+                                                          "rq5"))
 
     def test_rerun_reuses_existing_cells(self, tmp_path):
         cfg = tiny_config(tmp_path / "a")
@@ -344,6 +425,8 @@ class TestMiniatureSweep:
         assert [n.split("-")[0] for n in names] == ["final", "trained"]
         rows = open(res.summary_path).read().splitlines()
         assert len(rows) == 5 and "axis_scenario" in rows[0]
+        assert len(claim_lines(res)) == 2
+        assert claim_lines(res) == claim_lines(load_sweep(tmp_path, "rq1"))
 
     def test_quality_grid_writes_quality_per_cell(self, tmp_path):
         cfg = tiny_config(tmp_path, rq3_epsilons=(0.0, 0.2),
@@ -355,6 +438,8 @@ class TestMiniatureSweep:
         for key, d in res.cell_dirs.items():
             with open(os.path.join(d, "quality.json")) as f:
                 assert json.load(f) == res.quality[key]
+        assert len(claim_lines(res)) == 2
+        assert claim_lines(res) == claim_lines(load_sweep(tmp_path, "rq3"))
 
     def test_quality_grid_loads_expert_once(self, tmp_path, monkeypatch):
         loads = []
@@ -395,3 +480,5 @@ class TestMiniatureSweep:
         assert len(subsets) == 1
         assert 72 <= len(read_dataset(subsets[0])) < 360
         assert not list((tmp_path / "datasets").glob("rq4-size360-*"))
+        assert len(claim_lines(res)) == 2
+        assert claim_lines(res) == claim_lines(load_sweep(tmp_path, "rq4"))
