@@ -57,6 +57,11 @@ class Agent:
         self.rng = np.random.default_rng(cfg.seed)
         self.update_count = 0
         self._build()
+        # built once: `Module.frozen` hides parameters from `named_parameters`
+        self._checked = [(f"{prefix}.{name}", p)
+                         for prefix, module in self._containers().items()
+                         for name, p in module.named_parameters()]
+        self._checked += list(self._scalars().items())
 
     def _build(self):
         raise NotImplementedError
@@ -184,15 +189,10 @@ class Agent:
         raise NotImplementedError
 
     def _assert_finite(self):
-        for prefix, module in self._containers().items():
-            for name, p in module.named_parameters():
-                if not np.all(np.isfinite(p.data)):
-                    raise DivergenceError(
-                        f"non-finite parameter {prefix}.{name} "
-                        f"after update {self.update_count}")
-        for name, t in self._scalars().items():
-            if not np.all(np.isfinite(t.data)):
-                raise DivergenceError(f"non-finite parameter {name}")
+        for name, p in self._checked:
+            if not np.isfinite(p.data).all():
+                raise DivergenceError(f"non-finite parameter {name} "
+                                      f"after update {self.update_count}")
 
     def q_values(self, windows, valid, actions) -> tuple[np.ndarray, np.ndarray]:
         """Both critic heads as plain arrays (no gradients)."""
@@ -224,7 +224,8 @@ class TD3Agent(Agent):
         a = self.actor.act(windows, valid)
         if not deterministic and self.cfg.explore_noise > 0.0:
             a = a + self.rng.normal(0.0, self.cfg.explore_noise, size=a.shape)
-        return np.clip(a, -1.0, 1.0).astype(np.float32)
+            a = np.clip(a, -1.0, 1.0).astype(np.float32)
+        return a
 
     def _td_target(self, batch: WindowBatch) -> np.ndarray:
         cfg = self.cfg
@@ -491,6 +492,9 @@ class RolloutWindow:
             raise SpecError("seq_len must be >= 1")
         self.buf = np.zeros((seq_len, obs_dim), dtype=np.float32)
         self.count = 0
+        # row c is the valid mask of a window holding c observations
+        self._valid_rows = np.arange(seq_len + 1)[:, None] > np.arange(seq_len)
+        self._valid_rows.flags.writeable = False
 
     def reset(self):
         self.buf[...] = 0.0
@@ -506,8 +510,8 @@ class RolloutWindow:
             self.buf[-1] = obs_normalized
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        valid = (np.arange(self.buf.shape[0]) < self.count)[None]
-        return self.buf[None], valid
+        """The (1, L, obs) window and its read-only (1, L) valid mask."""
+        return self.buf[None], self._valid_rows[self.count, None]
 
 
 class EpisodeDriver:

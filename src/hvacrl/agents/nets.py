@@ -72,6 +72,12 @@ class TwinCritic(Module):
                      for head in (self.q1_head, self.q2_head)[:count])
 
 
+def _clip_unit(a: np.ndarray) -> np.ndarray:
+    """``np.clip(a, -1, 1)`` in a's buffer, without the Python wrapper."""
+    np.maximum(a, -1.0, out=a)
+    return np.minimum(a, 1.0, out=a)
+
+
 class DeterministicActor(Module):
     """tanh-squashed deterministic policy head (TD3 family)."""
 
@@ -87,8 +93,8 @@ class DeterministicActor(Module):
 
     def act(self, windows, valid):
         with T.no_grad():
-            a = self(windows, valid).data.copy()
-        return np.clip(a, -1.0, 1.0)
+            a = np.tanh(self.head(self.encoder(windows, valid)).data)
+        return _clip_unit(a)
 
 
 class GaussianActor(Module):
@@ -113,6 +119,7 @@ class GaussianActor(Module):
 
     def act(self, windows, valid, rng=None, deterministic: bool = True):
         with T.no_grad():
-            mean, log_std = self.dist_params(windows, valid)
-        a = tanh_gaussian_action(mean.data, log_std.data, rng, deterministic)
-        return np.clip(a, -1.0, 1.0)
+            out = self.head(self.encoder(windows, valid)).data
+        k = self.act_dim
+        return _clip_unit(tanh_gaussian_action(out[:, :k], out[:, k:], rng,
+                                               deterministic))

@@ -744,16 +744,17 @@ def write_columns_csv(path, obs, actions, rewards, terminals) -> None:
     header = (["step"] + [f"obs_{i}" for i in range(obs.shape[1])]
               + [f"act_{i}" for i in range(actions.shape[1])]
               + ["reward", "terminal"])
+    # `tolist` turns every value into a Python float (terminals into bools),
+    # and the csv module writes a float as its repr: the shortest exact
+    # representation, so reading the file back reproduces the in-memory
+    # values bit for bit
+    rows = zip(obs.tolist(), actions.tolist(), np.asarray(rewards).tolist(),
+               np.asarray(terminals).tolist())
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
-        for t in range(len(rewards)):
-            # repr(float) is the shortest exact representation, so reading
-            # the file back reproduces the in-memory values bit for bit
-            row = ([t] + [repr(float(v)) for v in obs[t]]
-                   + [repr(float(v)) for v in actions[t]]
-                   + [repr(float(rewards[t])), int(terminals[t])])
-            writer.writerow(row)
+        writer.writerows([t, *o, *a, float(r), int(d)]
+                         for t, (o, a, r, d) in enumerate(rows))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

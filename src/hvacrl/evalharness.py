@@ -327,18 +327,35 @@ def _write_cell(out_root: Path, rq: str, cell_fp: str, report: dict,
     return final_dir
 
 
+def _read_result_json(path: Path) -> dict:
+    """A result file read back, which is outside input: one that is not a
+    JSON object is a DataError."""
+    try:
+        doc = json.loads(path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise DataError(f"{path} is not valid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise DataError(f"{path} does not hold a JSON object")
+    return doc
+
+
 def load_cell(out_root, rq: str, cell_fp: str) -> dict | None:
+    """The report of a finished cell, or None if it has none."""
     p = Path(out_root) / rq / cell_fp / "report.json"
     if not p.exists():
         return None
-    return json.loads(p.read_text())
+    return _read_result_json(p)
 
 
 def _finished_cell(out_root: Path, rq: str, key: str, cell_fp: str) -> dict:
-    """The report of a cell a previous run finished; DataError if absent."""
+    """The report of a cell a previous run finished; DataError if absent
+    or without its axes and seeds."""
     report = load_cell(out_root, rq, cell_fp)
     if report is None:
         raise DataError(f"missing results for cell {key}")
+    missing = [k for k in ("axes", "seeds") if k not in report]
+    if missing:
+        raise DataError(f"report of cell {key} lacks {', '.join(missing)}")
     return report
 
 
@@ -567,16 +584,20 @@ def load_sweep(out_root, rq: str) -> SweepResult:
     """Rebuild the `SweepResult` of a finished sweep from its files.
 
     The cells are the ones ``<out_root>/<rq>/summary.csv`` lists; each is
-    read from its cell directory. A missing summary or a listed cell
-    without its directory is a DataError.
+    read from its cell directory. A missing or damaged summary, a listed
+    cell without its directory and a damaged cell file are DataErrors.
     """
     out_root = Path(out_root)
     path = out_root / rq / "summary.csv"
     if not path.exists():
         raise DataError(f"no summary at {path}; run the sweep first")
     with path.open(newline="") as f:
-        listed = {row["cell"]: row["cell_fingerprint"]
-                  for row in csv.DictReader(f)}
+        reader = csv.DictReader(f)
+        # a sweep without seeds writes an empty summary: no header, no cells
+        if reader.fieldnames is not None and not (
+                {"cell", "cell_fingerprint"} <= set(reader.fieldnames)):
+            raise DataError(f"{path} lacks its cell/cell_fingerprint columns")
+        listed = {row["cell"]: row["cell_fingerprint"] for row in reader}
     result = SweepResult(rq=rq, axes={}, summary_path=str(path))
     for key in sorted(listed):
         cell = _finished_cell(out_root, rq, key, listed[key])
@@ -584,7 +605,7 @@ def load_sweep(out_root, rq: str) -> SweepResult:
         result.add_cell(key, cell["axes"], cell["seeds"], cell_dir)
         quality = cell_dir / "quality.json"
         if quality.exists():
-            result.quality[key] = json.loads(quality.read_text())
+            result.quality[key] = _read_result_json(quality)
     return result
 
 

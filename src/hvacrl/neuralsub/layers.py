@@ -118,7 +118,8 @@ class LayerNorm(Module):
 
 
 class SelfAttention(Module):
-    """Multi-head causal self-attention over a (batch, seq, feat) block."""
+    """Projections of multi-head self-attention over a (batch, seq, feat)
+    block; `EncoderBlock` runs them inside `tensor.encoder_block`."""
 
     def __init__(self, feat: int, heads: int, rng: np.random.Generator):
         if feat % heads != 0:
@@ -128,12 +129,6 @@ class SelfAttention(Module):
         self.wk = Linear(feat, feat, rng)
         self.wv = Linear(feat, feat, rng)
         self.wo = Linear(feat, feat, rng)
-
-    def __call__(self, x: Tensor, mask_bias: np.ndarray) -> Tensor:
-        """``mask_bias`` is the additive score mask per (sample, head) pair,
-        shaped (batch * heads, seq, seq); see `tensor.attention`."""
-        return self.wo(T.attention(self.wq(x), self.wk(x), self.wv(x),
-                                   self.heads, mask_bias))
 
 
 class EncoderBlock(Module):
@@ -146,12 +141,18 @@ class EncoderBlock(Module):
         self.ff1 = Linear(feat, hidden, rng)
         self.ff2 = Linear(hidden, feat, rng)
         self.norm2 = LayerNorm(feat)
+        # the parameters in `tensor.encoder_block`'s order; a tuple of
+        # tensors, which `named_parameters` does not list a second time
+        a = self.attn
+        self._weights = (a.wq.w, a.wq.b, a.wk.w, a.wk.b, a.wv.w, a.wv.b,
+                         a.wo.w, a.wo.b, self.norm1.gain, self.norm1.bias,
+                         self.ff1.w, self.ff1.b, self.ff2.w, self.ff2.b,
+                         self.norm2.gain, self.norm2.bias)
 
     def __call__(self, x: Tensor, mask_bias: np.ndarray) -> Tensor:
-        x = self.norm1(T.add(x, self.attn(x, mask_bias)))
-        ff = T.mlp(x, [(self.ff1.w, self.ff1.b), (self.ff2.w, self.ff2.b)])
-        x = self.norm2(T.add(x, ff))
-        return x
+        """``mask_bias`` is the additive score mask per (sample, head) pair,
+        shaped (batch * heads, seq, seq); see `tensor.attention`."""
+        return T.encoder_block(x, self._weights, self.attn.heads, mask_bias)
 
 
 @dataclass(frozen=True)
@@ -187,24 +188,35 @@ class HistoryEncoder(Module):
             rng.normal(0.0, 0.02, size=(cfg.window, cfg.feat)))
         self.blocks = [EncoderBlock(cfg.feat, cfg.heads, cfg.hidden, rng)
                        for _ in range(cfg.blocks)]
-        # a plain array, so neither a parameter nor a checkpoint entry
-        self.causal = np.tril(np.ones((cfg.window, cfg.window), dtype=bool))
+        # plain arrays, so neither parameters nor checkpoint entries, indexed
+        # by a window's last valid slot c - 1 for c observations: row c - 1
+        # of `prefix` is the window's valid mask, and `score_bias[c - 1]`
+        # its (heads, window, window) attention mask, 0 where a key is
+        # causal (j <= i) and holds real data and -1e9 elsewhere. Row -1 of
+        # `prefix` is all True, so an empty window (c = 0) never matches it.
+        n = cfg.window
+        self.prefix = np.tril(np.ones((n, n), dtype=bool))
+        visible = self.prefix[None] & self.prefix[:, None, :]
+        self.score_bias = np.repeat(
+            np.where(visible, np.float32(0), np.float32(-1e9))[:, None],
+            cfg.heads, axis=1)
 
     def __call__(self, window: np.ndarray, valid: np.ndarray) -> Tensor:
         """window: (batch, window, obs), valid: (batch, window) bool mask."""
         b, n, _ = window.shape
         if n != self.cfg.window:
             raise SpecError(f"window length {n} != configured {self.cfg.window}")
-        counts = valid.sum(axis=1)
-        if np.any(counts < 1):
-            raise SpecError("every window needs at least one valid slot")
-        if not np.array_equal(valid, np.arange(n) < counts[:, None]):
+        if valid.shape != (b, n):
+            raise SpecError(f"valid mask shape {valid.shape} != {(b, n)}")
+        last = valid.sum(axis=1) - 1
+        prefix = self.prefix[last]
+        # equal bytes are a quick proof of equal masks
+        if valid.tobytes() != prefix.tobytes() and not np.array_equal(valid, prefix):
+            if np.any(last < 0):
+                raise SpecError("every window needs at least one valid slot")
             raise SpecError("valid slots must form a left-aligned prefix")
-        x = T.add(self.embed(window), T.reshape(self.position, (1, n, self.cfg.feat)))
-        # keys are visible when they are causal (j <= i) and hold real data
-        visible = self.causal[None] & valid[:, None, :]
-        bias = np.repeat(np.where(visible, np.float32(0), np.float32(-1e9)),
-                         self.cfg.heads, axis=0)
+        x = T.add(self.embed(window), self.position)
+        bias = self.score_bias[last].reshape(b * self.cfg.heads, n, n)
         for block in self.blocks:
             x = block(x, bias)
-        return T.take_per_row(x, counts - 1)
+        return T.take_per_row(x, last)

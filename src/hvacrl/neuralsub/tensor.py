@@ -8,13 +8,19 @@ Graphs are per-loss tapes: build forward, call `backward(loss)`, read
 Gradient arrays are never written in place. A tensor's first gradient
 contribution is stored as it arrives, possibly shared with another tensor,
 and later contributions replace it with a new sum; so code that reads a
-`.grad` must not write into it. The one exception is internal to `mlp`:
-its hidden activations never leave the node, so its backward pass
-overwrites each spent activation buffer with that layer's gradient.
+`.grad` must not write into it. The exceptions are internal to the fused
+nodes (`mlp`, `layer_norm`, `attention`, `encoder_block`): arrays that
+never leave a node, such as hidden activations and the gradients between
+its stages, are overwritten in place once spent.
+
+Each fused node is bit-identical to the graph of single-op nodes it
+replaces, for values and gradients. Its forward and backward passes are
+array-level helpers (`_mlp_data`/`_mlp_grads` and so on), so
+`encoder_block` composes the same code the smaller nodes run.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
+import math
 
 import numpy as np
 
@@ -23,16 +29,17 @@ from ..errors import SpecError
 _grad_enabled = True
 
 
-@contextmanager
-def no_grad():
+class no_grad:
     """Disable tape recording inside the block (targets, rollouts)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
+
+    def __enter__(self):
+        global _grad_enabled
+        self.prev = _grad_enabled
+        _grad_enabled = False
+
+    def __exit__(self, *exc):
+        global _grad_enabled
+        _grad_enabled = self.prev
 
 
 def grad_enabled() -> bool:
@@ -43,12 +50,14 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, parents=(), backward=None):
-        if isinstance(data, (np.ndarray, np.floating)):
-            data = np.asarray(data)
-            if data.dtype not in (np.float32, np.float64):
-                data = data.astype(np.float32)
-        else:
-            data = np.asarray(data, dtype=np.float32)
+        # a float32 or float64 ndarray is taken as it is
+        if type(data) is not np.ndarray or data.dtype.char not in "fd":
+            if isinstance(data, (np.ndarray, np.floating)):
+                data = np.asarray(data)
+                if data.dtype not in (np.float32, np.float64):
+                    data = data.astype(np.float32)
+            else:
+                data = np.asarray(data, dtype=np.float32)
         self.data = data
         self.grad = None
         self.requires_grad = requires_grad
@@ -72,34 +81,9 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    return x if type(x) is Tensor else Tensor(x)
 
 
 def parameter(data) -> Tensor:
@@ -109,8 +93,7 @@ def parameter(data) -> Tensor:
 
 
 def _make(data, parents, backward):
-    needs = _grad_enabled and any(p.requires_grad for p in parents)
-    if not needs:
+    if not _grad_enabled or not any(p.requires_grad for p in parents):
         return Tensor(data)
     return Tensor(data, requires_grad=True, parents=parents, backward=backward)
 
@@ -221,20 +204,6 @@ def scale(a, c: float) -> Tensor:
     return _make(a.data * a.data.dtype.type(c), (a,), bwd)
 
 
-def matmul(a, b) -> Tensor:
-    """2-D or batched 3-D matrix product (batch dims must match)."""
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data @ b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g @ b.data.swapaxes(-1, -2))
-        if b.requires_grad:
-            _accumulate(b, a.data.swapaxes(-1, -2) @ g)
-
-    return _make(out_data, (a, b), bwd)
-
-
 def _affine_data(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x @ w + b, adding the bias in the product's buffer when the dtypes
     agree (an in-place add into float32 would round a float64 bias)."""
@@ -268,6 +237,37 @@ def affine(x, w, b) -> Tensor:
     return _make(_affine_data(x.data, w.data, b.data), (x, w, b), bwd)
 
 
+def _mlp_data(x: np.ndarray, layers) -> tuple[np.ndarray, list]:
+    """`mlp`'s forward on arrays: the output and each layer's input, all
+    but the first owned by the caller."""
+    inputs = [x]
+    h = x
+    for w, b in layers[:-1]:
+        h = _affine_data(h, w.data, b.data)
+        np.maximum(h, 0, out=h)
+        inputs.append(h)
+    w, b = layers[-1]
+    return _affine_data(h, w.data, b.data), inputs
+
+
+def _mlp_grads(g: np.ndarray, inputs: list, layers, need_dx: bool):
+    """`mlp`'s backward: accumulates the parameter gradients and returns the
+    input gradient, or None without ``need_dx``. Writes each layer's input
+    gradient into that layer's spent input activation."""
+    for (w, b), inp in zip(reversed(layers[1:]), reversed(inputs[1:])):
+        _affine_param_grads(inp, w, b, g)
+        mask = inp > 0
+        if w.data.shape[1] == 1:
+            np.multiply(g, w.data.T, out=inp)   # a K=1 product, no gemm
+        else:
+            np.matmul(g, w.data.T, out=inp)
+        inp *= mask
+        g = inp
+    w, b = layers[0]
+    _affine_param_grads(inputs[0], w, b, g)
+    return g @ w.data.T if need_dx else None
+
+
 def mlp(x, layers) -> Tensor:
     """ReLU stack as one tape node: `affine` then `relu` for every (w, b)
     pair but the last, which stays affine.
@@ -279,42 +279,15 @@ def mlp(x, layers) -> Tensor:
     """
     x = as_tensor(x)
     layers = [(as_tensor(w), as_tensor(b)) for w, b in layers]
-    inputs = [x.data]          # each layer's input; all but the first are owned
-    h = x.data
-    for w, b in layers[:-1]:
-        h = _affine_data(h, w.data, b.data)
-        np.maximum(h, 0, out=h)
-        inputs.append(h)
-    w, b = layers[-1]
-    out_data = _affine_data(h, w.data, b.data)
+    out_data, inputs = _mlp_data(x.data, layers)
 
     def bwd(g):
-        for (w, b), inp in zip(reversed(layers[1:]), reversed(inputs[1:])):
-            _affine_param_grads(inp, w, b, g)
-            mask = inp > 0
-            if w.data.shape[1] == 1:
-                np.multiply(g, w.data.T, out=inp)   # a K=1 product, no gemm
-            else:
-                np.matmul(g, w.data.T, out=inp)
-            inp *= mask
-            g = inp
-        w, b = layers[0]
-        _affine_param_grads(x.data, w, b, g)
-        if x.requires_grad:
-            _accumulate(x, g @ w.data.T)
+        dx = _mlp_grads(g, inputs, layers, x.requires_grad)
+        if dx is not None:
+            _accumulate(x, dx)
 
     parents = (x,) + tuple(t for pair in layers for t in pair)
     return _make(out_data, parents, bwd)
-
-
-def relu(x) -> Tensor:
-    x = as_tensor(x)
-    out_data = np.maximum(x.data, 0)
-
-    def bwd(g):
-        _accumulate(x, g * (out_data > 0))
-
-    return _make(out_data, (x,), bwd)
 
 
 def tanh(x) -> Tensor:
@@ -333,18 +306,6 @@ def exp(x) -> Tensor:
 
     def bwd(g):
         _accumulate(x, g * out_data)
-
-    return _make(out_data, (x,), bwd)
-
-
-def log(x) -> Tensor:
-    x = as_tensor(x)
-    if np.any(x.data <= 0):
-        raise SpecError("log() of non-positive values")
-    out_data = np.log(x.data)
-
-    def bwd(g):
-        _accumulate(x, g / x.data)
 
     return _make(out_data, (x,), bwd)
 
@@ -394,28 +355,71 @@ def minimum(a, b) -> Tensor:
     return _make(out_data, (a, b), bwd)
 
 
-def _softmax_data(logits: np.ndarray, axis: int) -> np.ndarray:
-    out = logits - logits.max(axis=axis, keepdims=True)
+def _softmax_data(logits: np.ndarray, axis: int, out=None) -> np.ndarray:
+    """Softmax along ``axis``; ``out=logits`` computes it in place."""
+    out = np.subtract(logits, np.maximum.reduce(logits, axis=axis, keepdims=True),
+                      out=out)
     np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
+    out /= np.add.reduce(out, axis=axis, keepdims=True)
     return out
 
 
 def _softmax_grad(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
-    inner = (g * out).sum(axis=axis, keepdims=True)
+    inner = np.add.reduce(g * out, axis=axis, keepdims=True)
     return (g - inner) * out
 
 
-def softmax(x, axis: int = -1, mask_bias=None) -> Tensor:
-    """Softmax along `axis`; `mask_bias` is an additive constant (e.g. -1e9)."""
-    x = as_tensor(x)
-    out_data = _softmax_data(x.data if mask_bias is None else x.data + mask_bias,
-                             axis)
+def _attention_data(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
+                    bias: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """`attention`'s forward on arrays: the merged output and the arrays its
+    backward pass reads. ``bias`` is added into the score buffer, so it must
+    not need a wider dtype than the scores."""
+    b, n, d = q.shape
+    h, hs = heads, d // heads
 
-    def bwd(g):
-        _accumulate(x, _softmax_grad(g, out_data, axis))
+    def split(a):   # (b, n, d) -> (b*h, n, hs)
+        return np.ascontiguousarray(
+            a.reshape(b, n, h, hs).swapaxes(1, 2)).reshape(b * h, n, hs)
 
-    return _make(out_data, (x,), bwd)
+    qh, kh, vh = split(q), split(k), split(v)
+    kt = np.ascontiguousarray(kh.swapaxes(1, 2))
+    scores = qh @ kt
+    # math.sqrt rounds as np.sqrt does, without a ufunc call on a scalar
+    scores *= scores.dtype.type(1.0 / math.sqrt(hs))
+    scores += bias
+    attn = _softmax_data(scores, -1, out=scores)
+    out = np.ascontiguousarray(
+        (attn @ vh).reshape(b, h, n, hs).swapaxes(1, 2)).reshape(b, n, d)
+    return out, (qh, kt, vh, attn)
+
+
+def _attention_grads(g: np.ndarray, saved: tuple, heads: int,
+                     need_q: bool = True, need_k: bool = True,
+                     need_v: bool = True) -> tuple:
+    """`attention`'s backward: the q, k and v gradients, None where not
+    needed."""
+    qh, kt, vh, attn = saved
+    bh, n, hs = qh.shape
+    b, h, d = bh // heads, heads, hs * heads
+
+    def merged(a):   # the split's backward: (b*h, n, hs) -> (b, n, d)
+        return a.reshape(b, h, n, hs).swapaxes(1, 2).reshape(b, n, d)
+
+    gh = g.reshape(b, n, h, hs).swapaxes(1, 2).reshape(b * h, n, hs)
+    dq = dk = dv = None
+    if need_q or need_k:
+        dattn = gh @ vh.swapaxes(-1, -2)
+        # `scale`'s backward multiplied by the float64 constant, and
+        # `_accumulate` rounded that product back to the input dtype
+        dscores = (_softmax_grad(dattn, attn, -1) * (1.0 / np.sqrt(hs))
+                   ).astype(attn.dtype, copy=False)
+        if need_q:
+            dq = merged(dscores @ kt.swapaxes(-1, -2))
+        if need_k:
+            dk = merged((qh.swapaxes(-1, -2) @ dscores).swapaxes(1, 2))
+    if need_v:
+        dv = merged(attn.swapaxes(-1, -2) @ gh)
+    return dq, dk, dv
 
 
 def attention(q, k, v, heads: int, bias: np.ndarray) -> Tensor:
@@ -433,41 +437,14 @@ def attention(q, k, v, heads: int, bias: np.ndarray) -> Tensor:
     decide whether a matmul runs through BLAS or numpy's own loop.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    b, n, d = q.data.shape
-    h, hs = heads, d // heads
-    c = 1.0 / np.sqrt(hs)   # a float64 scalar, as `scale` receives it
-
-    def split(a):   # (b, n, d) -> (b*h, n, hs)
-        return np.ascontiguousarray(
-            a.reshape(b, n, h, hs).swapaxes(1, 2)).reshape(b * h, n, hs)
-
-    def merged_grad(g):   # the split's backward: (b*h, n, hs) -> (b, n, d)
-        return g.reshape(b, h, n, hs).swapaxes(1, 2).reshape(b, n, d)
-
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    kt = np.ascontiguousarray(kh.swapaxes(1, 2))
-    scores = qh @ kt
-    dtype = scores.dtype
-    scores *= dtype.type(c)
-    attn = _softmax_data(scores + bias, -1)
-    out_data = np.ascontiguousarray(
-        (attn @ vh).reshape(b, h, n, hs).swapaxes(1, 2)).reshape(b, n, d)
+    out_data, saved = _attention_data(q.data, k.data, v.data, heads, bias)
 
     def bwd(g):
-        gh = g.reshape(b, n, h, hs).swapaxes(1, 2).reshape(b * h, n, hs)
-        if q.requires_grad or k.requires_grad:
-            dattn = gh @ vh.swapaxes(-1, -2)
-            # `scale`'s backward multiplied by the float64 constant, and
-            # `_accumulate` rounded that product back to the input dtype
-            dscores = (_softmax_grad(dattn, attn, -1) * c).astype(
-                dtype, copy=False)
-            if q.requires_grad:
-                _accumulate(q, merged_grad(dscores @ kt.swapaxes(-1, -2)))
-            if k.requires_grad:
-                dkt = qh.swapaxes(-1, -2) @ dscores
-                _accumulate(k, merged_grad(dkt.swapaxes(1, 2)))
-        if v.requires_grad:
-            _accumulate(v, merged_grad(attn.swapaxes(-1, -2) @ gh))
+        grads = _attention_grads(g, saved, heads, q.requires_grad,
+                                 k.requires_grad, v.requires_grad)
+        for t, grad in zip((q, k, v), grads):
+            if grad is not None:
+                _accumulate(t, grad)
 
     return _make(out_data, (q, k, v), bwd)
 
@@ -475,29 +452,127 @@ def attention(q, k, v, heads: int, bias: np.ndarray) -> Tensor:
 def _mean_last(a: np.ndarray) -> np.ndarray:
     """``a.mean(axis=-1, keepdims=True)``, bit for bit, without the Python
     wrapper that costs about as much as the arithmetic on small rows."""
-    return a.sum(axis=-1, keepdims=True) / a.shape[-1]
+    m = np.add.reduce(a, axis=-1, keepdims=True)
+    m /= a.shape[-1]
+    return m
+
+
+def _into(op, buf: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """``op(other, buf)`` for a commutative ufunc ``op``, computed in
+    ``buf``'s memory when the dtypes agree, as in `_affine_data`."""
+    if buf.dtype != other.dtype:
+        return op(other, buf)
+    return op(buf, other, out=buf)
+
+
+def _layer_norm_data(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                     eps: float, out=None, keep: bool = True) -> tuple:
+    """`layer_norm`'s forward on arrays: the output, the normalized input
+    and the inverse standard deviation. ``out=x`` normalizes in x's buffer;
+    ``keep=False`` then writes the output over the normalized input too,
+    for a caller that runs no backward pass."""
+    xhat = np.subtract(x, _mean_last(x), out=out)
+    # 1 / sqrt(var + eps), where var is what `np.var` computes: the mean of
+    # the squared deviations
+    inv_std = _mean_last(xhat * xhat)
+    inv_std += eps
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    xhat *= inv_std
+    out = gain * xhat if keep else _into(np.multiply, xhat, gain)
+    return _into(np.add, out, bias), xhat, inv_std
+
+
+def _layer_norm_grads(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
+                      gain: Tensor, bias: Tensor, need_dx: bool):
+    """`layer_norm`'s backward: accumulates the gain and bias gradients and
+    returns the input gradient, or None without ``need_dx``."""
+    if gain.requires_grad:
+        _accumulate(gain, (g * xhat).reshape(-1, g.shape[-1]).sum(axis=0))
+    if bias.requires_grad:
+        _accumulate(bias, g.reshape(-1, g.shape[-1]).sum(axis=0))
+    if not need_dx:
+        return None
+    # inv_std * (gx - mean(gx) - xhat * mean(gx * xhat)), in gx's buffer
+    gx = g * gain.data
+    t = gx * xhat
+    m = _mean_last(t)
+    gx -= _mean_last(gx)
+    gx -= np.multiply(xhat, m, out=t)
+    gx *= inv_std
+    return gx
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    centred = x.data - _mean_last(x.data)
-    # the variance `np.var` computes: the mean of the squared deviations
-    inv_std = 1.0 / np.sqrt(_mean_last(centred * centred) + eps)
-    xhat = centred * inv_std
-    out_data = gain.data * xhat + bias.data
+    out_data, xhat, inv_std = _layer_norm_data(x.data, gain.data, bias.data, eps)
 
     def bwd(g):
-        if gain.requires_grad:
-            _accumulate(gain, (g * xhat).reshape(-1, g.shape[-1]).sum(axis=0))
-        if bias.requires_grad:
-            _accumulate(bias, g.reshape(-1, g.shape[-1]).sum(axis=0))
-        if x.requires_grad:
-            gx = g * gain.data
-            dx = inv_std * (gx - _mean_last(gx) - xhat * _mean_last(gx * xhat))
+        dx = _layer_norm_grads(g, xhat, inv_std, gain, bias, x.requires_grad)
+        if dx is not None:
             _accumulate(x, dx)
 
     return _make(out_data, (x, gain, bias), bwd)
+
+
+def encoder_block(x, weights, heads: int, bias: np.ndarray,
+                  eps: float = 1e-5) -> Tensor:
+    """A post-norm transformer encoder block as one tape node:
+
+        y = layer_norm(x + affine(attention(xq, xk, xv), wo, bo), g1, c1)
+        out = layer_norm(y + mlp(y, [(w1, b1), (w2, b2)]), g2, c2)
+
+    where ``xq = affine(x, wq, bq)`` and likewise for k and v. ``weights``
+    holds the 16 parameter tensors in the order wq, bq, wk, bk, wv, bv, wo,
+    bo, g1, c1, w1, b1, w2, b2, g2, c2; ``heads`` and ``bias`` are as in
+    `attention`.
+
+    Values and gradients are bit-identical to that composed graph. The
+    backward pass replays the tape's order: the block input's gradient is
+    the residual's contribution, then the q, k and v projections' ones,
+    each added with `_accumulate`. Intermediate buffers belong to the node,
+    so residual sums and normalizations are computed in place.
+    """
+    x = as_tensor(x)
+    wq, bq, wk, bk, wv, bv, wo, bo, g1, c1, w1, b1, w2, b2, g2, c2 = weights
+    # without a tape the normalized inputs are spent as soon as they are read
+    keep = _grad_enabled and (x.requires_grad
+                              or any(w.requires_grad for w in weights))
+    proj = ((wq, bq), (wk, bk), (wv, bv))
+    ff = [(w1, b1), (w2, b2)]
+    xd = x.data
+    att, saved = _attention_data(_affine_data(xd, wq.data, bq.data),
+                                 _affine_data(xd, wk.data, bk.data),
+                                 _affine_data(xd, wv.data, bv.data), heads, bias)
+    # a residual sum is computed from its skip input, so its dtype already
+    # holds that input's: the skip input is added in place
+    r1 = _affine_data(att, wo.data, bo.data)
+    r1 += xd
+    y1, xhat1, inv1 = _layer_norm_data(r1, g1.data, c1.data, eps, out=r1,
+                                       keep=keep)
+    h, inputs = _mlp_data(y1, ff)
+    r2 = h
+    r2 += y1
+    out_data, xhat2, inv2 = _layer_norm_data(r2, g2.data, c2.data, eps, out=r2,
+                                             keep=keep)
+
+    def bwd(g):
+        g = _layer_norm_grads(g, xhat2, inv2, g2, c2, True)
+        # the residual's contribution reaches y first, then the mlp's
+        gy = _mlp_grads(g, inputs, ff, True)
+        gy += g
+        g = _layer_norm_grads(gy, xhat1, inv1, g1, c1, True)
+        if x.requires_grad:
+            _accumulate(x, g)
+        datt = g @ wo.data.T
+        _affine_param_grads(att, wo, bo, g)
+        for (w, b), gp in zip(proj, _attention_grads(datt, saved, heads)):
+            if x.requires_grad:
+                _accumulate(x, gp @ w.data.T)
+            _affine_param_grads(xd, w, b, gp)
+
+    return _make(out_data, (x, *weights), bwd)
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
@@ -522,15 +597,6 @@ def reshape(x, shape) -> Tensor:
         _accumulate(x, g.reshape(in_shape))
 
     return _make(x.data.reshape(shape), (x,), bwd)
-
-
-def swapaxes(x, a1: int, a2: int) -> Tensor:
-    x = as_tensor(x)
-
-    def bwd(g):
-        _accumulate(x, g.swapaxes(a1, a2))
-
-    return _make(np.ascontiguousarray(x.data.swapaxes(a1, a2)), (x,), bwd)
 
 
 def index_select(x, index) -> Tensor:

@@ -731,6 +731,35 @@ class TestActing:
         spread = noisy - np.clip(base, -1, 1)
         assert 0.0 < np.abs(spread).mean() < 0.5
 
+    @pytest.mark.parametrize("algo", ["sac", "td3"])
+    def test_history_rollout_action_matches_taped_forward(self, algo):
+        # the tape-free batch-1 act path against the taped actor, while a
+        # rollout window fills (pushes 1-6) and then slides (7-20)
+        cfg = AgentConfig(algo=algo, history=True, seq_len=6, enc_feat=16,
+                          enc_heads=4, enc_hidden=24, hidden=32, train_steps=0,
+                          seed=11)
+        agent = make_agent(cfg, 4, 2)
+        rw = RolloutWindow(4, cfg.seq_len)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            rw.push(rng.normal(size=4).astype(np.float32))
+            windows, valid = rw.arrays()
+            if algo == "sac":
+                taped = agent.actor.sample(windows, valid, None,
+                                           deterministic=True)[0]
+            else:
+                taped = agent.actor(windows, valid)
+            assert taped.requires_grad
+            got = agent.policy_action(windows, valid)
+            assert got.dtype == np.float32
+            assert np.array_equal(got, np.clip(taped.data, -1.0, 1.0))
+        if algo == "sac":   # the stochastic draw too, from the same stream
+            state = agent.rng.bit_generator.state
+            got = agent.policy_action(windows, valid, deterministic=False)
+            agent.rng.bit_generator.state = state
+            taped = agent.actor.sample(windows, valid, agent.rng)[0]
+            assert np.array_equal(got, np.clip(taped.data, -1.0, 1.0))
+
 
 # ---------------------------------------------------------------------------
 # training loops and artifacts

@@ -8,6 +8,9 @@ from hvacrl.neuralsub import tensor as T
 from hvacrl.neuralsub.optim import Adam
 
 from gradcheck import TOL, check_op
+import reference_graphs as R
+from reference_graphs import (causal_bias, composed_attention,
+                              composed_encoder_block, composed_mlp)
 
 
 def rand(rng, *shape):
@@ -39,7 +42,7 @@ class TestElementwiseOps:
 
         def build(ts):
             (x,) = ts
-            y = T.add(T.tanh(x), T.relu(x))
+            y = T.add(T.tanh(x), R.relu(x))
             y = T.add(y, T.softplus(x))
             y = T.add(y, T.exp(T.scale(x, 0.3)))
             return T.mean(y)
@@ -53,7 +56,7 @@ class TestElementwiseOps:
 
         def build(ts):
             (x,) = ts
-            return T.mean(T.add(T.log(x), T.square(x)))
+            return T.mean(T.add(R.log(x), T.square(x)))
 
         assert check_op(build, [a]) <= TOL
 
@@ -98,7 +101,7 @@ class TestMatmulOps:
         a, b = rand(rng, m, k), rand(rng, k, n)
 
         def build(ts):
-            return T.mean(T.square(T.matmul(ts[0], ts[1])))
+            return T.mean(T.square(R.matmul(ts[0], ts[1])))
 
         assert check_op(build, [a, b]) <= TOL
 
@@ -109,7 +112,7 @@ class TestMatmulOps:
         a, b = rand(rng, bsz, m, k), rand(rng, bsz, k, n)
 
         def build(ts):
-            return T.mean(T.square(T.matmul(ts[0], ts[1])))
+            return T.mean(T.square(R.matmul(ts[0], ts[1])))
 
         assert check_op(build, [a, b]) <= TOL
 
@@ -151,7 +154,7 @@ class TestReductionsAndShape:
         def build(ts):
             x, y = ts
             z = T.concat([x, y], axis=-1)          # (2, 3, 6)
-            z = T.swapaxes(z, 0, 1)                # (3, 2, 6)
+            z = R.swapaxes(z, 0, 1)                # (3, 2, 6)
             z = T.narrow(z, 2, 1, 4)               # (3, 2, 4)
             z = T.reshape(z, (6, 4))
             return T.mean(T.square(z))
@@ -192,7 +195,7 @@ class TestNormalizers:
 
         def build(ts):
             (x,) = ts
-            return T.mean(T.mul(T.softmax(x, axis=-1), probe))
+            return T.mean(T.mul(R.softmax(x, axis=-1), probe))
 
         assert check_op(build, [a]) <= TOL
 
@@ -206,13 +209,13 @@ class TestNormalizers:
 
         def build(ts):
             (x,) = ts
-            return T.mean(T.mul(T.softmax(x, axis=-1, mask_bias=bias), probe))
+            return T.mean(T.mul(R.softmax(x, axis=-1, mask_bias=bias), probe))
 
         assert check_op(build, [a]) <= TOL
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
-        y = T.softmax(T.Tensor(rand(rng, 8, 5)), axis=-1).data
+        y = R.softmax(T.Tensor(rand(rng, 8, 5)), axis=-1).data
         assert np.allclose(y.sum(axis=-1), 1.0, atol=1e-6)
         assert np.all(y >= 0)
 
@@ -275,14 +278,6 @@ class TestTapeMechanics:
         x = T.parameter(np.ones(2, dtype=np.float32))
         y = T.mul(x, 2.0).detach()
         assert not y.requires_grad
-
-
-def composed_mlp(x, layers):
-    """The reference graph `T.mlp` must reproduce bit for bit."""
-    h = x
-    for w, b in layers[:-1]:
-        h = T.relu(T.affine(h, w, b))
-    return T.affine(h, *layers[-1])
 
 
 class TestMLPNode:
@@ -377,32 +372,6 @@ class TestGradientsNeverWrittenInPlace:
         assert t.grad[0] == np.float32(1.0 + 2.0 ** -23)
 
 
-def composed_attention(q, k, v, heads, bias):
-    """The graph `T.attention` must reproduce bit for bit: the encoder's
-    attention as it was composed from single-op nodes."""
-    b, n, d = q.shape
-    h, hs = heads, d // heads
-
-    def split(t):
-        t = T.reshape(t, (b, n, h, hs))
-        t = T.swapaxes(t, 1, 2)
-        return T.reshape(t, (b * h, n, hs))
-
-    scores = T.scale(T.matmul(split(q), T.swapaxes(split(k), 1, 2)),
-                     1.0 / np.sqrt(hs))
-    attn = T.softmax(scores, axis=-1, mask_bias=bias)
-    out = T.reshape(T.matmul(attn, split(v)), (b, h, n, hs))
-    return T.reshape(T.swapaxes(out, 1, 2), (b, n, d))
-
-
-def causal_bias(valid, heads):
-    """The (batch * heads, n, n) score mask of left-aligned windows."""
-    n = valid.shape[1]
-    visible = np.tril(np.ones((n, n), dtype=bool))[None] & valid[:, None, :]
-    return np.repeat(np.where(visible, 0.0, -1e9).astype(np.float32), heads,
-                     axis=0)
-
-
 class TestAttentionNode:
     @staticmethod
     def run(attend, arrays, heads, bias):
@@ -467,6 +436,77 @@ class TestAttentionNode:
 
         def build(ts):
             return T.mean(T.mul(T.attention(*ts, 2, bias), probe))
+
+        assert check_op(build, arrays) <= TOL
+
+
+def block_weights(rng, d, hidden, dtype=np.float32):
+    """The 16 `T.encoder_block` parameter arrays for width d."""
+    arrays = []
+    for _ in range(4):      # q, k, v and output projections
+        arrays += [rng.uniform(-0.5, 0.5, size=(d, d)),
+                   rng.uniform(-0.1, 0.1, size=d)]
+    norm = [rng.uniform(0.5, 1.5, size=d), rng.uniform(-0.1, 0.1, size=d)]
+    arrays += norm
+    arrays += [rng.uniform(-0.5, 0.5, size=(d, hidden)),
+               rng.uniform(-0.1, 0.1, size=hidden),
+               rng.uniform(-0.5, 0.5, size=(hidden, d)),
+               rng.uniform(-0.1, 0.1, size=d)]
+    arrays += [rng.uniform(0.5, 1.5, size=d), rng.uniform(-0.1, 0.1, size=d)]
+    return [a.astype(dtype) for a in arrays]
+
+
+class TestEncoderBlockNode:
+    @staticmethod
+    def run(block, x_arr, weight_arrs, heads, bias):
+        """One block under a random linear readout; returns its output and
+        the gradients of the input and of all 16 parameters."""
+        x = T.parameter(x_arr)
+        weights = [T.parameter(a) for a in weight_arrs]
+        out = block(x, weights, heads, bias)
+        readout = np.random.default_rng(0).uniform(-1, 1, size=out.shape)
+        T.backward(T.sum_(T.mul(out, readout.astype(np.float32))))
+        return [out.data, x.grad] + [w.grad for w in weights]
+
+    @pytest.mark.parametrize("prefix", ["full", "mixed"])
+    @pytest.mark.parametrize("batch", [1, 5])
+    @pytest.mark.parametrize("heads", [1, 4])
+    def test_bit_equal_to_composed_graph(self, heads, batch, prefix):
+        n, d, hidden = 6, 20, 24   # head sizes 20 and 5
+        rng = np.random.default_rng(heads * 100 + batch * 10 + len(prefix))
+        counts = (np.full(batch, n) if prefix == "full"
+                  else rng.integers(1, n + 1, size=batch))
+        if prefix == "mixed":
+            counts[0] = 3     # a strict prefix even at batch 1
+        bias = causal_bias(np.arange(n) < counts[:, None], heads)
+        x_arr = rng.uniform(-1, 1, size=(batch, n, d)).astype(np.float32)
+        weight_arrs = block_weights(rng, d, hidden)
+        got = self.run(T.encoder_block, x_arr, weight_arrs, heads, bias)
+        ref = self.run(composed_encoder_block, x_arr, weight_arrs, heads, bias)
+        assert len(got) == len(ref) == 18
+        for g, r in zip(got, ref):
+            assert g.dtype == r.dtype == np.float32
+            assert np.array_equal(g, r)
+
+    def test_no_grad_forward_matches(self):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(3, 4, 8)).astype(np.float32)
+        weights = [T.parameter(a) for a in block_weights(rng, 8, 12)]
+        bias = causal_bias(np.arange(4) < np.array([[1], [4], [2]]), 2)
+        with T.no_grad():
+            out = T.encoder_block(x, weights, 2, bias)
+        assert not out.requires_grad
+        assert np.array_equal(
+            out.data, composed_encoder_block(T.Tensor(x), weights, 2, bias).data)
+
+    def test_gradcheck(self):
+        rng = np.random.default_rng(820)
+        bias = causal_bias(np.arange(4) < np.array([[4], [2]]), 2)
+        arrays = [rand(rng, 2, 4, 6)] + block_weights(rng, 6, 5, np.float64)
+        probe = rng.uniform(-1, 1, size=(2, 4, 6))
+
+        def build(ts):
+            return T.mean(T.mul(T.encoder_block(ts[0], ts[1:], 2, bias), probe))
 
         assert check_op(build, arrays) <= TOL
 

@@ -367,6 +367,40 @@ class TestSweepAndReport:
                     "--results", str(tmp_path / "results")]) == 3
         assert "missing results for cell" in capsys.readouterr().err
 
+    def test_report_with_a_truncated_cell_report_is_data_error(
+            self, tmp_path, capsys):
+        cfg = self.sweep_config(tmp_path)
+        assert run(["--config", str(cfg), "sweep", "--rq", "3"]) == 0
+        with open(tmp_path / "results" / "rq3" / "summary.csv") as f:
+            fp = next(csv.DictReader(f))["cell_fingerprint"]
+        (tmp_path / "results" / "rq3" / fp / "report.json").write_text(
+            '{"seeds": [')
+        capsys.readouterr()
+        assert run(["report", "--rq", "3",
+                    "--results", str(tmp_path / "results")]) == 3
+        assert "is not valid JSON" in capsys.readouterr().err
+        # a resumed sweep reads the same report to decide what to skip
+        cfg = self.sweep_config(tmp_path, skip_existing=True)
+        assert run(["--config", str(cfg), "sweep", "--rq", "3"]) == 3
+
+    def test_report_with_summary_columns_missing_is_data_error(
+            self, tmp_path, capsys):
+        cfg = self.sweep_config(tmp_path)
+        assert run(["--config", str(cfg), "sweep", "--rq", "3"]) == 0
+        summary = tmp_path / "results" / "rq3" / "summary.csv"
+        with open(summary, newline="") as f:
+            rows = list(csv.DictReader(f))
+        kept = [c for c in rows[0] if c not in ("cell", "cell_fingerprint")]
+        with open(summary, "w", newline="") as f:
+            writer = csv.DictWriter(f, fieldnames=kept, extrasaction="ignore",
+                                    lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        capsys.readouterr()
+        assert run(["report", "--rq", "3",
+                    "--results", str(tmp_path / "results")]) == 3
+        assert "cell/cell_fingerprint columns" in capsys.readouterr().err
+
     def test_online_cells_with_zero_steps_report_epoch_0(self, tmp_path):
         cfg = self.sweep_config(tmp_path, rq2_modes=["sac"],
                                 rq2_online_steps=0)

@@ -14,7 +14,7 @@ from hvacrl.neuralsub.sampling import (sample_tanh_gaussian, tanh_gaussian_actio
 
 from container_cases import ContainerCases, rewrite_header
 from gradcheck import TOL, check_module
-from test_autodiff import composed_attention
+from reference_graphs import composed_attention
 
 SMALL = EncoderConfig(window=6, feat=16, blocks=2, heads=4, hidden=24)
 
