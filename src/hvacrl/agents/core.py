@@ -447,17 +447,13 @@ def select_action(agent: Agent, window: np.ndarray, valid: np.ndarray,
     return agent.policy_action(window, valid, deterministic=deterministic)[0]
 
 
-def _physical(act_n, spec) -> envcore.Action:
-    """Physical-units action for a normalized policy action."""
-    return envcore.denormalize_action(envcore.Action(
-        values=np.asarray(act_n, dtype=np.float64), normalized=True), spec)
-
-
 class PolicyController:
     """Adapts an agent to the physical-units controller interface.
 
-    Normalizes incoming observations, maintains the rolling history window,
-    and denormalizes the policy's action. Call reset() between episodes.
+    Called with a physical observation vector, it pushes the normalized
+    observation into the rolling history window and returns the policy's
+    [-1, 1] action as a float64 physical vector
+    (`envcore.denormalize_action`). Call reset() between episodes.
     """
 
     def __init__(self, agent: "Agent", obs_spec, act_spec,
@@ -475,13 +471,11 @@ class PolicyController:
     def reset(self):
         self.window.reset()
 
-    def normalized_action(self, obs) -> np.ndarray:
+    def __call__(self, obs: np.ndarray) -> np.ndarray:
         self.window.push(envcore.normalize_obs(obs, self.obs_spec))
-        return self.agent.policy_action(*self.window.arrays(),
-                                        deterministic=self.deterministic)[0]
-
-    def __call__(self, obs):
-        return _physical(self.normalized_action(obs), self.act_spec)
+        act_n = self.agent.policy_action(*self.window.arrays(),
+                                         deterministic=self.deterministic)[0]
+        return envcore.denormalize_action(act_n, self.act_spec)
 
 
 class RolloutWindow:
@@ -546,8 +540,8 @@ class EpisodeDriver:
         ``(obs_n, act_n, reward, done)``, where ``obs_n`` is the normalized
         observation the action was chosen from."""
         obs_n = self.obs_n
-        obs, reward, done, _ = self.env.step(_physical(act_n,
-                                                       self.env.act_spec))
+        obs, reward, done, _ = self.env.step(
+            envcore.denormalize_action(act_n, self.env.act_spec))
         if done:
             self._begin_episode()
         else:

@@ -28,8 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from .envcore import (
-    Action,
-    Observation,
     RewardParams,
     RewardTerms,
     VectorSpec,
@@ -140,6 +138,10 @@ class ThermalParams:
                 raise SpecError(
                     f"dt={self.dt_s}s unstable for zone {self.zone_names[i]}: "
                     f"needs dt < {critical:.0f}s")
+        # arrays for the step functions; not fields, so not fingerprinted
+        object.__setattr__(self, "_capacity", np.array(self.capacity_j_per_k))
+        object.__setattr__(self, "_outdoor_r", np.array(self.outdoor_r_k_per_w))
+        object.__setattr__(self, "_max_flow", np.array(self.max_flow_kg_s))
 
     def cop(self, t_out_c: float) -> float:
         return max(1.0, self.cop_nominal - self.cop_slope * (t_out_c - self.cop_ref_c))
@@ -340,7 +342,6 @@ def load_weather_trace(path, dt_s: float, name: str | None = None,
 @dataclass
 class EnvState:
     zone_temps_c: np.ndarray     # float64, one per zone
-    weather_noise: float         # current OU latent (hidden from obs)
     gain_phase: float            # hidden per-episode schedule offset
     step_index: int
 
@@ -367,12 +368,12 @@ class PowerBreakdown:
 def _advance_temps(temps: np.ndarray, t_out: float, gains: np.ndarray,
                    hvac_w: np.ndarray, params: ThermalParams) -> np.ndarray:
     flux = gains + hvac_w
-    flux = flux + (t_out - temps) / np.array(params.outdoor_r_k_per_w)
+    flux = flux + (t_out - temps) / params._outdoor_r
     for i, j, r in params.coupling_r_k_per_w:
         q = (temps[j] - temps[i]) / r
         flux[i] += q
         flux[j] -= q
-    new = temps + params.dt_s * flux / np.array(params.capacity_j_per_k)
+    new = temps + params.dt_s * flux / params._capacity
     if not np.isfinite(new).all():
         raise SimulationFault(
             "non-finite zone temperature",
@@ -381,11 +382,13 @@ def _advance_temps(temps: np.ndarray, t_out: float, gains: np.ndarray,
     return new
 
 
-def step_datacenter(state: EnvState, act: Action, params: ThermalParams,
-                    weather) -> tuple[EnvState, Observation, PowerBreakdown]:
-    """One control interval: actions are [sp_west, sp_east, flow_west, flow_east]."""
-    setpoints = np.asarray(act.values[:2], dtype=float)
-    flows = np.asarray(act.values[2:], dtype=float)
+def step_datacenter(state: EnvState, act: np.ndarray, params: ThermalParams,
+                    weather) -> tuple[EnvState, np.ndarray, PowerBreakdown]:
+    """One control interval from a physical action vector
+    [sp_west, sp_east, flow_west, flow_east]; returns the next state, its
+    physical observation vector and the interval's power."""
+    setpoints = np.asarray(act[:2], dtype=float)
+    flows = np.asarray(act[2:], dtype=float)
     t_out, rh = weather_at(weather, state.step_index)
     gains = params.gains.at(state.step_index * params.dt_s, state.gain_phase)
     temps = state.zone_temps_c
@@ -399,9 +402,7 @@ def step_datacenter(state: EnvState, act: Action, params: ThermalParams,
                     * np.maximum(temps - setpoints, 0.0)).sum() / cop)
     power = PowerBreakdown(building_w=float(gains.sum()), fan_w=fan_w,
                            coil_w=coil_w)
-    new_state = EnvState(zone_temps_c=new_temps,
-                         weather_noise=_current_noise(weather, state.step_index),
-                         gain_phase=state.gain_phase,
+    new_state = EnvState(zone_temps_c=new_temps, gain_phase=state.gain_phase,
                          step_index=state.step_index + 1)
     obs = assemble_observation(new_state, power, (t_out, rh), params)
     return new_state, obs, power
@@ -420,14 +421,16 @@ def _damper(zone_temp: float, zone_set: float, supply_temp: float,
     return min(max(opening, 0.0), 1.0)
 
 
-def step_mixeduse(state: EnvState, act: Action, params: ThermalParams,
-                  weather) -> tuple[EnvState, Observation, PowerBreakdown]:
-    """Actions: [zone_setpoint, ahu1_setpoint, ahu2_setpoint, ahu1_flow, ahu2_flow].
+def step_mixeduse(state: EnvState, act: np.ndarray, params: ThermalParams,
+                  weather) -> tuple[EnvState, np.ndarray, PowerBreakdown]:
+    """One control interval from a physical action vector [zone_setpoint,
+    ahu1_setpoint, ahu2_setpoint, ahu1_flow, ahu2_flow]; returns as
+    `step_datacenter` does.
 
     AHU 1 serves zone5 (index 1); AHU 2 serves zone4 and avg6 (0 and 2).
     Flows are fractions of each zone's design share of its AHU peak flow.
     """
-    zone_set, sp1, sp2, f1, f2 = (float(v) for v in act.values)
+    zone_set, sp1, sp2, f1, f2 = (float(v) for v in act)
     t_out, rh = weather_at(weather, state.step_index)
     gains = params.gains.at(state.step_index * params.dt_s, state.gain_phase)
     temps = state.zone_temps_c
@@ -438,7 +441,7 @@ def step_mixeduse(state: EnvState, act: Action, params: ThermalParams,
     dampers = np.array([
         _damper(temps[i], targets[i], supply[i], params.thermostat_gain)
         for i in range(3)])
-    eff_flow = dampers * flow_frac * np.array(params.max_flow_kg_s)
+    eff_flow = dampers * flow_frac * params._max_flow
     hvac_heat = eff_flow * params.supply_cp * (supply - temps)
     new_temps = _advance_temps(temps, t_out, gains, hvac_heat, params)
 
@@ -450,39 +453,29 @@ def step_mixeduse(state: EnvState, act: Action, params: ThermalParams,
     heating = float(np.maximum(hvac_heat, 0.0).sum())
     power = PowerBreakdown(building_w=float(gains.sum()), fan_w=float(fan_w),
                            coil_w=cooling / cop + heating)
-    new_state = EnvState(zone_temps_c=new_temps,
-                         weather_noise=_current_noise(weather, state.step_index),
-                         gain_phase=state.gain_phase,
+    new_state = EnvState(zone_temps_c=new_temps, gain_phase=state.gain_phase,
                          step_index=state.step_index + 1)
     obs = assemble_observation(new_state, power, (t_out, rh), params)
     return new_state, obs, power
 
 
-def _current_noise(weather, step: int) -> float:
-    if isinstance(weather, SyntheticWeather) and weather.noise_scale > 0:
-        return float(_noise_path(weather, step + 1)[step])
-    return 0.0
-
-
 def assemble_observation(state: EnvState, power: PowerBreakdown,
                          outdoor: tuple[float, float],
-                         params: ThermalParams) -> Observation:
-    """Pure projection of (state, power breakdown, weather) onto the obs spec."""
+                         params: ThermalParams) -> np.ndarray:
+    """Pure projection of (state, power breakdown, weather) onto the
+    physical observation vector of the kind's obs spec."""
     t_out, rh = outdoor
     kw = 1e-3
     temps = state.zone_temps_c
     if params.kind == "dc":
-        values = np.array([
+        return np.array([
             power.total_w * kw, power.hvac_w * kw, power.building_w * kw,
             t_out, rh, temps[0], temps[1], power.pue,
         ])
-    else:
-        values = np.array([
-            power.total_w * kw, power.hvac_w * kw, power.building_w * kw,
-            rh, t_out, temps[0], temps[1], temps[2],
-        ])
-    return Observation(values=values.astype(np.float64),
-                       timestamp=state.step_index * params.dt_s)
+    return np.array([
+        power.total_w * kw, power.hvac_w * kw, power.building_w * kw,
+        rh, t_out, temps[0], temps[1], temps[2],
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +519,11 @@ class EnvConfig:
 
 
 class BuildingEnv:
-    """Stateful episode wrapper around the pure step functions."""
+    """Stateful episode wrapper around the pure step functions.
+
+    `reset` returns and `step` takes and returns float64 vectors in the
+    physical units of `obs_spec` and `act_spec`.
+    """
 
     def __init__(self, config: EnvConfig, thermal: ThermalParams | None = None,
                  reward_params: RewardParams | None = None):
@@ -582,7 +579,7 @@ class BuildingEnv:
     def n_zones(self) -> int:
         return len(self.thermal.zone_names)
 
-    def reset(self, seed: int) -> Observation:
+    def reset(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
         steps_per_year = int(DAYS_PER_YEAR * SECONDS_PER_DAY / self.thermal.dt_s)
         start = int(rng.integers(0, steps_per_year)) if self.config.random_start_day else 0
@@ -591,7 +588,6 @@ class BuildingEnv:
         mid = np.array(self.reward_params.target)
         temps = mid + rng.uniform(-2.0, 2.0, size=self.n_zones)
         self.state = EnvState(zone_temps_c=temps.astype(np.float64),
-                              weather_noise=_current_noise(self.weather, start),
                               gain_phase=phase, step_index=start)
         self._steps_this_episode = 0
         # initial observation: HVAC idle, building load only
@@ -600,10 +596,10 @@ class BuildingEnv:
         power = PowerBreakdown(building_w=float(gains.sum()), fan_w=0.0, coil_w=0.0)
         return assemble_observation(self.state, power, (t_out, rh), self.thermal)
 
-    def step(self, act: Action) -> tuple[Observation, float, bool, dict]:
+    def step(self, act: np.ndarray) -> tuple[np.ndarray, float, bool, dict]:
         if self.state is None:
             raise SpecError("step() before reset()")
-        self.act_spec.validate_physical(act.values)
+        self.act_spec.validate_physical(act)
         self.state, obs, power = self._step_fn(self.state, act, self.thermal,
                                                self.weather)
         terms = compute_reward(self.state.zone_temps_c, power.total_w,
@@ -638,15 +634,16 @@ _RULE_SPECS = {"dc": (datacenter_act_spec(), datacenter_reward_params()),
                "mu": (mixeduse_act_spec(), mixeduse_reward_params())}
 
 
-def rule_controller(obs: Observation, kind: str,
+def rule_controller(obs: np.ndarray, kind: str,
                     gains: RuleGains | None = None,
-                    reward_params: RewardParams | None = None) -> Action:
-    """Deadband-plus-proportional baseline; deterministic in the observation."""
+                    reward_params: RewardParams | None = None) -> np.ndarray:
+    """Deadband-plus-proportional baseline: a physical action vector from a
+    physical observation vector, deterministic in the observation."""
     g = gains or DEFAULT_RULE_GAINS[kind]
     spec, default_params = _RULE_SPECS[kind]
     params = reward_params or default_params
     if kind == "dc":
-        temps = obs.values[5:7]
+        temps = obs[5:7]
         values = np.empty(4)
         for i, (temp, target) in enumerate(zip(temps, params.target)):
             err = temp - target
@@ -658,9 +655,9 @@ def rule_controller(obs: Observation, kind: str,
                 values[i] = min(max(target - g.setpoint_gain * err, lo), hi)
                 flo, fhi = spec.dims[2 + i].low, spec.dims[2 + i].high
                 values[2 + i] = min(max(flo + g.flow_gain * abs(err), flo), fhi)
-        return Action(values=values)
+        return values
     target = params.target[1]   # shared comfort target
-    zone4, zone5, avg6 = obs.values[5:8]
+    zone4, zone5, avg6 = obs[5:8]
     err1 = zone5 - target
     err2 = (zone4 - target + avg6 - target) / 2.0
     values = np.empty(5)
@@ -673,7 +670,7 @@ def rule_controller(obs: Observation, kind: str,
         else:
             values[slot] = min(max(target - g.setpoint_gain * err, lo), hi)
             values[3 + slot - 1] = min(max(g.flow_gain * abs(err), 0.0), 1.0)
-    return Action(values=values)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -698,31 +695,32 @@ class Trajectory:
         return len(self.actions)
 
 
-def run_episode(env: BuildingEnv, controller, seed: int,
-                horizon: int | None = None) -> Trajectory:
-    """Roll one episode; `controller(obs) -> Action` in physical units."""
-    n = horizon if horizon is not None else env.horizon
-    if n < 1:
+def run_episode(env: BuildingEnv, controller, seed: int) -> Trajectory:
+    """Roll one ``env.horizon``-step episode from ``env.reset(seed)``.
+
+    ``controller(obs) -> action`` maps a physical observation vector to a
+    physical action vector (`BuildingEnv.step`'s units). A simulation
+    fault ends the run early and is recorded in ``Trajectory.fault``.
+    """
+    if env.horizon < 1:
         raise SpecError("horizon must be >= 1")
     obs = env.reset(seed)
-    obs_rows = [obs.values.copy()]
+    obs_rows = [obs]
     act_rows, rewards, temps, powers, terms = [], [], [], [], []
     fault = None
-    for t in range(n):
+    for _ in range(env.horizon):
         act = controller(obs)
         try:
             obs, reward, done, info = env.step(act)
         except SimulationFault as exc:
             fault = str(exc)
             break
-        act_rows.append(np.asarray(act.values, dtype=float))
-        obs_rows.append(obs.values.copy())
+        act_rows.append(np.asarray(act, dtype=float))
+        obs_rows.append(obs)
         rewards.append(reward)
         temps.append(info["zone_temps"])
         powers.append(info["power"].total_w)
-        terms.append(t == n - 1)
-        if done:
-            break
+        terms.append(done)
     return Trajectory(
         env_kind=env.config.kind,
         obs=np.asarray(obs_rows),

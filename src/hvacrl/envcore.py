@@ -1,7 +1,11 @@
 """Shared domain types: observation/action layouts, normalization, reward.
 
 Everything here is a pure function of its inputs; simulators, agents and
-the evaluation harness all build on these definitions.
+the evaluation harness all build on these definitions. An observation or
+action is a plain float64 vector laid out by a `VectorSpec`: in physical
+units at the simulator, and as unit-interval observations and [-1, 1]
+actions at the agents (`normalize_obs`, `normalize_action` and
+`denormalize_action` convert between the two).
 """
 from __future__ import annotations
 
@@ -129,25 +133,14 @@ def datacenter_act_spec() -> VectorSpec:
     ))
 
 
-@dataclass(frozen=True)
-class Observation:
-    values: np.ndarray  # physical units, matches an obs VectorSpec
-    timestamp: int = 0
-
-
-@dataclass(frozen=True)
-class Action:
-    values: np.ndarray
-    normalized: bool = False  # True: values in [-1, 1]; False: physical units
-
-
-def normalize_obs(obs: Observation, spec: VectorSpec) -> np.ndarray:
-    """Min-max normalize an observation into the unit interval per dimension.
+def normalize_obs(obs: np.ndarray, spec: VectorSpec) -> np.ndarray:
+    """Min-max normalize a physical observation vector into the unit
+    interval per dimension.
 
     Out-of-range values clip to the range edge rather than raising
     (surrogate excursions are expected).
     """
-    values = np.asarray(obs.values, dtype=np.float64)
+    values = np.asarray(obs, dtype=np.float64)
     if values.shape != (spec.size,):
         raise SpecError(f"observation has shape {values.shape}, spec expects ({spec.size},)")
     if not np.isfinite(values).all():
@@ -155,30 +148,26 @@ def normalize_obs(obs: Observation, spec: VectorSpec) -> np.ndarray:
     return np.clip((values - spec.lows) / spec.span, 0.0, 1.0)
 
 
-def normalize_action(act: Action, spec: VectorSpec) -> Action:
-    """Map a physical action affinely onto [-1, 1] per dimension."""
-    if act.normalized:
-        return act
-    values = np.asarray(act.values, dtype=np.float64)
+def normalize_action(act: np.ndarray, spec: VectorSpec) -> np.ndarray:
+    """Map a physical action vector affinely onto [-1, 1] per dimension."""
+    values = np.asarray(act, dtype=np.float64)
     if values.shape != (spec.size,):
         raise SpecError(f"action has shape {values.shape}, spec expects ({spec.size},)")
     if np.any(values < spec.lows - 1e-6) or np.any(values > spec.highs + 1e-6):
         raise DataError(f"physical action outside spec range: {values}")
     values = np.clip(values, spec.lows, spec.highs)
-    unit = 2.0 * (values - spec.lows) / spec.span - 1.0
-    return Action(values=unit, normalized=True)
+    return 2.0 * (values - spec.lows) / spec.span - 1.0
 
 
-def denormalize_action(act: Action, spec: VectorSpec) -> Action:
-    """Inverse of `normalize_action`; output is clipped into the physical range."""
-    if not act.normalized:
-        return act
-    values = np.asarray(act.values, dtype=np.float64)
+def denormalize_action(act_n: np.ndarray, spec: VectorSpec) -> np.ndarray:
+    """Inverse of `normalize_action`: a [-1, 1] action vector (clipped
+    first) to float64 physical units, clipped into the physical range."""
+    values = np.asarray(act_n, dtype=np.float64)
     if values.shape != (spec.size,):
         raise SpecError(f"action has shape {values.shape}, spec expects ({spec.size},)")
     unit = np.clip(values, -1.0, 1.0)
     phys = spec.lows + (unit + 1.0) * 0.5 * spec.span
-    return Action(values=np.clip(phys, spec.lows, spec.highs), normalized=False)
+    return np.clip(phys, spec.lows, spec.highs)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ class UsageError(HvacrlError):
 
 
 class SpecError(HvacrlError):
-    """Observation/action vector does not match its declared spec."""
+    """An observation or action vector does not match its declared spec."""
 
     exit_code = 3
 

@@ -42,7 +42,7 @@ import shutil
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -451,6 +451,11 @@ def materialize_final_buffer_dataset(cfg: HarnessConfig, algo: str = "td3",
 # cell execution
 
 
+# the keys of one per-seed entry of a cell report, and of its report
+_SEED_KEYS = {"seed", "best_epoch", "curve", "report"}
+_REPORT_FIELDS = {f.name for f in fields(RunReport)}
+
+
 @dataclass
 class SweepResult:
     """Outcome of one experiment runner over its grid."""
@@ -466,7 +471,22 @@ class SweepResult:
 
     def add_cell(self, key: str, axes: dict, seeds: list,
                  cell_dir: Path) -> None:
-        """Record one cell from the per-seed entries of its report."""
+        """Record one cell from the per-seed entries of its report.
+
+        Each entry must be an object holding ``seed``, ``best_epoch``, a
+        ``curve`` list and a ``report`` with exactly the `RunReport`
+        fields; anything else, as read from a damaged file, is a DataError.
+        """
+        if not isinstance(seeds, list):
+            raise DataError(f"cell {key}: seeds is not a list")
+        for i, s in enumerate(seeds):
+            if not (isinstance(s, dict) and _SEED_KEYS <= s.keys()
+                    and isinstance(s["curve"], list)
+                    and isinstance(s["report"], dict)
+                    and s["report"].keys() == _REPORT_FIELDS):
+                raise DataError(
+                    f"cell {key}: seed entry {i} is not an object with seed, "
+                    f"best_epoch, curve and a report of the RunReport fields")
         self.cell_axes[key] = axes
         self.cell_dirs[key] = str(cell_dir)
         self.cells[key] = [RunReport.from_jsonable(s["report"])

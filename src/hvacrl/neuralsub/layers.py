@@ -151,7 +151,7 @@ class EncoderBlock(Module):
 
     def __call__(self, x: Tensor, mask_bias: np.ndarray) -> Tensor:
         """``mask_bias`` is the additive score mask per (sample, head) pair,
-        shaped (batch * heads, seq, seq); see `tensor.attention`."""
+        shaped (batch * heads, seq, seq); see `tensor._attention_data`."""
         return T.encoder_block(x, self._weights, self.attn.heads, mask_bias)
 
 

@@ -9,7 +9,7 @@ Gradient arrays are never written in place. A tensor's first gradient
 contribution is stored as it arrives, possibly shared with another tensor,
 and later contributions replace it with a new sum; so code that reads a
 `.grad` must not write into it. The exceptions are internal to the fused
-nodes (`mlp`, `layer_norm`, `attention`, `encoder_block`): arrays that
+nodes (`mlp`, `layer_norm`, `encoder_block`): arrays that
 never leave a node, such as hidden activations and the gradients between
 its stages, are overwritten in place once spent.
 
@@ -371,9 +371,20 @@ def _softmax_grad(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
 
 def _attention_data(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
                     bias: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """`attention`'s forward on arrays: the merged output and the arrays its
-    backward pass reads. ``bias`` is added into the score buffer, so it must
-    not need a wider dtype than the scores."""
+    """Multi-head scaled dot-product attention, the core of `encoder_block`:
+    the merged output and the arrays `_attention_grads` reads.
+
+    ``q``, ``k`` and ``v`` are (batch, seq, feat) projections; ``bias`` is an
+    additive (batch * heads, seq, seq) score mask, 0 where a key is visible
+    and -1e9 where it is not. Each head takes its slice of ``feat`` and
+    computes ``softmax(q k^T / sqrt(feat / heads) + bias) v``; the heads are
+    merged back to (batch, seq, feat). ``bias`` is added into the score
+    buffer, so it must not need a wider dtype than the scores.
+
+    Every array reaches numpy in the layout the composed graph of
+    `reshape`, `swapaxes`, `matmul`, `scale` and `softmax` gives it,
+    because the strides decide whether a matmul runs through BLAS or
+    numpy's own loop; so values and gradients are bit-identical to it."""
     b, n, d = q.shape
     h, hs = heads, d // heads
 
@@ -393,11 +404,8 @@ def _attention_data(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
     return out, (qh, kt, vh, attn)
 
 
-def _attention_grads(g: np.ndarray, saved: tuple, heads: int,
-                     need_q: bool = True, need_k: bool = True,
-                     need_v: bool = True) -> tuple:
-    """`attention`'s backward: the q, k and v gradients, None where not
-    needed."""
+def _attention_grads(g: np.ndarray, saved: tuple, heads: int) -> tuple:
+    """`_attention_data`'s backward: the q, k and v gradients."""
     qh, kt, vh, attn = saved
     bh, n, hs = qh.shape
     b, h, d = bh // heads, heads, hs * heads
@@ -406,47 +414,15 @@ def _attention_grads(g: np.ndarray, saved: tuple, heads: int,
         return a.reshape(b, h, n, hs).swapaxes(1, 2).reshape(b, n, d)
 
     gh = g.reshape(b, n, h, hs).swapaxes(1, 2).reshape(b * h, n, hs)
-    dq = dk = dv = None
-    if need_q or need_k:
-        dattn = gh @ vh.swapaxes(-1, -2)
-        # `scale`'s backward multiplied by the float64 constant, and
-        # `_accumulate` rounded that product back to the input dtype
-        dscores = (_softmax_grad(dattn, attn, -1) * (1.0 / np.sqrt(hs))
-                   ).astype(attn.dtype, copy=False)
-        if need_q:
-            dq = merged(dscores @ kt.swapaxes(-1, -2))
-        if need_k:
-            dk = merged((qh.swapaxes(-1, -2) @ dscores).swapaxes(1, 2))
-    if need_v:
-        dv = merged(attn.swapaxes(-1, -2) @ gh)
+    dattn = gh @ vh.swapaxes(-1, -2)
+    # `scale`'s backward multiplied by the float64 constant, and
+    # `_accumulate` rounded that product back to the input dtype
+    dscores = (_softmax_grad(dattn, attn, -1) * (1.0 / np.sqrt(hs))
+               ).astype(attn.dtype, copy=False)
+    dq = merged(dscores @ kt.swapaxes(-1, -2))
+    dk = merged((qh.swapaxes(-1, -2) @ dscores).swapaxes(1, 2))
+    dv = merged(attn.swapaxes(-1, -2) @ gh)
     return dq, dk, dv
-
-
-def attention(q, k, v, heads: int, bias: np.ndarray) -> Tensor:
-    """Multi-head scaled dot-product attention as one tape node.
-
-    ``q``, ``k`` and ``v`` are (batch, seq, feat) projections; ``bias`` is an
-    additive (batch * heads, seq, seq) score mask, 0 where a key is visible
-    and -1e9 where it is not. Each head takes its slice of ``feat`` and
-    computes ``softmax(q k^T / sqrt(feat / heads) + bias) v``; the heads are
-    merged back to (batch, seq, feat).
-
-    Values and gradients are bit-identical to the composed graph of
-    `reshape`, `swapaxes`, `matmul`, `scale` and `softmax`. Every array
-    reaches numpy in the layout that graph gives it, because the strides
-    decide whether a matmul runs through BLAS or numpy's own loop.
-    """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    out_data, saved = _attention_data(q.data, k.data, v.data, heads, bias)
-
-    def bwd(g):
-        grads = _attention_grads(g, saved, heads, q.requires_grad,
-                                 k.requires_grad, v.requires_grad)
-        for t, grad in zip((q, k, v), grads):
-            if grad is not None:
-                _accumulate(t, grad)
-
-    return _make(out_data, (q, k, v), bwd)
 
 
 def _mean_last(a: np.ndarray) -> np.ndarray:
@@ -525,8 +501,8 @@ def encoder_block(x, weights, heads: int, bias: np.ndarray,
 
     where ``xq = affine(x, wq, bq)`` and likewise for k and v. ``weights``
     holds the 16 parameter tensors in the order wq, bq, wk, bk, wv, bv, wo,
-    bo, g1, c1, w1, b1, w2, b2, g2, c2; ``heads`` and ``bias`` are as in
-    `attention`.
+    bo, g1, c1, w1, b1, w2, b2, g2, c2; ``attention``, ``heads`` and
+    ``bias`` are as in `_attention_data`.
 
     Values and gradients are bit-identical to that composed graph. The
     backward pass replays the tape's order: the block input's gradient is

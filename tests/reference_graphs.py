@@ -3,8 +3,7 @@ only those references use.
 
 `matmul`, `relu`, `log`, `softmax` and `swapaxes` are tape ops that no
 program code needs; they stay here so the tests can compose the graphs
-each fused node (`T.mlp`, `T.attention`, `T.encoder_block`) must
-reproduce bit for bit.
+each fused node (`T.mlp`, `T.encoder_block`) must reproduce bit for bit.
 """
 import numpy as np
 
@@ -81,8 +80,9 @@ def composed_mlp(x, layers):
 
 
 def composed_attention(q, k, v, heads, bias):
-    """The graph `T.attention` must reproduce bit for bit: the encoder's
-    attention as it was composed from single-op nodes."""
+    """The encoder's attention composed from single-op nodes: the
+    attention part of `composed_encoder_block`, which `T.encoder_block`
+    runs as `T._attention_data` and `T._attention_grads`."""
     b, n, d = q.shape
     h, hs = heads, d // heads
 

@@ -9,8 +9,7 @@ from hvacrl.neuralsub.optim import Adam
 
 from gradcheck import TOL, check_op
 import reference_graphs as R
-from reference_graphs import (causal_bias, composed_attention,
-                              composed_encoder_block, composed_mlp)
+from reference_graphs import causal_bias, composed_encoder_block, composed_mlp
 
 
 def rand(rng, *shape):
@@ -370,74 +369,6 @@ class TestGradientsNeverWrittenInPlace:
         T._accumulate(t, np.array([2.0 ** -24 + 2.0 ** -50]))
         assert t.grad.dtype == np.float32
         assert t.grad[0] == np.float32(1.0 + 2.0 ** -23)
-
-
-class TestAttentionNode:
-    @staticmethod
-    def run(attend, arrays, heads, bias):
-        """Attention on leaf q, k, v, plus one encoder attention sub-block
-        (three projections of a block input, attention, output projection
-        and residual), under one loss; returns both outputs and the
-        gradients of q, k, v, the block input and the projections."""
-        q, k, v, x = (T.parameter(a) for a in arrays[:4])
-        projs = [(T.parameter(w), T.parameter(b))
-                 for w, b in zip(arrays[4::2], arrays[5::2])]
-        direct = attend(q, k, v, heads, bias)
-        pq, pk, pv = (T.affine(x, w, b) for w, b in projs[:3])
-        block = T.add(x, T.affine(attend(pq, pk, pv, heads, bias), *projs[3]))
-        rng = np.random.default_rng(0)
-        loss = T.add(
-            T.sum_(T.mul(direct, rng.uniform(-1, 1, size=direct.shape))),
-            T.sum_(T.mul(block, rng.uniform(-1, 1, size=block.shape))))
-        T.backward(loss)
-        grads = [t.grad for t in (q, k, v, x)] \
-            + [t.grad for pair in projs for t in pair]
-        return [direct.data, block.data], grads
-
-    @pytest.mark.parametrize("prefix", ["full", "mixed"])
-    @pytest.mark.parametrize("batch", [1, 5])
-    @pytest.mark.parametrize("heads", [1, 4])
-    def test_bit_equal_to_composed_graph(self, heads, batch, prefix):
-        n, d = 6, 20   # head sizes 20 and 5: 1/sqrt(hs) is inexact in binary
-        rng = np.random.default_rng(heads * 100 + batch * 10 + len(prefix))
-        counts = (np.full(batch, n) if prefix == "full"
-                  else rng.integers(1, n + 1, size=batch))
-        if prefix == "mixed":
-            counts[0] = 3     # a strict prefix even at batch 1
-        bias = causal_bias(np.arange(n) < counts[:, None], heads)
-        arrays = [rng.uniform(-1, 1, size=(batch, n, d)).astype(np.float32)
-                  for _ in range(4)]
-        for _ in range(4):
-            arrays += [rng.uniform(-0.5, 0.5, size=(d, d)).astype(np.float32),
-                       rng.uniform(-0.1, 0.1, size=d).astype(np.float32)]
-        got_outs, got_grads = self.run(T.attention, arrays, heads, bias)
-        ref_outs, ref_grads = self.run(composed_attention, arrays, heads, bias)
-        for got, ref in zip(got_outs + got_grads, ref_outs + ref_grads):
-            assert got.dtype == ref.dtype == np.float32
-            assert np.array_equal(got, ref)
-
-    def test_no_grad_forward_matches(self):
-        rng = np.random.default_rng(5)
-        q, k, v = (rng.normal(size=(3, 4, 8)).astype(np.float32)
-                   for _ in range(3))
-        bias = causal_bias(np.arange(4) < np.array([[1], [4], [2]]), 2)
-        with T.no_grad():
-            out = T.attention(q, k, v, 2, bias)
-        assert not out.requires_grad
-        assert np.array_equal(out.data,
-                              composed_attention(*map(T.Tensor, (q, k, v)),
-                                                 2, bias).data)
-
-    def test_gradcheck(self):
-        rng = np.random.default_rng(810)
-        bias = causal_bias(np.arange(4) < np.array([[4], [2]]), 2)
-        arrays = [rand(rng, 2, 4, 6) for _ in range(3)]
-        probe = rng.uniform(-1, 1, size=(2, 4, 6))
-
-        def build(ts):
-            return T.mean(T.mul(T.attention(*ts, 2, bias), probe))
-
-        assert check_op(build, arrays) <= TOL
 
 
 def block_weights(rng, d, hidden, dtype=np.float32):

@@ -383,6 +383,31 @@ class TestSweepAndReport:
         cfg = self.sweep_config(tmp_path, skip_existing=True)
         assert run(["--config", str(cfg), "sweep", "--rq", "3"]) == 3
 
+    @pytest.mark.parametrize("damage", ["empty-entry", "missing-field",
+                                        "unknown-field"])
+    def test_report_with_a_damaged_seed_entry_is_data_error(
+            self, tmp_path, capsys, damage):
+        cfg = self.sweep_config(tmp_path)
+        assert run(["--config", str(cfg), "sweep", "--rq", "3"]) == 0
+        with open(tmp_path / "results" / "rq3" / "summary.csv") as f:
+            fp = next(csv.DictReader(f))["cell_fingerprint"]
+        path = tmp_path / "results" / "rq3" / fp / "report.json"
+        doc = json.loads(path.read_text())
+        if damage == "empty-entry":
+            doc["seeds"] = [{}]
+        elif damage == "missing-field":
+            del doc["seeds"][0]["report"]["violation"]
+        else:
+            doc["seeds"][0]["report"]["bogus"] = 1.0
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["report", "--rq", "3",
+                    "--results", str(tmp_path / "results")]) == 3
+        assert "seed entry 0" in capsys.readouterr().err
+        # a resumed sweep reuses the same entries
+        cfg = self.sweep_config(tmp_path, skip_existing=True)
+        assert run(["--config", str(cfg), "sweep", "--rq", "3"]) == 3
+
     def test_report_with_summary_columns_missing_is_data_error(
             self, tmp_path, capsys):
         cfg = self.sweep_config(tmp_path)

@@ -8,7 +8,7 @@ from hvacrl import datagen as dg
 from hvacrl.agents import AgentConfig, PolicyController, make_agent
 from hvacrl.buildsim import (TRAIN_PRESETS, BuildingEnv, EnvConfig,
                              read_trajectory_csv, run_episode)
-from hvacrl.envcore import Observation, normalize_obs
+from hvacrl.envcore import normalize_obs
 from hvacrl.errors import DataError, UsageError
 
 from container_cases import ContainerCases, rewrite_header
@@ -108,8 +108,7 @@ class TestCollection:
         ep_env = env.variant(weather="chicago")
         controller = PolicyController(expert, ep_env.obs_spec, ep_env.act_spec)
         traj = run_episode(ep_env, controller, seed=9 * 100_003)
-        obs_n = [normalize_obs(Observation(values=o), ep_env.obs_spec)
-                 for o in traj.obs[:-1]]
+        obs_n = [normalize_obs(o, ep_env.obs_spec) for o in traj.obs[:-1]]
         assert np.array_equal(a.obs, np.asarray(obs_n, dtype=np.float32))
         assert np.array_equal(a.rewards, traj.rewards.astype(np.float32))
 

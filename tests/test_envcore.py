@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from hvacrl import envcore
 from hvacrl.envcore import (
-    Action,
-    Observation,
     RewardParams,
     compute_reward,
     datacenter_act_spec,
@@ -63,46 +61,45 @@ class TestSpecs:
 class TestNormalizeObs:
     def test_outdoor_temp_example(self):
         spec = mixeduse_obs_spec()
-        obs = Observation(np.array([0, 0, 0, 50, 25.0, 20, 20, 20], dtype=float))
+        obs = np.array([0, 0, 0, 50, 25.0, 20, 20, 20], dtype=float)
         unit = normalize_obs(obs, spec)
         assert unit[spec.names.index("outdoor_temp")] == pytest.approx(0.7)
 
     def test_boundaries(self):
         spec = datacenter_obs_spec()
-        assert normalize_obs(Observation(spec.lows.copy()), spec) == pytest.approx(np.zeros(8))
-        assert normalize_obs(Observation(spec.highs.copy()), spec) == pytest.approx(np.ones(8))
+        assert normalize_obs(spec.lows.copy(), spec) == pytest.approx(np.zeros(8))
+        assert normalize_obs(spec.highs.copy(), spec) == pytest.approx(np.ones(8))
 
     def test_clipping_counts(self):
         spec = mixeduse_obs_spec()
         values = spec.lows.copy()
         values[spec.names.index("outdoor_temp")] = 60.0  # above the [-10, 40] range
-        unit = normalize_obs(Observation(values), spec)
+        unit = normalize_obs(values, spec)
         assert unit[spec.names.index("outdoor_temp")] == 1.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(SpecError):
-            normalize_obs(Observation(np.zeros(3)), datacenter_obs_spec())
+            normalize_obs(np.zeros(3), datacenter_obs_spec())
 
     def test_non_finite(self):
         values = datacenter_obs_spec().lows.copy()
         values[0] = np.nan
         with pytest.raises(DataError):
-            normalize_obs(Observation(values), datacenter_obs_spec())
+            normalize_obs(values, datacenter_obs_spec())
 
 
 class TestActionNormalization:
     def test_flow_low_maps_to_minus_one(self):
         spec = datacenter_act_spec()
-        act = Action(np.array([25.0, 25.0, 1.75, 1.75]))
-        unit = normalize_action(act, spec)
-        assert unit.normalized
-        assert unit.values[2] == pytest.approx(-1.0)
-        assert unit.values[3] == pytest.approx(-1.0)
+        unit = normalize_action(np.array([25.0, 25.0, 1.75, 1.75]), spec)
+        assert unit.dtype == np.float64 and unit.shape == (4,)
+        assert unit[2] == pytest.approx(-1.0)
+        assert unit[3] == pytest.approx(-1.0)
 
     def test_midpoint_maps_to_zero(self):
         spec = datacenter_act_spec()
-        unit = normalize_action(Action(np.array([25.0, 25.0, 4.375, 4.375])), spec)
-        assert unit.values[0] == pytest.approx(0.0)
+        unit = normalize_action(np.array([25.0, 25.0, 4.375, 4.375]), spec)
+        assert unit[0] == pytest.approx(0.0)
 
     def test_roundtrip_random_actions(self):
         spec = mixeduse_act_spec()
@@ -113,20 +110,20 @@ class TestActionNormalization:
                 * (spec.highs - spec.lows)
             np.testing.assert_allclose(expected, row, atol=1e-9)
         back = np.array([
-            denormalize_action(normalize_action(Action(row), spec), spec).values
+            denormalize_action(normalize_action(row, spec), spec)
             for row in phys
         ])
         np.testing.assert_allclose(back, phys, atol=1e-6)
 
     def test_out_of_range_physical_rejected(self):
         with pytest.raises(DataError):
-            normalize_action(Action(np.array([5.0, 25.0, 4.0, 4.0])), datacenter_act_spec())
+            normalize_action(np.array([5.0, 25.0, 4.0, 4.0]), datacenter_act_spec())
 
     def test_denormalize_clips_into_range(self):
         spec = datacenter_act_spec()
-        phys = denormalize_action(Action(np.array([2.0, -2.0, 0.0, 0.0]), normalized=True), spec)
-        assert phys.values[0] == spec.highs[0]
-        assert phys.values[1] == spec.lows[1]
+        phys = denormalize_action(np.array([2.0, -2.0, 0.0, 0.0]), spec)
+        assert phys[0] == spec.highs[0]
+        assert phys[1] == spec.lows[1]
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -134,9 +131,9 @@ class TestActionNormalization:
         spec = datacenter_act_spec()
         rng = np.random.default_rng(seed)
         phys = spec.lows + rng.random(spec.size) * (spec.highs - spec.lows)
-        back = denormalize_action(normalize_action(Action(phys), spec), spec)
-        np.testing.assert_allclose(back.values, phys, atol=1e-6)
-        unit = normalize_action(Action(phys), spec).values
+        back = denormalize_action(normalize_action(phys, spec), spec)
+        np.testing.assert_allclose(back, phys, atol=1e-6)
+        unit = normalize_action(phys, spec)
         assert np.all(unit >= -1.0) and np.all(unit <= 1.0)
 
 

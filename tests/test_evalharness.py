@@ -167,7 +167,7 @@ class TestEvaluatePolicy:
             obs = env.reset(seed=0)
             act = rule_controller(obs, kind)
             obs, _, _, info = env.step(act)
-            assert obs.values[TEMP_CHANNELS[kind]] == pytest.approx(
+            assert obs[TEMP_CHANNELS[kind]] == pytest.approx(
                 info["zone_temps"])
 
 
