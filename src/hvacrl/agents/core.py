@@ -14,14 +14,14 @@ Offline and online training share one epoch loop (`_train`) and differ
 only in where its batches come from.
 
 Policies act on normalized observations and emit normalized actions.
-`PolicyController` adapts one to the physical-units controller interface
-of a single rollout; `EpisodeDriver` is the one online episode loop, used
-by `train_online` and by the frozen-expert collection scenario: it
-rotates environments between episodes, owns the reset-seed rule, and
-keeps the observation window the next action is chosen from.
+`PolicyController` is the one adapter from an agent to the physical-units
+controller that `buildsim.EpisodeDriver` steps: evaluation, expert
+reference returns, `train_online` and frozen-expert collection all roll
+out through it, and differ only in how it chooses the action.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import container, envcore
+from ..buildsim import EpisodeDriver
 from ..errors import DivergenceError, FingerprintMismatchError, SpecError
 from ..fingerprint import fingerprint, to_jsonable
 from ..neuralsub import tensor as T
@@ -130,18 +131,17 @@ class Agent:
 
     def policy_action(self, windows, valid, deterministic: bool = True
                       ) -> np.ndarray:
-        """Normalized action from the current policy, no extra noise."""
+        """Normalized action from the current policy, no extra noise;
+        ``deterministic=False`` samples a stochastic policy."""
         raise NotImplementedError
 
     def explore_action(self, windows, valid) -> np.ndarray:
-        """Behavior action for online rollouts (policy plus exploration noise)."""
-        a = self.policy_action(windows, valid, deterministic=self._explore_base())
+        """Behavior action for online rollouts: a policy sample (the action
+        itself for a deterministic actor) plus exploration noise."""
+        a = self.policy_action(windows, valid, deterministic=False)
         if self.cfg.explore_noise > 0.0:
             a = a + self.rng.normal(0.0, self.cfg.explore_noise, size=a.shape)
         return np.clip(a, -1.0, 1.0).astype(np.float32)
-
-    def _explore_base(self) -> bool:
-        return True  # deterministic base action; stochastic actors override
 
     # -- learning -------------------------------------------------------
 
@@ -221,11 +221,7 @@ class TD3Agent(Agent):
                 "critic": self.critic, "critic_target": self.critic_target}
 
     def policy_action(self, windows, valid, deterministic: bool = True):
-        a = self.actor.act(windows, valid)
-        if not deterministic and self.cfg.explore_noise > 0.0:
-            a = a + self.rng.normal(0.0, self.cfg.explore_noise, size=a.shape)
-            a = np.clip(a, -1.0, 1.0).astype(np.float32)
-        return a
+        return self.actor.act(windows, valid)
 
     def _td_target(self, batch: WindowBatch) -> np.ndarray:
         cfg = self.cfg
@@ -316,9 +312,6 @@ class SACAgent(Agent):
     @property
     def alpha(self) -> float:
         return math.exp(float(self.log_alpha.data))
-
-    def _explore_base(self) -> bool:
-        return False
 
     def policy_action(self, windows, valid, deterministic: bool = True):
         return self.actor.act(windows, valid, rng=self.rng,
@@ -438,44 +431,38 @@ def load_agent(path) -> tuple[Agent, dict]:
     return agent, header
 
 
-def select_action(agent: Agent, window: np.ndarray, valid: np.ndarray,
-                  deterministic: bool = True) -> np.ndarray:
-    """Single normalized action for one window; accepts (L, D) or (1, L, D)."""
-    if window.ndim == 2:
-        window = window[None]
-        valid = valid[None]
-    return agent.policy_action(window, valid, deterministic=deterministic)[0]
-
-
 class PolicyController:
-    """Adapts an agent to the physical-units controller interface.
+    """Adapts an agent to the physical-units controller interface of
+    `buildsim.EpisodeDriver`.
 
     Called with a physical observation vector, it pushes the normalized
-    observation into the rolling history window and returns the policy's
-    [-1, 1] action as a float64 physical vector
-    (`envcore.denormalize_action`). Call reset() between episodes.
+    observation ``obs_n`` into its rolling history window, takes the
+    normalized action ``act_n`` from ``choose(windows, valid)``, a batch of
+    one like the agent's `policy_action` (its deterministic action by
+    default), and returns it as a float64 physical vector. ``obs_n`` and
+    ``act_n`` stay readable for callers that store the transition; `reset`
+    empties the window.
     """
 
-    def __init__(self, agent: "Agent", obs_spec, act_spec,
-                 deterministic: bool = True):
-        if agent.obs_dim != obs_spec.size or agent.act_dim != act_spec.size:
-            raise SpecError(
-                f"policy was built for {agent.obs_dim}/{agent.act_dim} dims, "
-                f"environment provides {obs_spec.size}/{act_spec.size}")
-        self.agent = agent
+    def __init__(self, agent: "Agent", obs_spec, act_spec, choose=None):
+        if (agent.obs_dim, agent.act_dim) != (obs_spec.size, act_spec.size):
+            raise FingerprintMismatchError(
+                f"policy was built for {agent.obs_dim}/{agent.act_dim} "
+                f"obs/act dims, environment provides "
+                f"{obs_spec.size}/{act_spec.size}")
         self.obs_spec = obs_spec
         self.act_spec = act_spec
-        self.deterministic = deterministic
+        self.choose = choose or agent.policy_action
         self.window = RolloutWindow(agent.obs_dim, agent.cfg.seq_len)
 
     def reset(self):
         self.window.reset()
 
     def __call__(self, obs: np.ndarray) -> np.ndarray:
-        self.window.push(envcore.normalize_obs(obs, self.obs_spec))
-        act_n = self.agent.policy_action(*self.window.arrays(),
-                                         deterministic=self.deterministic)[0]
-        return envcore.denormalize_action(act_n, self.act_spec)
+        self.obs_n = envcore.normalize_obs(obs, self.obs_spec)
+        self.window.push(self.obs_n)
+        self.act_n = self.choose(*self.window.arrays())[0]
+        return envcore.denormalize_action(self.act_n, self.act_spec)
 
 
 class RolloutWindow:
@@ -508,45 +495,10 @@ class RolloutWindow:
         return self.buf[None], self._valid_rows[self.count, None]
 
 
-class EpisodeDriver:
-    """Steps a rotation of environments with normalized actions.
-
-    Episode ``i`` runs on ``make_env(i)``, reset with a seed derived from
-    ``seed`` and ``i`` and recorded as ``reset_seeds[i]``. The next
-    episode begins as soon as one ends, so ``window`` always holds the
-    normalized observations the next action is chosen from.
-    """
-
-    def __init__(self, make_env, seed: int, obs_dim: int, seq_len: int):
-        self.make_env = make_env
-        self.seed = seed
-        self.window = RolloutWindow(obs_dim, seq_len)
-        self.reset_seeds: list[int] = []
-        self._begin_episode()
-
-    def _begin_episode(self):
-        episode = len(self.reset_seeds)
-        self.env = self.make_env(episode)
-        self.reset_seeds.append(self.seed * 100_003 + episode)
-        self.window.reset()
-        self._observe(self.env.reset(seed=self.reset_seeds[-1]))
-
-    def _observe(self, obs):
-        self.obs_n = envcore.normalize_obs(obs, self.env.obs_spec)
-        self.window.push(self.obs_n)
-
-    def step(self, act_n) -> tuple:
-        """Apply one normalized action and return the transition
-        ``(obs_n, act_n, reward, done)``, where ``obs_n`` is the normalized
-        observation the action was chosen from."""
-        obs_n = self.obs_n
-        obs, reward, done, _ = self.env.step(
-            envcore.denormalize_action(act_n, self.env.act_spec))
-        if done:
-            self._begin_episode()
-        else:
-            self._observe(obs)
-        return obs_n, act_n, reward, done
+def seeded_episodes(make_env, seed: int):
+    """`EpisodeDriver` episodes on ``make_env(i)``, episode ``i`` reset
+    with seed ``seed * 100_003 + i``."""
+    return lambda i: (make_env(i), seed * 100_003 + i)
 
 
 # ---------------------------------------------------------------------------
@@ -673,26 +625,33 @@ def train_online(agent: Agent, make_env, *, start_steps: int = 1000,
 
     `make_env(episode_index)` supplies the environment for each episode, so
     callers can rotate weather conditions between episodes.  Each `_train`
-    step is one `EpisodeDriver` step, stored in the replay buffer, then one
-    update once the warmup of uniform-random actions has filled it.  The
-    buffer holds normalized observations and actions, with episode ends as
-    terminal steps; it and the episodes' reset seeds are returned on the
-    summary.
+    step is one `EpisodeDriver` step of the agent's `PolicyController`,
+    stored in the replay buffer, then one update once the warmup of
+    uniform-random actions has filled it.  The buffer holds normalized
+    observations and actions, with episode ends as terminal steps; it and
+    the episodes' reset seeds are returned on the summary.
     """
     cfg = agent.cfg
-    driver = EpisodeDriver(make_env, cfg.seed, agent.obs_dim, cfg.seq_len)
+    draws = itertools.count(1)      # choose runs once per step
+
+    def choose(windows, valid):
+        if next(draws) <= start_steps:
+            return agent.rng.uniform(-1.0, 1.0, size=(1, agent.act_dim)
+                                     ).astype(np.float32)
+        return agent.explore_action(windows, valid)
+
+    first = make_env(0)     # rotated environments keep its specs
+    controller = PolicyController(agent, first.obs_spec, first.act_spec,
+                                  choose)
+    driver = EpisodeDriver(seeded_episodes(make_env, cfg.seed), controller)
     buffer = ReplayBuffer(agent.obs_dim, agent.act_dim,
                           capacity=buffer_capacity)
     summary = TrainSummary(buffer=buffer, reset_seeds=driver.reset_seeds)
     update_after = max(start_steps, cfg.batch_size)
 
     def next_batch(step):
-        if step <= start_steps:
-            act_n = agent.rng.uniform(-1.0, 1.0,
-                                      size=agent.act_dim).astype(np.float32)
-        else:
-            act_n = agent.explore_action(*driver.window.arrays())[0]
-        buffer.add(*driver.step(act_n))
+        _, _, reward, done, _ = driver.step()
+        buffer.add(controller.obs_n, controller.act_n, reward, done)
         if step > update_after:
             return buffer.sample_batch(cfg.batch_size, cfg.seq_len, agent.rng)
         return None

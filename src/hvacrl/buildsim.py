@@ -17,6 +17,11 @@ Zone dynamics are one explicit-Euler step per control interval:
 
 which is numerically stable provided dt < C_i / G_i,max; that bound is
 enforced when parameters are constructed.
+
+Every rollout runs through `EpisodeDriver`, the only code that resets and
+steps a `BuildingEnv`: it drives one physical-units controller over
+episodes that each bring their own environment and reset seed, and
+`run_episode` records one of them as a `Trajectory`.
 """
 from __future__ import annotations
 
@@ -677,9 +682,42 @@ def rule_controller(obs: np.ndarray, kind: str,
 # episodes and trajectory export
 # ---------------------------------------------------------------------------
 
+class EpisodeDriver:
+    """The one loop that resets and steps a `BuildingEnv`.
+
+    ``episodes(i)`` returns episode ``i``'s environment and the seed it is
+    reset with, recorded in ``reset_seeds``. ``controller(obs) -> action``
+    maps a physical observation vector to a physical action vector; its
+    ``reset()``, if it has one, is called as each episode begins. The next
+    episode begins on the first `step` after one ends.
+    """
+
+    def __init__(self, episodes, controller):
+        self.episodes = episodes
+        self.controller = controller
+        self.reset_seeds: list[int] = []
+        self.env: BuildingEnv | None = None
+        self.obs: np.ndarray | None = None   # the next action's observation
+        self.done = True
+
+    def step(self) -> tuple:
+        """One controller step, ``(obs, act, reward, done, info)``: ``obs``
+        is the observation ``act`` was chosen from, and ``self.obs`` the
+        one it led to. A `SimulationFault` leaves both where they were."""
+        if self.done:
+            self.env, seed = self.episodes(len(self.reset_seeds))
+            self.reset_seeds.append(seed)
+            if hasattr(self.controller, "reset"):
+                self.controller.reset()
+            self.obs = self.env.reset(seed)
+        obs = self.obs
+        act = self.controller(obs)
+        self.obs, reward, self.done, info = self.env.step(act)
+        return obs, act, reward, self.done, info
+
+
 @dataclass
 class Trajectory:
-    env_kind: str
     obs: np.ndarray          # (n+1, obs_dim) physical values, obs[0] from reset
     actions: np.ndarray      # (n, act_dim) physical values
     rewards: np.ndarray      # (n,)
@@ -687,7 +725,6 @@ class Trajectory:
     total_power_w: np.ndarray  # (n,)
     terminals: np.ndarray    # (n,) bool
     seed: int
-    env_fingerprint: str
     weather_name: str
     fault: str | None = None   # populated when a simulation fault truncated the run
 
@@ -696,33 +733,31 @@ class Trajectory:
 
 
 def run_episode(env: BuildingEnv, controller, seed: int) -> Trajectory:
-    """Roll one ``env.horizon``-step episode from ``env.reset(seed)``.
+    """One recorded `EpisodeDriver` episode: ``env.horizon`` steps of
+    ``controller`` from ``env.reset(seed)``.
 
-    ``controller(obs) -> action`` maps a physical observation vector to a
-    physical action vector (`BuildingEnv.step`'s units). A simulation
-    fault ends the run early and is recorded in ``Trajectory.fault``.
+    A simulation fault ends the run early and is recorded in
+    ``Trajectory.fault``.
     """
     if env.horizon < 1:
         raise SpecError("horizon must be >= 1")
-    obs = env.reset(seed)
-    obs_rows = [obs]
-    act_rows, rewards, temps, powers, terms = [], [], [], [], []
+    driver = EpisodeDriver(lambda i: (env, seed), controller)
+    obs_rows, act_rows, rewards, temps, powers, terms = [], [], [], [], [], []
     fault = None
     for _ in range(env.horizon):
-        act = controller(obs)
         try:
-            obs, reward, done, info = env.step(act)
+            obs, act, reward, done, info = driver.step()
         except SimulationFault as exc:
             fault = str(exc)
             break
-        act_rows.append(np.asarray(act, dtype=float))
         obs_rows.append(obs)
+        act_rows.append(np.asarray(act, dtype=float))
         rewards.append(reward)
         temps.append(info["zone_temps"])
         powers.append(info["power"].total_w)
         terms.append(done)
+    obs_rows.append(driver.obs)
     return Trajectory(
-        env_kind=env.config.kind,
         obs=np.asarray(obs_rows),
         actions=np.asarray(act_rows).reshape(len(act_rows), -1),
         rewards=np.asarray(rewards),
@@ -730,7 +765,6 @@ def run_episode(env: BuildingEnv, controller, seed: int) -> Trajectory:
         total_power_w=np.asarray(powers),
         terminals=np.asarray(terms, dtype=bool),
         seed=seed,
-        env_fingerprint=env.fingerprint(),
         weather_name=getattr(env.weather, "name", "unknown"),
         fault=fault,
     )

@@ -39,7 +39,7 @@ from .datagen import (
 from .errors import DataError, HvacrlError, UsageError
 from .evalharness import (RQ_RUNNERS, HarnessConfig, claim_lines,
                           evaluate_policy, load_sweep)
-from .fingerprint import canonical_json, fingerprint, to_jsonable
+from .fingerprint import canonical_json, fingerprint, has_type, to_jsonable
 
 ENV_OUT_DIR = "HVACRL_OUT_DIR"     # overrides every --out directory
 ENV_MAX_JOBS = "HVACRL_MAX_JOBS"   # caps sweep parallelism
@@ -65,7 +65,6 @@ def default_config() -> dict:
         },
         "harness": HarnessConfig().to_jsonable(),
         "seed": 0,
-        "out_dir": "results",
     }
 
 
@@ -78,8 +77,12 @@ def _merge(defaults, override, path="config"):
             raise UsageError(f"unknown config key {path}.{key}")
         if isinstance(defaults[key], dict):
             merged[key] = _merge(defaults[key], value, f"{path}.{key}")
-        else:
+        elif has_type(value, type(defaults[key])):
             merged[key] = value
+        else:
+            raise UsageError(
+                f"config key {path}.{key} must be of type "
+                f"{type(defaults[key]).__name__}, got {json.dumps(value)}")
     return merged
 
 
@@ -124,9 +127,8 @@ def _audit(out_dir: Path, argv, subcommand: str, fp: str, seeds,
         f.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _out_dir(flag_value: str | None, cfg: dict, args_env: dict) -> Path:
-    value = args_env.get(ENV_OUT_DIR) or flag_value or cfg["out_dir"]
-    return Path(value)
+def _out_dir(flag_value: str, args_env: dict) -> Path:
+    return Path(args_env.get(ENV_OUT_DIR) or flag_value)
 
 
 def _env_from(cfg: dict, kind: str | None = None, weather: str | None = None,
@@ -153,7 +155,7 @@ def cmd_simulate(args, cfg: dict, argv, env_vars) -> int:
     if args.days is not None and args.days <= 0:
         raise UsageError("--days must be positive")
     t0 = time.perf_counter()
-    out = _out_dir(args.out, cfg, env_vars)
+    out = _out_dir(args.out, env_vars)
     env = _env_from(cfg, kind=args.env, weather=args.weather, days=args.days)
     if args.controller == "rule":
         kind = env.config.kind
@@ -214,7 +216,7 @@ def cmd_collect(args, cfg: dict, argv, env_vars) -> int:
 
 def cmd_train(args, cfg: dict, argv, env_vars) -> int:
     t0 = time.perf_counter()
-    out = _out_dir(args.out, cfg, env_vars)
+    out = _out_dir(args.out, env_vars)
     block = dict(cfg["agent"])
     if args.algo:
         block["algo"] = args.algo
@@ -255,7 +257,7 @@ def cmd_eval(args, cfg: dict, argv, env_vars) -> int:
     if args.seeds < 1:
         raise UsageError("--seeds must be >= 1")
     t0 = time.perf_counter()
-    out = _out_dir(args.out, cfg, env_vars)
+    out = _out_dir(args.out, env_vars)
     if not Path(args.ckpt).exists():
         raise DataError(f"checkpoint {args.ckpt} not found")
     env = _env_from(cfg, kind=args.env, weather=args.weather, days=args.days)
@@ -315,8 +317,9 @@ def cmd_regret(args, cfg: dict, argv, env_vars) -> int:
 
 
 def cmd_report(args, cfg: dict, argv, env_vars) -> int:
-    result = load_sweep(_out_dir(args.results, cfg, env_vars),
-                        f"rq{args.rq}")
+    result = load_sweep(
+        _out_dir(args.results or cfg["harness"]["out_dir"], env_vars),
+        f"rq{args.rq}")
     if not result.cells:
         print(f"report: rq{args.rq} is empty (zero-seed grid)")
         return 0
@@ -393,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("report", help="print a sweep summary table and "
                                       "check the study's claim on it")
     q.add_argument("--rq", required=True, choices=tuple(RQ_RUNNERS))
-    q.add_argument("--results", metavar="DIR")
+    q.add_argument("--results", metavar="DIR",
+                   help="default: the config's harness.out_dir")
     return p
 
 

@@ -8,11 +8,13 @@ Two collection scenarios produce training data:
 * trained: a frozen expert policy is rolled out, and each step is perturbed
   with probability epsilon by Gaussian noise of scale sigma.
 
-Both run the same episode loop, `agents.EpisodeDriver` (the first inside
-`train_online`), over the rotating training presets, store its
-transitions in a `ReplayBuffer`, and turn the buffer into a `Dataset`
-with the same provenance keys: the policy fingerprint, the weather preset
-and reset seed of every episode, the seed and the requested size.
+Both step an `agents.PolicyController` with `buildsim.EpisodeDriver` (the
+first inside `train_online`) over the rotating training presets; only the
+controller's ``choose`` differs (exploration, or `perturb_action` on the
+expert's action). Both store its normalized transitions in a
+`ReplayBuffer` and turn the buffer into a `Dataset` with the same
+provenance keys: the policy fingerprint, the weather preset and reset
+seed of every episode, the seed and the requested size.
 
 A `Dataset` is a `ReplayView` with a header: the columns, episode starts,
 boundary checks and window sampling are the view's, and the dataset adds
@@ -35,13 +37,13 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .agents import (Agent, AgentConfig, EpisodeDriver, PolicyController,
-                     ReplayBuffer, ReplayView, load_agent, make_agent,
+from .agents import (Agent, AgentConfig, PolicyController, ReplayBuffer,
+                     ReplayView, load_agent, make_agent, seeded_episodes,
                      train_online)
-from .buildsim import (TRAIN_PRESETS, BuildingEnv, run_episode,
+from .buildsim import (TRAIN_PRESETS, BuildingEnv, EpisodeDriver, run_episode,
                        write_columns_csv)
-from .errors import DataError, SpecError, UsageError
-from .fingerprint import fingerprint
+from .errors import DataError, UsageError
+from .fingerprint import fingerprint, has_type
 
 MAGIC = b"HVDS0001"
 REFERENCE_SEED = 424243  # fixed reset seed for expert reference rollouts
@@ -49,23 +51,6 @@ REFERENCE_SEED = 424243  # fixed reset seed for expert reference rollouts
 
 # ---------------------------------------------------------------------------
 # dataset type
-
-
-def _has_type(value, kind) -> bool:
-    """Whether ``value`` is of type ``kind``, or, for ``kind = [item_type]``,
-    a list, tuple or 1-D array of such items. A bool is neither an int nor
-    a float, and an int is also a float."""
-    if isinstance(kind, list):
-        return (isinstance(value, (list, tuple))
-                or isinstance(value, np.ndarray) and value.ndim == 1) \
-            and all(_has_type(item, kind[0]) for item in value)
-    if isinstance(value, bool):
-        return False
-    if kind is float:
-        return isinstance(value, (int, float, np.integer, np.floating))
-    if kind is int:
-        return isinstance(value, (int, np.integer))
-    return isinstance(value, kind)
 
 
 class Dataset(ReplayView):
@@ -77,7 +62,7 @@ class Dataset(ReplayView):
     """
 
     #: the header's keys, as stored in the file beside the column table,
-    #: with the type of each value (see `_has_type`)
+    #: with the type of each value (see `fingerprint.has_type`)
     HEADER = {"env_kind": str, "days": float, "horizon": int,
               "obs_spec_fingerprint": str, "act_spec_fingerprint": str,
               "obs_lows": [float], "obs_highs": [float], "act_lows": [float],
@@ -90,7 +75,7 @@ class Dataset(ReplayView):
             raise DataError(f"dataset header has unknown fields {unknown} "
                             f"and lacks fields {missing}")
         mistyped = [key for key, kind in self.HEADER.items()
-                    if not _has_type(header[key], kind)]
+                    if not has_type(header[key], kind)]
         if mistyped:
             raise DataError(f"dataset header fields {mistyped} have the wrong type")
         starts = header.pop("episode_starts")
@@ -238,31 +223,31 @@ def collect_trained(env: BuildingEnv, expert, total_steps: int,
     """
     if isinstance(expert, (str, Path)):
         expert, _ = load_agent(expert)
-    if expert.obs_dim != env.obs_spec.size \
-            or expert.act_dim != env.act_spec.size:
-        raise SpecError(
-            f"expert expects {expert.obs_dim} obs / {expert.act_dim} act "
-            f"dims, environment has {env.obs_spec.size}/{env.act_spec.size}")
     if total_steps < 1:
         raise UsageError("total_steps must be >= 1")
     if not 0.0 <= epsilon <= 1.0:
         raise UsageError("epsilon must be in [0, 1]")
     if sigma < 0.0:
         raise UsageError("sigma must be >= 0")
+    rng = np.random.default_rng(seed)
+    noisy_steps, done = 0, False
+
+    def choose(windows, valid):
+        nonlocal noisy_steps
+        act_n, perturbed = perturb_action(
+            rng, expert.policy_action(windows, valid), epsilon, sigma)
+        noisy_steps += perturbed
+        return act_n
+
+    controller = PolicyController(expert, env.obs_spec, env.act_spec, choose)
     make_env, names = preset_rotation(env, presets)
-    driver = EpisodeDriver(make_env, seed, expert.obs_dim, expert.cfg.seq_len)
+    driver = EpisodeDriver(seeded_episodes(make_env, seed), controller)
     # whole episodes: the last one starts before total_steps is reached
     buffer = ReplayBuffer(expert.obs_dim, expert.act_dim,
                           capacity=total_steps + env.horizon)
-    rng = np.random.default_rng(seed)
-    noisy_steps, done = 0, False
     while not (done and len(buffer) >= total_steps):
-        act_n = expert.policy_action(*driver.window.arrays(),
-                                     deterministic=True)[0]
-        act_n, perturbed = perturb_action(rng, act_n, epsilon, sigma)
-        noisy_steps += perturbed
-        obs_n, act_n, reward, done = driver.step(act_n)
-        buffer.add(obs_n, act_n, reward, done)
+        _, _, reward, done, _ = driver.step()
+        buffer.add(controller.obs_n, controller.act_n, reward, done)
     return _collected_dataset(
         env, buffer, driver.reset_seeds, names, expert, seed, total_steps,
         scenario="trained", algo=expert.cfg.algo, epsilon=float(epsilon),

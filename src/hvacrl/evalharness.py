@@ -56,8 +56,8 @@ from .container import atomic_write
 from .datagen import (build_quality_report, collect_final_buffer,
                       collect_trained, preset_rotation, read_dataset,
                       subsample, write_dataset)
-from .errors import DataError, FingerprintMismatchError, SimulationFault, UsageError
-from .fingerprint import canonical_json, fingerprint, to_jsonable
+from .errors import DataError, SimulationFault, UsageError
+from .fingerprint import canonical_json, fingerprint, has_type, to_jsonable
 
 # observation channels holding zone temperatures, per environment kind
 TEMP_CHANNELS = {"dc": slice(5, 7), "mu": slice(5, 8)}
@@ -152,12 +152,6 @@ def _controller_for(policy, env: BuildingEnv):
     if isinstance(policy, (str, Path)):
         policy, _ = load_agent(policy)
     if isinstance(policy, Agent):
-        if (policy.obs_dim, policy.act_dim) != (env.obs_spec.size,
-                                                env.act_spec.size):
-            raise FingerprintMismatchError(
-                f"checkpoint expects {policy.obs_dim}/{policy.act_dim} "
-                f"obs/act dims, environment provides "
-                f"{env.obs_spec.size}/{env.act_spec.size}")
         return PolicyController(policy, env.obs_spec, env.act_spec), \
             policy.fingerprint()
     # otherwise a plain callable controller in physical units
@@ -183,8 +177,6 @@ def evaluate_policy(policy, env: BuildingEnv, weather: str | None = None,
     with (nullcontext(out_dir) if out_dir is not None
           else tempfile.TemporaryDirectory()) as csv_dir:
         for seed in seeds:
-            if hasattr(controller, "reset"):
-                controller.reset()
             traj = run_episode(run_env, controller, seed=int(seed))
             report = report_from_trajectory(traj, rp.band_low, rp.band_high,
                                             cfg_fp)
@@ -605,7 +597,8 @@ def load_sweep(out_root, rq: str) -> SweepResult:
 
     The cells are the ones ``<out_root>/<rq>/summary.csv`` lists; each is
     read from its cell directory. A missing or damaged summary, a listed
-    cell without its directory and a damaged cell file are DataErrors.
+    cell without its directory, a damaged cell file and an rq3 cell
+    without a numeric ``mean`` in its ``quality.json`` are DataErrors.
     """
     out_root = Path(out_root)
     path = out_root / rq / "summary.csv"
@@ -623,9 +616,13 @@ def load_sweep(out_root, rq: str) -> SweepResult:
         cell = _finished_cell(out_root, rq, key, listed[key])
         cell_dir = out_root / rq / listed[key]
         result.add_cell(key, cell["axes"], cell["seeds"], cell_dir)
-        quality = cell_dir / "quality.json"
-        if quality.exists():
+        if rq == "rq3":     # the only cells with one; the claim reads it
+            quality = cell_dir / "quality.json"
+            if not quality.exists():
+                raise DataError(f"cell {key} lacks its quality.json")
             result.quality[key] = _read_result_json(quality)
+            if not has_type(result.quality[key].get("mean"), float):
+                raise DataError(f"{quality} lacks a numeric mean")
     return result
 
 

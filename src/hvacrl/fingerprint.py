@@ -1,4 +1,5 @@
-"""Canonical JSON serialization and stable content fingerprints.
+"""Canonical JSON serialization, stable content fingerprints, and the
+type check applied to JSON values read from outside the program.
 
 Every artifact (config, checkpoint, dataset, result file) embeds a
 fingerprint so that runs can be matched to the exact configuration that
@@ -33,6 +34,23 @@ def to_jsonable(obj):
     if isinstance(obj, Path):
         return str(obj)
     return obj
+
+
+def has_type(value, kind) -> bool:
+    """Whether ``value`` is of type ``kind``, or, for ``kind = [item_type]``,
+    a list, tuple or 1-D array of such items. A bool is neither an int nor
+    a float, and an int is also a float."""
+    if isinstance(kind, list):
+        return (isinstance(value, (list, tuple))
+                or isinstance(value, np.ndarray) and value.ndim == 1) \
+            and all(has_type(item, kind[0]) for item in value)
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float, np.integer, np.floating))
+    if kind is int:
+        return isinstance(value, (int, np.integer))
+    return isinstance(value, kind)
 
 
 def canonical_json(obj) -> str:

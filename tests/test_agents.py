@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from hvacrl.agents import (AgentConfig, ReplayBuffer, ReplayView,
                            RolloutWindow, WindowBatch, load_agent, make_agent,
-                           select_action, train_offline, train_online)
+                           train_offline, train_online)
 from hvacrl.buildsim import EnvConfig, BuildingEnv, TRAIN_PRESETS
 from hvacrl.errors import DataError, DivergenceError, SpecError
 from hvacrl.neuralsub import tensor as T
@@ -707,8 +707,9 @@ class TestActing:
         agent = make_agent(AgentConfig(algo="sac", train_steps=0, seed=6), 4, 2)
         w = np.random.default_rng(0).uniform(0, 1, (1, 1, 4)).astype(np.float32)
         v = np.ones((1, 1), bool)
-        a1 = select_action(agent, w[0], v[0], deterministic=True)
-        a2 = select_action(agent, w, v, deterministic=True)
+        a1 = agent.policy_action(w, v)
+        a2 = agent.policy_action(w, v, deterministic=True)
+        assert a1.shape == (1, 2)
         assert np.array_equal(a1, a2)
         assert np.abs(a1).max() <= 1.0
 
@@ -716,8 +717,8 @@ class TestActing:
         agent = make_agent(AgentConfig(algo="sac", train_steps=0, seed=6), 4, 2)
         w = np.full((1, 1, 4), 0.3, np.float32)
         v = np.ones((1, 1), bool)
-        a1 = select_action(agent, w, v, deterministic=False)
-        a2 = select_action(agent, w, v, deterministic=False)
+        a1 = agent.policy_action(w, v, deterministic=False)
+        a2 = agent.policy_action(w, v, deterministic=False)
         assert not np.array_equal(a1, a2)
 
     def test_td3_exploration_adds_bounded_noise(self):

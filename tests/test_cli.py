@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hvacrl.agents import load_agent
+from hvacrl.agents import AgentConfig, load_agent, make_agent
 from hvacrl.buildsim import EVAL_PRESET, BuildingEnv, EnvConfig
 from hvacrl.cli import ENV_MAX_JOBS, ENV_OUT_DIR, default_config, main
 from hvacrl.datagen import expert_reference_return, read_dataset, write_dataset
@@ -82,6 +82,27 @@ class TestConfigPlumbing:
         p = tmp_path / "c.json"
         p.write_text("{not json")
         assert run(["--config", str(p), "--print-config"]) == 3
+
+    @pytest.mark.parametrize("override, argv, code", [
+        ({"harness": {"seeds": "1"}}, ["sweep", "--rq", "1"], 2),
+        ({"environment": {"days": "2"}}, ["simulate", "--out", "sim"], 2),
+        ({"seed": True}, ["--print-config"], 2),
+        ({"data": {"steps": 1.5}}, ["--print-config"], 2),
+        ({"harness": {"rq1_algos": "td3"}}, ["--print-config"], 2),
+        ({"agent": {"gamma": None}}, ["--print-config"], 2),
+        ({"environment": {"days": 2}}, ["--print-config"], 0),
+    ], ids=["str-for-int", "str-for-float", "bool-for-int", "float-for-int",
+            "str-for-list", "null-for-float", "int-for-float"])
+    def test_config_value_types(self, tmp_path, monkeypatch, capsys,
+                                override, argv, code):
+        monkeypatch.chdir(tmp_path)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(override))
+        assert run(["--config", str(p), *argv]) == code
+        if code == 2:
+            assert "UsageError" in capsys.readouterr().err
+            assert not (tmp_path / "sim").exists()
+            assert not (tmp_path / "results").exists()
 
 
 class TestArgumentErrors:
@@ -276,6 +297,16 @@ class TestEval:
         assert run(["eval", "--ckpt", str(workspace["ckpt"]), "--env", "mu",
                     "--days", "0.25", "--out", str(tmp_path / "e")]) == 3
         assert "FingerprintMismatchError" in capsys.readouterr().err
+        # an expert whose dims fit neither building, for the dc dataset
+        wrong = tmp_path / "wrong.ckpt"
+        make_agent(AgentConfig(algo="sac"), 8, 5).save(wrong, epoch=0, step=0)
+        assert run(["collect", "--scenario", "trained", "--expert", str(wrong),
+                    "--steps", "10", "--out", str(tmp_path / "d.hvds")]) == 3
+        assert "FingerprintMismatchError" in capsys.readouterr().err
+        assert run(["regret", "--data", str(workspace["data"]),
+                    "--expert", str(wrong),
+                    "--out", str(tmp_path / "q.json")]) == 3
+        assert "FingerprintMismatchError" in capsys.readouterr().err
 
 
     def test_truncated_checkpoint_is_data_error(self, tmp_path, capsys):
@@ -354,6 +385,9 @@ class TestSweepAndReport:
                             r"best reward at eps=(0|0\.5)", table[4])
         assert table[3:] == claim_lines(load_sweep(tmp_path / "results",
                                                    "rq3"))
+        # without --results, report reads the sweep's harness.out_dir
+        assert run(["--config", str(cfg), "report", "--rq", "3"]) == 0
+        assert capsys.readouterr().out.splitlines() == table
 
     def test_report_with_a_cell_directory_missing_is_data_error(
             self, tmp_path, capsys):
@@ -384,7 +418,8 @@ class TestSweepAndReport:
         assert run(["--config", str(cfg), "sweep", "--rq", "3"]) == 3
 
     @pytest.mark.parametrize("damage", ["empty-entry", "missing-field",
-                                        "unknown-field"])
+                                        "unknown-field", "quality-mean",
+                                        "quality-missing"])
     def test_report_with_a_damaged_seed_entry_is_data_error(
             self, tmp_path, capsys, damage):
         cfg = self.sweep_config(tmp_path)
@@ -393,20 +428,32 @@ class TestSweepAndReport:
             fp = next(csv.DictReader(f))["cell_fingerprint"]
         path = tmp_path / "results" / "rq3" / fp / "report.json"
         doc = json.loads(path.read_text())
+        quality = path.with_name("quality.json")
+        message = "seed entry 0"
         if damage == "empty-entry":
             doc["seeds"] = [{}]
         elif damage == "missing-field":
             del doc["seeds"][0]["report"]["violation"]
-        else:
+        elif damage == "unknown-field":
             doc["seeds"][0]["report"]["bogus"] = 1.0
+        elif damage == "quality-mean":
+            q = json.loads(quality.read_text())
+            del q["mean"]
+            quality.write_text(json.dumps(q))
+            message = "lacks a numeric mean"
+        else:
+            quality.unlink()
+            message = "lacks its quality.json"
         path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert run(["report", "--rq", "3",
                     "--results", str(tmp_path / "results")]) == 3
-        assert "seed entry 0" in capsys.readouterr().err
-        # a resumed sweep reuses the same entries
+        assert message in capsys.readouterr().err
+        # a resumed sweep reuses the same entries, and rebuilds the
+        # quality reports instead of reading them
         cfg = self.sweep_config(tmp_path, skip_existing=True)
-        assert run(["--config", str(cfg), "sweep", "--rq", "3"]) == 3
+        assert run(["--config", str(cfg), "sweep", "--rq", "3"]) == \
+            (0 if damage.startswith("quality") else 3)
 
     def test_report_with_summary_columns_missing_is_data_error(
             self, tmp_path, capsys):

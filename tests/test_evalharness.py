@@ -155,6 +155,16 @@ class TestEvaluatePolicy:
                                            "dc", rp.band_low, rp.band_high)
         assert recount == rep.violation
 
+    def test_history_window_does_not_leak_across_seeds(self):
+        env = BuildingEnv(EnvConfig(kind="dc", days=0.25))
+        agent = make_agent(AgentConfig(algo="sac", history=True, seq_len=4,
+                                       enc_feat=16, enc_heads=2,
+                                       enc_hidden=24, hidden=32, seed=2),
+                           env.obs_spec.size, env.act_spec.size)
+        both = evaluate_policy(agent, env, seeds=(0, 1))
+        alone = evaluate_policy(agent, env, seeds=(1,))
+        assert asdict(both[1]) == asdict(alone[0])
+
     def test_checkpoint_dimension_mismatch_rejected(self):
         env = BuildingEnv(EnvConfig(kind="dc", days=0.5))
         wrong = make_agent(AgentConfig(algo="sac"), obs_dim=8, act_dim=5)
