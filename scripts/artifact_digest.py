@@ -15,7 +15,7 @@ or ``--help`` prints this text instead):
 * ``collect_final_buffer`` (TD3, three episodes plus a dropped tail) and
   the trained agent's checkpoint;
 * ``collect_trained`` with that agent as expert (epsilon 0.5, sigma 0.2);
-* ``subsample`` of the trained dataset and ``merge_datasets`` of both;
+* ``subsample`` of the trained dataset;
 * ``build_quality_report`` of the trained dataset against the expert;
 * ``RQ_RUNNERS`` "1"-"5" on a tiny `HarnessConfig` (one seed, one job):
   rq1 td3/cql, rq2 cql/sac, two rq3 cells, rq4 sizes 72/360, rq5 L=1,2.
@@ -33,8 +33,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hvacrl.buildsim import BuildingEnv, EnvConfig  # noqa: E402
 from hvacrl.datagen import (build_quality_report, collect_final_buffer,  # noqa: E402
-                            collect_trained, merge_datasets, subsample,
-                            write_dataset)
+                            collect_trained, subsample, write_dataset)
 from hvacrl.evalharness import RQ_RUNNERS, HarnessConfig  # noqa: E402
 
 HARNESS = dict(
@@ -62,7 +61,6 @@ def run_pipeline(out: Path) -> None:
     write_dataset(trained, out / "trained.hvds")
     write_dataset(subsample(trained, target=env.horizon, seed=3),
                   out / "subsample.hvds")
-    write_dataset(merge_datasets([trained, final]), out / "merged.hvds")
     quality = build_quality_report(trained, agent, env).to_jsonable()
     (out / "quality.json").write_text(json.dumps(quality, sort_keys=True))
     cfg = HarnessConfig(out_dir=str(out / "results"), **HARNESS)

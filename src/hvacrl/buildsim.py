@@ -34,7 +34,6 @@ import numpy as np
 
 from .envcore import (
     RewardParams,
-    RewardTerms,
     VectorSpec,
     compute_reward,
     datacenter_act_spec,
@@ -59,15 +58,12 @@ DAYS_PER_YEAR = 365.0
 class GainSchedule:
     """Diurnal internal gains per zone: base + amplitude * sin(day phase).
 
-    The episode-specific phase offset is drawn at reset and never observed,
-    so the gain cycle position is hidden state that only observation
-    history can reveal. Static per-zone offsets stagger the cycles, which
-    lets load migrate between zones while the building total stays steady.
+    Every zone follows the same cycle, shifted by one phase offset that is
+    drawn at reset and never observed, so the gain cycle position is
+    hidden state that only observation history can reveal.
     """
     base_w: tuple[float, ...]        # steady internal load per zone, W
     amplitude_w: tuple[float, ...]   # diurnal swing per zone, W
-    randomize_phase: bool = True     # draw a hidden phase offset per episode
-    zone_phase_rad: tuple[float, ...] | None = None  # static stagger per zone
 
     def __post_init__(self):
         if len(self.base_w) != len(self.amplitude_w):
@@ -75,19 +71,13 @@ class GainSchedule:
         for b, a in zip(self.base_w, self.amplitude_w):
             if b < 0 or a < 0 or a > b:
                 raise SpecError("gains need 0 <= amplitude <= base")
-        if self.zone_phase_rad is not None \
-                and len(self.zone_phase_rad) != len(self.base_w):
-            raise SpecError("zone_phase_rad length must match zone count")
         # arrays for `at`; not fields, so not fingerprinted
-        object.__setattr__(self, "_stagger", np.zeros(len(self.base_w))
-                           if self.zone_phase_rad is None
-                           else np.asarray(self.zone_phase_rad))
         object.__setattr__(self, "_base", np.array(self.base_w))
         object.__setattr__(self, "_amplitude", np.array(self.amplitude_w))
 
     def at(self, t_seconds: float, phase: float) -> np.ndarray:
         hour_angle = 2.0 * math.pi * (t_seconds % SECONDS_PER_DAY) / SECONDS_PER_DAY
-        s = np.sin(hour_angle + phase + self._stagger)
+        s = np.sin(hour_angle + phase)
         return self._base + s * self._amplitude
 
 
@@ -226,11 +216,12 @@ class SyntheticWeather:
 
 @dataclass(frozen=True)
 class WeatherTrace:
+    """Recorded outdoor conditions, one row per step; a step past the last
+    row reads the last row."""
     name: str
     t_out_c: tuple[float, ...]
     rh_pct: tuple[float, ...]
     dt_s: float
-    hold_last: bool = True   # extrapolate past the end by holding the last row
 
 
 _NOISE_PATHS: dict[SyntheticWeather, np.ndarray] = {}
@@ -264,13 +255,7 @@ def weather_at(model, step: int) -> tuple[float, float]:
     if step < 0:
         raise SpecError("weather step must be non-negative")
     if isinstance(model, WeatherTrace):
-        idx = step
-        if idx >= len(model.t_out_c):
-            if not model.hold_last:
-                raise DataError(
-                    f"weather trace {model.name!r} ends at step "
-                    f"{len(model.t_out_c) - 1}, requested {step}")
-            idx = len(model.t_out_c) - 1
+        idx = min(step, len(model.t_out_c) - 1)
         return float(model.t_out_c[idx]), float(model.rh_pct[idx])
     t = step * model.dt_s
     day = t / SECONDS_PER_DAY
@@ -319,8 +304,7 @@ TRAIN_PRESETS = {
 EVAL_PRESET = {"dc": "hong_kong", "mu": "lamia"}
 
 
-def load_weather_trace(path, dt_s: float, name: str | None = None,
-                       hold_last: bool = True) -> WeatherTrace:
+def load_weather_trace(path, dt_s: float, name: str | None = None) -> WeatherTrace:
     """Read a `step,t_out_c,rh_pct` CSV into a trace."""
     path = Path(path)
     temps, rhs = [], []
@@ -337,7 +321,7 @@ def load_weather_trace(path, dt_s: float, name: str | None = None,
     if not temps:
         raise DataError(f"{path}: empty weather trace")
     return WeatherTrace(name=name or path.stem, t_out_c=tuple(temps),
-                        rh_pct=tuple(rhs), dt_s=dt_s, hold_last=hold_last)
+                        rh_pct=tuple(rhs), dt_s=dt_s)
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +476,7 @@ class EnvConfig:
     kind: str = "dc"                     # "dc" or "mu"
     weather: str = ""                    # "preset:<name>" or "csv:<path>"; "" = eval preset
     days: float = 30.0
-    random_start_day: bool = True        # start episodes at a random day of year
     literal_trapezoid_sign: bool = False
-    idle_flow_fraction: float = 0.0      # reserved for alternate idle conventions
 
     def __post_init__(self):
         if self.kind not in ("dc", "mu"):
@@ -587,9 +569,8 @@ class BuildingEnv:
     def reset(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
         steps_per_year = int(DAYS_PER_YEAR * SECONDS_PER_DAY / self.thermal.dt_s)
-        start = int(rng.integers(0, steps_per_year)) if self.config.random_start_day else 0
-        phase = float(rng.uniform(0.0, 2.0 * math.pi)) \
-            if self.thermal.gains.randomize_phase else 0.0
+        start = int(rng.integers(0, steps_per_year))
+        phase = float(rng.uniform(0.0, 2.0 * math.pi))
         mid = np.array(self.reward_params.target)
         temps = mid + rng.uniform(-2.0, 2.0, size=self.n_zones)
         self.state = EnvState(zone_temps_c=temps.astype(np.float64),
@@ -611,8 +592,7 @@ class BuildingEnv:
                                self.reward_params)
         self._steps_this_episode += 1
         done = self._steps_this_episode >= self.horizon
-        info = {"power": power, "reward_terms": terms,
-                "zone_temps": self.state.zone_temps_c.copy()}
+        info = {"power": power, "zone_temps": self.state.zone_temps_c.copy()}
         return obs, terms.total, done, info
 
 
@@ -770,9 +750,11 @@ def run_episode(env: BuildingEnv, controller, seed: int) -> Trajectory:
     )
 
 
-def write_columns_csv(path, obs, actions, rewards, terminals) -> None:
-    """One row per step: ``step, obs_*, act_*, reward, terminal``, the layout
+def write_trajectory_csv(traj: Trajectory, path) -> None:
+    """One row per step of ``traj``: ``step, obs_*, act_*, reward,
+    terminal`` with the post-step observation, the layout
     `read_trajectory_csv` reads."""
+    obs, actions = traj.obs[1:], traj.actions
     header = (["step"] + [f"obs_{i}" for i in range(obs.shape[1])]
               + [f"act_{i}" for i in range(actions.shape[1])]
               + ["reward", "terminal"])
@@ -780,19 +762,13 @@ def write_columns_csv(path, obs, actions, rewards, terminals) -> None:
     # and the csv module writes a float as its repr: the shortest exact
     # representation, so reading the file back reproduces the in-memory
     # values bit for bit
-    rows = zip(obs.tolist(), actions.tolist(), np.asarray(rewards).tolist(),
-               np.asarray(terminals).tolist())
+    rows = zip(obs.tolist(), actions.tolist(), traj.rewards.tolist(),
+               traj.terminals.tolist())
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
         writer.writerows([t, *o, *a, float(r), int(d)]
                          for t, (o, a, r, d) in enumerate(rows))
-
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Post-step observations, actions, rewards and terminals of ``traj``."""
-    write_columns_csv(path, traj.obs[1:], traj.actions, traj.rewards,
-                      traj.terminals)
 
 
 def read_trajectory_csv(path) -> dict[str, np.ndarray]:

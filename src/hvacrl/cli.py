@@ -75,14 +75,19 @@ def _merge(defaults, override, path="config"):
     for key, value in override.items():
         if key not in defaults:
             raise UsageError(f"unknown config key {path}.{key}")
-        if isinstance(defaults[key], dict):
-            merged[key] = _merge(defaults[key], value, f"{path}.{key}")
-        elif has_type(value, type(defaults[key])):
+        default = defaults[key]
+        # a list's items must have the type of the default's first item
+        kind = ([type(default[0])] if isinstance(default, list) and default
+                else type(default))
+        if isinstance(default, dict):
+            merged[key] = _merge(default, value, f"{path}.{key}")
+        elif has_type(value, kind):
             merged[key] = value
         else:
-            raise UsageError(
-                f"config key {path}.{key} must be of type "
-                f"{type(defaults[key]).__name__}, got {json.dumps(value)}")
+            what = (f"list of {kind[0].__name__}" if isinstance(kind, list)
+                    else kind.__name__)
+            raise UsageError(f"config key {path}.{key} must be of type "
+                             f"{what}, got {json.dumps(value)}")
     return merged
 
 
@@ -264,12 +269,12 @@ def cmd_eval(args, cfg: dict, argv, env_vars) -> int:
     fp = config_fingerprint(cfg)
     seeds = list(range(args.seeds))
     reports = evaluate_policy(args.ckpt, env, seeds=seeds, out_dir=out)
+    med = _median_summary(reports)
     _write_json(out / "report.json", {
         "run_fingerprint": fp,
-        "median": _median_summary(reports),
+        "median": med,
         "reports": [r.to_jsonable() for r in reports]})
     _audit(out, argv, "eval", fp, seeds, t0)
-    med = _median_summary(reports)
     print(f"eval: {out} seeds={args.seeds} "
           f"median avg_reward={med['avg_reward']:.4f} "
           f"violation={med['violation']:.4f}")

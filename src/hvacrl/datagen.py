@@ -20,8 +20,8 @@ A `Dataset` is a `ReplayView` with a header: the columns, episode starts,
 boundary checks and window sampling are the view's, and the dataset adds
 the environment fields, provenance metadata and the stored-dataset rules
 (closed last episode, actions in [-1, 1], finite rewards). It is checked
-once, when built, and trains directly. Subsampling and merging join whole
-episodes under the parent's header.
+once, when built, and trains directly. A subsample joins whole episodes
+under the parent's header.
 
 Datasets are stored in the `hvacrl.container` layout under magic
 ``HVDS0001``: the header carries the environment, specs, episode starts
@@ -31,7 +31,7 @@ and metadata, and the arrays are the float32 ``obs``, ``act`` and
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +40,7 @@ from . import container
 from .agents import (Agent, AgentConfig, PolicyController, ReplayBuffer,
                      ReplayView, load_agent, make_agent, seeded_episodes,
                      train_online)
-from .buildsim import (TRAIN_PRESETS, BuildingEnv, EpisodeDriver, run_episode,
-                       write_columns_csv)
+from .buildsim import TRAIN_PRESETS, BuildingEnv, EpisodeDriver, run_episode
 from .errors import DataError, UsageError
 from .fingerprint import fingerprint, has_type
 
@@ -121,27 +120,15 @@ class Dataset(ReplayView):
         return fingerprint({"header": self.header_dict(), "crcs": crcs})
 
 
-def _from_episodes(parent: Dataset, parts, metadata: dict) -> Dataset:
-    """The whole episodes ``(dataset, episode index)`` of ``parts``, joined
-    in order into one dataset under ``parent``'s environment header."""
-    slices = [(ds, ds.episode_slice(i)) for ds, i in parts]
-    lengths = [s.stop - s.start for _, s in slices]
-    return Dataset(
-        *(np.concatenate([getattr(ds, col)[s] for ds, s in slices])
-          for col in Dataset.COLUMNS),
-        **{**parent.header_dict(), "metadata": metadata,
-           "episode_starts": np.cumsum([0] + lengths[:-1])})
-
-
 # ---------------------------------------------------------------------------
 # collection
 
 
-def preset_rotation(env: BuildingEnv, presets=None):
+def preset_rotation(env: BuildingEnv):
     """Environment factory that cycles training weather between episodes;
     a trace-driven environment keeps its trace."""
     names = ([env.config.weather] if env.config.weather.startswith("csv:")
-             else list(presets or TRAIN_PRESETS[env.config.kind]))
+             else list(TRAIN_PRESETS[env.config.kind]))
     return (lambda ep: env.variant(weather=names[ep % len(names)])), names
 
 
@@ -178,9 +165,8 @@ def _collected_dataset(env: BuildingEnv, buffer: ReplayBuffer, reset_seeds,
 
 
 def collect_final_buffer(env: BuildingEnv, algo: str, total_steps: int,
-                         noise: float = 0.1, seed: int = 0,
-                         agent_config: AgentConfig | None = None,
-                         presets=None) -> tuple[Dataset, Agent]:
+                         noise: float = 0.1, seed: int = 0
+                         ) -> tuple[Dataset, Agent]:
     """Scenario 1: train off-policy from scratch, keep the whole buffer.
 
     Exploration is Gaussian noise of scale ``noise`` on normalized actions
@@ -192,12 +178,11 @@ def collect_final_buffer(env: BuildingEnv, algo: str, total_steps: int,
                          f"algorithm, got {algo!r}")
     if total_steps < 1:
         raise UsageError("total_steps must be >= 1")
-    cfg = agent_config or AgentConfig(algo=algo, seed=seed)
-    cfg = replace(cfg, algo=algo, train_steps=total_steps,
-                  explore_noise=noise, seed=seed,
-                  epoch_steps=min(max(total_steps, 1), cfg.epoch_steps))
+    cfg = AgentConfig(algo=algo, seed=seed, train_steps=total_steps,
+                      explore_noise=noise,
+                      epoch_steps=min(total_steps, AgentConfig.epoch_steps))
     agent = make_agent(cfg, env.obs_spec.size, env.act_spec.size)
-    make_env, names = preset_rotation(env, presets)
+    make_env, names = preset_rotation(env)
     start_steps = min(1000, max(cfg.batch_size, total_steps // 10))
     summary = train_online(agent, make_env, start_steps=start_steps,
                            buffer_capacity=total_steps)
@@ -211,8 +196,8 @@ def collect_final_buffer(env: BuildingEnv, algo: str, total_steps: int,
 
 
 def collect_trained(env: BuildingEnv, expert, total_steps: int,
-                    epsilon: float = 0.1, sigma: float = 0.1, seed: int = 0,
-                    presets=None) -> Dataset:
+                    epsilon: float = 0.1, sigma: float = 0.1, seed: int = 0
+                    ) -> Dataset:
     """Scenario 2: roll out a frozen expert, perturbing steps at rate epsilon.
 
     ``expert`` is an Agent or a checkpoint path. Each step independently
@@ -240,7 +225,7 @@ def collect_trained(env: BuildingEnv, expert, total_steps: int,
         return act_n
 
     controller = PolicyController(expert, env.obs_spec, env.act_spec, choose)
-    make_env, names = preset_rotation(env, presets)
+    make_env, names = preset_rotation(env)
     driver = EpisodeDriver(seeded_episodes(make_env, seed), controller)
     # whole episodes: the last one starts before total_steps is reached
     buffer = ReplayBuffer(expert.obs_dim, expert.act_dim,
@@ -398,7 +383,7 @@ def build_quality_report(dataset: Dataset, expert: Agent,
 
 
 # ---------------------------------------------------------------------------
-# subsampling and merging
+# subsampling
 
 
 def subsample(dataset: Dataset, target: int, seed: int = 0) -> Dataset:
@@ -422,6 +407,8 @@ def subsample(dataset: Dataset, target: int, seed: int = 0) -> Dataset:
         if total >= target:
             break
     picked.sort()
+    slices = [dataset.episode_slice(i) for i in picked]
+    lengths = [s.stop - s.start for s in slices]
     parent_presets = dataset.metadata.get("weather_presets", [])
     parent_seeds = dataset.metadata.get("reset_seeds", [])
     metadata = dict(dataset.metadata)
@@ -434,47 +421,11 @@ def subsample(dataset: Dataset, target: int, seed: int = 0) -> Dataset:
         "reset_seeds": [parent_seeds[i] for i in picked]
         if parent_seeds else [],
     })
-    return _from_episodes(dataset, [(dataset, i) for i in picked], metadata)
-
-
-def merge_datasets(shards: list) -> Dataset:
-    """Deterministically merge per-(preset, seed) shards into one dataset."""
-    if not shards:
-        raise UsageError("nothing to merge")
-    first = shards[0]
-    for s in shards[1:]:
-        if (s.env_kind, s.horizon, s.obs_spec_fingerprint,
-                s.act_spec_fingerprint) != \
-                (first.env_kind, first.horizon, first.obs_spec_fingerprint,
-                 first.act_spec_fingerprint):
-            raise DataError("shards disagree on environment or specs")
-    ordered = sorted(shards, key=lambda s: (
-        s.metadata.get("weather_preset", ""), s.metadata.get("seed", 0)))
-    presets, reset_seeds = [], []
-    for s in ordered:
-        presets.extend(s.metadata.get("weather_presets", []))
-        shard_seeds = s.metadata.get("reset_seeds", [])
-        reset_seeds.extend(shard_seeds if len(shard_seeds)
-                           == s.num_episodes else [None] * s.num_episodes)
-    lead = ordered[0].metadata
-    metadata = {
-        "scenario": lead.get("scenario", "merged"),
-        "merged_from": [{"fingerprint": s.fingerprint(),
-                         "weather_preset": s.metadata.get("weather_preset"),
-                         "seed": s.metadata.get("seed")} for s in ordered],
-        "weather_presets": presets,
-        "reset_seeds": reset_seeds
-        if all(r is not None for r in reset_seeds) else [],
-        "epsilon": lead.get("epsilon"),
-        "sigma": lead.get("sigma"),
-        "policy_fingerprint": lead.get("policy_fingerprint"),
-        "weather_preset": ",".join(sorted({
-            p for s in ordered
-            for p in str(s.metadata.get("weather_preset", "")).split(",")})),
-        "seed": lead.get("seed"),
-    }
-    return _from_episodes(first, [(s, i) for s in ordered
-                                  for i in range(s.num_episodes)], metadata)
+    return Dataset(
+        *(np.concatenate([getattr(dataset, col)[s] for s in slices])
+          for col in Dataset.COLUMNS),
+        **{**dataset.header_dict(), "metadata": metadata,
+           "episode_starts": np.cumsum([0] + lengths[:-1])})
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +453,3 @@ def read_dataset(path) -> Dataset:
     del header["columns"]
     return Dataset(cols["obs"], cols["act"], cols["reward"], cols["terminal"],
                    **header)
-
-
-def export_dataset_csv(ds: Dataset, path) -> None:
-    """Inspection CSV in the trajectory layout (`write_columns_csv`), with
-    each step's pre-step observation."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write_columns_csv(path, ds.obs, ds.actions, ds.rewards, ds.terminals)

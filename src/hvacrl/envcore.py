@@ -246,15 +246,3 @@ def compute_reward(zone_temps: np.ndarray, total_power_w: float, params: RewardP
     r_temp = float((gauss + sign * params.lambda_trapezoid * trap).sum())
     r_power = -float(total_power_w)
     return RewardTerms(r_temp + params.lambda_power * r_power, r_temp, r_power)
-
-
-def episode_return(rewards, gamma: float) -> float:
-    """Discounted sum of a reward sequence; gamma=1 gives the plain sum."""
-    if not 0.0 <= gamma <= 1.0:
-        raise SpecError(f"gamma must be in [0, 1], got {gamma}")
-    total = 0.0
-    weight = 1.0
-    for r in rewards:
-        total += weight * float(r)
-        weight *= gamma
-    return total

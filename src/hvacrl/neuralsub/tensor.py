@@ -42,10 +42,6 @@ class no_grad:
         _grad_enabled = self.prev
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -71,9 +67,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def backward(self, seed_grad=None) -> None:
         backward(self, seed_grad)

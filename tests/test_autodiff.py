@@ -273,11 +273,6 @@ class TestTapeMechanics:
         assert t.dtype == np.float32
         assert T.add(t, 1.0).dtype == np.float32
 
-    def test_detach_cuts_graph(self):
-        x = T.parameter(np.ones(2, dtype=np.float32))
-        y = T.mul(x, 2.0).detach()
-        assert not y.requires_grad
-
 
 class TestMLPNode:
     @staticmethod

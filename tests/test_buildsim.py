@@ -66,10 +66,6 @@ class TestWeather:
         trace = WeatherTrace(name="t", t_out_c=(1.0, 2.0), rh_pct=(5.0, 6.0),
                              dt_s=600.0)
         assert weather_at(trace, 99) == (2.0, 6.0)
-        strict = WeatherTrace(name="t", t_out_c=(1.0, 2.0), rh_pct=(5.0, 6.0),
-                              dt_s=600.0, hold_last=False)
-        with pytest.raises(DataError):
-            weather_at(strict, 2)
 
     @given(st.integers(min_value=0, max_value=50_000))
     @settings(max_examples=30, deadline=None)
@@ -127,8 +123,7 @@ class TestStepDatacenter:
         # default fabric but no internal gains
         base = datacenter_thermal()
         return dataclasses.replace(
-            base, gains=GainSchedule((0.0, 0.0), (0.0, 0.0),
-                                     randomize_phase=False))
+            base, gains=GainSchedule((0.0, 0.0), (0.0, 0.0)))
 
     def test_equilibrium_state_is_fixed_point(self):
         params = self.quiet_thermal()
@@ -264,7 +259,7 @@ class TestInvariants:
         base = mixeduse_thermal()
         params = dataclasses.replace(
             base, outdoor_r_k_per_w=(math.inf,) * 3,
-            gains=GainSchedule((0.0,) * 3, (0.0,) * 3, randomize_phase=False))
+            gains=GainSchedule((0.0,) * 3, (0.0,) * 3))
         state = EnvState(zone_temps_c=np.array([28.0, 19.0, 23.0]),
                          gain_phase=0.0, step_index=0)
         act = np.array([22.0, 15.0, 15.0, 0.0, 0.0])

@@ -91,8 +91,12 @@ class TestConfigPlumbing:
         ({"harness": {"rq1_algos": "td3"}}, ["--print-config"], 2),
         ({"agent": {"gamma": None}}, ["--print-config"], 2),
         ({"environment": {"days": 2}}, ["--print-config"], 0),
+        ({"harness": {"rq3_epsilons": ["a"]}}, ["sweep", "--rq", "3"], 2),
+        ({"harness": {"rq4_sizes": [1.5]}}, ["sweep", "--rq", "4"], 2),
+        ({"harness": {"rq3_epsilons": [0, 0.5]}}, ["--print-config"], 0),
     ], ids=["str-for-int", "str-for-float", "bool-for-int", "float-for-int",
-            "str-for-list", "null-for-float", "int-for-float"])
+            "str-for-list", "null-for-float", "int-for-float",
+            "str-item-for-float", "float-item-for-int", "int-items-for-float"])
     def test_config_value_types(self, tmp_path, monkeypatch, capsys,
                                 override, argv, code):
         monkeypatch.chdir(tmp_path)

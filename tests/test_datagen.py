@@ -6,8 +6,7 @@ import pytest
 
 from hvacrl import datagen as dg
 from hvacrl.agents import AgentConfig, PolicyController, make_agent
-from hvacrl.buildsim import (TRAIN_PRESETS, BuildingEnv, EnvConfig,
-                             read_trajectory_csv, run_episode)
+from hvacrl.buildsim import TRAIN_PRESETS, BuildingEnv, EnvConfig, run_episode
 from hvacrl.envcore import normalize_obs
 from hvacrl.errors import DataError, UsageError
 
@@ -322,33 +321,6 @@ class TestSubsample:
         assert batch.windows.shape == (16, 4, ds.obs.shape[1])
 
 
-class TestMerge:
-    def test_merge_is_order_independent(self):
-        a = synthetic_dataset(seed=0)
-        b = synthetic_dataset(seed=1)
-        c = synthetic_dataset(seed=2)
-        m1 = dg.merge_datasets([a, b, c])
-        m2 = dg.merge_datasets([c, a, b])
-        assert m1.fingerprint() == m2.fingerprint()
-        assert len(m1) == len(a) + len(b) + len(c)
-        m1.validate()
-
-    def test_merge_offsets_boundaries(self):
-        a = synthetic_dataset(n=200, ep_len=100, seed=0)
-        b = synthetic_dataset(n=200, ep_len=100, seed=1)
-        m = dg.merge_datasets([a, b])
-        assert list(m.episode_starts) == [0, 100, 200, 300]
-
-    def test_merge_rejects_mismatched_specs(self):
-        a = synthetic_dataset(seed=0)
-        b = synthetic_dataset(seed=1, obs_dim=5)
-        b.obs_spec_fingerprint = "other"
-        with pytest.raises(DataError):
-            dg.merge_datasets([a, b])
-        with pytest.raises(UsageError):
-            dg.merge_datasets([])
-
-
 class DatasetFormat:
     """HVDS datasets, written by `write_dataset`, read by `read_dataset`."""
 
@@ -423,29 +395,6 @@ class TestContainer(ContainerCases):
         rewrite_header(path, lambda h: {**h, field: value})
         with pytest.raises(DataError, match=field):
             dg.read_dataset(path)
-
-    def test_csv_export_reads_back_as_trajectory(self, tmp_path):
-        ds = synthetic_dataset(n=50, ep_len=25)
-        p = tmp_path / "d.csv"
-        dg.export_dataset_csv(ds, p)
-        assert b"\r" not in p.read_bytes()
-        cols = read_trajectory_csv(p)
-        assert np.array_equal(cols["obs"], ds.obs)
-        assert np.array_equal(cols["actions"], ds.actions)
-        assert np.array_equal(cols["rewards"], ds.rewards)
-        assert np.array_equal(cols["terminals"], ds.terminals)
-
-    def test_csv_export_shape(self, tmp_path):
-        ds = synthetic_dataset(n=50, ep_len=25)
-        p = tmp_path / "d.csv"
-        dg.export_dataset_csv(ds, p)
-        lines = p.read_text().strip().split("\n")
-        assert len(lines) == 51
-        header = lines[0].split(",")
-        assert header[0] == "step" and header[-1] == "terminal"
-        assert header.count("obs_0") == 1 and "act_1" in header
-        first = lines[1].split(",")
-        assert float(first[1]) == pytest.approx(float(ds.obs[0, 0]))
 
 
 class TestValidation:

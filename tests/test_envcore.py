@@ -13,7 +13,6 @@ from hvacrl.envcore import (
     datacenter_obs_spec,
     datacenter_reward_params,
     denormalize_action,
-    episode_return,
     mixeduse_act_spec,
     mixeduse_obs_spec,
     mixeduse_reward_params,
@@ -203,20 +202,3 @@ class TestReward:
         with pytest.raises(DataError):
             compute_reward(np.array([22.0, 22.0]), float("nan"), datacenter_reward_params())
 
-
-class TestEpisodeReturn:
-    def test_gamma_zero(self):
-        assert episode_return([1, 1, 1], 0.0) == 1.0
-
-    def test_gamma_one(self):
-        assert episode_return([1, 1, 1], 1.0) == 3.0
-
-    def test_formula(self):
-        assert episode_return([2, -1, 0.5], 0.9) == pytest.approx(1.505)
-
-    def test_empty_is_zero(self):
-        assert episode_return([], 0.5) == 0.0
-
-    def test_bad_gamma(self):
-        with pytest.raises(SpecError):
-            episode_return([1.0], 1.5)
