@@ -18,6 +18,16 @@ Zone dynamics are one explicit-Euler step per control interval:
 which is numerically stable provided dt < C_i / G_i,max; that bound is
 enforced when parameters are constructed.
 
+The per-step arithmetic (steps, weather, gains, reward, rule controller and
+the agents' vector conversions in `envcore`) runs on Python floats with the
+bits of the numpy array code it replaced, at a fraction of the dispatch
+cost. Sums of a few floats go left to right from 0.0 (`ordered_sum`), as
+numpy's `.sum()` does; `math.sin` equals `np.sin`; `np.clip` keeps a -0.0
+and a NaN (so a NaN action still ends in a `SimulationFault`), and
+`np.maximum(x, 0.0)` keeps no -0.0. Two calls stay numpy because the Python
+forms round differently: the reward's `np.exp` over the zone vector and
+`dc`'s `np.power` over its flow pair.
+
 Every rollout runs through `EpisodeDriver`, the only code that resets and
 steps a `BuildingEnv`: it drives one physical-units controller over
 episodes that each bring their own environment and reset seed, and
@@ -42,6 +52,8 @@ from .envcore import (
     mixeduse_act_spec,
     mixeduse_obs_spec,
     mixeduse_reward_params,
+    ordered_sum,
+    positive_part,
 )
 from .errors import DataError, SimulationFault, SpecError
 from .fingerprint import fingerprint, to_jsonable
@@ -71,14 +83,11 @@ class GainSchedule:
         for b, a in zip(self.base_w, self.amplitude_w):
             if b < 0 or a < 0 or a > b:
                 raise SpecError("gains need 0 <= amplitude <= base")
-        # arrays for `at`; not fields, so not fingerprinted
-        object.__setattr__(self, "_base", np.array(self.base_w))
-        object.__setattr__(self, "_amplitude", np.array(self.amplitude_w))
 
     def at(self, t_seconds: float, phase: float) -> np.ndarray:
         hour_angle = 2.0 * math.pi * (t_seconds % SECONDS_PER_DAY) / SECONDS_PER_DAY
-        s = np.sin(hour_angle + phase)
-        return self._base + s * self._amplitude
+        s = math.sin(hour_angle + phase)
+        return np.array([b + s * a for b, a in zip(self.base_w, self.amplitude_w)])
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +142,6 @@ class ThermalParams:
                 raise SpecError(
                     f"dt={self.dt_s}s unstable for zone {self.zone_names[i]}: "
                     f"needs dt < {critical:.0f}s")
-        # arrays for the step functions; not fields, so not fingerprinted
-        object.__setattr__(self, "_capacity", np.array(self.capacity_j_per_k))
-        object.__setattr__(self, "_outdoor_r", np.array(self.outdoor_r_k_per_w))
-        object.__setattr__(self, "_max_flow", np.array(self.max_flow_kg_s))
 
     def cop(self, t_out_c: float) -> float:
         return max(1.0, self.cop_nominal - self.cop_slope * (t_out_c - self.cop_ref_c))
@@ -224,11 +229,13 @@ class WeatherTrace:
     dt_s: float
 
 
-_NOISE_PATHS: dict[SyntheticWeather, np.ndarray] = {}
+# keyed by what a path depends on: the frozen model hashes slowly per step
+_NOISE_PATHS: dict[tuple, np.ndarray] = {}
 
 
 def _noise_path(model: SyntheticWeather, length: int) -> np.ndarray:
-    cached = _NOISE_PATHS.get(model)
+    key = (model.seed, model.noise_rate, model.noise_scale)
+    cached = _NOISE_PATHS.get(key)
     if cached is not None and len(cached) >= length:
         return cached
     n = max(length, 4096, 0 if cached is None else 2 * len(cached))
@@ -246,7 +253,7 @@ def _noise_path(model: SyntheticWeather, length: int) -> np.ndarray:
     for k, shock in enumerate(memoryview(z)[1:]):
         x = keep * x + shock_scale * shock
         path[k] = x
-    _NOISE_PATHS[model] = path
+    _NOISE_PATHS[key] = path
     return path
 
 
@@ -354,20 +361,20 @@ class PowerBreakdown:
         return self.total_w / max(self.building_w, 1.0)
 
 
-def _advance_temps(temps: np.ndarray, t_out: float, gains: np.ndarray,
-                   hvac_w: np.ndarray, params: ThermalParams) -> np.ndarray:
-    flux = gains + hvac_w
-    flux = flux + (t_out - temps) / params._outdoor_r
+def _advance_temps(temps: list, t_out: float, gains: list, hvac_w: list,
+                   params: ThermalParams) -> list:
+    """The zone temperatures one Euler step on, as lists of floats."""
+    flux = [g + h + (t_out - t) / r for g, h, t, r
+            in zip(gains, hvac_w, temps, params.outdoor_r_k_per_w)]
     for i, j, r in params.coupling_r_k_per_w:
         q = (temps[j] - temps[i]) / r
         flux[i] += q
         flux[j] -= q
-    new = temps + params.dt_s * flux / params._capacity
-    if not np.isfinite(new).all():
-        raise SimulationFault(
-            "non-finite zone temperature",
-            state_dump={"temps": temps.tolist(), "t_out": t_out,
-                        "gains": gains.tolist(), "hvac_w": hvac_w.tolist()})
+    new = [t + params.dt_s * f / c
+           for t, f, c in zip(temps, flux, params.capacity_j_per_k)]
+    if not all(map(math.isfinite, new)):
+        raise SimulationFault("non-finite zone temperature", state_dump={
+            "temps": temps, "t_out": t_out, "gains": gains, "hvac_w": hvac_w})
     return new
 
 
@@ -376,23 +383,23 @@ def step_datacenter(state: EnvState, act: np.ndarray, params: ThermalParams,
     """One control interval from a physical action vector
     [sp_west, sp_east, flow_west, flow_east]; returns the next state, its
     physical observation vector and the interval's power."""
-    setpoints = np.asarray(act[:2], dtype=float)
-    flows = np.asarray(act[2:], dtype=float)
+    act = np.asarray(act, dtype=float)
+    setpoints, flows = act[:2].tolist(), act[2:].tolist()
     t_out, rh = weather_at(weather, state.step_index)
-    gains = params.gains.at(state.step_index * params.dt_s, state.gain_phase)
-    temps = state.zone_temps_c
+    gains = params.gains.at(state.step_index * params.dt_s, state.gain_phase).tolist()
+    temps = state.zone_temps_c.tolist()
+    cp = params.supply_cp
 
-    hvac_heat = flows * params.supply_cp * (setpoints - temps)
+    hvac_heat = [f * cp * (sp - t) for f, sp, t in zip(flows, setpoints, temps)]
     new_temps = _advance_temps(temps, t_out, gains, hvac_heat, params)
 
     cop = params.cop(t_out)
-    fan_w = float((params.fan_coeff * flows ** 3).sum())
-    coil_w = float((flows * params.supply_cp
-                    * np.maximum(temps - setpoints, 0.0)).sum() / cop)
-    power = PowerBreakdown(building_w=float(gains.sum()), fan_w=fan_w,
-                           coil_w=coil_w)
-    new_state = EnvState(zone_temps_c=new_temps, gain_phase=state.gain_phase,
-                         step_index=state.step_index + 1)
+    # the cubes stay one numpy power: Python's ** rounds some differently
+    fan_w = ordered_sum(params.fan_coeff * c for c in np.power(act[2:], 3).tolist())
+    coil_w = ordered_sum(f * cp * positive_part(t - sp)
+                         for f, sp, t in zip(flows, setpoints, temps)) / cop
+    power = PowerBreakdown(ordered_sum(gains), fan_w, coil_w)
+    new_state = EnvState(np.array(new_temps), state.gain_phase, state.step_index + 1)
     obs = assemble_observation(new_state, power, (t_out, rh), params)
     return new_state, obs, power
 
@@ -419,31 +426,29 @@ def step_mixeduse(state: EnvState, act: np.ndarray, params: ThermalParams,
     AHU 1 serves zone5 (index 1); AHU 2 serves zone4 and avg6 (0 and 2).
     Flows are fractions of each zone's design share of its AHU peak flow.
     """
-    zone_set, sp1, sp2, f1, f2 = (float(v) for v in act)
+    zone_set, sp1, sp2, f1, f2 = np.asarray(act, dtype=float).tolist()
     t_out, rh = weather_at(weather, state.step_index)
-    gains = params.gains.at(state.step_index * params.dt_s, state.gain_phase)
-    temps = state.zone_temps_c
+    gains = params.gains.at(state.step_index * params.dt_s, state.gain_phase).tolist()
+    temps = state.zone_temps_c.tolist()
 
-    supply = np.array([sp2, sp1, sp2])
-    flow_frac = np.array([f2, f1, f2])
-    targets = np.array([MIXEDUSE_FIXED_ZONE4_SETPOINT, zone_set, zone_set])
-    dampers = np.array([
-        _damper(temps[i], targets[i], supply[i], params.thermostat_gain)
-        for i in range(3)])
-    eff_flow = dampers * flow_frac * params._max_flow
-    hvac_heat = eff_flow * params.supply_cp * (supply - temps)
+    supply, flow_frac = (sp2, sp1, sp2), (f2, f1, f2)
+    targets = (MIXEDUSE_FIXED_ZONE4_SETPOINT, zone_set, zone_set)
+    hvac_heat = [
+        _damper(t, target, s, params.thermostat_gain) * f * m
+        * params.supply_cp * (s - t)
+        for t, target, s, f, m
+        in zip(temps, targets, supply, flow_frac, params.max_flow_kg_s)]
     new_temps = _advance_temps(temps, t_out, gains, hvac_heat, params)
 
     cop = params.cop(t_out)
     # AHU fan work follows commanded flow even when dampers are shut
     ahu_peaks = (params.max_flow_kg_s[1], params.max_flow_kg_s[0] + params.max_flow_kg_s[2])
     fan_w = params.fan_coeff * ((f1 * ahu_peaks[0]) ** 3 + (f2 * ahu_peaks[1]) ** 3)
-    cooling = float(np.maximum(-hvac_heat, 0.0).sum())
-    heating = float(np.maximum(hvac_heat, 0.0).sum())
-    power = PowerBreakdown(building_w=float(gains.sum()), fan_w=float(fan_w),
+    cooling = ordered_sum(positive_part(-h) for h in hvac_heat)
+    heating = ordered_sum(positive_part(h) for h in hvac_heat)
+    power = PowerBreakdown(building_w=ordered_sum(gains), fan_w=float(fan_w),
                            coil_w=cooling / cop + heating)
-    new_state = EnvState(zone_temps_c=new_temps, gain_phase=state.gain_phase,
-                         step_index=state.step_index + 1)
+    new_state = EnvState(np.array(new_temps), state.gain_phase, state.step_index + 1)
     obs = assemble_observation(new_state, power, (t_out, rh), params)
     return new_state, obs, power
 
@@ -455,7 +460,7 @@ def assemble_observation(state: EnvState, power: PowerBreakdown,
     physical observation vector of the kind's obs spec."""
     t_out, rh = outdoor
     kw = 1e-3
-    temps = state.zone_temps_c
+    temps = state.zone_temps_c.tolist()
     if params.kind == "dc":
         return np.array([
             power.total_w * kw, power.hvac_w * kw, power.building_w * kw,
@@ -579,7 +584,8 @@ class BuildingEnv:
         # initial observation: HVAC idle, building load only
         t_out, rh = weather_at(self.weather, start)
         gains = self.thermal.gains.at(start * self.thermal.dt_s, phase)
-        power = PowerBreakdown(building_w=float(gains.sum()), fan_w=0.0, coil_w=0.0)
+        power = PowerBreakdown(building_w=ordered_sum(gains.tolist()),
+                               fan_w=0.0, coil_w=0.0)
         return assemble_observation(self.state, power, (t_out, rh), self.thermal)
 
     def step(self, act: np.ndarray) -> tuple[np.ndarray, float, bool, dict]:
@@ -627,10 +633,10 @@ def rule_controller(obs: np.ndarray, kind: str,
     g = gains or DEFAULT_RULE_GAINS[kind]
     spec, default_params = _RULE_SPECS[kind]
     params = reward_params or default_params
+    obs = np.asarray(obs, dtype=np.float64).tolist()
     if kind == "dc":
-        temps = obs[5:7]
-        values = np.empty(4)
-        for i, (temp, target) in enumerate(zip(temps, params.target)):
+        values = [0.0] * 4
+        for i, (temp, target) in enumerate(zip(obs[5:7], params.target)):
             err = temp - target
             if abs(err) <= g.deadband_c:
                 values[i] = target
@@ -640,12 +646,12 @@ def rule_controller(obs: np.ndarray, kind: str,
                 values[i] = min(max(target - g.setpoint_gain * err, lo), hi)
                 flo, fhi = spec.dims[2 + i].low, spec.dims[2 + i].high
                 values[2 + i] = min(max(flo + g.flow_gain * abs(err), flo), fhi)
-        return values
+        return np.array(values)
     target = params.target[1]   # shared comfort target
     zone4, zone5, avg6 = obs[5:8]
     err1 = zone5 - target
     err2 = (zone4 - target + avg6 - target) / 2.0
-    values = np.empty(5)
+    values = [0.0] * 5
     values[0] = min(max(target, spec.dims[0].low), spec.dims[0].high)
     for slot, err in ((1, err1), (2, err2)):
         lo, hi = spec.dims[slot].low, spec.dims[slot].high
@@ -655,7 +661,7 @@ def rule_controller(obs: np.ndarray, kind: str,
         else:
             values[slot] = min(max(target - g.setpoint_gain * err, lo), hi)
             values[3 + slot - 1] = min(max(g.flow_gain * abs(err), 0.0), 1.0)
-    return values
+    return np.array(values)
 
 
 # ---------------------------------------------------------------------------
@@ -739,9 +745,10 @@ def run_episode(env: BuildingEnv, controller, seed: int) -> Trajectory:
     obs_rows.append(driver.obs)
     return Trajectory(
         obs=np.asarray(obs_rows),
-        actions=np.asarray(act_rows).reshape(len(act_rows), -1),
+        # explicit widths, so a fault on the first step records 0 rows
+        actions=np.asarray(act_rows).reshape(len(act_rows), env.act_spec.size),
         rewards=np.asarray(rewards),
-        zone_temps=np.asarray(temps).reshape(len(temps), -1),
+        zone_temps=np.asarray(temps).reshape(len(temps), env.n_zones),
         total_power_w=np.asarray(powers),
         terminals=np.asarray(terms, dtype=bool),
         seed=seed,
@@ -759,16 +766,15 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
               + [f"act_{i}" for i in range(actions.shape[1])]
               + ["reward", "terminal"])
     # `tolist` turns every value into a Python float (terminals into bools),
-    # and the csv module writes a float as its repr: the shortest exact
-    # representation, so reading the file back reproduces the in-memory
-    # values bit for bit
+    # written as its repr, the shortest exact representation, as the csv
+    # module would: reading the file back reproduces the in-memory values
+    # bit for bit. No value needs csv quoting, so each row is one join.
     rows = zip(obs.tolist(), actions.tolist(), traj.rewards.tolist(),
                traj.terminals.tolist())
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([t, *o, *a, float(r), int(d)]
-                         for t, (o, a, r, d) in enumerate(rows))
+        f.write(",".join(header) + "\n")
+        f.writelines(f"{t},{','.join(map(repr, o))},{','.join(map(repr, a))},"
+                     f"{r!r},{int(d)}\n" for t, (o, a, r, d) in enumerate(rows))
 
 
 def read_trajectory_csv(path) -> dict[str, np.ndarray]:

@@ -96,9 +96,16 @@ def _header(f, path, magic: bytes) -> tuple[dict, int]:
     columns = header.get("columns") if isinstance(header, dict) else None
     if not isinstance(columns, list):
         raise DataError(f"{path}: header is not an object with a list of columns")
+    size, end = os.fstat(f.fileno()).st_size, 0
     for entry in columns:
         if not _column_ok(entry):
             raise DataError(f"{path}: malformed column record {entry!r}")
+        # before anything is allocated: payloads follow each other's
+        # trailers and end inside the file
+        if entry["offset"] != end or 12 + hlen + end + entry["nbytes"] + 4 > size:
+            raise DataError(f"{path}: array {entry['name']} lies outside the "
+                            f"file ({size} bytes)")
+        end += entry["nbytes"] + 4
     return header, 12 + hlen
 
 

@@ -43,14 +43,11 @@ class VectorSpec:
         names = [d.name for d in self.dims]
         if len(set(names)) != len(names):
             raise SpecError(f"duplicate dimension names in {self.kind} spec: {names}")
-        lows = np.array([d.low for d in self.dims], dtype=np.float64)
-        highs = np.array([d.high for d in self.dims], dtype=np.float64)
-        # derived arrays are not fields, so they stay out of `to_jsonable`
-        object.__setattr__(self, "_lows", lows)
-        object.__setattr__(self, "_highs", highs)
-        object.__setattr__(self, "_span", highs - lows)
-        object.__setattr__(self, "_lows_tol", lows - 1e-6)
-        object.__setattr__(self, "_highs_tol", highs + 1e-6)
+        # (low, high, span) per dimension as Python floats, for the per-step
+        # conversions; not a field, so it stays out of `to_jsonable`
+        object.__setattr__(self, "_ranges", tuple(
+            (float(d.low), float(d.high), float(d.high) - float(d.low))
+            for d in self.dims))
 
     @property
     def size(self) -> int:
@@ -62,16 +59,16 @@ class VectorSpec:
 
     @property
     def lows(self) -> np.ndarray:
-        return self._lows
+        return np.array([r[0] for r in self._ranges])
 
     @property
     def highs(self) -> np.ndarray:
-        return self._highs
+        return np.array([r[1] for r in self._ranges])
 
     @property
     def span(self) -> np.ndarray:
         """``highs - lows``."""
-        return self._span
+        return np.array([r[2] for r in self._ranges])
 
     def fingerprint(self) -> str:
         return fingerprint([[d.name, d.low, d.high, d.unit] for d in self.dims])
@@ -82,10 +79,13 @@ class VectorSpec:
         if values.shape != (self.size,):
             raise SpecError(f"{self.kind} vector has shape {values.shape}, "
                             f"expected ({self.size},)")
-        if (values < self._lows_tol).any() or (values > self._highs_tol).any():
-            bad = [self.dims[i].name for i in range(self.size)
-                   if not (self._lows_tol[i] <= values[i] <= self._highs_tol[i])]
-            raise SpecError(f"{self.kind} values out of range for {bad}")
+        bad = [(d.name, v) for d, v, (lo, hi, _)
+               in zip(self.dims, values.tolist(), self._ranges)
+               if not lo - 1e-6 <= v <= hi + 1e-6]
+        # a NaN is named but alone passes: the simulator step faults on it
+        if any(v == v for _, v in bad):
+            raise SpecError(f"{self.kind} values out of range for "
+                            f"{[name for name, _ in bad]}")
 
 
 def mixeduse_obs_spec() -> VectorSpec:
@@ -133,6 +133,26 @@ def datacenter_act_spec() -> VectorSpec:
     ))
 
 
+def _clip(x: float, lo: float, hi: float) -> float:
+    """``np.clip`` of one float: it keeps a -0.0 and a NaN."""
+    return lo if x < lo else hi if x > hi else x
+
+
+def positive_part(x: float) -> float:
+    """``np.maximum(x, 0.0)`` of a float that is not NaN: 0.0 for a -0.0,
+    which ``max(x, 0.0)`` would keep."""
+    return x if x > 0.0 else 0.0
+
+
+def ordered_sum(values) -> float:
+    """numpy's ``.sum()`` of fewer than eight floats: left to right from 0.0
+    (Python 3.12's ``sum`` compensates, which can change the bits)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def normalize_obs(obs: np.ndarray, spec: VectorSpec) -> np.ndarray:
     """Min-max normalize a physical observation vector into the unit
     interval per dimension.
@@ -143,9 +163,11 @@ def normalize_obs(obs: np.ndarray, spec: VectorSpec) -> np.ndarray:
     values = np.asarray(obs, dtype=np.float64)
     if values.shape != (spec.size,):
         raise SpecError(f"observation has shape {values.shape}, spec expects ({spec.size},)")
-    if not np.isfinite(values).all():
+    floats = values.tolist()
+    if not all(map(math.isfinite, floats)):
         raise DataError(f"non-finite observation values: {values}")
-    return np.clip((values - spec.lows) / spec.span, 0.0, 1.0)
+    return np.array([_clip((x - lo) / span, 0.0, 1.0)
+                     for x, (lo, _, span) in zip(floats, spec._ranges)])
 
 
 def normalize_action(act: np.ndarray, spec: VectorSpec) -> np.ndarray:
@@ -165,9 +187,8 @@ def denormalize_action(act_n: np.ndarray, spec: VectorSpec) -> np.ndarray:
     values = np.asarray(act_n, dtype=np.float64)
     if values.shape != (spec.size,):
         raise SpecError(f"action has shape {values.shape}, spec expects ({spec.size},)")
-    unit = np.clip(values, -1.0, 1.0)
-    phys = spec.lows + (unit + 1.0) * 0.5 * spec.span
-    return np.clip(phys, spec.lows, spec.highs)
+    return np.array([_clip(lo + (_clip(u, -1.0, 1.0) + 1.0) * 0.5 * span, lo, hi)
+                     for u, (lo, hi, span) in zip(values.tolist(), spec._ranges)])
 
 
 @dataclass(frozen=True)
@@ -196,10 +217,6 @@ class RewardParams:
         for lo, tc, hi in zip(self.band_low, self.target, self.band_high):
             if not lo <= tc <= hi:
                 raise SpecError(f"band [{lo}, {hi}] must contain target {tc}")
-        # arrays for `compute_reward`; not fields, so not fingerprinted
-        object.__setattr__(self, "_target", np.asarray(self.target))
-        object.__setattr__(self, "_band_low", np.asarray(self.band_low))
-        object.__setattr__(self, "_band_high", np.asarray(self.band_high))
 
     @property
     def n_zones(self) -> int:
@@ -235,14 +252,17 @@ def compute_reward(zone_temps: np.ndarray, total_power_w: float, params: RewardP
     temps = np.asarray(zone_temps, dtype=np.float64)
     if temps.shape != (params.n_zones,):
         raise SpecError(f"expected {params.n_zones} zone temperatures, got shape {temps.shape}")
-    if not np.isfinite(temps).all() or not math.isfinite(total_power_w):
+    temps = temps.tolist()
+    if not all(map(math.isfinite, temps)) or not math.isfinite(total_power_w):
         raise DataError("non-finite reward inputs")
     if total_power_w < 0:
         raise DataError(f"negative total power: {total_power_w}")
-    gauss = np.exp(-params.lambda_shape * (temps - params._target) ** 2)
-    trap = np.maximum(temps - params._band_high, 0.0) \
-        + np.maximum(params._band_low - temps, 0.0)
-    sign = 1.0 if params.literal_trapezoid_sign else -1.0
-    r_temp = float((gauss + sign * params.lambda_trapezoid * trap).sum())
+    # one np.exp over the zones: math.exp rounds some values differently
+    diffs = [t - c for t, c in zip(temps, params.target)]
+    gauss = np.exp([-params.lambda_shape * (d * d) for d in diffs]).tolist()
+    weight = (1.0 if params.literal_trapezoid_sign else -1.0) * params.lambda_trapezoid
+    r_temp = ordered_sum(
+        g + weight * (positive_part(t - hi) + positive_part(lo - t))
+        for g, t, lo, hi in zip(gauss, temps, params.band_low, params.band_high))
     r_power = -float(total_power_w)
     return RewardTerms(r_temp + params.lambda_power * r_power, r_temp, r_power)

@@ -52,6 +52,7 @@ MALFORMED_HEADERS = {
     "offset-str": _first_column(lambda c: c.update(offset="0")),
     "nbytes-float": _first_column(lambda c: c.update(nbytes=4.0)),
     "crc32-bool": _first_column(lambda c: c.update(crc32=True)),
+    "offset-gap": _first_column(lambda c: c.update(offset=c["offset"] + 4)),
 }
 
 
@@ -148,6 +149,23 @@ class ContainerCases:
         path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob
                          + raw[12 + hlen:])
         self.assert_rejected(path)
+
+    def test_column_past_the_file_end_is_rejected_before_allocating(
+            self, tmp_path):
+        # a header-only file of about 100 bytes that claims a 64 MB column
+        claim = 64 << 20
+        blob = json.dumps({"columns": [
+            {"name": "x", "dtype": "uint8", "shape": [claim], "offset": 0,
+             "nbytes": claim, "crc32": 0}]}).encode()
+        path = tmp_path / "a"
+        path.write_bytes(self.fmt.magic + len(blob).to_bytes(4, "little") + blob)
+        for check in (container.read, container.verify):
+            tracemalloc.start()
+            with pytest.raises(DataError, match="outside the file"):
+                check(path, self.fmt.magic)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            assert peak < 1 << 20, (check.__name__, peak)
 
     def test_noncanonical_header_spacing_loads(self, tmp_path):
         path = tmp_path / "a"

@@ -353,16 +353,19 @@ class TestEpisodes:
         assert not np.array_equal(a.obs, c.obs)
 
     # sha256 of the obs, actions, rewards, zone_temps and total_power_w
-    # bytes of a one-day rule-controlled episode from seed 3; the path runs
-    # no BLAS, so the bytes do not depend on the thread count
+    # bytes of a one-day and a 30-day rule-controlled episode from seed 3;
+    # the path runs no BLAS, so the bytes do not depend on the thread count
     GOLDEN = {
-        "dc": "df04e1729f4261a071841029d4662c08749a75b8ec90d624cd2f7a5e19e049e6",
-        "mu": "4d11677c719f6e7f1fd50dd681a0c154cd9835e5abcff78fd5e1d9380ec72451",
+        ("dc", 1.0): "df04e1729f4261a071841029d4662c08749a75b8ec90d624cd2f7a5e19e049e6",
+        ("mu", 1.0): "4d11677c719f6e7f1fd50dd681a0c154cd9835e5abcff78fd5e1d9380ec72451",
+        ("dc", 30.0): "9004e301fc9486fffe431d2a55ae1cc9f18ce28f6e92a7731b4a4dd8c7400aed",
+        ("mu", 30.0): "3e3d9ddc5761f74e78baff0f433464737d2a9939818213ca5befe46ca3506253",
     }
 
-    @pytest.mark.parametrize("kind", ["dc", "mu"])
-    def test_rule_trajectory_bytes_are_pinned(self, kind):
-        env = BuildingEnv(EnvConfig(kind=kind, days=1.0))
+    @pytest.mark.parametrize("kind, days", list(GOLDEN),
+                             ids=["dc", "mu", "dc-30d", "mu-30d"])
+    def test_rule_trajectory_bytes_are_pinned(self, kind, days):
+        env = BuildingEnv(EnvConfig(kind=kind, days=days))
         traj = run_episode(env, lambda o: rule_controller(o, kind), seed=3)
         assert len(traj) == env.horizon and traj.fault is None
         digest = hashlib.sha256()
@@ -371,7 +374,18 @@ class TestEpisodes:
             arr = getattr(traj, name)
             assert arr.dtype == np.float64
             digest.update(arr.tobytes())
-        assert digest.hexdigest() == self.GOLDEN[kind]
+        assert digest.hexdigest() == self.GOLDEN[kind, days]
+
+    @pytest.mark.parametrize("kind", ["dc", "mu"])
+    def test_fault_on_first_step_records_empty_trajectory(self, kind):
+        env = BuildingEnv(EnvConfig(kind=kind, days=1.0))
+        nan_action = np.full(env.act_spec.size, np.nan)
+        traj = run_episode(env, lambda o: nan_action, seed=3)
+        assert len(traj) == 0
+        assert traj.fault is not None and "non-finite" in traj.fault
+        assert traj.actions.shape == (0, env.act_spec.size)
+        assert traj.zone_temps.shape == (0, env.n_zones)
+        assert traj.obs.shape == (1, env.obs_spec.size)
 
     def test_env_fingerprint_tracks_config(self):
         f1 = BuildingEnv(EnvConfig(kind="dc", days=2.0)).fingerprint()

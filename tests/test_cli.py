@@ -6,6 +6,7 @@ import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hvacrl.agents import AgentConfig, load_agent, make_agent
@@ -312,6 +313,16 @@ class TestEval:
                     "--out", str(tmp_path / "q.json")]) == 3
         assert "FingerprintMismatchError" in capsys.readouterr().err
 
+
+    def test_policy_emitting_nan_is_simulation_fault(self, tmp_path, capsys):
+        # the fault comes on the first step, so the rollout has no rows
+        agent = make_agent(AgentConfig(algo="sac"), 8, 4)
+        agent.actor.head.layers[-1].b.data[...] = np.nan
+        ckpt = tmp_path / "nan.ckpt"
+        agent.save(ckpt, epoch=0, step=0)
+        assert run(["eval", "--ckpt", str(ckpt), "--env", "dc", "--days", "1",
+                    "--out", str(tmp_path / "e")]) == 4
+        assert "SimulationFault" in capsys.readouterr().err
 
     def test_truncated_checkpoint_is_data_error(self, tmp_path, capsys):
         ckpt = tmp_path / "short.ckpt"

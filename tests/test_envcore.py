@@ -32,6 +32,92 @@ def reward_oracle(temps, power_w, params):
     return r_t + params.lambda_power * (-power_w)
 
 
+# The array formulas that the per-float code in `envcore` replaced; the
+# functions must reproduce them bit for bit, NaN included.
+
+def normalize_obs_array(obs, spec):
+    values = np.asarray(obs, dtype=np.float64)
+    return np.clip((values - spec.lows) / spec.span, 0.0, 1.0)
+
+
+def denormalize_action_array(act_n, spec):
+    unit = np.clip(np.asarray(act_n, dtype=np.float64), -1.0, 1.0)
+    phys = spec.lows + (unit + 1.0) * 0.5 * spec.span
+    return np.clip(phys, spec.lows, spec.highs)
+
+
+def reward_array(temps, power_w, params):
+    temps = np.asarray(temps, dtype=np.float64)
+    target, low, high = map(np.asarray, (params.target, params.band_low,
+                                         params.band_high))
+    gauss = np.exp(-params.lambda_shape * (temps - target) ** 2)
+    trap = np.maximum(temps - high, 0.0) + np.maximum(low - temps, 0.0)
+    sign = 1.0 if params.literal_trapezoid_sign else -1.0
+    r_temp = float((gauss + sign * params.lambda_trapezoid * trap).sum())
+    return r_temp + params.lambda_power * -float(power_w)
+
+
+def probe_vectors(spec, rng, n=500):
+    """In-range, out-of-range and edge vectors for ``spec``."""
+    lo, hi = spec.lows, spec.highs
+    rows = list(rng.uniform(lo, hi, (n, spec.size)))
+    rows += list(rng.uniform(lo - (hi - lo), hi + (hi - lo), (n, spec.size)))
+    rows += [lo, hi, lo - 1e-9, hi + 1e-9, np.nextafter(lo, -np.inf),
+             np.nextafter(hi, np.inf), (lo + hi) / 2, np.zeros(spec.size),
+             np.full(spec.size, -0.0)]
+    return rows
+
+
+ALL_SPECS = [datacenter_obs_spec, mixeduse_obs_spec, datacenter_act_spec,
+             mixeduse_act_spec]
+
+
+class TestArrayFormulaBits:
+    @pytest.mark.parametrize("make_spec", ALL_SPECS[:2])
+    def test_normalize_obs_matches_array_formula(self, make_spec):
+        spec = make_spec()
+        for row in probe_vectors(spec, np.random.default_rng(0)):
+            got = normalize_obs(row, spec)
+            assert got.dtype == np.float64
+            assert got.tobytes() == normalize_obs_array(row, spec).tobytes()
+        for bad in (np.nan, np.inf, -np.inf):
+            row = spec.lows.copy()
+            row[-1] = bad
+            with pytest.raises(DataError):
+                normalize_obs(row, spec)
+
+    @pytest.mark.parametrize("make_spec", ALL_SPECS[2:])
+    def test_denormalize_action_matches_array_formula(self, make_spec):
+        spec = make_spec()
+        rng = np.random.default_rng(1)
+        unit_spec = envcore.VectorSpec("act", tuple(
+            envcore.DimSpec(d.name, -1.0, 1.0) for d in spec.dims))
+        rows = probe_vectors(unit_spec, rng)
+        rows += [r.astype(np.float32) for r in rows[:50]]
+        for special in (np.nan, np.inf, -np.inf, 1.0 + 1e-12, -1.0 - 1e-12):
+            row = rng.uniform(-1.0, 1.0, spec.size)
+            row[rng.integers(spec.size)] = special
+            rows += [row, np.full(spec.size, special)]
+        for row in rows:
+            got = denormalize_action(row, spec)
+            assert got.dtype == np.float64
+            assert got.tobytes() == denormalize_action_array(row, spec).tobytes()
+
+    @pytest.mark.parametrize("make_params", [datacenter_reward_params,
+                                             mixeduse_reward_params])
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_reward_matches_array_formula(self, make_params, literal):
+        params = make_params(literal)
+        rng = np.random.default_rng(2)
+        rows = list(rng.uniform(10.0, 35.0, (500, params.n_zones)))
+        rows += [np.array(v) for v in (params.band_low, params.band_high,
+                                       params.target)]
+        for temps in rows:
+            power = float(rng.uniform(0.0, 2e5))
+            got = compute_reward(temps, power, params).total
+            assert got.hex() == reward_array(temps, power, params).hex()
+
+
 class TestSpecs:
     def test_table_dimensions(self):
         assert mixeduse_obs_spec().size == 8
