@@ -57,9 +57,5 @@ class AgentConfig:
         if not self.history and self.seq_len != 1:
             raise SpecError("seq_len > 1 requires history=True")
 
-    @property
-    def offline(self) -> bool:
-        return self.algo in OFFLINE_ALGOS
-
     def fingerprint(self) -> str:
         return fingerprint(to_jsonable(self))

@@ -26,15 +26,16 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .. import container, envcore
 from ..buildsim import EpisodeDriver
-from ..errors import DivergenceError, FingerprintMismatchError, SpecError
-from ..fingerprint import fingerprint, to_jsonable
+from ..errors import (DataError, DivergenceError, FingerprintMismatchError,
+                      SpecError)
+from ..fingerprint import fingerprint, has_type, to_jsonable
 from ..neuralsub import tensor as T
 from ..neuralsub.layers import Module
 from ..neuralsub.optim import Adam
@@ -46,6 +47,16 @@ from .replay import ReplayBuffer, ReplayView, WindowBatch
 
 Q_DIVERGENCE_LIMIT = 1e6
 CHECKPOINT_MAGIC = b"HVCK0002"
+
+#: the checkpoint header's keys beside the column table, and those of its
+#: ``meta`` block (which may hold more), with the type of each value (see
+#: `fingerprint.has_type`); ``meta.agent_config`` holds `AgentConfig`
+#: fields, each of its default's type
+CHECKPOINT_HEADER = {"config_fingerprint": str, "seed_record": dict,
+                     "meta": dict}
+CHECKPOINT_META = {"algo": str, "agent_config": dict, "obs_dim": int,
+                   "act_dim": int, "epoch": int, "step": int}
+_AGENT_CONFIG_TYPES = {f.name: type(f.default) for f in fields(AgentConfig)}
 
 
 class Agent:
@@ -416,13 +427,28 @@ def make_agent(cfg: AgentConfig, obs_dim: int, act_dim: int) -> Agent:
 def load_agent(path) -> tuple[Agent, dict]:
     """Rebuild an agent from a checkpoint; returns (agent, header).
 
-    The stored config fingerprint must match the one the rebuilt agent
+    A header without the keys and types `CHECKPOINT_HEADER` and
+    `CHECKPOINT_META` declare, or whose agent config is not made of
+    `AgentConfig` fields of their default's type, is a DataError. The
+    stored config fingerprint must match the one the rebuilt agent
     computes, so a checkpoint never loads into a changed configuration.
     """
     header, arrays = container.read(path, CHECKPOINT_MAGIC)
-    meta = header["meta"]
+    meta = header.get("meta")
+    bad = ([k for k, kind in CHECKPOINT_HEADER.items()
+            if not has_type(header.get(k), kind)]
+           or [f"meta.{k}" for k, kind in CHECKPOINT_META.items()
+               if not has_type(meta.get(k), kind)]
+           or [f"meta.{k}" for k in ("obs_dim", "act_dim") if meta[k] < 1]
+           or [f"meta.agent_config.{k}"
+               for k, v in meta["agent_config"].items()
+               if not (k in _AGENT_CONFIG_TYPES
+                       and has_type(v, _AGENT_CONFIG_TYPES[k]))])
+    if bad:
+        raise DataError(f"{path}: checkpoint header fields {bad} are "
+                        f"missing, unknown, of the wrong type or below 1")
     cfg = AgentConfig(**meta["agent_config"])
-    agent = make_agent(cfg, int(meta["obs_dim"]), int(meta["act_dim"]))
+    agent = make_agent(cfg, meta["obs_dim"], meta["act_dim"])
     if header["config_fingerprint"] != agent.fingerprint():
         raise FingerprintMismatchError(
             f"{path}: checkpoint built for config "

@@ -136,6 +136,12 @@ def _out_dir(flag_value: str, args_env: dict) -> Path:
     return Path(args_env.get(ENV_OUT_DIR) or flag_value)
 
 
+def _out_file(flag_value: str, args_env: dict) -> Path:
+    """A file output: its name inside the `_out_dir` of its directory."""
+    path = Path(flag_value)
+    return _out_dir(str(path.parent), args_env) / path.name
+
+
 def _env_from(cfg: dict, kind: str | None = None, weather: str | None = None,
               days: float | None = None) -> BuildingEnv:
     block = dict(cfg["environment"])
@@ -195,7 +201,7 @@ def cmd_collect(args, cfg: dict, argv, env_vars) -> int:
         data["expert"] = args.expert
     scenario = args.scenario or data["scenario"]
     seed = cfg["seed"]
-    out = Path(env_vars.get(ENV_OUT_DIR) or "") / args.out
+    out = _out_file(args.out, env_vars)
     env = _env_from(cfg, days=data["days"])
     if scenario == "final-buffer":
         ds, _ = collect_final_buffer(env, data["algo"],
@@ -283,10 +289,8 @@ def cmd_eval(args, cfg: dict, argv, env_vars) -> int:
 
 def cmd_sweep(args, cfg: dict, argv, env_vars) -> int:
     t0 = time.perf_counter()
-    overrides = {}
-    out_flag = env_vars.get(ENV_OUT_DIR) or args.out
-    if out_flag:
-        overrides["out_dir"] = out_flag
+    overrides = {"out_dir": str(_out_dir(
+        args.out or cfg["harness"]["out_dir"], env_vars))}
     jobs = args.jobs if args.jobs is not None else cfg["harness"]["jobs"]
     cap = env_vars.get(ENV_MAX_JOBS)
     if cap is not None:
@@ -304,7 +308,7 @@ def cmd_sweep(args, cfg: dict, argv, env_vars) -> int:
 
 def cmd_regret(args, cfg: dict, argv, env_vars) -> int:
     t0 = time.perf_counter()
-    out = Path(env_vars.get(ENV_OUT_DIR) or "") / args.out
+    out = _out_file(args.out, env_vars)
     if not Path(args.expert).exists():
         raise DataError(f"expert checkpoint {args.expert} not found")
     ds = read_dataset(args.data)

@@ -338,9 +338,7 @@ class QualityReport:
 
 
 def build_quality_report(dataset: Dataset, expert: Agent,
-                         env_template: BuildingEnv,
-                         reference_seed: int = REFERENCE_SEED
-                         ) -> QualityReport:
+                         env_template: BuildingEnv) -> QualityReport:
     """Score every episode's return against the expert on the same rollout.
 
     When the dataset records per-episode reset seeds, each reference r_opt
@@ -348,7 +346,7 @@ def build_quality_report(dataset: Dataset, expert: Agent,
     draw, start day, and initial state), so an unperturbed episode scores
     zero up to storage rounding and the deltas isolate the injected action
     noise. Datasets without recorded seeds fall back to one reference
-    rollout per preset at ``reference_seed``.
+    rollout per preset at ``REFERENCE_SEED``.
     """
     dataset.validate()
     presets = [dataset.episode_preset(i) or
@@ -362,7 +360,7 @@ def build_quality_report(dataset: Dataset, expert: Agent,
                 for i in range(dataset.num_episodes)]
     else:
         per_preset = {preset: expert_reference_return(
-            env_template, expert, preset, dataset.days, seed=reference_seed)
+            env_template, expert, preset, dataset.days, seed=REFERENCE_SEED)
             for preset in dict.fromkeys(presets)}
         refs = [per_preset[p] for p in presets]
     deltas, flagged = [], []

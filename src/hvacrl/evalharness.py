@@ -14,23 +14,30 @@ is recounted from the exported trajectory CSV on every evaluation as a
 self-audit.
 
 The five experiment runners (`run_rq1` .. `run_rq5`) are one sweep
-skeleton, `_sweep`, fed by a per-runner grid. Each runner names its axes
-and a ``cells()`` generator; the skeleton expands every cell into one job
-per training seed, skips cells whose result directory already exists,
-executes the rest with bounded parallelism, and writes one directory per
-cell (``<out>/<rq>/<cell-fingerprint>/{report.json, curve.csv,
-quality.json}``) plus a flat summary CSV per runner. A zero-seed grid runs
-nothing: ``cells()`` is never called, so no expert or dataset is built.
-Every job trains one agent with `_run_cell`: offline on a dataset file
-when the cell names one, online against the rotating training presets
-otherwise. Result files contain no timestamps, so identical configs
-reproduce identical bytes.
+skeleton, `_sweep`, fed by a per-runner ``cells()`` generator; the
+skeleton expands every cell into one job per training seed, skips cells
+whose result directory already exists, executes the rest with bounded
+parallelism, and writes one directory per cell plus a flat summary CSV
+per runner::
 
-`load_sweep` rebuilds a finished sweep's `SweepResult` from those files,
-and `claim_lines` checks the study's claim on a `SweepResult`: rq1
-offline learners beat off-policy ones, rq2 history helps, rq3 regret
-tracks the perturbation rate, rq4 returns saturate with dataset size,
-rq5 longer windows do not hurt. `hvacrl report` prints both.
+    <out>/<rq>/summary.csv                  one row per cell and seed
+    <out>/<rq>/<cell-fingerprint>/report.json
+    <out>/<rq>/<cell-fingerprint>/quality.json      (rq3 only)
+
+A cell's ``report.json`` holds its axes and one entry per training seed:
+the seed, the best epoch, that epoch's `RunReport` and the learning curve
+(one row per epoch). A zero-seed grid runs nothing: ``cells()`` is never
+called, so no expert or dataset is built. Every job trains one agent with
+`_run_cell`: offline on a dataset file when the cell names one, online
+against the rotating training presets otherwise. Result files contain no
+timestamps, so identical configs reproduce identical bytes.
+
+A sweep's result is the files it wrote: every runner returns the
+`SweepResult` that `load_sweep` reads back from them, as `hvacrl report`
+does, and `claim_lines` checks the study's claim on it: rq1 offline
+learners beat off-policy ones, rq2 history helps, rq3 regret tracks the
+perturbation rate, rq4 returns saturate with dataset size, rq5 longer
+windows do not hurt.
 """
 from __future__ import annotations
 
@@ -47,8 +54,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .agents import (CHECKPOINT_MAGIC, Agent, AgentConfig, PolicyController,
-                     load_agent, make_agent, train_offline, train_online)
+from .agents import (CHECKPOINT_MAGIC, OFFLINE_ALGOS, Agent, AgentConfig,
+                     PolicyController, load_agent, make_agent, train_offline,
+                     train_online)
 from .buildsim import (EVAL_PRESET, TRAIN_PRESETS, BuildingEnv, EnvConfig,
                        read_trajectory_csv, rule_controller, run_episode,
                        write_trajectory_csv)
@@ -159,15 +167,14 @@ def _controller_for(policy, env: BuildingEnv):
 
 
 def evaluate_policy(policy, env: BuildingEnv, weather: str | None = None,
-                    horizon: float | None = None, seeds=(0,),
-                    out_dir=None) -> list:
+                    seeds=(0,), out_dir=None) -> list:
     """Deterministic-action rollouts, one RunReport per seed.
 
     ``policy`` is an Agent, a checkpoint path, or a plain controller
-    callable. ``horizon`` is in days. Each rollout is exported to CSV and
-    the violation fraction is recounted from the file; a mismatch aborts.
+    callable. Each rollout is exported to CSV and the violation fraction
+    is recounted from the file; a mismatch aborts.
     """
-    run_env = env.variant(weather, horizon)
+    run_env = env.variant(weather)
     controller, policy_fp = _controller_for(policy, run_env)
     rp = run_env.reward_params
     cfg_fp = fingerprint({
@@ -194,8 +201,7 @@ def evaluate_policy(policy, env: BuildingEnv, weather: str | None = None,
 
 
 def rule_baseline_report(env: BuildingEnv, presets=None,
-                         horizon: float | None = None, seeds=(0,),
-                         out_dir=None) -> list:
+                         seeds=(0,)) -> list:
     """Evaluate the deadband rule controller on every weather preset."""
     kind = env.config.kind
     if presets is None:
@@ -205,10 +211,8 @@ def rule_baseline_report(env: BuildingEnv, presets=None,
     controller.__name__ = "rule"
     reports = []
     for preset in presets:
-        sub_dir = None if out_dir is None else Path(out_dir) / preset
         reports.extend(evaluate_policy(controller, env, weather=preset,
-                                       horizon=horizon, seeds=seeds,
-                                       out_dir=sub_dir))
+                                       seeds=seeds))
     return reports
 
 
@@ -296,7 +300,7 @@ def base_env(cfg: HarnessConfig, days: float | None = None) -> BuildingEnv:
 
 
 def _write_cell(out_root: Path, rq: str, cell_fp: str, report: dict,
-                curve_rows: list, quality: dict | None) -> Path:
+                quality: dict | None) -> Path:
     """Atomically materialize one cell directory (temp dir then rename)."""
     final_dir = out_root / rq / cell_fp
     tmp_dir = out_root / rq / f".tmp-{os.getpid()}-{cell_fp}"
@@ -304,13 +308,6 @@ def _write_cell(out_root: Path, rq: str, cell_fp: str, report: dict,
         shutil.rmtree(tmp_dir)
     tmp_dir.mkdir(parents=True)
     (tmp_dir / "report.json").write_text(canonical_json(report))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if curve_rows:
-        writer.writerow(sorted(curve_rows[0]))
-        for row in curve_rows:
-            writer.writerow([row[k] for k in sorted(row)])
-    (tmp_dir / "curve.csv").write_text(buf.getvalue())
     if quality is not None:
         (tmp_dir / "quality.json").write_text(canonical_json(quality))
     if final_dir.exists():
@@ -339,15 +336,36 @@ def load_cell(out_root, rq: str, cell_fp: str) -> dict | None:
     return _read_result_json(p)
 
 
+# the keys of one per-seed entry of a cell report, and of its report
+_SEED_KEYS = {"seed", "best_epoch", "curve", "report"}
+_REPORT_FIELDS = {f.name for f in fields(RunReport)}
+
+
 def _finished_cell(out_root: Path, rq: str, key: str, cell_fp: str) -> dict:
-    """The report of a cell a previous run finished; DataError if absent
-    or without its axes and seeds."""
+    """The report of a cell a previous run finished.
+
+    It must hold its axes and a non-empty list of per-seed entries, each
+    an object with ``seed``, ``best_epoch``, a ``curve`` list and a
+    ``report`` with exactly the `RunReport` fields; a missing or damaged
+    report is a DataError. Other keys, like the ``final_report`` of older
+    cells, are ignored.
+    """
     report = load_cell(out_root, rq, cell_fp)
     if report is None:
         raise DataError(f"missing results for cell {key}")
     missing = [k for k in ("axes", "seeds") if k not in report]
     if missing:
         raise DataError(f"report of cell {key} lacks {', '.join(missing)}")
+    if not (isinstance(report["seeds"], list) and report["seeds"]):
+        raise DataError(f"cell {key}: seeds is not a non-empty list")
+    for i, s in enumerate(report["seeds"]):
+        if not (isinstance(s, dict) and _SEED_KEYS <= s.keys()
+                and isinstance(s["curve"], list)
+                and isinstance(s["report"], dict)
+                and s["report"].keys() == _REPORT_FIELDS):
+            raise DataError(
+                f"cell {key}: seed entry {i} is not an object with seed, "
+                f"best_epoch, curve and a report of the RunReport fields")
     return report
 
 
@@ -443,53 +461,15 @@ def materialize_final_buffer_dataset(cfg: HarnessConfig, algo: str = "td3",
 # cell execution
 
 
-# the keys of one per-seed entry of a cell report, and of its report
-_SEED_KEYS = {"seed", "best_epoch", "curve", "report"}
-_REPORT_FIELDS = {f.name for f in fields(RunReport)}
-
-
 @dataclass
 class SweepResult:
-    """Outcome of one experiment runner over its grid."""
+    """A finished sweep as `load_sweep` reads it from its files."""
 
     rq: str
-    axes: dict                  # axis name -> grid values ({} when loaded)
     cells: dict = field(default_factory=dict)   # key -> RunReport list
-    curves: dict = field(default_factory=dict)  # key -> curve row list
     quality: dict = field(default_factory=dict)  # key -> quality jsonable
     cell_axes: dict = field(default_factory=dict)  # key -> its axis values
-    cell_dirs: dict = field(default_factory=dict)
     summary_path: str = ""
-
-    def add_cell(self, key: str, axes: dict, seeds: list,
-                 cell_dir: Path) -> None:
-        """Record one cell from the per-seed entries of its report.
-
-        Each entry must be an object holding ``seed``, ``best_epoch``, a
-        ``curve`` list and a ``report`` with exactly the `RunReport`
-        fields; anything else, as read from a damaged file, is a DataError.
-        """
-        if not isinstance(seeds, list):
-            raise DataError(f"cell {key}: seeds is not a list")
-        for i, s in enumerate(seeds):
-            if not (isinstance(s, dict) and _SEED_KEYS <= s.keys()
-                    and isinstance(s["curve"], list)
-                    and isinstance(s["report"], dict)
-                    and s["report"].keys() == _REPORT_FIELDS):
-                raise DataError(
-                    f"cell {key}: seed entry {i} is not an object with seed, "
-                    f"best_epoch, curve and a report of the RunReport fields")
-        self.cell_axes[key] = axes
-        self.cell_dirs[key] = str(cell_dir)
-        self.cells[key] = [RunReport.from_jsonable(s["report"])
-                           for s in seeds]
-        self.curves[key] = [row for s in seeds for row in s["curve"]]
-
-    def validate(self, min_seeds: int) -> None:
-        for key, reports in self.cells.items():
-            if len(reports) < min_seeds:
-                raise DataError(f"cell {key} has {len(reports)} reports, "
-                                f"needs >= {min_seeds}")
 
     def median_metric(self, key: str, metric: str = "avg_reward") -> float:
         return float(np.median([getattr(r, metric)
@@ -506,15 +486,10 @@ def _run_cell(job: dict) -> tuple:
     cfg = HarnessConfig.from_jsonable(job["harness"])
     acfg = AgentConfig(**job["agent"])
     eval_env = base_env(cfg)
-    curve_rows = []
 
     def eval_fn(a, epoch):
-        rep = evaluate_policy(a, eval_env, seeds=(cfg.eval_seed,))[0]
-        curve_rows.append({"epoch": epoch, "seed": acfg.seed,
-                           "avg_reward": rep.avg_reward,
-                           "violation": rep.violation,
-                           "avg_power_kw": rep.avg_power_kw})
-        return rep.to_jsonable()
+        return evaluate_policy(a, eval_env,
+                               seeds=(cfg.eval_seed,))[0].to_jsonable()
 
     if job["dataset"]:
         data = read_dataset(job["dataset"])
@@ -525,10 +500,13 @@ def _run_cell(job: dict) -> tuple:
         agent = make_agent(acfg, env.obs_spec.size, env.act_spec.size)
         summary = train_online(agent, preset_rotation(env)[0],
                                eval_fn=eval_fn)
+    curve = [{"epoch": r["epoch"], "seed": r["seed"],
+              **{k: r["eval"][k]
+                 for k in ("avg_reward", "violation", "avg_power_kw")}}
+             for r in summary.records]
     return job["key"], job["seed_index"], {
         "seed": acfg.seed, "best_epoch": summary.best_epoch,
-        "report": summary.best_eval, "curve": curve_rows,
-        "final_report": summary.records[-1]["eval"]}
+        "report": summary.best_eval, "curve": curve}
 
 
 def _execute(jobs: list, n_workers: int) -> dict:
@@ -551,24 +529,21 @@ def _cell_fingerprint(rq: str, cfg: HarnessConfig, axes: dict) -> str:
     return fingerprint({"rq": rq, "config": cfg.fingerprint(), "axes": axes})
 
 
-def _assemble(rq: str, cfg: HarnessConfig, axes: dict, cell_axes: dict,
-              outcomes: dict, quality: dict) -> SweepResult:
-    """Write per-cell directories plus the flat summary CSV."""
+def _assemble(rq: str, cfg: HarnessConfig, cell_axes: dict, outcomes: dict,
+              quality: dict) -> None:
+    """Write the new cells' directories plus the flat summary CSV."""
     out_root = Path(cfg.out_dir)
-    result = SweepResult(rq=rq, axes=axes, quality=quality)
     summary_rows = []
     for key in sorted(cell_axes):
         fp = _cell_fingerprint(rq, cfg, cell_axes[key])
         seeds_out = outcomes.get(key)
         if seeds_out is None:       # reused from a previous run
             seeds_out = _finished_cell(out_root, rq, key, fp)["seeds"]
-        result.add_cell(key, cell_axes[key], seeds_out, out_root / rq / fp)
-        if key in outcomes:
+        else:
             report = {"rq": rq, "cell": key, "axes": cell_axes[key],
                       "config_fingerprint": cfg.fingerprint(),
                       "cell_fingerprint": fp, "seeds": seeds_out}
-            _write_cell(out_root, rq, fp, report, result.curves[key],
-                        quality.get(key))
+            _write_cell(out_root, rq, fp, report, quality.get(key))
         for s in seeds_out:
             rep = s["report"]
             row = {"rq": rq, "cell": key, "cell_fingerprint": fp,
@@ -586,14 +561,12 @@ def _assemble(rq: str, cfg: HarnessConfig, axes: dict, cell_axes: dict,
                                 restval="")
         writer.writeheader()
         writer.writerows(summary_rows)
-    summary_path = out_root / rq / "summary.csv"
-    atomic_write(summary_path, [buf.getvalue().encode()])
-    result.summary_path = str(summary_path)
-    return result
+    atomic_write(out_root / rq / "summary.csv", [buf.getvalue().encode()])
 
 
 def load_sweep(out_root, rq: str) -> SweepResult:
-    """Rebuild the `SweepResult` of a finished sweep from its files.
+    """The `SweepResult` of a finished sweep, read from its files (every
+    runner returns this reading of the files it wrote).
 
     The cells are the ones ``<out_root>/<rq>/summary.csv`` lists; each is
     read from its cell directory. A missing or damaged summary, a listed
@@ -611,13 +584,14 @@ def load_sweep(out_root, rq: str) -> SweepResult:
                 {"cell", "cell_fingerprint"} <= set(reader.fieldnames)):
             raise DataError(f"{path} lacks its cell/cell_fingerprint columns")
         listed = {row["cell"]: row["cell_fingerprint"] for row in reader}
-    result = SweepResult(rq=rq, axes={}, summary_path=str(path))
+    result = SweepResult(rq=rq, summary_path=str(path))
     for key in sorted(listed):
         cell = _finished_cell(out_root, rq, key, listed[key])
-        cell_dir = out_root / rq / listed[key]
-        result.add_cell(key, cell["axes"], cell["seeds"], cell_dir)
+        result.cell_axes[key] = cell["axes"]
+        result.cells[key] = [RunReport.from_jsonable(s["report"])
+                             for s in cell["seeds"]]
         if rq == "rq3":     # the only cells with one; the claim reads it
-            quality = cell_dir / "quality.json"
+            quality = out_root / rq / listed[key] / "quality.json"
             if not quality.exists():
                 raise DataError(f"cell {key} lacks its quality.json")
             result.quality[key] = _read_result_json(quality)
@@ -636,8 +610,9 @@ def _agent_json(cfg: HarnessConfig, algo: str, seed: int, *,
         epoch_steps=min(epoch or cfg.epoch_steps, max(steps, 1)), seed=seed))
 
 
-def _sweep(rq: str, cfg: HarnessConfig, axes: dict, cells) -> SweepResult:
-    """Run one research-question grid.
+def _sweep(rq: str, cfg: HarnessConfig, cells) -> SweepResult:
+    """Run one research-question grid and return it as `load_sweep` reads
+    it back from the files it wrote.
 
     ``cells()`` yields one ``(key, cell_axes, agent, dataset, quality)``
     tuple per grid cell: a unique cell key, the axis values that (with the
@@ -648,11 +623,9 @@ def _sweep(rq: str, cfg: HarnessConfig, axes: dict, cells) -> SweepResult:
     are built lazily. Cells whose directory exists are reused when
     ``cfg.skip_existing`` is set.
     """
-    if cfg.seeds == 0:
-        return _assemble(rq, cfg, axes, {}, {}, {})
     out_root = Path(cfg.out_dir)
     jobs, cell_axes, quality = [], {}, {}
-    for key, c_axes, agent, dataset, q in cells():
+    for key, c_axes, agent, dataset, q in (cells() if cfg.seeds else ()):
         cell_axes[key] = c_axes
         if q is not None:
             quality[key] = q
@@ -664,8 +637,8 @@ def _sweep(rq: str, cfg: HarnessConfig, axes: dict, cells) -> SweepResult:
                      "agent": _agent_json(cfg, seed=s, **agent),
                      "dataset": dataset}
                     for s in range(cfg.seeds))
-    return _assemble(rq, cfg, axes, cell_axes, _execute(jobs, cfg.jobs),
-                     quality)
+    _assemble(rq, cfg, cell_axes, _execute(jobs, cfg.jobs), quality)
+    return load_sweep(out_root, rq)
 
 
 # ---------------------------------------------------------------------------
@@ -676,12 +649,10 @@ def run_rq1(cfg: HarnessConfig) -> SweepResult:
     """Offline algorithms versus off-policy algorithms on static data.
 
     Both collection scenarios are materialized once; every algorithm in
-    ``cfg.rq1_algos`` then trains offline on each dataset, and the cell
-    reports carry the best-epoch evaluation per seed (learning curves go
-    to curve.csv).
+    ``cfg.rq1_algos`` then trains offline on each dataset, and each cell
+    report carries, per seed, the best-epoch evaluation and the learning
+    curve.
     """
-    axes = {"scenario": list(cfg.rq1_scenarios),
-            "algo": list(cfg.rq1_algos), "seeds": cfg.seeds}
 
     def cells():
         datasets = {}
@@ -701,13 +672,11 @@ def run_rq1(cfg: HarnessConfig) -> SweepResult:
                        {"scenario": scenario, "algo": algo},
                        {"algo": algo}, datasets[scenario], None)
 
-    return _sweep("rq1", cfg, axes, cells)
+    return _sweep("rq1", cfg, cells)
 
 
 def run_rq2(cfg: HarnessConfig) -> SweepResult:
     """History encoder on versus off, offline (CQL) and online (SAC)."""
-    axes = {"mode": list(cfg.rq2_modes), "history": [False, True],
-            "seq_len": cfg.rq2_seq_len, "seeds": cfg.seeds}
 
     def cells():
         dataset = None
@@ -727,13 +696,11 @@ def run_rq2(cfg: HarnessConfig) -> SweepResult:
                         else cfg.train_steps},
                        None if online else dataset, None)
 
-    return _sweep("rq2", cfg, axes, cells)
+    return _sweep("rq2", cfg, cells)
 
 
 def run_rq3(cfg: HarnessConfig) -> SweepResult:
     """Dataset-quality grid: perturbation rate and scale versus outcome."""
-    axes = {"epsilon": list(cfg.rq3_epsilons), "sigma": list(cfg.rq3_sigmas),
-            "seeds": cfg.seeds}
 
     def cells():
         expert = _expert(cfg)
@@ -750,14 +717,12 @@ def run_rq3(cfg: HarnessConfig) -> SweepResult:
                         "epoch": max(cfg.rq3_train_steps // 4, 1)},
                        path, quality)
 
-    return _sweep("rq3", cfg, axes, cells)
+    return _sweep("rq3", cfg, cells)
 
 
 def run_rq4(cfg: HarnessConfig) -> SweepResult:
     """Dataset-quantity sweep at the fixed per-environment noise point."""
     eps, sg = RQ4_NOISE[cfg.env_kind]
-    axes = {"size": list(cfg.rq4_sizes), "epsilon": eps, "sigma": sg,
-            "seeds": cfg.seeds}
 
     def cells():
         sizes = sorted(cfg.rq4_sizes)
@@ -775,12 +740,11 @@ def run_rq4(cfg: HarnessConfig) -> SweepResult:
             yield (f"size{size}", {"size": size, "epsilon": eps, "sigma": sg},
                    {"algo": "cql"}, path, None)
 
-    return _sweep("rq4", cfg, axes, cells)
+    return _sweep("rq4", cfg, cells)
 
 
 def run_rq5(cfg: HarnessConfig) -> SweepResult:
     """Sequence-length sweep for the history encoder."""
-    axes = {"seq_len": list(cfg.rq5_seq_lens), "seeds": cfg.seeds}
 
     def cells():
         dataset = materialize_trained_dataset(
@@ -792,7 +756,7 @@ def run_rq5(cfg: HarnessConfig) -> SweepResult:
                     "epoch": max(cfg.rq5_train_steps // 4, 1)},
                    dataset, None)
 
-    return _sweep("rq5", cfg, axes, cells)
+    return _sweep("rq5", cfg, cells)
 
 
 RQ_RUNNERS = {"1": run_rq1, "2": run_rq2, "3": run_rq3, "4": run_rq4,
@@ -823,7 +787,6 @@ def spearman_rho(x, y) -> float:
 # ---------------------------------------------------------------------------
 # the study's claims, checked on a sweep's results
 
-OFFLINE_ALGOS = ("cql", "td3bc")
 BASELINE_ALGOS = ("td3", "sac")
 
 
@@ -924,8 +887,7 @@ _CLAIMS = {"rq1": _rq1_claims, "rq2": _rq2_claims, "rq3": _rq3_claims,
 def claim_lines(result: SweepResult) -> list:
     """The printed check of the study's claim on one sweep's results.
 
-    Grid values come from each cell's own axes, so a result a runner
-    returns and the same result read back by `load_sweep` give the same
-    lines. A sweep without cells checks nothing.
+    Grid values come from each cell's own axes. A sweep without cells
+    checks nothing.
     """
     return _CLAIMS[result.rq](result) if result.cells else []

@@ -215,6 +215,18 @@ class TestCollect:
         assert ds.metadata["scenario"] == "trained"
         assert ds.metadata["epsilon"] == 0.2
 
+    def test_env_var_overrides_an_absolute_out_directory(self, workspace,
+                                                         tmp_path):
+        env_dir = tmp_path / "enved"
+        flagged = tmp_path / "flagged" / "d.hvds"
+        assert run(["--config", str(workspace["config"]), "collect",
+                    "--scenario", "final-buffer", "--out", str(flagged)],
+                   env={ENV_OUT_DIR: str(env_dir)}) == 0
+        assert (env_dir / "d.hvds").read_bytes() == \
+            workspace["data"].read_bytes()
+        assert (env_dir / "audit.jsonl").exists()
+        assert not flagged.parent.exists()
+
 
 class TestTrain:
     def test_outputs_and_summary(self, workspace):
@@ -314,6 +326,24 @@ class TestEval:
         assert "FingerprintMismatchError" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("edit", [
+        lambda h: {k: v for k, v in h.items() if k != "meta"},
+        lambda h: {**h, "meta": {**h["meta"], "agent_config": {
+            **h["meta"]["agent_config"], "bogus": 1}}},
+        lambda h: {**h, "meta": {**h["meta"], "obs_dim": "x"}},
+        lambda h: {**h, "meta": {**h["meta"], "epoch": "x"}},
+        lambda h: {**h, "meta": {**h["meta"], "obs_dim": 0}},
+    ], ids=["no-meta", "unknown-agent-config-key", "obs-dim-str", "epoch-str",
+            "obs-dim-zero"])
+    def test_damaged_checkpoint_header_is_data_error(self, tmp_path, capsys,
+                                                     edit):
+        ckpt = tmp_path / "a.ckpt"
+        make_agent(AgentConfig(algo="sac"), 8, 4).save(ckpt, epoch=0, step=0)
+        rewrite_header(ckpt, edit)
+        assert run(["eval", "--ckpt", str(ckpt), "--env", "dc", "--days",
+                    "0.05", "--out", str(tmp_path / "e")]) == 3
+        assert "DataError" in capsys.readouterr().err
+
     def test_policy_emitting_nan_is_simulation_fault(self, tmp_path, capsys):
         # the fault comes on the first step, so the rollout has no rows
         agent = make_agent(AgentConfig(algo="sac"), 8, 4)
@@ -360,6 +390,18 @@ class TestRegret:
         r_opt = expert_reference_return(
             env, load_agent(workspace["ckpt"])[0], EVAL_PRESET["dc"], ds.days)
         assert doc["r_opt_by_preset"] == {EVAL_PRESET["dc"]: r_opt}
+
+    def test_env_var_overrides_an_absolute_out_directory(self, workspace,
+                                                         tmp_path):
+        env_dir = tmp_path / "enved"
+        flagged = tmp_path / "flagged" / "q.json"
+        assert run(["regret", "--data", str(workspace["data"]),
+                    "--expert", str(workspace["ckpt"]),
+                    "--out", str(flagged)],
+                   env={ENV_OUT_DIR: str(env_dir)}) == 0
+        assert len(json.loads((env_dir / "q.json").read_text())["deltas"]) == 2
+        assert (env_dir / "audit.jsonl").exists()
+        assert not flagged.parent.exists()
 
 
 class TestSweepAndReport:
@@ -433,8 +475,8 @@ class TestSweepAndReport:
         assert run(["--config", str(cfg), "sweep", "--rq", "3"]) == 3
 
     @pytest.mark.parametrize("damage", ["empty-entry", "missing-field",
-                                        "unknown-field", "quality-mean",
-                                        "quality-missing"])
+                                        "unknown-field", "no-seeds",
+                                        "quality-mean", "quality-missing"])
     def test_report_with_a_damaged_seed_entry_is_data_error(
             self, tmp_path, capsys, damage):
         cfg = self.sweep_config(tmp_path)
@@ -451,6 +493,9 @@ class TestSweepAndReport:
             del doc["seeds"][0]["report"]["violation"]
         elif damage == "unknown-field":
             doc["seeds"][0]["report"]["bogus"] = 1.0
+        elif damage == "no-seeds":
+            doc["seeds"] = []
+            message = "seeds is not a non-empty list"
         elif damage == "quality-mean":
             q = json.loads(quality.read_text())
             del q["mean"]
@@ -464,11 +509,10 @@ class TestSweepAndReport:
         assert run(["report", "--rq", "3",
                     "--results", str(tmp_path / "results")]) == 3
         assert message in capsys.readouterr().err
-        # a resumed sweep reuses the same entries, and rebuilds the
-        # quality reports instead of reading them
+        # a resumed sweep reuses the same cell and returns the result
+        # read back from its files
         cfg = self.sweep_config(tmp_path, skip_existing=True)
-        assert run(["--config", str(cfg), "sweep", "--rq", "3"]) == \
-            (0 if damage.startswith("quality") else 3)
+        assert run(["--config", str(cfg), "sweep", "--rq", "3"]) == 3
 
     def test_report_with_summary_columns_missing_is_data_error(
             self, tmp_path, capsys):

@@ -1,9 +1,11 @@
 """Evaluation harness tests: metric oracles, report plumbing, atomic
 result directories, and a miniature end-to-end sweep checked for
 determinism and cache reuse."""
+import csv
 import json
 import os
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,7 +186,7 @@ class TestEvaluatePolicy:
 class TestRuleBaseline:
     def test_covers_training_and_holdout_presets(self):
         env = BuildingEnv(EnvConfig(kind="dc", days=0.5))
-        reports = rule_baseline_report(env, horizon=0.5, seeds=(0,))
+        reports = rule_baseline_report(env.variant(days=0.5), seeds=(0,))
         expected = list(TRAIN_PRESETS["dc"]) + [EVAL_PRESET["dc"]]
         assert [r.weather for r in reports] == expected
 
@@ -218,13 +220,9 @@ class TestHarnessConfig:
 class TestCellArtifacts:
     def test_write_then_load_roundtrip(self, tmp_path):
         report = {"rq": "rq9", "cell": "k", "seeds": [{"seed": 0}]}
-        rows = [{"epoch": 1, "avg_reward": 0.5}, {"epoch": 2, "avg_reward": 0.6}]
-        cell_dir = _write_cell(tmp_path, "rq9", "fp123", report, rows,
-                               {"note": 1})
-        assert (cell_dir / "report.json").exists()
-        assert (cell_dir / "curve.csv").read_text().splitlines()[0] == \
-            "avg_reward,epoch"
-        assert (cell_dir / "quality.json").exists()
+        cell_dir = _write_cell(tmp_path, "rq9", "fp123", report, {"note": 1})
+        assert sorted(p.name for p in cell_dir.iterdir()) == \
+            ["quality.json", "report.json"]
         assert load_cell(tmp_path, "rq9", "fp123") == report
 
     def test_missing_cell_loads_none(self, tmp_path):
@@ -232,9 +230,9 @@ class TestCellArtifacts:
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         report = {"b": 2, "a": 1}
-        first = _write_cell(tmp_path, "rq9", "fp", report, [], None)
+        first = _write_cell(tmp_path, "rq9", "fp", report, None)
         blob = (first / "report.json").read_bytes()
-        again = _write_cell(tmp_path, "rq9", "fp", dict(report), [], None)
+        again = _write_cell(tmp_path, "rq9", "fp", dict(report), None)
         assert (again / "report.json").read_bytes() == blob
 
 
@@ -262,7 +260,7 @@ def claim_report(avg_reward, iqrs=(1.0, 1.0)) -> RunReport:
 
 def hand_result(rq, cells) -> SweepResult:
     """A SweepResult from ``{key: (cell axes, [RunReport, ...])}``."""
-    res = SweepResult(rq=rq, axes={})
+    res = SweepResult(rq=rq)
     for key, (axes, reports) in cells.items():
         res.cell_axes[key] = axes
         res.cells[key] = reports
@@ -324,7 +322,7 @@ class TestClaims:
 
     def test_no_cells_check_nothing(self):
         for rq in ("rq1", "rq2", "rq3", "rq4", "rq5"):
-            assert claim_lines(SweepResult(rq=rq, axes={})) == []
+            assert claim_lines(SweepResult(rq=rq)) == []
 
 
 def tiny_config(out_dir, **overrides) -> HarnessConfig:
@@ -337,16 +335,22 @@ def tiny_config(out_dir, **overrides) -> HarnessConfig:
     return HarnessConfig(**base)
 
 
+def cell_dirs(res: SweepResult) -> dict:
+    """Each cell's directory, as its summary.csv row names it."""
+    with open(res.summary_path, newline="") as f:
+        return {row["cell"]: Path(res.summary_path).parent /
+                row["cell_fingerprint"] for row in csv.DictReader(f)}
+
+
 class TestZeroSeedGrids:
-    def test_empty_result_keeps_axes(self, tmp_path):
+    def test_empty_result_writes_empty_summary(self, tmp_path):
         cfg = tiny_config(tmp_path, seeds=0)
         for runner, rq in ((run_rq1, "rq1"), (run_rq2, "rq2"),
                            (run_rq3, "rq3"), (run_rq4, "rq4"),
                            (run_rq5, "rq5")):
             res = runner(cfg)
             assert res.rq == rq
-            assert res.cells == {} and res.curves == {}
-            assert res.axes["seeds"] == 0
+            assert res.cells == {} and res.cell_axes == {}
             assert os.path.exists(res.summary_path)
             assert open(res.summary_path).read() == ""
             assert claim_lines(res) == []
@@ -354,12 +358,6 @@ class TestZeroSeedGrids:
         # nothing to train, so no expert or dataset is built
         assert not (tmp_path / "datasets").exists()
         assert not (tmp_path / "experts").exists()
-
-    def test_validate_flags_missing_seeds(self):
-        res = SweepResult(rq="rq5", axes={})
-        res.cells["k"] = []
-        with pytest.raises(DataError):
-            res.validate(min_seeds=1)
 
 
 class TestExpertCache:
@@ -382,11 +380,10 @@ class TestMiniatureSweep:
         cfg = tiny_config(tmp_path / "a")
         res = run_rq5(cfg)
         assert sorted(res.cells) == ["len01", "len02"]
-        res.validate(min_seeds=1)
-        for key in res.cells:
+        for key, d in cell_dirs(res).items():
             assert len(res.cells[key]) == 1
-            assert res.curves[key], "learning curve should not be empty"
-            assert os.path.isdir(res.cell_dirs[key])
+            seeds = json.loads((d / "report.json").read_text())["seeds"]
+            assert seeds[0]["curve"], "learning curve should not be empty"
         assert res.median_metric("len01") == res.cells["len01"][0].avg_reward
         rows = open(res.summary_path).read().splitlines()
         assert len(rows) == 3                        # header + 2 cells
@@ -398,23 +395,55 @@ class TestMiniatureSweep:
     def test_rerun_reuses_existing_cells(self, tmp_path):
         cfg = tiny_config(tmp_path / "a")
         first = run_rq5(cfg)
-        stamps = {k: os.path.getmtime(os.path.join(d, "report.json"))
-                  for k, d in first.cell_dirs.items()}
+        stamps = {k: os.path.getmtime(d / "report.json")
+                  for k, d in cell_dirs(first).items()}
         second = run_rq5(cfg)
-        for key in first.cells:
-            assert os.path.getmtime(
-                os.path.join(second.cell_dirs[key], "report.json")) == \
-                stamps[key]
+        for key, d in cell_dirs(second).items():
+            assert os.path.getmtime(d / "report.json") == stamps[key]
             assert asdict(second.cells[key][0]) == asdict(first.cells[key][0])
+
+    def test_cells_hold_one_report_with_a_curve_per_seed(self, tmp_path):
+        res = run_rq5(tiny_config(tmp_path))
+        for d in cell_dirs(res).values():
+            assert [p.name for p in d.iterdir()] == ["report.json"]
+            for s in json.loads((d / "report.json").read_text())["seeds"]:
+                assert s.keys() == {"seed", "best_epoch", "curve", "report"}
+                assert [row["epoch"] for row in s["curve"]] == \
+                    list(range(1, 7))
+                for row in s["curve"]:
+                    assert row.keys() == {"epoch", "seed", "avg_reward",
+                                          "violation", "avg_power_kw"}
+                    assert type(row["seed"]) is int
+                    assert row["seed"] == s["seed"]
+                best = s["curve"][s["best_epoch"] - 1]
+                assert best["avg_reward"] == s["report"]["avg_reward"]
+
+    def test_older_cells_with_final_report_and_curve_csv_are_reused(
+            self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        first = run_rq5(cfg)
+        stamps = {}
+        for d in cell_dirs(first).values():
+            doc = json.loads((d / "report.json").read_text())
+            for s in doc["seeds"]:
+                s["final_report"] = s["report"]
+            (d / "report.json").write_text(json.dumps(doc))
+            (d / "curve.csv").write_text(
+                "avg_power_kw,avg_reward,epoch,seed,violation\n")
+            stamps[d] = os.path.getmtime(d / "report.json")
+        second = run_rq5(cfg)
+        assert second.cells == first.cells
+        for d, stamp in stamps.items():
+            assert os.path.getmtime(d / "report.json") == stamp
+            assert (d / "curve.csv").exists()
 
     def test_results_do_not_depend_on_output_location(self, tmp_path):
         blobs = {}
         for name in ("a", "b"):
             cfg = tiny_config(tmp_path / name, jobs=2 if name == "b" else 1)
             res = run_rq5(cfg)
-            blobs[name] = {
-                key: open(os.path.join(d, "report.json"), "rb").read()
-                for key, d in res.cell_dirs.items()}
+            blobs[name] = {key: (d / "report.json").read_bytes()
+                           for key, d in cell_dirs(res).items()}
         assert blobs["a"] == blobs["b"]
 
     def test_online_mode_cells(self, tmp_path):
@@ -430,7 +459,6 @@ class TestMiniatureSweep:
         res = run_rq1(cfg)
         assert sorted(res.cells) == ["final_buffer-cql", "final_buffer-td3",
                                      "trained-cql", "trained-td3"]
-        res.validate(min_seeds=1)
         names = sorted(p.name for p in (tmp_path / "datasets").iterdir())
         assert [n.split("-")[0] for n in names] == ["final", "trained"]
         rows = open(res.summary_path).read().splitlines()
@@ -445,9 +473,11 @@ class TestMiniatureSweep:
         res = run_rq3(cfg)
         assert sorted(res.cells) == ["eps0-sigma0.1", "eps0.2-sigma0.1"]
         assert sorted(res.quality) == sorted(res.cells)
-        for key, d in res.cell_dirs.items():
-            with open(os.path.join(d, "quality.json")) as f:
-                assert json.load(f) == res.quality[key]
+        for key, d in cell_dirs(res).items():
+            assert sorted(p.name for p in d.iterdir()) == \
+                ["quality.json", "report.json"]
+            assert json.loads((d / "quality.json").read_text()) == \
+                res.quality[key]
         assert len(claim_lines(res)) == 2
         assert claim_lines(res) == claim_lines(load_sweep(tmp_path, "rq3"))
 
