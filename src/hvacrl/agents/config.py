@@ -26,7 +26,6 @@ class AgentConfig:
     target_noise_clip: float = 0.5
     explore_noise: float = 0.1   # online exploration noise std (normalized)
     bc_weight: float = 2.5       # behavior-cloning weight (td3bc)
-    literal_bc_bonus: bool = False   # fixed-weight additive BC variant
     cql_weight: float = 5.0      # conservative penalty weight (cql)
     cql_samples: int = 10        # policy samples for the penalty expectation
     hidden: int = 200            # MLP hidden width

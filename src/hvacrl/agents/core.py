@@ -274,10 +274,9 @@ class TD3Agent(Agent):
 class TD3BCAgent(TD3Agent):
     """TD3 with a behavior-cloning pull toward the dataset actions.
 
-    Default form scales the critic term by bc_weight / mean|Q1| so the two
-    terms stay commensurate as Q magnitudes grow; `literal_bc_bonus`
-    instead keeps the raw critic objective and adds a fixed-weight
-    squared-distance bonus.
+    This is the TD3+BC form of Fujimoto & Gu 2021 (arXiv:2106.06860): the
+    critic term is scaled by lambda = bc_weight / mean|Q1|, so it stays
+    commensurate with the squared-distance BC term as Q magnitudes grow.
     """
 
     def _actor_loss(self, batch: WindowBatch):
@@ -286,13 +285,8 @@ class TD3BCAgent(TD3Agent):
             self.critic.features(batch.windows, batch.valid), a, count=1)
         bc_dist = T.mean(T.sum_(T.square(T.sub(a, Tensor(batch.actions))),
                                 axis=1))
-        if self.cfg.literal_bc_bonus:
-            lam = 1.0
-            loss = T.add(T.scale(T.mean(q1), -1.0),
-                         T.scale(bc_dist, self.cfg.bc_weight))
-        else:
-            lam = self.cfg.bc_weight / (float(np.abs(q1.data).mean()) + 1e-9)
-            loss = T.add(T.scale(T.mean(q1), -lam), bc_dist)
+        lam = self.cfg.bc_weight / (float(np.abs(q1.data).mean()) + 1e-9)
+        loss = T.add(T.scale(T.mean(q1), -lam), bc_dist)
         return loss, {"actor_q_mean": float(q1.data.mean()),
                       "bc_distance": float(bc_dist.data),
                       "bc_lambda": float(lam)}

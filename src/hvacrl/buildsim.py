@@ -43,7 +43,6 @@ from pathlib import Path
 import numpy as np
 
 from .envcore import (
-    RewardParams,
     VectorSpec,
     compute_reward,
     datacenter_act_spec,
@@ -481,7 +480,6 @@ class EnvConfig:
     kind: str = "dc"                     # "dc" or "mu"
     weather: str = ""                    # "preset:<name>" or "csv:<path>"; "" = eval preset
     days: float = 30.0
-    literal_trapezoid_sign: bool = False
 
     def __post_init__(self):
         if self.kind not in ("dc", "mu"):
@@ -517,20 +515,17 @@ class BuildingEnv:
     physical units of `obs_spec` and `act_spec`.
     """
 
-    def __init__(self, config: EnvConfig, thermal: ThermalParams | None = None,
-                 reward_params: RewardParams | None = None):
+    def __init__(self, config: EnvConfig):
         self.config = config
         if config.kind == "dc":
-            self.thermal = thermal or datacenter_thermal()
-            self.reward_params = reward_params or datacenter_reward_params(
-                config.literal_trapezoid_sign)
+            self.thermal = datacenter_thermal()
+            self.reward_params = datacenter_reward_params()
             self.obs_spec = datacenter_obs_spec()
             self.act_spec = datacenter_act_spec()
             self._step_fn = step_datacenter
         else:
-            self.thermal = thermal or mixeduse_thermal()
-            self.reward_params = reward_params or mixeduse_reward_params(
-                config.literal_trapezoid_sign)
+            self.thermal = mixeduse_thermal()
+            self.reward_params = mixeduse_reward_params()
             self.obs_spec = mixeduse_obs_spec()
             self.act_spec = mixeduse_act_spec()
             self._step_fn = step_mixeduse
@@ -555,8 +550,7 @@ class BuildingEnv:
             cfg = replace(cfg, days=days)
         if cfg == self.config:
             return self
-        return BuildingEnv(cfg, thermal=self.thermal,
-                           reward_params=self.reward_params)
+        return BuildingEnv(cfg)
 
     def fingerprint(self) -> str:
         return fingerprint({
@@ -619,20 +613,17 @@ class RuleGains:
 # measurable room on both comfort and fan energy.
 DEFAULT_RULE_GAINS = {"dc": RuleGains(setpoint_gain=7.0, flow_gain=3.5),
                       "mu": RuleGains(setpoint_gain=14.0, flow_gain=3.5)}
-# the action spec and default reward parameters `rule_controller` reads on
-# every step, built once
+# the action spec and reward parameters `rule_controller` reads on every
+# step, built once
 _RULE_SPECS = {"dc": (datacenter_act_spec(), datacenter_reward_params()),
                "mu": (mixeduse_act_spec(), mixeduse_reward_params())}
 
 
-def rule_controller(obs: np.ndarray, kind: str,
-                    gains: RuleGains | None = None,
-                    reward_params: RewardParams | None = None) -> np.ndarray:
+def rule_controller(obs: np.ndarray, kind: str) -> np.ndarray:
     """Deadband-plus-proportional baseline: a physical action vector from a
     physical observation vector, deterministic in the observation."""
-    g = gains or DEFAULT_RULE_GAINS[kind]
-    spec, default_params = _RULE_SPECS[kind]
-    params = reward_params or default_params
+    g = DEFAULT_RULE_GAINS[kind]
+    spec, params = _RULE_SPECS[kind]
     obs = np.asarray(obs, dtype=np.float64).tolist()
     if kind == "dc":
         values = [0.0] * 4

@@ -144,6 +144,8 @@ def _out_file(flag_value: str, args_env: dict) -> Path:
 
 def _env_from(cfg: dict, kind: str | None = None, weather: str | None = None,
               days: float | None = None) -> BuildingEnv:
+    if days is not None and days <= 0:
+        raise UsageError("days must be positive")
     block = dict(cfg["environment"])
     if kind:
         block["kind"] = kind
@@ -163,8 +165,6 @@ def _median_summary(reports: list) -> dict:
 
 
 def cmd_simulate(args, cfg: dict, argv, env_vars) -> int:
-    if args.days is not None and args.days <= 0:
-        raise UsageError("--days must be positive")
     t0 = time.perf_counter()
     out = _out_dir(args.out, env_vars)
     env = _env_from(cfg, kind=args.env, weather=args.weather, days=args.days)
@@ -294,7 +294,11 @@ def cmd_sweep(args, cfg: dict, argv, env_vars) -> int:
     jobs = args.jobs if args.jobs is not None else cfg["harness"]["jobs"]
     cap = env_vars.get(ENV_MAX_JOBS)
     if cap is not None:
-        jobs = min(jobs, int(cap))
+        try:
+            jobs = min(jobs, int(cap))
+        except ValueError:
+            raise UsageError(f"{ENV_MAX_JOBS} must be an integer, "
+                             f"got {cap!r}") from None
     overrides["jobs"] = max(jobs, 1)
     hcfg = HarnessConfig.from_jsonable(cfg["harness"], **overrides)
     fp = config_fingerprint(cfg)

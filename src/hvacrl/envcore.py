@@ -205,7 +205,6 @@ class RewardParams:
     target: tuple[float, ...]  # per-zone target temperature, degC
     band_low: tuple[float, ...]
     band_high: tuple[float, ...]
-    literal_trapezoid_sign: bool = False  # audit mode: add the trapezoid term instead of subtracting
 
     def __post_init__(self):
         if self.lambda_shape <= 0:
@@ -223,15 +222,13 @@ class RewardParams:
         return len(self.target)
 
 
-def mixeduse_reward_params(literal_trapezoid_sign: bool = False) -> RewardParams:
+def mixeduse_reward_params() -> RewardParams:
     # Shared comfort band over the three observed channels (zone4, zone5, avg6).
-    return RewardParams(0.5, 0.1, 2e-5, (23.5,) * 3, (23.0,) * 3, (24.0,) * 3,
-                        literal_trapezoid_sign)
+    return RewardParams(0.5, 0.1, 2e-5, (23.5,) * 3, (23.0,) * 3, (24.0,) * 3)
 
 
-def datacenter_reward_params(literal_trapezoid_sign: bool = False) -> RewardParams:
-    return RewardParams(0.5, 0.1, 1e-5, (22.0,) * 2, (21.0,) * 2, (23.0,) * 2,
-                        literal_trapezoid_sign)
+def datacenter_reward_params() -> RewardParams:
+    return RewardParams(0.5, 0.1, 1e-5, (22.0,) * 2, (21.0,) * 2, (23.0,) * 2)
 
 
 @dataclass(frozen=True)
@@ -245,9 +242,9 @@ def compute_reward(zone_temps: np.ndarray, total_power_w: float, params: RewardP
     """Comfort/energy reward: r = r_T + lambda_power * (-P_t).
 
     Per zone, a Gaussian bump rewards proximity to the target and a trapezoid
-    term penalizes distance outside the tolerance band. The trapezoid enters
-    with a minus sign (violations are penalties); `literal_trapezoid_sign`
-    flips it to the printed-plus form for audit only.
+    term penalizes distance outside the tolerance band. The trapezoid is
+    subtracted because a band violation is a penalty: adding it would
+    reward the controller for leaving the band.
     """
     temps = np.asarray(zone_temps, dtype=np.float64)
     if temps.shape != (params.n_zones,):
@@ -260,7 +257,7 @@ def compute_reward(zone_temps: np.ndarray, total_power_w: float, params: RewardP
     # one np.exp over the zones: math.exp rounds some values differently
     diffs = [t - c for t, c in zip(temps, params.target)]
     gauss = np.exp([-params.lambda_shape * (d * d) for d in diffs]).tolist()
-    weight = (1.0 if params.literal_trapezoid_sign else -1.0) * params.lambda_trapezoid
+    weight = -params.lambda_trapezoid
     r_temp = ordered_sum(
         g + weight * (positive_part(t - hi) + positive_part(lo - t))
         for g, t, lo, hi in zip(gauss, temps, params.band_low, params.band_high))

@@ -206,8 +206,7 @@ def rule_baseline_report(env: BuildingEnv, presets=None,
     kind = env.config.kind
     if presets is None:
         presets = list(TRAIN_PRESETS[kind]) + [EVAL_PRESET[kind]]
-    controller = lambda obs: rule_controller(obs, kind,
-                                             reward_params=env.reward_params)
+    controller = lambda obs: rule_controller(obs, kind)
     controller.__name__ = "rule"
     reports = []
     for preset in presets:
@@ -222,7 +221,12 @@ def rule_baseline_report(env: BuildingEnv, presets=None,
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    """Knobs shared by the experiment runners; defaults are desk scale."""
+    """Knobs shared by the experiment runners; defaults are desk scale.
+
+    A run reuses what a previous run left under ``out_dir``: the cached
+    expert, datasets and finished cell directories. Every field except
+    ``out_dir`` and ``jobs`` enters the fingerprint that names them.
+    """
 
     env_kind: str = "dc"
     out_dir: str = "results"
@@ -237,11 +241,8 @@ class HarnessConfig:
     epoch_steps: int = 500
     batch_size: int = 256
     jobs: int = 1                  # parallel cell workers
-    skip_existing: bool = True     # reuse finished cell directories
     expert_path: str = ""          # blank = train one on demand
-    expert_algo: str = "sac"
-    expert_history: bool = True
-    expert_seq_len: int = 8
+    expert_seq_len: int = 8        # the expert is history SAC
     expert_steps: int = 9_000
     expert_batch: int = 64
     expert_seed: int = 7
@@ -285,7 +286,6 @@ class HarnessConfig:
         d = self.to_jsonable()
         d.pop("out_dir")         # where results land does not change them
         d.pop("jobs")
-        d.pop("skip_existing")
         return fingerprint(d)
 
 
@@ -374,8 +374,7 @@ def _finished_cell(out_root: Path, rq: str, key: str, cell_fp: str) -> dict:
 
 
 def expert_config(cfg: HarnessConfig) -> AgentConfig:
-    return AgentConfig(algo=cfg.expert_algo, history=cfg.expert_history,
-                       seq_len=cfg.expert_seq_len if cfg.expert_history else 1,
+    return AgentConfig(algo="sac", history=True, seq_len=cfg.expert_seq_len,
                        batch_size=cfg.expert_batch,
                        train_steps=cfg.expert_steps,
                        epoch_steps=max(cfg.expert_steps // 6, 1),
@@ -424,7 +423,7 @@ def _cached_dataset(cfg: HarnessConfig, tag: str, build) -> tuple:
     the dataset is None then, so a caller that needs it reads the file.
     """
     path = Path(cfg.out_dir) / "datasets" / f"{tag}.hvds"
-    if path.exists() and cfg.skip_existing:
+    if path.exists():
         return str(path), None
     ds = build()
     write_dataset(ds, path)
@@ -433,28 +432,28 @@ def _cached_dataset(cfg: HarnessConfig, tag: str, build) -> tuple:
 
 def materialize_trained_dataset(cfg: HarnessConfig, expert: Agent,
                                 epsilon: float, sigma: float,
-                                total_steps: int, seed: int = 0) -> tuple:
+                                total_steps: int) -> tuple:
     """Collect (or reuse) a frozen-expert dataset with the given noise;
     ``(path, dataset or None)`` as `_cached_dataset` returns it."""
     env = base_env(cfg, days=cfg.data_days)
     tag = "trained-" + fingerprint({
         "expert": expert.fingerprint(), "env": env.fingerprint(),
-        "eps": epsilon, "sigma": sigma, "steps": total_steps, "seed": seed})
+        "eps": epsilon, "sigma": sigma, "steps": total_steps, "seed": 0})
     return _cached_dataset(cfg, tag, lambda: collect_trained(
         env, expert, total_steps=total_steps, epsilon=epsilon, sigma=sigma,
-        seed=seed))
+        seed=0))
 
 
-def materialize_final_buffer_dataset(cfg: HarnessConfig, algo: str = "td3",
-                                     total_steps: int | None = None,
-                                     seed: int = 0) -> tuple:
+def materialize_final_buffer_dataset(cfg: HarnessConfig) -> tuple:
+    """Collect (or reuse) the TD3 final-buffer dataset of
+    ``cfg.dataset_steps`` transitions, as `_cached_dataset` returns it."""
     env = base_env(cfg, days=cfg.data_days)
-    steps = total_steps or cfg.dataset_steps
     tag = "final-buffer-" + fingerprint({
-        "algo": algo, "env": env.fingerprint(), "sigma": cfg.sigma,
-        "steps": steps, "seed": seed})
+        "algo": "td3", "env": env.fingerprint(), "sigma": cfg.sigma,
+        "steps": cfg.dataset_steps, "seed": 0})
     return _cached_dataset(cfg, tag, lambda: collect_final_buffer(
-        env, algo, total_steps=steps, noise=cfg.sigma, seed=seed)[0])
+        env, "td3", total_steps=cfg.dataset_steps, noise=cfg.sigma,
+        seed=0)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -618,20 +617,21 @@ def _sweep(rq: str, cfg: HarnessConfig, cells) -> SweepResult:
     tuple per grid cell: a unique cell key, the axis values that (with the
     config fingerprint) name the cell directory, `_agent_json` keyword
     arguments, a dataset path to train on offline or None to train
-    online, and a quality report to store beside the cell or None. It is
-    called only when there is at least one seed, so datasets and experts
-    are built lazily. Cells whose directory exists are reused when
-    ``cfg.skip_existing`` is set.
+    online, and a zero-argument callable returning the quality report to
+    store beside the cell, or None. It is called only when there is at
+    least one seed, so datasets and experts are built lazily. A cell whose
+    directory exists is reused as it is; only the other cells get jobs and
+    have their quality report built.
     """
     out_root = Path(cfg.out_dir)
     jobs, cell_axes, quality = [], {}, {}
     for key, c_axes, agent, dataset, q in (cells() if cfg.seeds else ()):
         cell_axes[key] = c_axes
-        if q is not None:
-            quality[key] = q
         fp = _cell_fingerprint(rq, cfg, c_axes)
-        if cfg.skip_existing and load_cell(out_root, rq, fp) is not None:
+        if load_cell(out_root, rq, fp) is not None:
             continue
+        if q is not None:
+            quality[key] = q()
         jobs.extend({"key": key, "seed_index": s,
                      "harness": cfg.to_jsonable(),
                      "agent": _agent_json(cfg, seed=s, **agent),
@@ -658,8 +658,7 @@ def run_rq1(cfg: HarnessConfig) -> SweepResult:
         datasets = {}
         for scenario in cfg.rq1_scenarios:
             if scenario == "final_buffer":
-                datasets[scenario] = materialize_final_buffer_dataset(
-                    cfg, total_steps=cfg.dataset_steps)[0]
+                datasets[scenario] = materialize_final_buffer_dataset(cfg)[0]
             elif scenario == "trained":
                 datasets[scenario] = materialize_trained_dataset(
                     cfg, _expert(cfg), cfg.epsilon, cfg.sigma,
@@ -708,14 +707,13 @@ def run_rq3(cfg: HarnessConfig) -> SweepResult:
             for sg in cfg.rq3_sigmas:
                 path, ds = materialize_trained_dataset(
                     cfg, expert, eps, sg, cfg.rq3_dataset_steps)
-                quality = build_quality_report(
-                    read_dataset(path) if ds is None else ds, expert,
-                    base_env(cfg, days=cfg.data_days)).to_jsonable()
                 yield (f"eps{eps:g}-sigma{sg:g}",
                        {"epsilon": eps, "sigma": sg},
                        {"algo": "cql", "steps": cfg.rq3_train_steps,
                         "epoch": max(cfg.rq3_train_steps // 4, 1)},
-                       path, quality)
+                       path, lambda path=path, ds=ds: build_quality_report(
+                           read_dataset(path) if ds is None else ds, expert,
+                           base_env(cfg, days=cfg.data_days)).to_jsonable())
 
     return _sweep("rq3", cfg, cells)
 

@@ -438,23 +438,6 @@ class TestLearning:
         _, extra = agent._actor_loss(batch)
         assert extra["bc_lambda"] == pytest.approx(2.5 / 4.0, rel=1e-5)
 
-    def test_literal_bc_variant_uses_fixed_weight(self):
-        view = make_view(n=100, ep=50, seed=4)
-        cfg = AgentConfig(algo="td3bc", literal_bc_bonus=True, bc_weight=2.5,
-                          batch_size=32, train_steps=0, seed=8)
-        agent = make_agent(cfg, 4, 2)
-        batch = view.sample_batch(32, 1, np.random.default_rng(1))
-        loss, extra = agent._actor_loss(batch)
-        assert extra["bc_lambda"] == 1.0
-        # reconstruct: -mean(q1) + weight * mean(||pi - a||^2)
-        with T.no_grad():
-            a = agent.actor(batch.windows, batch.valid)
-            (q1,) = agent.critic.heads(
-                agent.critic.features(batch.windows, batch.valid), a, count=1)
-        want = -float(q1.data.mean()) + 2.5 * float(
-            ((a.data - batch.actions) ** 2).sum(axis=1).mean())
-        assert float(loss.data) == pytest.approx(want, rel=1e-5)
-
 
 class TestCQL:
     def test_penalty_vanishes_when_policy_matches_behavior(self):

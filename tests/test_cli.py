@@ -70,10 +70,15 @@ class TestConfigPlumbing:
         assert doc["agent"]["gamma"] == 0.9          # untouched default
 
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
-        p = tmp_path / "c.json"
-        p.write_text(json.dumps({"agent": {"algos": "sac"}}))
-        assert run(["--config", str(p), "--print-config"]) == 2
-        assert "UsageError" in capsys.readouterr().err
+        # a typo, then one deleted key per block
+        for override in ({"agent": {"algos": "sac"}},
+                         {"agent": {"literal_bc_bonus": True}},
+                         {"environment": {"literal_trapezoid_sign": True}},
+                         {"harness": {"skip_existing": False}}):
+            p = tmp_path / "c.json"
+            p.write_text(json.dumps(override))
+            assert run(["--config", str(p), "--print-config"]) == 2
+            assert "UsageError" in capsys.readouterr().err
 
     def test_missing_config_file_is_data_error(self, capsys):
         assert run(["--config", "nope.json", "--print-config"]) == 3
@@ -121,12 +126,15 @@ class TestArgumentErrors:
         assert run([]) == 2
         assert "subcommand" in capsys.readouterr().err
 
-    def test_zero_days_simulation_writes_nothing(self, tmp_path, capsys):
+    def test_zero_days_simulation_writes_nothing(self, workspace, tmp_path,
+                                                 capsys):
         out = tmp_path / "sim"
-        assert run(["simulate", "--env", "dc", "--days", "0",
-                    "--out", str(out)]) == 2
-        assert "UsageError" in capsys.readouterr().err
-        assert not out.exists()
+        for command in (["simulate"],
+                        ["eval", "--ckpt", str(workspace["ckpt"])]):
+            assert run([*command, "--env", "dc", "--days", "0",
+                        "--out", str(out)]) == 2
+            assert "UsageError" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_eval_needs_positive_seed_count(self, workspace, tmp_path):
         assert run(["eval", "--ckpt", str(workspace["ckpt"]), "--seeds", "0",
@@ -471,7 +479,6 @@ class TestSweepAndReport:
                     "--results", str(tmp_path / "results")]) == 3
         assert "is not valid JSON" in capsys.readouterr().err
         # a resumed sweep reads the same report to decide what to skip
-        cfg = self.sweep_config(tmp_path, skip_existing=True)
         assert run(["--config", str(cfg), "sweep", "--rq", "3"]) == 3
 
     @pytest.mark.parametrize("damage", ["empty-entry", "missing-field",
@@ -511,7 +518,6 @@ class TestSweepAndReport:
         assert message in capsys.readouterr().err
         # a resumed sweep reuses the same cell and returns the result
         # read back from its files
-        cfg = self.sweep_config(tmp_path, skip_existing=True)
         assert run(["--config", str(cfg), "sweep", "--rq", "3"]) == 3
 
     def test_report_with_summary_columns_missing_is_data_error(
@@ -545,6 +551,14 @@ class TestSweepAndReport:
         cfg = self.sweep_config(tmp_path)
         assert run(["--config", str(cfg), "sweep", "--rq", "3",
                     "--jobs", "64"], env={ENV_MAX_JOBS: "1"}) == 0
+
+    def test_jobs_cap_that_is_not_an_integer_is_usage_error(self, tmp_path,
+                                                            capsys):
+        cfg = self.sweep_config(tmp_path)
+        assert run(["--config", str(cfg), "sweep", "--rq", "3"],
+                   env={ENV_MAX_JOBS: "two"}) == 2
+        assert f"UsageError: {ENV_MAX_JOBS}" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
 
     def test_report_before_sweep_is_data_error(self, tmp_path):
         assert run(["report", "--rq", "4",

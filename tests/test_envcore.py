@@ -52,8 +52,7 @@ def reward_array(temps, power_w, params):
                                          params.band_high))
     gauss = np.exp(-params.lambda_shape * (temps - target) ** 2)
     trap = np.maximum(temps - high, 0.0) + np.maximum(low - temps, 0.0)
-    sign = 1.0 if params.literal_trapezoid_sign else -1.0
-    r_temp = float((gauss + sign * params.lambda_trapezoid * trap).sum())
+    r_temp = float((gauss - params.lambda_trapezoid * trap).sum())
     return r_temp + params.lambda_power * -float(power_w)
 
 
@@ -105,9 +104,8 @@ class TestArrayFormulaBits:
 
     @pytest.mark.parametrize("make_params", [datacenter_reward_params,
                                              mixeduse_reward_params])
-    @pytest.mark.parametrize("literal", [False, True])
-    def test_reward_matches_array_formula(self, make_params, literal):
-        params = make_params(literal)
+    def test_reward_matches_array_formula(self, make_params):
+        params = make_params()
         rng = np.random.default_rng(2)
         rows = list(rng.uniform(10.0, 35.0, (500, params.n_zones)))
         rows += [np.array(v) for v in (params.band_low, params.band_high,
@@ -264,13 +262,6 @@ class TestReward:
         up = compute_reward(temps, 50_000.0 + eps, params).total
         down = compute_reward(temps, 50_000.0 - eps, params).total
         assert (up - down) / (2 * eps) == pytest.approx(-params.lambda_power, rel=1e-9)
-
-    def test_literal_sign_flag_flips_trapezoid(self):
-        base = datacenter_reward_params()
-        literal = datacenter_reward_params(literal_trapezoid_sign=True)
-        temps = np.array([25.0, 22.0])  # 2 K above the band
-        delta = compute_reward(temps, 0.0, literal).total - compute_reward(temps, 0.0, base).total
-        assert delta == pytest.approx(2 * 0.1 * 2.0)
 
     @given(st.lists(st.floats(-10, 60), min_size=2, max_size=2),
            st.floats(0, 3e5))

@@ -206,8 +206,8 @@ class TestHarnessConfig:
             HarnessConfig(jobs=0)
 
     def test_fingerprint_ignores_location_and_workers(self):
-        a = HarnessConfig(out_dir="x", jobs=1, skip_existing=True)
-        b = HarnessConfig(out_dir="y", jobs=8, skip_existing=False)
+        a = HarnessConfig(out_dir="x", jobs=1)
+        b = HarnessConfig(out_dir="y", jobs=8)
         assert a.fingerprint() == b.fingerprint()
         assert a.fingerprint() != HarnessConfig(env_kind="mu").fingerprint()
 
@@ -491,6 +491,22 @@ class TestMiniatureSweep:
                           rq3_train_steps=8)
         run_rq3(cfg)
         assert loads == [ensure_expert(cfg)]
+
+    def test_quality_grid_scores_only_the_cells_it_runs(self, tmp_path,
+                                                        monkeypatch):
+        scored = []
+        real = evalharness.build_quality_report
+        monkeypatch.setattr(evalharness, "build_quality_report",
+                            lambda *args: scored.append(1) or real(*args))
+        cfg = tiny_config(tmp_path, rq3_epsilons=(0.0, 0.2),
+                          rq3_sigmas=(0.1,), rq3_dataset_steps=144,
+                          rq3_train_steps=8)
+        first = run_rq3(cfg)
+        assert len(scored) == 2                 # one report per cell
+        scored.clear()
+        # a rerun reuses both finished cells and scores neither
+        assert run_rq3(cfg).quality == first.quality
+        assert scored == []
 
     @pytest.mark.parametrize("runner,overrides", [
         (run_rq3, dict(rq3_epsilons=(0.0, 0.2), rq3_sigmas=(0.1,),
