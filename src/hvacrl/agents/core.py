@@ -17,7 +17,8 @@ Policies act on normalized observations and emit normalized actions.
 `PolicyController` is the one adapter from an agent to the physical-units
 controller that `buildsim.EpisodeDriver` steps: evaluation, expert
 reference returns, `train_online` and frozen-expert collection all roll
-out through it, and differ only in how it chooses the action.
+out through it, and differ only in how it chooses the action. It chooses
+for all of a driver's lockstep episodes with one policy call per step.
 """
 from __future__ import annotations
 
@@ -452,16 +453,17 @@ def load_agent(path) -> tuple[Agent, dict]:
 
 
 class PolicyController:
-    """Adapts an agent to the physical-units controller interface of
-    `buildsim.EpisodeDriver`.
+    """Adapts an agent to `buildsim.EpisodeDriver`'s controller interface,
+    choosing for all lockstep lanes at once.
 
-    Called with a physical observation vector, it pushes the normalized
-    observation ``obs_n`` into its rolling history window, takes the
-    normalized action ``act_n`` from ``choose(windows, valid)``, a batch of
-    one like the agent's `policy_action` (its deterministic action by
-    default), and returns it as a float64 physical vector. ``obs_n`` and
-    ``act_n`` stay readable for callers that store the transition; `reset`
-    empties the window.
+    `reset` gives it one empty history window per lane. Each `act_lanes`
+    call pushes the running lanes' normalized observations ``obs_n`` into
+    their windows, takes the normalized actions ``act_n`` from ``choose(
+    windows, valid, lanes)``, one row per lane (the agent's deterministic
+    `policy_action` by default), and returns them as float64 physical
+    vectors. ``obs_n`` and ``act_n`` keep the rows of the last call, in the
+    order of its lanes, for callers that store the transitions. A lane
+    missing from a call has stopped, and its window is dropped.
     """
 
     def __init__(self, agent: "Agent", obs_spec, act_spec, choose=None):
@@ -472,52 +474,69 @@ class PolicyController:
                 f"{obs_spec.size}/{act_spec.size}")
         self.obs_spec = obs_spec
         self.act_spec = act_spec
-        self.choose = choose or agent.policy_action
-        self.window = RolloutWindow(agent.obs_dim, agent.cfg.seq_len)
+        self.choose = choose or (
+            lambda windows, valid, lanes: agent.policy_action(windows, valid))
+        self.window = RolloutWindow(agent.obs_dim, agent.cfg.seq_len, 0)
+        self.lanes = []         # the lane of each window, ascending
 
-    def reset(self):
-        self.window.reset()
+    def reset(self, n: int) -> None:
+        """One empty window for each of ``n`` lanes that begin together."""
+        self.window.reset(n)
+        self.lanes = list(range(n))
 
-    def __call__(self, obs: np.ndarray) -> np.ndarray:
-        self.obs_n = envcore.normalize_obs(obs, self.obs_spec)
+    def act_lanes(self, obs: list, lanes: list) -> list:
+        if len(lanes) < len(self.lanes):
+            self.window.keep(np.searchsorted(self.lanes, lanes))
+            self.lanes = lanes
+        self.obs_n = np.array([envcore.normalize_obs(o, self.obs_spec)
+                               for o in obs])
         self.window.push(self.obs_n)
-        self.act_n = self.choose(*self.window.arrays())[0]
-        return envcore.denormalize_action(self.act_n, self.act_spec)
+        self.act_n = self.choose(*self.window.arrays(), lanes)
+        return [envcore.denormalize_action(a, self.act_spec)
+                for a in self.act_n]
 
 
 class RolloutWindow:
-    """Rolling left-aligned observation window maintained during a rollout."""
+    """Rolling left-aligned observation windows of episodes that began
+    together, one per lockstep lane, so all hold the same count."""
 
-    def __init__(self, obs_dim: int, seq_len: int):
+    def __init__(self, obs_dim: int, seq_len: int, n: int):
         if seq_len < 1:
             raise SpecError("seq_len must be >= 1")
-        self.buf = np.zeros((seq_len, obs_dim), dtype=np.float32)
-        self.count = 0
-        # row c is the valid mask of a window holding c observations
-        self._valid_rows = np.arange(seq_len + 1)[:, None] > np.arange(seq_len)
-        self._valid_rows.flags.writeable = False
+        self.obs_dim = obs_dim
+        self.seq_len = seq_len
+        self.reset(n)
 
-    def reset(self):
-        self.buf[...] = 0.0
+    def reset(self, n: int) -> None:
+        """``n`` empty windows."""
+        self.buf = np.zeros((n, self.seq_len, self.obs_dim), dtype=np.float32)
+        self.valid = np.zeros((n, self.seq_len), dtype=bool)
         self.count = 0
 
-    def push(self, obs_normalized):
-        L = self.buf.shape[0]
-        if self.count < L:
-            self.buf[self.count] = obs_normalized
+    def push(self, obs_rows) -> None:
+        """Append row i of ``obs_rows`` to window i."""
+        if self.count < self.seq_len:
+            self.buf[:, self.count] = obs_rows
+            self.valid[:, self.count] = True
             self.count += 1
         else:
-            self.buf[:-1] = self.buf[1:]
-            self.buf[-1] = obs_normalized
+            self.buf[:, :-1] = self.buf[:, 1:]
+            self.buf[:, -1] = obs_rows
+
+    def keep(self, rows) -> None:
+        """Keep only the windows ``rows``, in that order."""
+        self.buf = self.buf[rows]
+        self.valid = self.valid[rows]
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (1, L, obs) window and its read-only (1, L) valid mask."""
-        return self.buf[None], self._valid_rows[self.count, None]
+        """The (N, L, obs) windows and their (N, L) valid masks, which the
+        caller must not modify."""
+        return self.buf, self.valid
 
 
 def seeded_episodes(make_env, seed: int):
-    """`EpisodeDriver` episodes on ``make_env(i)``, episode ``i`` reset
-    with seed ``seed * 100_003 + i``."""
+    """Episode ``i``'s `EpisodeDriver` lane: the environment
+    ``make_env(i)`` and the reset seed ``seed * 100_003 + i``."""
     return lambda i: (make_env(i), seed * 100_003 + i)
 
 
@@ -644,8 +663,10 @@ def train_online(agent: Agent, make_env, *, start_steps: int = 1000,
     """Classic off-policy online training against a live environment.
 
     `make_env(episode_index)` supplies the environment for each episode, so
-    callers can rotate weather conditions between episodes.  Each `_train`
-    step is one `EpisodeDriver` step of the agent's `PolicyController`,
+    callers can rotate weather conditions between episodes.  Each episode
+    is an `EpisodeDriver` batch of one, since the policy learns between its
+    steps, and each `_train` step is one driver step of the agent's
+    `PolicyController`,
     stored in the replay buffer, then one update once the warmup of
     uniform-random actions has filled it.  The buffer holds normalized
     observations and actions, with episode ends as terminal steps; it and
@@ -654,24 +675,32 @@ def train_online(agent: Agent, make_env, *, start_steps: int = 1000,
     cfg = agent.cfg
     draws = itertools.count(1)      # choose runs once per step
 
-    def choose(windows, valid):
+    def choose(windows, valid, lanes):
         if next(draws) <= start_steps:
-            return agent.rng.uniform(-1.0, 1.0, size=(1, agent.act_dim)
+            return agent.rng.uniform(-1.0, 1.0, size=(len(lanes), agent.act_dim)
                                      ).astype(np.float32)
         return agent.explore_action(windows, valid)
 
     first = make_env(0)     # rotated environments keep its specs
     controller = PolicyController(agent, first.obs_spec, first.act_spec,
                                   choose)
-    driver = EpisodeDriver(seeded_episodes(make_env, cfg.seed), controller)
+    episodes = seeded_episodes(make_env, cfg.seed)
     buffer = ReplayBuffer(agent.obs_dim, agent.act_dim,
                           capacity=buffer_capacity)
-    summary = TrainSummary(buffer=buffer, reset_seeds=driver.reset_seeds)
+    summary = TrainSummary(buffer=buffer)
     update_after = max(start_steps, cfg.batch_size)
+    driver = None
 
     def next_batch(step):
-        _, _, reward, done, _ = driver.step()
-        buffer.add(controller.obs_n, controller.act_n, reward, done)
+        nonlocal driver
+        if driver is None or not driver.running:
+            env, seed = episodes(len(summary.reset_seeds))
+            summary.reset_seeds.append(seed)
+            driver = EpisodeDriver([(env, seed)], controller)
+        ((_, _, _, reward, done, _, fault),) = driver.step()
+        if fault is not None:
+            raise fault
+        buffer.add(controller.obs_n[0], controller.act_n[0], reward, done)
         if step > update_after:
             return buffer.sample_batch(cfg.batch_size, cfg.seq_len, agent.rng)
         return None

@@ -35,11 +35,11 @@ class FlatEncoder(Module):
         self.out_dim = obs_dim
 
     def __call__(self, windows: np.ndarray, valid: np.ndarray) -> Tensor:
-        counts = valid.sum(axis=1)
         if windows.shape[1] == 1:
             last = windows[:, 0, :]
         else:
-            last = windows[np.arange(windows.shape[0]), counts - 1, :]
+            last = windows[np.arange(windows.shape[0]),
+                           valid.sum(axis=1) - 1, :]
         return Tensor(np.ascontiguousarray(last, dtype=np.float32))
 
 
@@ -92,8 +92,10 @@ class DeterministicActor(Module):
         return T.tanh(self.head(self.encoder(windows, valid)))
 
     def act(self, windows, valid):
+        """The clipped action of each window alone: a lockstep rollout's
+        action does not depend on how many episodes step with it."""
         with T.no_grad():
-            a = np.tanh(self.head(self.encoder(windows, valid)).data)
+            a = np.tanh(self.head.rows(self.encoder(windows, valid).data))
         return _clip_unit(a)
 
 
@@ -118,8 +120,10 @@ class GaussianActor(Module):
         return sample_tanh_gaussian(mean, log_std, rng, deterministic=deterministic)
 
     def act(self, windows, valid, rng=None, deterministic: bool = True):
+        """The clipped action of each window alone, as `DeterministicActor.act`
+        gives it; ``deterministic=False`` samples it with ``rng``."""
         with T.no_grad():
-            out = self.head(self.encoder(windows, valid)).data
+            out = self.head.rows(self.encoder(windows, valid).data)
         k = self.act_dim
         return _clip_unit(tanh_gaussian_action(out[:, :k], out[:, k:], rng,
                                                deterministic))

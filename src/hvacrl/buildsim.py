@@ -30,11 +30,15 @@ forms round differently: the reward's `np.exp` over the zone vector and
 
 Every rollout runs through `EpisodeDriver`, the only code that resets and
 steps a `BuildingEnv`: it drives one physical-units controller over
-episodes that each bring their own environment and reset seed, and
-`run_episode` records one of them as a `Trajectory`.
+independent episodes in lockstep, each with its own environment and reset
+seed, and `run_episode` records them as `Trajectory`s. The environments
+stay scalar, one Python-float step per lane; what a lockstep step batches
+is the controller's call, so a policy runs one forward pass per step for
+all of its episodes.
 """
 from __future__ import annotations
 
+import copy
 import csv
 import math
 from dataclasses import dataclass, replace
@@ -659,38 +663,72 @@ def rule_controller(obs: np.ndarray, kind: str) -> np.ndarray:
 # episodes and trajectory export
 # ---------------------------------------------------------------------------
 
-class EpisodeDriver:
-    """The one loop that resets and steps a `BuildingEnv`.
+class _EachLane:
+    """A controller function of one observation, applied lane by lane."""
 
-    ``episodes(i)`` returns episode ``i``'s environment and the seed it is
-    reset with, recorded in ``reset_seeds``. ``controller(obs) -> action``
-    maps a physical observation vector to a physical action vector; its
-    ``reset()``, if it has one, is called as each episode begins. The next
-    episode begins on the first `step` after one ends.
+    def __init__(self, fn):
+        self.fn = fn
+
+    def reset(self, n: int) -> None:
+        pass
+
+    def act_lanes(self, obs: list, lanes: list) -> list:
+        return list(map(self.fn, obs))
+
+
+class EpisodeDriver:
+    """The one loop that resets and steps `BuildingEnv`s: independent
+    episodes, one per lane, that step in lockstep as a Gymnasium vector
+    environment does.
+
+    ``episodes`` lists each lane's environment and reset seed; the seeds
+    are kept in ``reset_seeds``. Every lane steps its own shallow copy of
+    its environment, so lanes may name one environment, and each copy keeps
+    the scalar per-step arithmetic of the module docstring. ``controller``
+    maps one physical observation vector to a physical action vector and is
+    called lane by lane, unless it chooses for all lanes at once: then
+    ``controller.reset(n)`` is called as the n episodes begin and
+    ``controller.act_lanes(obs, lanes)`` maps the running lanes'
+    observations to their actions, in the order of ``lanes``. A single
+    episode is a batch of one.
     """
 
     def __init__(self, episodes, controller):
-        self.episodes = episodes
+        self.envs = [copy.copy(env) for env, _ in episodes]
+        self.reset_seeds = [seed for _, seed in episodes]
+        if not hasattr(controller, "act_lanes"):
+            controller = _EachLane(controller)
         self.controller = controller
-        self.reset_seeds: list[int] = []
-        self.env: BuildingEnv | None = None
-        self.obs: np.ndarray | None = None   # the next action's observation
-        self.done = True
+        controller.reset(len(self.envs))
+        # the next action's observation, per lane
+        self.obs = [env.reset(seed)
+                    for env, seed in zip(self.envs, self.reset_seeds)]
+        self.running = list(range(len(self.envs)))
 
-    def step(self) -> tuple:
-        """One controller step, ``(obs, act, reward, done, info)``: ``obs``
-        is the observation ``act`` was chosen from, and ``self.obs`` the
-        one it led to. A `SimulationFault` leaves both where they were."""
-        if self.done:
-            self.env, seed = self.episodes(len(self.reset_seeds))
-            self.reset_seeds.append(seed)
-            if hasattr(self.controller, "reset"):
-                self.controller.reset()
-            self.obs = self.env.reset(seed)
-        obs = self.obs
-        act = self.controller(obs)
-        self.obs, reward, self.done, info = self.env.step(act)
-        return obs, act, reward, self.done, info
+    def step(self) -> list[tuple]:
+        """One controller call and one environment step for each running
+        lane, in lane order: per lane ``(lane, obs, act, reward, done, info,
+        fault)``, where ``obs`` is the observation ``act`` was chosen from.
+        A lane whose episode ends, or whose step raises a `SimulationFault`
+        (then ``fault``, with ``done`` set and no reward or info), stops
+        running; a fault leaves the lane's ``obs`` where it was."""
+        lanes = self.running
+        obs = list(map(self.obs.__getitem__, lanes))
+        steps, running = [], []
+        for k, o, act in zip(lanes, obs,
+                             self.controller.act_lanes(obs, lanes),
+                             strict=True):
+            try:
+                step = self.envs[k].step(act)
+            except SimulationFault as exc:
+                steps.append((k, o, act, None, True, None, exc))
+                continue
+            self.obs[k], reward, done, info = step
+            steps.append((k, o, act, reward, done, info, None))
+            if not done:
+                running.append(k)
+        self.running = running
+        return steps
 
 
 @dataclass
@@ -709,43 +747,48 @@ class Trajectory:
         return len(self.actions)
 
 
-def run_episode(env: BuildingEnv, controller, seed: int) -> Trajectory:
-    """One recorded `EpisodeDriver` episode: ``env.horizon`` steps of
-    ``controller`` from ``env.reset(seed)``.
+def run_episode(env, controller, seed):
+    """Recorded `EpisodeDriver` episodes: ``env.horizon`` steps of
+    ``controller`` from ``env.reset(seed)``, as a `Trajectory`.
 
-    A simulation fault ends the run early and is recorded in
+    ``seed`` may be a list of seeds, whose episodes run in lockstep, and
+    ``env`` one environment for all of them or a list with one per seed;
+    the result is then a list of trajectories in seed order. A simulation
+    fault ends only its own episode early and is recorded in its
     ``Trajectory.fault``.
     """
-    if env.horizon < 1:
+    seeds = list(seed) if np.ndim(seed) else [seed]
+    envs = list(env) if isinstance(env, (list, tuple)) else [env] * len(seeds)
+    if any(e.horizon < 1 for e in envs):
         raise SpecError("horizon must be >= 1")
-    driver = EpisodeDriver(lambda i: (env, seed), controller)
-    obs_rows, act_rows, rewards, temps, powers, terms = [], [], [], [], [], []
-    fault = None
-    for _ in range(env.horizon):
-        try:
-            obs, act, reward, done, info = driver.step()
-        except SimulationFault as exc:
-            fault = str(exc)
-            break
-        obs_rows.append(obs)
-        act_rows.append(np.asarray(act, dtype=float))
-        rewards.append(reward)
-        temps.append(info["zone_temps"])
-        powers.append(info["power"].total_w)
-        terms.append(done)
-    obs_rows.append(driver.obs)
-    return Trajectory(
-        obs=np.asarray(obs_rows),
-        # explicit widths, so a fault on the first step records 0 rows
-        actions=np.asarray(act_rows).reshape(len(act_rows), env.act_spec.size),
-        rewards=np.asarray(rewards),
-        zone_temps=np.asarray(temps).reshape(len(temps), env.n_zones),
-        total_power_w=np.asarray(powers),
-        terminals=np.asarray(terms, dtype=bool),
-        seed=seed,
-        weather_name=getattr(env.weather, "name", "unknown"),
-        fault=fault,
-    )
+    driver = EpisodeDriver(list(zip(envs, seeds)), controller)
+    steps = [[] for _ in seeds]
+    faults = [None] * len(seeds)
+    while driver.running:
+        for lane, obs, act, reward, done, info, fault in driver.step():
+            if fault is None:
+                steps[lane].append((obs, act, reward, done, info["zone_temps"],
+                                    info["power"].total_w))
+            else:
+                faults[lane] = str(fault)
+    trajs = []
+    for k, lane_env in enumerate(driver.envs):
+        obs, acts, rewards, terms, temps, powers = (list(zip(*steps[k]))
+                                                    or [()] * 6)
+        trajs.append(Trajectory(
+            obs=np.asarray(obs + (driver.obs[k],)),
+            # explicit widths, so a fault on the first step records 0 rows
+            actions=np.asarray(acts, dtype=float).reshape(
+                len(acts), lane_env.act_spec.size),
+            rewards=np.asarray(rewards),
+            zone_temps=np.asarray(temps).reshape(len(temps), lane_env.n_zones),
+            total_power_w=np.asarray(powers),
+            terminals=np.asarray(terms, dtype=bool),
+            seed=seeds[k],
+            weather_name=getattr(lane_env.weather, "name", "unknown"),
+            fault=faults[k],
+        ))
+    return trajs if np.ndim(seed) else trajs[0]
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -769,12 +812,11 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 def read_trajectory_csv(path) -> dict[str, np.ndarray]:
-    path = Path(path)
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        rows = [list(map(float, row)) for row in reader]
-    data = np.asarray(rows)
+    """The columns of a `write_trajectory_csv` file, parsed by numpy's C
+    reader, which rounds each value as ``float`` does."""
+    with open(path) as f:
+        header = f.readline().rstrip("\n").split(",")
+        data = np.loadtxt(f, delimiter=",", ndmin=2)
     n_obs = sum(1 for h in header if h.startswith("obs_"))
     n_act = sum(1 for h in header if h.startswith("act_"))
     return {

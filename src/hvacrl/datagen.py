@@ -9,9 +9,10 @@ Two collection scenarios produce training data:
   with probability epsilon by Gaussian noise of scale sigma.
 
 Both step an `agents.PolicyController` with `buildsim.EpisodeDriver` (the
-first inside `train_online`) over the rotating training presets; only the
-controller's ``choose`` differs (exploration, or `perturb_action` on the
-expert's action). Both store its normalized transitions in a
+first inside `train_online`, one episode at a time; the second with all
+its episodes in lockstep) over the rotating training presets; only the
+controller's ``choose`` differs (exploration, or the drawn `perturbations`
+on the expert's action). Both store its normalized transitions in a
 `ReplayBuffer` and turn the buffer into a `Dataset` with the same
 provenance keys: the policy fingerprint, the weather preset and reset
 seed of every episode, the seed and the requested size.
@@ -203,8 +204,15 @@ def collect_trained(env: BuildingEnv, expert, total_steps: int,
     ``expert`` is an Agent or a checkpoint path. Each step independently
     gets Gaussian noise of scale sigma on the normalized action with
     probability epsilon, then the action is clipped to [-1, 1]. Whole
-    episodes are collected until at least ``total_steps`` transitions are
-    stored.
+    episodes are collected, as many as it takes to store at least
+    ``total_steps`` transitions, and they all step in lockstep with one
+    expert forward pass per step.
+
+    The perturbations are drawn before the rollout, in the order one
+    episode after another would consume them: episode by episode and step
+    by step, a Bernoulli draw (``rng.random() < epsilon``) and, for a
+    perturbed step, a Gaussian draw of the action's size. So the dataset
+    depends only on the seed, not on how the episodes are batched.
     """
     if isinstance(expert, (str, Path)):
         expert, _ = load_agent(expert)
@@ -214,42 +222,64 @@ def collect_trained(env: BuildingEnv, expert, total_steps: int,
         raise UsageError("epsilon must be in [0, 1]")
     if sigma < 0.0:
         raise UsageError("sigma must be >= 0")
-    rng = np.random.default_rng(seed)
-    noisy_steps, done = 0, False
+    # whole episodes: the last one starts before total_steps is reached
+    n = -(-total_steps // env.horizon)
+    noise = perturbations(np.random.default_rng(seed), n * env.horizon,
+                          expert.act_dim, epsilon, sigma)
+    taken = [0] * n         # steps chosen so far, per episode
 
-    def choose(windows, valid):
-        nonlocal noisy_steps
-        act_n, perturbed = perturb_action(
-            rng, expert.policy_action(windows, valid), epsilon, sigma)
-        noisy_steps += perturbed
-        return act_n
+    def choose(windows, valid, lanes):
+        policy = expert.policy_action(windows, valid)
+        acts = np.clip(policy, -1.0, 1.0).astype(np.float32)
+        for row, k in enumerate(lanes):
+            d = noise[k * env.horizon + taken[k]]
+            taken[k] += 1
+            if d is not None:
+                acts[row] = np.clip(policy[row] + d, -1.0, 1.0)
+        return acts
 
     controller = PolicyController(expert, env.obs_spec, env.act_spec, choose)
     make_env, names = preset_rotation(env)
-    driver = EpisodeDriver(seeded_episodes(make_env, seed), controller)
-    # whole episodes: the last one starts before total_steps is reached
+    episodes = seeded_episodes(make_env, seed)
+    driver = EpisodeDriver([episodes(i) for i in range(n)], controller)
+    # each transition by (episode, step), to be stored episode by episode
+    obs_n = np.empty((n, env.horizon, expert.obs_dim))
+    act_n = np.empty((n, env.horizon, expert.act_dim), dtype=np.float32)
+    rewards = np.empty((n, env.horizon))
+    dones = np.zeros((n, env.horizon), dtype=bool)
+    while driver.running:
+        steps = driver.step()
+        for *_, fault in steps:
+            if fault is not None:
+                raise fault
+        lanes = [s[0] for s in steps]
+        at = (lanes, [taken[k] - 1 for k in lanes])
+        obs_n[at] = controller.obs_n
+        act_n[at] = controller.act_n
+        rewards[at] = [s[3] for s in steps]
+        dones[at] = [s[4] for s in steps]
     buffer = ReplayBuffer(expert.obs_dim, expert.act_dim,
-                          capacity=total_steps + env.horizon)
-    while not (done and len(buffer) >= total_steps):
-        _, _, reward, done, _ = driver.step()
-        buffer.add(controller.obs_n, controller.act_n, reward, done)
+                          capacity=n * env.horizon)
+    for k in range(n):
+        for t in range(env.horizon):
+            buffer.add(obs_n[k, t], act_n[k, t], rewards[k, t], dones[k, t])
     return _collected_dataset(
         env, buffer, driver.reset_seeds, names, expert, seed, total_steps,
         scenario="trained", algo=expert.cfg.algo, epsilon=float(epsilon),
-        sigma=float(sigma), noisy_steps=int(noisy_steps))
+        sigma=float(sigma),
+        noisy_steps=sum(d is not None for d in noise))
 
 
-def perturb_action(rng: np.random.Generator, action: np.ndarray,
-                   epsilon: float, sigma: float):
-    """Bernoulli(epsilon)-gated Gaussian noise, clipped to [-1, 1].
+def perturbations(rng: np.random.Generator, steps: int, act_dim: int,
+                  epsilon: float, sigma: float) -> list:
+    """Per step, Gaussian noise of scale sigma with probability epsilon,
+    else None.
 
-    Returns (action, perturbed_flag). The Bernoulli draw happens on every
-    call so collection runs are reproducible for any epsilon.
+    The Bernoulli draw happens for every step, so collection runs are
+    reproducible for any epsilon; a perturbed step's noise follows it.
     """
-    hit = bool(rng.random() < epsilon)
-    if hit:
-        action = action + rng.normal(0.0, sigma, size=action.shape)
-    return np.clip(action, -1.0, 1.0).astype(np.float32), hit
+    return [rng.normal(0.0, sigma, size=act_dim) if rng.random() < epsilon
+            else None for _ in range(steps)]
 
 
 def coverage_cells(obs: np.ndarray, bins: int = 10) -> int:
@@ -285,17 +315,21 @@ def regret_ratio(r_tau: float, r_opt: float) -> RegretValue:
 
 
 def expert_reference_return(env_template: BuildingEnv, expert: Agent,
-                            preset: str, days: float,
-                            seed: int = REFERENCE_SEED) -> float:
-    """Undiscounted expert return on one weather preset (a bare name, a
-    ``csv:`` trace, or blank for the template's own weather) and horizon."""
-    env = env_template.variant(weather=preset, days=days)
-    controller = PolicyController(expert, env.obs_spec, env.act_spec)
-    traj = run_episode(env, controller, seed=seed)
-    if traj.fault is not None:
-        raise DataError(f"expert reference rollout hit a simulator fault: "
-                        f"{traj.fault}")
-    return float(traj.rewards.sum())
+                            presets: list, days: float, seeds: list) -> list:
+    """Undiscounted expert returns of one episode per ``(preset, seed)``
+    pair, rolled out in lockstep: a preset is a bare name, a ``csv:`` trace,
+    or blank for the template's own weather; every episode lasts ``days``.
+    A simulator fault in any of them is a `DataError`."""
+    envs = {preset: env_template.variant(weather=preset, days=days)
+            for preset in dict.fromkeys(presets)}
+    controller = PolicyController(expert, env_template.obs_spec,
+                                  env_template.act_spec)
+    trajs = run_episode([envs[p] for p in presets], controller, list(seeds))
+    for traj in trajs:
+        if traj.fault is not None:
+            raise DataError(f"expert reference rollout hit a simulator "
+                            f"fault: {traj.fault}")
+    return [float(traj.rewards.sum()) for traj in trajs]
 
 
 def delta_stats(deltas) -> dict:
@@ -355,13 +389,13 @@ def build_quality_report(dataset: Dataset, expert: Agent,
     seeds = [dataset.episode_reset_seed(i)
              for i in range(dataset.num_episodes)]
     if all(s is not None for s in seeds):
-        refs = [expert_reference_return(env_template, expert, presets[i],
-                                        dataset.days, seed=seeds[i])
-                for i in range(dataset.num_episodes)]
+        refs = expert_reference_return(env_template, expert, presets,
+                                       dataset.days, seeds)
     else:
-        per_preset = {preset: expert_reference_return(
-            env_template, expert, preset, dataset.days, seed=REFERENCE_SEED)
-            for preset in dict.fromkeys(presets)}
+        unique = list(dict.fromkeys(presets))
+        per_preset = dict(zip(unique, expert_reference_return(
+            env_template, expert, unique, dataset.days,
+            [REFERENCE_SEED] * len(unique))))
         refs = [per_preset[p] for p in presets]
     deltas, flagged = [], []
     for i in range(dataset.num_episodes):

@@ -171,8 +171,10 @@ def evaluate_policy(policy, env: BuildingEnv, weather: str | None = None,
     """Deterministic-action rollouts, one RunReport per seed.
 
     ``policy`` is an Agent, a checkpoint path, or a plain controller
-    callable. Each rollout is exported to CSV and the violation fraction
-    is recounted from the file; a mismatch aborts.
+    callable. The seeds' episodes run in lockstep. Each rollout is exported
+    to CSV and the violation fraction is recounted from the file; a
+    mismatch aborts. The first seed whose rollout faulted raises its
+    `SimulationFault`, after the seeds before it are written.
     """
     run_env = env.variant(weather)
     controller, policy_fp = _controller_for(policy, run_env)
@@ -180,11 +182,12 @@ def evaluate_policy(policy, env: BuildingEnv, weather: str | None = None,
     cfg_fp = fingerprint({
         "policy": policy_fp, "env": run_env.fingerprint(),
         "weather": weather or "", "days": run_env.config.days})
+    seeds = [int(seed) for seed in seeds]
+    trajs = run_episode(run_env, controller, seeds)
     reports = []
     with (nullcontext(out_dir) if out_dir is not None
           else tempfile.TemporaryDirectory()) as csv_dir:
-        for seed in seeds:
-            traj = run_episode(run_env, controller, seed=int(seed))
+        for seed, traj in zip(seeds, trajs):
             report = report_from_trajectory(traj, rp.band_low, rp.band_high,
                                             cfg_fp)
             Path(csv_dir).mkdir(parents=True, exist_ok=True)

@@ -107,6 +107,15 @@ class MLP(Module):
     def __call__(self, x) -> Tensor:
         return T.mlp(x, [(layer.w, layer.b) for layer in self.layers])
 
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        """The forward pass of each row of the 2-D array ``x`` alone, on
+        arrays and with no tape. The rows run as an (N, 1, F) stack, so each
+        is the 1-row product of a batch of one: a 2-D (N, F) product rounds
+        differently once N > 1."""
+        out, _ = T._mlp_data(x[:, None, :], [(layer.w, layer.b)
+                                              for layer in self.layers])
+        return out[:, 0, :]
+
 
 class LayerNorm(Module):
     def __init__(self, size: int):

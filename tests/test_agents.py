@@ -257,11 +257,11 @@ class TestReplayBuffer:
 
 class TestRolloutWindow:
     def test_tracks_trailing_window_left_aligned(self):
-        rw = RolloutWindow(obs_dim=2, seq_len=4)
+        rw = RolloutWindow(obs_dim=2, seq_len=4, n=1)
         seen = []
         for t in range(7):
             obs = np.array([t, -t], np.float32)
-            rw.push(obs)
+            rw.push(obs[None])
             seen.append(obs)
             windows, valid = rw.arrays()
             k = min(t + 1, 4)
@@ -271,10 +271,11 @@ class TestRolloutWindow:
                 assert not windows[0, k:].any()
 
     def test_reset_clears(self):
-        rw = RolloutWindow(2, 3)
-        rw.push(np.ones(2, np.float32))
-        rw.reset()
-        assert rw.count == 0 and not rw.buf.any()
+        rw = RolloutWindow(2, 3, 1)
+        rw.push(np.ones((1, 2), np.float32))
+        rw.reset(2)
+        assert rw.buf.shape == (2, 3, 2)
+        assert rw.count == 0 and not rw.buf.any() and not rw.valid.any()
 
 
 # ---------------------------------------------------------------------------
@@ -715,6 +716,33 @@ class TestActing:
         spread = noisy - np.clip(base, -1, 1)
         assert 0.0 < np.abs(spread).mean() < 0.5
 
+    # default network sizes; the history one is the harness expert's shape
+    STACKED = {"td3-flat": AgentConfig(algo="td3", train_steps=0, seed=8),
+               "sac-flat": AgentConfig(algo="sac", train_steps=0, seed=9),
+               "sac-history": AgentConfig(algo="sac", history=True,
+                                          seq_len=8, train_steps=0, seed=10)}
+
+    @given(st.sampled_from(list(STACKED)),
+           st.lists(st.integers(1, 8), min_size=1, max_size=16),
+           st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_stacked_windows_act_as_single_windows(self, name, counts,
+                                                   seed):
+        # lockstep rollouts act on N windows at once: each row must be the
+        # bits a batch-1 call gives, with left-aligned partial windows
+        cfg = self.STACKED[name]
+        agent = make_agent(cfg, 8, 4)
+        counts = [min(c, cfg.seq_len) for c in counts]
+        rng = np.random.default_rng(seed)
+        valid = np.arange(cfg.seq_len) < np.array(counts)[:, None]
+        windows = np.where(valid[..., None], rng.uniform(
+            0, 1, (len(counts), cfg.seq_len, 8)), 0).astype(np.float32)
+        stacked = agent.policy_action(windows, valid)
+        single = np.concatenate([agent.policy_action(windows[i:i + 1],
+                                                     valid[i:i + 1])
+                                 for i in range(len(counts))])
+        assert stacked.tobytes() == single.tobytes()
+
     @pytest.mark.parametrize("algo", ["sac", "td3"])
     def test_history_rollout_action_matches_taped_forward(self, algo):
         # the tape-free batch-1 act path against the taped actor, while a
@@ -723,10 +751,10 @@ class TestActing:
                           enc_heads=4, enc_hidden=24, hidden=32, train_steps=0,
                           seed=11)
         agent = make_agent(cfg, 4, 2)
-        rw = RolloutWindow(4, cfg.seq_len)
+        rw = RolloutWindow(4, cfg.seq_len, 1)
         rng = np.random.default_rng(3)
         for _ in range(20):
-            rw.push(rng.normal(size=4).astype(np.float32))
+            rw.push(rng.normal(size=(1, 4)).astype(np.float32))
             windows, valid = rw.arrays()
             if algo == "sac":
                 taped = agent.actor.sample(windows, valid, None,

@@ -385,6 +385,32 @@ class TestEpisodes:
         assert traj.zone_temps.shape == (0, env.n_zones)
         assert traj.obs.shape == (1, env.obs_spec.size)
 
+    def test_fault_ends_only_its_own_lockstep_episode(self):
+        env = BuildingEnv(EnvConfig(kind="dc", days=0.25))
+        seeds = [3, 4, 5]
+        rule = lambda o: rule_controller(o, "dc")
+        nan_action = np.full(env.act_spec.size, np.nan)
+        calls = iter(range(10 ** 6))
+
+        def controller(obs):
+            # running lanes are called in lane order: seed 4's sixth step
+            return nan_action if next(calls) == 3 * 5 + 1 else rule(obs)
+
+        trajs = run_episode(env, controller, seeds)
+        alone = [run_episode(env, rule, seed=s) for s in seeds]
+        assert [t.seed for t in trajs] == seeds
+        for k in (0, 2):
+            assert trajs[k].fault is None
+            for name in ("obs", "actions", "rewards", "zone_temps",
+                         "total_power_w", "terminals"):
+                assert np.array_equal(getattr(trajs[k], name),
+                                      getattr(alone[k], name))
+        faulted = trajs[1]
+        assert "non-finite" in faulted.fault and len(faulted) == 5
+        # the observation the faulted action was chosen from closes it
+        assert np.array_equal(faulted.obs, alone[1].obs[:6])
+        assert np.array_equal(faulted.actions, alone[1].actions[:5])
+
     def test_env_fingerprint_tracks_config(self):
         f1 = BuildingEnv(EnvConfig(kind="dc", days=2.0)).fingerprint()
         f2 = BuildingEnv(EnvConfig(kind="dc", days=2.0)).fingerprint()
@@ -413,6 +439,23 @@ class TestEpisodes:
         assert np.array_equal(back["actions"], traj.actions)
         assert np.array_equal(back["rewards"], traj.rewards)
         assert np.array_equal(back["terminals"], traj.terminals)
+
+    def test_trajectory_csv_roundtrip_keeps_negative_zero_and_one_row(
+            self, tmp_path):
+        env = BuildingEnv(EnvConfig(kind="dc", days=1.0)).variant(days=1 / 144)
+        traj = run_episode(env, lambda o: rule_controller(o, "dc"), seed=3)
+        assert len(traj) == 1
+        traj.obs[1, 0] = -0.0
+        traj.actions[0, 1] = -0.0
+        traj.rewards[0] = 5e-324       # the smallest subnormal
+        path = tmp_path / "one.csv"
+        write_trajectory_csv(traj, path)
+        back = read_trajectory_csv(path)
+        assert back["obs"].shape == (1, env.obs_spec.size)
+        for name, want in (("obs", traj.obs[1:]), ("actions", traj.actions),
+                           ("rewards", traj.rewards)):
+            assert back[name].tobytes() == want.tobytes()
+        assert np.array_equal(back["terminals"], [True])
 
     def test_config_validation(self):
         with pytest.raises(SpecError):

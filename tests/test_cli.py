@@ -12,7 +12,8 @@ import pytest
 from hvacrl.agents import AgentConfig, load_agent, make_agent
 from hvacrl.buildsim import EVAL_PRESET, BuildingEnv, EnvConfig
 from hvacrl.cli import ENV_MAX_JOBS, ENV_OUT_DIR, default_config, main
-from hvacrl.datagen import expert_reference_return, read_dataset, write_dataset
+from hvacrl.datagen import (REFERENCE_SEED, expert_reference_return,
+                            read_dataset, write_dataset)
 from hvacrl.evalharness import claim_lines, load_sweep
 
 from container_cases import rewrite_header
@@ -395,8 +396,9 @@ class TestRegret:
         doc = json.loads(out.read_text())
         assert len(doc["deltas"]) == 2
         env = BuildingEnv(EnvConfig(kind="dc", days=ds.days))
-        r_opt = expert_reference_return(
-            env, load_agent(workspace["ckpt"])[0], EVAL_PRESET["dc"], ds.days)
+        (r_opt,) = expert_reference_return(
+            env, load_agent(workspace["ckpt"])[0], [EVAL_PRESET["dc"]],
+            ds.days, [REFERENCE_SEED])
         assert doc["r_opt_by_preset"] == {EVAL_PRESET["dc"]: r_opt}
 
     def test_env_var_overrides_an_absolute_out_directory(self, workspace,

@@ -8,7 +8,8 @@ from hvacrl import datagen as dg
 from hvacrl.agents import AgentConfig, PolicyController, make_agent
 from hvacrl.buildsim import TRAIN_PRESETS, BuildingEnv, EnvConfig, run_episode
 from hvacrl.envcore import normalize_obs
-from hvacrl.errors import DataError, UsageError
+from hvacrl.errors import DataError, SimulationFault, UsageError
+from hvacrl.fingerprint import canonical_json
 
 from container_cases import ContainerCases, rewrite_header
 
@@ -20,6 +21,23 @@ def dc_env(days=1.0):
 def frozen_expert(env, seed=1, algo="td3"):
     cfg = AgentConfig(algo=algo, seed=seed)
     return make_agent(cfg, env.obs_spec.size, env.act_spec.size)
+
+
+def nan_on_first_call(agent, row=1):
+    """Make ``agent``'s first `policy_action` emit NaN in ``row``: with
+    three lockstep episodes, the second one faults on its first step."""
+    policy_action = agent.policy_action
+    first = [True]
+
+    def patched(windows, valid, deterministic=True):
+        act = policy_action(windows, valid, deterministic)
+        if first:
+            first.clear()
+            act[row] = np.nan
+        return act
+
+    agent.policy_action = patched
+    return agent
 
 
 def synthetic_dataset(n=600, ep_len=100, obs_dim=4, act_dim=2, seed=0):
@@ -137,9 +155,8 @@ class TestCollection:
 
     def test_perturbed_fraction_matches_epsilon(self):
         rng = np.random.default_rng(11)
-        action = np.zeros(2, dtype=np.float32)
-        hits = sum(dg.perturb_action(rng, action, 0.1, 0.2)[1]
-                   for _ in range(100_000))
+        noise = dg.perturbations(rng, 100_000, 2, 0.1, 0.2)
+        hits = sum(d is not None for d in noise)
         # binomial: mean 10000, sigma ~95, 3 sigma ~285
         assert abs(hits - 10_000) < 300
 
@@ -179,6 +196,40 @@ class TestCollection:
         with pytest.raises(Exception) as e:
             dg.collect_trained(env, bad, total_steps=10)
         assert "dims" in str(e.value)
+
+    # sha256 of the HVDS file that a history SAC expert (L=4) collects over
+    # three quarter-day episodes with perturbed steps, and of the canonical
+    # JSON of its quality report; windows are partial at every episode start
+    TRAINED_HVDS = \
+        "28fe0b983715460033e98b93a80f1c47567538888f75f4287743134bbddb46a1"
+    TRAINED_QUALITY = \
+        "dccdd1d3a4a2cfa10a99b9d8db6316e86bf8ac68de6fae45f52a07081c0d6aed"
+
+    def test_history_expert_dataset_and_report_bytes_are_pinned(
+            self, tmp_path):
+        env = dc_env(days=0.25)
+        expert = make_agent(AgentConfig(
+            algo="sac", history=True, seq_len=4, enc_feat=16, enc_heads=2,
+            enc_hidden=24, hidden=32, seed=3), env.obs_spec.size,
+            env.act_spec.size)
+        # one step past two episodes, so a third is collected whole
+        ds = dg.collect_trained(env, expert, total_steps=2 * env.horizon + 1,
+                                epsilon=0.3, sigma=0.2, seed=5)
+        assert ds.num_episodes == 3 and 0 < ds.metadata["noisy_steps"]
+        path = tmp_path / "trained.hvds"
+        dg.write_dataset(ds, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            self.TRAINED_HVDS
+        report = dg.build_quality_report(ds, expert, env)
+        assert hashlib.sha256(canonical_json(report.to_jsonable()).encode()
+                              ).hexdigest() == self.TRAINED_QUALITY
+
+    def test_faulted_episode_fails_the_collection(self):
+        env = dc_env(days=0.25)
+        expert = nan_on_first_call(frozen_expert(env))
+        with pytest.raises(SimulationFault, match="non-finite"):
+            dg.collect_trained(env, expert, total_steps=3 * env.horizon,
+                               epsilon=0.0, seed=1)
 
     def test_final_buffer_covers_more_state_space(self):
         # exploration-heavy learning traffic visits more (dim, decile)
@@ -231,6 +282,13 @@ class TestRegret:
         assert abs(rep.deltas[0]) < 1e-5
         stats = dg.delta_stats(rep.deltas)
         assert stats["min"] <= stats["mean"] <= stats["max"]
+
+    def test_faulted_reference_rollout_is_a_data_error(self):
+        env = dc_env(days=0.25)
+        expert = nan_on_first_call(frozen_expert(env, seed=2))
+        with pytest.raises(DataError, match="simulator fault"):
+            dg.expert_reference_return(env, expert, ["chicago", "tampa", ""],
+                                       env.config.days, [1, 2, 3])
 
     def test_quality_report_groups_by_preset(self):
         env = dc_env()

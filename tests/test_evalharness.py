@@ -2,6 +2,7 @@
 result directories, and a miniature end-to-end sweep checked for
 determinism and cache reuse."""
 import csv
+import hashlib
 import json
 import os
 from dataclasses import asdict, replace
@@ -17,7 +18,8 @@ from hvacrl.agents import AgentConfig, make_agent
 from hvacrl.buildsim import (EVAL_PRESET, TRAIN_PRESETS, BuildingEnv,
                              EnvConfig, rule_controller)
 from hvacrl.datagen import read_dataset
-from hvacrl.errors import DataError, FingerprintMismatchError, UsageError
+from hvacrl.errors import (DataError, FingerprintMismatchError,
+                           SimulationFault, UsageError)
 from hvacrl.evalharness import (
     RQ4_NOISE,
     TEMP_CHANNELS,
@@ -42,6 +44,9 @@ from hvacrl.evalharness import (
     temperature_quantiles,
     violation_fraction,
 )
+from hvacrl.fingerprint import canonical_json
+
+from test_datagen import nan_on_first_call
 
 
 class TestViolationFraction:
@@ -166,6 +171,41 @@ class TestEvaluatePolicy:
         both = evaluate_policy(agent, env, seeds=(0, 1))
         alone = evaluate_policy(agent, env, seeds=(1,))
         assert asdict(both[1]) == asdict(alone[0])
+
+    # sha256 of the canonical JSON of three seeds' reports followed by their
+    # trajectory CSV bytes, for a flat TD3 and a history SAC (L=4) agent
+    EVAL_BYTES = {
+        "td3-flat":
+            "abe8008c0bd53674b5c1560537facea4c6c1f6d620f31ec2133a30e847f81a7a",
+        "sac-history":
+            "75b94a391d77f98617897b069c13cd04740b3570548589d4ae4e80b013e1c047"}
+
+    @pytest.mark.parametrize("name", list(EVAL_BYTES))
+    def test_report_and_trajectory_bytes_are_pinned(self, name, tmp_path):
+        env = BuildingEnv(EnvConfig(kind="dc", days=0.25))
+        cfg = (AgentConfig(algo="td3", seed=4) if name == "td3-flat" else
+               AgentConfig(algo="sac", history=True, seq_len=4, enc_feat=16,
+                           enc_heads=2, enc_hidden=24, hidden=32, seed=2))
+        agent = make_agent(cfg, env.obs_spec.size, env.act_spec.size)
+        reports = evaluate_policy(agent, env, seeds=(0, 1, 2),
+                                  out_dir=tmp_path)
+        digest = hashlib.sha256(canonical_json(
+            [r.to_jsonable() for r in reports]).encode())
+        for seed in (0, 1, 2):
+            digest.update((tmp_path / f"trajectory_seed{seed}.csv"
+                           ).read_bytes())
+        assert digest.hexdigest() == self.EVAL_BYTES[name]
+
+    def test_first_faulted_seed_raises_after_earlier_seeds_are_written(
+            self, tmp_path):
+        env = BuildingEnv(EnvConfig(kind="dc", days=0.25))
+        agent = nan_on_first_call(make_agent(
+            AgentConfig(algo="td3", seed=4), env.obs_spec.size,
+            env.act_spec.size))
+        with pytest.raises(SimulationFault, match="faulted"):
+            evaluate_policy(agent, env, seeds=(0, 1, 2), out_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["trajectory_seed0.csv"]
 
     def test_checkpoint_dimension_mismatch_rejected(self):
         env = BuildingEnv(EnvConfig(kind="dc", days=0.5))
