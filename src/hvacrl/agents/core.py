@@ -141,16 +141,16 @@ class Agent:
 
     # -- acting ---------------------------------------------------------
 
-    def policy_action(self, windows, valid, deterministic: bool = True
+    def policy_action(self, windows, counts, deterministic: bool = True
                       ) -> np.ndarray:
         """Normalized action from the current policy, no extra noise;
         ``deterministic=False`` samples a stochastic policy."""
         raise NotImplementedError
 
-    def explore_action(self, windows, valid) -> np.ndarray:
+    def explore_action(self, windows, counts) -> np.ndarray:
         """Behavior action for online rollouts: a policy sample (the action
         itself for a deterministic actor) plus exploration noise."""
-        a = self.policy_action(windows, valid, deterministic=False)
+        a = self.policy_action(windows, counts, deterministic=False)
         if self.cfg.explore_noise > 0.0:
             a = a + self.rng.normal(0.0, self.cfg.explore_noise, size=a.shape)
         return np.clip(a, -1.0, 1.0).astype(np.float32)
@@ -172,7 +172,7 @@ class Agent:
 
     def _critic_update(self, batch: WindowBatch) -> dict:
         target = self._td_target(batch)
-        feat = self.critic.features(batch.windows, batch.valid)
+        feat = self.critic.features(batch.windows, batch.counts)
         acts = Tensor(batch.actions)
         q1, q2 = self.critic.heads(feat, acts)
         td = T.scale(T.add(T.mse(q1, target), T.mse(q2, target)), 0.5)
@@ -206,10 +206,11 @@ class Agent:
                 raise DivergenceError(f"non-finite parameter {name} "
                                       f"after update {self.update_count}")
 
-    def q_values(self, windows, valid, actions) -> tuple[np.ndarray, np.ndarray]:
+    def q_values(self, windows, counts, actions
+                 ) -> tuple[np.ndarray, np.ndarray]:
         """Both critic heads as plain arrays (no gradients)."""
         with T.no_grad():
-            q1, q2 = self.critic.heads(self.critic.features(windows, valid),
+            q1, q2 = self.critic.heads(self.critic.features(windows, counts),
                                        Tensor(np.asarray(actions, np.float32)))
         return q1.data, q2.data
 
@@ -232,26 +233,26 @@ class TD3Agent(Agent):
         return {"actor": self.actor, "actor_target": self.actor_target,
                 "critic": self.critic, "critic_target": self.critic_target}
 
-    def policy_action(self, windows, valid, deterministic: bool = True):
-        return self.actor.act(windows, valid)
+    def policy_action(self, windows, counts, deterministic: bool = True):
+        return self.actor.act(windows, counts)
 
     def _td_target(self, batch: WindowBatch) -> np.ndarray:
         cfg = self.cfg
         with T.no_grad():
-            a2 = self.actor_target(batch.next_windows, batch.next_valid).data
+            a2 = self.actor_target(batch.next_windows, batch.next_counts).data
             noise = self.rng.normal(0.0, cfg.target_noise, size=a2.shape)
             noise = np.clip(noise, -cfg.target_noise_clip, cfg.target_noise_clip)
             a2 = np.clip(a2 + noise.astype(np.float32), -1.0, 1.0)
             q1t, q2t = self.critic_target.heads(self.critic_target.features(
-                batch.next_windows, batch.next_valid), Tensor(a2))
+                batch.next_windows, batch.next_counts), Tensor(a2))
             boot = np.minimum(q1t.data, q2t.data)
         return (batch.rewards
                 + cfg.gamma * (1.0 - batch.terminals) * boot).astype(np.float32)
 
     def _actor_loss(self, batch: WindowBatch):
-        a = self.actor(batch.windows, batch.valid)
+        a = self.actor(batch.windows, batch.counts)
         (q1,) = self.critic.heads(
-            self.critic.features(batch.windows, batch.valid), a, count=1)
+            self.critic.features(batch.windows, batch.counts), a, count=1)
         return T.scale(T.mean(q1), -1.0), {"actor_q_mean": float(q1.data.mean())}
 
     def _policy_update(self, batch: WindowBatch) -> dict:
@@ -281,9 +282,9 @@ class TD3BCAgent(TD3Agent):
     """
 
     def _actor_loss(self, batch: WindowBatch):
-        a = self.actor(batch.windows, batch.valid)
+        a = self.actor(batch.windows, batch.counts)
         (q1,) = self.critic.heads(
-            self.critic.features(batch.windows, batch.valid), a, count=1)
+            self.critic.features(batch.windows, batch.counts), a, count=1)
         bc_dist = T.mean(T.sum_(T.square(T.sub(a, Tensor(batch.actions))),
                                 axis=1))
         lam = self.cfg.bc_weight / (float(np.abs(q1.data).mean()) + 1e-9)
@@ -319,26 +320,26 @@ class SACAgent(Agent):
     def alpha(self) -> float:
         return math.exp(float(self.log_alpha.data))
 
-    def policy_action(self, windows, valid, deterministic: bool = True):
-        return self.actor.act(windows, valid, rng=self.rng,
+    def policy_action(self, windows, counts, deterministic: bool = True):
+        return self.actor.act(windows, counts, rng=self.rng,
                               deterministic=deterministic)
 
     def _td_target(self, batch: WindowBatch) -> np.ndarray:
         cfg = self.cfg
         with T.no_grad():
-            a2, logp2 = self.actor.sample(batch.next_windows, batch.next_valid,
-                                          self.rng)
+            a2, logp2 = self.actor.sample(batch.next_windows,
+                                          batch.next_counts, self.rng)
             q1t, q2t = self.critic_target.heads(self.critic_target.features(
-                batch.next_windows, batch.next_valid), a2)
+                batch.next_windows, batch.next_counts), a2)
             boot = np.minimum(q1t.data, q2t.data) - self.alpha * logp2.data
         return (batch.rewards
                 + cfg.gamma * (1.0 - batch.terminals) * boot).astype(np.float32)
 
     def _policy_update(self, batch: WindowBatch) -> dict:
         with self.critic.frozen():
-            a, logp = self.actor.sample(batch.windows, batch.valid, self.rng)
+            a, logp = self.actor.sample(batch.windows, batch.counts, self.rng)
             q1, q2 = self.critic.heads(
-                self.critic.features(batch.windows, batch.valid), a)
+                self.critic.features(batch.windows, batch.counts), a)
             qmin = T.minimum(q1, q2)
             loss = T.mean(T.sub(T.scale(logp, self.alpha), qmin))
             self.actor_opt.zero_grad()
@@ -368,10 +369,10 @@ class CQLAgent(SACAgent):
     update (including generator consumption) is exactly the SAC update.
     """
 
-    def _policy_samples(self, windows, valid, m: int) -> np.ndarray:
+    def _policy_samples(self, windows, counts, m: int) -> np.ndarray:
         """m actions per window drawn from the current policy, (B*m, A)."""
         with T.no_grad():
-            mean, log_std = self.actor.dist_params(windows, valid)
+            mean, log_std = self.actor.dist_params(windows, counts)
         return tanh_gaussian_action(np.repeat(mean.data, m, axis=0),
                                     np.repeat(log_std.data, m, axis=0), self.rng)
 
@@ -382,7 +383,7 @@ class CQLAgent(SACAgent):
         q1, q2 = qs
         b = len(batch)
         m = cfg.cql_samples
-        a_pi = self._policy_samples(batch.windows, batch.valid, m)
+        a_pi = self._policy_samples(batch.windows, batch.counts, m)
         rep = T.index_select(feat, np.repeat(np.arange(b), m))
         q1_pi, q2_pi = self.critic.heads(rep, Tensor(a_pi))
         gap = T.sub(T.add(T.mean(q1_pi), T.mean(q2_pi)),
@@ -390,7 +391,7 @@ class CQLAgent(SACAgent):
         loss = T.add(td, T.scale(gap, cfg.cql_weight))
         return loss, {"cql_penalty": float(gap.data)}
 
-    def conservative_gap(self, windows, valid, actions,
+    def conservative_gap(self, windows, counts, actions,
                          mc_samples: int | None = None) -> float:
         """E[Q at policy actions] - E[Q at the given actions], no gradients.
 
@@ -400,9 +401,9 @@ class CQLAgent(SACAgent):
         """
         m = mc_samples or self.cfg.cql_samples
         b = windows.shape[0]
-        a_pi = self._policy_samples(windows, valid, m)
+        a_pi = self._policy_samples(windows, counts, m)
         with T.no_grad():
-            feat = self.critic.features(windows, valid)
+            feat = self.critic.features(windows, counts)
             rep = T.index_select(feat, np.repeat(np.arange(b), m))
             q1_pi, q2_pi = self.critic.heads(rep, Tensor(a_pi))
             q1, q2 = self.critic.heads(feat, Tensor(
@@ -459,11 +460,12 @@ class PolicyController:
     `reset` gives it one empty history window per lane. Each `act_lanes`
     call pushes the running lanes' normalized observations ``obs_n`` into
     their windows, takes the normalized actions ``act_n`` from ``choose(
-    windows, valid, lanes)``, one row per lane (the agent's deterministic
-    `policy_action` by default), and returns them as float64 physical
-    vectors. ``obs_n`` and ``act_n`` keep the rows of the last call, in the
-    order of its lanes, for callers that store the transitions. A lane
-    missing from a call has stopped, and its window is dropped.
+    windows, counts, lanes)`` (`RolloutWindow.arrays` and the lanes), one
+    row per lane (the agent's deterministic `policy_action` by default),
+    and returns them as float64 physical vectors. ``obs_n`` and ``act_n``
+    keep the rows of the last call, in the order of its lanes, for callers
+    that store the transitions. A lane missing from a call has stopped, and
+    its window is dropped.
     """
 
     def __init__(self, agent: "Agent", obs_spec, act_spec, choose=None):
@@ -475,7 +477,7 @@ class PolicyController:
         self.obs_spec = obs_spec
         self.act_spec = act_spec
         self.choose = choose or (
-            lambda windows, valid, lanes: agent.policy_action(windows, valid))
+            lambda windows, counts, _: agent.policy_action(windows, counts))
         self.window = RolloutWindow(agent.obs_dim, agent.cfg.seq_len, 0)
         self.lanes = []         # the lane of each window, ascending
 
@@ -498,7 +500,8 @@ class PolicyController:
 
 class RolloutWindow:
     """Rolling left-aligned observation windows of episodes that began
-    together, one per lockstep lane, so all hold the same count."""
+    together, one per lockstep lane, so all hold the same ``count`` of
+    observations, followed by zeros until the window is full."""
 
     def __init__(self, obs_dim: int, seq_len: int, n: int):
         if seq_len < 1:
@@ -510,14 +513,12 @@ class RolloutWindow:
     def reset(self, n: int) -> None:
         """``n`` empty windows."""
         self.buf = np.zeros((n, self.seq_len, self.obs_dim), dtype=np.float32)
-        self.valid = np.zeros((n, self.seq_len), dtype=bool)
         self.count = 0
 
     def push(self, obs_rows) -> None:
         """Append row i of ``obs_rows`` to window i."""
         if self.count < self.seq_len:
             self.buf[:, self.count] = obs_rows
-            self.valid[:, self.count] = True
             self.count += 1
         else:
             self.buf[:, :-1] = self.buf[:, 1:]
@@ -526,12 +527,11 @@ class RolloutWindow:
     def keep(self, rows) -> None:
         """Keep only the windows ``rows``, in that order."""
         self.buf = self.buf[rows]
-        self.valid = self.valid[rows]
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (N, L, obs) windows and their (N, L) valid masks, which the
-        caller must not modify."""
-        return self.buf, self.valid
+        """The (N, L, obs) windows, which the caller must not modify, and
+        their (N,) observation counts, all the shared ``count``."""
+        return self.buf, np.full(len(self.buf), self.count)
 
 
 def seeded_episodes(make_env, seed: int):
@@ -675,11 +675,11 @@ def train_online(agent: Agent, make_env, *, start_steps: int = 1000,
     cfg = agent.cfg
     draws = itertools.count(1)      # choose runs once per step
 
-    def choose(windows, valid, lanes):
+    def choose(windows, counts, lanes):
         if next(draws) <= start_steps:
             return agent.rng.uniform(-1.0, 1.0, size=(len(lanes), agent.act_dim)
                                      ).astype(np.float32)
-        return agent.explore_action(windows, valid)
+        return agent.explore_action(windows, counts)
 
     first = make_env(0)     # rotated environments keep its specs
     controller = PolicyController(agent, first.obs_spec, first.act_spec,

@@ -2,8 +2,9 @@
 
 The actor and the critic each own a private window encoder; nothing is
 shared between them, and the twin critics share one encoder trunk with two
-value heads.  In flat mode the encoder is bypassed entirely and the
-feature vector is just the newest observation in the window.
+value heads.  Each takes windows with their observation counts (see
+`agents.replay`).  In flat mode the encoder is bypassed entirely and the
+feature vector is the window's one observation.
 """
 from __future__ import annotations
 
@@ -28,19 +29,15 @@ def _encoder_config(cfg: AgentConfig) -> EncoderConfig:
 
 
 class FlatEncoder(Module):
-    """Bypass: the feature is the last valid observation of the window."""
+    """Bypass: the feature is the window's one observation (`AgentConfig`
+    allows ``seq_len > 1`` only with history)."""
 
     def __init__(self, obs_dim: int):
         super().__init__()
         self.out_dim = obs_dim
 
-    def __call__(self, windows: np.ndarray, valid: np.ndarray) -> Tensor:
-        if windows.shape[1] == 1:
-            last = windows[:, 0, :]
-        else:
-            last = windows[np.arange(windows.shape[0]),
-                           valid.sum(axis=1) - 1, :]
-        return Tensor(np.ascontiguousarray(last, dtype=np.float32))
+    def __call__(self, windows: np.ndarray, counts: np.ndarray) -> Tensor:
+        return Tensor(np.ascontiguousarray(windows[:, 0, :], dtype=np.float32))
 
 
 def make_encoder(cfg: AgentConfig, obs_dim: int, rng) -> Module:
@@ -59,8 +56,8 @@ class TwinCritic(Module):
         self.q1_head = MLP([width + act_dim, cfg.hidden, cfg.hidden, 1], rng)
         self.q2_head = MLP([width + act_dim, cfg.hidden, cfg.hidden, 1], rng)
 
-    def features(self, windows, valid) -> Tensor:
-        return self.encoder(windows, valid)
+    def features(self, windows, counts) -> Tensor:
+        return self.encoder(windows, counts)
 
     def heads(self, feat: Tensor, actions: Tensor, count: int = 2
               ) -> tuple[Tensor, ...]:
@@ -88,14 +85,14 @@ class DeterministicActor(Module):
                         rng, final_gain=0.01)
         self.act_dim = act_dim
 
-    def __call__(self, windows, valid) -> Tensor:
-        return T.tanh(self.head(self.encoder(windows, valid)))
+    def __call__(self, windows, counts) -> Tensor:
+        return T.tanh(self.head(self.encoder(windows, counts)))
 
-    def act(self, windows, valid):
+    def act(self, windows, counts):
         """The clipped action of each window alone: a lockstep rollout's
         action does not depend on how many episodes step with it."""
         with T.no_grad():
-            a = np.tanh(self.head.rows(self.encoder(windows, valid).data))
+            a = np.tanh(self.head.rows(self.encoder(windows, counts).data))
         return _clip_unit(a)
 
 
@@ -109,21 +106,20 @@ class GaussianActor(Module):
                          2 * act_dim], rng, final_gain=0.01)
         self.act_dim = act_dim
 
-    def dist_params(self, windows, valid):
-        out = self.head(self.encoder(windows, valid))
+    def dist_params(self, windows, counts):
+        out = self.head(self.encoder(windows, counts))
         mean = T.narrow(out, 1, 0, self.act_dim)
         log_std = T.narrow(out, 1, self.act_dim, self.act_dim)
         return mean, log_std
 
-    def sample(self, windows, valid, rng, deterministic=False):
-        mean, log_std = self.dist_params(windows, valid)
-        return sample_tanh_gaussian(mean, log_std, rng, deterministic=deterministic)
+    def sample(self, windows, counts, rng):
+        return sample_tanh_gaussian(*self.dist_params(windows, counts), rng)
 
-    def act(self, windows, valid, rng=None, deterministic: bool = True):
+    def act(self, windows, counts, rng=None, deterministic: bool = True):
         """The clipped action of each window alone, as `DeterministicActor.act`
         gives it; ``deterministic=False`` samples it with ``rng``."""
         with T.no_grad():
-            out = self.head.rows(self.encoder(windows, valid).data)
+            out = self.head.rows(self.encoder(windows, counts).data)
         k = self.act_dim
         return _clip_unit(tanh_gaussian_action(out[:, :k], out[:, k:], rng,
                                                deterministic))

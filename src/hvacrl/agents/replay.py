@@ -4,10 +4,11 @@ Transitions live in flat column arrays (`ReplayView.COLUMNS`) plus a list
 of episode start indices.  `ReplayView` is the one store of such columns:
 an online `ReplayBuffer` is one that grows in place, and a stored dataset
 (`datagen.Dataset`) is a `ReplayView` with a header.  Sampling assembles
-fixed-length observation windows whose valid slots are left-aligned and
-whose last valid slot is the sampled step, so a window never reaches
-across an episode boundary.  With ``seq_len == 1`` the windows collapse to
-plain flat transitions.
+fixed-length observation windows: window i holds its ``counts[i]``
+observations left-aligned, the last of them at the sampled step, and zeros
+after them, so a window never reaches across an episode boundary.  A
+window is those observations and their count throughout the program.
+With ``seq_len == 1`` the windows collapse to plain flat transitions.
 """
 from __future__ import annotations
 
@@ -22,18 +23,19 @@ from ..errors import DataError, SpecError
 class WindowBatch:
     """One sampled minibatch of history windows.
 
-    ``windows[i, j]`` holds an observation for ``j < counts(i)`` and zeros
-    afterwards; the last valid slot is the observation at the sampled step.
+    ``windows[i, j]`` holds an observation for ``j < counts[i]`` and zeros
+    afterwards; slot ``counts[i] - 1`` is the observation at the sampled
+    step.
     ``next_windows`` is the same construction advanced by one step (held in
     place on terminal steps, where it is masked out of the TD target anyway).
     """
 
     windows: np.ndarray        # (B, L, obs_dim) float32, zero padded
-    valid: np.ndarray          # (B, L) bool, left-aligned prefixes
+    counts: np.ndarray         # (B,) int, observations per window, 1..L
     actions: np.ndarray        # (B, act_dim) float32, normalized
     rewards: np.ndarray        # (B,) float32
     next_windows: np.ndarray   # (B, L, obs_dim) float32
-    next_valid: np.ndarray     # (B, L) bool
+    next_counts: np.ndarray    # (B,) int
     terminals: np.ndarray      # (B,) float32, 1.0 on episode-ending steps
 
     def __len__(self):
@@ -107,38 +109,32 @@ class ReplayView:
         return slice(int(starts[i]), int(stop))
 
     def _assemble(self, steps: np.ndarray, seq_len: int):
-        """Left-aligned windows whose last valid slot is ``steps``."""
+        """Left-aligned windows whose last observation is at ``steps``, and
+        the number of observations in each."""
         counts = np.minimum(seq_len, steps - self._start_of[steps] + 1)
         offs = np.arange(seq_len)
         valid = offs[None, :] < counts[:, None]
         idx = steps[:, None] - counts[:, None] + 1 + offs[None, :]
         idx = np.where(valid, idx, 0)
         windows = self.obs[idx] * valid[:, :, None].astype(np.float32)
-        return windows, valid
-
-    def window_at(self, step: int, seq_len: int):
-        """Window for a single step, mainly for audits and tests."""
-        if not 0 <= step < len(self):
-            raise SpecError("step out of range")
-        w, v = self._assemble(np.asarray([step]), seq_len)
-        return w[0], v[0]
+        return windows, counts
 
     def sample_batch(self, batch_size: int, seq_len: int,
                      rng: np.random.Generator) -> WindowBatch:
         if self._sampleable == 0:
             raise DataError("no sampleable transitions yet")
         steps = rng.integers(0, self._sampleable, size=batch_size)
-        windows, valid = self._assemble(steps, seq_len)
+        windows, counts = self._assemble(steps, seq_len)
         term = self.terminals[steps]
         nxt = np.where(term, steps, steps + 1)
-        next_windows, next_valid = self._assemble(nxt, seq_len)
+        next_windows, next_counts = self._assemble(nxt, seq_len)
         return WindowBatch(
             windows=windows,
-            valid=valid,
+            counts=counts,
             actions=self.actions[steps],
             rewards=self.rewards[steps],
             next_windows=next_windows,
-            next_valid=next_valid,
+            next_counts=next_counts,
             terminals=term.astype(np.float32),
         )
 

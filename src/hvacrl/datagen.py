@@ -41,8 +41,9 @@ from . import container
 from .agents import (Agent, AgentConfig, PolicyController, ReplayBuffer,
                      ReplayView, load_agent, make_agent, seeded_episodes,
                      train_online)
-from .buildsim import TRAIN_PRESETS, BuildingEnv, EpisodeDriver, run_episode
-from .errors import DataError, UsageError
+from .buildsim import (TRAIN_PRESETS, BuildingEnv, EnvConfig, EpisodeDriver,
+                       run_episode)
+from .errors import DataError, SpecError, UsageError
 from .fingerprint import fingerprint, has_type
 
 MAGIC = b"HVDS0001"
@@ -58,7 +59,10 @@ class Dataset(ReplayView):
 
     A dataset is a `ReplayView` (the columns, episode starts, checks and
     window sampling) with a header: the environment it was collected on,
-    and provenance ``metadata``. Training samples it directly.
+    and provenance ``metadata``. Training samples it directly. A header
+    value of the wrong type, an environment `EnvConfig` rejects, a horizon
+    below 1 or ranges that do not match the column widths are a
+    `DataError`.
     """
 
     #: the header's keys, as stored in the file beside the column table,
@@ -67,6 +71,8 @@ class Dataset(ReplayView):
               "obs_spec_fingerprint": str, "act_spec_fingerprint": str,
               "obs_lows": [float], "obs_highs": [float], "act_lows": [float],
               "act_highs": [float], "episode_starts": [int], "metadata": dict}
+    #: the ``metadata`` keys the program reads, typed when present
+    METADATA = {"reset_seeds": [int], "weather_presets": [str]}
 
     def __init__(self, obs, actions, rewards, terminals, **header):
         unknown = sorted(set(header) - set(self.HEADER))
@@ -74,13 +80,29 @@ class Dataset(ReplayView):
         if unknown or missing:
             raise DataError(f"dataset header has unknown fields {unknown} "
                             f"and lacks fields {missing}")
-        mistyped = [key for key, kind in self.HEADER.items()
-                    if not has_type(header[key], kind)]
+        meta = header["metadata"]
+        mistyped = ([key for key, kind in self.HEADER.items()
+                     if not has_type(header[key], kind)]
+                    or [f"metadata.{key}" for key, kind in self.METADATA.items()
+                        if key in meta and not has_type(meta[key], kind)])
         if mistyped:
             raise DataError(f"dataset header fields {mistyped} have the wrong type")
+        try:
+            EnvConfig(kind=header["env_kind"], days=header["days"])
+        except SpecError as e:
+            raise DataError(f"dataset header: {e}") from None
+        if header["horizon"] < 1:
+            raise DataError("dataset header: horizon must be >= 1")
         starts = header.pop("episode_starts")
         vars(self).update(header)
         super().__init__(obs, actions, rewards, terminals, starts)
+        widths = {"obs": self.obs_dim, "act": self.act_dim}
+        uneven = [key for key in ("obs_lows", "obs_highs", "act_lows",
+                                  "act_highs")
+                  if len(header[key]) != widths[key[:3]]]
+        if uneven:
+            raise DataError(f"dataset header fields {uneven} do not hold one "
+                            f"value per column")
 
     def episode_return(self, i: int) -> float:
         return float(self.rewards[self.episode_slice(i)].sum())
@@ -228,8 +250,8 @@ def collect_trained(env: BuildingEnv, expert, total_steps: int,
                           expert.act_dim, epsilon, sigma)
     taken = [0] * n         # steps chosen so far, per episode
 
-    def choose(windows, valid, lanes):
-        policy = expert.policy_action(windows, valid)
+    def choose(windows, counts, lanes):
+        policy = expert.policy_action(windows, counts)
         acts = np.clip(policy, -1.0, 1.0).astype(np.float32)
         for row, k in enumerate(lanes):
             d = noise[k * env.horizon + taken[k]]

@@ -118,12 +118,12 @@ class MLP(Module):
 
 
 class LayerNorm(Module):
+    """The gain and bias of a layer norm, which `tensor.encoder_block`
+    applies."""
+
     def __init__(self, size: int):
         self.gain = T.parameter(np.ones(size))
         self.bias = T.parameter(np.zeros(size))
-
-    def __call__(self, x) -> Tensor:
-        return T.layer_norm(x, self.gain, self.bias)
 
 
 class SelfAttention(Module):
@@ -182,10 +182,10 @@ class EncoderConfig:
 class HistoryEncoder(Module):
     """Causal attention encoder that maps an observation window to one vector.
 
-    Windows are left-aligned: valid observations occupy slots 0..n-1 and the
-    remaining slots are zero padding. Padding never influences the output
-    because the key mask removes invalid slots and the readout is taken at
-    the last valid position.
+    Windows are left-aligned: a window of c observations holds them in
+    slots 0..c-1, and the remaining slots are zero padding. Padding never
+    influences the output because the key mask removes the padded slots
+    and the readout is taken at slot c - 1.
     """
 
     def __init__(self, obs_size: int, cfg: EncoderConfig,
@@ -197,33 +197,26 @@ class HistoryEncoder(Module):
             rng.normal(0.0, 0.02, size=(cfg.window, cfg.feat)))
         self.blocks = [EncoderBlock(cfg.feat, cfg.heads, cfg.hidden, rng)
                        for _ in range(cfg.blocks)]
-        # plain arrays, so neither parameters nor checkpoint entries, indexed
-        # by a window's last valid slot c - 1 for c observations: row c - 1
-        # of `prefix` is the window's valid mask, and `score_bias[c - 1]`
-        # its (heads, window, window) attention mask, 0 where a key is
-        # causal (j <= i) and holds real data and -1e9 elsewhere. Row -1 of
-        # `prefix` is all True, so an empty window (c = 0) never matches it.
+        # a plain array, so neither a parameter nor a checkpoint entry:
+        # `score_bias[c - 1]` is the (heads, window, window) attention mask
+        # of a window of c observations, 0 where a key is causal (j <= i)
+        # and holds real data and -1e9 elsewhere
         n = cfg.window
-        self.prefix = np.tril(np.ones((n, n), dtype=bool))
-        visible = self.prefix[None] & self.prefix[:, None, :]
+        prefix = np.tril(np.ones((n, n), dtype=bool))
+        visible = prefix[None] & prefix[:, None, :]
         self.score_bias = np.repeat(
             np.where(visible, np.float32(0), np.float32(-1e9))[:, None],
             cfg.heads, axis=1)
 
-    def __call__(self, window: np.ndarray, valid: np.ndarray) -> Tensor:
-        """window: (batch, window, obs), valid: (batch, window) bool mask."""
+    def __call__(self, window: np.ndarray, counts: np.ndarray) -> Tensor:
+        """window: (batch, window, obs); counts: (batch,) ints, the number
+        of observations in each window, from 1 to the window length."""
         b, n, _ = window.shape
         if n != self.cfg.window:
             raise SpecError(f"window length {n} != configured {self.cfg.window}")
-        if valid.shape != (b, n):
-            raise SpecError(f"valid mask shape {valid.shape} != {(b, n)}")
-        last = valid.sum(axis=1) - 1
-        prefix = self.prefix[last]
-        # equal bytes are a quick proof of equal masks
-        if valid.tobytes() != prefix.tobytes() and not np.array_equal(valid, prefix):
-            if np.any(last < 0):
-                raise SpecError("every window needs at least one valid slot")
-            raise SpecError("valid slots must form a left-aligned prefix")
+        if counts.shape != (b,) or counts.min() < 1 or counts.max() > n:
+            raise SpecError(f"counts must be {b} values in 1..{n}")
+        last = counts - 1
         x = T.add(self.embed(window), self.position)
         bias = self.score_bias[last].reshape(b * self.cfg.heads, n, n)
         for block in self.blocks:

@@ -19,8 +19,7 @@ _LOG2 = np.log(2.0)
 
 
 def sample_tanh_gaussian(mean: Tensor, log_std: Tensor,
-                         rng: np.random.Generator,
-                         deterministic: bool = False) -> tuple[Tensor, Tensor]:
+                         rng: np.random.Generator) -> tuple[Tensor, Tensor]:
     """Reparameterized sample and its log-prob, both on the tape.
 
     mean, log_std: (batch, act) tensors. Returns (action in (-1, 1)^act,
@@ -28,11 +27,8 @@ def sample_tanh_gaussian(mean: Tensor, log_std: Tensor,
     """
     log_std = T.clip(log_std, LOG_STD_MIN, LOG_STD_MAX)
     std = T.exp(log_std)
-    if deterministic:
-        u = mean
-    else:
-        noise = rng.standard_normal(size=mean.shape).astype(np.float32)
-        u = T.add(mean, T.mul(std, noise))
+    noise = rng.standard_normal(size=mean.shape).astype(np.float32)
+    u = T.add(mean, T.mul(std, noise))
     action = T.tanh(u)
     z = T.mul(T.sub(u, mean), T.exp(T.scale(log_std, -1.0)))
     log_gauss = T.scale(T.add(T.add(T.scale(T.square(z), 0.5), log_std),
@@ -48,25 +44,11 @@ def tanh_gaussian_action(mean: np.ndarray, log_std: np.ndarray,
                          rng: np.random.Generator,
                          deterministic: bool = False) -> np.ndarray:
     """The action `sample_tanh_gaussian` draws, in plain numpy (no tape and
-    no log-prob): the same ops in the same order, the same noise draw."""
+    no log-prob): the same ops in the same order, the same noise draw.
+    ``deterministic=True`` gives tanh(mean) and draws nothing."""
     if deterministic:
         return np.tanh(mean)
     std = np.exp(np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX))
     noise = rng.standard_normal(size=mean.shape).astype(np.float32)
     return np.tanh(mean + std * noise)
 
-
-def tanh_gaussian_log_prob(mean: np.ndarray, log_std: np.ndarray,
-                           action: np.ndarray) -> np.ndarray:
-    """Log-prob of a given squashed action under N(mean, exp(log_std)^2).
-
-    Plain numpy (no tape); actions are clipped slightly inside (-1, 1)
-    before inverting tanh.
-    """
-    a = np.clip(action, -1.0 + 1e-6, 1.0 - 1e-6)
-    u = np.arctanh(a)
-    log_std = np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX)
-    z = (u - mean) * np.exp(-log_std)
-    log_gauss = -(0.5 * z * z + log_std + _HALF_LOG_2PI)
-    log_det = 2.0 * (_LOG2 - u - np.logaddexp(0.0, -2.0 * u))
-    return (log_gauss - log_det).sum(axis=-1)

@@ -9,9 +9,9 @@ Gradient arrays are never written in place. A tensor's first gradient
 contribution is stored as it arrives, possibly shared with another tensor,
 and later contributions replace it with a new sum; so code that reads a
 `.grad` must not write into it. The exceptions are internal to the fused
-nodes (`mlp`, `layer_norm`, `encoder_block`): arrays that
-never leave a node, such as hidden activations and the gradients between
-its stages, are overwritten in place once spent.
+nodes (`mlp`, `encoder_block`): arrays that never leave a node, such as
+hidden activations and the gradients between its stages, are overwritten
+in place once spent.
 
 Each fused node is bit-identical to the graph of single-op nodes it
 replaces, for values and gradients. Its forward and backward passes are
@@ -436,10 +436,11 @@ def _into(op, buf: np.ndarray, other: np.ndarray) -> np.ndarray:
 
 def _layer_norm_data(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
                      eps: float, out=None, keep: bool = True) -> tuple:
-    """`layer_norm`'s forward on arrays: the output, the normalized input
-    and the inverse standard deviation. ``out=x`` normalizes in x's buffer;
-    ``keep=False`` then writes the output over the normalized input too,
-    for a caller that runs no backward pass."""
+    """A layer norm's forward on arrays (the last axis to zero mean and
+    unit variance, then ``gain`` and ``bias``): the output, the normalized
+    input and the inverse standard deviation. ``out=x`` normalizes in x's
+    buffer; ``keep=False`` then writes the output over the normalized input
+    too, for a caller that runs no backward pass."""
     xhat = np.subtract(x, _mean_last(x), out=out)
     # 1 / sqrt(var + eps), where var is what `np.var` computes: the mean of
     # the squared deviations
@@ -454,7 +455,7 @@ def _layer_norm_data(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
 
 def _layer_norm_grads(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
                       gain: Tensor, bias: Tensor, need_dx: bool):
-    """`layer_norm`'s backward: accumulates the gain and bias gradients and
+    """A layer norm's backward: accumulates the gain and bias gradients and
     returns the input gradient, or None without ``need_dx``."""
     if gain.requires_grad:
         _accumulate(gain, (g * xhat).reshape(-1, g.shape[-1]).sum(axis=0))
@@ -470,19 +471,6 @@ def _layer_norm_grads(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
     gx -= np.multiply(xhat, m, out=t)
     gx *= inv_std
     return gx
-
-
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    out_data, xhat, inv_std = _layer_norm_data(x.data, gain.data, bias.data, eps)
-
-    def bwd(g):
-        dx = _layer_norm_grads(g, xhat, inv_std, gain, bias, x.requires_grad)
-        if dx is not None:
-            _accumulate(x, dx)
-
-    return _make(out_data, (x, gain, bias), bwd)
 
 
 def encoder_block(x, weights, heads: int, bias: np.ndarray,

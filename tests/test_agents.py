@@ -19,6 +19,8 @@ from hvacrl.errors import DataError, DivergenceError, SpecError
 from hvacrl.neuralsub import tensor as T
 from hvacrl.neuralsub.layers import Module
 
+from reference_graphs import sample_tanh_gaussian, window_at
+
 
 def make_view(n=200, od=4, ad=2, ep=50, seed=0, reward=None, actions=None):
     rng = np.random.default_rng(seed)
@@ -56,9 +58,8 @@ def mlp_forward_np(mlp, x):
 class TestReplayView:
     def test_fourth_step_of_episode_has_exactly_four_valid_slots(self):
         view = make_view(n=60, ep=20)
-        window, valid = view.window_at(20 + 3, seq_len=30)
-        assert valid.sum() == 4
-        assert valid[:4].all() and not valid[4:].any()
+        window, count = window_at(view, 20 + 3, seq_len=30)
+        assert count == 4
         assert np.array_equal(window[:4], view.obs[20:24])
         assert np.array_equal(window[4:], np.zeros_like(window[4:]))
 
@@ -66,10 +67,10 @@ class TestReplayView:
         view = make_view(n=100, ep=25, seed=3)
         rng = np.random.default_rng(7)
         batch = view.sample_batch(64, seq_len=8, rng=rng)
-        counts = batch.valid.sum(axis=1)
+        counts = batch.counts
         for i in range(64):
             last = batch.windows[i, counts[i] - 1]
-            # the last valid slot must be a real stored observation
+            # the last observation must be a real stored one
             matches = np.where((view.obs == last).all(axis=1))[0]
             assert len(matches) >= 1
 
@@ -92,7 +93,7 @@ class TestReplayView:
         rng = np.random.default_rng(seed)
         batch = view.sample_batch(32, seq_len, rng)
         starts_arr = np.asarray(starts)
-        counts = batch.valid.sum(axis=1)
+        counts = batch.counts
         for i in range(32):
             ids = batch.windows[i, :counts[i], 0].astype(int)
             t = ids[-1]
@@ -102,8 +103,6 @@ class TestReplayView:
             assert ids[0] >= ep_start
             assert counts[i] == min(seq_len, t - ep_start + 1)
             # left-aligned prefix, zero padding after
-            assert np.array_equal(batch.valid[i, :counts[i]],
-                                  np.ones(counts[i], bool))
             assert not batch.windows[i, counts[i]:].any()
 
     def test_seq_len_one_degenerates_to_flat_transitions(self):
@@ -116,7 +115,7 @@ class TestReplayView:
                           np.arange(n, dtype=np.float32), term, [0, 40])
         batch = view.sample_batch(128, 1, np.random.default_rng(0))
         ids = batch.windows[:, 0, 0].astype(int)
-        assert batch.valid.all()
+        assert (batch.counts == 1).all()
         assert np.array_equal(batch.windows[:, 0], view.obs[ids])
         assert np.array_equal(batch.rewards, view.rewards[ids])
         nxt = batch.next_windows[:, 0, 0].astype(int)
@@ -125,9 +124,8 @@ class TestReplayView:
 
     def test_terminal_steps_reuse_their_own_window_as_next(self):
         view = make_view(n=50, ep=25, seed=1)
-        w, v = view.window_at(24, 6)
         batch = view.sample_batch(400, 6, np.random.default_rng(2))
-        counts = batch.valid.sum(axis=1)
+        counts = batch.counts
         hit = [i for i in range(400)
                if batch.terminals[i] == 1.0
                and np.array_equal(batch.windows[i], batch.next_windows[i])]
@@ -263,9 +261,9 @@ class TestRolloutWindow:
             obs = np.array([t, -t], np.float32)
             rw.push(obs[None])
             seen.append(obs)
-            windows, valid = rw.arrays()
+            windows, counts = rw.arrays()
             k = min(t + 1, 4)
-            assert valid[0].sum() == k
+            assert counts.tolist() == [k]
             assert np.array_equal(windows[0, :k], np.stack(seen[-k:]))
             if k < 4:
                 assert not windows[0, k:].any()
@@ -275,7 +273,8 @@ class TestRolloutWindow:
         rw.push(np.ones((1, 2), np.float32))
         rw.reset(2)
         assert rw.buf.shape == (2, 3, 2)
-        assert rw.count == 0 and not rw.buf.any() and not rw.valid.any()
+        assert rw.count == 0 and not rw.buf.any()
+        assert rw.arrays()[1].tolist() == [0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +358,13 @@ class TestLearning:
         agent = make_agent(cfg, od, ad)
         train_offline(agent, view)
         batch = view.sample_batch(256, 1, np.random.default_rng(9))
-        q1, q2 = agent.q_values(batch.windows, batch.valid, batch.actions)
+        q1, q2 = agent.q_values(batch.windows, batch.counts, batch.actions)
         assert np.abs(q1 - 0.7).max() < 0.01
         assert np.abs(q2 - 0.7).max() < 0.01
 
     def test_actor_on_frozen_quadratic_critic_drives_actions_to_zero(self):
         class QuadraticCritic:
-            def features(self, windows, valid):
+            def features(self, windows, counts):
                 return None
 
             def heads(self, feat, actions, count=2):
@@ -385,7 +384,7 @@ class TestLearning:
             agent.actor_opt.step()
         batch = view.sample_batch(256, 1, rng)
         with T.no_grad():
-            a = agent.actor(batch.windows, batch.valid).data
+            a = agent.actor(batch.windows, batch.counts).data
         assert np.abs(a).max() < 0.05
 
     def test_sac_finds_bandit_optimum(self):
@@ -398,8 +397,8 @@ class TestLearning:
                           train_steps=3000, epoch_steps=3000, seed=6)
         agent = make_agent(cfg, od, ad)
         train_offline(agent, view)
-        w, v = view.window_at(0, 1)
-        a = agent.policy_action(w[None], v[None], deterministic=True)
+        w, c = window_at(view, 0, 1)
+        a = agent.policy_action(w[None], np.array([c]), deterministic=True)
         assert abs(float(a[0, 0]) - 0.4) < 0.1
 
     def test_zero_bc_weight_reduces_to_pure_behavior_cloning(self):
@@ -412,8 +411,8 @@ class TestLearning:
         agent = make_agent(cfg, od, ad)
         summary = train_offline(agent, view)
         assert summary.records[-1]["losses"]["bc_lambda"] == 0.0
-        w, v = view.window_at(0, 1)
-        a = agent.policy_action(w[None], v[None])
+        w, c = window_at(view, 0, 1)
+        a = agent.policy_action(w[None], np.array([c]))
         assert np.abs(a[0] - target).max() < 0.02
 
     def test_bc_lambda_is_weight_over_mean_abs_q(self):
@@ -421,7 +420,7 @@ class TestLearning:
             def __init__(self, c):
                 self.c = c
 
-            def features(self, windows, valid):
+            def features(self, windows, counts):
                 return None
 
             def heads(self, feat, actions, count=2):
@@ -453,13 +452,13 @@ class TestCQL:
         train_offline(agent, view)
         B = 1024
         w = np.full((B, 1, od), 0.5, np.float32)
-        v = np.ones((B, 1), bool)
-        matched = agent._policy_samples(w, v, 1)
-        gap = agent.conservative_gap(w, v, matched, mc_samples=20)
+        c = np.ones(B, np.int64)
+        matched = agent._policy_samples(w, c, 1)
+        gap = agent.conservative_gap(w, c, matched, mc_samples=20)
         assert abs(gap) <= 0.05
         # contrast: actions far outside the policy's support score much lower
         far = np.full((B, ad), -0.95, np.float32)
-        assert agent.conservative_gap(w, v, far, mc_samples=20) > 1.0
+        assert agent.conservative_gap(w, c, far, mc_samples=20) > 1.0
 
     def test_out_of_distribution_actions_score_below_in_support_max(self):
         rng = np.random.default_rng(4)
@@ -471,12 +470,12 @@ class TestCQL:
                           train_steps=1500, epoch_steps=1500, seed=9)
         agent = make_agent(cfg, 3, 1)
         train_offline(agent, view)
-        w, v = view.window_at(0, 1)
+        w, c = window_at(view, 0, 1)
         W = np.repeat(w[None], 41, 0)
-        V = np.repeat(v[None], 41, 0)
+        C = np.full(41, c)
         grid = np.linspace(-0.2, 0.2, 41, dtype=np.float32)[:, None]
-        q_in, _ = agent.q_values(W, V, grid)
-        q_ood, _ = agent.q_values(W[:1], V[:1], np.array([[0.9]], np.float32))
+        q_in, _ = agent.q_values(W, C, grid)
+        q_ood, _ = agent.q_values(W[:1], C[:1], np.array([[0.9]], np.float32))
         assert q_ood[0] < q_in.max()
 
     def test_zero_weight_is_bitwise_identical_to_sac(self):
@@ -690,9 +689,9 @@ class TestActing:
     def test_deterministic_action_is_repeatable_and_bounded(self):
         agent = make_agent(AgentConfig(algo="sac", train_steps=0, seed=6), 4, 2)
         w = np.random.default_rng(0).uniform(0, 1, (1, 1, 4)).astype(np.float32)
-        v = np.ones((1, 1), bool)
-        a1 = agent.policy_action(w, v)
-        a2 = agent.policy_action(w, v, deterministic=True)
+        c = np.ones(1, np.int64)
+        a1 = agent.policy_action(w, c)
+        a2 = agent.policy_action(w, c, deterministic=True)
         assert a1.shape == (1, 2)
         assert np.array_equal(a1, a2)
         assert np.abs(a1).max() <= 1.0
@@ -700,18 +699,18 @@ class TestActing:
     def test_stochastic_actions_vary(self):
         agent = make_agent(AgentConfig(algo="sac", train_steps=0, seed=6), 4, 2)
         w = np.full((1, 1, 4), 0.3, np.float32)
-        v = np.ones((1, 1), bool)
-        a1 = agent.policy_action(w, v, deterministic=False)
-        a2 = agent.policy_action(w, v, deterministic=False)
+        c = np.ones(1, np.int64)
+        a1 = agent.policy_action(w, c, deterministic=False)
+        a2 = agent.policy_action(w, c, deterministic=False)
         assert not np.array_equal(a1, a2)
 
     def test_td3_exploration_adds_bounded_noise(self):
         agent = make_agent(AgentConfig(algo="td3", explore_noise=0.1,
                                        train_steps=0, seed=7), 4, 2)
         w = np.full((64, 1, 4), 0.3, np.float32)
-        v = np.ones((64, 1), bool)
-        base = agent.policy_action(w, v, deterministic=True)
-        noisy = agent.explore_action(w, v)
+        c = np.ones(64, np.int64)
+        base = agent.policy_action(w, c, deterministic=True)
+        noisy = agent.explore_action(w, c)
         assert np.abs(noisy).max() <= 1.0
         spread = noisy - np.clip(base, -1, 1)
         assert 0.0 < np.abs(spread).mean() < 0.5
@@ -732,14 +731,14 @@ class TestActing:
         # bits a batch-1 call gives, with left-aligned partial windows
         cfg = self.STACKED[name]
         agent = make_agent(cfg, 8, 4)
-        counts = [min(c, cfg.seq_len) for c in counts]
+        counts = np.minimum(counts, cfg.seq_len)
         rng = np.random.default_rng(seed)
-        valid = np.arange(cfg.seq_len) < np.array(counts)[:, None]
+        valid = np.arange(cfg.seq_len) < counts[:, None]
         windows = np.where(valid[..., None], rng.uniform(
             0, 1, (len(counts), cfg.seq_len, 8)), 0).astype(np.float32)
-        stacked = agent.policy_action(windows, valid)
+        stacked = agent.policy_action(windows, counts)
         single = np.concatenate([agent.policy_action(windows[i:i + 1],
-                                                     valid[i:i + 1])
+                                                     counts[i:i + 1])
                                  for i in range(len(counts))])
         assert stacked.tobytes() == single.tobytes()
 
@@ -755,21 +754,22 @@ class TestActing:
         rng = np.random.default_rng(3)
         for _ in range(20):
             rw.push(rng.normal(size=(1, 4)).astype(np.float32))
-            windows, valid = rw.arrays()
+            windows, counts = rw.arrays()
             if algo == "sac":
-                taped = agent.actor.sample(windows, valid, None,
-                                           deterministic=True)[0]
+                taped = sample_tanh_gaussian(
+                    *agent.actor.dist_params(windows, counts), None,
+                    deterministic=True)[0]
             else:
-                taped = agent.actor(windows, valid)
+                taped = agent.actor(windows, counts)
             assert taped.requires_grad
-            got = agent.policy_action(windows, valid)
+            got = agent.policy_action(windows, counts)
             assert got.dtype == np.float32
             assert np.array_equal(got, np.clip(taped.data, -1.0, 1.0))
         if algo == "sac":   # the stochastic draw too, from the same stream
             state = agent.rng.bit_generator.state
-            got = agent.policy_action(windows, valid, deterministic=False)
+            got = agent.policy_action(windows, counts, deterministic=False)
             agent.rng.bit_generator.state = state
-            taped = agent.actor.sample(windows, valid, agent.rng)[0]
+            taped = agent.actor.sample(windows, counts, agent.rng)[0]
             assert np.array_equal(got, np.clip(taped.data, -1.0, 1.0))
 
 
@@ -857,11 +857,11 @@ class TestTrainLoops:
         loaded, header = load_agent(tmp_path / "epoch_0001.ckpt")
         assert header["meta"]["algo"] == "cql"
         batch = view.sample_batch(32, 1, np.random.default_rng(5))
-        a1 = agent.policy_action(batch.windows, batch.valid)
-        a2 = loaded.policy_action(batch.windows, batch.valid)
+        a1 = agent.policy_action(batch.windows, batch.counts)
+        a2 = loaded.policy_action(batch.windows, batch.counts)
         assert np.array_equal(a1, a2)
-        q1a, _ = agent.q_values(batch.windows, batch.valid, batch.actions)
-        q1b, _ = loaded.q_values(batch.windows, batch.valid, batch.actions)
+        q1a, _ = agent.q_values(batch.windows, batch.counts, batch.actions)
+        q1b, _ = loaded.q_values(batch.windows, batch.counts, batch.actions)
         assert np.array_equal(q1a, q1b)
 
     def test_online_training_fills_buffer_and_logs(self, tmp_path):

@@ -229,14 +229,14 @@ class TestNormalizers:
         probe = np.asarray(rng.uniform(-1, 1, size=x.shape))
 
         def build(ts):
-            return T.mean(T.mul(T.layer_norm(*ts), probe))
+            return T.mean(T.mul(R.layer_norm(*ts), probe))
 
         assert check_op(build, [x, gain, bias]) <= TOL
 
     def test_layer_norm_output_standardized(self):
         rng = np.random.default_rng(1)
         x = T.Tensor(rand(rng, 6, 10) * 3 + 5)
-        y = T.layer_norm(x, T.Tensor(np.ones(10)), T.Tensor(np.zeros(10))).data
+        y = R.layer_norm(x, T.Tensor(np.ones(10)), T.Tensor(np.zeros(10))).data
         assert np.allclose(y.mean(axis=-1), 0.0, atol=1e-5)
         assert np.allclose(y.std(axis=-1), 1.0, atol=1e-2)
 
@@ -404,7 +404,7 @@ class TestEncoderBlockNode:
                   else rng.integers(1, n + 1, size=batch))
         if prefix == "mixed":
             counts[0] = 3     # a strict prefix even at batch 1
-        bias = causal_bias(np.arange(n) < counts[:, None], heads)
+        bias = causal_bias(counts, n, heads)
         x_arr = rng.uniform(-1, 1, size=(batch, n, d)).astype(np.float32)
         weight_arrs = block_weights(rng, d, hidden)
         got = self.run(T.encoder_block, x_arr, weight_arrs, heads, bias)
@@ -418,7 +418,7 @@ class TestEncoderBlockNode:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(3, 4, 8)).astype(np.float32)
         weights = [T.parameter(a) for a in block_weights(rng, 8, 12)]
-        bias = causal_bias(np.arange(4) < np.array([[1], [4], [2]]), 2)
+        bias = causal_bias([1, 4, 2], 4, 2)
         with T.no_grad():
             out = T.encoder_block(x, weights, 2, bias)
         assert not out.requires_grad
@@ -427,7 +427,7 @@ class TestEncoderBlockNode:
 
     def test_gradcheck(self):
         rng = np.random.default_rng(820)
-        bias = causal_bias(np.arange(4) < np.array([[4], [2]]), 2)
+        bias = causal_bias([4, 2], 4, 2)
         arrays = [rand(rng, 2, 4, 6)] + block_weights(rng, 6, 5, np.float64)
         probe = rng.uniform(-1, 1, size=(2, 4, 6))
 
@@ -453,7 +453,7 @@ class TestLayerNormStatistics:
         ref_dx = inv_std * (gx - gx.mean(axis=-1, keepdims=True)
                             - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
         xt = T.Tensor(x, requires_grad=True)
-        out = T.layer_norm(xt, T.Tensor(gain), T.Tensor(bias))
+        out = R.layer_norm(xt, T.Tensor(gain), T.Tensor(bias))
         T.backward(out, g)
         assert out.dtype == xt.grad.dtype == dtype
         assert np.array_equal(out.data, gain * xhat + bias)

@@ -303,6 +303,30 @@ class TestTrain:
                     "--out", str(tmp_path / "t")]) == 3
         assert "DataError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        {"env_kind": "xx"}, {"obs_lows": [0.0]}, {"horizon": 0},
+        {"days": -1}, {"act_highs": [1.0] * 9},
+        {"metadata": {"reset_seeds": ["x", "y", "z"]}},
+        {"metadata": {"weather_presets": [1, 2, 3]}},
+        {"metadata": {"reset_seeds": [1.5, 2.5, 3.5]}},
+    ], ids=["env-kind", "obs-lows-length", "horizon-zero", "days-negative",
+            "act-highs-length", "reset-seeds-str", "weather-presets-int",
+            "reset-seeds-float"])
+    def test_header_values_that_do_not_fit_exit_3(self, workspace, tmp_path,
+                                                  edit, capsys):
+        # right types, wrong values: both readers of a dataset refuse them
+        bad = tmp_path / "bad.hvds"
+        bad.write_bytes(workspace["data"].read_bytes())
+        rewrite_header(bad, lambda h: {
+            **h, **edit, "metadata": {**h["metadata"],
+                                      **edit.get("metadata", {})}})
+        assert run(["--config", str(workspace["config"]), "train", "--data",
+                    str(bad), "--out", str(tmp_path / "t")]) == 3
+        assert run(["regret", "--data", str(bad),
+                    "--expert", str(workspace["ckpt"]),
+                    "--out", str(tmp_path / "q.json")]) == 3
+        assert capsys.readouterr().err.count("DataError") == 2
+
 
 class TestEval:
     def test_reports_per_seed_with_median(self, workspace, tmp_path):

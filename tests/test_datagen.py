@@ -29,8 +29,8 @@ def nan_on_first_call(agent, row=1):
     policy_action = agent.policy_action
     first = [True]
 
-    def patched(windows, valid, deterministic=True):
-        act = policy_action(windows, valid, deterministic)
+    def patched(windows, counts, deterministic=True):
+        act = policy_action(windows, counts, deterministic)
         if first:
             first.clear()
             act[row] = np.nan

@@ -9,42 +9,45 @@ from hvacrl.errors import DataError, FingerprintMismatchError, SpecError
 from hvacrl.neuralsub import tensor as T
 from hvacrl.neuralsub.layers import MLP, EncoderConfig, HistoryEncoder, Linear
 from hvacrl.neuralsub.optim import Adam
-from hvacrl.neuralsub.sampling import (sample_tanh_gaussian, tanh_gaussian_action,
-                                       tanh_gaussian_log_prob)
+from hvacrl.neuralsub.sampling import (sample_tanh_gaussian,
+                                       tanh_gaussian_action)
 
 from container_cases import ContainerCases, rewrite_header
 from gradcheck import TOL, check_module
-from reference_graphs import composed_attention
+import reference_graphs as R
+from reference_graphs import causal_bias, composed_attention
 
 SMALL = EncoderConfig(window=6, feat=16, blocks=2, heads=4, hidden=24)
 
 
 def make_window(rng, batch, cfg, obs_size, counts=None):
+    """A zero-padded window batch and its observation counts."""
     window = rng.normal(size=(batch, cfg.window, obs_size)).astype(np.float32)
     if counts is None:
         counts = rng.integers(1, cfg.window + 1, size=batch)
-    valid = np.arange(cfg.window) < np.asarray(counts)[:, None]
-    window[~valid] = 0.0
-    return window, valid
+    counts = np.asarray(counts)
+    window[np.arange(cfg.window) >= counts[:, None]] = 0.0
+    return window, counts
 
 
 class TestEncoder:
     def test_output_shape(self):
         rng = np.random.default_rng(0)
         enc = HistoryEncoder(5, SMALL, rng)
-        window, valid = make_window(rng, 7, SMALL, 5)
-        out = enc(window, valid)
+        window, counts = make_window(rng, 7, SMALL, 5)
+        out = enc(window, counts)
         assert out.shape == (7, SMALL.feat)
 
     def test_padding_slots_are_inert(self):
         # rewriting the padded tail must not move the readout at all
         rng = np.random.default_rng(1)
         enc = HistoryEncoder(4, SMALL, rng)
-        window, valid = make_window(rng, 5, SMALL, 4, counts=[1, 2, 3, 4, 6])
-        base = enc(window, valid).data.copy()
+        window, counts = make_window(rng, 5, SMALL, 4, counts=[1, 2, 3, 4, 6])
+        base = enc(window, counts).data.copy()
         noisy = window.copy()
-        noisy[~valid] = rng.normal(size=noisy.shape)[~valid].astype(np.float32) * 10
-        again = enc(noisy, valid).data
+        pad = np.arange(SMALL.window) >= counts[:, None]
+        noisy[pad] = rng.normal(size=noisy.shape)[pad].astype(np.float32) * 10
+        again = enc(noisy, counts).data
         assert np.array_equal(base, again)
 
     def test_readout_is_causal_in_history_length(self):
@@ -56,49 +59,42 @@ class TestEncoder:
         for n in range(1, SMALL.window):
             short = window.copy()
             short[:, n:] = 0.0
-            valid = (np.arange(SMALL.window) < n)[None]
-            out_short = enc(short, valid).data
-            out_full_prefix = enc(window, np.ones((1, SMALL.window), bool)).data
+            out_short = enc(short, np.array([n])).data
+            out_full_prefix = enc(window, np.array([SMALL.window])).data
             # different readout positions, so only check self-consistency
-            again = enc(short + 0.0, valid).data
+            again = enc(short + 0.0, np.array([n])).data
             assert np.array_equal(out_short, again)
             assert out_short.shape == out_full_prefix.shape
 
     def test_changing_a_valid_slot_changes_output(self):
         rng = np.random.default_rng(3)
         enc = HistoryEncoder(4, SMALL, rng)
-        window, valid = make_window(rng, 1, SMALL, 4, counts=[4])
-        base = enc(window, valid).data.copy()
+        window, counts = make_window(rng, 1, SMALL, 4, counts=[4])
+        base = enc(window, counts).data.copy()
         window[0, 0] += 1.0
-        assert not np.allclose(enc(window, valid).data, base)
+        assert not np.allclose(enc(window, counts).data, base)
 
-    def test_rejects_gapped_or_empty_masks(self):
+    def test_rejects_out_of_range_or_mask_shaped_counts(self):
         rng = np.random.default_rng(4)
         enc = HistoryEncoder(3, SMALL, rng)
         window = np.zeros((2, SMALL.window, 3), dtype=np.float32)
-        gapped = np.zeros((2, SMALL.window), dtype=bool)
-        gapped[:, 0] = True
-        gapped[:, 2] = True  # hole at slot 1
-        with pytest.raises(SpecError):
-            enc(window, gapped)
-        empty = np.zeros((2, SMALL.window), dtype=bool)
-        empty[0, 0] = True
-        with pytest.raises(SpecError):
-            enc(window, empty)
+        for counts in (np.array([1, 0]), np.array([SMALL.window + 1, 2]),
+                       np.ones((2, SMALL.window), dtype=np.int64)):
+            with pytest.raises(SpecError):
+                enc(window, counts)
 
     def test_rejects_bad_window_length(self):
         rng = np.random.default_rng(5)
         enc = HistoryEncoder(3, SMALL, rng)
         window = np.zeros((1, SMALL.window + 1, 3), dtype=np.float32)
-        valid = np.ones((1, SMALL.window + 1), dtype=bool)
         with pytest.raises(SpecError):
-            enc(window, valid)
+            enc(window, np.array([1]))
 
     def test_gradients_reach_every_parameter(self):
         rng = np.random.default_rng(6)
         enc = HistoryEncoder(4, SMALL, rng)
-        window, valid = make_window(rng, 3, SMALL, 4)
-        T.backward(T.mean(T.square(enc(window, valid))))
+        window, counts = make_window(rng, 3, SMALL, 4)
+        T.backward(T.mean(T.square(enc(window, counts))))
         for name, p in enc.named_parameters():
             assert p.grad is not None, name
             assert np.isfinite(p.grad).all(), name
@@ -106,11 +102,11 @@ class TestEncoder:
     def test_encoder_gradcheck(self):
         rng = np.random.default_rng(7)
         enc = HistoryEncoder(4, SMALL, rng)
-        window, valid = make_window(rng, 3, SMALL, 4, counts=[2, 4, 6])
+        window, counts = make_window(rng, 3, SMALL, 4, counts=[2, 4, 6])
         probe = rng.uniform(-1, 1, size=(3, SMALL.feat))
 
         def forward():
-            return T.mean(T.mul(enc(window, valid), probe))
+            return T.mean(T.mul(enc(window, counts), probe))
 
         assert check_module(enc, forward, rng, samples_per_param=3) <= TOL
 
@@ -120,30 +116,28 @@ class TestEncoder:
         cfg = EncoderConfig(window=6, feat=20, blocks=2, heads=4, hidden=24)
         rng = np.random.default_rng(8)
         enc = HistoryEncoder(4, cfg, rng)
-        window, valid = make_window(rng, 5, cfg, 4, counts=[1, 6, 3, 2, 5])
+        window, counts = make_window(rng, 5, cfg, 4, counts=[1, 6, 3, 2, 5])
         probe = rng.uniform(-1, 1, size=(5, cfg.feat)).astype(np.float32)
 
-        def reference(window, valid):
+        def reference(window, counts):
             b, n, _ = window.shape
             x = T.add(enc.embed(window),
                       T.reshape(enc.position, (1, n, cfg.feat)))
-            causal = np.tril(np.ones((n, n), dtype=bool))
-            bias = np.where(causal[None] & valid[:, None, :], 0.0,
-                            -1e9).astype(np.float32)
             for blk in enc.blocks:
                 a = blk.attn
                 att = composed_attention(a.wq(x), a.wk(x), a.wv(x), a.heads,
-                                         np.repeat(bias, a.heads, axis=0))
-                x = blk.norm1(T.add(x, a.wo(att)))
+                                         causal_bias(counts, n, a.heads))
+                x = R.layer_norm(T.add(x, a.wo(att)), blk.norm1.gain,
+                                 blk.norm1.bias)
                 ff = T.mlp(x, [(blk.ff1.w, blk.ff1.b), (blk.ff2.w, blk.ff2.b)])
-                x = blk.norm2(T.add(x, ff))
-            return T.take_per_row(x, valid.sum(axis=1) - 1)
+                x = R.layer_norm(T.add(x, ff), blk.norm2.gain, blk.norm2.bias)
+            return T.take_per_row(x, counts - 1)
 
         results = []
         for forward in (enc, reference):
             for p in enc.parameters():
                 p.grad = None
-            out = forward(window, valid)
+            out = forward(window, counts)
             T.backward(T.sum_(T.mul(out, probe)))
             results.append([out.data] + [p.grad for p in enc.parameters()])
         for got, ref in zip(*results):
@@ -276,7 +270,7 @@ class TestTanhGaussianSampler:
         rng = np.random.default_rng(2)
         mean = T.Tensor(rng.normal(size=(4, 2)).astype(np.float32))
         log_std = T.Tensor(np.zeros((4, 2), dtype=np.float32))
-        a, _ = sample_tanh_gaussian(mean, log_std, rng, deterministic=True)
+        a, _ = R.sample_tanh_gaussian(mean, log_std, rng, deterministic=True)
         assert np.allclose(a.data, np.tanh(mean.data), atol=1e-6)
 
     def test_matches_plain_numpy_log_prob(self):
@@ -284,9 +278,9 @@ class TestTanhGaussianSampler:
         mean = rng.normal(size=(64, 3)).astype(np.float32)
         log_std = rng.uniform(-2, 0, size=(64, 3)).astype(np.float32)
         a, logp = sample_tanh_gaussian(T.Tensor(mean), T.Tensor(log_std), rng)
-        ref = tanh_gaussian_log_prob(mean.astype(np.float64),
-                                     log_std.astype(np.float64),
-                                     a.data.astype(np.float64))
+        ref = R.tanh_gaussian_log_prob(mean.astype(np.float64),
+                                       log_std.astype(np.float64),
+                                       a.data.astype(np.float64))
         assert np.allclose(logp.data, ref, atol=1e-3)
 
     @pytest.mark.parametrize("deterministic", [False, True])
@@ -294,8 +288,8 @@ class TestTanhGaussianSampler:
         mean = np.random.default_rng(4).normal(size=(64, 3)).astype(np.float32)
         log_std = np.linspace(-25, 5, 192, dtype=np.float32).reshape(64, 3)
         rng_taped, rng_plain = np.random.default_rng(11), np.random.default_rng(11)
-        a, _ = sample_tanh_gaussian(T.Tensor(mean), T.Tensor(log_std), rng_taped,
-                                    deterministic=deterministic)
+        a, _ = R.sample_tanh_gaussian(T.Tensor(mean), T.Tensor(log_std),
+                                      rng_taped, deterministic=deterministic)
         got = tanh_gaussian_action(mean, log_std, rng_plain, deterministic)
         assert got.dtype == a.data.dtype
         assert np.array_equal(got, a.data)
