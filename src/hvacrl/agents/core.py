@@ -658,19 +658,19 @@ def train_offline(agent: Agent, data: ReplayView, *, eval_fn=None,
 
 
 def train_online(agent: Agent, make_env, *, start_steps: int = 1000,
-                 buffer_capacity: int = 200_000, eval_fn=None,
-                 checkpoint_dir=None, log_path=None) -> TrainSummary:
+                 eval_fn=None, checkpoint_dir=None, log_path=None
+                 ) -> TrainSummary:
     """Classic off-policy online training against a live environment.
 
     `make_env(episode_index)` supplies the environment for each episode, so
     callers can rotate weather conditions between episodes.  Each episode
     is an `EpisodeDriver` batch of one, since the policy learns between its
     steps, and each `_train` step is one driver step of the agent's
-    `PolicyController`,
-    stored in the replay buffer, then one update once the warmup of
-    uniform-random actions has filled it.  The buffer holds normalized
-    observations and actions, with episode ends as terminal steps; it and
-    the episodes' reset seeds are returned on the summary.
+    `PolicyController`, stored in the replay buffer, then one update once
+    the warmup of uniform-random actions has filled it.  The buffer holds
+    every step of the run, cfg.train_steps normalized observations and
+    actions, with episode ends as terminal steps; it and the episodes'
+    reset seeds are returned on the summary.
     """
     cfg = agent.cfg
     draws = itertools.count(1)      # choose runs once per step
@@ -685,8 +685,7 @@ def train_online(agent: Agent, make_env, *, start_steps: int = 1000,
     controller = PolicyController(agent, first.obs_spec, first.act_spec,
                                   choose)
     episodes = seeded_episodes(make_env, cfg.seed)
-    buffer = ReplayBuffer(agent.obs_dim, agent.act_dim,
-                          capacity=buffer_capacity)
+    buffer = ReplayBuffer(agent.obs_dim, agent.act_dim, cfg.train_steps)
     summary = TrainSummary(buffer=buffer)
     update_after = max(start_steps, cfg.batch_size)
     driver = None

@@ -2,13 +2,14 @@
 
 Transitions live in flat column arrays (`ReplayView.COLUMNS`) plus a list
 of episode start indices.  `ReplayView` is the one store of such columns:
-an online `ReplayBuffer` is one that grows in place, and a stored dataset
-(`datagen.Dataset`) is a `ReplayView` with a header.  Sampling assembles
-fixed-length observation windows: window i holds its ``counts[i]``
-observations left-aligned, the last of them at the sampled step, and zeros
-after them, so a window never reaches across an episode boundary.  A
-window is those observations and their count throughout the program.
-With ``seq_len == 1`` the windows collapse to plain flat transitions.
+an online `ReplayBuffer` is one that grows in place over its run, and a
+stored dataset (`datagen.Dataset`) is a `ReplayView` with a header.
+Sampling assembles fixed-length observation windows: window i holds its
+``counts[i]`` observations left-aligned, the last of them at the sampled
+step, and zeros after them, so a window never reaches across an episode
+boundary.  A window is those observations and their count throughout the
+program.  With ``seq_len == 1`` the windows collapse to plain flat
+transitions.
 """
 from __future__ import annotations
 
@@ -140,16 +141,14 @@ class ReplayView:
 
 
 class ReplayBuffer(ReplayView):
-    """Append-only online buffer; evicts whole oldest episodes at capacity.
+    """Append-only online buffer that holds one whole run: ``capacity`` is
+    the run's length, and an `add` past it is a `DataError`.
 
     The columns are preallocated and the first ``len`` rows are live; `add`
     keeps the sampling state current, so the buffer samples in place.
     """
 
-    def __init__(self, obs_dim: int, act_dim: int, capacity: int = 200_000):
-        if capacity < 2:
-            raise SpecError("capacity too small")
-        self.capacity = capacity
+    def __init__(self, obs_dim: int, act_dim: int, capacity: int):
         self.obs = np.zeros((capacity, obs_dim), dtype=np.float32)
         self.actions = np.zeros((capacity, act_dim), dtype=np.float32)
         self.rewards = np.zeros(capacity, dtype=np.float32)
@@ -169,9 +168,9 @@ class ReplayBuffer(ReplayView):
         return np.asarray(starts, dtype=np.int64)
 
     def add(self, obs, action, reward, terminal: bool):
-        if self._count == self.capacity:
-            self._evict_oldest_episode()
         i = self._count
+        if i == len(self.obs):
+            raise DataError(f"replay buffer is full at {i} transitions")
         self.obs[i] = obs
         self.actions[i] = action
         self.rewards[i] = reward
@@ -181,17 +180,6 @@ class ReplayBuffer(ReplayView):
         self._sampleable = self._count if terminal else i
         if terminal:
             self._starts.append(self._count)
-
-    def _evict_oldest_episode(self):
-        if len(self._starts) < 2:
-            raise DataError("single episode exceeds buffer capacity")
-        drop = self._starts[1]
-        keep = self._count - drop
-        for col in (self.obs, self.actions, self.rewards, self.terminals):
-            col[:keep] = col[drop:self._count]
-        self._start_of[:keep] = self._start_of[drop:self._count] - drop
-        self._starts = [s - drop for s in self._starts[1:]]
-        self._count = keep
 
     def view(self) -> ReplayView:
         """A `ReplayView` sharing the live rows' memory until the next `add`."""

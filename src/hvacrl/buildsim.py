@@ -747,23 +747,18 @@ class Trajectory:
         return len(self.actions)
 
 
-def run_episode(env, controller, seed):
-    """Recorded `EpisodeDriver` episodes: ``env.horizon`` steps of
-    ``controller`` from ``env.reset(seed)``, as a `Trajectory`.
-
-    ``seed`` may be a list of seeds, whose episodes run in lockstep, and
-    ``env`` one environment for all of them or a list with one per seed;
-    the result is then a list of trajectories in seed order. A simulation
-    fault ends only its own episode early and is recorded in its
-    ``Trajectory.fault``.
+def run_episode(episodes, controller) -> list:
+    """Recorded `EpisodeDriver` episodes: for each ``(env, seed)`` lane of
+    ``episodes``, ``env.horizon`` steps of ``controller`` from
+    ``env.reset(seed)``, all lanes in lockstep, as one `Trajectory` per
+    lane in lane order. A simulation fault ends only its own episode early
+    and is recorded in its ``Trajectory.fault``.
     """
-    seeds = list(seed) if np.ndim(seed) else [seed]
-    envs = list(env) if isinstance(env, (list, tuple)) else [env] * len(seeds)
-    if any(e.horizon < 1 for e in envs):
+    if any(env.horizon < 1 for env, _ in episodes):
         raise SpecError("horizon must be >= 1")
-    driver = EpisodeDriver(list(zip(envs, seeds)), controller)
-    steps = [[] for _ in seeds]
-    faults = [None] * len(seeds)
+    driver = EpisodeDriver(episodes, controller)
+    steps = [[] for _ in episodes]
+    faults = [None] * len(episodes)
     while driver.running:
         for lane, obs, act, reward, done, info, fault in driver.step():
             if fault is None:
@@ -784,11 +779,11 @@ def run_episode(env, controller, seed):
             zone_temps=np.asarray(temps).reshape(len(temps), lane_env.n_zones),
             total_power_w=np.asarray(powers),
             terminals=np.asarray(terms, dtype=bool),
-            seed=seeds[k],
+            seed=driver.reset_seeds[k],
             weather_name=getattr(lane_env.weather, "name", "unknown"),
             fault=faults[k],
         ))
-    return trajs if np.ndim(seed) else trajs[0]
+    return trajs
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

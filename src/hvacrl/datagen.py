@@ -12,10 +12,11 @@ Both step an `agents.PolicyController` with `buildsim.EpisodeDriver` (the
 first inside `train_online`, one episode at a time; the second with all
 its episodes in lockstep) over the rotating training presets; only the
 controller's ``choose`` differs (exploration, or the drawn `perturbations`
-on the expert's action). Both store its normalized transitions in a
-`ReplayBuffer` and turn the buffer into a `Dataset` with the same
-provenance keys: the policy fingerprint, the weather preset and reset
-seed of every episode, the seed and the requested size.
+on the expert's action). The first keeps its normalized transitions in
+the `ReplayBuffer` it trains from, the second in lockstep (episode, step)
+arrays; both store that view as a `Dataset` with the same provenance keys:
+the policy fingerprint, the weather preset and reset seed of every
+episode, the seed and the requested size.
 
 A `Dataset` is a `ReplayView` with a header: the columns, episode starts,
 boundary checks and window sampling are the view's, and the dataset adds
@@ -38,9 +39,8 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .agents import (Agent, AgentConfig, PolicyController, ReplayBuffer,
-                     ReplayView, load_agent, make_agent, seeded_episodes,
-                     train_online)
+from .agents import (Agent, AgentConfig, PolicyController, ReplayView,
+                     load_agent, make_agent, seeded_episodes, train_online)
 from .buildsim import (TRAIN_PRESETS, BuildingEnv, EnvConfig, EpisodeDriver,
                        run_episode)
 from .errors import DataError, SpecError, UsageError
@@ -71,7 +71,7 @@ class Dataset(ReplayView):
               "obs_spec_fingerprint": str, "act_spec_fingerprint": str,
               "obs_lows": [float], "obs_highs": [float], "act_lows": [float],
               "act_highs": [float], "episode_starts": [int], "metadata": dict}
-    #: the ``metadata`` keys the program reads, typed when present
+    #: the ``metadata`` keys read: typed, and one per episode, when present
     METADATA = {"reset_seeds": [int], "weather_presets": [str]}
 
     def __init__(self, obs, actions, rewards, terminals, **header):
@@ -103,18 +103,14 @@ class Dataset(ReplayView):
         if uneven:
             raise DataError(f"dataset header fields {uneven} do not hold one "
                             f"value per column")
+        short = [f"metadata.{key}" for key in self.METADATA
+                 if key in meta and len(meta[key]) != self.num_episodes]
+        if short:
+            raise DataError(f"dataset header fields {short} do not hold one "
+                            f"value per episode")
 
     def episode_return(self, i: int) -> float:
         return float(self.rewards[self.episode_slice(i)].sum())
-
-    def episode_preset(self, i: int) -> str:
-        presets = self.metadata.get("weather_presets", [])
-        return presets[i] if i < len(presets) else ""
-
-    def episode_reset_seed(self, i: int):
-        """Reset seed episode i was rolled with, or None if not recorded."""
-        seeds = self.metadata.get("reset_seeds", [])
-        return int(seeds[i]) if i < len(seeds) else None
 
     def validate(self) -> None:
         """`ReplayView`'s checks, and a stored dataset also closes its last
@@ -155,12 +151,11 @@ def preset_rotation(env: BuildingEnv):
     return (lambda ep: env.variant(weather=names[ep % len(names)])), names
 
 
-def _collected_dataset(env: BuildingEnv, buffer: ReplayBuffer, reset_seeds,
+def _collected_dataset(env: BuildingEnv, view: ReplayView, reset_seeds,
                        names, policy: Agent, seed: int, total_steps: int,
                        **metadata) -> Dataset:
-    """The buffer's completed episodes as a `Dataset`, with the provenance
+    """The view's completed episodes as a `Dataset`, with the provenance
     both scenarios record; a live (unterminated) tail is left out."""
-    view = buffer.view()
     ends = np.nonzero(view.terminals)[0]
     if ends.size == 0:
         raise DataError("no completed episode to store")
@@ -207,10 +202,9 @@ def collect_final_buffer(env: BuildingEnv, algo: str, total_steps: int,
     agent = make_agent(cfg, env.obs_spec.size, env.act_spec.size)
     make_env, names = preset_rotation(env)
     start_steps = min(1000, max(cfg.batch_size, total_steps // 10))
-    summary = train_online(agent, make_env, start_steps=start_steps,
-                           buffer_capacity=total_steps)
+    summary = train_online(agent, make_env, start_steps=start_steps)
     ds = _collected_dataset(
-        env, summary.buffer, summary.reset_seeds, names, agent, seed,
+        env, summary.buffer.view(), summary.reset_seeds, names, agent, seed,
         total_steps, scenario="final_buffer", algo=algo,
         epsilon=1.0,              # every step carries exploration noise
         sigma=float(noise))
@@ -228,13 +222,16 @@ def collect_trained(env: BuildingEnv, expert, total_steps: int,
     probability epsilon, then the action is clipped to [-1, 1]. Whole
     episodes are collected, as many as it takes to store at least
     ``total_steps`` transitions, and they all step in lockstep with one
-    expert forward pass per step.
+    expert forward pass per step. They begin together and share one
+    horizon, and a fault ends the collection, so every step finds them all
+    at one step index t.
 
     The perturbations are drawn before the rollout, in the order one
     episode after another would consume them: episode by episode and step
     by step, a Bernoulli draw (``rng.random() < epsilon``) and, for a
-    perturbed step, a Gaussian draw of the action's size. So the dataset
-    depends only on the seed, not on how the episodes are batched.
+    perturbed step, a Gaussian draw of the action's size; step t of
+    episode k takes draw ``k * horizon + t``. So the dataset depends only
+    on the seed, not on how the episodes are batched.
     """
     if isinstance(expert, (str, Path)):
         expert, _ = load_agent(expert)
@@ -248,45 +245,41 @@ def collect_trained(env: BuildingEnv, expert, total_steps: int,
     n = -(-total_steps // env.horizon)
     noise = perturbations(np.random.default_rng(seed), n * env.horizon,
                           expert.act_dim, epsilon, sigma)
-    taken = [0] * n         # steps chosen so far, per episode
+    t = 0                   # the step index every episode is at
 
     def choose(windows, counts, lanes):
         policy = expert.policy_action(windows, counts)
         acts = np.clip(policy, -1.0, 1.0).astype(np.float32)
-        for row, k in enumerate(lanes):
-            d = noise[k * env.horizon + taken[k]]
-            taken[k] += 1
+        for k in lanes:     # every episode runs, so row k is episode k
+            d = noise[k * env.horizon + t]
             if d is not None:
-                acts[row] = np.clip(policy[row] + d, -1.0, 1.0)
+                acts[k] = np.clip(policy[k] + d, -1.0, 1.0)
         return acts
 
     controller = PolicyController(expert, env.obs_spec, env.act_spec, choose)
     make_env, names = preset_rotation(env)
     episodes = seeded_episodes(make_env, seed)
     driver = EpisodeDriver([episodes(i) for i in range(n)], controller)
-    # each transition by (episode, step), to be stored episode by episode
+    # each transition by (episode, step), stored episode by episode
     obs_n = np.empty((n, env.horizon, expert.obs_dim))
     act_n = np.empty((n, env.horizon, expert.act_dim), dtype=np.float32)
     rewards = np.empty((n, env.horizon))
-    dones = np.zeros((n, env.horizon), dtype=bool)
+    dones = np.empty((n, env.horizon), dtype=bool)
     while driver.running:
         steps = driver.step()
         for *_, fault in steps:
             if fault is not None:
                 raise fault
-        lanes = [s[0] for s in steps]
-        at = (lanes, [taken[k] - 1 for k in lanes])
-        obs_n[at] = controller.obs_n
-        act_n[at] = controller.act_n
-        rewards[at] = [s[3] for s in steps]
-        dones[at] = [s[4] for s in steps]
-    buffer = ReplayBuffer(expert.obs_dim, expert.act_dim,
-                          capacity=n * env.horizon)
-    for k in range(n):
-        for t in range(env.horizon):
-            buffer.add(obs_n[k, t], act_n[k, t], rewards[k, t], dones[k, t])
+        obs_n[:, t] = controller.obs_n
+        act_n[:, t] = controller.act_n
+        rewards[:, t] = [s[3] for s in steps]
+        dones[:, t] = [s[4] for s in steps]
+        t += 1
+    view = ReplayView(obs_n.reshape(n * env.horizon, -1),
+                      act_n.reshape(n * env.horizon, -1), rewards.ravel(),
+                      dones.ravel(), np.arange(n) * env.horizon)
     return _collected_dataset(
-        env, buffer, driver.reset_seeds, names, expert, seed, total_steps,
+        env, view, driver.reset_seeds, names, expert, seed, total_steps,
         scenario="trained", algo=expert.cfg.algo, epsilon=float(epsilon),
         sigma=float(sigma),
         noisy_steps=sum(d is not None for d in noise))
@@ -346,7 +339,8 @@ def expert_reference_return(env_template: BuildingEnv, expert: Agent,
             for preset in dict.fromkeys(presets)}
     controller = PolicyController(expert, env_template.obs_spec,
                                   env_template.act_spec)
-    trajs = run_episode([envs[p] for p in presets], controller, list(seeds))
+    trajs = run_episode([(envs[p], seed) for p, seed in zip(presets, seeds)],
+                        controller)
     for traj in trajs:
         if traj.fault is not None:
             raise DataError(f"expert reference rollout hit a simulator "
@@ -397,22 +391,20 @@ def build_quality_report(dataset: Dataset, expert: Agent,
                          env_template: BuildingEnv) -> QualityReport:
     """Score every episode's return against the expert on the same rollout.
 
-    When the dataset records per-episode reset seeds, each reference r_opt
+    With the dataset's per-episode ``reset_seeds``, each reference r_opt
     is the expert's return under that episode's exact reset (same weather
     draw, start day, and initial state), so an unperturbed episode scores
     zero up to storage rounding and the deltas isolate the injected action
-    noise. Datasets without recorded seeds fall back to one reference
-    rollout per preset at ``REFERENCE_SEED``.
+    noise. Datasets without them fall back to one reference rollout per
+    recorded preset (or the template's weather) at ``REFERENCE_SEED``.
     """
     dataset.validate()
-    presets = [dataset.episode_preset(i) or
-               env_template.config.weather_spec.removeprefix("preset:")
-               for i in range(dataset.num_episodes)]
-    seeds = [dataset.episode_reset_seed(i)
-             for i in range(dataset.num_episodes)]
-    if all(s is not None for s in seeds):
+    meta, n = dataset.metadata, dataset.num_episodes
+    presets = [p or env_template.config.weather_spec.removeprefix("preset:")
+               for p in meta.get("weather_presets", [""] * n)]
+    if "reset_seeds" in meta:
         refs = expert_reference_return(env_template, expert, presets,
-                                       dataset.days, seeds)
+                                       dataset.days, meta["reset_seeds"])
     else:
         unique = list(dict.fromkeys(presets))
         per_preset = dict(zip(unique, expert_reference_return(
@@ -420,7 +412,7 @@ def build_quality_report(dataset: Dataset, expert: Agent,
             [REFERENCE_SEED] * len(unique))))
         refs = [per_preset[p] for p in presets]
     deltas, flagged = [], []
-    for i in range(dataset.num_episodes):
+    for i in range(n):
         rv = regret_ratio(dataset.episode_return(i), refs[i])
         deltas.append(rv.value)
         flagged.append(rv.flagged)
@@ -444,7 +436,8 @@ def subsample(dataset: Dataset, target: int, seed: int = 0) -> Dataset:
     """Uniform whole-episode subsample with at least ``target`` transitions.
 
     Episodes are drawn without replacement; the selected episodes keep
-    their original order and internal step ordering.
+    their original order and internal step ordering, and each per-episode
+    metadata list the parent has keeps the entries of the picked ones.
     """
     dataset.validate()
     n = len(dataset)
@@ -463,18 +456,12 @@ def subsample(dataset: Dataset, target: int, seed: int = 0) -> Dataset:
     picked.sort()
     slices = [dataset.episode_slice(i) for i in picked]
     lengths = [s.stop - s.start for s in slices]
-    parent_presets = dataset.metadata.get("weather_presets", [])
-    parent_seeds = dataset.metadata.get("reset_seeds", [])
-    metadata = dict(dataset.metadata)
-    metadata.update({
-        "parent_fingerprint": dataset.fingerprint(),
-        "subsample_seed": int(seed),
-        "subsample_target": int(target),
-        "weather_presets": [parent_presets[i] for i in picked]
-        if parent_presets else [],
-        "reset_seeds": [parent_seeds[i] for i in picked]
-        if parent_seeds else [],
-    })
+    metadata = {**dataset.metadata,
+                "parent_fingerprint": dataset.fingerprint(),
+                "subsample_seed": int(seed), "subsample_target": int(target)}
+    for key in Dataset.METADATA:
+        if key in metadata:
+            metadata[key] = [metadata[key][i] for i in picked]
     return Dataset(
         *(np.concatenate([getattr(dataset, col)[s] for s in slices])
           for col in Dataset.COLUMNS),

@@ -183,7 +183,7 @@ def evaluate_policy(policy, env: BuildingEnv, weather: str | None = None,
         "policy": policy_fp, "env": run_env.fingerprint(),
         "weather": weather or "", "days": run_env.config.days})
     seeds = [int(seed) for seed in seeds]
-    trajs = run_episode(run_env, controller, seeds)
+    trajs = run_episode([(run_env, seed) for seed in seeds], controller)
     reports = []
     with (nullcontext(out_dir) if out_dir is not None
           else tempfile.TemporaryDirectory()) as csv_dir:

@@ -204,21 +204,10 @@ class TestReplayBuffer:
         assert np.array_equal(view.obs, np.stack([r[0] for r in rows]))
         assert np.array_equal(view.episode_starts, [0, 10, 20])
 
-    def test_evicts_whole_oldest_episode_when_full(self):
-        buf = ReplayBuffer(1, 1, capacity=10)
-        for ep in range(3):  # 3 episodes x 4 steps; third overflows
-            for t in range(4):
-                buf.add([float(ep)], [0.0], 0.0, t == 3)
-        assert len(buf) == 8
-        view = buf.view()
-        assert view.obs[:, 0].min() == 1.0  # episode 0 dropped entirely
-        assert np.array_equal(view.episode_starts, [0, 4])
-
     @pytest.mark.parametrize("seq_len", [1, 4])
     @pytest.mark.parametrize("lengths, live, capacity, stored", [
         ((5, 7), 3, 100, 15),      # live (unterminated) tail
         ((5, 7), 0, 100, 12),      # closed tail
-        ((5, 7, 6), 2, 16, 15),    # the first episode was evicted
     ])
     def test_samples_in_place_like_its_view(self, lengths, live, capacity,
                                             stored, seq_len):
@@ -246,11 +235,16 @@ class TestReplayBuffer:
                 store.sample_batch(2, 1, rng)
 
     def test_single_episode_larger_than_capacity_rejected(self):
-        buf = ReplayBuffer(1, 1, capacity=4)
-        for t in range(4):
-            buf.add([0.0], [0.0], 0.0, False)
-        with pytest.raises(DataError):
-            buf.add([0.0], [0.0], 0.0, False)
+        # a full buffer rejects the next add, whether its episodes are
+        # closed or live: it holds one run and never evicts
+        for closed in (True, False):
+            buf = ReplayBuffer(1, 1, capacity=4)
+            for t in range(4):
+                buf.add([float(t)], [0.0], 0.0, closed and t % 2 == 1)
+            with pytest.raises(DataError, match="full"):
+                buf.add([0.0], [0.0], 0.0, False)
+            assert len(buf) == 4
+            assert np.array_equal(buf.view().obs[:, 0], [0, 1, 2, 3])
 
 
 class TestRolloutWindow:

@@ -335,19 +335,19 @@ class TestEpisodes:
     def test_horizon_one_yields_single_transition(self):
         env = BuildingEnv(EnvConfig(kind="dc", days=1.0)).variant(days=1 / 144)
         assert env.horizon == 1
-        traj = run_episode(env, lambda o: rule_controller(o, "dc"), seed=3)
+        [traj] = run_episode([(env, 3)], lambda o: rule_controller(o, "dc"))
         assert len(traj) == 1
         assert traj.terminals[-1]
         assert traj.obs.shape[0] == 2
 
     def test_same_seed_is_bit_identical(self):
         env = BuildingEnv(EnvConfig(kind="mu", days=1.0))
-        a = run_episode(env, lambda o: rule_controller(o, "mu"), seed=11)
-        b = run_episode(env, lambda o: rule_controller(o, "mu"), seed=11)
+        [a] = run_episode([(env, 11)], lambda o: rule_controller(o, "mu"))
+        [b] = run_episode([(env, 11)], lambda o: rule_controller(o, "mu"))
         assert np.array_equal(a.obs, b.obs)
         assert np.array_equal(a.actions, b.actions)
         assert np.array_equal(a.rewards, b.rewards)
-        c = run_episode(env, lambda o: rule_controller(o, "mu"), seed=12)
+        [c] = run_episode([(env, 12)], lambda o: rule_controller(o, "mu"))
         assert not np.array_equal(a.obs, c.obs)
 
     # sha256 of the obs, actions, rewards, zone_temps and total_power_w
@@ -364,7 +364,7 @@ class TestEpisodes:
                              ids=["dc", "mu", "dc-30d", "mu-30d"])
     def test_rule_trajectory_bytes_are_pinned(self, kind, days):
         env = BuildingEnv(EnvConfig(kind=kind, days=days))
-        traj = run_episode(env, lambda o: rule_controller(o, kind), seed=3)
+        [traj] = run_episode([(env, 3)], lambda o: rule_controller(o, kind))
         assert len(traj) == env.horizon and traj.fault is None
         digest = hashlib.sha256()
         for name in ("obs", "actions", "rewards", "zone_temps",
@@ -378,7 +378,7 @@ class TestEpisodes:
     def test_fault_on_first_step_records_empty_trajectory(self, kind):
         env = BuildingEnv(EnvConfig(kind=kind, days=1.0))
         nan_action = np.full(env.act_spec.size, np.nan)
-        traj = run_episode(env, lambda o: nan_action, seed=3)
+        [traj] = run_episode([(env, 3)], lambda o: nan_action)
         assert len(traj) == 0
         assert traj.fault is not None and "non-finite" in traj.fault
         assert traj.actions.shape == (0, env.act_spec.size)
@@ -396,8 +396,8 @@ class TestEpisodes:
             # running lanes are called in lane order: seed 4's sixth step
             return nan_action if next(calls) == 3 * 5 + 1 else rule(obs)
 
-        trajs = run_episode(env, controller, seeds)
-        alone = [run_episode(env, rule, seed=s) for s in seeds]
+        trajs = run_episode([(env, s) for s in seeds], controller)
+        alone = [run_episode([(env, s)], rule)[0] for s in seeds]
         assert [t.seed for t in trajs] == seeds
         for k in (0, 2):
             assert trajs[k].fault is None
@@ -431,7 +431,7 @@ class TestEpisodes:
     def test_trajectory_csv_roundtrip_is_exact(self, tmp_path):
         env = BuildingEnv(EnvConfig(kind="dc", days=1.0)).variant(days=25 / 144)
         assert env.horizon == 25
-        traj = run_episode(env, lambda o: rule_controller(o, "dc"), seed=5)
+        [traj] = run_episode([(env, 5)], lambda o: rule_controller(o, "dc"))
         path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, path)
         back = read_trajectory_csv(path)
@@ -443,7 +443,7 @@ class TestEpisodes:
     def test_trajectory_csv_roundtrip_keeps_negative_zero_and_one_row(
             self, tmp_path):
         env = BuildingEnv(EnvConfig(kind="dc", days=1.0)).variant(days=1 / 144)
-        traj = run_episode(env, lambda o: rule_controller(o, "dc"), seed=3)
+        [traj] = run_episode([(env, 3)], lambda o: rule_controller(o, "dc"))
         assert len(traj) == 1
         traj.obs[1, 0] = -0.0
         traj.actions[0, 1] = -0.0

@@ -309,9 +309,11 @@ class TestTrain:
         {"metadata": {"reset_seeds": ["x", "y", "z"]}},
         {"metadata": {"weather_presets": [1, 2, 3]}},
         {"metadata": {"reset_seeds": [1.5, 2.5, 3.5]}},
+        {"metadata": {"reset_seeds": [1]}},
+        {"metadata": {"weather_presets": ["hong_kong"]}},
     ], ids=["env-kind", "obs-lows-length", "horizon-zero", "days-negative",
             "act-highs-length", "reset-seeds-str", "weather-presets-int",
-            "reset-seeds-float"])
+            "reset-seeds-float", "reset-seeds-short", "weather-presets-short"])
     def test_header_values_that_do_not_fit_exit_3(self, workspace, tmp_path,
                                                   edit, capsys):
         # right types, wrong values: both readers of a dataset refuse them

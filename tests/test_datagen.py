@@ -124,7 +124,7 @@ class TestCollection:
         # and the rollout matches the plain controller episode bit for bit
         ep_env = env.variant(weather="chicago")
         controller = PolicyController(expert, ep_env.obs_spec, ep_env.act_spec)
-        traj = run_episode(ep_env, controller, seed=9 * 100_003)
+        [traj] = run_episode([(ep_env, 9 * 100_003)], controller)
         obs_n = [normalize_obs(o, ep_env.obs_spec) for o in traj.obs[:-1]]
         assert np.array_equal(a.obs, np.asarray(obs_n, dtype=np.float32))
         assert np.array_equal(a.rewards, traj.rewards.astype(np.float32))
@@ -370,6 +370,21 @@ class TestSubsample:
             dg.subsample(ds, target=len(ds) + 1)
         with pytest.raises(UsageError):
             dg.subsample(ds, target=0)
+
+    def test_keeps_per_episode_lists_aligned_and_adds_none(self):
+        ds = synthetic_dataset(n=1000, ep_len=100)
+        ds.metadata["weather_presets"] = [f"w{i}" for i in range(10)]
+        ds.metadata["reset_seeds"] = list(range(100, 110))
+        sub = dg.subsample(ds, target=250, seed=0)
+        picked = [seed - 100 for seed in sub.metadata["reset_seeds"]]
+        assert sub.metadata["weather_presets"] == [f"w{i}" for i in picked]
+        for i, j in enumerate(picked):
+            assert np.array_equal(sub.obs[sub.episode_slice(i)],
+                                  ds.obs[ds.episode_slice(j)])
+        # a list the parent lacks stays absent
+        bare = dg.subsample(synthetic_dataset(), target=150, seed=3)
+        assert "reset_seeds" not in bare.metadata
+        assert len(bare.metadata["weather_presets"]) == bare.num_episodes
 
     def test_result_validates_and_feeds_replay(self):
         ds = synthetic_dataset()
