@@ -4,7 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import SpecError
-from ..fingerprint import fingerprint, to_jsonable
 
 ALGOS = ("td3", "sac", "td3bc", "cql")
 OFFLINE_ALGOS = ("td3bc", "cql")
@@ -55,6 +54,7 @@ class AgentConfig:
             raise SpecError("seq_len must be >= 1")
         if not self.history and self.seq_len != 1:
             raise SpecError("seq_len > 1 requires history=True")
-
-    def fingerprint(self) -> str:
-        return fingerprint(to_jsonable(self))
+        if min(self.hidden, self.enc_feat, self.enc_heads,
+               self.enc_hidden) < 1 or self.enc_blocks < 0:
+            raise SpecError("hidden, enc_feat, enc_heads and enc_hidden must "
+                            "be >= 1, enc_blocks >= 0")

@@ -10,6 +10,9 @@ actor objective is shaped, and whether an entropy temperature is tuned.
 Everything is deterministic given the config seed: network init, batch
 sampling, exploration, and target smoothing all consume one generator.
 
+An agent is the `Module` of its networks: one parameter walk serves its
+checkpoints, their load checks and the divergence guard.
+
 Offline and online training share one epoch loop (`_train`) and differ
 only in where its batches come from.
 
@@ -60,8 +63,12 @@ CHECKPOINT_META = {"algo": str, "agent_config": dict, "obs_dim": int,
 _AGENT_CONFIG_TYPES = {f.name: type(f.default) for f in fields(AgentConfig)}
 
 
-class Agent:
-    """Shared machinery: networks, optimizers, target updates, guards."""
+class Agent(Module):
+    """Shared machinery: networks, optimizers, target updates, guards.
+
+    A checkpoint holds exactly the agent's `named_parameters`: ``actor``,
+    ``actor_target`` (TD3), ``critic``, ``critic_target``, then SAC's
+    ``log_alpha``. Config, generator and optimizers are not Modules."""
 
     def __init__(self, cfg: AgentConfig, obs_dim: int, act_dim: int):
         self.cfg = cfg
@@ -71,21 +78,12 @@ class Agent:
         self.update_count = 0
         self._build()
         # built once: `Module.frozen` hides parameters from `named_parameters`
-        self._checked = [(f"{prefix}.{name}", p)
-                         for prefix, module in self._containers().items()
-                         for name, p in module.named_parameters()]
-        self._checked += list(self._scalars().items())
+        self._checked = self.named_parameters()
 
     def _build(self):
         raise NotImplementedError
 
     # -- persistence ---------------------------------------------------
-
-    def _containers(self) -> dict[str, Module]:
-        raise NotImplementedError
-
-    def _scalars(self) -> dict[str, Tensor]:
-        return {}
 
     def fingerprint(self) -> str:
         return fingerprint({
@@ -93,30 +91,6 @@ class Agent:
             "obs_dim": self.obs_dim,
             "act_dim": self.act_dim,
         })
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {}
-        for prefix, module in self._containers().items():
-            for name, arr in module.state_arrays().items():
-                out[f"{prefix}.{name}"] = arr
-        for name, t in self._scalars().items():
-            out[name] = t.data.copy()
-        return out
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        containers = self._containers()
-        buckets: dict[str, dict[str, np.ndarray]] = {k: {} for k in containers}
-        scalars = self._scalars()
-        for name, arr in arrays.items():
-            prefix, _, rest = name.partition(".")
-            if prefix in containers and rest:
-                buckets[prefix][rest] = arr
-            elif name in scalars:
-                scalars[name].data[...] = np.asarray(arr, dtype=np.float32)
-            else:
-                raise SpecError(f"unexpected checkpoint entry {name!r}")
-        for prefix, module in containers.items():
-            module.load_state_arrays(buckets[prefix])
 
     def save(self, path, *, epoch: int, step: int, extra_meta: dict | None = None):
         meta = {
@@ -229,10 +203,6 @@ class TD3Agent(Agent):
         self.actor_opt = Adam(self.actor.parameters(), lr=cfg.actor_lr)
         self.critic_opt = Adam(self.critic.parameters(), lr=cfg.critic_lr)
 
-    def _containers(self):
-        return {"actor": self.actor, "actor_target": self.actor_target,
-                "critic": self.critic, "critic_target": self.critic_target}
-
     def policy_action(self, windows, counts, deterministic: bool = True):
         return self.actor.act(windows, counts)
 
@@ -308,13 +278,6 @@ class SACAgent(Agent):
         self.actor_opt = Adam(self.actor.parameters(), lr=cfg.actor_lr)
         self.critic_opt = Adam(self.critic.parameters(), lr=cfg.critic_lr)
         self.alpha_opt = Adam([self.log_alpha], lr=cfg.alpha_lr)
-
-    def _containers(self):
-        return {"actor": self.actor, "critic": self.critic,
-                "critic_target": self.critic_target}
-
-    def _scalars(self):
-        return {"log_alpha": self.log_alpha}
 
     @property
     def alpha(self) -> float:
@@ -428,6 +391,7 @@ def load_agent(path) -> tuple[Agent, dict]:
     `AgentConfig` fields of their default's type, is a DataError. The
     stored config fingerprint must match the one the rebuilt agent
     computes, so a checkpoint never loads into a changed configuration.
+    A missing, extra or misshaped array is a SpecError.
     """
     header, arrays = container.read(path, CHECKPOINT_MAGIC)
     meta = header.get("meta")
@@ -449,7 +413,7 @@ def load_agent(path) -> tuple[Agent, dict]:
         raise FingerprintMismatchError(
             f"{path}: checkpoint built for config "
             f"{header['config_fingerprint']}, expected {agent.fingerprint()}")
-    agent.load_state(arrays)
+    agent.load_state_arrays(arrays)
     return agent, header
 
 

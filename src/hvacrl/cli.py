@@ -174,8 +174,6 @@ def cmd_simulate(args, cfg: dict, argv, env_vars) -> int:
         policy.__name__ = "rule"
     elif args.controller.startswith("ckpt:"):
         policy = args.controller.split(":", 1)[1]
-        if not Path(policy).exists():
-            raise DataError(f"checkpoint {policy} not found")
     else:
         raise UsageError("--controller must be 'rule' or 'ckpt:PATH'")
     fp = config_fingerprint(cfg)
@@ -210,8 +208,6 @@ def cmd_collect(args, cfg: dict, argv, env_vars) -> int:
     else:
         if not data["expert"]:
             raise UsageError("trained scenario needs --expert PATH")
-        if not Path(data["expert"]).exists():
-            raise DataError(f"expert checkpoint {data['expert']} not found")
         ds = collect_trained(env, data["expert"],
                              total_steps=int(data["steps"]),
                              epsilon=data["epsilon"], sigma=data["sigma"],
@@ -269,8 +265,6 @@ def cmd_eval(args, cfg: dict, argv, env_vars) -> int:
         raise UsageError("--seeds must be >= 1")
     t0 = time.perf_counter()
     out = _out_dir(args.out, env_vars)
-    if not Path(args.ckpt).exists():
-        raise DataError(f"checkpoint {args.ckpt} not found")
     env = _env_from(cfg, kind=args.env, weather=args.weather, days=args.days)
     fp = config_fingerprint(cfg)
     seeds = list(range(args.seeds))
@@ -313,8 +307,6 @@ def cmd_sweep(args, cfg: dict, argv, env_vars) -> int:
 def cmd_regret(args, cfg: dict, argv, env_vars) -> int:
     t0 = time.perf_counter()
     out = _out_file(args.out, env_vars)
-    if not Path(args.expert).exists():
-        raise DataError(f"expert checkpoint {args.expert} not found")
     ds = read_dataset(args.data)
     expert, _ = load_agent(args.expert)
     env = BuildingEnv(EnvConfig(kind=ds.env_kind, days=ds.days))

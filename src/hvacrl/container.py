@@ -130,15 +130,24 @@ def _check(path, entry: dict, crc: int, trailer: bytes) -> None:
         raise DataError(f"{path}: array {entry['name']} checksum mismatch")
 
 
+def _open(path):
+    """``path`` opened for binary reading; a file that cannot be opened
+    (missing, a directory, unreadable) is a DataError."""
+    try:
+        return open(path, "rb")
+    except OSError as e:
+        raise DataError(f"{path}: cannot open: {e.strerror}") from None
+
+
 def read_header(path, magic: bytes) -> dict:
-    with open(path, "rb") as f:
+    with _open(path) as f:
         return _header(f, path, magic)[0]
 
 
 def read(path, magic: bytes, names=None) -> tuple[dict, dict]:
     """The header and the named arrays (all when ``names`` is None), each
     CRC-checked and read with one copy into a writable array."""
-    with open(path, "rb") as f:
+    with _open(path) as f:
         header, base = _header(f, path, magic)
         by_name = {e["name"]: e for e in header["columns"]}
         arrays = {}
@@ -161,7 +170,7 @@ def read(path, magic: bytes, names=None) -> tuple[dict, dict]:
 def verify(path, magic: bytes) -> dict:
     """Check every payload against both CRC copies in ``CHUNK_BYTES`` blocks;
     memory stays bounded by the block size. Returns the header."""
-    with open(path, "rb") as f:
+    with _open(path) as f:
         header, base = _header(f, path, magic)
         for e in header["columns"]:
             f.seek(base + e["offset"])

@@ -727,6 +727,8 @@ def run_rq4(cfg: HarnessConfig) -> SweepResult:
 
     def cells():
         sizes = sorted(cfg.rq4_sizes)
+        if not sizes:
+            return
         parent_path, parent = materialize_trained_dataset(
             cfg, _expert(cfg), eps, sg, max(sizes))
         if parent is None:

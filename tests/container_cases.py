@@ -117,6 +117,13 @@ class ContainerCases:
         path.write_bytes(self.fmt.magic + b"\x00")  # one of four length bytes
         self.assert_rejected(path)
 
+    @pytest.mark.parametrize("name", ["gone", "."], ids=["missing", "dir"])
+    def test_unopenable_path_is_data_error(self, tmp_path, name):
+        path = tmp_path / name
+        self.assert_rejected(path)
+        with pytest.raises(DataError, match="cannot open"):
+            container.read_header(path, self.fmt.magic)
+
     def test_shape_size_mismatch_detected(self, tmp_path):
         path = tmp_path / "a"
         self.fmt.save(path)

@@ -638,9 +638,7 @@ class TestFrozenCriticInActorUpdates:
         rng = np.random.default_rng(5)
         for _ in range(steps):
             agent.update(view.sample_batch(cfg.batch_size, cfg.seq_len, rng))
-        return {f"{prefix}.{name}": arr
-                for prefix, module in agent._containers().items()
-                for name, arr in module.state_arrays().items()}
+        return agent.state_arrays()
 
     @pytest.mark.parametrize("history", [False, True], ids=["flat", "history"])
     @pytest.mark.parametrize("algo", ["td3", "sac", "td3bc", "cql"])
@@ -915,6 +913,10 @@ class TestAgentConfig:
             AgentConfig(seq_len=5)  # history off
         with pytest.raises(SpecError):
             AgentConfig(history=True, seq_len=0)
+        for sizes in ({"hidden": 0}, {"hidden": -1}, {"enc_feat": 0},
+                      {"enc_heads": 0}, {"enc_hidden": 0}, {"enc_blocks": -1}):
+            with pytest.raises(SpecError):
+                AgentConfig(**sizes)
 
     def test_history_config_builds_and_runs(self):
         view = make_view(n=200, ep=50, seed=15)

@@ -137,6 +137,31 @@ class TestArgumentErrors:
             assert "UsageError" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "{tmp}/gone.hvds"],
+        ["regret", "--data", "{tmp}/gone.hvds", "--expert", "{ckpt}"],
+        ["eval", "--ckpt", "{tmp}", "--days", "0.25"],
+    ], ids=["train-missing-data", "regret-missing-data", "eval-ckpt-is-dir"])
+    def test_unopenable_input_file_is_data_error(self, workspace, tmp_path,
+                                                  capsys, argv):
+        argv = [a.format(tmp=tmp_path, ckpt=workspace["ckpt"]) for a in argv]
+        assert run(argv + ["--out", str(tmp_path / "o")]) == 3
+        assert "DataError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("agent", [
+        {"history": True, "seq_len": 2, "enc_heads": 0},
+        {"hidden": -1},
+        {"hidden": 0},
+    ], ids=["enc-heads-0", "hidden-negative", "hidden-0"])
+    def test_bad_network_size_is_spec_error(self, workspace, tmp_path, capsys,
+                                            agent):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"agent": agent}))
+        assert run(["--config", str(p), "train", "--data",
+                    str(workspace["data"]), "--out", str(tmp_path / "t")]) == 3
+        assert "SpecError" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
     def test_eval_needs_positive_seed_count(self, workspace, tmp_path):
         assert run(["eval", "--ckpt", str(workspace["ckpt"]), "--seeds", "0",
                     "--out", str(tmp_path / "e")]) == 2

@@ -17,6 +17,7 @@ from hvacrl import evalharness
 from hvacrl.agents import AgentConfig, make_agent
 from hvacrl.buildsim import (EVAL_PRESET, TRAIN_PRESETS, BuildingEnv,
                              EnvConfig, rule_controller)
+from hvacrl.cli import main
 from hvacrl.datagen import read_dataset
 from hvacrl.errors import (DataError, FingerprintMismatchError,
                            SimulationFault, UsageError)
@@ -398,6 +399,16 @@ class TestZeroSeedGrids:
         # nothing to train, so no expert or dataset is built
         assert not (tmp_path / "datasets").exists()
         assert not (tmp_path / "experts").exists()
+
+    def test_no_rq4_sizes_is_an_empty_sweep(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"harness": {
+            "seeds": 1, "expert_steps": 4, "expert_batch": 2,
+            "rq4_sizes": [], "out_dir": str(tmp_path / "results")}}))
+        assert main(["--config", str(cfg), "sweep", "--rq", "4"],
+                    env_vars={}) == 0
+        assert (tmp_path / "results" / "rq4" / "summary.csv").read_text() == ""
+        assert not (tmp_path / "results" / "experts").exists()
 
 
 class TestExpertCache:

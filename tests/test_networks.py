@@ -357,8 +357,37 @@ class CheckpointFormat:
         container.verify(path, self.magic)
 
 
+#: edits of a SAC checkpoint's arrays that no agent's parameters match
+MISMATCHED_ARRAYS = {
+    "no-log-alpha": lambda a: a.pop("log_alpha"),
+    "log-alpha-shape-3": lambda a: a.update(log_alpha=np.zeros(3, np.float32)),
+    "log-alpha-shape-1": lambda a: a.update(log_alpha=np.zeros(1, np.float32)),
+    "extra-array": lambda a: a.update(stray=np.zeros(2, np.float32)),
+    "no-critic-weight": lambda a: a.pop(
+        min(k for k in a if k.startswith("critic."))),
+}
+
+
 class TestCheckpoint(ContainerCases):
     fmt = CheckpointFormat()
+
+    @pytest.mark.parametrize("edit", MISMATCHED_ARRAYS.values(),
+                             ids=MISMATCHED_ARRAYS.keys())
+    def test_arrays_must_match_the_agents_parameters(self, tmp_path, capsys,
+                                                     edit):
+        # built for `dc`'s 8/4 obs/act dims, so `eval` gets as far as loading
+        path = tmp_path / "model.ckpt"
+        make_agent(AgentConfig(algo="sac", hidden=16, seed=7), 8, 4).save(
+            path, epoch=1, step=100)
+        header, arrays = container.read(path, CHECKPOINT_MAGIC)
+        del header["columns"]
+        edit(arrays)
+        container.write(path, CHECKPOINT_MAGIC, header, sorted(arrays.items()))
+        with pytest.raises(SpecError):
+            load_agent(path)
+        assert main(["eval", "--ckpt", str(path), "--days", "0.25",
+                     "--out", str(tmp_path / "e")], env_vars={}) == 3
+        assert "SpecError" in capsys.readouterr().err
 
     def test_fingerprint_mismatch_refuses_to_load(self, tmp_path):
         path = tmp_path / "model.ckpt"
