@@ -39,7 +39,7 @@ from .. import container, envcore
 from ..buildsim import EpisodeDriver
 from ..errors import (DataError, DivergenceError, FingerprintMismatchError,
                       SpecError)
-from ..fingerprint import fingerprint, has_type, to_jsonable
+from ..fingerprint import bad_fields, fingerprint, to_jsonable
 from ..neuralsub import tensor as T
 from ..neuralsub.layers import Module
 from ..neuralsub.optim import Adam
@@ -61,6 +61,12 @@ CHECKPOINT_HEADER = {"config_fingerprint": str, "seed_record": dict,
 CHECKPOINT_META = {"algo": str, "agent_config": dict, "obs_dim": int,
                    "act_dim": int, "epoch": int, "step": int}
 _AGENT_CONFIG_TYPES = {f.name: type(f.default) for f in fields(AgentConfig)}
+
+
+def _config_fingerprint(cfg: AgentConfig, obs_dim: int, act_dim: int) -> str:
+    """The ``config_fingerprint`` a checkpoint of such an agent records."""
+    return fingerprint({"agent_config": to_jsonable(cfg), "obs_dim": obs_dim,
+                        "act_dim": act_dim})
 
 
 class Agent(Module):
@@ -86,11 +92,7 @@ class Agent(Module):
     # -- persistence ---------------------------------------------------
 
     def fingerprint(self) -> str:
-        return fingerprint({
-            "agent_config": to_jsonable(self.cfg),
-            "obs_dim": self.obs_dim,
-            "act_dim": self.act_dim,
-        })
+        return _config_fingerprint(self.cfg, self.obs_dim, self.act_dim)
 
     def save(self, path, *, epoch: int, step: int, extra_meta: dict | None = None):
         meta = {
@@ -389,30 +391,27 @@ def load_agent(path) -> tuple[Agent, dict]:
     A header without the keys and types `CHECKPOINT_HEADER` and
     `CHECKPOINT_META` declare, or whose agent config is not made of
     `AgentConfig` fields of their default's type, is a DataError. The
-    stored config fingerprint must match the one the rebuilt agent
-    computes, so a checkpoint never loads into a changed configuration.
-    A missing, extra or misshaped array is a SpecError.
+    stored config fingerprint must match the header's config, checked before
+    any network is built. A missing, extra or misshaped array is a SpecError.
     """
     header, arrays = container.read(path, CHECKPOINT_MAGIC)
     meta = header.get("meta")
-    bad = ([k for k, kind in CHECKPOINT_HEADER.items()
-            if not has_type(header.get(k), kind)]
-           or [f"meta.{k}" for k, kind in CHECKPOINT_META.items()
-               if not has_type(meta.get(k), kind)]
+    bad = (bad_fields(header, CHECKPOINT_HEADER)
+           or [f"meta.{k}" for k in bad_fields(meta, CHECKPOINT_META)]
            or [f"meta.{k}" for k in ("obs_dim", "act_dim") if meta[k] < 1]
-           or [f"meta.agent_config.{k}"
-               for k, v in meta["agent_config"].items()
-               if not (k in _AGENT_CONFIG_TYPES
-                       and has_type(v, _AGENT_CONFIG_TYPES[k]))])
+           or [f"meta.agent_config.{k}" for k in bad_fields(
+               meta["agent_config"], _AGENT_CONFIG_TYPES, optional=True,
+               closed=True)])
     if bad:
         raise DataError(f"{path}: checkpoint header fields {bad} are "
                         f"missing, unknown, of the wrong type or below 1")
     cfg = AgentConfig(**meta["agent_config"])
-    agent = make_agent(cfg, meta["obs_dim"], meta["act_dim"])
-    if header["config_fingerprint"] != agent.fingerprint():
+    expected = _config_fingerprint(cfg, meta["obs_dim"], meta["act_dim"])
+    if header["config_fingerprint"] != expected:
         raise FingerprintMismatchError(
             f"{path}: checkpoint built for config "
-            f"{header['config_fingerprint']}, expected {agent.fingerprint()}")
+            f"{header['config_fingerprint']}, expected {expected}")
+    agent = make_agent(cfg, meta["obs_dim"], meta["act_dim"])
     agent.load_state_arrays(arrays)
     return agent, header
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import io
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -47,7 +48,6 @@ from pathlib import Path
 import numpy as np
 
 from .envcore import (
-    VectorSpec,
     compute_reward,
     datacenter_act_spec,
     datacenter_obs_spec,
@@ -58,6 +58,7 @@ from .envcore import (
     ordered_sum,
     positive_part,
 )
+from .container import read_text
 from .errors import DataError, SimulationFault, SpecError
 from .fingerprint import fingerprint, to_jsonable
 
@@ -315,23 +316,22 @@ EVAL_PRESET = {"dc": "hong_kong", "mu": "lamia"}
 
 
 def load_weather_trace(path, dt_s: float, name: str | None = None) -> WeatherTrace:
-    """Read a `step,t_out_c,rh_pct` CSV into a trace."""
+    """Read a `step,t_out_c,rh_pct` CSV into a trace; another header, no
+    rows or a row other than its step from 0 and two numbers is a DataError."""
     path = Path(path)
-    temps, rhs = [], []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != ["step", "t_out_c", "rh_pct"]:
-            raise DataError(f"{path}: expected header step,t_out_c,rh_pct, "
-                            f"got {reader.fieldnames}")
-        for i, row in enumerate(reader):
-            if int(row["step"]) != i:
-                raise DataError(f"{path}: non-contiguous step column at row {i}")
-            temps.append(float(row["t_out_c"]))
-            rhs.append(float(row["rh_pct"]))
-    if not temps:
-        raise DataError(f"{path}: empty weather trace")
-    return WeatherTrace(name=name or path.stem, t_out_c=tuple(temps),
-                        rh_pct=tuple(rhs), dt_s=dt_s)
+    lines = list(csv.reader(io.StringIO(read_text(path))))
+    if lines[:1] != [["step", "t_out_c", "rh_pct"]]:
+        raise DataError(f"{path}: expected header step,t_out_c,rh_pct, "
+                        f"got {lines[:1]}")
+    try:
+        steps, temps, rhs = zip(*((int(s), float(t), float(h))
+                                  for s, t, h in filter(None, lines[1:])))
+    except ValueError as e:     # a short, long or non-numeric row; no rows
+        raise DataError(f"{path}: rows must be 3 numbers: {e}") from None
+    if steps != tuple(range(len(steps))):
+        raise DataError(f"{path}: step column does not count from 0")
+    return WeatherTrace(name=name or path.stem, t_out_c=temps, rh_pct=rhs,
+                        dt_s=dt_s)
 
 
 # ---------------------------------------------------------------------------

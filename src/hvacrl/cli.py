@@ -14,7 +14,6 @@ Exit codes: 0 ok, 2 usage, 3 bad data or fingerprint mismatch,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import shlex
@@ -27,7 +26,7 @@ import numpy as np
 
 from .agents import AgentConfig, load_agent, make_agent, train_offline
 from .buildsim import BuildingEnv, EnvConfig, rule_controller
-from .container import atomic_write
+from .container import atomic_write, read_json
 from .datagen import (
     build_quality_report,
     collect_final_buffer,
@@ -36,10 +35,10 @@ from .datagen import (
     read_dataset,
     write_dataset,
 )
-from .errors import DataError, HvacrlError, UsageError
-from .evalharness import (RQ_RUNNERS, HarnessConfig, claim_lines,
-                          evaluate_policy, load_sweep)
-from .fingerprint import canonical_json, fingerprint, has_type, to_jsonable
+from .errors import HvacrlError, UsageError
+from .evalharness import (REPORT_COLUMNS, RQ_RUNNERS, HarnessConfig,
+                          claim_lines, evaluate_policy, load_sweep)
+from .fingerprint import bad_fields, canonical_json, fingerprint, to_jsonable
 
 ENV_OUT_DIR = "HVACRL_OUT_DIR"     # overrides every --out directory
 ENV_MAX_JOBS = "HVACRL_MAX_JOBS"   # caps sweep parallelism
@@ -69,44 +68,23 @@ def default_config() -> dict:
 
 
 def _merge(defaults, override, path="config"):
-    if not isinstance(override, dict):
-        raise UsageError(f"{path} must be a JSON object")
-    merged = dict(defaults)
-    for key, value in override.items():
-        if key not in defaults:
-            raise UsageError(f"unknown config key {path}.{key}")
-        default = defaults[key]
-        # a list's items must have the type of the default's first item
-        kind = ([type(default[0])] if isinstance(default, list) and default
-                else type(default))
-        if isinstance(default, dict):
-            merged[key] = _merge(default, value, f"{path}.{key}")
-        elif has_type(value, kind):
-            merged[key] = value
-        else:
-            what = (f"list of {kind[0].__name__}" if isinstance(kind, list)
-                    else kind.__name__)
-            raise UsageError(f"config key {path}.{key} must be of type "
-                             f"{what}, got {json.dumps(value)}")
-    return merged
+    """``override`` over ``defaults``, block by block; a key or type (a
+    list's items: its first item's) the defaults lack is a UsageError."""
+    kinds = {key: [type(d[0])] if isinstance(d, list) and d else type(d)
+             for key, d in defaults.items()}
+    bad = bad_fields(override, kinds, optional=True, closed=True)
+    if bad:
+        raise UsageError(f"config keys {[f'{path}.{k}' for k in bad]} are "
+                         f"unknown or of the wrong type")
+    return {**defaults, **{
+        key: _merge(defaults[key], value, f"{path}.{key}")
+        if isinstance(value, dict) else value
+        for key, value in override.items()}}
 
 
 def load_config(path: str | None) -> dict:
     cfg = default_config()
-    if path:
-        p = Path(path)
-        if not p.exists():
-            raise DataError(f"config file {path} not found")
-        try:
-            user = json.loads(p.read_text())
-        except json.JSONDecodeError as e:
-            raise DataError(f"config file {path} is not valid JSON: {e}")
-        cfg = _merge(cfg, user)
-    return cfg
-
-
-def config_fingerprint(cfg: dict) -> str:
-    return fingerprint(cfg)
+    return _merge(cfg, read_json(path)) if path else cfg
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +154,7 @@ def cmd_simulate(args, cfg: dict, argv, env_vars) -> int:
         policy = args.controller.split(":", 1)[1]
     else:
         raise UsageError("--controller must be 'rule' or 'ckpt:PATH'")
-    fp = config_fingerprint(cfg)
+    fp = fingerprint(cfg)
     reports = evaluate_policy(policy, env, seeds=(args.seed,), out_dir=out)
     _write_json(out / "report.json", {
         "run_fingerprint": fp,
@@ -212,7 +190,7 @@ def cmd_collect(args, cfg: dict, argv, env_vars) -> int:
                              total_steps=int(data["steps"]),
                              epsilon=data["epsilon"], sigma=data["sigma"],
                              seed=seed)
-    fp = config_fingerprint(cfg)
+    fp = fingerprint(cfg)
     ds.metadata["run_fingerprint"] = fp
     write_dataset(ds, out)
     _audit(out.parent, argv, "collect", fp, [seed], t0)
@@ -238,7 +216,7 @@ def cmd_train(args, cfg: dict, argv, env_vars) -> int:
     acfg = AgentConfig(**block)
     ds = read_dataset(args.data)
     agent = make_agent(acfg, ds.obs_dim, ds.act_dim)
-    fp = config_fingerprint(cfg)
+    fp = fingerprint(cfg)
     summary = train_offline(agent, ds,
                             checkpoint_dir=out / "checkpoints",
                             log_path=out / "train_log.jsonl")
@@ -266,7 +244,7 @@ def cmd_eval(args, cfg: dict, argv, env_vars) -> int:
     t0 = time.perf_counter()
     out = _out_dir(args.out, env_vars)
     env = _env_from(cfg, kind=args.env, weather=args.weather, days=args.days)
-    fp = config_fingerprint(cfg)
+    fp = fingerprint(cfg)
     seeds = list(range(args.seeds))
     reports = evaluate_policy(args.ckpt, env, seeds=seeds, out_dir=out)
     med = _median_summary(reports)
@@ -295,7 +273,7 @@ def cmd_sweep(args, cfg: dict, argv, env_vars) -> int:
                              f"got {cap!r}") from None
     overrides["jobs"] = max(jobs, 1)
     hcfg = HarnessConfig.from_jsonable(cfg["harness"], **overrides)
-    fp = config_fingerprint(cfg)
+    fp = fingerprint(cfg)
     result = RQ_RUNNERS[args.rq](hcfg)
     _audit(Path(hcfg.out_dir), argv, "sweep", fp,
            list(range(hcfg.seeds)), t0)
@@ -311,7 +289,7 @@ def cmd_regret(args, cfg: dict, argv, env_vars) -> int:
     expert, _ = load_agent(args.expert)
     env = BuildingEnv(EnvConfig(kind=ds.env_kind, days=ds.days))
     report = build_quality_report(ds, expert, env)
-    fp = config_fingerprint(cfg)
+    fp = fingerprint(cfg)
     _write_json(out, {"run_fingerprint": fp,
                       "dataset_fingerprint": ds.fingerprint(),
                       **report.to_jsonable()})
@@ -328,14 +306,10 @@ def cmd_report(args, cfg: dict, argv, env_vars) -> int:
     if not result.cells:
         print(f"report: rq{args.rq} is empty (zero-seed grid)")
         return 0
-    with open(result.summary_path, newline="") as f:
-        rows = list(csv.DictReader(f))
-    cols = ["cell", "seed", "best_epoch", "avg_reward", "violation",
-            "avg_power_kw"]
-    widths = {c: max(len(c), *(len(r[c]) for r in rows)) for c in cols}
-    print("  ".join(c.ljust(widths[c]) for c in cols))
-    for r in rows:
-        print("  ".join(r[c].ljust(widths[c]) for c in cols))
+    table = [dict(zip(REPORT_COLUMNS, REPORT_COLUMNS)), *result.rows]
+    widths = {c: max(len(r[c]) for r in table) for c in REPORT_COLUMNS}
+    for r in table:
+        print("  ".join(r[c].ljust(widths[c]) for c in REPORT_COLUMNS))
     for line in claim_lines(result):
         print(line)
     return 0
@@ -429,7 +403,7 @@ def main(argv=None, env_vars=None) -> int:
         cfg = load_config(args.config)
         if args.print_config:
             print(canonical_json({**cfg,
-                                  "fingerprint": config_fingerprint(cfg)}))
+                                  "fingerprint": fingerprint(cfg)}))
             return 0
         if not args.subcommand:
             parser.print_usage(sys.stderr)

@@ -1,7 +1,13 @@
-"""The single-file array container behind checkpoints and datasets, and the
-one atomic file writer every artifact goes through.
+"""The reader of every input file, the single-file array container behind
+checkpoints and datasets, and the one atomic file writer every artifact
+goes through.
 
-Layout (magic ``HVCK0002`` for checkpoints, ``HVDS0001`` for datasets):
+`read_text` (UTF-8), `read_json` (one JSON object) and the container
+readers raise `DataError` for a file that cannot be opened, decoded or
+parsed; callers check the fields they read with `fingerprint.bad_fields`.
+
+Container layout (magic ``HVCK0002`` for checkpoints, ``HVDS0001`` for
+datasets):
 
 * 8-byte magic naming the format;
 * little-endian u32 length of the header;
@@ -14,7 +20,7 @@ Layout (magic ``HVCK0002`` for checkpoints, ``HVDS0001`` for datasets):
 Readers find the payloads at ``12 + header length`` as stored in the file,
 never by re-serialising the header, so a re-spaced header still reads.
 Each payload is checked against both CRC copies, which lets `verify` stream
-the file in fixed-size blocks and lets `read` load any subset of arrays.
+the file in fixed-size blocks.
 """
 from __future__ import annotations
 
@@ -27,12 +33,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .fingerprint import canonical_json
+from .fingerprint import bad_fields, canonical_json
 
 CHUNK_BYTES = 1 << 20   # streaming verification block size
 # the dtype names `write` can record: booleans, integers and floats
 _DTYPES = frozenset(str(np.dtype(c)) for c in
                    "?" + np.typecodes["AllInteger"] + np.typecodes["Float"])
+# the fields `write` gives a header column record; all numbers are >= 0
+_COLUMN = {"name": str, "dtype": str, "shape": [int], "offset": int,
+           "nbytes": int, "crc32": int}
 
 
 def atomic_write(path, chunks) -> None:
@@ -89,16 +98,14 @@ def _header(f, path, magic: bytes) -> tuple[dict, int]:
     blob = f.read(hlen)
     if len(blob) != hlen:
         raise DataError(f"{path}: truncated header")
-    try:
-        header = json.loads(blob)
-    except (ValueError, RecursionError) as e:   # not utf-8, not JSON, too deep
-        raise DataError(f"{path}: unreadable header: {e}") from None
-    columns = header.get("columns") if isinstance(header, dict) else None
-    if not isinstance(columns, list):
-        raise DataError(f"{path}: header is not an object with a list of columns")
+    header = _json_object(blob, f"{path}: header")
+    if not isinstance(header.get("columns"), list):
+        raise DataError(f"{path}: header lacks a list of columns")
     size, end = os.fstat(f.fileno()).st_size, 0
-    for entry in columns:
-        if not _column_ok(entry):
+    for entry in header["columns"]:
+        if (bad_fields(entry, _COLUMN) or entry["dtype"] not in _DTYPES
+                or min(*entry["shape"], entry["offset"], entry["nbytes"],
+                       entry["crc32"]) < 0):
             raise DataError(f"{path}: malformed column record {entry!r}")
         # before anything is allocated: payloads follow each other's
         # trailers and end inside the file
@@ -107,20 +114,6 @@ def _header(f, path, magic: bytes) -> tuple[dict, int]:
                             f"file ({size} bytes)")
         end += entry["nbytes"] + 4
     return header, 12 + hlen
-
-
-def _count(value) -> bool:
-    return type(value) is int and value >= 0
-
-
-def _column_ok(entry) -> bool:
-    """Whether a header column record has the fields and types `write`
-    gives it: str name, numeric dtype, integer shape, offset, nbytes, crc32."""
-    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-            and isinstance(entry.get("dtype"), str) and entry["dtype"] in _DTYPES
-            and isinstance(entry.get("shape"), list)
-            and all(_count(n) for n in entry["shape"])
-            and all(_count(entry.get(k)) for k in ("offset", "nbytes", "crc32")))
 
 
 def _check(path, entry: dict, crc: int, trailer: bytes) -> None:
@@ -139,22 +132,45 @@ def _open(path):
         raise DataError(f"{path}: cannot open: {e.strerror}") from None
 
 
+def _json_object(blob, what: str) -> dict:
+    """The JSON object in ``blob``; anything else is a DataError."""
+    try:
+        doc = json.loads(blob)
+    except (ValueError, RecursionError) as e:   # not utf-8, not JSON, too deep
+        raise DataError(f"{what} is not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{what} does not hold a JSON object")
+    return doc
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of the file at ``path``."""
+    with _open(path) as f:
+        try:
+            return f.read().decode()
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path} is not UTF-8 text: {e}") from None
+
+
+def read_json(path) -> dict:
+    """The JSON object in the file at ``path``."""
+    with _open(path) as f:
+        return _json_object(f.read(), str(path))
+
+
 def read_header(path, magic: bytes) -> dict:
     with _open(path) as f:
         return _header(f, path, magic)[0]
 
 
-def read(path, magic: bytes, names=None) -> tuple[dict, dict]:
-    """The header and the named arrays (all when ``names`` is None), each
-    CRC-checked and read with one copy into a writable array."""
+def read(path, magic: bytes) -> tuple[dict, dict]:
+    """The header and every array, each CRC-checked and read with one copy
+    into a writable array."""
     with _open(path) as f:
         header, base = _header(f, path, magic)
-        by_name = {e["name"]: e for e in header["columns"]}
         arrays = {}
-        for name in by_name if names is None else names:
-            if name not in by_name:
-                raise DataError(f"{path}: no array {name!r}")
-            e = by_name[name]
+        for e in header["columns"]:
+            name = e["name"]
             dtype = np.dtype(e["dtype"]).newbyteorder("<")
             if dtype.itemsize * math.prod(e["shape"]) != e["nbytes"]:
                 raise DataError(f"{path}: array {name} shape and size differ")

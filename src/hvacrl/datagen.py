@@ -44,9 +44,12 @@ from .agents import (Agent, AgentConfig, PolicyController, ReplayView,
 from .buildsim import (TRAIN_PRESETS, BuildingEnv, EnvConfig, EpisodeDriver,
                        run_episode)
 from .errors import DataError, SpecError, UsageError
-from .fingerprint import fingerprint, has_type
+from .fingerprint import bad_fields, fingerprint
 
 MAGIC = b"HVDS0001"
+#: the stored arrays, in `Dataset` constructor order: dtype and dimensions
+_COLUMNS = {"obs": ("float32", 2), "act": ("float32", 2),
+            "reward": ("float32", 1), "terminal": ("uint8", 1)}
 REFERENCE_SEED = 424243  # fixed reset seed for expert reference rollouts
 
 
@@ -75,18 +78,12 @@ class Dataset(ReplayView):
     METADATA = {"reset_seeds": [int], "weather_presets": [str]}
 
     def __init__(self, obs, actions, rewards, terminals, **header):
-        unknown = sorted(set(header) - set(self.HEADER))
-        missing = [key for key in self.HEADER if key not in header]
-        if unknown or missing:
-            raise DataError(f"dataset header has unknown fields {unknown} "
-                            f"and lacks fields {missing}")
-        meta = header["metadata"]
-        mistyped = ([key for key, kind in self.HEADER.items()
-                     if not has_type(header[key], kind)]
-                    or [f"metadata.{key}" for key, kind in self.METADATA.items()
-                        if key in meta and not has_type(meta[key], kind)])
-        if mistyped:
-            raise DataError(f"dataset header fields {mistyped} have the wrong type")
+        bad = (bad_fields(header, self.HEADER, closed=True)
+               or [f"metadata.{key}" for key in bad_fields(
+                   header["metadata"], self.METADATA, optional=True)])
+        if bad:
+            raise DataError(f"dataset header fields {bad} are missing, "
+                            f"unknown or of the wrong type")
         try:
             EnvConfig(kind=header["env_kind"], days=header["days"])
         except SpecError as e:
@@ -96,18 +93,16 @@ class Dataset(ReplayView):
         starts = header.pop("episode_starts")
         vars(self).update(header)
         super().__init__(obs, actions, rewards, terminals, starts)
-        widths = {"obs": self.obs_dim, "act": self.act_dim}
-        uneven = [key for key in ("obs_lows", "obs_highs", "act_lows",
-                                  "act_highs")
-                  if len(header[key]) != widths[key[:3]]]
+        sizes = {"obs": self.obs_dim, "act": self.act_dim}
+        uneven = ([key for key in ("obs_lows", "obs_highs", "act_lows",
+                                   "act_highs")
+                   if len(header[key]) != sizes[key[:3]]]
+                  + [f"metadata.{key}" for key in self.METADATA
+                     if key in self.metadata
+                     and len(self.metadata[key]) != self.num_episodes])
         if uneven:
             raise DataError(f"dataset header fields {uneven} do not hold one "
-                            f"value per column")
-        short = [f"metadata.{key}" for key in self.METADATA
-                 if key in meta and len(meta[key]) != self.num_episodes]
-        if short:
-            raise DataError(f"dataset header fields {short} do not hold one "
-                            f"value per episode")
+                            f"value per column or episode")
 
     def episode_return(self, i: int) -> float:
         return float(self.rewards[self.episode_slice(i)].sum())
@@ -488,9 +483,11 @@ def verify_dataset(path) -> dict:
 
 
 def read_dataset(path) -> Dataset:
-    """The dataset at ``path``. The CRCs do not cover the header, so an
-    unknown or missing header field is a `DataError` too."""
+    """The dataset at ``path``. The CRCs do not cover the header, so a bad
+    header field or column name, dtype or rank is a `DataError` too."""
     header, cols = container.read(path, MAGIC)
     del header["columns"]
-    return Dataset(cols["obs"], cols["act"], cols["reward"], cols["terminal"],
-                   **header)
+    kinds = {name: (str(col.dtype), col.ndim) for name, col in cols.items()}
+    if kinds != _COLUMNS:
+        raise DataError(f"{path}: arrays {kinds} are not {_COLUMNS}")
+    return Dataset(*(cols[name] for name in _COLUMNS), **header)

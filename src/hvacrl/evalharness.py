@@ -43,14 +43,14 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 import shutil
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -60,15 +60,21 @@ from .agents import (CHECKPOINT_MAGIC, OFFLINE_ALGOS, Agent, AgentConfig,
 from .buildsim import (EVAL_PRESET, TRAIN_PRESETS, BuildingEnv, EnvConfig,
                        read_trajectory_csv, rule_controller, run_episode,
                        write_trajectory_csv)
-from .container import atomic_write
+from .container import atomic_write, read_json, read_text
 from .datagen import (build_quality_report, collect_final_buffer,
                       collect_trained, preset_rotation, read_dataset,
                       subsample, write_dataset)
 from .errors import DataError, SimulationFault, UsageError
-from .fingerprint import canonical_json, fingerprint, has_type, to_jsonable
+from .fingerprint import bad_fields, canonical_json, fingerprint, to_jsonable
 
 # observation channels holding zone temperatures, per environment kind
 TEMP_CHANNELS = {"dc": slice(5, 7), "mu": slice(5, 8)}
+
+# the summary columns `hvacrl report` prints, and those `load_sweep` reads
+REPORT_COLUMNS = ("cell", "seed", "best_epoch", "avg_reward", "violation",
+                  "avg_power_kw")
+_SUMMARY_FIELDS = dict.fromkeys(
+    ("cell", "cell_fingerprint", *REPORT_COLUMNS[1:]), str)
 
 # fixed dataset-noise operating points for the quantity sweep
 RQ4_NOISE = {"dc": (0.2, 0.1), "mu": (0.5, 0.2)}
@@ -116,6 +122,12 @@ class RunReport:
     config_fingerprint: str
     weather: str = ""
     steps: int = 0
+
+    #: every field, with the type of its value (see `fingerprint.bad_fields`)
+    FIELDS: ClassVar[dict] = {
+        "avg_reward": float, "violation": float, "avg_power_kw": float,
+        "episode_return": float, "zone_quantiles": [dict], "seed": int,
+        "config_fingerprint": str, "weather": str, "steps": int}
 
     def __post_init__(self):
         if not 0.0 <= self.violation <= 1.0:
@@ -319,53 +331,38 @@ def _write_cell(out_root: Path, rq: str, cell_fp: str, report: dict,
     return final_dir
 
 
-def _read_result_json(path: Path) -> dict:
-    """A result file read back, which is outside input: one that is not a
-    JSON object is a DataError."""
-    try:
-        doc = json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise DataError(f"{path} is not valid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise DataError(f"{path} does not hold a JSON object")
-    return doc
-
-
 def load_cell(out_root, rq: str, cell_fp: str) -> dict | None:
     """The report of a finished cell, or None if it has none."""
     p = Path(out_root) / rq / cell_fp / "report.json"
-    if not p.exists():
-        return None
-    return _read_result_json(p)
+    return read_json(p) if p.exists() else None
 
 
-# the keys of one per-seed entry of a cell report, and of its report
-_SEED_KEYS = {"seed", "best_epoch", "curve", "report"}
-_REPORT_FIELDS = {f.name for f in fields(RunReport)}
+#: the fields a cell report must hold, and each of its per-seed entries
+_CELL_FIELDS = {"axes": dict, "seeds": list}
+_SEED_FIELDS = {"seed": int, "best_epoch": int, "curve": [dict],
+                "report": dict}
 
 
 def _finished_cell(out_root: Path, rq: str, key: str, cell_fp: str) -> dict:
     """The report of a cell a previous run finished.
 
-    It must hold its axes and a non-empty list of per-seed entries, each
-    an object with ``seed``, ``best_epoch``, a ``curve`` list and a
-    ``report`` with exactly the `RunReport` fields; a missing or damaged
-    report is a DataError. Other keys, like the ``final_report`` of older
-    cells, are ignored.
+    It must hold the `_CELL_FIELDS` with a non-empty list of per-seed
+    entries, each with the `_SEED_FIELDS` and a ``report`` of exactly the
+    `RunReport.FIELDS`; a missing or damaged report is a DataError. Other
+    keys, like the ``final_report`` of older cells, are ignored.
     """
     report = load_cell(out_root, rq, cell_fp)
     if report is None:
         raise DataError(f"missing results for cell {key}")
-    missing = [k for k in ("axes", "seeds") if k not in report]
-    if missing:
-        raise DataError(f"report of cell {key} lacks {', '.join(missing)}")
-    if not (isinstance(report["seeds"], list) and report["seeds"]):
+    bad = bad_fields(report, _CELL_FIELDS)
+    if bad:
+        raise DataError(f"report of cell {key}: fields {bad} are missing or "
+                        f"of the wrong type")
+    if not report["seeds"]:
         raise DataError(f"cell {key}: seeds is not a non-empty list")
     for i, s in enumerate(report["seeds"]):
-        if not (isinstance(s, dict) and _SEED_KEYS <= s.keys()
-                and isinstance(s["curve"], list)
-                and isinstance(s["report"], dict)
-                and s["report"].keys() == _REPORT_FIELDS):
+        if (bad_fields(s, _SEED_FIELDS)
+                or bad_fields(s["report"], RunReport.FIELDS, closed=True)):
             raise DataError(
                 f"cell {key}: seed entry {i} is not an object with seed, "
                 f"best_epoch, curve and a report of the RunReport fields")
@@ -472,6 +469,7 @@ class SweepResult:
     quality: dict = field(default_factory=dict)  # key -> quality jsonable
     cell_axes: dict = field(default_factory=dict)  # key -> its axis values
     summary_path: str = ""
+    rows: list = field(default_factory=list)     # summary rows, as read
 
     def median_metric(self, key: str, metric: str = "avg_reward") -> float:
         return float(np.median([getattr(r, metric)
@@ -571,22 +569,22 @@ def load_sweep(out_root, rq: str) -> SweepResult:
     runner returns this reading of the files it wrote).
 
     The cells are the ones ``<out_root>/<rq>/summary.csv`` lists; each is
-    read from its cell directory. A missing or damaged summary, a listed
-    cell without its directory, a damaged cell file and an rq3 cell
-    without a numeric ``mean`` in its ``quality.json`` are DataErrors.
+    read from its cell directory. A missing or damaged summary (without
+    the columns `hvacrl report` prints), a listed cell without its
+    directory, a damaged cell file and an rq3 cell without a numeric
+    ``mean`` in its ``quality.json`` are DataErrors.
     """
     out_root = Path(out_root)
     path = out_root / rq / "summary.csv"
-    if not path.exists():
-        raise DataError(f"no summary at {path}; run the sweep first")
-    with path.open(newline="") as f:
-        reader = csv.DictReader(f)
-        # a sweep without seeds writes an empty summary: no header, no cells
-        if reader.fieldnames is not None and not (
-                {"cell", "cell_fingerprint"} <= set(reader.fieldnames)):
-            raise DataError(f"{path} lacks its cell/cell_fingerprint columns")
-        listed = {row["cell"]: row["cell_fingerprint"] for row in reader}
-    result = SweepResult(rq=rq, summary_path=str(path))
+    # a sweep without seeds writes an empty summary: no header, no cells
+    rows = list(csv.DictReader(io.StringIO(read_text(path))))
+    for i, row in enumerate(rows):
+        bad = bad_fields(row, _SUMMARY_FIELDS)
+        if bad:
+            raise DataError(f"{path}: row {i + 1} lacks its "
+                            f"{'/'.join(bad)} columns")
+    listed = {row["cell"]: row["cell_fingerprint"] for row in rows}
+    result = SweepResult(rq=rq, summary_path=str(path), rows=rows)
     for key in sorted(listed):
         cell = _finished_cell(out_root, rq, key, listed[key])
         result.cell_axes[key] = cell["axes"]
@@ -596,8 +594,8 @@ def load_sweep(out_root, rq: str) -> SweepResult:
             quality = out_root / rq / listed[key] / "quality.json"
             if not quality.exists():
                 raise DataError(f"cell {key} lacks its quality.json")
-            result.quality[key] = _read_result_json(quality)
-            if not has_type(result.quality[key].get("mean"), float):
+            result.quality[key] = read_json(quality)
+            if bad_fields(result.quality[key], {"mean": float}):
                 raise DataError(f"{quality} lacks a numeric mean")
     return result
 

@@ -1,5 +1,5 @@
 """Canonical JSON serialization, stable content fingerprints, and the
-type check applied to JSON values read from outside the program.
+type and field checks applied to JSON values read from outside the program.
 
 Every artifact (config, checkpoint, dataset, result file) embeds a
 fingerprint so that runs can be matched to the exact configuration that
@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -39,18 +40,30 @@ def to_jsonable(obj):
 def has_type(value, kind) -> bool:
     """Whether ``value`` is of type ``kind``, or, for ``kind = [item_type]``,
     a list, tuple or 1-D array of such items. A bool is neither an int nor
-    a float, and an int is also a float."""
+    a float, an int is also a float, an int outside int64 is neither, and
+    a float is finite."""
     if isinstance(kind, list):
         return (isinstance(value, (list, tuple))
                 or isinstance(value, np.ndarray) and value.ndim == 1) \
             and all(has_type(item, kind[0]) for item in value)
     if isinstance(value, bool):
         return kind is bool
-    if kind is float:
-        return isinstance(value, (int, float, np.integer, np.floating))
-    if kind is int:
-        return isinstance(value, (int, np.integer))
+    if isinstance(value, (int, np.integer)) and kind in (int, float):
+        return -2**63 <= value < 2**63
+    if kind is float:   # JSON has no NaN or infinity; Python's parser does
+        return isinstance(value, (float, np.floating)) and math.isfinite(value)
     return isinstance(value, kind)
+
+
+def bad_fields(doc, table: dict, *, optional=False, closed=False) -> list:
+    """The keys of ``table`` (key -> `has_type` kind) that object ``doc``
+    lacks (unless ``optional``) or mistypes, then, if ``closed``, the keys
+    it has that the table lacks. A non-object ``doc`` lacks every key."""
+    if not isinstance(doc, dict):
+        return list(table)
+    bad = [key for key, kind in table.items()
+           if (not has_type(doc[key], kind) if key in doc else not optional)]
+    return bad + sorted(set(doc) - set(table)) if closed else bad
 
 
 def canonical_json(obj) -> str:

@@ -61,10 +61,11 @@ class Module:
             raise SpecError(f"parameter name mismatch: missing={sorted(missing)} "
                             f"extra={sorted(extra)}")
         for name, p in params.items():
-            arr = np.asarray(arrays[name], dtype=np.float32)
-            if arr.shape != p.data.shape:
-                raise SpecError(f"shape mismatch for {name}: "
-                                f"{arr.shape} vs {p.data.shape}")
+            arr = np.asarray(arrays[name])
+            if (arr.dtype, arr.shape) != (p.data.dtype, p.data.shape):
+                raise SpecError(f"dtype or shape mismatch for {name}: "
+                                f"{arr.dtype} {arr.shape} vs "
+                                f"{p.data.dtype} {p.data.shape}")
             p.data[...] = arr
 
     def copy_from(self, other: "Module") -> None:

@@ -15,9 +15,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hvacrl import container
-from hvacrl.errors import DataError
+from hvacrl.errors import DataError, HvacrlError
 
 
 def rewrite_header(path, edit=lambda header: header):
@@ -54,6 +56,27 @@ MALFORMED_HEADERS = {
     "crc32-bool": _first_column(lambda c: c.update(crc32=True)),
     "offset-gap": _first_column(lambda c: c.update(offset=c["offset"] + 4)),
 }
+
+
+#: replacement header values: any JSON, and dtype names `write` records
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4) | st.sampled_from(["float32", "int32", "uint8"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4)
+
+
+def _draw_path(data, doc) -> list:
+    """A key path into a JSON document, drawn one level at a time: a top
+    level key, then deeper with probability one half per level."""
+    path = []
+    while (isinstance(doc, (dict, list)) and doc
+           and (not path or data.draw(st.booleans()))):
+        path.append(data.draw(st.sampled_from(
+            list(doc) if isinstance(doc, dict) else range(len(doc)))))
+        doc = doc[path[-1]]
+    return path
 
 
 class ContainerCases:
@@ -184,19 +207,9 @@ class ContainerCases:
         for name, arr in arrays.items():
             assert np.array_equal(got[name], arr)
 
-    def test_partial_column_read(self, tmp_path):
-        path = tmp_path / "a"
-        _, arrays = self.fmt.save(path)
-        name = sorted(arrays)[-1]
-        _, got = container.read(path, self.fmt.magic, names=[name])
-        assert list(got) == [name]
-        assert np.array_equal(got[name], arrays[name])
-        with pytest.raises(DataError):
-            container.read(path, self.fmt.magic, names=["nope"])
-
     def test_streaming_memory_stays_below_column_size(self, tmp_path):
         # a 16 MB array: verification must stream in blocks, and reading
-        # that one array must hold about one copy of it, not the file
+        # the file must hold about one copy of its arrays
         rng = np.random.default_rng(0)
         big = rng.random((1_000_000, 4), dtype=np.float32)
         path = tmp_path / "big"
@@ -210,8 +223,56 @@ class ContainerCases:
         assert peak_verify < big.nbytes // 2, peak_verify
 
         tracemalloc.start()
-        _, got = container.read(path, self.fmt.magic, names=["big"])
+        _, got = container.read(path, self.fmt.magic)
         _, peak_read = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert peak_read < 2 * big.nbytes, peak_read
         assert np.array_equal(got["big"], big)
+
+    # each format's class runs the inherited test (differing executors);
+    # every example writes its own file into tmp_path
+    @given(data=st.data())
+    @settings(max_examples=60, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.differing_executors])
+    def test_damaged_file_reads_back_or_exits_3(self, tmp_path, data):
+        # one byte flip (in the header half the time), truncation, or
+        # header value replaced or deleted: the read returns the original
+        # arrays or refuses the file with exit code 3
+        path = tmp_path / "a"
+        _, arrays = self.fmt.save(path)
+        raw = path.read_bytes()
+        hlen = int.from_bytes(raw[8:12], "little")
+        damage = data.draw(st.sampled_from(["flip", "truncate", "edit"]))
+        if damage == "flip":
+            at = data.draw(st.integers(0, 12 + hlen - 1)
+                           | st.integers(0, len(raw) - 1))
+            flipped = bytearray(raw)
+            flipped[at] ^= data.draw(st.integers(1, 255))
+            path.write_bytes(bytes(flipped))
+        elif damage == "truncate":
+            path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+        else:
+            *parents, key = _draw_path(data, json.loads(raw[12:12 + hlen]))
+            value = data.draw(st.just(...) | JSON_VALUES)
+
+            def edit(header):
+                owner = header
+                for k in parents:
+                    owner = owner[k]
+                if value is ...:
+                    del owner[key]
+                else:
+                    owner[key] = value
+                return header
+
+            rewrite_header(path, edit)
+        try:
+            _, got = self.fmt.load(path)
+        except HvacrlError as e:
+            assert e.exit_code == 3, e
+        else:
+            assert got.keys() == arrays.keys()
+            for name, arr in arrays.items():
+                assert got[name].dtype == arr.dtype
+                assert np.array_equal(got[name], arr)

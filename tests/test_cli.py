@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hvacrl.agents import AgentConfig, load_agent, make_agent
 from hvacrl.buildsim import EVAL_PRESET, BuildingEnv, EnvConfig
@@ -616,3 +618,206 @@ class TestSweepAndReport:
     def test_report_before_sweep_is_data_error(self, tmp_path):
         assert run(["report", "--rq", "4",
                     "--results", str(tmp_path)]) == 3
+
+
+@pytest.fixture(scope="module")
+def finished_sweep(tmp_path_factory):
+    """The results directory of one finished rq3 sweep; copy it to damage."""
+    root = tmp_path_factory.mktemp("sweep")
+    cfg = TestSweepAndReport().sweep_config(root)
+    assert run(["--config", str(cfg), "sweep", "--rq", "3"]) == 0
+    return root / "results"
+
+
+def _cell_report(results) -> Path:
+    """The ``report.json`` of the first cell the rq3 summary lists."""
+    with open(results / "rq3" / "summary.csv") as f:
+        fp = next(csv.DictReader(f))["cell_fingerprint"]
+    return results / "rq3" / fp / "report.json"
+
+
+def _write(path, data):
+    """Replace ``path`` (a file or directory) with ``data``: bytes, text,
+    a JSON document, or None for an empty directory."""
+    if path.is_dir():
+        shutil.rmtree(path)
+    else:
+        path.unlink(missing_ok=True)
+    if data is None:
+        path.mkdir()
+    elif isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
+
+
+def _config(data):
+    """``--print-config`` with ``data`` written (`_write`) as the config."""
+    def damage(tmp, workspace, results):
+        _write(tmp / "c.json", data)
+        return ["--config", str(tmp / "c.json"), "--print-config"]
+    return damage
+
+
+def _weather(data):
+    """``simulate`` on ``data`` written as a weather CSV; ``...`` leaves
+    the file missing."""
+    def damage(tmp, workspace, results):
+        if data is not ...:
+            _write(tmp / "w.csv", data)
+        return ["simulate", "--weather", f"csv:{tmp / 'w.csv'}", "--days",
+                "0.05", "--out", str(tmp / "o")]
+    return damage
+
+
+def _report(where, data):
+    """Damage the sweep's ``summary.csv`` or first ``report.json``; a
+    callable ``data`` edits the cell report's JSON document."""
+    def damage(tmp, workspace, results):
+        path = (results / "rq3" / "summary.csv" if where == "summary"
+                else _cell_report(results))
+        if callable(data):
+            doc = json.loads(path.read_text())
+            data(doc)
+            _write(path, doc)
+        else:
+            _write(path, data)
+        return ["report", "--rq", "3", "--results", str(results)]
+    return damage
+
+
+def _summary_columns(tmp, workspace, results):
+    summary = results / "rq3" / "summary.csv"
+    lines = summary.read_text().splitlines()
+    cols = lines[0].split(",")
+    keep = [cols.index("cell"), cols.index("cell_fingerprint")]
+    summary.write_text("".join(
+        ",".join(line.split(",")[i] for i in keep) + "\n" for line in lines))
+    return ["report", "--rq", "3", "--results", str(results)]
+
+
+def _seed_entry(key, value):
+    def edit(doc):
+        doc["seeds"][0][key] = value
+    return edit
+
+
+def _seed_report(key, value):
+    def edit(doc):
+        doc["seeds"][0]["report"][key] = value
+    return edit
+
+
+def _dataset(edit, command="train"):
+    """``train`` (or ``regret``) on the workspace dataset with its header
+    rewritten by ``edit``; the CRCs do not cover the header."""
+    def damage(tmp, workspace, results):
+        bad = tmp / "bad.hvds"
+        bad.write_bytes(workspace["data"].read_bytes())
+        rewrite_header(bad, edit)
+        if command == "train":
+            return ["--config", str(workspace["config"]), "train", "--data",
+                    str(bad), "--out", str(tmp / "t")]
+        return ["regret", "--data", str(bad), "--expert",
+                str(workspace["ckpt"]), "--out", str(tmp / "q.json")]
+    return damage
+
+
+def _starts_past_int64(header):
+    return {**header, "episode_starts": [0, 10 ** 30]}
+
+
+def _column(name, change):
+    """A header edit that applies ``change`` to column ``name``'s record."""
+    def edit(header):
+        change(next(c for c in header["columns"] if c["name"] == name))
+        return header
+    return edit
+
+
+def _huge_obs_dim(tmp, workspace, results):
+    ckpt = tmp / "a.ckpt"
+    make_agent(AgentConfig(algo="sac"), 8, 4).save(ckpt, epoch=0, step=0)
+    rewrite_header(ckpt, lambda h: {**h, "meta": {**h["meta"],
+                                                  "obs_dim": 10 ** 30}})
+    return ["eval", "--ckpt", str(ckpt), "--env", "dc", "--days", "0.05",
+            "--out", str(tmp / "e")]
+
+
+#: damaged input files, each a function of (tmp_path, workspace, sweep
+#: results) that writes the damage and returns the argv that reads it
+DAMAGED_INPUTS = {
+    "config-dir": _config(None),
+    "config-not-utf8": _config(b'{"seed": "\xff"}'),
+    "config-too-deep": _config("[" * 200_000),
+    "weather-missing": _weather(...),
+    "weather-dir": _weather(None),
+    "weather-not-a-number": _weather("step,t_out_c,rh_pct\n0,1,2\n1,x,3\n"),
+    "weather-2-fields": _weather("step,t_out_c,rh_pct\n0,1,2\n1,3\n"),
+    "weather-4-fields": _weather("step,t_out_c,rh_pct\n0,1,2\n1,3,4,5\n"),
+    "summary-not-utf8": _report("summary", b"cell,cell_fingerprint\n\xff,x\n"),
+    "summary-dir": _report("summary", None),
+    "summary-only-cell-columns": _summary_columns,
+    "report-json-dir": _report("cell", None),
+    "report-json-too-deep": _report("cell", "[" * 200_000),
+    "violation-str": _report("cell", _seed_report("violation", "0.1")),
+    "avg-reward-str": _report("cell", _seed_report("avg_reward", "-1")),
+    "axes-list": _report("cell", lambda doc: doc.update(axes=[0.0, 0.1])),
+    "seed-str": _report("cell", _seed_entry("seed", "0")),
+    "curve-of-int": _report("cell", _seed_entry("curve", [1])),
+    "episode-starts-past-int64-train": _dataset(_starts_past_int64),
+    "episode-starts-past-int64-regret": _dataset(_starts_past_int64,
+                                                 "regret"),
+    "obs-dim-past-int64": _huge_obs_dim,
+    "dataset-column-renamed": _dataset(
+        _column("terminal", lambda c: c.update(name="done"))),
+    "dataset-column-int32": _dataset(
+        _column("obs", lambda c: c.update(dtype="int32"))),
+    "dataset-reward-2d": _dataset(
+        _column("reward", lambda c: c["shape"].append(1))),
+}
+
+
+class TestDamagedInputs:
+    @pytest.mark.parametrize("damage", DAMAGED_INPUTS.values(),
+                             ids=DAMAGED_INPUTS.keys())
+    def test_exits_3(self, workspace, finished_sweep, tmp_path, capsys,
+                     damage):
+        results = tmp_path / "results"
+        shutil.copytree(finished_sweep, results)
+        assert run(damage(tmp_path, workspace, results)) == 3
+        assert "DataError" in capsys.readouterr().err
+
+    @given(data=st.data())
+    @settings(max_examples=40, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_damaged_cell_report_exits_3(self, finished_sweep, tmp_path,
+                                         data):
+        # delete one field that a cell report's reader checks, or give it
+        # a value of another type
+        results = tmp_path / "results"
+        if not results.exists():
+            shutil.copytree(finished_sweep, results)
+        path = _cell_report(results)
+        original = path.read_text()
+        doc = json.loads(original)
+        entry = doc["seeds"][0]
+        owner, key = data.draw(st.sampled_from(
+            [(doc, k) for k in ("axes", "seeds")]
+            + [(entry, k) for k in ("seed", "best_epoch", "curve", "report")]
+            + [(entry["report"], k) for k in sorted(entry["report"])]))
+        old = owner[key]
+        swaps = [v for v in (None, True, "x", 1.5, 7, [1], {"k": 1})
+                 if type(v) is not type(old)
+                 and not (type(old) is float and type(v) is int)]
+        new = data.draw(st.sampled_from(["delete", *swaps]))
+        if new == "delete":
+            del owner[key]
+        else:
+            owner[key] = new
+        path.write_text(json.dumps(doc))
+        try:
+            assert run(["report", "--rq", "3", "--results",
+                        str(results)]) == 3
+        finally:
+            path.write_text(original)

@@ -4,6 +4,7 @@ import pytest
 
 from hvacrl import container
 from hvacrl.agents import CHECKPOINT_MAGIC, AgentConfig, load_agent, make_agent
+from hvacrl.agents import core as agents_core
 from hvacrl.cli import main
 from hvacrl.errors import DataError, FingerprintMismatchError, SpecError
 from hvacrl.neuralsub import tensor as T
@@ -365,6 +366,8 @@ MISMATCHED_ARRAYS = {
     "extra-array": lambda a: a.update(stray=np.zeros(2, np.float32)),
     "no-critic-weight": lambda a: a.pop(
         min(k for k in a if k.startswith("critic."))),
+    "log-alpha-float64": lambda a: a.update(
+        log_alpha=a["log_alpha"].astype(np.float64)),
 }
 
 
@@ -393,6 +396,17 @@ class TestCheckpoint(ContainerCases):
         path = tmp_path / "model.ckpt"
         self.fmt.save(path)
         rewrite_header(path, lambda h: {**h, "config_fingerprint": "zzz999"})
+        with pytest.raises(FingerprintMismatchError):
+            load_agent(path)
+
+    def test_fingerprint_is_compared_before_networks_are_built(
+            self, tmp_path, monkeypatch):
+        # a changed dimension must not build (and allocate) its networks
+        path = tmp_path / "model.ckpt"
+        self.fmt.save(path)
+        rewrite_header(path, lambda h: {**h, "meta": {**h["meta"],
+                                                      "obs_dim": 10 ** 6}})
+        monkeypatch.setattr(agents_core, "make_agent", None)
         with pytest.raises(FingerprintMismatchError):
             load_agent(path)
 
