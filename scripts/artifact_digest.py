@@ -18,7 +18,8 @@ or ``--help`` prints this text instead):
 * ``subsample`` of the trained dataset;
 * ``build_quality_report`` of the trained dataset against the expert;
 * ``RQ_RUNNERS`` "1"-"5" on a tiny `HarnessConfig` (one seed, one job):
-  rq1 td3/cql, rq2 cql/sac, two rq3 cells, rq4 sizes 72/360, rq5 L=1,2.
+  rq1 with all four algorithms (td3, sac, td3bc, cql), rq2 cql/sac, two
+  rq3 cells, rq4 sizes 72/360, rq5 L=1,2.
 
 The script imports ``hvacrl`` from the ``src`` directory of its own
 checkout. Output is a JSON object mapping each file's path relative to
@@ -41,7 +42,7 @@ HARNESS = dict(
     seeds=1, eval_seed=5, eval_days=0.25, data_days=0.5, dataset_steps=360,
     train_steps=8, epoch_steps=4, batch_size=16, jobs=1, expert_steps=40,
     expert_seq_len=2, expert_batch=16,
-    rq1_algos=("td3", "cql"),
+    rq1_algos=("td3", "sac", "td3bc", "cql"),
     rq2_modes=("cql", "sac"), rq2_seq_len=2, rq2_batch=16,
     rq2_online_steps=8,
     rq3_epsilons=(0.0, 0.2), rq3_sigmas=(0.1,), rq3_dataset_steps=144,

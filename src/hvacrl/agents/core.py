@@ -1,11 +1,12 @@
 """The four control-learning algorithms, their training loops, and the
 rollout plumbing that connects a policy to a simulator.
 
-All agents share the same skeleton: twin critics trained on the one-step
-bootstrap target r + gamma * (1 - terminal) * min(Q1', Q2'), an actor
-updated against the learned critics, and polyak-averaged target networks.
-They differ only in how the next action is chosen for the target, how the
-actor objective is shaped, and whether an entropy temperature is tuned.
+All agents share one update skeleton on `Agent`: the one-step bootstrap
+target r + gamma * (1 - terminal) * (min(Q1', Q2') - bonus), one actor
+step against the frozen critics, and a polyak step of the critic target.
+They differ only in their hooks: `_next_action` (the target's next action
+and bonus) and `_actor_loss`, plus CQL's `_critic_penalty`, TD3's policy
+delay and SAC's entropy-temperature step.
 
 Everything is deterministic given the config seed: network init, batch
 sampling, exploration, and target smoothing all consume one generator.
@@ -70,11 +71,13 @@ def _config_fingerprint(cfg: AgentConfig, obs_dim: int, act_dim: int) -> str:
 
 
 class Agent(Module):
-    """Shared machinery: networks, optimizers, target updates, guards.
+    """Shared machinery: networks, optimizers, the update skeleton, guards.
 
-    A checkpoint holds exactly the agent's `named_parameters`: ``actor``,
-    ``actor_target`` (TD3), ``critic``, ``critic_target``, then SAC's
-    ``log_alpha``. Config, generator and optimizers are not Modules."""
+    A subclass builds its networks in `_build` and defines the hooks
+    `_next_action` and `_actor_loss`, the actor's loss Tensor and its
+    diagnostics. A checkpoint holds exactly the agent's `named_parameters`:
+    ``actor``, ``actor_target`` (TD3), ``critic``, ``critic_target``, then
+    SAC's ``log_alpha``. Config, generator and optimizers are not Modules."""
 
     def __init__(self, cfg: AgentConfig, obs_dim: int, act_dim: int):
         self.cfg = cfg
@@ -167,14 +170,31 @@ class Agent(Module):
     def _critic_penalty(self, td, feat, batch, qs):
         return td, {}
 
-    def _td_target(self, batch: WindowBatch) -> np.ndarray:
+    def _next_action(self, batch: WindowBatch):
+        """The target's next actions (a Tensor) and the bonus subtracted
+        from their min(Q1', Q2'); called without a tape."""
         raise NotImplementedError
+
+    def _td_target(self, batch: WindowBatch) -> np.ndarray:
+        with T.no_grad():
+            a2, bonus = self._next_action(batch)
+            q1t, q2t = self.critic_target.heads(self.critic_target.features(
+                batch.next_windows, batch.next_counts), a2)
+            boot = np.minimum(q1t.data, q2t.data) - bonus
+        return (batch.rewards + self.cfg.gamma * (1.0 - batch.terminals)
+                * boot).astype(np.float32)
 
     def _policy_update(self, batch: WindowBatch) -> dict:
-        raise NotImplementedError
+        # the actor loss runs through the critic, which must not learn from it
+        with self.critic.frozen():
+            loss, extra = self._actor_loss(batch)
+            self.actor_opt.zero_grad()
+            loss.backward()
+        self.actor_opt.step()
+        return {"actor_loss": float(loss.data), **extra}
 
     def _update_targets(self) -> None:
-        raise NotImplementedError
+        self.critic_target.polyak_from(self.critic, self.cfg.tau)
 
     def _assert_finite(self):
         for name, p in self._checked:
@@ -208,40 +228,33 @@ class TD3Agent(Agent):
     def policy_action(self, windows, counts, deterministic: bool = True):
         return self.actor.act(windows, counts)
 
-    def _td_target(self, batch: WindowBatch) -> np.ndarray:
+    def _next_action(self, batch: WindowBatch):
         cfg = self.cfg
-        with T.no_grad():
-            a2 = self.actor_target(batch.next_windows, batch.next_counts).data
-            noise = self.rng.normal(0.0, cfg.target_noise, size=a2.shape)
-            noise = np.clip(noise, -cfg.target_noise_clip, cfg.target_noise_clip)
-            a2 = np.clip(a2 + noise.astype(np.float32), -1.0, 1.0)
-            q1t, q2t = self.critic_target.heads(self.critic_target.features(
-                batch.next_windows, batch.next_counts), Tensor(a2))
-            boot = np.minimum(q1t.data, q2t.data)
-        return (batch.rewards
-                + cfg.gamma * (1.0 - batch.terminals) * boot).astype(np.float32)
+        a2 = self.actor_target(batch.next_windows, batch.next_counts).data
+        noise = self.rng.normal(0.0, cfg.target_noise, size=a2.shape)
+        noise = np.clip(noise, -cfg.target_noise_clip, cfg.target_noise_clip)
+        return Tensor(np.clip(a2 + noise.astype(np.float32), -1.0, 1.0)), 0.0
 
-    def _actor_loss(self, batch: WindowBatch):
+    def _actor_q(self, batch: WindowBatch):
+        """The actor's actions on the batch windows and their Q1."""
         a = self.actor(batch.windows, batch.counts)
         (q1,) = self.critic.heads(
             self.critic.features(batch.windows, batch.counts), a, count=1)
+        return a, q1
+
+    def _actor_loss(self, batch: WindowBatch):
+        _, q1 = self._actor_q(batch)
         return T.scale(T.mean(q1), -1.0), {"actor_q_mean": float(q1.data.mean())}
 
     def _policy_update(self, batch: WindowBatch) -> dict:
         if self.update_count % self.cfg.policy_delay != 0:
             return {}
-        # the actor loss runs through the critic, which must not learn from it
-        with self.critic.frozen():
-            loss, extra = self._actor_loss(batch)
-            self.actor_opt.zero_grad()
-            loss.backward()
-        self.actor_opt.step()
-        return {"actor_loss": float(loss.data), **extra}
+        return super()._policy_update(batch)
 
     def _update_targets(self):
         # targets track the online nets only on actor-update steps
         if self.update_count % self.cfg.policy_delay == 0:
-            self.critic_target.polyak_from(self.critic, self.cfg.tau)
+            super()._update_targets()
             self.actor_target.polyak_from(self.actor, self.cfg.tau)
 
 
@@ -254,9 +267,7 @@ class TD3BCAgent(TD3Agent):
     """
 
     def _actor_loss(self, batch: WindowBatch):
-        a = self.actor(batch.windows, batch.counts)
-        (q1,) = self.critic.heads(
-            self.critic.features(batch.windows, batch.counts), a, count=1)
+        a, q1 = self._actor_q(batch)
         bc_dist = T.mean(T.sum_(T.square(T.sub(a, Tensor(batch.actions))),
                                 axis=1))
         lam = self.cfg.bc_weight / (float(np.abs(q1.data).mean()) + 1e-9)
@@ -289,41 +300,28 @@ class SACAgent(Agent):
         return self.actor.act(windows, counts, rng=self.rng,
                               deterministic=deterministic)
 
-    def _td_target(self, batch: WindowBatch) -> np.ndarray:
-        cfg = self.cfg
-        with T.no_grad():
-            a2, logp2 = self.actor.sample(batch.next_windows,
-                                          batch.next_counts, self.rng)
-            q1t, q2t = self.critic_target.heads(self.critic_target.features(
-                batch.next_windows, batch.next_counts), a2)
-            boot = np.minimum(q1t.data, q2t.data) - self.alpha * logp2.data
-        return (batch.rewards
-                + cfg.gamma * (1.0 - batch.terminals) * boot).astype(np.float32)
+    def _next_action(self, batch: WindowBatch):
+        a2, logp2 = self.actor.sample(batch.next_windows, batch.next_counts,
+                                      self.rng)
+        return a2, self.alpha * logp2.data
+
+    def _actor_loss(self, batch: WindowBatch):
+        a, logp = self.actor.sample(batch.windows, batch.counts, self.rng)
+        q1, q2 = self.critic.heads(
+            self.critic.features(batch.windows, batch.counts), a)
+        loss = T.mean(T.sub(T.scale(logp, self.alpha), T.minimum(q1, q2)))
+        return loss, {"entropy_mean": -float(np.mean(logp.data))}
 
     def _policy_update(self, batch: WindowBatch) -> dict:
-        with self.critic.frozen():
-            a, logp = self.actor.sample(batch.windows, batch.counts, self.rng)
-            q1, q2 = self.critic.heads(
-                self.critic.features(batch.windows, batch.counts), a)
-            qmin = T.minimum(q1, q2)
-            loss = T.mean(T.sub(T.scale(logp, self.alpha), qmin))
-            self.actor_opt.zero_grad()
-            loss.backward()
-        self.actor_opt.step()
-
+        info = super()._policy_update(batch)
         # temperature follows the entropy gap: when entropy falls below the
-        # target (log-probs above -target_entropy) alpha rises, and vice versa
-        gap = float(np.mean(logp.data)) + self.target_entropy
-        alpha_loss = T.scale(self.log_alpha, -gap)
+        # target alpha rises, and vice versa
+        alpha_loss = T.scale(self.log_alpha,
+                             info["entropy_mean"] - self.target_entropy)
         self.alpha_opt.zero_grad()
         alpha_loss.backward()
         self.alpha_opt.step()
-        return {"actor_loss": float(loss.data),
-                "entropy_mean": -float(np.mean(logp.data)),
-                "alpha": self.alpha}
-
-    def _update_targets(self):
-        self.critic_target.polyak_from(self.critic, self.cfg.tau)
+        return {**info, "alpha": self.alpha}
 
 
 class CQLAgent(SACAgent):
@@ -341,18 +339,22 @@ class CQLAgent(SACAgent):
         return tanh_gaussian_action(np.repeat(mean.data, m, axis=0),
                                     np.repeat(log_std.data, m, axis=0), self.rng)
 
+    def _gap(self, feat, windows, counts, q1, q2, m: int) -> Tensor:
+        """E[Q at m policy samples per window] - E[Q at the actions that
+        gave ``q1``, ``q2``], both heads summed, on the critic features
+        ``feat`` of the windows."""
+        a_pi = self._policy_samples(windows, counts, m)
+        rep = T.index_select(feat, np.repeat(np.arange(len(windows)), m))
+        q1_pi, q2_pi = self.critic.heads(rep, Tensor(a_pi))
+        return T.sub(T.add(T.mean(q1_pi), T.mean(q2_pi)),
+                     T.add(T.mean(q1), T.mean(q2)))
+
     def _critic_penalty(self, td, feat, batch, qs):
         cfg = self.cfg
         if cfg.cql_weight == 0.0:
             return td, {}
-        q1, q2 = qs
-        b = len(batch)
-        m = cfg.cql_samples
-        a_pi = self._policy_samples(batch.windows, batch.counts, m)
-        rep = T.index_select(feat, np.repeat(np.arange(b), m))
-        q1_pi, q2_pi = self.critic.heads(rep, Tensor(a_pi))
-        gap = T.sub(T.add(T.mean(q1_pi), T.mean(q2_pi)),
-                    T.add(T.mean(q1), T.mean(q2)))
+        gap = self._gap(feat, batch.windows, batch.counts, *qs,
+                        cfg.cql_samples)
         loss = T.add(td, T.scale(gap, cfg.cql_weight))
         return loss, {"cql_penalty": float(gap.data)}
 
@@ -364,17 +366,12 @@ class CQLAgent(SACAgent):
         policy's action distribution matches the actions it is compared
         against, and grows when the policy wanders off the data.
         """
-        m = mc_samples or self.cfg.cql_samples
-        b = windows.shape[0]
-        a_pi = self._policy_samples(windows, counts, m)
         with T.no_grad():
             feat = self.critic.features(windows, counts)
-            rep = T.index_select(feat, np.repeat(np.arange(b), m))
-            q1_pi, q2_pi = self.critic.heads(rep, Tensor(a_pi))
             q1, q2 = self.critic.heads(feat, Tensor(
                 np.asarray(actions, dtype=np.float32)))
-        return float(q1_pi.data.mean() + q2_pi.data.mean()
-                     - q1.data.mean() - q2.data.mean())
+            return float(self._gap(feat, windows, counts, q1, q2,
+                                   mc_samples or self.cfg.cql_samples).data)
 
 
 ALGO_CLASSES = {"td3": TD3Agent, "sac": SACAgent,

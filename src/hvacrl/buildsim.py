@@ -488,8 +488,19 @@ class EnvConfig:
     def __post_init__(self):
         if self.kind not in ("dc", "mu"):
             raise SpecError(f"unknown environment kind {self.kind!r}")
-        if self.days <= 0:
-            raise SpecError("days must be positive")
+        if not self.days > 0:
+            raise SpecError(f"days must be positive, got {self.days}")
+
+    @property
+    def horizon(self) -> int:
+        """Control steps in an episode: ``days`` at the kind's thermal step;
+        days that no float can count in steps are a SpecError."""
+        thermal = (datacenter_thermal() if self.kind == "dc"
+                   else mixeduse_thermal())
+        steps = self.days * SECONDS_PER_DAY / thermal.dt_s
+        if not math.isfinite(steps):
+            raise SpecError(f"days={self.days} is too long to count in steps")
+        return int(round(steps))
 
     @property
     def weather_spec(self) -> str:
@@ -534,7 +545,7 @@ class BuildingEnv:
             self.act_spec = mixeduse_act_spec()
             self._step_fn = step_mixeduse
         self.weather = config.resolve_weather(self.thermal.dt_s)
-        self.horizon = int(round(config.days * SECONDS_PER_DAY / self.thermal.dt_s))
+        self.horizon = config.horizon
         self.state: EnvState | None = None
         self._steps_this_episode = 0
 

@@ -64,8 +64,8 @@ class Dataset(ReplayView):
     window sampling) with a header: the environment it was collected on,
     and provenance ``metadata``. Training samples it directly. A header
     value of the wrong type, an environment `EnvConfig` rejects, a horizon
-    below 1 or ranges that do not match the column widths are a
-    `DataError`.
+    below 1 or other than the `EnvConfig.horizon` of its days, or ranges
+    that do not match the column widths are a `DataError`.
     """
 
     #: the header's keys, as stored in the file beside the column table,
@@ -85,11 +85,15 @@ class Dataset(ReplayView):
             raise DataError(f"dataset header fields {bad} are missing, "
                             f"unknown or of the wrong type")
         try:
-            EnvConfig(kind=header["env_kind"], days=header["days"])
+            horizon = EnvConfig(kind=header["env_kind"],
+                                days=header["days"]).horizon
         except SpecError as e:
             raise DataError(f"dataset header: {e}") from None
         if header["horizon"] < 1:
             raise DataError("dataset header: horizon must be >= 1")
+        if header["horizon"] != horizon:
+            raise DataError(f"dataset header: horizon {header['horizon']} is "
+                            f"not the {horizon} steps of days={header['days']}")
         starts = header.pop("episode_starts")
         vars(self).update(header)
         super().__init__(obs, actions, rewards, terminals, starts)

@@ -341,20 +341,33 @@ def load_cell(out_root, rq: str, cell_fp: str) -> dict | None:
 _CELL_FIELDS = {"axes": dict, "seeds": list}
 _SEED_FIELDS = {"seed": int, "best_epoch": int, "curve": [dict],
                 "report": dict}
+#: each sweep's cell axes, which the claims read, and the fields of one
+#: zone's entry in a report's ``zone_quantiles``
+_AXES = {"rq1": {"scenario": str, "algo": str},
+         "rq2": {"mode": str, "history": bool, "seq_len": int},
+         "rq3": {"epsilon": float, "sigma": float},
+         "rq4": {"size": int, "epsilon": float, "sigma": float},
+         "rq5": {"seq_len": int}}
+_QUANTILE_FIELDS = dict.fromkeys(("min", "q25", "median", "q75", "max",
+                                  "iqr"), float)
 
 
 def _finished_cell(out_root: Path, rq: str, key: str, cell_fp: str) -> dict:
     """The report of a cell a previous run finished.
 
-    It must hold the `_CELL_FIELDS` with a non-empty list of per-seed
-    entries, each with the `_SEED_FIELDS` and a ``report`` of exactly the
-    `RunReport.FIELDS`; a missing or damaged report is a DataError. Other
-    keys, like the ``final_report`` of older cells, are ignored.
+    It must hold the `_CELL_FIELDS`, with exactly the ``rq``'s `_AXES`,
+    and a non-empty list of per-seed entries, each with the `_SEED_FIELDS`
+    and a ``report`` of exactly the `RunReport.FIELDS`, whose zone
+    quantiles hold exactly the `_QUANTILE_FIELDS`; a missing or damaged
+    report is a DataError. Other keys, like the ``final_report`` of older
+    cells, are ignored.
     """
     report = load_cell(out_root, rq, cell_fp)
     if report is None:
         raise DataError(f"missing results for cell {key}")
-    bad = bad_fields(report, _CELL_FIELDS)
+    bad = bad_fields(report, _CELL_FIELDS) or [
+        f"axes.{k}" for k in bad_fields(report["axes"], _AXES[rq],
+                                        closed=True)]
     if bad:
         raise DataError(f"report of cell {key}: fields {bad} are missing or "
                         f"of the wrong type")
@@ -362,10 +375,13 @@ def _finished_cell(out_root: Path, rq: str, key: str, cell_fp: str) -> dict:
         raise DataError(f"cell {key}: seeds is not a non-empty list")
     for i, s in enumerate(report["seeds"]):
         if (bad_fields(s, _SEED_FIELDS)
-                or bad_fields(s["report"], RunReport.FIELDS, closed=True)):
+                or bad_fields(s["report"], RunReport.FIELDS, closed=True)
+                or any(bad_fields(z, _QUANTILE_FIELDS, closed=True)
+                       for z in s["report"]["zone_quantiles"])):
             raise DataError(
                 f"cell {key}: seed entry {i} is not an object with seed, "
-                f"best_epoch, curve and a report of the RunReport fields")
+                f"best_epoch, curve and a report of the RunReport fields "
+                f"with typed zone quantiles")
     return report
 
 
@@ -471,9 +487,16 @@ class SweepResult:
     summary_path: str = ""
     rows: list = field(default_factory=list)     # summary rows, as read
 
+    def reports(self, key: str) -> list:
+        """The `RunReport`s of cell ``key``; a cell that the summary does
+        not list is a DataError."""
+        if key not in self.cells:
+            raise DataError(f"{self.summary_path} lists no cell {key}")
+        return self.cells[key]
+
     def median_metric(self, key: str, metric: str = "avg_reward") -> float:
         return float(np.median([getattr(r, metric)
-                                for r in self.cells[key]]))
+                                for r in self.reports(key)]))
 
 
 def _run_cell(job: dict) -> tuple:
@@ -826,10 +849,12 @@ def _rq2_claims(result: SweepResult) -> list:
                      f"gain={hist - flat:+.4f}")
     if "cql" in modes:
         # median over seeds of each zone's temperature IQR
-        flat_iqr, hist_iqr = (
-            np.median([[z["iqr"] for z in r.zone_quantiles]
-                       for r in result.cells[key]], axis=0)
-            for key in ("cql-flat", "cql-hist"))
+        iqrs = [[[z["iqr"] for z in r.zone_quantiles]
+                 for r in result.reports(key)]
+                for key in ("cql-flat", "cql-hist")]
+        if len({len(zones) for cell in iqrs for zones in cell}) != 1:
+            raise DataError("rq2 cql seeds report different zone counts")
+        flat_iqr, hist_iqr = (np.median(cell, axis=0) for cell in iqrs)
         pairs = "  ".join(f"z{i}: {h:.3f}<{f:.3f}" if h < f
                           else f"z{i}: {h:.3f}>={f:.3f}"
                           for i, (h, f) in enumerate(zip(hist_iqr, flat_iqr)))
@@ -844,8 +869,9 @@ def _rq3_claims(result: SweepResult) -> list:
     epsilons = _grid(result, "epsilon")
     for sg in _grid(result, "sigma"):
         keys = [f"eps{eps:g}-sigma{sg:g}" for eps in epsilons]
-        regrets = [result.quality[k]["mean"] for k in keys]
+        # first, so that a cell the summary does not list is a DataError
         rewards = [result.median_metric(k) for k in keys]
+        regrets = [result.quality[k]["mean"] for k in keys]
         line = "  ".join(f"e{e:g}: d={d:.3f} r={r:.3f}"
                          for e, d, r in zip(epsilons, regrets, rewards))
         lines.append(f"rq3 sigma={sg:g} {line}")
@@ -888,7 +914,8 @@ _CLAIMS = {"rq1": _rq1_claims, "rq2": _rq2_claims, "rq3": _rq3_claims,
 def claim_lines(result: SweepResult) -> list:
     """The printed check of the study's claim on one sweep's results.
 
-    Grid values come from each cell's own axes. A sweep without cells
+    Grid values come from each cell's own axes, and every cell of the
+    grid must be listed (`SweepResult.reports`). A sweep without cells
     checks nothing.
     """
     return _CLAIMS[result.rq](result) if result.cells else []

@@ -325,10 +325,11 @@ class TestTDTargets:
         want = batch.rewards + cfg.gamma * (1 - batch.terminals) * boot
         assert np.allclose(got, want, rtol=1e-4, atol=1e-5)
 
-    def test_terminal_steps_do_not_bootstrap(self):
+    @pytest.mark.parametrize("algo", ["td3", "sac", "td3bc", "cql"])
+    def test_terminal_steps_do_not_bootstrap(self, algo):
         # gamma = 0.9 but reward-only targets on terminal rows
         view = make_view(n=60, ep=10, seed=7)
-        agent = make_agent(AgentConfig(algo="td3", batch_size=16,
+        agent = make_agent(AgentConfig(algo=algo, batch_size=16,
                                        train_steps=0, seed=3), 4, 2)
         batch = view.sample_batch(256, 1, np.random.default_rng(3))
         got = agent._td_target(batch)
@@ -504,6 +505,33 @@ class TestCQL:
         i2 = cql.update(b2)
         assert i1["critic_loss"] != i2["critic_loss"]
         assert "cql_penalty" in i2 and "cql_penalty" not in i1
+
+    def test_cql_penalty_matches_numpy_mirror(self):
+        view = make_view(n=120, ep=30, seed=8)
+        cfg = AgentConfig(algo="cql", batch_size=32, train_steps=0, seed=19)
+        agent = make_agent(cfg, 4, 2)
+        batch = view.sample_batch(32, 1, np.random.default_rng(4))
+        m = cfg.cql_samples
+
+        mirror_rng = np.random.default_rng()
+        mirror_rng.bit_generator.state = agent.rng.bit_generator.state
+        # the target's next-action sample comes first
+        mirror_rng.standard_normal(size=(32, 2))
+        obs = batch.windows[:, 0, :]
+        out = mlp_forward_np(agent.actor.head, obs)
+        mean = np.repeat(out[:, :2], m, axis=0)
+        std = np.exp(np.clip(np.repeat(out[:, 2:], m, axis=0), -20.0, 2.0))
+        eps = mirror_rng.standard_normal(size=mean.shape).astype(np.float32)
+        a_pi = np.tanh(mean + std * eps)
+
+        def q(x):
+            return (mlp_forward_np(agent.critic.q1_head, x)[:, 0].mean()
+                    + mlp_forward_np(agent.critic.q2_head, x)[:, 0].mean())
+
+        want = (q(np.concatenate([np.repeat(obs, m, axis=0), a_pi], axis=1))
+                - q(np.concatenate([obs, batch.actions], axis=1)))
+        got = agent._critic_update(batch)["cql_penalty"]
+        assert np.isclose(got, want, rtol=1e-4, atol=1e-5)
 
 
 # ---------------------------------------------------------------------------

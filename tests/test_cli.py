@@ -338,9 +338,11 @@ class TestTrain:
         {"metadata": {"reset_seeds": [1.5, 2.5, 3.5]}},
         {"metadata": {"reset_seeds": [1]}},
         {"metadata": {"weather_presets": ["hong_kong"]}},
+        {"days": 1e308}, {"days": 1.0},
     ], ids=["env-kind", "obs-lows-length", "horizon-zero", "days-negative",
             "act-highs-length", "reset-seeds-str", "weather-presets-int",
-            "reset-seeds-float", "reset-seeds-short", "weather-presets-short"])
+            "reset-seeds-float", "reset-seeds-short", "weather-presets-short",
+            "days-overflow", "days-horizon-disagree"])
     def test_header_values_that_do_not_fit_exit_3(self, workspace, tmp_path,
                                                   edit, capsys):
         # right types, wrong values: both readers of a dataset refuse them
@@ -622,18 +624,21 @@ class TestSweepAndReport:
 
 @pytest.fixture(scope="module")
 def finished_sweep(tmp_path_factory):
-    """The results directory of one finished rq3 sweep; copy it to damage."""
+    """The results directory of one finished rq3 sweep and one rq2 sweep of
+    CQL; copy it to damage."""
     root = tmp_path_factory.mktemp("sweep")
-    cfg = TestSweepAndReport().sweep_config(root)
-    assert run(["--config", str(cfg), "sweep", "--rq", "3"]) == 0
+    cfg = TestSweepAndReport().sweep_config(root, rq2_modes=["cql"],
+                                            rq2_seq_len=2, rq2_batch=16)
+    for rq in ("3", "2"):
+        assert run(["--config", str(cfg), "sweep", "--rq", rq]) == 0
     return root / "results"
 
 
-def _cell_report(results) -> Path:
-    """The ``report.json`` of the first cell the rq3 summary lists."""
-    with open(results / "rq3" / "summary.csv") as f:
+def _cell_report(results, rq="rq3") -> Path:
+    """The ``report.json`` of the first cell the ``rq`` summary lists."""
+    with open(results / rq / "summary.csv") as f:
         fp = next(csv.DictReader(f))["cell_fingerprint"]
-    return results / "rq3" / fp / "report.json"
+    return results / rq / fp / "report.json"
 
 
 def _write(path, data):
@@ -670,19 +675,35 @@ def _weather(data):
     return damage
 
 
-def _report(where, data):
-    """Damage the sweep's ``summary.csv`` or first ``report.json``; a
-    callable ``data`` edits the cell report's JSON document."""
+def _report(where, data, rq="rq3"):
+    """Damage the ``rq`` sweep's ``summary.csv`` or first ``report.json``;
+    a callable ``data`` edits the cell report's JSON document."""
     def damage(tmp, workspace, results):
-        path = (results / "rq3" / "summary.csv" if where == "summary"
-                else _cell_report(results))
+        path = (results / rq / "summary.csv" if where == "summary"
+                else _cell_report(results, rq))
         if callable(data):
             doc = json.loads(path.read_text())
             data(doc)
             _write(path, doc)
         else:
             _write(path, data)
-        return ["report", "--rq", "3", "--results", str(results)]
+        return ["report", "--rq", rq[2:], "--results", str(results)]
+    return damage
+
+
+def _summary_without(cell):
+    """``report`` on the rq2 sweep with the rows of ``cell`` dropped from
+    its summary."""
+    def damage(tmp, workspace, results):
+        summary = results / "rq2" / "summary.csv"
+        with open(summary, newline="") as f:
+            rows = list(csv.DictReader(f))
+        with open(summary, "w", newline="") as f:
+            writer = csv.DictWriter(f, fieldnames=list(rows[0]),
+                                    lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(r for r in rows if r["cell"] != cell)
+        return ["report", "--rq", "2", "--results", str(results)]
     return damage
 
 
@@ -705,6 +726,16 @@ def _seed_entry(key, value):
 def _seed_report(key, value):
     def edit(doc):
         doc["seeds"][0]["report"][key] = value
+    return edit
+
+
+def _axis(key, value=...):
+    """Set axis ``key`` to ``value``; ``...`` deletes it."""
+    def edit(doc):
+        if value is ...:
+            del doc["axes"][key]
+        else:
+            doc["axes"][key] = value
     return edit
 
 
@@ -765,6 +796,14 @@ DAMAGED_INPUTS = {
     "axes-list": _report("cell", lambda doc: doc.update(axes=[0.0, 0.1])),
     "seed-str": _report("cell", _seed_entry("seed", "0")),
     "curve-of-int": _report("cell", _seed_entry("curve", [1])),
+    "rq2-summary-without-cql-hist": _summary_without("cql-hist"),
+    "axis-epsilon-str": _report("cell", _axis("epsilon", "x")),
+    "axes-without-sigma": _report("cell", _axis("sigma")),
+    "rq2-quantile-without-iqr": _report(
+        "cell", lambda doc: doc["seeds"][0]["report"]["zone_quantiles"][0]
+        .pop("iqr"), "rq2"),
+    "rq2-no-zone-quantiles": _report(
+        "cell", _seed_report("zone_quantiles", []), "rq2"),
     "episode-starts-past-int64-train": _dataset(_starts_past_int64),
     "episode-starts-past-int64-regret": _dataset(_starts_past_int64,
                                                  "regret"),
@@ -794,7 +833,7 @@ class TestDamagedInputs:
     def test_damaged_cell_report_exits_3(self, finished_sweep, tmp_path,
                                          data):
         # delete one field that a cell report's reader checks, or give it
-        # a value of another type
+        # a value of another type: an axis value and a zone's quantile too
         results = tmp_path / "results"
         if not results.exists():
             shutil.copytree(finished_sweep, results)
@@ -802,10 +841,13 @@ class TestDamagedInputs:
         original = path.read_text()
         doc = json.loads(original)
         entry = doc["seeds"][0]
+        zone = entry["report"]["zone_quantiles"][0]
         owner, key = data.draw(st.sampled_from(
             [(doc, k) for k in ("axes", "seeds")]
+            + [(doc["axes"], k) for k in sorted(doc["axes"])]
             + [(entry, k) for k in ("seed", "best_epoch", "curve", "report")]
-            + [(entry["report"], k) for k in sorted(entry["report"])]))
+            + [(entry["report"], k) for k in sorted(entry["report"])]
+            + [(zone, k) for k in sorted(zone)]))
         old = owner[key]
         swaps = [v for v in (None, True, "x", 1.5, 7, [1], {"k": 1})
                  if type(v) is not type(old)
