@@ -1,8 +1,9 @@
 """Print one sha256 per file that a fixed tiny pipeline writes.
 
 Two checkouts that print the same JSON produce the same bytes for every
-dataset, checkpoint, quality report and sweep result the pipeline covers,
-so a change meant to keep behaviour can be checked with one diff:
+dataset, checkpoint, trajectory CSV, quality report and sweep result the
+pipeline covers, so a change meant to keep behaviour can be checked with
+one diff:
 
     python3 scripts/artifact_digest.py /tmp/digest-a > a.json
     (cd ../other-checkout && python3 scripts/artifact_digest.py /tmp/digest-b) > b.json
@@ -14,6 +15,8 @@ or ``--help`` prints this text instead):
 
 * ``collect_final_buffer`` (TD3, three episodes plus a dropped tail) and
   the trained agent's checkpoint;
+* ``evaluate_policy`` of that agent on seeds 0 and 1, which writes one
+  trajectory CSV per seed under ``eval/``;
 * ``collect_trained`` with that agent as expert (epsilon 0.5, sigma 0.2);
 * ``subsample`` of the trained dataset;
 * ``build_quality_report`` of the trained dataset against the expert;
@@ -36,7 +39,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from hvacrl.buildsim import BuildingEnv, EnvConfig  # noqa: E402
 from hvacrl.datagen import (build_quality_report, collect_final_buffer,  # noqa: E402
                             collect_trained, subsample, write_dataset)
-from hvacrl.evalharness import RQ_RUNNERS, HarnessConfig  # noqa: E402
+from hvacrl.evalharness import (RQ_RUNNERS, HarnessConfig,  # noqa: E402
+                                evaluate_policy)
 
 HARNESS = dict(
     seeds=1, eval_seed=5, eval_days=0.25, data_days=0.5, dataset_steps=360,
@@ -58,6 +62,7 @@ def run_pipeline(out: Path) -> None:
                                         seed=1)
     write_dataset(final, out / "final_buffer.hvds")
     agent.save(out / "td3.ckpt", epoch=0, step=3 * env.horizon + 5)
+    evaluate_policy(agent, env, seeds=(0, 1), out_dir=out / "eval")
     trained = collect_trained(env, agent, total_steps=3 * env.horizon,
                               epsilon=0.5, sigma=0.2, seed=2)
     write_dataset(trained, out / "trained.hvds")

@@ -27,7 +27,6 @@ for all of a driver's lockstep episodes with one policy call per step.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import time
 from contextlib import contextmanager
@@ -526,15 +525,6 @@ class TrainSummary:
             self.best_eval = dict(eval_metrics)
 
 
-def _append_jsonl(path, row: dict):
-    if path is None:
-        return
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as f:
-        f.write(json.dumps(row, sort_keys=True) + "\n")
-
-
 @contextmanager
 def _logged_divergence(log_path, seed: int):
     """Append one error row with the numeric diagnostics, then re-raise."""
@@ -543,8 +533,9 @@ def _logged_divergence(log_path, seed: int):
     except DivergenceError as e:
         numeric = {k: v for k, v in e.diagnostics.items()
                    if isinstance(v, (int, float))}
-        _append_jsonl(log_path, {"error": str(e), "seed": seed,
-                                 "diagnostics": numeric})
+        if log_path is not None:
+            container.append_jsonl(log_path, {"error": str(e), "seed": seed,
+                                               "diagnostics": numeric})
         raise
 
 
@@ -558,7 +549,6 @@ def _finish_epoch(agent, summary, epoch, step, epoch_infos, eval_fn,
     eval_metrics = eval_fn(agent, epoch) if eval_fn is not None else None
     if checkpoint_dir is not None:
         ckpt = Path(checkpoint_dir) / f"epoch_{epoch:04d}.ckpt"
-        ckpt.parent.mkdir(parents=True, exist_ok=True)
         agent.save(ckpt, epoch=epoch, step=step)
         summary.checkpoint_paths.append(str(ckpt))
     row = {
@@ -573,7 +563,8 @@ def _finish_epoch(agent, summary, epoch, step, epoch_infos, eval_fn,
                            and not isinstance(v, bool) else v)
                        for k, v in eval_metrics.items()}
     summary.records.append(row)
-    _append_jsonl(log_path, row)
+    if log_path is not None:
+        container.append_jsonl(log_path, row)
     summary.consider(epoch, eval_metrics)
 
 

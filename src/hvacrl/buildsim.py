@@ -58,7 +58,7 @@ from .envcore import (
     ordered_sum,
     positive_part,
 )
-from .container import read_text
+from .container import atomic_write, read_text
 from .errors import DataError, SimulationFault, SpecError
 from .fingerprint import fingerprint, to_jsonable
 
@@ -800,7 +800,8 @@ def run_episode(episodes, controller) -> list:
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """One row per step of ``traj``: ``step, obs_*, act_*, reward,
     terminal`` with the post-step observation, the layout
-    `read_trajectory_csv` reads."""
+    `read_trajectory_csv` reads. The rows stream to `atomic_write` as one
+    byte chunk each, so the whole file is never held in memory."""
     obs, actions = traj.obs[1:], traj.actions
     header = (["step"] + [f"obs_{i}" for i in range(obs.shape[1])]
               + [f"act_{i}" for i in range(actions.shape[1])]
@@ -811,10 +812,14 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     # bit for bit. No value needs csv quoting, so each row is one join.
     rows = zip(obs.tolist(), actions.tolist(), traj.rewards.tolist(),
                traj.terminals.tolist())
-    with open(path, "w", newline="") as f:
-        f.write(",".join(header) + "\n")
-        f.writelines(f"{t},{','.join(map(repr, o))},{','.join(map(repr, a))},"
-                     f"{r!r},{int(d)}\n" for t, (o, a, r, d) in enumerate(rows))
+
+    def chunks():
+        yield (",".join(header) + "\n").encode()
+        for t, (o, a, r, d) in enumerate(rows):
+            yield (f"{t},{','.join(map(repr, o))},{','.join(map(repr, a))},"
+                   f"{r!r},{int(d)}\n").encode()
+
+    atomic_write(path, chunks())
 
 
 def read_trajectory_csv(path) -> dict[str, np.ndarray]:

@@ -14,7 +14,6 @@ Exit codes: 0 ok, 2 usage, 3 bad data or fingerprint mismatch,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import shlex
 import sys
@@ -26,7 +25,7 @@ import numpy as np
 
 from .agents import AgentConfig, load_agent, make_agent, train_offline
 from .buildsim import BuildingEnv, EnvConfig, rule_controller
-from .container import atomic_write, read_json
+from .container import append_jsonl, read_json, write_json
 from .datagen import (
     build_quality_report,
     collect_final_buffer,
@@ -91,23 +90,16 @@ def load_config(path: str | None) -> dict:
 # small helpers
 
 
-def _write_json(path: Path, obj) -> None:
-    atomic_write(path, [canonical_json(obj).encode()])
-
-
 def _audit(out_dir: Path, argv, subcommand: str, fp: str, seeds,
            t0: float) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    row = {
+    append_jsonl(out_dir / "audit.jsonl", {
         "utc": datetime.now(timezone.utc).isoformat(),
         "command": shlex.join(argv),
         "subcommand": subcommand,
         "config_fingerprint": fp,
         "seeds": list(seeds),
         "duration_s": round(time.perf_counter() - t0, 3),
-    }
-    with open(out_dir / "audit.jsonl", "a", encoding="utf-8") as f:
-        f.write(json.dumps(row, sort_keys=True) + "\n")
+    })
 
 
 def _out_dir(flag_value: str, args_env: dict) -> Path:
@@ -156,7 +148,7 @@ def cmd_simulate(args, cfg: dict, argv, env_vars) -> int:
         raise UsageError("--controller must be 'rule' or 'ckpt:PATH'")
     fp = fingerprint(cfg)
     reports = evaluate_policy(policy, env, seeds=(args.seed,), out_dir=out)
-    _write_json(out / "report.json", {
+    write_json(out / "report.json", {
         "run_fingerprint": fp,
         "reports": [r.to_jsonable() for r in reports]})
     _audit(out, argv, "simulate", fp, [args.seed], t0)
@@ -225,7 +217,7 @@ def cmd_train(args, cfg: dict, argv, env_vars) -> int:
                step=acfg.train_steps,
                extra_meta={"dataset_fingerprint": ds.fingerprint(),
                            "run_fingerprint": fp})
-    _write_json(out / "summary.json", {
+    write_json(out / "summary.json", {
         "run_fingerprint": fp,
         "dataset_fingerprint": ds.fingerprint(),
         "algo": acfg.algo,
@@ -248,7 +240,7 @@ def cmd_eval(args, cfg: dict, argv, env_vars) -> int:
     seeds = list(range(args.seeds))
     reports = evaluate_policy(args.ckpt, env, seeds=seeds, out_dir=out)
     med = _median_summary(reports)
-    _write_json(out / "report.json", {
+    write_json(out / "report.json", {
         "run_fingerprint": fp,
         "median": med,
         "reports": [r.to_jsonable() for r in reports]})
@@ -261,8 +253,6 @@ def cmd_eval(args, cfg: dict, argv, env_vars) -> int:
 
 def cmd_sweep(args, cfg: dict, argv, env_vars) -> int:
     t0 = time.perf_counter()
-    overrides = {"out_dir": str(_out_dir(
-        args.out or cfg["harness"]["out_dir"], env_vars))}
     jobs = args.jobs if args.jobs is not None else cfg["harness"]["jobs"]
     cap = env_vars.get(ENV_MAX_JOBS)
     if cap is not None:
@@ -271,8 +261,9 @@ def cmd_sweep(args, cfg: dict, argv, env_vars) -> int:
         except ValueError:
             raise UsageError(f"{ENV_MAX_JOBS} must be an integer, "
                              f"got {cap!r}") from None
-    overrides["jobs"] = max(jobs, 1)
-    hcfg = HarnessConfig.from_jsonable(cfg["harness"], **overrides)
+    # a jobs count below 1, given or capped, is HarnessConfig's UsageError
+    hcfg = HarnessConfig.from_jsonable(cfg["harness"], jobs=jobs, out_dir=str(
+        _out_dir(args.out or cfg["harness"]["out_dir"], env_vars)))
     fp = fingerprint(cfg)
     result = RQ_RUNNERS[args.rq](hcfg)
     _audit(Path(hcfg.out_dir), argv, "sweep", fp,
@@ -290,9 +281,9 @@ def cmd_regret(args, cfg: dict, argv, env_vars) -> int:
     env = BuildingEnv(EnvConfig(kind=ds.env_kind, days=ds.days))
     report = build_quality_report(ds, expert, env)
     fp = fingerprint(cfg)
-    _write_json(out, {"run_fingerprint": fp,
-                      "dataset_fingerprint": ds.fingerprint(),
-                      **report.to_jsonable()})
+    write_json(out, {"run_fingerprint": fp,
+                     "dataset_fingerprint": ds.fingerprint(),
+                     **report.to_jsonable()})
     _audit(out.parent, argv, "regret", fp, [], t0)
     print(f"regret: {out} episodes={len(report.deltas)} "
           f"mean_delta={delta_stats(report.deltas)['mean']:.6f}")

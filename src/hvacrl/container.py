@@ -1,10 +1,14 @@
-"""The reader of every input file, the single-file array container behind
-checkpoints and datasets, and the one atomic file writer every artifact
-goes through.
+"""The reader of every input file, the writer of every output file, and
+the single-file array container behind checkpoints and datasets.
 
 `read_text` (UTF-8), `read_json` (one JSON object) and the container
 readers raise `DataError` for a file that cannot be opened, decoded or
 parsed; callers check the fields they read with `fingerprint.bad_fields`.
+
+Every output file is written here: `atomic_write` streams byte chunks
+through a temp file and a rename, so a reader sees the whole old or new
+file; `write_json` (canonical JSON) and `write` (a container) go through
+it. Logs grow one line at a time through `append_jsonl`.
 
 Container layout (magic ``HVCK0002`` for checkpoints, ``HVDS0001`` for
 datasets):
@@ -62,6 +66,19 @@ def atomic_write(path, chunks) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as canonical JSON through `atomic_write`."""
+    atomic_write(path, [canonical_json(obj).encode()])
+
+
+def append_jsonl(path, row: dict) -> None:
+    """Append ``row`` to the log at ``path`` as one sorted-key JSON line."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "a", encoding="utf-8") as f:
+        f.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 def write(path, magic: bytes, header: dict, arrays) -> None:

@@ -15,10 +15,11 @@ self-audit.
 
 The five experiment runners (`run_rq1` .. `run_rq5`) are one sweep
 skeleton, `_sweep`, fed by a per-runner ``cells()`` generator; the
-skeleton expands every cell into one job per training seed, skips cells
-whose result directory already exists, executes the rest with bounded
-parallelism, and writes one directory per cell plus a flat summary CSV
-per runner::
+skeleton runs each distinct cell once, expands it into one job per
+training seed, skips cells whose ``report.json`` exists, executes the
+rest with bounded parallelism, writes each new cell's directory as soon
+as its last seed finishes, and ends with a flat summary CSV per
+runner::
 
     <out>/<rq>/summary.csv                  one row per cell and seed
     <out>/<rq>/<cell-fingerprint>/report.json
@@ -26,11 +27,13 @@ per runner::
 
 A cell's ``report.json`` holds its axes and one entry per training seed:
 the seed, the best epoch, that epoch's `RunReport` and the learning curve
-(one row per epoch). A zero-seed grid runs nothing: ``cells()`` is never
-called, so no expert or dataset is built. Every job trains one agent with
-`_run_cell`: offline on a dataset file when the cell names one, online
-against the rotating training presets otherwise. Result files contain no
-timestamps, so identical configs reproduce identical bytes.
+(one row per epoch). It is written last, so it marks a finished cell,
+and a failed sweep keeps the cells it finished. A zero-seed grid runs
+nothing: ``cells()`` is never called, so no expert or dataset is built.
+Every job trains one agent with `_run_cell`: offline on a dataset file
+when the cell names one, online against the rotating training presets
+otherwise. Result files contain no timestamps, so identical configs
+reproduce identical bytes.
 
 A sweep's result is the files it wrote: every runner returns the
 `SweepResult` that `load_sweep` reads back from them, as `hvacrl report`
@@ -43,8 +46,6 @@ from __future__ import annotations
 
 import csv
 import io
-import os
-import shutil
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -60,12 +61,12 @@ from .agents import (CHECKPOINT_MAGIC, OFFLINE_ALGOS, Agent, AgentConfig,
 from .buildsim import (EVAL_PRESET, TRAIN_PRESETS, BuildingEnv, EnvConfig,
                        read_trajectory_csv, rule_controller, run_episode,
                        write_trajectory_csv)
-from .container import atomic_write, read_json, read_text
+from .container import atomic_write, read_json, read_text, write_json
 from .datagen import (build_quality_report, collect_final_buffer,
                       collect_trained, preset_rotation, read_dataset,
                       subsample, write_dataset)
 from .errors import DataError, SimulationFault, UsageError
-from .fingerprint import bad_fields, canonical_json, fingerprint, to_jsonable
+from .fingerprint import bad_fields, fingerprint, to_jsonable
 
 # observation channels holding zone temperatures, per environment kind
 TEMP_CHANNELS = {"dc": slice(5, 7), "mu": slice(5, 8)}
@@ -202,7 +203,6 @@ def evaluate_policy(policy, env: BuildingEnv, weather: str | None = None,
         for seed, traj in zip(seeds, trajs):
             report = report_from_trajectory(traj, rp.band_low, rp.band_high,
                                             cfg_fp)
-            Path(csv_dir).mkdir(parents=True, exist_ok=True)
             csv_path = Path(csv_dir) / f"trajectory_seed{seed}.csv"
             write_trajectory_csv(traj, csv_path)
             recount = audit_violation_from_csv(csv_path, run_env.config.kind,
@@ -311,30 +311,18 @@ def base_env(cfg: HarnessConfig, days: float | None = None) -> BuildingEnv:
 
 
 # ---------------------------------------------------------------------------
-# atomic result emission
+# cell result files
 
 
 def _write_cell(out_root: Path, rq: str, cell_fp: str, report: dict,
                 quality: dict | None) -> Path:
-    """Atomically materialize one cell directory (temp dir then rename)."""
-    final_dir = out_root / rq / cell_fp
-    tmp_dir = out_root / rq / f".tmp-{os.getpid()}-{cell_fp}"
-    if tmp_dir.exists():
-        shutil.rmtree(tmp_dir)
-    tmp_dir.mkdir(parents=True)
-    (tmp_dir / "report.json").write_text(canonical_json(report))
+    """Write one cell's directory: its ``quality.json``, if it has one,
+    then its ``report.json``, which marks the cell finished."""
+    cell_dir = out_root / rq / cell_fp
     if quality is not None:
-        (tmp_dir / "quality.json").write_text(canonical_json(quality))
-    if final_dir.exists():
-        shutil.rmtree(final_dir)
-    os.replace(tmp_dir, final_dir)
-    return final_dir
-
-
-def load_cell(out_root, rq: str, cell_fp: str) -> dict | None:
-    """The report of a finished cell, or None if it has none."""
-    p = Path(out_root) / rq / cell_fp / "report.json"
-    return read_json(p) if p.exists() else None
+        write_json(cell_dir / "quality.json", quality)
+    write_json(cell_dir / "report.json", report)
+    return cell_dir
 
 
 #: the fields a cell report must hold, and each of its per-seed entries
@@ -362,9 +350,10 @@ def _finished_cell(out_root: Path, rq: str, key: str, cell_fp: str) -> dict:
     report is a DataError. Other keys, like the ``final_report`` of older
     cells, are ignored.
     """
-    report = load_cell(out_root, rq, cell_fp)
-    if report is None:
+    path = out_root / rq / cell_fp / "report.json"
+    if not path.exists():
         raise DataError(f"missing results for cell {key}")
+    report = read_json(path)
     bad = bad_fields(report, _CELL_FIELDS) or [
         f"axes.{k}" for k in bad_fields(report["axes"], _AXES[rq],
                                         closed=True)]
@@ -500,7 +489,8 @@ class SweepResult:
 
 
 def _run_cell(job: dict) -> tuple:
-    """Train one seed of one cell and report its best epoch.
+    """Train one seed of one cell; its key and its entry of the cell
+    report, with the best epoch.
 
     Trains offline on ``job["dataset"]`` when it names a file, otherwise
     online against the rotating training presets. Runs in a worker
@@ -527,47 +517,34 @@ def _run_cell(job: dict) -> tuple:
               **{k: r["eval"][k]
                  for k in ("avg_reward", "violation", "avg_power_kw")}}
              for r in summary.records]
-    return job["key"], job["seed_index"], {
+    return job["key"], {
         "seed": acfg.seed, "best_epoch": summary.best_epoch,
         "report": summary.best_eval, "curve": curve}
 
 
-def _execute(jobs: list, n_workers: int) -> dict:
-    """Run cell jobs (possibly in parallel), regroup results by cell key."""
-    results = {}
+def _execute(jobs: list, n_workers: int):
+    """Yield the `_run_cell` result of every job, in job order, each as
+    soon as it and the jobs before it have finished; with more than one
+    worker the jobs run in a process pool."""
     if n_workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            for key, idx, out in pool.map(_run_cell, jobs):
-                results.setdefault(key, {})[idx] = out
+            yield from pool.map(_run_cell, jobs)
     else:
-        for job in jobs:
-            key, idx, out = _run_cell(job)
-            results.setdefault(key, {})[idx] = out
-    # deterministic per-cell ordering by seed index
-    return {key: [per_seed[i] for i in sorted(per_seed)]
-            for key, per_seed in results.items()}
+        yield from map(_run_cell, jobs)
 
 
 def _cell_fingerprint(rq: str, cfg: HarnessConfig, axes: dict) -> str:
     return fingerprint({"rq": rq, "config": cfg.fingerprint(), "axes": axes})
 
 
-def _assemble(rq: str, cfg: HarnessConfig, cell_axes: dict, outcomes: dict,
-              quality: dict) -> None:
-    """Write the new cells' directories plus the flat summary CSV."""
-    out_root = Path(cfg.out_dir)
+def _write_summary(out_root: Path, rq: str, grid: dict) -> None:
+    """Write the flat summary CSV: one row per seed of every cell, cells
+    in key order, from ``grid``'s ``key -> (axes, cell fingerprint,
+    seeds)``."""
     summary_rows = []
-    for key in sorted(cell_axes):
-        fp = _cell_fingerprint(rq, cfg, cell_axes[key])
-        seeds_out = outcomes.get(key)
-        if seeds_out is None:       # reused from a previous run
-            seeds_out = _finished_cell(out_root, rq, key, fp)["seeds"]
-        else:
-            report = {"rq": rq, "cell": key, "axes": cell_axes[key],
-                      "config_fingerprint": cfg.fingerprint(),
-                      "cell_fingerprint": fp, "seeds": seeds_out}
-            _write_cell(out_root, rq, fp, report, quality.get(key))
-        for s in seeds_out:
+    for key in sorted(grid):
+        axes, fp, seeds = grid[key]
+        for s in seeds:
             rep = s["report"]
             row = {"rq": rq, "cell": key, "cell_fingerprint": fp,
                    "seed": s["seed"], "best_epoch": s["best_epoch"],
@@ -575,7 +552,7 @@ def _assemble(rq: str, cfg: HarnessConfig, cell_axes: dict, outcomes: dict,
                    "violation": rep["violation"],
                    "avg_power_kw": rep["avg_power_kw"],
                    "episode_return": rep["episode_return"]}
-            row.update({f"axis_{a}": v for a, v in cell_axes[key].items()})
+            row.update({f"axis_{a}": v for a, v in axes.items()})
             summary_rows.append(row)
     buf = io.StringIO()
     if summary_rows:
@@ -638,30 +615,42 @@ def _sweep(rq: str, cfg: HarnessConfig, cells) -> SweepResult:
     it back from the files it wrote.
 
     ``cells()`` yields one ``(key, cell_axes, agent, dataset, quality)``
-    tuple per grid cell: a unique cell key, the axis values that (with the
+    tuple per grid cell: a cell key, the axis values that (with the
     config fingerprint) name the cell directory, `_agent_json` keyword
     arguments, a dataset path to train on offline or None to train
     online, and a zero-argument callable returning the quality report to
     store beside the cell, or None. It is called only when there is at
-    least one seed, so datasets and experts are built lazily. A cell whose
-    directory exists is reused as it is; only the other cells get jobs and
-    have their quality report built.
+    least one seed, so datasets and experts are built lazily. A key
+    yielded again (a grid that names a value twice) is skipped. A cell
+    whose ``report.json`` exists is read once, by `_finished_cell`, and
+    reused; only the other cells get jobs and have their quality report
+    built, and each is written as soon as its last seed finishes.
     """
     out_root = Path(cfg.out_dir)
-    jobs, cell_axes, quality = [], {}, {}
+    jobs, grid, quality = [], {}, {}    # grid: key -> (axes, fp, seeds)
     for key, c_axes, agent, dataset, q in (cells() if cfg.seeds else ()):
-        cell_axes[key] = c_axes
+        if key in grid:
+            continue
         fp = _cell_fingerprint(rq, cfg, c_axes)
-        if load_cell(out_root, rq, fp) is not None:
+        grid[key] = (c_axes, fp, [])
+        if (out_root / rq / fp / "report.json").exists():
+            grid[key][2].extend(_finished_cell(out_root, rq, key, fp)["seeds"])
             continue
         if q is not None:
             quality[key] = q()
-        jobs.extend({"key": key, "seed_index": s,
-                     "harness": cfg.to_jsonable(),
+        jobs.extend({"key": key, "harness": cfg.to_jsonable(),
                      "agent": _agent_json(cfg, seed=s, **agent),
                      "dataset": dataset}
                     for s in range(cfg.seeds))
-    _assemble(rq, cfg, cell_axes, _execute(jobs, cfg.jobs), quality)
+    for key, out in _execute(jobs, cfg.jobs):
+        c_axes, fp, seeds = grid[key]
+        seeds.append(out)
+        if len(seeds) == cfg.seeds:
+            _write_cell(out_root, rq, fp, {
+                "rq": rq, "cell": key, "axes": c_axes,
+                "config_fingerprint": cfg.fingerprint(),
+                "cell_fingerprint": fp, "seeds": seeds}, quality.get(key))
+    _write_summary(out_root, rq, grid)
     return load_sweep(out_root, rq)
 
 

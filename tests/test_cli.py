@@ -617,6 +617,16 @@ class TestSweepAndReport:
         assert f"UsageError: {ENV_MAX_JOBS}" in capsys.readouterr().err
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("flags,harness", [
+        (["--jobs", "0"], {}), (["--jobs", "-7"], {}), ([], {"jobs": 0})])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, flags,
+                                           harness):
+        cfg = self.sweep_config(tmp_path, **harness)
+        assert run(["--config", str(cfg), "sweep", "--rq", "3",
+                    *flags]) == 2
+        assert "UsageError: jobs must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
     def test_report_before_sweep_is_data_error(self, tmp_path):
         assert run(["report", "--rq", "4",
                     "--results", str(tmp_path)]) == 3

@@ -1,6 +1,6 @@
-"""Evaluation harness tests: metric oracles, report plumbing, atomic
-result directories, and a miniature end-to-end sweep checked for
-determinism and cache reuse."""
+"""Evaluation harness tests: metric oracles, report plumbing, cell result
+files, and a miniature end-to-end sweep checked for determinism, cache
+reuse and resuming after a failed job."""
 import csv
 import hashlib
 import json
@@ -19,8 +19,9 @@ from hvacrl.buildsim import (EVAL_PRESET, TRAIN_PRESETS, BuildingEnv,
                              EnvConfig, rule_controller)
 from hvacrl.cli import main
 from hvacrl.datagen import read_dataset
-from hvacrl.errors import (DataError, FingerprintMismatchError,
-                           SimulationFault, UsageError)
+from hvacrl.errors import (DataError, DivergenceError,
+                           FingerprintMismatchError, SimulationFault,
+                           UsageError)
 from hvacrl.evalharness import (
     RQ4_NOISE,
     TEMP_CHANNELS,
@@ -33,7 +34,6 @@ from hvacrl.evalharness import (
     claim_lines,
     ensure_expert,
     evaluate_policy,
-    load_cell,
     load_sweep,
     rule_baseline_report,
     run_rq1,
@@ -264,10 +264,7 @@ class TestCellArtifacts:
         cell_dir = _write_cell(tmp_path, "rq9", "fp123", report, {"note": 1})
         assert sorted(p.name for p in cell_dir.iterdir()) == \
             ["quality.json", "report.json"]
-        assert load_cell(tmp_path, "rq9", "fp123") == report
-
-    def test_missing_cell_loads_none(self, tmp_path):
-        assert load_cell(tmp_path, "rq9", "nope") is None
+        assert json.loads((cell_dir / "report.json").read_text()) == report
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         report = {"b": 2, "a": 1}
@@ -496,6 +493,57 @@ class TestMiniatureSweep:
             blobs[name] = {key: (d / "report.json").read_bytes()
                            for key, d in cell_dirs(res).items()}
         assert blobs["a"] == blobs["b"]
+
+    def test_grid_value_named_twice_runs_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = evalharness._run_cell
+        monkeypatch.setattr(evalharness, "_run_cell",
+                            lambda job: calls.append(job["key"]) or real(job))
+        res = run_rq5(tiny_config(tmp_path, seeds=2, rq5_seq_lens=(1, 1, 2)))
+        assert sorted(calls) == ["len01", "len01", "len02", "len02"]
+        with open(res.summary_path, newline="") as f:
+            assert [(row["cell"], row["seed"]) for row in csv.DictReader(f)] \
+                == [("len01", "0"), ("len01", "1"), ("len02", "0"),
+                    ("len02", "1")]
+        # the grid enters the config fingerprint, so only those differ
+        # from the cells of the grid that names each value once
+        once = run_rq5(tiny_config(tmp_path, seeds=2))
+
+        def cells(result):
+            docs = {k: json.loads((d / "report.json").read_bytes())
+                    for k, d in cell_dirs(result).items()}
+            for doc in docs.values():
+                del doc["config_fingerprint"], doc["cell_fingerprint"]
+            return docs
+
+        assert cells(res) == cells(once)
+
+    def test_failed_sweep_keeps_finished_cells_and_resumes(self, tmp_path,
+                                                           monkeypatch):
+        real = evalharness._run_cell
+
+        def diverge_on_len02(job):
+            if job["key"] == "len02":
+                raise DivergenceError("forced")
+            return real(job)
+
+        cfg = tiny_config(tmp_path / "a")
+        monkeypatch.setattr(evalharness, "_run_cell", diverge_on_len02)
+        with pytest.raises(DivergenceError):
+            run_rq5(cfg)
+        [kept] = (tmp_path / "a" / "rq5").glob("*/report.json")
+        assert json.loads(kept.read_text())["cell"] == "len01"
+        stamp = os.path.getmtime(kept)
+        monkeypatch.undo()
+        run_rq5(cfg)
+        assert os.path.getmtime(kept) == stamp
+        run_rq5(tiny_config(tmp_path / "b"))
+
+        def files(root):
+            return {str(p.relative_to(root)): p.read_bytes()
+                    for p in (root / "rq5").rglob("*") if p.is_file()}
+
+        assert files(tmp_path / "a") == files(tmp_path / "b")
 
     def test_online_mode_cells(self, tmp_path):
         cfg = tiny_config(tmp_path, rq2_modes=("sac",), rq2_seq_len=2,
