@@ -5,6 +5,7 @@ The expert is the history-aware SAC policy used to generate the
 <out>/experts keyed by its configuration fingerprint, so re-running is
 free once it exists. The script then evaluates both the expert and the
 deadband rule on the held-out weather preset and prints the comparison.
+It imports ``hvacrl`` from the ``src`` directory of its own checkout.
 
 Usage:
     python3 scripts/train_expert.py --out results --env dc --steps 9000
@@ -12,11 +13,14 @@ Usage:
 import argparse
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from hvacrl.buildsim import EVAL_PRESET
-from hvacrl.evalharness import (
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from hvacrl.buildsim import EVAL_PRESET  # noqa: E402
+from hvacrl.evalharness import (  # noqa: E402
     HarnessConfig,
     base_env,
     ensure_expert,

@@ -52,6 +52,8 @@ class AgentConfig:
             raise SpecError("cql_samples and policy_delay must be >= 1")
         if self.seq_len < 1:
             raise SpecError("seq_len must be >= 1")
+        if self.seed < 0:
+            raise SpecError("seed must be >= 0")
         if not self.history and self.seq_len != 1:
             raise SpecError("seq_len > 1 requires history=True")
         if min(self.hidden, self.enc_feat, self.enc_heads,

@@ -59,7 +59,7 @@ from .envcore import (
     positive_part,
 )
 from .container import atomic_write, read_text
-from .errors import DataError, SimulationFault, SpecError
+from .errors import DataError, SimulationFault, SpecError, UsageError
 from .fingerprint import fingerprint, to_jsonable
 
 SECONDS_PER_DAY = 86400.0
@@ -581,6 +581,8 @@ class BuildingEnv:
         return len(self.thermal.zone_names)
 
     def reset(self, seed: int) -> np.ndarray:
+        if seed < 0:
+            raise UsageError(f"reset seed must be >= 0, got {seed}")
         rng = np.random.default_rng(seed)
         steps_per_year = int(DAYS_PER_YEAR * SECONDS_PER_DAY / self.thermal.dt_s)
         start = int(rng.integers(0, steps_per_year))

@@ -61,7 +61,7 @@ def default_config() -> dict:
             "days": 1.0,             # collection episode length
             "expert": "",
         },
-        "harness": HarnessConfig().to_jsonable(),
+        "harness": to_jsonable(HarnessConfig()),
         "seed": 0,
     }
 

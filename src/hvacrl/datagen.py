@@ -234,12 +234,9 @@ def collect_trained(env: BuildingEnv, expert, total_steps: int,
     """
     if isinstance(expert, (str, Path)):
         expert, _ = load_agent(expert)
-    if total_steps < 1:
-        raise UsageError("total_steps must be >= 1")
-    if not 0.0 <= epsilon <= 1.0:
-        raise UsageError("epsilon must be in [0, 1]")
-    if sigma < 0.0:
-        raise UsageError("sigma must be >= 0")
+    check_collection(total_steps, epsilon, sigma)
+    if seed < 0:
+        raise UsageError("seed must be >= 0")
     # whole episodes: the last one starts before total_steps is reached
     n = -(-total_steps // env.horizon)
     noise = perturbations(np.random.default_rng(seed), n * env.horizon,
@@ -282,6 +279,17 @@ def collect_trained(env: BuildingEnv, expert, total_steps: int,
         scenario="trained", algo=expert.cfg.algo, epsilon=float(epsilon),
         sigma=float(sigma),
         noisy_steps=sum(d is not None for d in noise))
+
+
+def check_collection(total_steps: int, epsilon: float, sigma: float) -> None:
+    """A UsageError unless ``total_steps >= 1``, ``0 <= epsilon <= 1`` and
+    ``sigma >= 0``."""
+    if total_steps < 1:
+        raise UsageError("total_steps must be >= 1")
+    if not 0.0 <= epsilon <= 1.0:
+        raise UsageError("epsilon must be in [0, 1]")
+    if sigma < 0.0:
+        raise UsageError("sigma must be >= 0")
 
 
 def perturbations(rng: np.random.Generator, steps: int, act_dim: int,

@@ -13,13 +13,13 @@ plus per-zone temperature quantiles for box plots. The violation fraction
 is recounted from the exported trajectory CSV on every evaluation as a
 self-audit.
 
-The five experiment runners (`run_rq1` .. `run_rq5`) are one sweep
-skeleton, `_sweep`, fed by a per-runner ``cells()`` generator; the
-skeleton runs each distinct cell once, expands it into one job per
-training seed, skips cells whose ``report.json`` exists, executes the
-rest with bounded parallelism, writes each new cell's directory as soon
-as its last seed finishes, and ends with a flat summary CSV per
-runner::
+The five experiment runners (`run_rq1` .. `run_rq5`) list their cells
+as data (key, axes, agent settings, dataset recipe or None for online)
+and build nothing. One sweep skeleton, `_sweep`, checks every value
+first, names each cell and dataset by what produced it, skips cells
+whose ``report.json`` exists, builds the datasets of the rest, runs one
+job per training seed with bounded parallelism, writes each cell as
+soon as its last seed finishes, and ends with a flat summary CSV::
 
     <out>/<rq>/summary.csv                  one row per cell and seed
     <out>/<rq>/<cell-fingerprint>/report.json
@@ -28,12 +28,11 @@ runner::
 A cell's ``report.json`` holds its axes and one entry per training seed:
 the seed, the best epoch, that epoch's `RunReport` and the learning curve
 (one row per epoch). It is written last, so it marks a finished cell,
-and a failed sweep keeps the cells it finished. A zero-seed grid runs
-nothing: ``cells()`` is never called, so no expert or dataset is built.
-Every job trains one agent with `_run_cell`: offline on a dataset file
-when the cell names one, online against the rotating training presets
-otherwise. Result files contain no timestamps, so identical configs
-reproduce identical bytes.
+and a failed sweep keeps the cells it finished. Every job trains one
+agent with `_run_cell`: offline on a dataset file when the cell names
+one, online against the rotating training presets otherwise. Result
+files contain no timestamps, so identical configs reproduce identical
+bytes.
 
 A sweep's result is the files it wrote: every runner returns the
 `SweepResult` that `load_sweep` reads back from them, as `hvacrl report`
@@ -47,9 +46,11 @@ from __future__ import annotations
 import csv
 import io
 import tempfile
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import ClassVar
 
@@ -62,10 +63,10 @@ from .buildsim import (EVAL_PRESET, TRAIN_PRESETS, BuildingEnv, EnvConfig,
                        read_trajectory_csv, rule_controller, run_episode,
                        write_trajectory_csv)
 from .container import atomic_write, read_json, read_text, write_json
-from .datagen import (build_quality_report, collect_final_buffer,
-                      collect_trained, preset_rotation, read_dataset,
-                      subsample, write_dataset)
-from .errors import DataError, SimulationFault, UsageError
+from .datagen import (build_quality_report, check_collection,
+                      collect_final_buffer, collect_trained, preset_rotation,
+                      read_dataset, subsample, write_dataset)
+from .errors import DataError, SimulationFault, SpecError, UsageError
 from .fingerprint import bad_fields, fingerprint, to_jsonable
 
 # observation channels holding zone temperatures, per environment kind
@@ -239,8 +240,9 @@ class HarnessConfig:
     """Knobs shared by the experiment runners; defaults are desk scale.
 
     A run reuses what a previous run left under ``out_dir``: the cached
-    expert, datasets and finished cell directories. Every field except
-    ``out_dir`` and ``jobs`` enters the fingerprint that names them.
+    expert, datasets and finished cells, each named only by the fields
+    that produced it (`_sweep`). Names are not versioned by code, so a
+    program that moves result bytes starts from an empty ``out_dir``.
     """
 
     env_kind: str = "dc"
@@ -282,26 +284,19 @@ class HarnessConfig:
             raise UsageError(f"unknown environment kind {self.env_kind!r}")
         if self.seeds < 0:
             raise UsageError("seeds must be >= 0")
+        if self.eval_seed < 0:
+            raise UsageError("eval_seed must be >= 0")
         if self.jobs < 1:
             raise UsageError("jobs must be >= 1")
 
-    def to_jsonable(self) -> dict:
-        return {k: (list(v) if isinstance(v, tuple) else v)
-                for k, v in asdict(self).items()}
-
     @classmethod
     def from_jsonable(cls, d: dict, **overrides) -> "HarnessConfig":
-        """Inverse of `to_jsonable` (JSON lists become tuples again), with
-        ``overrides`` replacing single fields before validation."""
+        """Inverse of `fingerprint.to_jsonable` (JSON lists become tuples
+        again), with ``overrides`` replacing single fields before
+        validation."""
         block = {k: (tuple(v) if isinstance(v, list) else v)
                  for k, v in d.items()}
         return cls(**{**block, **overrides})
-
-    def fingerprint(self) -> str:
-        d = self.to_jsonable()
-        d.pop("out_dir")         # where results land does not change them
-        d.pop("jobs")
-        return fingerprint(d)
 
 
 def base_env(cfg: HarnessConfig, days: float | None = None) -> BuildingEnv:
@@ -412,53 +407,59 @@ def ensure_expert(cfg: HarnessConfig) -> str:
     return str(path)
 
 
-def _expert(cfg: HarnessConfig) -> Agent:
-    """The collection/reference expert, loaded from `ensure_expert`."""
-    return load_agent(ensure_expert(cfg))[0]
-
-
 # ---------------------------------------------------------------------------
-# dataset materialization
+# dataset recipes
 
 
-def _cached_dataset(cfg: HarnessConfig, tag: str, build) -> tuple:
-    """``(path, dataset)`` of dataset ``tag`` under the output directory.
+def _trained(epsilon: float, sigma: float, steps: int) -> dict:
+    """A trained-scenario dataset recipe; a ``size`` key added to it makes
+    it a subsample of that many transitions."""
+    return {"scenario": "trained", "epsilon": epsilon, "sigma": sigma,
+            "steps": steps}
 
-    ``build()`` produces and writes it unless a previous run already did;
-    the dataset is None then, so a caller that needs it reads the file.
-    """
-    path = Path(cfg.out_dir) / "datasets" / f"{tag}.hvds"
+
+def _parent(data: dict) -> dict:
+    return {k: v for k, v in data.items() if k != "size"}
+
+
+def _dataset_tag(data: dict, env_fp: str, expert_id) -> str:
+    """The file stem of recipe ``data``: a hash of what its bytes depend
+    on, the expert's weights (``expert_id``) too for the trained scenario.
+    A subsample's hashes its parent's, so naming reads no dataset."""
+    if "size" in data:
+        return f"rq4-size{data['size']}-" + fingerprint({
+            "parent": _dataset_tag(_parent(data), env_fp, expert_id),
+            "size": data["size"]})
+    if data["scenario"] == "final_buffer":
+        return "final-buffer-" + fingerprint({
+            "algo": "td3", "env": env_fp, "sigma": data["sigma"],
+            "steps": data["steps"], "seed": 0})
+    return "trained-" + fingerprint({
+        "expert": expert_id, "env": env_fp, "eps": data["epsilon"],
+        "sigma": data["sigma"], "steps": data["steps"], "seed": 0})
+
+
+def _dataset(cfg: HarnessConfig, data: dict, tag, expert) -> tuple:
+    """``(path, dataset)`` of recipe ``data``, named ``tag(data)``: built
+    and written, or, when a previous run wrote it, ``(path, None)``."""
+    path = Path(cfg.out_dir) / "datasets" / f"{tag(data)}.hvds"
     if path.exists():
         return str(path), None
-    ds = build()
+    if "size" in data:
+        parent_path, ds = _dataset(cfg, _parent(data), tag, expert)
+        ds = subsample(read_dataset(parent_path) if ds is None else ds,
+                       target=data["size"], seed=0)
+    elif data["scenario"] == "final_buffer":
+        ds = collect_final_buffer(base_env(cfg, days=cfg.data_days), "td3",
+                                  total_steps=data["steps"],
+                                  noise=data["sigma"], seed=0)[0]
+    else:
+        ds = collect_trained(base_env(cfg, days=cfg.data_days), expert,
+                             total_steps=data["steps"],
+                             epsilon=data["epsilon"], sigma=data["sigma"],
+                             seed=0)
     write_dataset(ds, path)
     return str(path), ds
-
-
-def materialize_trained_dataset(cfg: HarnessConfig, expert: Agent,
-                                epsilon: float, sigma: float,
-                                total_steps: int) -> tuple:
-    """Collect (or reuse) a frozen-expert dataset with the given noise;
-    ``(path, dataset or None)`` as `_cached_dataset` returns it."""
-    env = base_env(cfg, days=cfg.data_days)
-    tag = "trained-" + fingerprint({
-        "expert": expert.fingerprint(), "env": env.fingerprint(),
-        "eps": epsilon, "sigma": sigma, "steps": total_steps, "seed": 0})
-    return _cached_dataset(cfg, tag, lambda: collect_trained(
-        env, expert, total_steps=total_steps, epsilon=epsilon, sigma=sigma,
-        seed=0))
-
-
-def materialize_final_buffer_dataset(cfg: HarnessConfig) -> tuple:
-    """Collect (or reuse) the TD3 final-buffer dataset of
-    ``cfg.dataset_steps`` transitions, as `_cached_dataset` returns it."""
-    env = base_env(cfg, days=cfg.data_days)
-    tag = "final-buffer-" + fingerprint({
-        "algo": "td3", "env": env.fingerprint(), "sigma": cfg.sigma,
-        "steps": cfg.dataset_steps, "seed": 0})
-    return _cached_dataset(cfg, tag, lambda: collect_final_buffer(
-        env, "td3", total_steps=cfg.dataset_steps, noise=cfg.sigma,
-        seed=0)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -493,23 +494,22 @@ def _run_cell(job: dict) -> tuple:
     report, with the best epoch.
 
     Trains offline on ``job["dataset"]`` when it names a file, otherwise
-    online against the rotating training presets. Runs in a worker
-    process; everything in ``job`` is plain JSON.
+    online on ``job["train_env"]``, and evaluates on ``job["eval_env"]``.
+    Runs in a worker process; ``job`` is plain JSON, and all it reads.
     """
-    cfg = HarnessConfig.from_jsonable(job["harness"])
     acfg = AgentConfig(**job["agent"])
-    eval_env = base_env(cfg)
+    eval_env = BuildingEnv(EnvConfig(**job["eval_env"]))
 
     def eval_fn(a, epoch):
         return evaluate_policy(a, eval_env,
-                               seeds=(cfg.eval_seed,))[0].to_jsonable()
+                               seeds=(job["eval_seed"],))[0].to_jsonable()
 
     if job["dataset"]:
         data = read_dataset(job["dataset"])
         agent = make_agent(acfg, data.obs_dim, data.act_dim)
         summary = train_offline(agent, data, eval_fn=eval_fn)
     else:
-        env = base_env(cfg, days=cfg.data_days)
+        env = BuildingEnv(EnvConfig(**job["train_env"]))
         agent = make_agent(acfg, env.obs_spec.size, env.act_spec.size)
         summary = train_online(agent, preset_rotation(env)[0],
                                eval_fn=eval_fn)
@@ -531,10 +531,6 @@ def _execute(jobs: list, n_workers: int):
             yield from pool.map(_run_cell, jobs)
     else:
         yield from map(_run_cell, jobs)
-
-
-def _cell_fingerprint(rq: str, cfg: HarnessConfig, axes: dict) -> str:
-    return fingerprint({"rq": rq, "config": cfg.fingerprint(), "axes": axes})
 
 
 def _write_summary(out_root: Path, rq: str, grid: dict) -> None:
@@ -606,50 +602,86 @@ def _agent_json(cfg: HarnessConfig, algo: str, seed: int, *,
     steps = steps if steps is not None else cfg.train_steps
     return to_jsonable(AgentConfig(
         algo=algo, history=history, seq_len=seq_len,
-        batch_size=batch or cfg.batch_size, train_steps=steps,
+        batch_size=batch if batch is not None else cfg.batch_size,
+        train_steps=steps,
         epoch_steps=min(epoch or cfg.epoch_steps, max(steps, 1)), seed=seed))
 
 
-def _sweep(rq: str, cfg: HarnessConfig, cells) -> SweepResult:
+def _sweep(rq: str, cfg: HarnessConfig, cells: list,
+           scored: bool = False) -> SweepResult:
     """Run one research-question grid and return it as `load_sweep` reads
     it back from the files it wrote.
 
-    ``cells()`` yields one ``(key, cell_axes, agent, dataset, quality)``
-    tuple per grid cell: a cell key, the axis values that (with the
-    config fingerprint) name the cell directory, `_agent_json` keyword
-    arguments, a dataset path to train on offline or None to train
-    online, and a zero-argument callable returning the quality report to
-    store beside the cell, or None. It is called only when there is at
-    least one seed, so datasets and experts are built lazily. A key
-    yielded again (a grid that names a value twice) is skipped. A cell
-    whose ``report.json`` exists is read once, by `_finished_cell`, and
-    reused; only the other cells get jobs and have their quality report
-    built, and each is written as soon as its last seed finishes.
+    ``cells`` lists one ``(key, axes, agent, data)`` recipe per cell:
+    `_agent_json` keywords and a dataset recipe, or None to train online.
+    A key listed again is skipped. Three steps:
+
+    1. Check every job's `_agent_json`, `base_env` at both day lengths,
+       each recipe's `check_collection` and, if an expert is needed,
+       `expert_config`; a SpecError among them is a UsageError, raised
+       before anything is built. A zero-seed grid then stops.
+    2. Name each cell by a hash of what its jobs read: rq, axes, agent
+       JSONs, dataset tag (online: the training env's fingerprint), the
+       eval env's fingerprint and ``eval_seed``.
+    3. Reuse a cell whose ``report.json`` exists (`_finished_cell`). For
+       the others, build the dataset (`_dataset`) and, if ``scored``, its
+       quality report, then run one job per seed, and write each cell as
+       its last seed finishes.
     """
     out_root = Path(cfg.out_dir)
+    plan = {}                       # key -> (axes, agent JSONs, data)
+    try:
+        eval_env, train_env = base_env(cfg), base_env(cfg, cfg.data_days)
+        for key, axes, agent, data in cells:
+            if data is not None:
+                check_collection(data.get("size", data["steps"]),
+                                 data["epsilon"], data["sigma"])
+            plan.setdefault(key, (axes, [_agent_json(cfg, seed=s, **agent)
+                                         for s in range(cfg.seeds)], data))
+        if not cfg.seeds:           # nothing to train, so nothing to build
+            plan.clear()
+        trained = any(data is not None and data["scenario"] == "trained"
+                      for _, _, data in plan.values())
+        if trained:
+            expert_config(cfg)
+    except SpecError as e:
+        raise UsageError(str(e)) from None
+    expert = expert_id = None
+    if trained:
+        expert = load_agent(ensure_expert(cfg))[0]
+        expert_id = fingerprint({"policy": expert.fingerprint(), "crcs": {
+            name: zlib.crc32(a) for name, a in expert.state_arrays().items()}})
+    env_fp = train_env.fingerprint()
+    tag = partial(_dataset_tag, env_fp=env_fp, expert_id=expert_id)
+    reads = {"eval_env": to_jsonable(eval_env.config),
+             "train_env": to_jsonable(train_env.config),
+             "eval_seed": cfg.eval_seed}
+    eval_id = {"env": eval_env.fingerprint(), "seed": cfg.eval_seed}
     jobs, grid, quality = [], {}, {}    # grid: key -> (axes, fp, seeds)
-    for key, c_axes, agent, dataset, q in (cells() if cfg.seeds else ()):
-        if key in grid:
-            continue
-        fp = _cell_fingerprint(rq, cfg, c_axes)
-        grid[key] = (c_axes, fp, [])
+    for key, (axes, agents, data) in plan.items():
+        fp = fingerprint({"rq": rq, "axes": axes, "agents": agents,
+                          "data": env_fp if data is None else tag(data),
+                          "eval": eval_id})
+        grid[key] = (axes, fp, [])
         if (out_root / rq / fp / "report.json").exists():
             grid[key][2].extend(_finished_cell(out_root, rq, key, fp)["seeds"])
             continue
-        if q is not None:
-            quality[key] = q()
-        jobs.extend({"key": key, "harness": cfg.to_jsonable(),
-                     "agent": _agent_json(cfg, seed=s, **agent),
-                     "dataset": dataset}
-                    for s in range(cfg.seeds))
+        path, ds = (_dataset(cfg, data, tag, expert) if data is not None
+                    else (None, None))
+        if scored:
+            quality[key] = build_quality_report(
+                read_dataset(path) if ds is None else ds, expert,
+                train_env).to_jsonable()
+        jobs.extend({"key": key, "agent": agent, "dataset": path, **reads}
+                    for agent in agents)
+    expert = ds = None      # nothing built stays in memory while jobs train
     for key, out in _execute(jobs, cfg.jobs):
-        c_axes, fp, seeds = grid[key]
+        axes, fp, seeds = grid[key]
         seeds.append(out)
         if len(seeds) == cfg.seeds:
             _write_cell(out_root, rq, fp, {
-                "rq": rq, "cell": key, "axes": c_axes,
-                "config_fingerprint": cfg.fingerprint(),
-                "cell_fingerprint": fp, "seeds": seeds}, quality.get(key))
+                "rq": rq, "cell": key, "axes": axes, "cell_fingerprint": fp,
+                "seeds": seeds}, quality.get(key))
     _write_summary(out_root, rq, grid)
     return load_sweep(out_root, rq)
 
@@ -661,115 +693,69 @@ def _sweep(rq: str, cfg: HarnessConfig, cells) -> SweepResult:
 def run_rq1(cfg: HarnessConfig) -> SweepResult:
     """Offline algorithms versus off-policy algorithms on static data.
 
-    Both collection scenarios are materialized once; every algorithm in
-    ``cfg.rq1_algos`` then trains offline on each dataset, and each cell
-    report carries, per seed, the best-epoch evaluation and the learning
-    curve.
+    Every algorithm in ``cfg.rq1_algos`` trains offline on the dataset of
+    each collection scenario, and each cell report carries, per seed, the
+    best-epoch evaluation and the learning curve.
     """
-
-    def cells():
-        datasets = {}
-        for scenario in cfg.rq1_scenarios:
-            if scenario == "final_buffer":
-                datasets[scenario] = materialize_final_buffer_dataset(cfg)[0]
-            elif scenario == "trained":
-                datasets[scenario] = materialize_trained_dataset(
-                    cfg, _expert(cfg), cfg.epsilon, cfg.sigma,
-                    cfg.dataset_steps)[0]
-            else:
-                raise UsageError(f"unknown scenario {scenario!r}")
-        for scenario in cfg.rq1_scenarios:
-            for algo in cfg.rq1_algos:
-                yield (f"{scenario}-{algo}",
-                       {"scenario": scenario, "algo": algo},
-                       {"algo": algo}, datasets[scenario], None)
-
-    return _sweep("rq1", cfg, cells)
+    data = {"final_buffer": {"scenario": "final_buffer", "epsilon": 1.0,
+                             "sigma": cfg.sigma, "steps": cfg.dataset_steps},
+            "trained": _trained(cfg.epsilon, cfg.sigma, cfg.dataset_steps)}
+    for scenario in cfg.rq1_scenarios:
+        if scenario not in data:
+            raise UsageError(f"unknown scenario {scenario!r}")
+    return _sweep("rq1", cfg, [
+        (f"{scenario}-{algo}", {"scenario": scenario, "algo": algo},
+         {"algo": algo}, data[scenario])
+        for scenario in cfg.rq1_scenarios for algo in cfg.rq1_algos])
 
 
 def run_rq2(cfg: HarnessConfig) -> SweepResult:
     """History encoder on versus off, offline (CQL) and online (SAC)."""
-
-    def cells():
-        dataset = None
-        if any(mode not in ("td3", "sac") for mode in cfg.rq2_modes):
-            dataset = materialize_trained_dataset(
-                cfg, _expert(cfg), cfg.epsilon, cfg.sigma,
-                cfg.dataset_steps)[0]
-        for mode in cfg.rq2_modes:
-            online = mode in ("td3", "sac")
-            for history in (False, True):
-                seq_len = cfg.rq2_seq_len if history else 1
-                yield (f"{mode}-{'hist' if history else 'flat'}",
-                       {"mode": mode, "history": history, "seq_len": seq_len},
-                       {"algo": mode, "history": history, "seq_len": seq_len,
-                        "batch": cfg.rq2_batch,
-                        "steps": cfg.rq2_online_steps if online
-                        else cfg.train_steps},
-                       None if online else dataset, None)
-
-    return _sweep("rq2", cfg, cells)
+    data = _trained(cfg.epsilon, cfg.sigma, cfg.dataset_steps)
+    return _sweep("rq2", cfg, [
+        (f"{mode}-{'hist' if history else 'flat'}",
+         {"mode": mode, "history": history, "seq_len": L},
+         {"algo": mode, "history": history, "seq_len": L,
+          "batch": cfg.rq2_batch,
+          "steps": cfg.rq2_online_steps if mode in BASELINE_ALGOS
+          else cfg.train_steps},
+         None if mode in BASELINE_ALGOS else data)
+        for mode in cfg.rq2_modes
+        for history, L in ((False, 1), (True, cfg.rq2_seq_len))])
 
 
 def run_rq3(cfg: HarnessConfig) -> SweepResult:
     """Dataset-quality grid: perturbation rate and scale versus outcome."""
-
-    def cells():
-        expert = _expert(cfg)
-        for eps in cfg.rq3_epsilons:
-            for sg in cfg.rq3_sigmas:
-                path, ds = materialize_trained_dataset(
-                    cfg, expert, eps, sg, cfg.rq3_dataset_steps)
-                yield (f"eps{eps:g}-sigma{sg:g}",
-                       {"epsilon": eps, "sigma": sg},
-                       {"algo": "cql", "steps": cfg.rq3_train_steps,
-                        "epoch": max(cfg.rq3_train_steps // 4, 1)},
-                       path, lambda path=path, ds=ds: build_quality_report(
-                           read_dataset(path) if ds is None else ds, expert,
-                           base_env(cfg, days=cfg.data_days)).to_jsonable())
-
-    return _sweep("rq3", cfg, cells)
+    return _sweep("rq3", cfg, [
+        (f"eps{eps:g}-sigma{sg:g}", {"epsilon": eps, "sigma": sg},
+         {"algo": "cql", "steps": cfg.rq3_train_steps,
+          "epoch": max(cfg.rq3_train_steps // 4, 1)},
+         _trained(eps, sg, cfg.rq3_dataset_steps))
+        for eps in cfg.rq3_epsilons for sg in cfg.rq3_sigmas], scored=True)
 
 
 def run_rq4(cfg: HarnessConfig) -> SweepResult:
-    """Dataset-quantity sweep at the fixed per-environment noise point."""
+    """Dataset-quantity sweep at the fixed per-environment noise point:
+    the largest size's dataset, and a subsample of it for each smaller
+    size."""
     eps, sg = RQ4_NOISE[cfg.env_kind]
-
-    def cells():
-        sizes = sorted(cfg.rq4_sizes)
-        if not sizes:
-            return
-        parent_path, parent = materialize_trained_dataset(
-            cfg, _expert(cfg), eps, sg, max(sizes))
-        if parent is None:
-            parent = read_dataset(parent_path)
-        for size in sizes:
-            path = parent_path
-            if size != max(sizes):
-                tag = f"rq4-size{size}-" + fingerprint(
-                    {"parent": parent.fingerprint(), "size": size})
-                path = _cached_dataset(cfg, tag, lambda: subsample(
-                    parent, target=size, seed=0))[0]
-            yield (f"size{size}", {"size": size, "epsilon": eps, "sigma": sg},
-                   {"algo": "cql"}, path, None)
-
-    return _sweep("rq4", cfg, cells)
+    largest = _trained(eps, sg, max(cfg.rq4_sizes, default=0))
+    return _sweep("rq4", cfg, [
+        (f"size{size}", {"size": size, "epsilon": eps, "sigma": sg},
+         {"algo": "cql"},
+         largest if size == largest["steps"] else {**largest, "size": size})
+        for size in sorted(cfg.rq4_sizes)])
 
 
 def run_rq5(cfg: HarnessConfig) -> SweepResult:
     """Sequence-length sweep for the history encoder."""
-
-    def cells():
-        dataset = materialize_trained_dataset(
-            cfg, _expert(cfg), cfg.epsilon, cfg.sigma, cfg.dataset_steps)[0]
-        for L in cfg.rq5_seq_lens:
-            yield (f"len{L:02d}", {"seq_len": L},
-                   {"algo": "cql", "history": True, "seq_len": L,
-                    "batch": cfg.rq5_batch, "steps": cfg.rq5_train_steps,
-                    "epoch": max(cfg.rq5_train_steps // 4, 1)},
-                   dataset, None)
-
-    return _sweep("rq5", cfg, cells)
+    data = _trained(cfg.epsilon, cfg.sigma, cfg.dataset_steps)
+    return _sweep("rq5", cfg, [
+        (f"len{L:02d}", {"seq_len": L},
+         {"algo": "cql", "history": True, "seq_len": L,
+          "batch": cfg.rq5_batch, "steps": cfg.rq5_train_steps,
+          "epoch": max(cfg.rq5_train_steps // 4, 1)}, data)
+        for L in cfg.rq5_seq_lens])
 
 
 RQ_RUNNERS = {"1": run_rq1, "2": run_rq2, "3": run_rq3, "4": run_rq4,

@@ -103,18 +103,26 @@ class TestConfigPlumbing:
         ({"harness": {"rq3_epsilons": ["a"]}}, ["sweep", "--rq", "3"], 2),
         ({"harness": {"rq4_sizes": [1.5]}}, ["sweep", "--rq", "4"], 2),
         ({"harness": {"rq3_epsilons": [0, 0.5]}}, ["--print-config"], 0),
+        ({}, ["simulate", "--seed", "-1", "--out", "sim"], 2),
+        ({"seed": -1}, ["collect", "--scenario", "final-buffer", "--steps",
+                        "10", "--out", "sim/d.hvds"], 3),
+        ({"seed": -1}, ["collect", "--scenario", "trained", "--expert",
+                        "{ckpt}", "--steps", "10", "--out", "sim/d.hvds"], 2),
     ], ids=["str-for-int", "str-for-float", "bool-for-int", "float-for-int",
             "str-for-list", "null-for-float", "int-for-float",
-            "str-item-for-float", "float-item-for-int", "int-items-for-float"])
-    def test_config_value_types(self, tmp_path, monkeypatch, capsys,
-                                override, argv, code):
+            "str-item-for-float", "float-item-for-int", "int-items-for-float",
+            "simulate-seed-negative", "final-buffer-seed-negative",
+            "trained-seed-negative"])
+    def test_config_value_types(self, workspace, tmp_path, monkeypatch,
+                                capsys, override, argv, code):
         monkeypatch.chdir(tmp_path)
         p = tmp_path / "c.json"
         p.write_text(json.dumps(override))
+        argv = [a.format(ckpt=workspace["ckpt"]) for a in argv]
         assert run(["--config", str(p), *argv]) == code
+        assert not (tmp_path / "sim").exists()
         if code == 2:
             assert "UsageError" in capsys.readouterr().err
-            assert not (tmp_path / "sim").exists()
             assert not (tmp_path / "results").exists()
 
 
@@ -154,7 +162,8 @@ class TestArgumentErrors:
         {"history": True, "seq_len": 2, "enc_heads": 0},
         {"hidden": -1},
         {"hidden": 0},
-    ], ids=["enc-heads-0", "hidden-negative", "hidden-0"])
+        {"seed": -1},
+    ], ids=["enc-heads-0", "hidden-negative", "hidden-0", "seed-negative"])
     def test_bad_network_size_is_spec_error(self, workspace, tmp_path, capsys,
                                             agent):
         p = tmp_path / "c.json"
@@ -625,6 +634,36 @@ class TestSweepAndReport:
         assert run(["--config", str(cfg), "sweep", "--rq", "3",
                     *flags]) == 2
         assert "UsageError: jobs must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
+    #: per row, the rq to sweep and harness values that no sweep can run
+    DAMAGED_HARNESS = {
+        "rq1-algo-unknown": ("1", {"rq1_algos": ["ppo"]}),
+        "rq1-scenario-unknown": ("1", {"rq1_scenarios": ["xx"]}),
+        "train-steps-negative": ("1", {"train_steps": -1}),
+        "epoch-steps-zero": ("1", {"epoch_steps": 0}),
+        "eval-days-zero": ("1", {"eval_days": 0}),
+        "data-days-zero": ("1", {"data_days": 0}),
+        "dataset-steps-zero": ("1", {"dataset_steps": 0}),
+        "rq2-mode-unknown": ("2", {"rq2_modes": ["xx"]}),
+        "rq3-epsilon-above-1": ("3", {"rq3_epsilons": [1.5]}),
+        "rq3-sigma-negative": ("3", {"rq3_sigmas": [-0.1]}),
+        "rq4-size-zero": ("4", {"rq4_sizes": [0, 360]}),
+        "rq5-seq-len-zero": ("5", {"rq5_seq_lens": [0]}),
+        "rq2-batch-zero": ("2", {"rq2_batch": 0}),
+        "rq5-batch-zero": ("5", {"rq5_batch": 0}),
+        "expert-seed-negative": ("5", {"expert_seed": -1}),
+        "eval-seed-negative": ("1", {"eval_seed": -1}),
+    }
+
+    @pytest.mark.parametrize("rq,harness", DAMAGED_HARNESS.values(),
+                             ids=DAMAGED_HARNESS.keys())
+    def test_damaged_harness_exits_2_before_building(self, tmp_path, capsys,
+                                                     rq, harness):
+        cfg = self.sweep_config(tmp_path, **harness)
+        assert run(["--config", str(cfg), "sweep", "--rq", rq]) == 2
+        assert "UsageError" in capsys.readouterr().err
+        # no expert, dataset or cell
         assert not (tmp_path / "results").exists()
 
     def test_report_before_sweep_is_data_error(self, tmp_path):

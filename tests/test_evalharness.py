@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from hvacrl.evalharness import (
     claim_lines,
     ensure_expert,
     evaluate_policy,
+    expert_config,
     load_sweep,
     rule_baseline_report,
     run_rq1,
@@ -246,12 +248,6 @@ class TestHarnessConfig:
         with pytest.raises(UsageError):
             HarnessConfig(jobs=0)
 
-    def test_fingerprint_ignores_location_and_workers(self):
-        a = HarnessConfig(out_dir="x", jobs=1)
-        b = HarnessConfig(out_dir="y", jobs=8)
-        assert a.fingerprint() == b.fingerprint()
-        assert a.fingerprint() != HarnessConfig(env_kind="mu").fingerprint()
-
     def test_noise_point_defined_per_environment(self):
         for kind in ("dc", "mu"):
             eps, sigma = RQ4_NOISE[kind]
@@ -380,6 +376,15 @@ def cell_dirs(res: SweepResult) -> dict:
                 row["cell_fingerprint"] for row in csv.DictReader(f)}
 
 
+def count_cell_runs(monkeypatch) -> list:
+    """The key of every job `_run_cell` trains from now on, in order."""
+    calls = []
+    real = evalharness._run_cell
+    monkeypatch.setattr(evalharness, "_run_cell",
+                        lambda job: calls.append(job["key"]) or real(job))
+    return calls
+
+
 class TestZeroSeedGrids:
     def test_empty_result_writes_empty_summary(self, tmp_path):
         cfg = tiny_config(tmp_path, seeds=0)
@@ -495,28 +500,66 @@ class TestMiniatureSweep:
         assert blobs["a"] == blobs["b"]
 
     def test_grid_value_named_twice_runs_once(self, tmp_path, monkeypatch):
-        calls = []
-        real = evalharness._run_cell
-        monkeypatch.setattr(evalharness, "_run_cell",
-                            lambda job: calls.append(job["key"]) or real(job))
+        calls = count_cell_runs(monkeypatch)
         res = run_rq5(tiny_config(tmp_path, seeds=2, rq5_seq_lens=(1, 1, 2)))
         assert sorted(calls) == ["len01", "len01", "len02", "len02"]
         with open(res.summary_path, newline="") as f:
             assert [(row["cell"], row["seed"]) for row in csv.DictReader(f)] \
                 == [("len01", "0"), ("len01", "1"), ("len02", "0"),
                     ("len02", "1")]
-        # the grid enters the config fingerprint, so only those differ
-        # from the cells of the grid that names each value once
+        # the grid that names each value once has the same cells
+        calls.clear()
+        twice = cell_dirs(res)
         once = run_rq5(tiny_config(tmp_path, seeds=2))
+        assert calls == []
+        assert cell_dirs(once) == twice
 
-        def cells(result):
-            docs = {k: json.loads((d / "report.json").read_bytes())
-                    for k, d in cell_dirs(result).items()}
-            for doc in docs.values():
-                del doc["config_fingerprint"], doc["cell_fingerprint"]
-            return docs
+    def test_another_runners_grid_retrains_nothing(self, tmp_path,
+                                                   monkeypatch):
+        first = cell_dirs(run_rq5(tiny_config(tmp_path)))
+        calls = count_cell_runs(monkeypatch)
+        again = run_rq5(tiny_config(tmp_path, rq1_algos=("td3",),
+                                    rq3_epsilons=(0.5,), rq4_sizes=(7,)))
+        assert calls == []
+        assert cell_dirs(again) == first
 
-        assert cells(res) == cells(once)
+    def test_new_grid_value_trains_only_its_cell(self, tmp_path,
+                                                 monkeypatch):
+        first = cell_dirs(run_rq5(tiny_config(tmp_path)))
+        calls = count_cell_runs(monkeypatch)
+        grown = cell_dirs(run_rq5(tiny_config(tmp_path,
+                                              rq5_seq_lens=(1, 2, 3))))
+        assert calls == ["len03"]
+        assert {k: d for k, d in grown.items() if k != "len03"} == first
+
+    def test_other_expert_weights_get_new_datasets_and_cells(
+            self, tmp_path, monkeypatch):
+        # two experts of one config, and so one fingerprint, whose weights
+        # differ; and a copy of the first at another path
+        cfg = tiny_config(tmp_path / "out")
+        env = base_env(cfg)
+        first, second = (make_agent(expert_config(cfg), env.obs_spec.size,
+                                    env.act_spec.size) for _ in range(2))
+        arrays = second.state_arrays()
+        name = sorted(arrays)[0]
+        second.load_state_arrays({**arrays, name: arrays[name] + 0.01})
+        assert first.fingerprint() == second.fingerprint()
+        first.save(tmp_path / "a.ckpt", epoch=0, step=0)
+        second.save(tmp_path / "b.ckpt", epoch=0, step=0)
+        shutil.copy(tmp_path / "a.ckpt", tmp_path / "a-copy.ckpt")
+
+        def sweep(expert):
+            return run_rq5(replace(cfg, expert_path=str(tmp_path / expert)))
+
+        first_cells = cell_dirs(sweep("a.ckpt"))
+        calls = count_cell_runs(monkeypatch)
+        assert cell_dirs(sweep("a-copy.ckpt")) == first_cells
+        assert calls == []
+        second_cells = cell_dirs(sweep("b.ckpt"))
+        assert sorted(calls) == ["len01", "len02"]
+        assert not set(second_cells.values()) & set(first_cells.values())
+        datasets = list((tmp_path / "out" / "datasets").glob("trained-*"))
+        assert len(datasets) == 2
 
     def test_failed_sweep_keeps_finished_cells_and_resumes(self, tmp_path,
                                                            monkeypatch):
@@ -627,8 +670,10 @@ class TestMiniatureSweep:
         # two datasets built and written; each read once by its training job
         assert sorted(calls) == ["read_dataset"] * 2 + ["write_dataset"] * 2
 
-    def test_quantity_sweep_subsamples_each_smaller_size(self, tmp_path):
-        cfg = tiny_config(tmp_path, rq4_sizes=(72, 360))
+    @pytest.mark.parametrize("env_kind", ["dc", "mu"])
+    def test_quantity_sweep_subsamples_each_smaller_size(self, tmp_path,
+                                                         env_kind):
+        cfg = tiny_config(tmp_path, env_kind=env_kind, rq4_sizes=(72, 360))
         res = run_rq4(cfg)
         assert sorted(res.cells) == ["size360", "size72"]
         subsets = sorted((tmp_path / "datasets").glob("rq4-size72-*.hvds"))

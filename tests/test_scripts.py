@@ -1,12 +1,27 @@
-"""Command-line contract of scripts/artifact_digest.py: usage handling
-that must never start the pipeline."""
+"""Command-line contract of the scripts: each runs from a checkout, and
+scripts/artifact_digest.py's usage handling never starts the pipeline."""
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPT = (Path(__file__).resolve().parent.parent / "scripts"
-          / "artifact_digest.py")
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SCRIPT = SCRIPTS / "artifact_digest.py"
+
+
+@pytest.mark.parametrize("name", ["artifact_digest.py", "train_expert.py"])
+def test_help_runs_from_a_checkout(name, tmp_path):
+    # without PYTHONPATH, as a user runs it: the script finds its own src
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, str(SCRIPTS / name), "--help"],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.fixture(scope="module")
