@@ -4,9 +4,10 @@ Subcommands: simulate, collect, train, eval, sweep, regret, report. Report
 prints a finished sweep's summary table, then the study's claim check on
 it (`evalharness.claim_lines`). All configuration lives in one JSON
 document whose defaults are embedded here and printable via
---print-config; flags override single values. Every run appends one JSON
-line to <out>/audit.jsonl recording the command, the configuration
-fingerprint, the seeds involved, and the wall duration.
+--print-config; flags override single values. For each command that
+writes files, `main` appends one JSON line to the audit.jsonl of the
+directory it wrote, recording the command, the configuration fingerprint,
+the seeds used, and the wall duration; `report` writes none.
 
 Exit codes: 0 ok, 2 usage, 3 bad data or fingerprint mismatch,
 4 numerical divergence or simulation fault, 5 internal error.
@@ -90,18 +91,6 @@ def load_config(path: str | None) -> dict:
 # small helpers
 
 
-def _audit(out_dir: Path, argv, subcommand: str, fp: str, seeds,
-           t0: float) -> None:
-    append_jsonl(out_dir / "audit.jsonl", {
-        "utc": datetime.now(timezone.utc).isoformat(),
-        "command": shlex.join(argv),
-        "subcommand": subcommand,
-        "config_fingerprint": fp,
-        "seeds": list(seeds),
-        "duration_s": round(time.perf_counter() - t0, 3),
-    })
-
-
 def _out_dir(flag_value: str, args_env: dict) -> Path:
     return Path(args_env.get(ENV_OUT_DIR) or flag_value)
 
@@ -131,11 +120,10 @@ def _median_summary(reports: list) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns the (directory, seeds) `main` audits, or None
 
 
-def cmd_simulate(args, cfg: dict, argv, env_vars) -> int:
-    t0 = time.perf_counter()
+def cmd_simulate(args, cfg: dict, fp: str, env_vars):
     out = _out_dir(args.out, env_vars)
     env = _env_from(cfg, kind=args.env, weather=args.weather, days=args.days)
     if args.controller == "rule":
@@ -146,20 +134,17 @@ def cmd_simulate(args, cfg: dict, argv, env_vars) -> int:
         policy = args.controller.split(":", 1)[1]
     else:
         raise UsageError("--controller must be 'rule' or 'ckpt:PATH'")
-    fp = fingerprint(cfg)
     reports = evaluate_policy(policy, env, seeds=(args.seed,), out_dir=out)
     write_json(out / "report.json", {
         "run_fingerprint": fp,
         "reports": [r.to_jsonable() for r in reports]})
-    _audit(out, argv, "simulate", fp, [args.seed], t0)
     rep = reports[0]
     print(f"simulate: {out} avg_reward={rep.avg_reward:.4f} "
           f"violation={rep.violation:.4f} avg_power_kw={rep.avg_power_kw:.2f}")
-    return 0
+    return out, [args.seed]
 
 
-def cmd_collect(args, cfg: dict, argv, env_vars) -> int:
-    t0 = time.perf_counter()
+def cmd_collect(args, cfg: dict, fp: str, env_vars):
     data = dict(cfg["data"])
     for key in ("epsilon", "sigma", "steps"):
         flag = getattr(args, key)
@@ -175,24 +160,24 @@ def cmd_collect(args, cfg: dict, argv, env_vars) -> int:
         ds, _ = collect_final_buffer(env, data["algo"],
                                      total_steps=int(data["steps"]),
                                      noise=data["sigma"], seed=seed)
+    elif scenario != "trained":
+        raise UsageError(f"data.scenario must be 'final-buffer' or "
+                         f"'trained', got {scenario!r}")
+    elif not data["expert"]:
+        raise UsageError("trained scenario needs --expert PATH")
     else:
-        if not data["expert"]:
-            raise UsageError("trained scenario needs --expert PATH")
         ds = collect_trained(env, data["expert"],
                              total_steps=int(data["steps"]),
                              epsilon=data["epsilon"], sigma=data["sigma"],
                              seed=seed)
-    fp = fingerprint(cfg)
     ds.metadata["run_fingerprint"] = fp
     write_dataset(ds, out)
-    _audit(out.parent, argv, "collect", fp, [seed], t0)
     print(f"collect: {out} transitions={len(ds)} "
           f"episodes={ds.num_episodes} fingerprint={ds.fingerprint()}")
-    return 0
+    return out.parent, [seed]
 
 
-def cmd_train(args, cfg: dict, argv, env_vars) -> int:
-    t0 = time.perf_counter()
+def cmd_train(args, cfg: dict, fp: str, env_vars):
     out = _out_dir(args.out, env_vars)
     block = dict(cfg["agent"])
     if args.algo:
@@ -208,7 +193,6 @@ def cmd_train(args, cfg: dict, argv, env_vars) -> int:
     acfg = AgentConfig(**block)
     ds = read_dataset(args.data)
     agent = make_agent(acfg, ds.obs_dim, ds.act_dim)
-    fp = fingerprint(cfg)
     summary = train_offline(agent, ds,
                             checkpoint_dir=out / "checkpoints",
                             log_path=out / "train_log.jsonl")
@@ -225,18 +209,15 @@ def cmd_train(args, cfg: dict, argv, env_vars) -> int:
         "epochs": len(summary.records),
         "checkpoint": final.name,
         "final_losses": summary.records[-1]["losses"]})
-    _audit(out, argv, "train", fp, [acfg.seed], t0)
     print(f"train: {final} algo={acfg.algo} epochs={len(summary.records)}")
-    return 0
+    return out, [acfg.seed]
 
 
-def cmd_eval(args, cfg: dict, argv, env_vars) -> int:
+def cmd_eval(args, cfg: dict, fp: str, env_vars):
     if args.seeds < 1:
         raise UsageError("--seeds must be >= 1")
-    t0 = time.perf_counter()
     out = _out_dir(args.out, env_vars)
     env = _env_from(cfg, kind=args.env, weather=args.weather, days=args.days)
-    fp = fingerprint(cfg)
     seeds = list(range(args.seeds))
     reports = evaluate_policy(args.ckpt, env, seeds=seeds, out_dir=out)
     med = _median_summary(reports)
@@ -244,15 +225,13 @@ def cmd_eval(args, cfg: dict, argv, env_vars) -> int:
         "run_fingerprint": fp,
         "median": med,
         "reports": [r.to_jsonable() for r in reports]})
-    _audit(out, argv, "eval", fp, seeds, t0)
     print(f"eval: {out} seeds={args.seeds} "
           f"median avg_reward={med['avg_reward']:.4f} "
           f"violation={med['violation']:.4f}")
-    return 0
+    return out, seeds
 
 
-def cmd_sweep(args, cfg: dict, argv, env_vars) -> int:
-    t0 = time.perf_counter()
+def cmd_sweep(args, cfg: dict, fp: str, env_vars):
     jobs = args.jobs if args.jobs is not None else cfg["harness"]["jobs"]
     cap = env_vars.get(ENV_MAX_JOBS)
     if cap is not None:
@@ -264,46 +243,39 @@ def cmd_sweep(args, cfg: dict, argv, env_vars) -> int:
     # a jobs count below 1, given or capped, is HarnessConfig's UsageError
     hcfg = HarnessConfig.from_jsonable(cfg["harness"], jobs=jobs, out_dir=str(
         _out_dir(args.out or cfg["harness"]["out_dir"], env_vars)))
-    fp = fingerprint(cfg)
     result = RQ_RUNNERS[args.rq](hcfg)
-    _audit(Path(hcfg.out_dir), argv, "sweep", fp,
-           list(range(hcfg.seeds)), t0)
     print(f"sweep: rq{args.rq} cells={len(result.cells)} "
           f"summary={result.summary_path}")
-    return 0
+    return Path(hcfg.out_dir), list(range(hcfg.seeds))
 
 
-def cmd_regret(args, cfg: dict, argv, env_vars) -> int:
-    t0 = time.perf_counter()
+def cmd_regret(args, cfg: dict, fp: str, env_vars):
     out = _out_file(args.out, env_vars)
     ds = read_dataset(args.data)
     expert, _ = load_agent(args.expert)
     env = BuildingEnv(EnvConfig(kind=ds.env_kind, days=ds.days))
     report = build_quality_report(ds, expert, env)
-    fp = fingerprint(cfg)
     write_json(out, {"run_fingerprint": fp,
                      "dataset_fingerprint": ds.fingerprint(),
                      **report.to_jsonable()})
-    _audit(out.parent, argv, "regret", fp, [], t0)
     print(f"regret: {out} episodes={len(report.deltas)} "
           f"mean_delta={delta_stats(report.deltas)['mean']:.6f}")
-    return 0
+    return out.parent, []
 
 
-def cmd_report(args, cfg: dict, argv, env_vars) -> int:
+def cmd_report(args, cfg: dict, fp: str, env_vars):
     result = load_sweep(
         _out_dir(args.results or cfg["harness"]["out_dir"], env_vars),
         f"rq{args.rq}")
     if not result.cells:
         print(f"report: rq{args.rq} is empty (zero-seed grid)")
-        return 0
+        return
     table = [dict(zip(REPORT_COLUMNS, REPORT_COLUMNS)), *result.rows]
     widths = {c: max(len(r[c]) for r in table) for c in REPORT_COLUMNS}
     for r in table:
         print("  ".join(r[c].ljust(widths[c]) for c in REPORT_COLUMNS))
     for line in claim_lines(result):
         print(line)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -392,15 +364,27 @@ def main(argv=None, env_vars=None) -> int:
         return int(e.code or 0)
     try:
         cfg = load_config(args.config)
+        fp = fingerprint(cfg)
         if args.print_config:
-            print(canonical_json({**cfg,
-                                  "fingerprint": fingerprint(cfg)}))
+            print(canonical_json({**cfg, "fingerprint": fp}))
             return 0
         if not args.subcommand:
             parser.print_usage(sys.stderr)
             print("hvacrl: error: a subcommand is required", file=sys.stderr)
             return 2
-        return COMMANDS[args.subcommand](args, cfg, argv, env_vars)
+        t0 = time.perf_counter()
+        done = COMMANDS[args.subcommand](args, cfg, fp, env_vars)
+        if done is not None:
+            out_dir, seeds = done
+            append_jsonl(out_dir / "audit.jsonl", {
+                "utc": datetime.now(timezone.utc).isoformat(),
+                "command": shlex.join(argv),
+                "subcommand": args.subcommand,
+                "config_fingerprint": fp,
+                "seeds": seeds,
+                "duration_s": round(time.perf_counter() - t0, 3),
+            })
+        return 0
     except HvacrlError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return e.exit_code

@@ -64,8 +64,9 @@ class Dataset(ReplayView):
     window sampling) with a header: the environment it was collected on,
     and provenance ``metadata``. Training samples it directly. A header
     value of the wrong type, an environment `EnvConfig` rejects, a horizon
-    below 1 or other than the `EnvConfig.horizon` of its days, or ranges
-    that do not match the column widths are a `DataError`.
+    below 1 or other than the `EnvConfig.horizon` of its days, ranges
+    that do not match the column widths, or a negative reset seed are a
+    `DataError`.
     """
 
     #: the header's keys, as stored in the file beside the column table,
@@ -107,6 +108,9 @@ class Dataset(ReplayView):
         if uneven:
             raise DataError(f"dataset header fields {uneven} do not hold one "
                             f"value per column or episode")
+        if min(self.metadata.get("reset_seeds", []), default=0) < 0:
+            raise DataError("dataset header: metadata.reset_seeds must be "
+                            ">= 0")
 
     def episode_return(self, i: int) -> float:
         return float(self.rewards[self.episode_slice(i)].sum())
@@ -193,8 +197,7 @@ def collect_final_buffer(env: BuildingEnv, algo: str, total_steps: int,
     if algo not in ("td3", "sac"):
         raise UsageError(f"final-buffer collection needs an off-policy "
                          f"algorithm, got {algo!r}")
-    if total_steps < 1:
-        raise UsageError("total_steps must be >= 1")
+    check_collection(total_steps, 1.0, noise, seed)
     cfg = AgentConfig(algo=algo, seed=seed, train_steps=total_steps,
                       explore_noise=noise,
                       epoch_steps=min(total_steps, AgentConfig.epoch_steps))
@@ -234,9 +237,7 @@ def collect_trained(env: BuildingEnv, expert, total_steps: int,
     """
     if isinstance(expert, (str, Path)):
         expert, _ = load_agent(expert)
-    check_collection(total_steps, epsilon, sigma)
-    if seed < 0:
-        raise UsageError("seed must be >= 0")
+    check_collection(total_steps, epsilon, sigma, seed)
     # whole episodes: the last one starts before total_steps is reached
     n = -(-total_steps // env.horizon)
     noise = perturbations(np.random.default_rng(seed), n * env.horizon,
@@ -281,15 +282,18 @@ def collect_trained(env: BuildingEnv, expert, total_steps: int,
         noisy_steps=sum(d is not None for d in noise))
 
 
-def check_collection(total_steps: int, epsilon: float, sigma: float) -> None:
-    """A UsageError unless ``total_steps >= 1``, ``0 <= epsilon <= 1`` and
-    ``sigma >= 0``."""
+def check_collection(total_steps: int, epsilon: float, sigma: float,
+                     seed: int = 0) -> None:
+    """A UsageError unless ``total_steps >= 1``, ``0 <= epsilon <= 1``,
+    ``sigma >= 0`` and ``seed >= 0``."""
     if total_steps < 1:
         raise UsageError("total_steps must be >= 1")
     if not 0.0 <= epsilon <= 1.0:
         raise UsageError("epsilon must be in [0, 1]")
     if sigma < 0.0:
         raise UsageError("sigma must be >= 0")
+    if seed < 0:
+        raise UsageError("seed must be >= 0")
 
 
 def perturbations(rng: np.random.Generator, steps: int, act_dim: int,

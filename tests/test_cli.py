@@ -3,6 +3,7 @@ artifacts, byte determinism, and environment-variable overrides."""
 import csv
 import json
 import re
+import shlex
 import shutil
 from pathlib import Path
 
@@ -105,14 +106,19 @@ class TestConfigPlumbing:
         ({"harness": {"rq3_epsilons": [0, 0.5]}}, ["--print-config"], 0),
         ({}, ["simulate", "--seed", "-1", "--out", "sim"], 2),
         ({"seed": -1}, ["collect", "--scenario", "final-buffer", "--steps",
-                        "10", "--out", "sim/d.hvds"], 3),
+                        "10", "--out", "sim/d.hvds"], 2),
         ({"seed": -1}, ["collect", "--scenario", "trained", "--expert",
                         "{ckpt}", "--steps", "10", "--out", "sim/d.hvds"], 2),
+        ({}, ["collect", "--scenario", "final-buffer", "--sigma", "-1",
+              "--steps", "10", "--out", "sim/d.hvds"], 2),
+        ({"data": {"scenario": "final_buffer"}}, ["collect", "--expert",
+         "{ckpt}", "--steps", "10", "--out", "sim/d.hvds"], 2),
     ], ids=["str-for-int", "str-for-float", "bool-for-int", "float-for-int",
             "str-for-list", "null-for-float", "int-for-float",
             "str-item-for-float", "float-item-for-int", "int-items-for-float",
             "simulate-seed-negative", "final-buffer-seed-negative",
-            "trained-seed-negative"])
+            "trained-seed-negative", "final-buffer-sigma-negative",
+            "scenario-unknown"])
     def test_config_value_types(self, workspace, tmp_path, monkeypatch,
                                 capsys, override, argv, code):
         monkeypatch.chdir(tmp_path)
@@ -348,10 +354,11 @@ class TestTrain:
         {"metadata": {"reset_seeds": [1]}},
         {"metadata": {"weather_presets": ["hong_kong"]}},
         {"days": 1e308}, {"days": 1.0},
+        {"metadata": {"reset_seeds": [-1, -1]}},
     ], ids=["env-kind", "obs-lows-length", "horizon-zero", "days-negative",
             "act-highs-length", "reset-seeds-str", "weather-presets-int",
             "reset-seeds-float", "reset-seeds-short", "weather-presets-short",
-            "days-overflow", "days-horizon-disagree"])
+            "days-overflow", "days-horizon-disagree", "reset-seeds-negative"])
     def test_header_values_that_do_not_fit_exit_3(self, workspace, tmp_path,
                                                   edit, capsys):
         # right types, wrong values: both readers of a dataset refuse them
@@ -669,6 +676,52 @@ class TestSweepAndReport:
     def test_report_before_sweep_is_data_error(self, tmp_path):
         assert run(["report", "--rq", "4",
                     "--results", str(tmp_path)]) == 3
+
+
+class TestAudit:
+    #: per command that writes files: its arguments, writing into {out},
+    #: and the seeds it uses (workspace config: seed 1, agent seed 0)
+    AUDITED = {
+        "simulate": (["simulate", "--days", "0.25", "--seed", "3",
+                      "--out", "{out}"], [3]),
+        "collect": (["collect", "--scenario", "trained", "--expert", "{ckpt}",
+                     "--steps", "10", "--out", "{out}/d.hvds"], [1]),
+        "train": (["train", "--data", "{data}", "--out", "{out}"], [0]),
+        "eval": (["eval", "--ckpt", "{ckpt}", "--days", "0.25", "--seeds",
+                  "2", "--out", "{out}"], [0, 1]),
+        "sweep": (["sweep", "--rq", "2"], [0, 1]),
+        "regret": (["regret", "--data", "{data}", "--expert", "{ckpt}",
+                    "--out", "{out}/q.json"], []),
+    }
+
+    @pytest.mark.parametrize("argv,seeds", AUDITED.values(),
+                             ids=AUDITED.keys())
+    def test_command_appends_one_row_with_its_seeds_and_fingerprint(
+            self, workspace, tmp_path, capsys, argv, seeds):
+        command, out = argv[0], tmp_path / "out"
+        cfg = workspace["config"]
+        if command == "sweep":      # two seeds of two online cells
+            cfg = TestSweepAndReport().sweep_config(
+                tmp_path, seeds=2, out_dir=str(out), rq2_modes=["sac"],
+                rq2_online_steps=0)
+        assert run(["--config", str(cfg), "--print-config"]) == 0
+        fp = json.loads(capsys.readouterr().out)["fingerprint"]
+        argv = ["--config", str(cfg), *(a.format(
+            out=out, ckpt=workspace["ckpt"], data=workspace["data"])
+            for a in argv)]
+        assert run(argv) == 0
+        audit = out / "audit.jsonl"
+        (row,) = map(json.loads, audit.read_text().splitlines())
+        assert set(row) == {"utc", "command", "subcommand",
+                            "config_fingerprint", "seeds", "duration_s"}
+        assert row["command"] == shlex.join(argv)
+        assert row["subcommand"] == command
+        assert row["seeds"] == seeds
+        assert row["config_fingerprint"] == fp
+        if command == "sweep":      # report reads the sweep, writes nothing
+            before = audit.read_bytes()
+            assert run(["--config", str(cfg), "report", "--rq", "2"]) == 0
+            assert audit.read_bytes() == before
 
 
 @pytest.fixture(scope="module")
