@@ -36,8 +36,9 @@ from .datagen import (
     write_dataset,
 )
 from .errors import HvacrlError, UsageError
-from .evalharness import (REPORT_COLUMNS, RQ_RUNNERS, HarnessConfig,
-                          claim_lines, evaluate_policy, load_sweep)
+from .evalharness import (METRICS, REPORT_COLUMNS, RQ_RUNNERS,
+                          HarnessConfig, claim_lines, evaluate_policy,
+                          load_sweep)
 from .fingerprint import bad_fields, canonical_json, fingerprint, to_jsonable
 
 ENV_OUT_DIR = "HVACRL_OUT_DIR"     # overrides every --out directory
@@ -111,14 +112,6 @@ def _env_from(cfg: dict, kind: str | None = None, weather: str | None = None,
     return BuildingEnv(EnvConfig(**block)).variant(weather, days)
 
 
-def _median_summary(reports: list) -> dict:
-    return {
-        "avg_reward": float(np.median([r.avg_reward for r in reports])),
-        "violation": float(np.median([r.violation for r in reports])),
-        "avg_power_kw": float(np.median([r.avg_power_kw for r in reports])),
-    }
-
-
 # ---------------------------------------------------------------------------
 # subcommands: each returns the (directory, seeds) `main` audits, or None
 
@@ -146,10 +139,8 @@ def cmd_simulate(args, cfg: dict, fp: str, env_vars):
 
 def cmd_collect(args, cfg: dict, fp: str, env_vars):
     data = dict(cfg["data"])
-    for key in ("epsilon", "sigma", "steps"):
-        flag = getattr(args, key)
-        if flag is not None:
-            data[key] = flag
+    data.update({k: getattr(args, k) for k in ("epsilon", "sigma", "steps")
+                 if getattr(args, k) is not None})
     if args.expert:
         data["expert"] = args.expert
     scenario = args.scenario or data["scenario"]
@@ -220,7 +211,8 @@ def cmd_eval(args, cfg: dict, fp: str, env_vars):
     env = _env_from(cfg, kind=args.env, weather=args.weather, days=args.days)
     seeds = list(range(args.seeds))
     reports = evaluate_policy(args.ckpt, env, seeds=seeds, out_dir=out)
-    med = _median_summary(reports)
+    med = {m: float(np.median([getattr(r, m) for r in reports]))
+           for m in METRICS}
     write_json(out / "report.json", {
         "run_fingerprint": fp,
         "median": med,

@@ -311,10 +311,7 @@ def perturbations(rng: np.random.Generator, steps: int, act_dim: int,
 def coverage_cells(obs: np.ndarray, bins: int = 10) -> int:
     """Occupied (dimension, decile) cells of unit-interval observations."""
     idx = np.clip((np.asarray(obs) * bins).astype(int), 0, bins - 1)
-    occupied = 0
-    for d in range(obs.shape[1]):
-        occupied += len(np.unique(idx[:, d]))
-    return occupied
+    return sum(len(np.unique(idx[:, d])) for d in range(obs.shape[1]))
 
 
 # ---------------------------------------------------------------------------

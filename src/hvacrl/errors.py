@@ -28,8 +28,6 @@ class DataError(HvacrlError):
 class FingerprintMismatchError(DataError):
     """Checkpoint/dataset/config fingerprints disagree."""
 
-    exit_code = 3
-
 
 class DivergenceError(HvacrlError):
     """Training diverged (Q-value guard tripped or non-finite update)."""

@@ -2,7 +2,7 @@
 runners.
 
 Every controller evaluation produces a RunReport with three headline
-metrics:
+metrics (`METRICS`):
 
 * A.R., the mean per-step reward;
 * T.V., the fraction of (step, zone) pairs whose temperature leaves the
@@ -16,23 +16,23 @@ self-audit.
 The five experiment runners (`run_rq1` .. `run_rq5`) list their cells
 as data (key, axes, agent settings, dataset recipe or None for online)
 and build nothing. One sweep skeleton, `_sweep`, checks every value
-first, names each cell and dataset by what produced it, skips cells
-whose ``report.json`` exists, builds the datasets of the rest, runs one
-job per training seed with bounded parallelism, writes each cell as
-soon as its last seed finishes, and ends with a flat summary CSV::
+first, names each cell and dataset by what produced it, reuses finished
+cells, builds the datasets of the rest, runs one job (`_run_cell`) per
+training seed, offline on a dataset or online against the rotating
+training presets, and ends with a flat summary CSV::
 
     <out>/<rq>/summary.csv                  one row per cell and seed
     <out>/<rq>/<cell-fingerprint>/report.json
     <out>/<rq>/<cell-fingerprint>/quality.json      (rq3 only)
 
-A cell's ``report.json`` holds its axes and one entry per training seed:
-the seed, the best epoch, that epoch's `RunReport` and the learning curve
-(one row per epoch). It is written last, so it marks a finished cell,
-and a failed sweep keeps the cells it finished. Every job trains one
-agent with `_run_cell`: offline on a dataset file when the cell names
-one, online against the rotating training presets otherwise. Result
-files contain no timestamps, so identical configs reproduce identical
-bytes.
+A cell's ``report.json`` is a `CellResult`: its rq, key, axes and
+fingerprint, and per training seed a `SeedResult` (the best epoch, its
+`RunReport` and a learning curve of `METRICS` rows). Each record's
+``FIELDS`` kind table is both what is written and what is checked on
+reading, and the summary rows derive from the records. A cell file is
+written as its last seed finishes, so a failed sweep keeps the cells it
+finished. Result files contain no timestamps, so identical configs
+reproduce identical bytes.
 
 A sweep's result is the files it wrote: every runner returns the
 `SweepResult` that `load_sweep` reads back from them, as `hvacrl report`
@@ -72,9 +72,14 @@ from .fingerprint import bad_fields, fingerprint, to_jsonable
 # observation channels holding zone temperatures, per environment kind
 TEMP_CHANNELS = {"dc": slice(5, 7), "mu": slice(5, 8)}
 
+#: the headline metrics: a report's, a curve row's and a summary row's
+METRICS = ("avg_reward", "violation", "avg_power_kw")
+#: the fields of one zone's entry in a report's ``zone_quantiles``
+QUANTILES = dict.fromkeys(("min", "q25", "median", "q75", "max", "iqr"),
+                          float)
+
 # the summary columns `hvacrl report` prints, and those `load_sweep` reads
-REPORT_COLUMNS = ("cell", "seed", "best_epoch", "avg_reward", "violation",
-                  "avg_power_kw")
+REPORT_COLUMNS = ("cell", "seed", "best_epoch", *METRICS)
 _SUMMARY_FIELDS = dict.fromkeys(
     ("cell", "cell_fingerprint", *REPORT_COLUMNS[1:]), str)
 
@@ -101,14 +106,9 @@ def violation_fraction(zone_temps: np.ndarray, band_low, band_high) -> float:
 def temperature_quantiles(zone_temps: np.ndarray) -> list:
     """Per-zone five-number summaries for box plots."""
     temps = np.asarray(zone_temps, dtype=float)
-    out = []
-    for z in range(temps.shape[1]):
-        q0, q25, q50, q75, q100 = np.quantile(temps[:, z],
-                                              [0.0, 0.25, 0.5, 0.75, 1.0])
-        out.append({"min": float(q0), "q25": float(q25),
-                    "median": float(q50), "q75": float(q75),
-                    "max": float(q100), "iqr": float(q75 - q25)})
-    return out
+    qs = (np.quantile(temps[:, z], [0.0, 0.25, 0.5, 0.75, 1.0])
+          for z in range(temps.shape[1]))
+    return [dict(zip(QUANTILES, map(float, (*q, q[3] - q[1])))) for q in qs]
 
 
 @dataclass
@@ -127,9 +127,9 @@ class RunReport:
 
     #: every field, with the type of its value (see `fingerprint.bad_fields`)
     FIELDS: ClassVar[dict] = {
-        "avg_reward": float, "violation": float, "avg_power_kw": float,
-        "episode_return": float, "zone_quantiles": [dict], "seed": int,
-        "config_fingerprint": str, "weather": str, "steps": int}
+        **dict.fromkeys(METRICS, float), "episode_return": float,
+        "zone_quantiles": [QUANTILES], "seed": int, "config_fingerprint": str,
+        "weather": str, "steps": int}
 
     def __post_init__(self):
         if not 0.0 <= self.violation <= 1.0:
@@ -139,27 +139,11 @@ class RunReport:
             raise DataError(f"negative average power {self.avg_power_kw}")
 
     def to_jsonable(self) -> dict:
-        return {k: v for k, v in asdict(self).items()}
+        return asdict(self)
 
     @classmethod
     def from_jsonable(cls, d: dict) -> "RunReport":
         return cls(**d)
-
-
-def report_from_trajectory(traj, band_low, band_high,
-                           config_fingerprint: str) -> RunReport:
-    if traj.fault is not None:
-        raise SimulationFault(f"evaluation rollout faulted: {traj.fault}")
-    return RunReport(
-        avg_reward=float(traj.rewards.mean()),
-        violation=violation_fraction(traj.zone_temps, band_low, band_high),
-        avg_power_kw=float(traj.total_power_w.mean()) * 1e-3,
-        episode_return=float(traj.rewards.sum()),
-        zone_quantiles=temperature_quantiles(traj.zone_temps),
-        seed=traj.seed,
-        config_fingerprint=config_fingerprint,
-        weather=traj.weather_name,
-        steps=len(traj))
 
 
 def audit_violation_from_csv(csv_path, env_kind: str, band_low,
@@ -168,16 +152,6 @@ def audit_violation_from_csv(csv_path, env_kind: str, band_low,
     cols = read_trajectory_csv(csv_path)
     temps = cols["obs"][:, TEMP_CHANNELS[env_kind]]
     return violation_fraction(temps, band_low, band_high)
-
-
-def _controller_for(policy, env: BuildingEnv):
-    if isinstance(policy, (str, Path)):
-        policy, _ = load_agent(policy)
-    if isinstance(policy, Agent):
-        return PolicyController(policy, env.obs_spec, env.act_spec), \
-            policy.fingerprint()
-    # otherwise a plain callable controller in physical units
-    return policy, getattr(policy, "__name__", type(policy).__name__)
 
 
 def evaluate_policy(policy, env: BuildingEnv, weather: str | None = None,
@@ -191,7 +165,15 @@ def evaluate_policy(policy, env: BuildingEnv, weather: str | None = None,
     `SimulationFault`, after the seeds before it are written.
     """
     run_env = env.variant(weather)
-    controller, policy_fp = _controller_for(policy, run_env)
+    if isinstance(policy, (str, Path)):
+        policy, _ = load_agent(policy)
+    if isinstance(policy, Agent):
+        controller = PolicyController(policy, run_env.obs_spec,
+                                      run_env.act_spec)
+        policy_fp = policy.fingerprint()
+    else:       # a plain callable controller in physical units
+        controller, policy_fp = policy, getattr(policy, "__name__",
+                                                type(policy).__name__)
     rp = run_env.reward_params
     cfg_fp = fingerprint({
         "policy": policy_fp, "env": run_env.fingerprint(),
@@ -202,8 +184,18 @@ def evaluate_policy(policy, env: BuildingEnv, weather: str | None = None,
     with (nullcontext(out_dir) if out_dir is not None
           else tempfile.TemporaryDirectory()) as csv_dir:
         for seed, traj in zip(seeds, trajs):
-            report = report_from_trajectory(traj, rp.band_low, rp.band_high,
-                                            cfg_fp)
+            if traj.fault is not None:
+                raise SimulationFault(f"evaluation rollout faulted: "
+                                      f"{traj.fault}")
+            report = RunReport(
+                avg_reward=float(traj.rewards.mean()),
+                violation=violation_fraction(traj.zone_temps, rp.band_low,
+                                             rp.band_high),
+                avg_power_kw=float(traj.total_power_w.mean()) * 1e-3,
+                episode_return=float(traj.rewards.sum()),
+                zone_quantiles=temperature_quantiles(traj.zone_temps),
+                seed=traj.seed, config_fingerprint=cfg_fp,
+                weather=traj.weather_name, steps=len(traj))
             csv_path = Path(csv_dir) / f"trajectory_seed{seed}.csv"
             write_trajectory_csv(traj, csv_path)
             recount = audit_violation_from_csv(csv_path, run_env.config.kind,
@@ -224,11 +216,8 @@ def rule_baseline_report(env: BuildingEnv, presets=None,
         presets = list(TRAIN_PRESETS[kind]) + [EVAL_PRESET[kind]]
     controller = lambda obs: rule_controller(obs, kind)
     controller.__name__ = "rule"
-    reports = []
-    for preset in presets:
-        reports.extend(evaluate_policy(controller, env, weather=preset,
-                                       seeds=seeds))
-    return reports
+    return [report for preset in presets for report in evaluate_policy(
+        controller, env, weather=preset, seeds=seeds)]
 
 
 # ---------------------------------------------------------------------------
@@ -282,91 +271,113 @@ class HarnessConfig:
     def __post_init__(self):
         if self.env_kind not in ("dc", "mu"):
             raise UsageError(f"unknown environment kind {self.env_kind!r}")
-        if self.seeds < 0:
-            raise UsageError("seeds must be >= 0")
-        if self.eval_seed < 0:
-            raise UsageError("eval_seed must be >= 0")
-        if self.jobs < 1:
-            raise UsageError("jobs must be >= 1")
+        for name, low in (("seeds", 0), ("eval_seed", 0), ("jobs", 1)):
+            if getattr(self, name) < low:
+                raise UsageError(f"{name} must be >= {low}")
 
     @classmethod
     def from_jsonable(cls, d: dict, **overrides) -> "HarnessConfig":
         """Inverse of `fingerprint.to_jsonable` (JSON lists become tuples
         again), with ``overrides`` replacing single fields before
         validation."""
-        block = {k: (tuple(v) if isinstance(v, list) else v)
-                 for k, v in d.items()}
-        return cls(**{**block, **overrides})
+        return cls(**{k: tuple(v) if isinstance(v, list) else v
+                      for k, v in {**d, **overrides}.items()})
 
 
 def base_env(cfg: HarnessConfig, days: float | None = None) -> BuildingEnv:
-    return BuildingEnv(EnvConfig(kind=cfg.env_kind,
-                                 days=days if days is not None
-                                 else cfg.eval_days))
+    return BuildingEnv(EnvConfig(
+        kind=cfg.env_kind, days=cfg.eval_days if days is None else days))
 
 
 # ---------------------------------------------------------------------------
-# cell result files
+# sweep result records
 
 
-def _write_cell(out_root: Path, rq: str, cell_fp: str, report: dict,
-                quality: dict | None) -> Path:
-    """Write one cell's directory: its ``quality.json``, if it has one,
-    then its ``report.json``, which marks the cell finished."""
-    cell_dir = out_root / rq / cell_fp
-    if quality is not None:
-        write_json(cell_dir / "quality.json", quality)
-    write_json(cell_dir / "report.json", report)
-    return cell_dir
-
-
-#: the fields a cell report must hold, and each of its per-seed entries
-_CELL_FIELDS = {"axes": dict, "seeds": list}
-_SEED_FIELDS = {"seed": int, "best_epoch": int, "curve": [dict],
-                "report": dict}
-#: each sweep's cell axes, which the claims read, and the fields of one
-#: zone's entry in a report's ``zone_quantiles``
+#: each sweep's cell axes, which the claims read
 _AXES = {"rq1": {"scenario": str, "algo": str},
          "rq2": {"mode": str, "history": bool, "seq_len": int},
          "rq3": {"epsilon": float, "sigma": float},
          "rq4": {"size": int, "epsilon": float, "sigma": float},
          "rq5": {"seq_len": int}}
-_QUANTILE_FIELDS = dict.fromkeys(("min", "q25", "median", "q75", "max",
-                                  "iqr"), float)
 
 
-def _finished_cell(out_root: Path, rq: str, key: str, cell_fp: str) -> dict:
-    """The report of a cell a previous run finished.
+@dataclass
+class SeedResult:
+    """One training seed of a cell: its best epoch's `RunReport` and the
+    learning curve, one row of `METRICS` per epoch."""
 
-    It must hold the `_CELL_FIELDS`, with exactly the ``rq``'s `_AXES`,
-    and a non-empty list of per-seed entries, each with the `_SEED_FIELDS`
-    and a ``report`` of exactly the `RunReport.FIELDS`, whose zone
-    quantiles hold exactly the `_QUANTILE_FIELDS`; a missing or damaged
-    report is a DataError. Other keys, like the ``final_report`` of older
-    cells, are ignored.
-    """
-    path = out_root / rq / cell_fp / "report.json"
+    seed: int
+    best_epoch: int
+    report: RunReport
+    curve: list
+
+    #: every field, with its kind (see `fingerprint.bad_fields`)
+    FIELDS: ClassVar[dict] = {
+        "seed": int, "best_epoch": int, "report": RunReport.FIELDS,
+        "curve": [{"epoch": int, "seed": int,
+                   **dict.fromkeys(METRICS, float)}]}
+
+
+@dataclass
+class CellResult:
+    """One cell of a sweep, as its ``report.json`` holds it."""
+
+    rq: str
+    cell: str                   # the cell's key
+    axes: dict
+    cell_fingerprint: str
+    seeds: list = field(default_factory=list)   # one SeedResult per seed
+
+    #: every field, with its kind; ``axes`` is typed by the rq's `_AXES`
+    FIELDS: ClassVar[dict] = {"rq": str, "cell": str, "axes": dict,
+                              "cell_fingerprint": str,
+                              "seeds": [SeedResult.FIELDS]}
+
+    def to_jsonable(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_jsonable(cls, d, rq: str) -> "CellResult":
+        """The record of a cell document of sweep ``rq``; a document that is
+        not an object of exactly the `FIELDS` is a DataError."""
+        bad = bad_fields(d, {**cls.FIELDS, "axes": _AXES[rq]}, closed=True)
+        if bad:
+            raise DataError(f"fields {bad} are missing, unknown or mistyped")
+        return cls(**{**d, "seeds": [
+            SeedResult(**{**s, "report": RunReport.from_jsonable(s["report"])})
+            for s in d["seeds"]]})
+
+    def summary_rows(self) -> list:
+        """Its rows of the sweep's ``summary.csv``, one per seed."""
+        return [{"rq": self.rq, "cell": self.cell,
+                 "cell_fingerprint": self.cell_fingerprint, "seed": s.seed,
+                 "best_epoch": s.best_epoch,
+                 **{m: getattr(s.report, m)
+                    for m in (*METRICS, "episode_return")},
+                 **{f"axis_{a}": v for a, v in self.axes.items()}}
+                for s in self.seeds]
+
+
+def _write_cell(out_root: Path, cell: CellResult, quality) -> Path:
+    """Write one cell's directory: its ``quality.json``, if it has one,
+    then its ``report.json``, which marks the cell finished."""
+    cell_dir = out_root / cell.rq / cell.cell_fingerprint
+    if quality is not None:
+        write_json(cell_dir / "quality.json", quality)
+    write_json(cell_dir / "report.json", cell.to_jsonable())
+    return cell_dir
+
+
+def _finished_cell(out_root: Path, rq: str, key: str, fp: str) -> CellResult:
+    """The record of a cell a previous run finished; a missing or damaged
+    ``report.json`` is a DataError."""
+    path = out_root / rq / fp / "report.json"
     if not path.exists():
         raise DataError(f"missing results for cell {key}")
-    report = read_json(path)
-    bad = bad_fields(report, _CELL_FIELDS) or [
-        f"axes.{k}" for k in bad_fields(report["axes"], _AXES[rq],
-                                        closed=True)]
-    if bad:
-        raise DataError(f"report of cell {key}: fields {bad} are missing or "
-                        f"of the wrong type")
-    if not report["seeds"]:
-        raise DataError(f"cell {key}: seeds is not a non-empty list")
-    for i, s in enumerate(report["seeds"]):
-        if (bad_fields(s, _SEED_FIELDS)
-                or bad_fields(s["report"], RunReport.FIELDS, closed=True)
-                or any(bad_fields(z, _QUANTILE_FIELDS, closed=True)
-                       for z in s["report"]["zone_quantiles"])):
-            raise DataError(
-                f"cell {key}: seed entry {i} is not an object with seed, "
-                f"best_epoch, curve and a report of the RunReport fields "
-                f"with typed zone quantiles")
-    return report
+    try:
+        return CellResult.from_jsonable(read_json(path), rq)
+    except DataError as e:
+        raise DataError(f"report of cell {key}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +500,8 @@ class SweepResult:
                                 for r in self.reports(key)]))
 
 
-def _run_cell(job: dict) -> tuple:
-    """Train one seed of one cell; its key and its entry of the cell
-    report, with the best epoch.
+def _run_cell(job: dict) -> SeedResult:
+    """Train one seed of one cell, and return its result.
 
     Trains offline on ``job["dataset"]`` when it names a file, otherwise
     online on ``job["train_env"]``, and evaluates on ``job["eval_env"]``.
@@ -514,12 +524,11 @@ def _run_cell(job: dict) -> tuple:
         summary = train_online(agent, preset_rotation(env)[0],
                                eval_fn=eval_fn)
     curve = [{"epoch": r["epoch"], "seed": r["seed"],
-              **{k: r["eval"][k]
-                 for k in ("avg_reward", "violation", "avg_power_kw")}}
+              **{m: r["eval"][m] for m in METRICS}}
              for r in summary.records]
-    return job["key"], {
-        "seed": acfg.seed, "best_epoch": summary.best_epoch,
-        "report": summary.best_eval, "curve": curve}
+    return SeedResult(seed=acfg.seed, best_epoch=summary.best_epoch,
+                      report=RunReport.from_jsonable(summary.best_eval),
+                      curve=curve)
 
 
 def _execute(jobs: list, n_workers: int):
@@ -533,28 +542,14 @@ def _execute(jobs: list, n_workers: int):
         yield from map(_run_cell, jobs)
 
 
-def _write_summary(out_root: Path, rq: str, grid: dict) -> None:
-    """Write the flat summary CSV: one row per seed of every cell, cells
-    in key order, from ``grid``'s ``key -> (axes, cell fingerprint,
-    seeds)``."""
-    summary_rows = []
-    for key in sorted(grid):
-        axes, fp, seeds = grid[key]
-        for s in seeds:
-            rep = s["report"]
-            row = {"rq": rq, "cell": key, "cell_fingerprint": fp,
-                   "seed": s["seed"], "best_epoch": s["best_epoch"],
-                   "avg_reward": rep["avg_reward"],
-                   "violation": rep["violation"],
-                   "avg_power_kw": rep["avg_power_kw"],
-                   "episode_return": rep["episode_return"]}
-            row.update({f"axis_{a}": v for a, v in axes.items()})
-            summary_rows.append(row)
+def _write_summary(out_root: Path, rq: str, cells) -> None:
+    """Write the flat summary CSV: the cells' rows, cells in key order."""
+    summary_rows = [row for cell in sorted(cells, key=lambda c: c.cell)
+                    for row in cell.summary_rows()]
     buf = io.StringIO()
-    if summary_rows:
-        cols = sorted({c for row in summary_rows for c in row})
-        writer = csv.DictWriter(buf, fieldnames=cols, lineterminator="\n",
-                                restval="")
+    if summary_rows:    # every cell of a sweep has the same axes
+        writer = csv.DictWriter(buf, fieldnames=sorted(summary_rows[0]),
+                                lineterminator="\n")
         writer.writeheader()
         writer.writerows(summary_rows)
     atomic_write(out_root / rq / "summary.csv", [buf.getvalue().encode()])
@@ -565,10 +560,11 @@ def load_sweep(out_root, rq: str) -> SweepResult:
     runner returns this reading of the files it wrote).
 
     The cells are the ones ``<out_root>/<rq>/summary.csv`` lists; each is
-    read from its cell directory. A missing or damaged summary (without
-    the columns `hvacrl report` prints), a listed cell without its
-    directory, a damaged cell file and an rq3 cell without a numeric
-    ``mean`` in its ``quality.json`` are DataErrors.
+    read from its cell directory. A missing or damaged summary, a listed
+    cell without its directory, a damaged cell file, a cell without seeds
+    or with a seed twice, summary rows other than the cells'
+    `CellResult.summary_rows` and an rq3 cell without a numeric ``mean``
+    in its ``quality.json`` are DataErrors.
     """
     out_root = Path(out_root)
     path = out_root / rq / "summary.csv"
@@ -581,11 +577,16 @@ def load_sweep(out_root, rq: str) -> SweepResult:
                             f"{'/'.join(bad)} columns")
     listed = {row["cell"]: row["cell_fingerprint"] for row in rows}
     result = SweepResult(rq=rq, summary_path=str(path), rows=rows)
+    derived = []
     for key in sorted(listed):
         cell = _finished_cell(out_root, rq, key, listed[key])
-        result.cell_axes[key] = cell["axes"]
-        result.cells[key] = [RunReport.from_jsonable(s["report"])
-                             for s in cell["seeds"]]
+        seeds = [s.seed for s in cell.seeds]
+        if not seeds or len(set(seeds)) < len(seeds):
+            raise DataError(f"cell {key}: seeds is not a non-empty list of "
+                            f"distinct seeds: {seeds}")
+        derived += cell.summary_rows()
+        result.cell_axes[key] = cell.axes
+        result.cells[key] = [s.report for s in cell.seeds]
         if rq == "rq3":     # the only cells with one; the claim reads it
             quality = out_root / rq / listed[key] / "quality.json"
             if not quality.exists():
@@ -593,6 +594,8 @@ def load_sweep(out_root, rq: str) -> SweepResult:
             result.quality[key] = read_json(quality)
             if bad_fields(result.quality[key], {"mean": float}):
                 raise DataError(f"{quality} lacks a numeric mean")
+    if rows != [{k: str(v) for k, v in row.items()} for row in derived]:
+        raise DataError(f"{path}: rows differ from its cells' seed entries")
     return result
 
 
@@ -623,10 +626,10 @@ def _sweep(rq: str, cfg: HarnessConfig, cells: list,
     2. Name each cell by a hash of what its jobs read: rq, axes, agent
        JSONs, dataset tag (online: the training env's fingerprint), the
        eval env's fingerprint and ``eval_seed``.
-    3. Reuse a cell whose ``report.json`` exists (`_finished_cell`). For
-       the others, build the dataset (`_dataset`) and, if ``scored``, its
-       quality report, then run one job per seed, and write each cell as
-       its last seed finishes.
+    3. Reuse a finished cell, whose seeds must be ``range(cfg.seeds)``.
+       For the others, build the dataset and, if ``scored``, its quality
+       report, then run one job per seed; write each cell as its last
+       seed finishes.
     """
     out_root = Path(cfg.out_dir)
     plan = {}                       # key -> (axes, agent JSONs, data)
@@ -657,15 +660,19 @@ def _sweep(rq: str, cfg: HarnessConfig, cells: list,
              "train_env": to_jsonable(train_env.config),
              "eval_seed": cfg.eval_seed}
     eval_id = {"env": eval_env.fingerprint(), "seed": cfg.eval_seed}
-    jobs, grid, quality = [], {}, {}    # grid: key -> (axes, fp, seeds)
+    jobs, grid, quality = [], {}, {}    # grid: key -> CellResult
     for key, (axes, agents, data) in plan.items():
         fp = fingerprint({"rq": rq, "axes": axes, "agents": agents,
                           "data": env_fp if data is None else tag(data),
                           "eval": eval_id})
-        grid[key] = (axes, fp, [])
         if (out_root / rq / fp / "report.json").exists():
-            grid[key][2].extend(_finished_cell(out_root, rq, key, fp)["seeds"])
+            grid[key] = _finished_cell(out_root, rq, key, fp)
+            seeds = [s.seed for s in grid[key].seeds]
+            if seeds != list(range(cfg.seeds)):
+                raise DataError(f"cell {key}: seeds {seeds} are not the "
+                                f"configured {list(range(cfg.seeds))}")
             continue
+        grid[key] = CellResult(rq, key, axes, fp)
         path, ds = (_dataset(cfg, data, tag, expert) if data is not None
                     else (None, None))
         if scored:
@@ -675,14 +682,12 @@ def _sweep(rq: str, cfg: HarnessConfig, cells: list,
         jobs.extend({"key": key, "agent": agent, "dataset": path, **reads}
                     for agent in agents)
     expert = ds = None      # nothing built stays in memory while jobs train
-    for key, out in _execute(jobs, cfg.jobs):
-        axes, fp, seeds = grid[key]
-        seeds.append(out)
-        if len(seeds) == cfg.seeds:
-            _write_cell(out_root, rq, fp, {
-                "rq": rq, "cell": key, "axes": axes, "cell_fingerprint": fp,
-                "seeds": seeds}, quality.get(key))
-    _write_summary(out_root, rq, grid)
+    for seed, job in zip(_execute(jobs, cfg.jobs), jobs):
+        cell = grid[job["key"]]
+        cell.seeds.append(seed)
+        if len(cell.seeds) == cfg.seeds:
+            _write_cell(out_root, cell, quality.get(cell.cell))
+    _write_summary(out_root, rq, grid.values())
     return load_sweep(out_root, rq)
 
 
@@ -763,24 +768,17 @@ RQ_RUNNERS = {"1": run_rq1, "2": run_rq2, "3": run_rq3, "4": run_rq4,
 
 
 def _midranks(values) -> np.ndarray:
-    """Ranks with ties replaced by the mean rank of their group."""
-    v = np.asarray(values, dtype=float)
-    order = np.argsort(v, kind="stable")
-    raw = np.empty(len(v))
-    raw[order] = np.arange(len(v), dtype=float)
-    uniq, inverse = np.unique(v, return_inverse=True)
-    mean_rank = np.bincount(inverse, weights=raw) / np.bincount(inverse)
-    return mean_rank[inverse]
+    """0-based ranks, ties replaced by the mean rank of their group."""
+    _, inverse, counts = np.unique(np.asarray(values, dtype=float),
+                                   return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts + 1) / 2)[inverse]
 
 
 def spearman_rho(x, y) -> float:
     """Spearman rank correlation; degenerate (constant) input gives 0."""
-    xc = _midranks(x) - _midranks(x).mean()
-    yc = _midranks(y) - _midranks(y).mean()
+    xc, yc = (_midranks(v) - _midranks(v).mean() for v in (x, y))
     denom = float(np.sqrt((xc ** 2).sum() * (yc ** 2).sum()))
-    if denom == 0.0:
-        return 0.0
-    return float((xc * yc).sum() / denom)
+    return float((xc * yc).sum() / denom) if denom else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -830,8 +828,7 @@ def _rq2_claims(result: SweepResult) -> list:
         if len({len(zones) for cell in iqrs for zones in cell}) != 1:
             raise DataError("rq2 cql seeds report different zone counts")
         flat_iqr, hist_iqr = (np.median(cell, axis=0) for cell in iqrs)
-        pairs = "  ".join(f"z{i}: {h:.3f}<{f:.3f}" if h < f
-                          else f"z{i}: {h:.3f}>={f:.3f}"
+        pairs = "  ".join(f"z{i}: {h:.3f}{'<' if h < f else '>='}{f:.3f}"
                           for i, (h, f) in enumerate(zip(hist_iqr, flat_iqr)))
         lines.append(f"rq2 cql zone-temp IQR {pairs}  all tighter: "
                      f"{_yes(np.all(hist_iqr < flat_iqr))}")

@@ -38,10 +38,13 @@ def to_jsonable(obj):
 
 
 def has_type(value, kind) -> bool:
-    """Whether ``value`` is of type ``kind``, or, for ``kind = [item_type]``,
-    a list, tuple or 1-D array of such items. A bool is neither an int nor
-    a float, an int is also a float, an int outside int64 is neither, and
-    a float is finite."""
+    """Whether ``value`` is of kind ``kind``: a type; ``[item_kind]``, a
+    list, tuple or 1-D array of such items; or a nested table, an object
+    of exactly its fields. A bool is neither an int nor a float, an int is
+    also a float, an int outside int64 is neither, and a float is finite."""
+    if isinstance(kind, dict):
+        return isinstance(value, dict) and not bad_fields(value, kind,
+                                                          closed=True)
     if isinstance(kind, list):
         return (isinstance(value, (list, tuple))
                 or isinstance(value, np.ndarray) and value.ndim == 1) \
@@ -58,11 +61,22 @@ def has_type(value, kind) -> bool:
 def bad_fields(doc, table: dict, *, optional=False, closed=False) -> list:
     """The keys of ``table`` (key -> `has_type` kind) that object ``doc``
     lacks (unless ``optional``) or mistypes, then, if ``closed``, the keys
-    it has that the table lacks. A non-object ``doc`` lacks every key."""
+    it has that the table lacks. An object, or list of objects, of a nested
+    table names its own bad fields instead (``seeds.0.report.steps``). A
+    non-object ``doc`` lacks every key."""
     if not isinstance(doc, dict):
         return list(table)
-    bad = [key for key, kind in table.items()
-           if (not has_type(doc[key], kind) if key in doc else not optional)]
+    bad = []
+    for key, kind in table.items():
+        value = doc.get(key)
+        if isinstance(kind, dict) and isinstance(value, dict):
+            bad += [f"{key}.{k}" for k in bad_fields(value, kind, closed=True)]
+        elif isinstance(kind, list) and isinstance(kind[0], dict) \
+                and isinstance(value, list):
+            bad += [f"{key}.{i}.{k}" for i, item in enumerate(value)
+                    for k in bad_fields(item, kind[0], closed=True)]
+        elif not has_type(value, kind) if key in doc else not optional:
+            bad.append(key)
     return bad + sorted(set(doc) - set(table)) if closed else bad
 
 

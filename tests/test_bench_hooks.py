@@ -1,6 +1,8 @@
 """The benchmark's tracer (bench/tracing.py) wraps named entry points of
-the program where their callers look them up. These tests keep a rename
-or a move of one of them from passing unnoticed outside ``pytest bench``.
+the program where their callers look them up, and its workloads
+(bench/workloads.py) count work in the files the program writes. These
+tests keep a rename or a move of one of them, or a change of that file
+layout, from passing unnoticed outside ``pytest bench``.
 """
 import importlib
 from pathlib import Path
@@ -9,6 +11,9 @@ import numpy as np
 import pytest
 
 from hvacrl.agents import ReplayBuffer
+from hvacrl.evalharness import run_rq5
+
+from test_evalharness import tiny_config
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -17,6 +22,12 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 def tracing(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     return importlib.import_module("tracing")
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("workloads")
 
 
 def test_every_traced_entry_point_exists_and_is_restored(tracing):
@@ -34,3 +45,17 @@ def test_buffer_sampling_is_traced_without_a_view(tracing):
         buf.sample_batch(4, 2, np.random.default_rng(0))
     assert tracer.calls("agents.replay.sample_batch") == 1
     assert tracer.calls("agents.replay.buffer_view") == 0
+
+
+def test_sweep_work_counts_the_result_layout(workloads, tmp_path):
+    # offline-sweep's throughput is the work its counter finds in the
+    # sweep's result files: one count of updates per seed entry, and the
+    # evaluation steps of every curve row on top of the datasets' rows
+    res = run_rq5(tiny_config(tmp_path / "results", seeds=2))
+    entries = sum(len(reports) for reports in res.cells.values())
+    assert entries == 4
+    datasets = (tmp_path / "results" / "datasets").glob("*.hvds")
+    held = sum(workloads.hvds_rows(p) for p in datasets)
+    steps, updates = workloads._sweep_work(tmp_path)
+    assert updates == workloads.RQ5_TRAIN_STEPS * entries
+    assert steps > held > 0

@@ -17,7 +17,7 @@ from hvacrl.buildsim import EVAL_PRESET, BuildingEnv, EnvConfig
 from hvacrl.cli import ENV_MAX_JOBS, ENV_OUT_DIR, default_config, main
 from hvacrl.datagen import (REFERENCE_SEED, expert_reference_return,
                             read_dataset, write_dataset)
-from hvacrl.evalharness import claim_lines, load_sweep
+from hvacrl.evalharness import _AXES, CellResult, claim_lines, load_sweep
 
 from container_cases import rewrite_header
 from test_datagen import MISTYPED_HEADER_FIELDS
@@ -566,13 +566,15 @@ class TestSweepAndReport:
         path = tmp_path / "results" / "rq3" / fp / "report.json"
         doc = json.loads(path.read_text())
         quality = path.with_name("quality.json")
-        message = "seed entry 0"
         if damage == "empty-entry":
             doc["seeds"] = [{}]
+            message = "'seeds.0.seed', 'seeds.0.best_epoch'"
         elif damage == "missing-field":
             del doc["seeds"][0]["report"]["violation"]
+            message = "['seeds.0.report.violation']"
         elif damage == "unknown-field":
             doc["seeds"][0]["report"]["bogus"] = 1.0
+            message = "['seeds.0.report.bogus']"
         elif damage == "no-seeds":
             doc["seeds"] = []
             message = "seeds is not a non-empty list"
@@ -809,6 +811,23 @@ def _summary_without(cell):
     return damage
 
 
+def _summary_row(key, value):
+    """``report`` on the rq3 sweep with column ``key`` of its first summary
+    row set to ``value``."""
+    def damage(tmp, workspace, results):
+        summary = results / "rq3" / "summary.csv"
+        with open(summary, newline="") as f:
+            rows = list(csv.DictReader(f))
+        rows[0][key] = value
+        with open(summary, "w", newline="") as f:
+            writer = csv.DictWriter(f, fieldnames=list(rows[0]),
+                                    lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        return ["report", "--rq", "3", "--results", str(results)]
+    return damage
+
+
 def _summary_columns(tmp, workspace, results):
     summary = results / "rq3" / "summary.csv"
     lines = summary.read_text().splitlines()
@@ -898,6 +917,9 @@ DAMAGED_INPUTS = {
     "axes-list": _report("cell", lambda doc: doc.update(axes=[0.0, 0.1])),
     "seed-str": _report("cell", _seed_entry("seed", "0")),
     "curve-of-int": _report("cell", _seed_entry("curve", [1])),
+    "seeds-repeated": _report(
+        "cell", lambda doc: doc["seeds"].append(doc["seeds"][0])),
+    "summary-seed-7": _summary_row("seed", "7"),
     "rq2-summary-without-cql-hist": _summary_without("cql-hist"),
     "axis-epsilon-str": _report("cell", _axis("epsilon", "x")),
     "axes-without-sigma": _report("cell", _axis("sigma")),
@@ -919,6 +941,19 @@ DAMAGED_INPUTS = {
 }
 
 
+def _declared_fields(doc, table) -> list:
+    """``(owner, key)`` for every key of ``table`` and of its nested tables,
+    an owner of a list of tables being the list's first object."""
+    out = []
+    for key, kind in table.items():
+        out.append((doc, key))
+        if isinstance(kind, list) and isinstance(kind[0], dict):
+            out += _declared_fields(doc[key][0], kind[0])
+        elif isinstance(kind, dict):
+            out += _declared_fields(doc[key], kind)
+    return out
+
+
 class TestDamagedInputs:
     @pytest.mark.parametrize("damage", DAMAGED_INPUTS.values(),
                              ids=DAMAGED_INPUTS.keys())
@@ -934,22 +969,16 @@ class TestDamagedInputs:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_damaged_cell_report_exits_3(self, finished_sweep, tmp_path,
                                          data):
-        # delete one field that a cell report's reader checks, or give it
-        # a value of another type: an axis value and a zone's quantile too
+        # delete one field that the cell record declares, at any depth, or
+        # give it a value of another type
         results = tmp_path / "results"
         if not results.exists():
             shutil.copytree(finished_sweep, results)
         path = _cell_report(results)
         original = path.read_text()
         doc = json.loads(original)
-        entry = doc["seeds"][0]
-        zone = entry["report"]["zone_quantiles"][0]
-        owner, key = data.draw(st.sampled_from(
-            [(doc, k) for k in ("axes", "seeds")]
-            + [(doc["axes"], k) for k in sorted(doc["axes"])]
-            + [(entry, k) for k in ("seed", "best_epoch", "curve", "report")]
-            + [(entry["report"], k) for k in sorted(entry["report"])]
-            + [(zone, k) for k in sorted(zone)]))
+        owner, key = data.draw(st.sampled_from(_declared_fields(
+            doc, {**CellResult.FIELDS, "axes": _AXES["rq3"]})))
         old = owner[key]
         swaps = [v for v in (None, True, "x", 1.5, 7, [1], {"k": 1})
                  if type(v) is not type(old)

@@ -27,8 +27,11 @@ from hvacrl.evalharness import (
     RQ4_NOISE,
     TEMP_CHANNELS,
     HarnessConfig,
+    CellResult,
     RunReport,
+    SeedResult,
     SweepResult,
+    _finished_cell,
     _write_cell,
     audit_violation_from_csv,
     base_env,
@@ -254,19 +257,33 @@ class TestHarnessConfig:
             assert 0.0 < eps <= 1.0 and sigma > 0.0
 
 
+def cell_record(seeds=(0,)) -> CellResult:
+    """A hand-built rq5 cell with one entry per seed."""
+    report = RunReport(
+        avg_reward=-1.0, violation=0.25, avg_power_kw=3.0,
+        episode_return=-36.0, seed=5, config_fingerprint="fp", steps=36,
+        zone_quantiles=[dict.fromkeys(evalharness.QUANTILES, 21.5)])
+    curve = [{"epoch": 1, "seed": 0, "avg_reward": -1.0, "violation": 0.25,
+              "avg_power_kw": 3.0}]
+    return CellResult("rq5", "len01", {"seq_len": 1}, "fp123", [
+        SeedResult(seed=s, best_epoch=1, report=report, curve=curve)
+        for s in seeds])
+
+
 class TestCellArtifacts:
     def test_write_then_load_roundtrip(self, tmp_path):
-        report = {"rq": "rq9", "cell": "k", "seeds": [{"seed": 0}]}
-        cell_dir = _write_cell(tmp_path, "rq9", "fp123", report, {"note": 1})
+        cell = cell_record()
+        cell_dir = _write_cell(tmp_path, cell, {"note": 1})
         assert sorted(p.name for p in cell_dir.iterdir()) == \
             ["quality.json", "report.json"]
-        assert json.loads((cell_dir / "report.json").read_text()) == report
+        assert json.loads((cell_dir / "report.json").read_text()) == \
+            cell.to_jsonable()
+        assert _finished_cell(tmp_path, "rq5", "len01", "fp123") == cell
 
     def test_rewrite_is_byte_identical(self, tmp_path):
-        report = {"b": 2, "a": 1}
-        first = _write_cell(tmp_path, "rq9", "fp", report, None)
+        first = _write_cell(tmp_path, cell_record(), None)
         blob = (first / "report.json").read_bytes()
-        again = _write_cell(tmp_path, "rq9", "fp", dict(report), None)
+        again = _write_cell(tmp_path, cell_record(), None)
         assert (again / "report.json").read_bytes() == blob
 
 
@@ -471,16 +488,12 @@ class TestMiniatureSweep:
                 best = s["curve"][s["best_epoch"] - 1]
                 assert best["avg_reward"] == s["report"]["avg_reward"]
 
-    def test_older_cells_with_final_report_and_curve_csv_are_reused(
+    def test_cells_with_curve_csv_reused_not_with_final_report(
             self, tmp_path):
         cfg = tiny_config(tmp_path)
         first = run_rq5(cfg)
         stamps = {}
         for d in cell_dirs(first).values():
-            doc = json.loads((d / "report.json").read_text())
-            for s in doc["seeds"]:
-                s["final_report"] = s["report"]
-            (d / "report.json").write_text(json.dumps(doc))
             (d / "curve.csv").write_text(
                 "avg_power_kw,avg_reward,epoch,seed,violation\n")
             stamps[d] = os.path.getmtime(d / "report.json")
@@ -489,6 +502,43 @@ class TestMiniatureSweep:
         for d, stamp in stamps.items():
             assert os.path.getmtime(d / "report.json") == stamp
             assert (d / "curve.csv").exists()
+        # a seed entry is a closed record: a field it does not declare is
+        # damage, not an older layout to skip over
+        d = next(iter(stamps))
+        doc = json.loads((d / "report.json").read_text())
+        doc["seeds"][0]["final_report"] = doc["seeds"][0]["report"]
+        (d / "report.json").write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="seeds.0.final_report"):
+            run_rq5(cfg)
+
+    @pytest.mark.parametrize("seeds", [[0, 0], [0], [1, 0], []])
+    def test_reused_cell_must_hold_the_configured_seeds(self, tmp_path,
+                                                       monkeypatch, seeds):
+        cfg = tiny_config(tmp_path, seeds=2, rq5_seq_lens=(1,))
+        report = next(iter(cell_dirs(run_rq5(cfg)).values())) / "report.json"
+        doc = json.loads(report.read_text())
+        by_seed = {s["seed"]: s for s in doc["seeds"]}
+        doc["seeds"] = [by_seed[s] for s in seeds]
+        report.write_text(json.dumps(doc))
+        calls = count_cell_runs(monkeypatch)
+        with pytest.raises(DataError, match="are not the configured"):
+            run_rq5(cfg)
+        assert calls == []
+
+    def test_records_round_trip_and_derive_the_summary(self, tmp_path):
+        res = run_rq5(tiny_config(tmp_path, seeds=2))
+        derived = []
+        for key, d in sorted(cell_dirs(res).items()):
+            doc = json.loads((d / "report.json").read_text())
+            cell = CellResult.from_jsonable(doc, "rq5")
+            assert cell.to_jsonable() == doc
+            assert [s.report for s in cell.seeds] == res.cells[key]
+            derived += cell.summary_rows()
+        with open(res.summary_path, newline="") as f:
+            assert list(csv.DictReader(f)) == [
+                {k: str(v) for k, v in row.items()} for row in derived]
+        assert res.rows == [{k: str(v) for k, v in row.items()}
+                            for row in derived]
 
     def test_results_do_not_depend_on_output_location(self, tmp_path):
         blobs = {}
