@@ -37,7 +37,10 @@ class FlatEncoder(Module):
         self.out_dim = obs_dim
 
     def __call__(self, windows: np.ndarray, counts: np.ndarray) -> Tensor:
-        return Tensor(np.ascontiguousarray(windows[:, 0, :], dtype=np.float32))
+        return Tensor(self.rows(windows, counts))
+
+    def rows(self, windows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(windows[:, 0, :], dtype=np.float32)
 
 
 def make_encoder(cfg: AgentConfig, obs_dim: int, rng) -> Module:
@@ -91,8 +94,7 @@ class DeterministicActor(Module):
     def act(self, windows, counts):
         """The clipped action of each window alone: a lockstep rollout's
         action does not depend on how many episodes step with it."""
-        with T.no_grad():
-            a = np.tanh(self.head.rows(self.encoder(windows, counts).data))
+        a = np.tanh(self.head.rows(self.encoder.rows(windows, counts)))
         return _clip_unit(a)
 
 
@@ -118,8 +120,7 @@ class GaussianActor(Module):
     def act(self, windows, counts, rng=None, deterministic: bool = True):
         """The clipped action of each window alone, as `DeterministicActor.act`
         gives it; ``deterministic=False`` samples it with ``rng``."""
-        with T.no_grad():
-            out = self.head.rows(self.encoder(windows, counts).data)
+        out = self.head.rows(self.encoder.rows(windows, counts))
         k = self.act_dim
         return _clip_unit(tanh_gaussian_action(out[:, :k], out[:, k:], rng,
                                                deterministic))

@@ -15,6 +15,7 @@ Exit codes: 0 ok, 2 usage, 3 bad data or fingerprint mismatch,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import shlex
 import sys
@@ -104,12 +105,17 @@ def _out_file(flag_value: str, args_env: dict) -> Path:
 
 def _env_from(cfg: dict, kind: str | None = None, weather: str | None = None,
               days: float | None = None) -> BuildingEnv:
-    if days is not None and days <= 0:
-        raise UsageError("days must be positive")
+    """The config's environment with the command's overrides; ``days``
+    must be finite and long enough for one control step."""
+    if days is not None and not 0.0 < days < math.inf:
+        raise UsageError("days must be positive and finite")
     block = dict(cfg["environment"])
     if kind:
         block["kind"] = kind
-    return BuildingEnv(EnvConfig(**block)).variant(weather, days)
+    env = BuildingEnv(EnvConfig(**block)).variant(weather, days)
+    if days is not None and env.horizon < 1:
+        raise UsageError(f"days={days} is shorter than one control step")
+    return env
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ and metadata, and the arrays are the float32 ``obs``, ``act`` and
 """
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -235,9 +236,9 @@ def collect_trained(env: BuildingEnv, expert, total_steps: int,
     episode k takes draw ``k * horizon + t``. So the dataset depends only
     on the seed, not on how the episodes are batched.
     """
+    check_collection(total_steps, epsilon, sigma, seed)
     if isinstance(expert, (str, Path)):
         expert, _ = load_agent(expert)
-    check_collection(total_steps, epsilon, sigma, seed)
     # whole episodes: the last one starts before total_steps is reached
     n = -(-total_steps // env.horizon)
     noise = perturbations(np.random.default_rng(seed), n * env.horizon,
@@ -285,13 +286,13 @@ def collect_trained(env: BuildingEnv, expert, total_steps: int,
 def check_collection(total_steps: int, epsilon: float, sigma: float,
                      seed: int = 0) -> None:
     """A UsageError unless ``total_steps >= 1``, ``0 <= epsilon <= 1``,
-    ``sigma >= 0`` and ``seed >= 0``."""
+    ``0 <= sigma < inf`` and ``seed >= 0``; NaN fails each bound."""
     if total_steps < 1:
         raise UsageError("total_steps must be >= 1")
     if not 0.0 <= epsilon <= 1.0:
         raise UsageError("epsilon must be in [0, 1]")
-    if sigma < 0.0:
-        raise UsageError("sigma must be >= 0")
+    if not 0.0 <= sigma < math.inf:
+        raise UsageError("sigma must be finite and >= 0")
     if seed < 0:
         raise UsageError("seed must be >= 0")
 

@@ -81,6 +81,27 @@ class Module:
             dst.data += tau * src.data
 
 
+GROUP = 64   # windows per `rows` group: larger stacks outgrow the cache
+
+
+class Workspace:
+    """The buffers a module's `rows` reuses from call to call. It keeps the
+    set of the last group size and dtype it served, so a forward at that
+    size allocates no buffer, and frees that set before it builds another.
+    It holds no reference to its module, so dropping the module frees the
+    buffers at once."""
+
+    def __init__(self):
+        self.key = self.bufs = None
+
+    def get(self, k: int, dtype, make) -> tuple:
+        """The buffers ``make(k, dtype)`` builds for groups of k windows."""
+        if (k, dtype) != self.key:
+            self.key = self.bufs = None
+            self.bufs, self.key = make(k, dtype), (k, dtype)
+        return self.bufs
+
+
 class Linear(Module):
     """y = x @ W + b with uniform(-1/sqrt(fan_in)) init."""
 
@@ -104,18 +125,34 @@ class MLP(Module):
         self.layers = [Linear(sizes[i], sizes[i + 1], rng,
                               init_gain=final_gain if i == len(sizes) - 2 else 1.0)
                        for i in range(len(sizes) - 1)]
+        self.sizes = tuple(sizes)
+        # the (w, b) pairs in `tensor.mlp`'s order; a tuple of tensors,
+        # which `named_parameters` does not list a second time
+        self._weights = tuple((layer.w, layer.b) for layer in self.layers)
+        self._ws = Workspace()
 
     def __call__(self, x) -> Tensor:
-        return T.mlp(x, [(layer.w, layer.b) for layer in self.layers])
+        return T.mlp(x, self._weights)
+
+    def _buffers(self, k: int, dtype) -> tuple:
+        """`rows`' hidden layers for k rows."""
+        return tuple(np.empty((k, 1, size), dtype) for size in self.sizes[1:-1])
 
     def rows(self, x: np.ndarray) -> np.ndarray:
         """The forward pass of each row of the 2-D array ``x`` alone, on
-        arrays and with no tape. The rows run as an (N, 1, F) stack, so each
-        is the 1-row product of a batch of one: a 2-D (N, F) product rounds
-        differently once N > 1."""
-        out, _ = T._mlp_data(x[:, None, :], [(layer.w, layer.b)
-                                              for layer in self.layers])
-        return out[:, 0, :]
+        arrays and with no tape, as a fresh array. The rows run as (k, 1, F)
+        stacks of at most `GROUP` rows, so each is the 1-row product of a
+        batch of one: a 2-D (N, F) product rounds differently once N > 1.
+        The hidden layers live in the module's `Workspace`."""
+        if x.dtype.char not in "fd":   # as a `Tensor` takes it
+            x = x.astype(np.float32)
+        n = len(x)
+        out = np.empty((n, 1, self.sizes[-1]), x.dtype)
+        for s in range(0, n, GROUP):
+            T._mlp_data(x[s:s + GROUP, None], self._weights,
+                        (*self._ws.get(min(GROUP, n - s), x.dtype,
+                                       self._buffers), out[s:s + GROUP]))
+        return out[:, 0]
 
 
 class LayerNorm(Module):
@@ -209,17 +246,65 @@ class HistoryEncoder(Module):
             np.where(visible, np.float32(0), np.float32(-1e9))[:, None],
             cfg.heads, axis=1)
 
-    def __call__(self, window: np.ndarray, counts: np.ndarray) -> Tensor:
-        """window: (batch, window, obs); counts: (batch,) ints, the number
-        of observations in each window, from 1 to the window length."""
+        self._ws = Workspace()
+
+    def _check(self, window: np.ndarray, counts: np.ndarray) -> tuple:
         b, n, _ = window.shape
         if n != self.cfg.window:
             raise SpecError(f"window length {n} != configured {self.cfg.window}")
-        if counts.shape != (b,) or counts.min() < 1 or counts.max() > n:
+        if counts.shape != (b,) or not all(1 <= c <= n
+                                           for c in counts.tolist()):
             raise SpecError(f"counts must be {b} values in 1..{n}")
+        return b, n
+
+    def __call__(self, window: np.ndarray, counts: np.ndarray) -> Tensor:
+        """window: (batch, window, obs); counts: (batch,) ints, the number
+        of observations in each window, from 1 to the window length."""
+        b, n = self._check(window, counts)
         last = counts - 1
         x = T.add(self.embed(window), self.position)
         bias = self.score_bias[last].reshape(b * self.cfg.heads, n, n)
         for block in self.blocks:
             x = block(x, bias)
         return T.take_per_row(x, last)
+
+    def _buffers(self, k: int, dtype) -> tuple:
+        """`rows`' buffers for k windows: the block input, which each block
+        overwrites with its output, the score masks as `score_bias` rows
+        and as `tensor.encoder_block` reads them, the blocks' scratch, and
+        the first slot of each window in the (k * window, feat) rows."""
+        c = self.cfg
+        n = c.window
+        bias = np.empty((k, c.heads, n, n), self.score_bias.dtype)
+        return (np.empty((k, n, c.feat), dtype), bias,
+                bias.reshape(k * c.heads, n, n),
+                T._block_buffers(k, n, c.feat, c.heads, c.hidden, dtype),
+                np.arange(0, k * n, n))
+
+    def rows(self, window: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """`__call__`'s values as a fresh (batch, feat) array, with no tape:
+        the acting path. Windows run in groups of at most `GROUP` on the
+        module's `Workspace`, and each keeps the bits of a batch of one."""
+        b, n = self._check(window, counts)
+        if window.dtype.char not in "fd":   # as a `Tensor` takes it
+            window = window.astype(np.float32)
+        out = np.empty((b, self.out_dim), window.dtype)
+        for s in range(0, b, GROUP):
+            self._group(window[s:s + GROUP], counts[s:s + GROUP] - 1,
+                        out[s:s + GROUP])
+        return out
+
+    def _group(self, window: np.ndarray, last: np.ndarray,
+               out: np.ndarray) -> None:
+        """`rows` on one group, whose windows read out at slots ``last``,
+        into ``out``. Its own frame holds the workspace's arrays, so they
+        are free when the workspace builds the next group size's."""
+        x, masks, bias, bufs, first = self._ws.get(len(last), window.dtype,
+                                                   self._buffers)
+        x = T._affine_data(window, self.embed.w.data, self.embed.b.data, x)
+        x += self.position.data
+        self.score_bias.take(last, 0, masks)
+        for block in self.blocks:
+            x, _ = T._encoder_block_data(x, block._weights, self.cfg.heads,
+                                         bias, keep=False, bufs=bufs, out=x)
+        x.reshape(-1, self.out_dim).take(first + last, 0, out)

@@ -16,7 +16,10 @@ in place once spent.
 Each fused node is bit-identical to the graph of single-op nodes it
 replaces, for values and gradients. Its forward and backward passes are
 array-level helpers (`_mlp_data`/`_mlp_grads` and so on), so
-`encoder_block` composes the same code the smaller nodes run.
+`encoder_block` composes the same code the smaller nodes run. The forward
+helpers also take caller-owned buffers: the tape-free acting path
+(`layers.HistoryEncoder.rows`, `layers.MLP.rows`) runs them on buffers
+it reuses from call to call.
 """
 from __future__ import annotations
 
@@ -197,11 +200,14 @@ def scale(a, c: float) -> Tensor:
     return _make(a.data * a.data.dtype.type(c), (a,), bwd)
 
 
-def _affine_data(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x @ w + b, adding the bias in the product's buffer when the dtypes
-    agree (an in-place add into float32 would round a float64 bias)."""
-    out = x @ w
-    if out.dtype != b.dtype:
+def _affine_data(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+                 out=None) -> np.ndarray:
+    """x @ w + b, computed in ``out`` when it is given, and returned.
+
+    The bias is added in the product's buffer unless it is the wider
+    dtype: an in-place add into float32 would round a float64 bias."""
+    out = np.matmul(x, w, out)
+    if b.dtype.itemsize > out.dtype.itemsize:
         return out + b
     out += b
     return out
@@ -230,17 +236,20 @@ def affine(x, w, b) -> Tensor:
     return _make(_affine_data(x.data, w.data, b.data), (x, w, b), bwd)
 
 
-def _mlp_data(x: np.ndarray, layers) -> tuple[np.ndarray, list]:
+def _mlp_data(x: np.ndarray, layers, out=None) -> tuple[np.ndarray, list]:
     """`mlp`'s forward on arrays: the output and each layer's input, all
-    but the first owned by the caller."""
+    but the first owned by the caller. ``out``, when given, holds one
+    buffer per layer for that layer's output."""
     inputs = [x]
     h = x
-    for w, b in layers[:-1]:
-        h = _affine_data(h, w.data, b.data)
+    if out is None:
+        out = (None,) * len(layers)
+    for (w, b), buf in zip(layers[:-1], out):
+        h = _affine_data(h, w.data, b.data, buf)
         np.maximum(h, 0, out=h)
         inputs.append(h)
     w, b = layers[-1]
-    return _affine_data(h, w.data, b.data), inputs
+    return _affine_data(h, w.data, b.data, out[-1]), inputs
 
 
 def _mlp_grads(g: np.ndarray, inputs: list, layers, need_dx: bool):
@@ -348,12 +357,15 @@ def minimum(a, b) -> Tensor:
     return _make(out_data, (a, b), bwd)
 
 
-def _softmax_data(logits: np.ndarray, axis: int, out=None) -> np.ndarray:
-    """Softmax along ``axis``; ``out=logits`` computes it in place."""
-    out = np.subtract(logits, np.maximum.reduce(logits, axis=axis, keepdims=True),
-                      out=out)
-    np.exp(out, out=out)
-    out /= np.add.reduce(out, axis=axis, keepdims=True)
+def _softmax_data(logits: np.ndarray, axis: int, out=None,
+                  red=None) -> np.ndarray:
+    """Softmax along ``axis``; ``out=logits`` computes it in place, and
+    ``red``, shaped as a keepdims reduction over ``axis``, takes the
+    row maxima and then the row sums."""
+    out = np.subtract(logits, np.maximum.reduce(logits, axis, None, red, True),
+                      out)
+    np.exp(out, out)
+    out /= np.add.reduce(out, axis, None, red, True)
     return out
 
 
@@ -362,8 +374,24 @@ def _softmax_grad(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
     return (g - inner) * out
 
 
+def _attention_buffers(b: int, n: int, d: int, heads: int, dtype) -> tuple:
+    """Fresh buffers for `_attention_data` on b windows of n slots, in its
+    order: the (b, heads, ...) arrays that receive q, k^T and v split per
+    head, their (b * heads, ...) views, the scores, their row reductions,
+    the per-head outputs, those outputs and the merged output as
+    (b, n, heads, d / heads) views, and the merged (b, n, d) output."""
+    h, hs, e = heads, d // heads, np.empty
+    qh, kt, vh = (e((b, h, n, hs), dtype), e((b, h, hs, n), dtype),
+                  e((b, h, n, hs), dtype))
+    ctx, merged = e((b * h, n, hs), dtype), e((b, n, d), dtype)
+    return (qh, kt, vh, qh.reshape(b * h, n, hs), kt.reshape(b * h, hs, n),
+            vh.reshape(b * h, n, hs), e((b * h, n, n), dtype),
+            e((b * h, n, 1), dtype), ctx, ctx.reshape(b, h, n, hs).swapaxes(1, 2),
+            merged.reshape(b, n, h, hs), merged)
+
+
 def _attention_data(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
-                    bias: np.ndarray) -> tuple[np.ndarray, tuple]:
+                    bias: np.ndarray, out=None) -> tuple[np.ndarray, tuple]:
     """Multi-head scaled dot-product attention, the core of `encoder_block`:
     the merged output and the arrays `_attention_grads` reads.
 
@@ -372,29 +400,30 @@ def _attention_data(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
     and -1e9 where it is not. Each head takes its slice of ``feat`` and
     computes ``softmax(q k^T / sqrt(feat / heads) + bias) v``; the heads are
     merged back to (batch, seq, feat). ``bias`` is added into the score
-    buffer, so it must not need a wider dtype than the scores.
+    buffer, so it must not need a wider dtype than the scores. ``out`` is
+    the `_attention_buffers` tuple to compute in, fresh ones by default.
 
     Every array reaches numpy in the layout the composed graph of
     `reshape`, `swapaxes`, `matmul`, `scale` and `softmax` gives it,
     because the strides decide whether a matmul runs through BLAS or
     numpy's own loop; so values and gradients are bit-identical to it."""
     b, n, d = q.shape
-    h, hs = heads, d // heads
-
-    def split(a):   # (b, n, d) -> (b*h, n, hs)
-        return np.ascontiguousarray(
-            a.reshape(b, n, h, hs).swapaxes(1, 2)).reshape(b * h, n, hs)
-
-    qh, kh, vh = split(q), split(k), split(v)
-    kt = np.ascontiguousarray(kh.swapaxes(1, 2))
-    scores = qh @ kt
-    # math.sqrt rounds as np.sqrt does, without a ufunc call on a scalar
-    scores *= scores.dtype.type(1.0 / math.sqrt(hs))
+    hs = d // heads
+    (qs, kts, vs, qh, kt, vh, scores, red, ctx, ctx_split, merged_split,
+     merged) = out or _attention_buffers(b, n, d, heads, q.dtype)
+    split = (b, n, heads, hs)
+    np.copyto(qs, q.reshape(split).swapaxes(1, 2))
+    np.copyto(kts, k.reshape(split).transpose(0, 2, 3, 1))
+    np.copyto(vs, v.reshape(split).swapaxes(1, 2))
+    np.matmul(qh, kt, scores)
+    # math.sqrt rounds as np.sqrt does, without a ufunc call on a scalar;
+    # the scores' dtype rounds the Python float as `scale` rounds its constant
+    scores *= 1.0 / math.sqrt(hs)
     scores += bias
-    attn = _softmax_data(scores, -1, out=scores)
-    out = np.ascontiguousarray(
-        (attn @ vh).reshape(b, h, n, hs).swapaxes(1, 2)).reshape(b, n, d)
-    return out, (qh, kt, vh, attn)
+    attn = _softmax_data(scores, -1, scores, red)
+    np.matmul(attn, vh, ctx)
+    np.copyto(merged_split, ctx_split)
+    return merged, (qh, kt, vh, attn)
 
 
 def _attention_grads(g: np.ndarray, saved: tuple, heads: int) -> tuple:
@@ -418,39 +447,44 @@ def _attention_grads(g: np.ndarray, saved: tuple, heads: int) -> tuple:
     return dq, dk, dv
 
 
-def _mean_last(a: np.ndarray) -> np.ndarray:
+def _mean_last(a: np.ndarray, out=None) -> np.ndarray:
     """``a.mean(axis=-1, keepdims=True)``, bit for bit, without the Python
     wrapper that costs about as much as the arithmetic on small rows."""
-    m = np.add.reduce(a, axis=-1, keepdims=True)
+    m = np.add.reduce(a, -1, None, out, True)
     m /= a.shape[-1]
     return m
 
 
-def _into(op, buf: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """``op(other, buf)`` for a commutative ufunc ``op``, computed in
-    ``buf``'s memory when the dtypes agree, as in `_affine_data`."""
-    if buf.dtype != other.dtype:
-        return op(other, buf)
-    return op(buf, other, out=buf)
-
-
 def _layer_norm_data(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                     eps: float, out=None, keep: bool = True) -> tuple:
+                     eps: float, out=None, keep: bool = True,
+                     tmp=None) -> tuple:
     """A layer norm's forward on arrays (the last axis to zero mean and
     unit variance, then ``gain`` and ``bias``): the output, the normalized
     input and the inverse standard deviation. ``out=x`` normalizes in x's
     buffer; ``keep=False`` then writes the output over the normalized input
-    too, for a caller that runs no backward pass."""
-    xhat = np.subtract(x, _mean_last(x), out=out)
+    too, for a caller that runs no backward pass. ``tmp``, when given, is
+    scratch the caller owns: an array shaped as x for the squared
+    deviations and one shaped as x's mean over the last axis, which
+    receives the mean and then the inverse standard deviation."""
+    sq, small = tmp or (None, None)
+    xhat = np.subtract(x, _mean_last(x, small), out)
     # 1 / sqrt(var + eps), where var is what `np.var` computes: the mean of
     # the squared deviations
-    inv_std = _mean_last(xhat * xhat)
+    inv_std = _mean_last(np.multiply(xhat, xhat, sq), small)
     inv_std += eps
-    np.sqrt(inv_std, out=inv_std)
-    np.divide(1.0, inv_std, out=inv_std)
+    np.sqrt(inv_std, inv_std)
+    np.divide(1.0, inv_std, inv_std)
     xhat *= inv_std
-    out = gain * xhat if keep else _into(np.multiply, xhat, gain)
-    return _into(np.add, out, bias), xhat, inv_std
+    # gain and bias are applied in place unless they are the wider dtype,
+    # as in `_affine_data`
+    if keep or gain.dtype.itemsize > xhat.dtype.itemsize:
+        out = gain * xhat
+    else:
+        out = np.multiply(xhat, gain, xhat)
+    if bias.dtype.itemsize > out.dtype.itemsize:
+        return bias + out, xhat, inv_std
+    out += bias
+    return out, xhat, inv_std
 
 
 def _layer_norm_grads(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
@@ -473,6 +507,50 @@ def _layer_norm_grads(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
     return gx
 
 
+def _block_buffers(b: int, n: int, d: int, heads: int, hidden: int,
+                   dtype) -> tuple:
+    """Buffers for `_encoder_block_data` on b windows of n slots: the q, k
+    and v projections, the `_attention_buffers`, the attention's output
+    projection, the layer norms' scratch and the feed-forward's hidden
+    layer."""
+    e = np.empty
+    return (e((b, n, d), dtype), e((b, n, d), dtype), e((b, n, d), dtype),
+            _attention_buffers(b, n, d, heads, dtype), e((b, n, d), dtype),
+            (e((b, n, d), dtype), e((b, n, 1), dtype)),
+            e((b, n, hidden), dtype))
+
+
+def _encoder_block_data(x: np.ndarray, weights, heads: int, bias: np.ndarray,
+                        eps: float = 1e-5, keep: bool = True, bufs=None,
+                        out=None) -> tuple:
+    """`encoder_block`'s forward on arrays: the output and the arrays its
+    backward pass reads, in the order ``(att, attention arrays, xhat1,
+    inv1, feed-forward inputs, xhat2, inv2)``. ``keep`` is as in
+    `_layer_norm_data`.
+
+    ``bufs`` is the `_block_buffers` tuple to compute in, for a caller that
+    runs no backward pass (the layer norms share their scratch); fresh
+    arrays by default. ``out`` is the buffer for the output, and may be
+    ``x`` itself."""
+    wq, bq, wk, bk, wv, bv, wo, bo, g1, c1, w1, b1, w2, b2, g2, c2 = weights
+    q, k, v, attn, r1, tmp, h1 = bufs or (None,) * 7
+    att, saved = _attention_data(_affine_data(x, wq.data, bq.data, q),
+                                 _affine_data(x, wk.data, bk.data, k),
+                                 _affine_data(x, wv.data, bv.data, v),
+                                 heads, bias, attn)
+    # a residual sum is computed from its skip input, so its dtype already
+    # holds that input's: the skip input is added in place
+    r1 = _affine_data(att, wo.data, bo.data, r1)
+    r1 += x
+    y1, xhat1, inv1 = _layer_norm_data(r1, g1.data, c1.data, eps, out=r1,
+                                       keep=keep, tmp=tmp)
+    r2, inputs = _mlp_data(y1, ((w1, b1), (w2, b2)), bufs and (h1, out))
+    r2 += y1
+    y2, xhat2, inv2 = _layer_norm_data(r2, g2.data, c2.data, eps, out=r2,
+                                       keep=keep, tmp=tmp)
+    return y2, (att, saved, xhat1, inv1, inputs, xhat2, inv2)
+
+
 def encoder_block(x, weights, heads: int, bias: np.ndarray,
                   eps: float = 1e-5) -> Tensor:
     """A post-norm transformer encoder block as one tape node:
@@ -486,10 +564,11 @@ def encoder_block(x, weights, heads: int, bias: np.ndarray,
     ``bias`` are as in `_attention_data`.
 
     Values and gradients are bit-identical to that composed graph. The
-    backward pass replays the tape's order: the block input's gradient is
-    the residual's contribution, then the q, k and v projections' ones,
-    each added with `_accumulate`. Intermediate buffers belong to the node,
-    so residual sums and normalizations are computed in place.
+    forward pass is `_encoder_block_data`. The backward pass replays the
+    tape's order: the block input's gradient is the residual's
+    contribution, then the q, k and v projections' ones, each added with
+    `_accumulate`. Intermediate buffers belong to the node, so residual
+    sums and normalizations are computed in place.
     """
     x = as_tensor(x)
     wq, bq, wk, bk, wv, bv, wo, bo, g1, c1, w1, b1, w2, b2, g2, c2 = weights
@@ -499,20 +578,8 @@ def encoder_block(x, weights, heads: int, bias: np.ndarray,
     proj = ((wq, bq), (wk, bk), (wv, bv))
     ff = [(w1, b1), (w2, b2)]
     xd = x.data
-    att, saved = _attention_data(_affine_data(xd, wq.data, bq.data),
-                                 _affine_data(xd, wk.data, bk.data),
-                                 _affine_data(xd, wv.data, bv.data), heads, bias)
-    # a residual sum is computed from its skip input, so its dtype already
-    # holds that input's: the skip input is added in place
-    r1 = _affine_data(att, wo.data, bo.data)
-    r1 += xd
-    y1, xhat1, inv1 = _layer_norm_data(r1, g1.data, c1.data, eps, out=r1,
-                                       keep=keep)
-    h, inputs = _mlp_data(y1, ff)
-    r2 = h
-    r2 += y1
-    out_data, xhat2, inv2 = _layer_norm_data(r2, g2.data, c2.data, eps, out=r2,
-                                             keep=keep)
+    out_data, (att, saved, xhat1, inv1, inputs, xhat2, inv2) = (
+        _encoder_block_data(xd, weights, heads, bias, eps, keep))
 
     def bwd(g):
         g = _layer_norm_grads(g, xhat2, inv2, g2, c2, True)

@@ -5,6 +5,7 @@ conservative penalty, target-network schedules, and training-loop artifacts.
 import contextlib
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -761,6 +762,82 @@ class TestActing:
                                                      counts[i:i + 1])
                                  for i in range(len(counts))])
         assert stacked.tobytes() == single.tobytes()
+
+    @staticmethod
+    def stacked_windows(cfg, n, seed, obs=8):
+        """n left-aligned windows with counts drawn from 1..seq_len."""
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(1, cfg.seq_len + 1, n)
+        valid = np.arange(cfg.seq_len) < counts[:, None]
+        windows = np.where(valid[..., None], rng.uniform(
+            0, 1, (n, cfg.seq_len, obs)), 0).astype(np.float32)
+        return windows, counts
+
+    @pytest.mark.parametrize("n", [65, 130])
+    @pytest.mark.parametrize("name", list(STACKED))
+    def test_stacked_groups_act_as_single_windows(self, name, n):
+        # more windows than one `rows` group: the rows after the first 64
+        # run in later groups, and must still give batch-1 bits
+        cfg = self.STACKED[name]
+        agent = make_agent(cfg, 8, 4)
+        windows, counts = self.stacked_windows(cfg, n, n)
+        stacked = agent.policy_action(windows, counts)
+        single = np.concatenate([agent.policy_action(windows[i:i + 1],
+                                                     counts[i:i + 1])
+                                 for i in range(n)])
+        assert stacked.tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("name", list(STACKED))
+    def test_results_do_not_alias_the_workspace(self, name):
+        # `rows` reuses its buffers from call to call; what it returned
+        # before must survive the next call at the same size
+        cfg = self.STACKED[name]
+        actor = make_agent(cfg, 8, 4).actor
+        first = self.stacked_windows(cfg, 5, 0)
+        second = self.stacked_windows(cfg, 5, 1)
+        feats = actor.encoder.rows(*first)
+        head = actor.head.rows(feats)
+        act = actor.act(*first)
+        kept = [a.copy() for a in (feats, head, act)]
+        actor.head.rows(actor.encoder.rows(*second))
+        actor.act(*second)
+        for got, want in zip((feats, head, act), kept):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("history", [False, True])
+    def test_dist_params_equal_with_and_without_tape(self, history):
+        cfg = AgentConfig(algo="sac", history=history,
+                          seq_len=6 if history else 1, enc_feat=16,
+                          enc_heads=4, enc_hidden=24, hidden=32,
+                          train_steps=0, seed=12)
+        actor = make_agent(cfg, 8, 4).actor
+        windows, counts = self.stacked_windows(cfg, 7, 2)
+        taped = actor.dist_params(windows, counts)
+        assert all(t.requires_grad for t in taped)
+        with T.no_grad():
+            free = actor.dist_params(windows, counts)
+        assert not any(t.requires_grad for t in free)
+        for a, b in zip(taped, free):
+            assert a.data.tobytes() == b.data.tobytes()
+
+    def test_lockstep_memory_does_not_grow_with_windows(self):
+        # a 700-window call runs in groups of 64, so it holds no more
+        # traced memory than a 64-window call, apart from its per-window
+        # outputs (the features, the head's output and the actions)
+        cfg = self.STACKED["sac-history"]
+
+        def peak(n):
+            agent = make_agent(cfg, 8, 4)
+            windows, counts = self.stacked_windows(cfg, n, 3)
+            tracemalloc.start()
+            try:
+                agent.policy_action(windows, counts)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        outputs = 700 * 4 * (cfg.enc_feat + 4 * 4)
+        assert peak(700) <= peak(64) + outputs
 
     @pytest.mark.parametrize("algo", ["sac", "td3"])
     def test_history_rollout_action_matches_taped_forward(self, algo):

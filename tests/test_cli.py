@@ -111,6 +111,14 @@ class TestConfigPlumbing:
                         "{ckpt}", "--steps", "10", "--out", "sim/d.hvds"], 2),
         ({}, ["collect", "--scenario", "final-buffer", "--sigma", "-1",
               "--steps", "10", "--out", "sim/d.hvds"], 2),
+        ({}, ["collect", "--scenario", "final-buffer", "--sigma", "nan",
+              "--steps", "300", "--out", "sim/d.hvds"], 2),
+        ({}, ["collect", "--scenario", "final-buffer", "--sigma", "inf",
+              "--steps", "300", "--out", "sim/d.hvds"], 2),
+        ({}, ["collect", "--scenario", "trained", "--expert", "{ckpt}",
+              "--sigma", "nan", "--steps", "10", "--out", "sim/d.hvds"], 2),
+        ({}, ["collect", "--scenario", "trained", "--expert", "{ckpt}",
+              "--sigma", "inf", "--steps", "10", "--out", "sim/d.hvds"], 2),
         ({"data": {"scenario": "final_buffer"}}, ["collect", "--expert",
          "{ckpt}", "--steps", "10", "--out", "sim/d.hvds"], 2),
     ], ids=["str-for-int", "str-for-float", "bool-for-int", "float-for-int",
@@ -118,7 +126,8 @@ class TestConfigPlumbing:
             "str-item-for-float", "float-item-for-int", "int-items-for-float",
             "simulate-seed-negative", "final-buffer-seed-negative",
             "trained-seed-negative", "final-buffer-sigma-negative",
-            "scenario-unknown"])
+            "final-buffer-sigma-nan", "final-buffer-sigma-inf",
+            "trained-sigma-nan", "trained-sigma-inf", "scenario-unknown"])
     def test_config_value_types(self, workspace, tmp_path, monkeypatch,
                                 capsys, override, argv, code):
         monkeypatch.chdir(tmp_path)
@@ -149,6 +158,17 @@ class TestArgumentErrors:
         for command in (["simulate"],
                         ["eval", "--ckpt", str(workspace["ckpt"])]):
             assert run([*command, "--env", "dc", "--days", "0",
+                        "--out", str(out)]) == 2
+            assert "UsageError" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("days", ["-1", "nan", "inf", "1e-9"])
+    def test_bad_days_is_usage_error(self, workspace, tmp_path, capsys, days):
+        # negative, non-finite and shorter than one control step alike
+        out = tmp_path / "sim"
+        for command in (["simulate"],
+                        ["eval", "--ckpt", str(workspace["ckpt"])]):
+            assert run([*command, "--env", "dc", "--days", days,
                         "--out", str(out)]) == 2
             assert "UsageError" in capsys.readouterr().err
             assert not out.exists()

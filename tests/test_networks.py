@@ -81,15 +81,17 @@ class TestEncoder:
         window = np.zeros((2, SMALL.window, 3), dtype=np.float32)
         for counts in (np.array([1, 0]), np.array([SMALL.window + 1, 2]),
                        np.ones((2, SMALL.window), dtype=np.int64)):
-            with pytest.raises(SpecError):
-                enc(window, counts)
+            for forward in (enc, enc.rows):
+                with pytest.raises(SpecError):
+                    forward(window, counts)
 
     def test_rejects_bad_window_length(self):
         rng = np.random.default_rng(5)
         enc = HistoryEncoder(3, SMALL, rng)
         window = np.zeros((1, SMALL.window + 1, 3), dtype=np.float32)
-        with pytest.raises(SpecError):
-            enc(window, np.array([1]))
+        for forward in (enc, enc.rows):
+            with pytest.raises(SpecError):
+                forward(window, np.array([1]))
 
     def test_gradients_reach_every_parameter(self):
         rng = np.random.default_rng(6)
