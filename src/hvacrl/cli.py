@@ -15,7 +15,6 @@ Exit codes: 0 ok, 2 usage, 3 bad data or fingerprint mismatch,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import shlex
 import sys
@@ -28,22 +27,20 @@ import numpy as np
 from .agents import AgentConfig, load_agent, make_agent, train_offline
 from .buildsim import BuildingEnv, EnvConfig, rule_controller
 from .container import append_jsonl, read_json, write_json
-from .datagen import (
-    build_quality_report,
-    collect_final_buffer,
-    collect_trained,
-    delta_stats,
-    read_dataset,
-    write_dataset,
-)
-from .errors import HvacrlError, UsageError
+from .datagen import (Recipe, build_quality_report, delta_stats,
+                      read_dataset, write_dataset)
+# bench/tracing.py wraps the collectors here as well as in evalharness
+from .datagen import collect_final_buffer, collect_trained  # noqa: F401
+from .errors import HvacrlError, SpecError, UsageError
 from .evalharness import (METRICS, REPORT_COLUMNS, RQ_RUNNERS,
-                          HarnessConfig, claim_lines, evaluate_policy,
-                          load_sweep)
+                          HarnessConfig, claim_lines, collect,
+                          evaluate_policy, load_sweep)
 from .fingerprint import bad_fields, canonical_json, fingerprint, to_jsonable
 
 ENV_OUT_DIR = "HVACRL_OUT_DIR"     # overrides every --out directory
 ENV_MAX_JOBS = "HVACRL_MAX_JOBS"   # caps sweep parallelism
+#: ``data.scenario`` and ``collect --scenario`` values: their `Recipe` name
+SCENARIOS = {"final-buffer": "final_buffer", "trained": "trained"}
 
 
 # ---------------------------------------------------------------------------
@@ -55,14 +52,14 @@ def default_config() -> dict:
     return {
         "environment": to_jsonable(EnvConfig()),
         "agent": to_jsonable(AgentConfig()),
-        "data": {
+        "data": {                    # a `datagen.Recipe`, seeded by "seed"
             "scenario": "trained",   # final-buffer | trained
-            "algo": "td3",           # final-buffer collection agent
-            "epsilon": 0.1,
-            "sigma": 0.1,
-            "steps": 100_000,
+            "algo": "td3",           # final-buffer learner: td3 | sac
+            "epsilon": 0.1,          # trained: perturbation rate in [0, 1]
+            "sigma": 0.1,            # noise scale, >= 0
+            "steps": 100_000,        # final buffer: one episode at least
             "days": 1.0,             # collection episode length
-            "expert": "",
+            "expert": "",            # trained: the expert checkpoint
         },
         "harness": to_jsonable(HarnessConfig()),
         "seed": 0,
@@ -105,16 +102,17 @@ def _out_file(flag_value: str, args_env: dict) -> Path:
 
 def _env_from(cfg: dict, kind: str | None = None, weather: str | None = None,
               days: float | None = None) -> BuildingEnv:
-    """The config's environment with the command's overrides; ``days``
-    must be finite and long enough for one control step."""
-    if days is not None and not 0.0 < days < math.inf:
-        raise UsageError("days must be positive and finite")
+    """The config's environment with the command's overrides; a value
+    `EnvConfig` rejects, or days under one control step, is a UsageError."""
     block = dict(cfg["environment"])
     if kind:
         block["kind"] = kind
-    env = BuildingEnv(EnvConfig(**block)).variant(weather, days)
-    if days is not None and env.horizon < 1:
-        raise UsageError(f"days={days} is shorter than one control step")
+    try:
+        env = BuildingEnv(EnvConfig(**block)).variant(weather, days)
+    except SpecError as e:
+        raise UsageError(str(e)) from None
+    if env.horizon < 1:
+        raise UsageError(f"days={env.config.days} is under one control step")
     return env
 
 
@@ -144,34 +142,22 @@ def cmd_simulate(args, cfg: dict, fp: str, env_vars):
 
 
 def cmd_collect(args, cfg: dict, fp: str, env_vars):
-    data = dict(cfg["data"])
-    data.update({k: getattr(args, k) for k in ("epsilon", "sigma", "steps")
-                 if getattr(args, k) is not None})
-    if args.expert:
-        data["expert"] = args.expert
-    scenario = args.scenario or data["scenario"]
-    seed = cfg["seed"]
-    out = _out_file(args.out, env_vars)
-    env = _env_from(cfg, days=data["days"])
-    if scenario == "final-buffer":
-        ds, _ = collect_final_buffer(env, data["algo"],
-                                     total_steps=int(data["steps"]),
-                                     noise=data["sigma"], seed=seed)
-    elif scenario != "trained":
-        raise UsageError(f"data.scenario must be 'final-buffer' or "
-                         f"'trained', got {scenario!r}")
-    elif not data["expert"]:
+    data = {**cfg["data"], **{k: v for k, v in vars(args).items()
+                              if k in cfg["data"] and v is not None}}
+    if data["scenario"] not in SCENARIOS:
+        raise UsageError(f"data.scenario must be one of {list(SCENARIOS)}, "
+                         f"got {data['scenario']!r}")
+    recipe = Recipe(SCENARIOS[data["scenario"]], data["steps"],
+                    data["epsilon"], data["sigma"], data["algo"], cfg["seed"])
+    if recipe.scenario == "trained" and not data["expert"]:
         raise UsageError("trained scenario needs --expert PATH")
-    else:
-        ds = collect_trained(env, data["expert"],
-                             total_steps=int(data["steps"]),
-                             epsilon=data["epsilon"], sigma=data["sigma"],
-                             seed=seed)
+    out = _out_file(args.out, env_vars)
+    ds = collect(_env_from(cfg, days=data["days"]), recipe, data["expert"])
     ds.metadata["run_fingerprint"] = fp
     write_dataset(ds, out)
     print(f"collect: {out} transitions={len(ds)} "
           f"episodes={ds.num_episodes} fingerprint={ds.fingerprint()}")
-    return out.parent, [seed]
+    return out.parent, [recipe.seed]
 
 
 def cmd_train(args, cfg: dict, fp: str, env_vars):
@@ -301,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True, metavar="DIR")
 
     c = sub.add_parser("collect", help="generate a transition dataset")
-    c.add_argument("--scenario", choices=("final-buffer", "trained"))
+    c.add_argument("--scenario", choices=tuple(SCENARIOS))
     c.add_argument("--epsilon", type=float)
     c.add_argument("--sigma", type=float)
     c.add_argument("--steps", type=int)

@@ -15,8 +15,10 @@ controller's ``choose`` differs (exploration, or the drawn `perturbations`
 on the expert's action). The first keeps its normalized transitions in
 the `ReplayBuffer` it trains from, the second in lockstep (episode, step)
 arrays; both store that view as a `Dataset` with the same provenance keys:
-the policy fingerprint, the weather preset and reset seed of every
-episode, the seed and the requested size.
+the policy fingerprint and algorithm, the weather preset and reset seed of
+every episode, and their `Recipe`: scenario, epsilon, sigma, seed and
+requested size. `evalharness.collect` runs a recipe, checked when built,
+for `hvacrl collect` and the sweeps alike.
 
 A `Dataset` is a `ReplayView` with a header: the columns, episode starts,
 boundary checks and window sampling are the view's, and the dataset adds
@@ -155,8 +157,48 @@ def preset_rotation(env: BuildingEnv):
     return (lambda ep: env.variant(weather=names[ep % len(names)])), names
 
 
+@dataclass(frozen=True)
+class Recipe:
+    """How one dataset is collected; a value out of bounds is a UsageError.
+
+    A final buffer explores with noise of scale ``sigma`` on every step of
+    its off-policy learner ``algo``, so it records epsilon 1. A trained
+    dataset perturbs its expert's steps at rate ``epsilon``. ``seed``
+    seeds the collection and, with ``size``, a whole-episode subsample.
+    """
+
+    scenario: str
+    steps: int
+    epsilon: float
+    sigma: float
+    algo: str = "td3"
+    seed: int = 0
+    size: int | None = None
+
+    def __post_init__(self):        # NaN fails each bound
+        if self.scenario not in ("final_buffer", "trained"):
+            raise UsageError(f"unknown scenario {self.scenario!r}")
+        if self.steps < 1 or self.size is not None and self.size < 1:
+            raise UsageError("steps and size must be >= 1")
+        if not 0.0 <= self.epsilon <= 1.0:
+            raise UsageError("epsilon must be in [0, 1]")
+        if not 0.0 <= self.sigma < math.inf:
+            raise UsageError("sigma must be finite and >= 0")
+        if self.seed < 0:
+            raise UsageError("seed must be >= 0")
+        if self.scenario == "final_buffer" and self.algo not in ("td3", "sac"):
+            raise UsageError(f"a final buffer learns td3 or sac, not "
+                             f"{self.algo!r}")
+
+    def check_horizon(self, horizon: int) -> None:
+        """A UsageError if this final buffer completes no episode."""
+        if self.scenario == "final_buffer" and self.steps < horizon:
+            raise UsageError(f"a final buffer of {self.steps} steps "
+                             f"completes no {horizon}-step episode")
+
+
 def _collected_dataset(env: BuildingEnv, view: ReplayView, reset_seeds,
-                       names, policy: Agent, seed: int, total_steps: int,
+                       names, policy: Agent, recipe: Recipe,
                        **metadata) -> Dataset:
     """The view's completed episodes as a `Dataset`, with the provenance
     both scenarios record; a live (unterminated) tail is left out."""
@@ -171,8 +213,9 @@ def _collected_dataset(env: BuildingEnv, view: ReplayView, reset_seeds,
         "weather_presets": [names[i % len(names)]
                             for i in range(len(starts))],
         "reset_seeds": reset_seeds[:len(starts)],
-        "seed": int(seed),
-        "requested_steps": int(total_steps),
+        "scenario": recipe.scenario, "algo": policy.cfg.algo,
+        "epsilon": float(recipe.epsilon), "sigma": float(recipe.sigma),
+        "seed": int(recipe.seed), "requested_steps": int(recipe.steps),
     })
     return Dataset(
         *(getattr(view, col)[:keep] for col in Dataset.COLUMNS),
@@ -195,10 +238,7 @@ def collect_final_buffer(env: BuildingEnv, algo: str, total_steps: int,
     at every step, clipped back to [-1, 1]. Training weather rotates
     between episodes. Returns the dataset and the trained agent.
     """
-    if algo not in ("td3", "sac"):
-        raise UsageError(f"final-buffer collection needs an off-policy "
-                         f"algorithm, got {algo!r}")
-    check_collection(total_steps, 1.0, noise, seed)
+    recipe = Recipe("final_buffer", total_steps, 1.0, noise, algo, seed)
     cfg = AgentConfig(algo=algo, seed=seed, train_steps=total_steps,
                       explore_noise=noise,
                       epoch_steps=min(total_steps, AgentConfig.epoch_steps))
@@ -206,11 +246,8 @@ def collect_final_buffer(env: BuildingEnv, algo: str, total_steps: int,
     make_env, names = preset_rotation(env)
     start_steps = min(1000, max(cfg.batch_size, total_steps // 10))
     summary = train_online(agent, make_env, start_steps=start_steps)
-    ds = _collected_dataset(
-        env, summary.buffer.view(), summary.reset_seeds, names, agent, seed,
-        total_steps, scenario="final_buffer", algo=algo,
-        epsilon=1.0,              # every step carries exploration noise
-        sigma=float(noise))
+    ds = _collected_dataset(env, summary.buffer.view(), summary.reset_seeds,
+                            names, agent, recipe)
     ds.metadata["dropped_tail_steps"] = len(summary.buffer) - len(ds)
     return ds, agent
 
@@ -236,7 +273,7 @@ def collect_trained(env: BuildingEnv, expert, total_steps: int,
     episode k takes draw ``k * horizon + t``. So the dataset depends only
     on the seed, not on how the episodes are batched.
     """
-    check_collection(total_steps, epsilon, sigma, seed)
+    recipe = Recipe("trained", total_steps, epsilon, sigma, seed=seed)
     if isinstance(expert, (str, Path)):
         expert, _ = load_agent(expert)
     # whole episodes: the last one starts before total_steps is reached
@@ -276,25 +313,9 @@ def collect_trained(env: BuildingEnv, expert, total_steps: int,
     view = ReplayView(obs_n.reshape(n * env.horizon, -1),
                       act_n.reshape(n * env.horizon, -1), rewards.ravel(),
                       dones.ravel(), np.arange(n) * env.horizon)
-    return _collected_dataset(
-        env, view, driver.reset_seeds, names, expert, seed, total_steps,
-        scenario="trained", algo=expert.cfg.algo, epsilon=float(epsilon),
-        sigma=float(sigma),
-        noisy_steps=sum(d is not None for d in noise))
-
-
-def check_collection(total_steps: int, epsilon: float, sigma: float,
-                     seed: int = 0) -> None:
-    """A UsageError unless ``total_steps >= 1``, ``0 <= epsilon <= 1``,
-    ``0 <= sigma < inf`` and ``seed >= 0``; NaN fails each bound."""
-    if total_steps < 1:
-        raise UsageError("total_steps must be >= 1")
-    if not 0.0 <= epsilon <= 1.0:
-        raise UsageError("epsilon must be in [0, 1]")
-    if not 0.0 <= sigma < math.inf:
-        raise UsageError("sigma must be finite and >= 0")
-    if seed < 0:
-        raise UsageError("seed must be >= 0")
+    return _collected_dataset(env, view, driver.reset_seeds, names, expert,
+                              recipe,
+                              noisy_steps=sum(d is not None for d in noise))
 
 
 def perturbations(rng: np.random.Generator, steps: int, act_dim: int,

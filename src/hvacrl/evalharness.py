@@ -49,7 +49,7 @@ import tempfile
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import ClassVar
@@ -63,7 +63,7 @@ from .buildsim import (EVAL_PRESET, TRAIN_PRESETS, BuildingEnv, EnvConfig,
                        read_trajectory_csv, rule_controller, run_episode,
                        write_trajectory_csv)
 from .container import atomic_write, read_json, read_text, write_json
-from .datagen import (build_quality_report, check_collection,
+from .datagen import (Dataset, Recipe, build_quality_report,
                       collect_final_buffer, collect_trained, preset_rotation,
                       read_dataset, subsample, write_dataset)
 from .errors import DataError, SimulationFault, SpecError, UsageError
@@ -422,53 +422,51 @@ def ensure_expert(cfg: HarnessConfig) -> str:
 # dataset recipes
 
 
-def _trained(epsilon: float, sigma: float, steps: int) -> dict:
-    """A trained-scenario dataset recipe; a ``size`` key added to it makes
-    it a subsample of that many transitions."""
-    return {"scenario": "trained", "epsilon": epsilon, "sigma": sigma,
-            "steps": steps}
+def collect(env: BuildingEnv, recipe: Recipe, expert=None) -> Dataset:
+    """The dataset ``recipe`` collects on ``env``, its ``size`` aside; the
+    trained scenario rolls out ``expert``, an Agent or a checkpoint path.
+    A final buffer that completes no episode is a UsageError up front.
+    bench/tracing.py wraps the collectors where this module names them."""
+    if recipe.scenario == "trained":
+        return collect_trained(env, expert, total_steps=recipe.steps,
+                               epsilon=recipe.epsilon, sigma=recipe.sigma,
+                               seed=recipe.seed)
+    recipe.check_horizon(env.horizon)
+    return collect_final_buffer(env, recipe.algo, total_steps=recipe.steps,
+                                noise=recipe.sigma, seed=recipe.seed)[0]
 
 
-def _parent(data: dict) -> dict:
-    return {k: v for k, v in data.items() if k != "size"}
-
-
-def _dataset_tag(data: dict, env_fp: str, expert_id) -> str:
-    """The file stem of recipe ``data``: a hash of what its bytes depend
-    on, the expert's weights (``expert_id``) too for the trained scenario.
-    A subsample's hashes its parent's, so naming reads no dataset."""
-    if "size" in data:
-        return f"rq4-size{data['size']}-" + fingerprint({
-            "parent": _dataset_tag(_parent(data), env_fp, expert_id),
-            "size": data["size"]})
-    if data["scenario"] == "final_buffer":
+def _dataset_tag(recipe: Recipe, env_fp: str, expert_id) -> str:
+    """The file stem of ``recipe``: a hash of what its bytes depend on,
+    the expert's weights (``expert_id``) too for the trained scenario. A
+    subsample's hashes its parent's, so naming reads no dataset."""
+    if recipe.size is not None:
+        return f"rq4-size{recipe.size}-" + fingerprint({
+            "parent": _dataset_tag(replace(recipe, size=None), env_fp,
+                                   expert_id),
+            "size": recipe.size})
+    if recipe.scenario == "final_buffer":
         return "final-buffer-" + fingerprint({
-            "algo": "td3", "env": env_fp, "sigma": data["sigma"],
-            "steps": data["steps"], "seed": 0})
+            "algo": recipe.algo, "env": env_fp, "sigma": recipe.sigma,
+            "steps": recipe.steps, "seed": recipe.seed})
     return "trained-" + fingerprint({
-        "expert": expert_id, "env": env_fp, "eps": data["epsilon"],
-        "sigma": data["sigma"], "steps": data["steps"], "seed": 0})
+        "expert": expert_id, "env": env_fp, "eps": recipe.epsilon,
+        "sigma": recipe.sigma, "steps": recipe.steps, "seed": recipe.seed})
 
 
-def _dataset(cfg: HarnessConfig, data: dict, tag, expert) -> tuple:
-    """``(path, dataset)`` of recipe ``data``, named ``tag(data)``: built
-    and written, or, when a previous run wrote it, ``(path, None)``."""
-    path = Path(cfg.out_dir) / "datasets" / f"{tag(data)}.hvds"
+def _dataset(cfg: HarnessConfig, recipe: Recipe, tag, expert) -> tuple:
+    """``(path, dataset)`` of ``recipe``, named ``tag(recipe)``: built and
+    written, or, when a previous run wrote it, ``(path, None)``."""
+    path = Path(cfg.out_dir) / "datasets" / f"{tag(recipe)}.hvds"
     if path.exists():
         return str(path), None
-    if "size" in data:
-        parent_path, ds = _dataset(cfg, _parent(data), tag, expert)
-        ds = subsample(read_dataset(parent_path) if ds is None else ds,
-                       target=data["size"], seed=0)
-    elif data["scenario"] == "final_buffer":
-        ds = collect_final_buffer(base_env(cfg, days=cfg.data_days), "td3",
-                                  total_steps=data["steps"],
-                                  noise=data["sigma"], seed=0)[0]
+    if recipe.size is None:
+        ds = collect(base_env(cfg, days=cfg.data_days), recipe, expert)
     else:
-        ds = collect_trained(base_env(cfg, days=cfg.data_days), expert,
-                             total_steps=data["steps"],
-                             epsilon=data["epsilon"], sigma=data["sigma"],
-                             seed=0)
+        parent_path, ds = _dataset(cfg, replace(recipe, size=None), tag,
+                                   expert)
+        ds = subsample(read_dataset(parent_path) if ds is None else ds,
+                       target=recipe.size, seed=recipe.seed)
     write_dataset(ds, path)
     return str(path), ds
 
@@ -615,12 +613,12 @@ def _sweep(rq: str, cfg: HarnessConfig, cells: list,
     """Run one research-question grid and return it as `load_sweep` reads
     it back from the files it wrote.
 
-    ``cells`` lists one ``(key, axes, agent, data)`` recipe per cell:
-    `_agent_json` keywords and a dataset recipe, or None to train online.
-    A key listed again is skipped. Three steps:
+    ``cells`` lists one ``(key, axes, agent, data)`` entry per cell:
+    `_agent_json` keywords and a dataset `Recipe`, or None to train
+    online. A key listed again is skipped. Three steps:
 
     1. Check every job's `_agent_json`, `base_env` at both day lengths,
-       each recipe's `check_collection` and, if an expert is needed,
+       each recipe's `check_horizon` and, if an expert is needed,
        `expert_config`; a SpecError among them is a UsageError, raised
        before anything is built. A zero-seed grid then stops.
     2. Name each cell by a hash of what its jobs read: rq, axes, agent
@@ -637,13 +635,12 @@ def _sweep(rq: str, cfg: HarnessConfig, cells: list,
         eval_env, train_env = base_env(cfg), base_env(cfg, cfg.data_days)
         for key, axes, agent, data in cells:
             if data is not None:
-                check_collection(data.get("size", data["steps"]),
-                                 data["epsilon"], data["sigma"])
+                data.check_horizon(train_env.horizon)
             plan.setdefault(key, (axes, [_agent_json(cfg, seed=s, **agent)
                                          for s in range(cfg.seeds)], data))
         if not cfg.seeds:           # nothing to train, so nothing to build
             plan.clear()
-        trained = any(data is not None and data["scenario"] == "trained"
+        trained = any(data is not None and data.scenario == "trained"
                       for _, _, data in plan.values())
         if trained:
             expert_config(cfg)
@@ -702,21 +699,15 @@ def run_rq1(cfg: HarnessConfig) -> SweepResult:
     each collection scenario, and each cell report carries, per seed, the
     best-epoch evaluation and the learning curve.
     """
-    data = {"final_buffer": {"scenario": "final_buffer", "epsilon": 1.0,
-                             "sigma": cfg.sigma, "steps": cfg.dataset_steps},
-            "trained": _trained(cfg.epsilon, cfg.sigma, cfg.dataset_steps)}
-    for scenario in cfg.rq1_scenarios:
-        if scenario not in data:
-            raise UsageError(f"unknown scenario {scenario!r}")
     return _sweep("rq1", cfg, [
         (f"{scenario}-{algo}", {"scenario": scenario, "algo": algo},
-         {"algo": algo}, data[scenario])
+         {"algo": algo},
+         Recipe(scenario, cfg.dataset_steps, cfg.epsilon, cfg.sigma))
         for scenario in cfg.rq1_scenarios for algo in cfg.rq1_algos])
 
 
 def run_rq2(cfg: HarnessConfig) -> SweepResult:
     """History encoder on versus off, offline (CQL) and online (SAC)."""
-    data = _trained(cfg.epsilon, cfg.sigma, cfg.dataset_steps)
     return _sweep("rq2", cfg, [
         (f"{mode}-{'hist' if history else 'flat'}",
          {"mode": mode, "history": history, "seq_len": L},
@@ -724,7 +715,8 @@ def run_rq2(cfg: HarnessConfig) -> SweepResult:
           "batch": cfg.rq2_batch,
           "steps": cfg.rq2_online_steps if mode in BASELINE_ALGOS
           else cfg.train_steps},
-         None if mode in BASELINE_ALGOS else data)
+         None if mode in BASELINE_ALGOS
+         else Recipe("trained", cfg.dataset_steps, cfg.epsilon, cfg.sigma))
         for mode in cfg.rq2_modes
         for history, L in ((False, 1), (True, cfg.rq2_seq_len))])
 
@@ -735,7 +727,7 @@ def run_rq3(cfg: HarnessConfig) -> SweepResult:
         (f"eps{eps:g}-sigma{sg:g}", {"epsilon": eps, "sigma": sg},
          {"algo": "cql", "steps": cfg.rq3_train_steps,
           "epoch": max(cfg.rq3_train_steps // 4, 1)},
-         _trained(eps, sg, cfg.rq3_dataset_steps))
+         Recipe("trained", cfg.rq3_dataset_steps, eps, sg))
         for eps in cfg.rq3_epsilons for sg in cfg.rq3_sigmas], scored=True)
 
 
@@ -744,22 +736,22 @@ def run_rq4(cfg: HarnessConfig) -> SweepResult:
     the largest size's dataset, and a subsample of it for each smaller
     size."""
     eps, sg = RQ4_NOISE[cfg.env_kind]
-    largest = _trained(eps, sg, max(cfg.rq4_sizes, default=0))
+    sizes = sorted(cfg.rq4_sizes)
     return _sweep("rq4", cfg, [
         (f"size{size}", {"size": size, "epsilon": eps, "sigma": sg},
-         {"algo": "cql"},
-         largest if size == largest["steps"] else {**largest, "size": size})
-        for size in sorted(cfg.rq4_sizes)])
+         {"algo": "cql"}, Recipe("trained", sizes[-1], eps, sg,
+                                 size=None if size == sizes[-1] else size))
+        for size in sizes])
 
 
 def run_rq5(cfg: HarnessConfig) -> SweepResult:
     """Sequence-length sweep for the history encoder."""
-    data = _trained(cfg.epsilon, cfg.sigma, cfg.dataset_steps)
     return _sweep("rq5", cfg, [
         (f"len{L:02d}", {"seq_len": L},
          {"algo": "cql", "history": True, "seq_len": L,
           "batch": cfg.rq5_batch, "steps": cfg.rq5_train_steps,
-          "epoch": max(cfg.rq5_train_steps // 4, 1)}, data)
+          "epoch": max(cfg.rq5_train_steps // 4, 1)},
+         Recipe("trained", cfg.dataset_steps, cfg.epsilon, cfg.sigma))
         for L in cfg.rq5_seq_lens])
 
 

@@ -5,13 +5,16 @@ tests keep a rename or a move of one of them, or a change of that file
 layout, from passing unnoticed outside ``pytest bench``.
 """
 import importlib
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hvacrl.agents import ReplayBuffer
-from hvacrl.evalharness import run_rq5
+from hvacrl.agents import AgentConfig, ReplayBuffer, make_agent
+from hvacrl.buildsim import BuildingEnv, EnvConfig
+from hvacrl.cli import main
+from hvacrl.evalharness import run_rq1, run_rq5
 
 from test_evalharness import tiny_config
 
@@ -35,6 +38,30 @@ def test_every_traced_entry_point_exists_and_is_restored(tracing):
     with tracing.installed(tracing.Tracer()):
         assert ReplayBuffer.view is not original
     assert ReplayBuffer.view is original
+
+
+@pytest.mark.parametrize("scenario", ["final_buffer", "trained"])
+def test_the_tracer_sees_every_collection(tracing, tmp_path, scenario):
+    # online-collect's per-layer collection metrics read these spans: a
+    # collector called where the tracer does not wrap it would read 0
+    env = BuildingEnv(EnvConfig(days=0.25))
+    expert = tmp_path / "expert.ckpt"
+    make_agent(AgentConfig(algo="sac"), env.obs_spec.size,
+               env.act_spec.size).save(expert, epoch=0, step=0)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"data": {"days": 0.25, "steps": 36}}))
+    spans = {"final_buffer": "datagen.collect_final_buffer",
+             "trained": "datagen.collect_trained"}
+    want = {span: int(kind == scenario) for kind, span in spans.items()}
+    with tracing.installed(tracing.Tracer()) as tracer:
+        assert main(["--config", str(config), "collect", "--scenario",
+                     scenario.replace("_", "-"), "--expert", str(expert),
+                     "--out", str(tmp_path / "d.hvds")], env_vars={}) == 0
+    assert {span: tracer.calls(span) for span in want} == want
+    with tracing.installed(tracing.Tracer()) as tracer:
+        run_rq1(tiny_config(tmp_path / "results", dataset_steps=72,
+                            rq1_scenarios=(scenario,), rq1_algos=("td3",)))
+    assert {span: tracer.calls(span) for span in want} == want
 
 
 def test_buffer_sampling_is_traced_without_a_view(tracing):

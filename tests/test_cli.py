@@ -17,10 +17,12 @@ from hvacrl.buildsim import EVAL_PRESET, BuildingEnv, EnvConfig
 from hvacrl.cli import ENV_MAX_JOBS, ENV_OUT_DIR, default_config, main
 from hvacrl.datagen import (REFERENCE_SEED, expert_reference_return,
                             read_dataset, write_dataset)
-from hvacrl.evalharness import _AXES, CellResult, claim_lines, load_sweep
+from hvacrl.evalharness import (_AXES, CellResult, claim_lines, load_sweep,
+                                run_rq1)
 
 from container_cases import rewrite_header
 from test_datagen import MISTYPED_HEADER_FIELDS
+from test_evalharness import tiny_config
 
 
 def run(argv, env=None):
@@ -48,6 +50,16 @@ def workspace(tmp_path_factory):
                 "--data", str(data), "--out", str(train_dir)]) == 0
     return {"root": root, "config": cfg_path, "data": data,
             "ckpt": train_dir / "agent.ckpt"}
+
+
+@pytest.fixture(scope="module")
+def swept_rq1(tmp_path_factory):
+    """The harness of a finished tiny rq1 sweep: one TD3 cell on each
+    scenario's dataset."""
+    cfg = tiny_config(tmp_path_factory.mktemp("rq1") / "results",
+                      rq1_algos=("td3",))
+    run_rq1(cfg)
+    return cfg
 
 
 class TestConfigPlumbing:
@@ -121,13 +133,25 @@ class TestConfigPlumbing:
               "--sigma", "inf", "--steps", "10", "--out", "sim/d.hvds"], 2),
         ({"data": {"scenario": "final_buffer"}}, ["collect", "--expert",
          "{ckpt}", "--steps", "10", "--out", "sim/d.hvds"], 2),
+        ({"environment": {"kind": "xx"}}, ["simulate", "--out", "sim"], 2),
+        ({"environment": {"weather": "preset:nowhere"}},
+         ["simulate", "--out", "sim"], 2),
+        ({"data": {"days": 1e308}}, ["collect", "--scenario", "final-buffer",
+                                     "--out", "sim/d.hvds"], 2),
+        ({"data": {"days": 0.25}}, ["collect", "--scenario", "final-buffer",
+                                    "--steps", "10", "--out", "sim/d.hvds"], 2),
+        ({}, ["collect", "--scenario", "final-buffer", "--epsilon", "5",
+              "--steps", "300", "--out", "sim/d.hvds"], 2),
     ], ids=["str-for-int", "str-for-float", "bool-for-int", "float-for-int",
             "str-for-list", "null-for-float", "int-for-float",
             "str-item-for-float", "float-item-for-int", "int-items-for-float",
             "simulate-seed-negative", "final-buffer-seed-negative",
             "trained-seed-negative", "final-buffer-sigma-negative",
             "final-buffer-sigma-nan", "final-buffer-sigma-inf",
-            "trained-sigma-nan", "trained-sigma-inf", "scenario-unknown"])
+            "trained-sigma-nan", "trained-sigma-inf", "scenario-unknown",
+            "environment-kind-unknown", "weather-preset-unknown",
+            "collect-days-too-long", "final-buffer-under-one-episode",
+            "final-buffer-epsilon-above-1"])
     def test_config_value_types(self, workspace, tmp_path, monkeypatch,
                                 capsys, override, argv, code):
         monkeypatch.chdir(tmp_path)
@@ -162,9 +186,10 @@ class TestArgumentErrors:
             assert "UsageError" in capsys.readouterr().err
             assert not out.exists()
 
-    @pytest.mark.parametrize("days", ["-1", "nan", "inf", "1e-9"])
+    @pytest.mark.parametrize("days", ["-1", "nan", "inf", "1e-9", "1e308"])
     def test_bad_days_is_usage_error(self, workspace, tmp_path, capsys, days):
-        # negative, non-finite and shorter than one control step alike
+        # negative, non-finite, too long to count in steps and shorter
+        # than one control step alike
         out = tmp_path / "sim"
         for command in (["simulate"],
                         ["eval", "--ckpt", str(workspace["ckpt"])]):
@@ -297,6 +322,28 @@ class TestCollect:
             workspace["data"].read_bytes()
         assert (env_dir / "audit.jsonl").exists()
         assert not flagged.parent.exists()
+
+    @pytest.mark.parametrize("scenario", ["final-buffer", "trained"])
+    def test_collect_rebuilds_a_sweep_dataset_from_its_recipe(
+            self, swept_rq1, tmp_path, scenario):
+        # the sweep's seed 0, epsilon, sigma, steps, days and expert, as
+        # config values: the same arrays and metadata, bar the run's
+        results = Path(swept_rq1.out_dir)
+        (expert,) = (results / "experts").glob("*.ckpt")
+        (swept,) = (results / "datasets").glob(f"{scenario}-*.hvds")
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"data": {
+            "days": swept_rq1.data_days, "steps": swept_rq1.dataset_steps,
+            "epsilon": swept_rq1.epsilon, "sigma": swept_rq1.sigma,
+            "expert": str(expert)}, "seed": 0}))
+        out = tmp_path / "d.hvds"
+        assert run(["--config", str(p), "collect", "--scenario", scenario,
+                    "--out", str(out)]) == 0
+        mine, theirs = read_dataset(out), read_dataset(swept)
+        for (name, col), (_, want) in zip(mine.columns(), theirs.columns()):
+            np.testing.assert_array_equal(col, want, err_msg=name)
+        assert mine.metadata.pop("run_fingerprint")
+        assert mine.header_dict() == theirs.header_dict()
 
 
 class TestTrain:
@@ -675,6 +722,9 @@ class TestSweepAndReport:
         "data-days-zero": ("1", {"data_days": 0}),
         "dataset-steps-zero": ("1", {"dataset_steps": 0}),
         "rq2-mode-unknown": ("2", {"rq2_modes": ["xx"]}),
+        "final-buffer-under-one-episode": ("1", {
+            "rq1_scenarios": ["final_buffer"], "dataset_steps": 20,
+            "data_days": 0.25}),
         "rq3-epsilon-above-1": ("3", {"rq3_epsilons": [1.5]}),
         "rq3-sigma-negative": ("3", {"rq3_sigmas": [-0.1]}),
         "rq4-size-zero": ("4", {"rq4_sizes": [0, 360]}),
