@@ -113,9 +113,10 @@ class Agent(Module):
                             "update_count": self.update_count},
             "meta": meta,
         }
+        # the parameter buffers themselves, in name order: no copy
+        params = dict(self.named_parameters())
         container.write(path, CHECKPOINT_MAGIC, header,
-                        [(name, np.asarray(arr, np.float32)) for name, arr
-                         in sorted(self.state_arrays().items())])
+                        [(name, params[name].data) for name in sorted(params)])
 
     # -- acting ---------------------------------------------------------
 
@@ -388,27 +389,34 @@ def load_agent(path) -> tuple[Agent, dict]:
     `CHECKPOINT_META` declare, or whose agent config is not made of
     `AgentConfig` fields of their default's type, is a DataError. The
     stored config fingerprint must match the header's config, checked before
-    any network is built. A missing, extra or misshaped array is a SpecError.
+    any network is built. The payloads are then read straight into the new
+    agent's parameters: a missing, extra or misshaped array is a SpecError,
+    raised before any is read.
     """
-    header, arrays = container.read(path, CHECKPOINT_MAGIC)
-    meta = header.get("meta")
-    bad = (bad_fields(header, CHECKPOINT_HEADER)
-           or [f"meta.{k}" for k in bad_fields(meta, CHECKPOINT_META)]
-           or [f"meta.{k}" for k in ("obs_dim", "act_dim") if meta[k] < 1]
-           or [f"meta.agent_config.{k}" for k in bad_fields(
-               meta["agent_config"], _AGENT_CONFIG_TYPES, optional=True,
-               closed=True)])
-    if bad:
-        raise DataError(f"{path}: checkpoint header fields {bad} are "
-                        f"missing, unknown, of the wrong type or below 1")
-    cfg = AgentConfig(**meta["agent_config"])
-    expected = _config_fingerprint(cfg, meta["obs_dim"], meta["act_dim"])
-    if header["config_fingerprint"] != expected:
-        raise FingerprintMismatchError(
-            f"{path}: checkpoint built for config "
-            f"{header['config_fingerprint']}, expected {expected}")
-    agent = make_agent(cfg, meta["obs_dim"], meta["act_dim"])
-    agent.load_state_arrays(arrays)
+    agent = None
+
+    def parameters(header: dict) -> dict:
+        nonlocal agent
+        meta = header.get("meta")
+        bad = (bad_fields(header, CHECKPOINT_HEADER)
+               or [f"meta.{k}" for k in bad_fields(meta, CHECKPOINT_META)]
+               or [f"meta.{k}" for k in ("obs_dim", "act_dim") if meta[k] < 1]
+               or [f"meta.agent_config.{k}" for k in bad_fields(
+                   meta["agent_config"], _AGENT_CONFIG_TYPES, optional=True,
+                   closed=True)])
+        if bad:
+            raise DataError(f"{path}: checkpoint header fields {bad} are "
+                            f"missing, unknown, of the wrong type or below 1")
+        cfg = AgentConfig(**meta["agent_config"])
+        expected = _config_fingerprint(cfg, meta["obs_dim"], meta["act_dim"])
+        if header["config_fingerprint"] != expected:
+            raise FingerprintMismatchError(
+                f"{path}: checkpoint built for config "
+                f"{header['config_fingerprint']}, expected {expected}")
+        agent = make_agent(cfg, meta["obs_dim"], meta["act_dim"])
+        return {name: p.data for name, p in agent.named_parameters()}
+
+    header, _ = container.read(path, CHECKPOINT_MAGIC, into=parameters)
     return agent, header
 
 

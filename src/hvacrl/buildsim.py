@@ -766,36 +766,44 @@ def run_episode(episodes, controller) -> list:
     ``env.reset(seed)``, all lanes in lockstep, as one `Trajectory` per
     lane in lane order. A simulation fault ends only its own episode early
     and is recorded in its ``Trajectory.fault``.
+
+    Each lane records into arrays sized by its horizon as it steps; a
+    faulted lane's `Trajectory` holds their first rows.
     """
     if any(env.horizon < 1 for env, _ in episodes):
         raise SpecError("horizon must be >= 1")
     driver = EpisodeDriver(episodes, controller)
-    steps = [[] for _ in episodes]
-    faults = [None] * len(episodes)
+    trajs = [Trajectory(
+        obs=np.empty((env.horizon + 1, env.obs_spec.size)),
+        actions=np.empty((env.horizon, env.act_spec.size)),
+        rewards=np.empty(env.horizon),
+        zone_temps=np.empty((env.horizon, env.n_zones)),
+        total_power_w=np.empty(env.horizon),
+        terminals=np.empty(env.horizon, dtype=bool),
+        seed=seed, weather_name=getattr(env.weather, "name", "unknown"))
+        for env, seed in zip(driver.envs, driver.reset_seeds)]
+    steps = [env.horizon for env in driver.envs]
+    t = 0                   # lockstep: every running lane is at step t
     while driver.running:
         for lane, obs, act, reward, done, info, fault in driver.step():
-            if fault is None:
-                steps[lane].append((obs, act, reward, done, info["zone_temps"],
-                                    info["power"].total_w))
-            else:
-                faults[lane] = str(fault)
-    trajs = []
-    for k, lane_env in enumerate(driver.envs):
-        obs, acts, rewards, terms, temps, powers = (list(zip(*steps[k]))
-                                                    or [()] * 6)
-        trajs.append(Trajectory(
-            obs=np.asarray(obs + (driver.obs[k],)),
-            # explicit widths, so a fault on the first step records 0 rows
-            actions=np.asarray(acts, dtype=float).reshape(
-                len(acts), lane_env.act_spec.size),
-            rewards=np.asarray(rewards),
-            zone_temps=np.asarray(temps).reshape(len(temps), lane_env.n_zones),
-            total_power_w=np.asarray(powers),
-            terminals=np.asarray(terms, dtype=bool),
-            seed=driver.reset_seeds[k],
-            weather_name=getattr(lane_env.weather, "name", "unknown"),
-            fault=faults[k],
-        ))
+            traj = trajs[lane]
+            if fault is not None:
+                traj.fault, steps[lane] = str(fault), t
+                continue
+            traj.obs[t] = obs
+            traj.actions[t] = act
+            traj.rewards[t] = reward
+            traj.terminals[t] = done
+            traj.zone_temps[t] = info["zone_temps"]
+            traj.total_power_w[t] = info["power"].total_w
+        t += 1
+    for traj, n, last in zip(trajs, steps, driver.obs):
+        traj.obs[n] = last
+        if n < len(traj.actions):
+            traj.obs = traj.obs[:n + 1]
+            for name in ("actions", "rewards", "zone_temps", "total_power_w",
+                         "terminals"):
+                setattr(traj, name, getattr(traj, name)[:n])
     return trajs
 
 

@@ -24,7 +24,10 @@ datasets):
 Readers find the payloads at ``12 + header length`` as stored in the file,
 never by re-serialising the header, so a re-spaced header still reads.
 Each payload is checked against both CRC copies, which lets `verify` stream
-the file in fixed-size blocks.
+the file in fixed-size blocks. `read` reads each payload once, straight
+into its array: a new one per column, or one its caller already holds
+(a checkpoint's payloads go into the agent's parameters), so a file is
+never held twice.
 """
 from __future__ import annotations
 
@@ -36,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, SpecError
 from .fingerprint import bad_fields, canonical_json
 
 CHUNK_BYTES = 1 << 20   # streaming verification block size
@@ -124,6 +127,10 @@ def _header(f, path, magic: bytes) -> tuple[dict, int]:
                 or min(*entry["shape"], entry["offset"], entry["nbytes"],
                        entry["crc32"]) < 0):
             raise DataError(f"{path}: malformed column record {entry!r}")
+        if (np.dtype(entry["dtype"]).itemsize * math.prod(entry["shape"])
+                != entry["nbytes"]):
+            raise DataError(f"{path}: array {entry['name']} shape and size "
+                            f"differ")
         # before anything is allocated: payloads follow each other's
         # trailers and end inside the file
         if entry["offset"] != end or 12 + hlen + end + entry["nbytes"] + 4 > size:
@@ -180,23 +187,50 @@ def read_header(path, magic: bytes) -> dict:
         return _header(f, path, magic)[0]
 
 
-def read(path, magic: bytes) -> tuple[dict, dict]:
-    """The header and every array, each CRC-checked and read with one copy
-    into a writable array."""
+def _dtype(entry: dict) -> np.dtype:
+    """The little-endian dtype of a column record."""
+    return np.dtype(entry["dtype"]).newbyteorder("<")
+
+
+def read(path, magic: bytes, into=None) -> tuple[dict, dict]:
+    """The header and every array, each read once, straight into its array,
+    and then checked against both CRC copies.
+
+    Without ``into`` every array is new and writable. ``into(header)`` is
+    called once the header is checked and before any payload is read; it
+    returns, by name, the arrays the payloads are read into in place. They
+    must be C-contiguous, with exactly the columns' names, dtypes and
+    shapes, or nothing is read and a SpecError is raised; a payload that
+    then fails its CRC has already overwritten its array. Returns those
+    arrays.
+    """
     with _open(path) as f:
         header, base = _header(f, path, magic)
-        arrays = {}
-        for e in header["columns"]:
-            name = e["name"]
-            dtype = np.dtype(e["dtype"]).newbyteorder("<")
-            if dtype.itemsize * math.prod(e["shape"]) != e["nbytes"]:
-                raise DataError(f"{path}: array {name} shape and size differ")
+        columns = header["columns"]
+        if into is None:
+            arrays = {e["name"]: np.empty(e["shape"], _dtype(e))
+                      for e in columns}
+        else:
+            arrays = into(header)
+            stored = sorted((e["name"], _dtype(e).str, tuple(e["shape"]))
+                            for e in columns)
+            wanted = sorted((name, a.dtype.str, a.shape)
+                            for name, a in arrays.items())
+            if stored != wanted:
+                raise SpecError(
+                    f"{path}: stored arrays {sorted(set(stored) - set(wanted))}"
+                    f" do not match {sorted(set(wanted) - set(stored))}")
+            # else the flat views below would be copies, left unread
+            if not all(a.flags.c_contiguous for a in arrays.values()):
+                raise SpecError(f"{path}: arrays to read into must be "
+                                f"C-contiguous")
+        for e in columns:
+            # a flat byte view of the array: the payload lands in place
+            raw = arrays[e["name"]].reshape(-1).view(np.uint8)
             f.seek(base + e["offset"])
-            buf = bytearray(e["nbytes"])
-            if f.readinto(buf) != e["nbytes"]:
-                raise DataError(f"{path}: array {name} truncated")
-            _check(path, e, zlib.crc32(buf), f.read(4))
-            arrays[name] = np.frombuffer(buf, dtype).reshape(e["shape"])
+            if f.readinto(raw) != e["nbytes"]:
+                raise DataError(f"{path}: array {e['name']} truncated")
+            _check(path, e, zlib.crc32(raw), f.read(4))
     return header, arrays
 
 

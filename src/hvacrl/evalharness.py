@@ -650,7 +650,7 @@ def _sweep(rq: str, cfg: HarnessConfig, cells: list,
     if trained:
         expert = load_agent(ensure_expert(cfg))[0]
         expert_id = fingerprint({"policy": expert.fingerprint(), "crcs": {
-            name: zlib.crc32(a) for name, a in expert.state_arrays().items()}})
+            name: zlib.crc32(p.data) for name, p in expert.named_parameters()}})
     env_fp = train_env.fingerprint()
     tag = partial(_dataset_tag, env_fp=env_fp, expert_id=expert_id)
     reads = {"eval_env": to_jsonable(eval_env.config),

@@ -3,6 +3,7 @@ steps, conservation properties, the rule controller, and trajectory I/O."""
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -410,6 +411,19 @@ class TestEpisodes:
         # the observation the faulted action was chosen from closes it
         assert np.array_equal(faulted.obs, alone[1].obs[:6])
         assert np.array_equal(faulted.actions, alone[1].actions[:5])
+
+    def test_recording_holds_about_one_copy_of_the_trajectory(self):
+        env = BuildingEnv(EnvConfig(kind="dc", days=30.0))
+        rule = lambda o: rule_controller(o, "dc")
+        run_episode([(env, 3)], rule)   # builds the weather's noise path
+        tracemalloc.start()
+        [traj] = run_episode([(env, 3)], rule)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        held = sum(getattr(traj, name).nbytes for name in (
+            "obs", "actions", "rewards", "zone_temps", "total_power_w",
+            "terminals"))
+        assert peak <= 1.5 * held, peak / held
 
     def test_env_fingerprint_tracks_config(self):
         f1 = BuildingEnv(EnvConfig(kind="dc", days=2.0)).fingerprint()

@@ -1,4 +1,6 @@
 """Layer, encoder, optimizer, sampler, and checkpoint behavior."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,23 @@ class TestAdam:
         assert opt.t == 1
         assert np.array_equal(x.data, np.ones(3, dtype=np.float32))
 
+    def test_state_before_the_first_step_is_zero_moments(self):
+        # the moments are allocated by the first step; until then the
+        # state reads as zero moments of each parameter's shape
+        params = [T.parameter(np.ones((2, 3), dtype=np.float32)),
+                  T.parameter(np.ones(4, dtype=np.float32))]
+        opt = Adam(params)
+        state = opt.state_arrays()
+        assert sorted(state) == ["m.0", "m.1", "t", "v.0", "v.1"]
+        assert state["t"].tolist() == [0.0]
+        for i, p in enumerate(params):
+            for key in (f"m.{i}", f"v.{i}"):
+                assert state[key].dtype == p.data.dtype
+                assert state[key].shape == p.data.shape
+                assert not state[key].any()
+        opt.step()
+        assert opt.state_arrays()["t"].tolist() == [1.0]
+
 
 class TestTanhGaussianSampler:
     def test_sample_in_open_interval(self):
@@ -411,6 +430,30 @@ class TestCheckpoint(ContainerCases):
         monkeypatch.setattr(agents_core, "make_agent", None)
         with pytest.raises(FingerprintMismatchError):
             load_agent(path)
+
+    def test_load_holds_about_one_copy_of_the_parameters(self, tmp_path):
+        # the payloads are read straight into the parameters, and an agent
+        # that has not trained holds no Adam moments
+        path = tmp_path / "expert.ckpt"
+        make_agent(AgentConfig(algo="sac", history=True, seq_len=8), 8,
+                   4).save(path, epoch=0, step=0)
+        tracemalloc.start()
+        agent, _ = load_agent(path)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        params = sum(p.data.nbytes for p in agent.parameters())
+        assert peak <= 1.5 * params, peak / params
+
+    def test_read_into_refuses_an_array_it_cannot_fill_in_place(self,
+                                                                 tmp_path):
+        # a flat view of a transposed array is a copy: the read would be lost
+        path = tmp_path / "a"
+        container.write(path, CHECKPOINT_MAGIC, {},
+                        [("w", np.ones((2, 3), np.float32))])
+        target = {"w": np.zeros((3, 2), np.float32).T}
+        with pytest.raises(SpecError):
+            container.read(path, CHECKPOINT_MAGIC, into=lambda header: target)
+        assert not target["w"].any()
 
     def test_previous_format_rejected(self, tmp_path, capsys):
         path = tmp_path / "model.ckpt"
