@@ -494,13 +494,17 @@ class EnvConfig:
     @property
     def horizon(self) -> int:
         """Control steps in an episode: ``days`` at the kind's thermal step;
-        days that no float can count in steps are a SpecError."""
+        days that round to no step, or that no float can count in steps,
+        are a SpecError."""
         thermal = (datacenter_thermal() if self.kind == "dc"
                    else mixeduse_thermal())
         steps = self.days * SECONDS_PER_DAY / thermal.dt_s
         if not math.isfinite(steps):
             raise SpecError(f"days={self.days} is too long to count in steps")
-        return int(round(steps))
+        horizon = int(round(steps))
+        if horizon < 1:
+            raise SpecError(f"days={self.days} is under one control step")
+        return horizon
 
     @property
     def weather_spec(self) -> str:
@@ -770,8 +774,6 @@ def run_episode(episodes, controller) -> list:
     Each lane records into arrays sized by its horizon as it steps; a
     faulted lane's `Trajectory` holds their first rows.
     """
-    if any(env.horizon < 1 for env, _ in episodes):
-        raise SpecError("horizon must be >= 1")
     driver = EpisodeDriver(episodes, controller)
     trajs = [Trajectory(
         obs=np.empty((env.horizon + 1, env.obs_spec.size)),

@@ -103,17 +103,14 @@ def _out_file(flag_value: str, args_env: dict) -> Path:
 def _env_from(cfg: dict, kind: str | None = None, weather: str | None = None,
               days: float | None = None) -> BuildingEnv:
     """The config's environment with the command's overrides; a value
-    `EnvConfig` rejects, or days under one control step, is a UsageError."""
+    `EnvConfig` rejects is a UsageError."""
     block = dict(cfg["environment"])
     if kind:
         block["kind"] = kind
     try:
-        env = BuildingEnv(EnvConfig(**block)).variant(weather, days)
+        return BuildingEnv(EnvConfig(**block)).variant(weather, days)
     except SpecError as e:
         raise UsageError(str(e)) from None
-    if env.horizon < 1:
-        raise UsageError(f"days={env.config.days} is under one control step")
-    return env
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +120,9 @@ def _env_from(cfg: dict, kind: str | None = None, weather: str | None = None,
 def cmd_simulate(args, cfg: dict, fp: str, env_vars):
     out = _out_dir(args.out, env_vars)
     env = _env_from(cfg, kind=args.env, weather=args.weather, days=args.days)
-    if args.controller == "rule":
-        kind = env.config.kind
-        policy = lambda obs: rule_controller(obs, kind)
-        policy.__name__ = "rule"
-    elif args.controller.startswith("ckpt:"):
-        policy = args.controller.split(":", 1)[1]
-    else:
-        raise UsageError("--controller must be 'rule' or 'ckpt:PATH'")
+    kind = env.config.kind
+    policy = lambda obs: rule_controller(obs, kind)
+    policy.__name__ = "rule"
     reports = evaluate_policy(policy, env, seeds=(args.seed,), out_dir=out)
     write_json(out / "report.json", {
         "run_fingerprint": fp,
@@ -277,10 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dump the effective configuration as JSON and exit")
     sub = p.add_subparsers(dest="subcommand")
 
-    s = sub.add_parser("simulate", help="roll one controller episode")
+    s = sub.add_parser("simulate", help="roll the rule controller's episode")
     s.add_argument("--env", choices=("dc", "mu"))
-    s.add_argument("--controller", default="rule",
-                   help="'rule' or 'ckpt:PATH'")
     s.add_argument("--weather", help="preset:NAME or csv:PATH")
     s.add_argument("--days", type=float)
     s.add_argument("--seed", type=int, default=0)

@@ -67,7 +67,7 @@ class Dataset(ReplayView):
     window sampling) with a header: the environment it was collected on,
     and provenance ``metadata``. Training samples it directly. A header
     value of the wrong type, an environment `EnvConfig` rejects, a horizon
-    below 1 or other than the `EnvConfig.horizon` of its days, ranges
+    other than the `EnvConfig.horizon` of its days, ranges
     that do not match the column widths, or a negative reset seed are a
     `DataError`.
     """
@@ -93,8 +93,6 @@ class Dataset(ReplayView):
                                 days=header["days"]).horizon
         except SpecError as e:
             raise DataError(f"dataset header: {e}") from None
-        if header["horizon"] < 1:
-            raise DataError("dataset header: horizon must be >= 1")
         if header["horizon"] != horizon:
             raise DataError(f"dataset header: horizon {header['horizon']} is "
                             f"not the {horizon} steps of days={header['days']}")

@@ -4,8 +4,8 @@ Everything here is a pure function of its inputs; simulators, agents and
 the evaluation harness all build on these definitions. An observation or
 action is a plain float64 vector laid out by a `VectorSpec`: in physical
 units at the simulator, and as unit-interval observations and [-1, 1]
-actions at the agents (`normalize_obs`, `normalize_action` and
-`denormalize_action` convert between the two).
+actions at the agents (`normalize_obs` converts an observation there,
+and `denormalize_action` an action back).
 """
 from __future__ import annotations
 
@@ -54,21 +54,12 @@ class VectorSpec:
         return len(self.dims)
 
     @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(d.name for d in self.dims)
-
-    @property
     def lows(self) -> np.ndarray:
         return np.array([r[0] for r in self._ranges])
 
     @property
     def highs(self) -> np.ndarray:
         return np.array([r[1] for r in self._ranges])
-
-    @property
-    def span(self) -> np.ndarray:
-        """``highs - lows``."""
-        return np.array([r[2] for r in self._ranges])
 
     def fingerprint(self) -> str:
         return fingerprint([[d.name, d.low, d.high, d.unit] for d in self.dims])
@@ -170,20 +161,9 @@ def normalize_obs(obs: np.ndarray, spec: VectorSpec) -> np.ndarray:
                      for x, (lo, _, span) in zip(floats, spec._ranges)])
 
 
-def normalize_action(act: np.ndarray, spec: VectorSpec) -> np.ndarray:
-    """Map a physical action vector affinely onto [-1, 1] per dimension."""
-    values = np.asarray(act, dtype=np.float64)
-    if values.shape != (spec.size,):
-        raise SpecError(f"action has shape {values.shape}, spec expects ({spec.size},)")
-    if np.any(values < spec.lows - 1e-6) or np.any(values > spec.highs + 1e-6):
-        raise DataError(f"physical action outside spec range: {values}")
-    values = np.clip(values, spec.lows, spec.highs)
-    return 2.0 * (values - spec.lows) / spec.span - 1.0
-
-
 def denormalize_action(act_n: np.ndarray, spec: VectorSpec) -> np.ndarray:
-    """Inverse of `normalize_action`: a [-1, 1] action vector (clipped
-    first) to float64 physical units, clipped into the physical range."""
+    """A [-1, 1] action vector (clipped first) to float64 physical units,
+    affinely per dimension, clipped into the physical range."""
     values = np.asarray(act_n, dtype=np.float64)
     if values.shape != (spec.size,):
         raise SpecError(f"action has shape {values.shape}, spec expects ({spec.size},)")

@@ -480,18 +480,17 @@ class SweepResult:
     """A finished sweep as `load_sweep` reads it from its files."""
 
     rq: str
-    cells: dict = field(default_factory=dict)   # key -> RunReport list
+    cells: dict = field(default_factory=dict)   # key -> its CellResult
     quality: dict = field(default_factory=dict)  # key -> quality jsonable
-    cell_axes: dict = field(default_factory=dict)  # key -> its axis values
     summary_path: str = ""
     rows: list = field(default_factory=list)     # summary rows, as read
 
     def reports(self, key: str) -> list:
-        """The `RunReport`s of cell ``key``; a cell that the summary does
-        not list is a DataError."""
+        """The `RunReport`s of cell ``key``, one per seed; a cell that the
+        summary does not list is a DataError."""
         if key not in self.cells:
             raise DataError(f"{self.summary_path} lists no cell {key}")
-        return self.cells[key]
+        return [s.report for s in self.cells[key].seeds]
 
     def median_metric(self, key: str, metric: str = "avg_reward") -> float:
         return float(np.median([getattr(r, metric)
@@ -583,8 +582,7 @@ def load_sweep(out_root, rq: str) -> SweepResult:
             raise DataError(f"cell {key}: seeds is not a non-empty list of "
                             f"distinct seeds: {seeds}")
         derived += cell.summary_rows()
-        result.cell_axes[key] = cell.axes
-        result.cells[key] = [s.report for s in cell.seeds]
+        result.cells[key] = cell
         if rq == "rq3":     # the only cells with one; the claim reads it
             quality = out_root / rq / listed[key] / "quality.json"
             if not quality.exists():
@@ -785,7 +783,7 @@ def _yes(ok) -> str:
 
 def _grid(result: SweepResult, axis: str) -> list:
     """Sorted distinct values of one axis over the result's cells."""
-    return sorted({a[axis] for a in result.cell_axes.values()})
+    return sorted({cell.axes[axis] for cell in result.cells.values()})
 
 
 def _rq1_claims(result: SweepResult) -> list:

@@ -50,24 +50,6 @@ class Module:
             for p in params:
                 p.requires_grad = True
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.named_parameters()}
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        params = dict(self.named_parameters())
-        missing = set(params) - set(arrays)
-        extra = set(arrays) - set(params)
-        if missing or extra:
-            raise SpecError(f"parameter name mismatch: missing={sorted(missing)} "
-                            f"extra={sorted(extra)}")
-        for name, p in params.items():
-            arr = np.asarray(arrays[name])
-            if (arr.dtype, arr.shape) != (p.data.dtype, p.data.shape):
-                raise SpecError(f"dtype or shape mismatch for {name}: "
-                                f"{arr.dtype} {arr.shape} vs "
-                                f"{p.data.dtype} {p.data.shape}")
-            p.data[...] = arr
-
     def copy_from(self, other: "Module") -> None:
         for (_, dst), (_, src) in zip(self.named_parameters(),
                                       other.named_parameters()):

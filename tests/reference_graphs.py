@@ -7,6 +7,7 @@ the graphs each fused node (`T.mlp`, `T.encoder_block`) must reproduce bit
 for bit. `sample_tanh_gaussian`, `tanh_gaussian_log_prob` and `window_at`
 are the sampler's noise-free mode, a plain-numpy log-density and a
 one-step window, which the tests check the program's versions against.
+`param_arrays` snapshots a module's parameters.
 """
 import numpy as np
 
@@ -178,3 +179,8 @@ def window_at(view, step, seq_len):
         raise SpecError("step out of range")
     windows, counts = view._assemble(np.asarray([step]), seq_len)
     return windows[0], int(counts[0])
+
+
+def param_arrays(module) -> dict:
+    """A copy of each of ``module``'s parameter buffers, by name."""
+    return {name: p.data.copy() for name, p in module.named_parameters()}

@@ -20,7 +20,7 @@ from hvacrl.errors import DataError, DivergenceError, SpecError
 from hvacrl.neuralsub import tensor as T
 from hvacrl.neuralsub.layers import Module
 
-from reference_graphs import sample_tanh_gaussian, window_at
+from reference_graphs import param_arrays, sample_tanh_gaussian, window_at
 
 
 def make_view(n=200, od=4, ad=2, ep=50, seed=0, reward=None, actions=None):
@@ -583,22 +583,22 @@ class TestSchedules:
                                        batch_size=16, train_steps=0, seed=2),
                            4, 2)
         rng = np.random.default_rng(1)
-        snap = agent.critic_target.state_arrays()
+        snap = param_arrays(agent.critic_target)
         agent.update(view.sample_batch(16, 1, rng))
         agent.update(view.sample_batch(16, 1, rng))
-        after2 = agent.critic_target.state_arrays()
+        after2 = param_arrays(agent.critic_target)
         assert all(np.array_equal(snap[k], after2[k]) for k in snap)
         agent.update(view.sample_batch(16, 1, rng))  # third update fires
-        after3 = agent.critic_target.state_arrays()
+        after3 = param_arrays(agent.critic_target)
         assert any(not np.array_equal(snap[k], after3[k]) for k in snap)
 
     def test_sac_targets_update_every_step(self):
         view = make_view(n=200, ep=50, seed=6)
         agent = make_agent(AgentConfig(algo="sac", batch_size=16,
                                        train_steps=0, seed=2), 4, 2)
-        snap = agent.critic_target.state_arrays()
+        snap = param_arrays(agent.critic_target)
         agent.update(view.sample_batch(16, 1, np.random.default_rng(1)))
-        after = agent.critic_target.state_arrays()
+        after = param_arrays(agent.critic_target)
         assert any(not np.array_equal(snap[k], after[k]) for k in snap)
 
     def test_temperature_rises_when_entropy_is_below_target(self):
@@ -667,7 +667,7 @@ class TestFrozenCriticInActorUpdates:
         rng = np.random.default_rng(5)
         for _ in range(steps):
             agent.update(view.sample_batch(cfg.batch_size, cfg.seq_len, rng))
-        return agent.state_arrays()
+        return param_arrays(agent)
 
     @pytest.mark.parametrize("history", [False, True], ids=["flat", "history"])
     @pytest.mark.parametrize("algo", ["td3", "sac", "td3bc", "cql"])
@@ -896,10 +896,10 @@ class TestTrainLoops:
         view = make_view(n=100, ep=50, seed=11)
         cfg = AgentConfig(algo="sac", train_steps=0, seed=10)
         agent = make_agent(cfg, 4, 2)
-        before = agent.state_arrays()
+        before = param_arrays(agent)
         summary = train_offline(agent, view, checkpoint_dir=tmp_path)
         assert summary.checkpoint_paths == [str(tmp_path / "epoch_0000.ckpt")]
-        after = agent.state_arrays()
+        after = param_arrays(agent)
         assert all(np.array_equal(before[k], after[k]) for k in before)
 
     def test_same_seed_reproduces_training_bitwise(self):
@@ -915,7 +915,7 @@ class TestTrainLoops:
         a1, s1 = run()
         a2, s2 = run()
         assert s1.records[-1]["losses"] == s2.records[-1]["losses"]
-        p1, p2 = a1.state_arrays(), a2.state_arrays()
+        p1, p2 = param_arrays(a1), param_arrays(a2)
         assert all(np.array_equal(p1[k], p2[k]) for k in p1)
 
     def test_divergence_is_logged_then_raised(self, tmp_path):

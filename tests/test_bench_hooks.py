@@ -79,7 +79,7 @@ def test_sweep_work_counts_the_result_layout(workloads, tmp_path):
     # sweep's result files: one count of updates per seed entry, and the
     # evaluation steps of every curve row on top of the datasets' rows
     res = run_rq5(tiny_config(tmp_path / "results", seeds=2))
-    entries = sum(len(reports) for reports in res.cells.values())
+    entries = sum(len(cell.seeds) for cell in res.cells.values())
     assert entries == 4
     datasets = (tmp_path / "results" / "datasets").glob("*.hvds")
     held = sum(workloads.hvds_rows(p) for p in datasets)

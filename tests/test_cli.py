@@ -256,16 +256,8 @@ class TestSimulate:
                           (out / "trajectory_seed0.csv").read_bytes()))
         assert blobs[0] == blobs[1]
 
-    def test_checkpoint_controller(self, workspace, tmp_path):
-        out = tmp_path / "sim"
-        assert run(["--config", str(workspace["config"]), "simulate",
-                    "--env", "dc", "--controller",
-                    f"ckpt:{workspace['ckpt']}", "--days", "0.25",
-                    "--out", str(out)]) == 0
-        assert (out / "report.json").exists()
-
     def test_missing_checkpoint_is_data_error(self, tmp_path):
-        assert run(["simulate", "--env", "dc", "--controller", "ckpt:gone",
+        assert run(["eval", "--ckpt", str(tmp_path / "gone"), "--env", "dc",
                     "--days", "0.25", "--out", str(tmp_path / "s")]) == 3
 
     def test_env_var_overrides_output_dir(self, tmp_path):
@@ -720,6 +712,8 @@ class TestSweepAndReport:
         "epoch-steps-zero": ("1", {"epoch_steps": 0}),
         "eval-days-zero": ("1", {"eval_days": 0}),
         "data-days-zero": ("1", {"data_days": 0}),
+        "eval-days-under-one-step": ("5", {"eval_days": 0.001}),
+        "data-days-under-one-step": ("3", {"data_days": 0.001}),
         "dataset-steps-zero": ("1", {"dataset_steps": 0}),
         "rq2-mode-unknown": ("2", {"rq2_modes": ["xx"]}),
         "final-buffer-under-one-episode": ("1", {

