@@ -19,6 +19,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from hvacrl.agents import load_agent  # noqa: E402
 from hvacrl.buildsim import EVAL_PRESET  # noqa: E402
 from hvacrl.evalharness import (  # noqa: E402
     HarnessConfig,
@@ -48,7 +49,8 @@ def main() -> int:
     env = base_env(cfg)
     holdout = EVAL_PRESET[args.env]
     seeds = tuple(range(args.eval_seeds))
-    expert = evaluate_policy(path, env, weather=holdout, seeds=seeds)
+    expert = evaluate_policy(load_agent(path)[0], env, weather=holdout,
+                             seeds=seeds)
     rule = rule_baseline_report(env, presets=[holdout], seeds=seeds)
 
     print(f"\nheld-out preset: {holdout}, {args.eval_days:g} days, "

@@ -425,14 +425,12 @@ class PolicyController:
     choosing for all lockstep lanes at once.
 
     `reset` gives it one empty history window per lane. Each `act_lanes`
-    call pushes the running lanes' normalized observations ``obs_n`` into
-    their windows, takes the normalized actions ``act_n`` from ``choose(
-    windows, counts, lanes)`` (`RolloutWindow.arrays` and the lanes), one
-    row per lane (the agent's deterministic `policy_action` by default),
-    and returns them as float64 physical vectors. ``obs_n`` and ``act_n``
-    keep the rows of the last call, in the order of its lanes, for callers
-    that store the transitions. A lane missing from a call has stopped, and
-    its window is dropped.
+    call pushes the lanes' normalized observations ``obs_n`` into their
+    windows, takes the normalized actions ``act_n`` from ``choose(windows,
+    counts)`` (`RolloutWindow.arrays`), one row per lane (the agent's
+    deterministic `policy_action` by default), and returns them as float64
+    physical vectors. ``obs_n`` and ``act_n`` keep the rows of the last
+    call, in lane order, for callers that store the transitions.
     """
 
     def __init__(self, agent: "Agent", obs_spec, act_spec, choose=None):
@@ -443,24 +441,18 @@ class PolicyController:
                 f"{obs_spec.size}/{act_spec.size}")
         self.obs_spec = obs_spec
         self.act_spec = act_spec
-        self.choose = choose or (
-            lambda windows, counts, _: agent.policy_action(windows, counts))
+        self.choose = choose or agent.policy_action
         self.window = RolloutWindow(agent.obs_dim, agent.cfg.seq_len, 0)
-        self.lanes = []         # the lane of each window, ascending
 
     def reset(self, n: int) -> None:
         """One empty window for each of ``n`` lanes that begin together."""
         self.window.reset(n)
-        self.lanes = list(range(n))
 
-    def act_lanes(self, obs: list, lanes: list) -> list:
-        if len(lanes) < len(self.lanes):
-            self.window.keep(np.searchsorted(self.lanes, lanes))
-            self.lanes = lanes
+    def act_lanes(self, obs: list) -> list:
         self.obs_n = np.array([envcore.normalize_obs(o, self.obs_spec)
                                for o in obs])
         self.window.push(self.obs_n)
-        self.act_n = self.choose(*self.window.arrays(), lanes)
+        self.act_n = self.choose(*self.window.arrays())
         return [envcore.denormalize_action(a, self.act_spec)
                 for a in self.act_n]
 
@@ -490,10 +482,6 @@ class RolloutWindow:
         else:
             self.buf[:, :-1] = self.buf[:, 1:]
             self.buf[:, -1] = obs_rows
-
-    def keep(self, rows) -> None:
-        """Keep only the windows ``rows``, in that order."""
-        self.buf = self.buf[rows]
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The (N, L, obs) windows, which the caller must not modify, and
@@ -634,9 +622,9 @@ def train_online(agent: Agent, make_env, *, start_steps: int = 1000,
     cfg = agent.cfg
     draws = itertools.count(1)      # choose runs once per step
 
-    def choose(windows, counts, lanes):
+    def choose(windows, counts):
         if next(draws) <= start_steps:
-            return agent.rng.uniform(-1.0, 1.0, size=(len(lanes), agent.act_dim)
+            return agent.rng.uniform(-1.0, 1.0, size=(len(counts), agent.act_dim)
                                      ).astype(np.float32)
         return agent.explore_action(windows, counts)
 
@@ -655,9 +643,7 @@ def train_online(agent: Agent, make_env, *, start_steps: int = 1000,
             env, seed = episodes(len(summary.reset_seeds))
             summary.reset_seeds.append(seed)
             driver = EpisodeDriver([(env, seed)], controller)
-        ((_, _, _, reward, done, _, fault),) = driver.step()
-        if fault is not None:
-            raise fault
+        ((_, _, reward, done, _),) = driver.step()
         buffer.add(controller.obs_n[0], controller.act_n[0], reward, done)
         if step > update_after:
             return buffer.sample_batch(cfg.batch_size, cfg.seq_len, agent.rng)

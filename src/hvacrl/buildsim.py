@@ -31,10 +31,10 @@ forms round differently: the reward's `np.exp` over the zone vector and
 Every rollout runs through `EpisodeDriver`, the only code that resets and
 steps a `BuildingEnv`: it drives one physical-units controller over
 independent episodes in lockstep, each with its own environment and reset
-seed, and `run_episode` records them as `Trajectory`s. The environments
-stay scalar, one Python-float step per lane; what a lockstep step batches
-is the controller's call, so a policy runs one forward pass per step for
-all of its episodes.
+seed, that share one horizon and end together, and `run_episode` records
+them as `Trajectory`s. The environments stay scalar, one Python-float
+step per lane; what a lockstep step batches is the controller's call, so
+a policy runs one forward pass per step for all of its episodes.
 """
 from __future__ import annotations
 
@@ -689,30 +689,34 @@ class _EachLane:
     def reset(self, n: int) -> None:
         pass
 
-    def act_lanes(self, obs: list, lanes: list) -> list:
+    def act_lanes(self, obs: list) -> list:
         return list(map(self.fn, obs))
 
 
 class EpisodeDriver:
     """The one loop that resets and steps `BuildingEnv`s: independent
     episodes, one per lane, that step in lockstep as a Gymnasium vector
-    environment does.
+    environment does, and end together.
 
     ``episodes`` lists each lane's environment and reset seed; the seeds
-    are kept in ``reset_seeds``. Every lane steps its own shallow copy of
+    are kept in ``reset_seeds``. All environments share one horizon, or
+    the driver is a SpecError. Every lane steps its own shallow copy of
     its environment, so lanes may name one environment, and each copy keeps
     the scalar per-step arithmetic of the module docstring. ``controller``
     maps one physical observation vector to a physical action vector and is
     called lane by lane, unless it chooses for all lanes at once: then
     ``controller.reset(n)`` is called as the n episodes begin and
-    ``controller.act_lanes(obs, lanes)`` maps the running lanes'
-    observations to their actions, in the order of ``lanes``. A single
-    episode is a batch of one.
+    ``controller.act_lanes(obs)`` maps the lanes' observations to their
+    actions, in lane order. A single episode is a batch of one.
     """
 
     def __init__(self, episodes, controller):
         self.envs = [copy.copy(env) for env, _ in episodes]
         self.reset_seeds = [seed for _, seed in episodes]
+        horizons = {env.horizon for env in self.envs}
+        if len(horizons) > 1:
+            raise SpecError(f"lockstep episodes need one horizon, got "
+                            f"{sorted(horizons)}")
         if not hasattr(controller, "act_lanes"):
             controller = _EachLane(controller)
         self.controller = controller
@@ -720,31 +724,21 @@ class EpisodeDriver:
         # the next action's observation, per lane
         self.obs = [env.reset(seed)
                     for env, seed in zip(self.envs, self.reset_seeds)]
-        self.running = list(range(len(self.envs)))
+        self.running = bool(self.envs)
 
     def step(self) -> list[tuple]:
-        """One controller call and one environment step for each running
-        lane, in lane order: per lane ``(lane, obs, act, reward, done, info,
-        fault)``, where ``obs`` is the observation ``act`` was chosen from.
-        A lane whose episode ends, or whose step raises a `SimulationFault`
-        (then ``fault``, with ``done`` set and no reward or info), stops
-        running; a fault leaves the lane's ``obs`` where it was."""
-        lanes = self.running
-        obs = list(map(self.obs.__getitem__, lanes))
-        steps, running = [], []
-        for k, o, act in zip(lanes, obs,
-                             self.controller.act_lanes(obs, lanes),
-                             strict=True):
-            try:
-                step = self.envs[k].step(act)
-            except SimulationFault as exc:
-                steps.append((k, o, act, None, True, None, exc))
-                continue
-            self.obs[k], reward, done, info = step
-            steps.append((k, o, act, reward, done, info, None))
-            if not done:
-                running.append(k)
-        self.running = running
+        """One controller call and one environment step for every lane, in
+        lane order: per lane ``(obs, act, reward, done, info)``, where
+        ``obs`` is the observation ``act`` was chosen from. The episodes
+        stop running after their last step; a `SimulationFault` in any
+        lane propagates."""
+        steps = []
+        for k, (env, o, act) in enumerate(zip(
+                self.envs, self.obs, self.controller.act_lanes(self.obs),
+                strict=True)):
+            self.obs[k], reward, done, info = env.step(act)
+            steps.append((o, act, reward, done, info))
+        self.running = not done
         return steps
 
 
@@ -758,7 +752,6 @@ class Trajectory:
     terminals: np.ndarray    # (n,) bool
     seed: int
     weather_name: str
-    fault: str | None = None   # populated when a simulation fault truncated the run
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -766,13 +759,10 @@ class Trajectory:
 
 def run_episode(episodes, controller) -> list:
     """Recorded `EpisodeDriver` episodes: for each ``(env, seed)`` lane of
-    ``episodes``, ``env.horizon`` steps of ``controller`` from
+    ``episodes``, the shared ``env.horizon`` steps of ``controller`` from
     ``env.reset(seed)``, all lanes in lockstep, as one `Trajectory` per
-    lane in lane order. A simulation fault ends only its own episode early
-    and is recorded in its ``Trajectory.fault``.
-
-    Each lane records into arrays sized by its horizon as it steps; a
-    faulted lane's `Trajectory` holds their first rows.
+    lane in lane order, each recorded into arrays sized by the horizon. A
+    simulation fault in any lane propagates.
     """
     driver = EpisodeDriver(episodes, controller)
     trajs = [Trajectory(
@@ -782,16 +772,11 @@ def run_episode(episodes, controller) -> list:
         zone_temps=np.empty((env.horizon, env.n_zones)),
         total_power_w=np.empty(env.horizon),
         terminals=np.empty(env.horizon, dtype=bool),
-        seed=seed, weather_name=getattr(env.weather, "name", "unknown"))
+        seed=seed, weather_name=env.weather.name)
         for env, seed in zip(driver.envs, driver.reset_seeds)]
-    steps = [env.horizon for env in driver.envs]
-    t = 0                   # lockstep: every running lane is at step t
+    t = 0                   # lockstep: every lane is at step t
     while driver.running:
-        for lane, obs, act, reward, done, info, fault in driver.step():
-            traj = trajs[lane]
-            if fault is not None:
-                traj.fault, steps[lane] = str(fault), t
-                continue
+        for traj, (obs, act, reward, done, info) in zip(trajs, driver.step()):
             traj.obs[t] = obs
             traj.actions[t] = act
             traj.rewards[t] = reward
@@ -799,13 +784,8 @@ def run_episode(episodes, controller) -> list:
             traj.zone_temps[t] = info["zone_temps"]
             traj.total_power_w[t] = info["power"].total_w
         t += 1
-    for traj, n, last in zip(trajs, steps, driver.obs):
-        traj.obs[n] = last
-        if n < len(traj.actions):
-            traj.obs = traj.obs[:n + 1]
-            for name in ("actions", "rewards", "zone_temps", "total_power_w",
-                         "terminals"):
-                setattr(traj, name, getattr(traj, name)[:n])
+    for traj, last in zip(trajs, driver.obs):
+        traj.obs[t] = last
     return trajs
 
 

@@ -144,7 +144,10 @@ def cmd_collect(args, cfg: dict, fp: str, env_vars):
     if recipe.scenario == "trained" and not data["expert"]:
         raise UsageError("trained scenario needs --expert PATH")
     out = _out_file(args.out, env_vars)
-    ds = collect(_env_from(cfg, days=data["days"]), recipe, data["expert"])
+    env = _env_from(cfg, days=data["days"])
+    expert = (load_agent(data["expert"])[0] if recipe.scenario == "trained"
+              else None)
+    ds = collect(env, recipe, expert)
     ds.metadata["run_fingerprint"] = fp
     write_dataset(ds, out)
     print(f"collect: {out} transitions={len(ds)} "
@@ -194,7 +197,8 @@ def cmd_eval(args, cfg: dict, fp: str, env_vars):
     out = _out_dir(args.out, env_vars)
     env = _env_from(cfg, kind=args.env, weather=args.weather, days=args.days)
     seeds = list(range(args.seeds))
-    reports = evaluate_policy(args.ckpt, env, seeds=seeds, out_dir=out)
+    reports = evaluate_policy(load_agent(args.ckpt)[0], env, seeds=seeds,
+                              out_dir=out)
     med = {m: float(np.median([getattr(r, m) for r in reports]))
            for m in METRICS}
     write_json(out / "report.json", {

@@ -10,11 +10,13 @@ Two collection scenarios produce training data:
 
 Both step an `agents.PolicyController` with `buildsim.EpisodeDriver` (the
 first inside `train_online`, one episode at a time; the second with all
-its episodes in lockstep) over the rotating training presets; only the
-controller's ``choose`` differs (exploration, or the drawn `perturbations`
-on the expert's action). The first keeps its normalized transitions in
-the `ReplayBuffer` it trains from, the second in lockstep (episode, step)
-arrays; both store that view as a `Dataset` with the same provenance keys:
+its episodes in lockstep, ending together) over the rotating training
+presets; only the controller's ``choose`` differs (exploration, or the
+drawn `perturbations` on the expert's action). A simulator fault in any
+episode ends either collection with its `SimulationFault`. The first
+keeps its normalized transitions in the `ReplayBuffer` it trains from,
+the second in lockstep (episode, step) arrays; both store that view as a
+`Dataset` with the same provenance keys:
 the policy fingerprint and algorithm, the weather preset and reset seed of
 every episode, and their `Recipe`: scenario, epsilon, sigma, seed and
 requested size. `evalharness.collect` runs a recipe, checked when built,
@@ -37,16 +39,17 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import container
 from .agents import (Agent, AgentConfig, PolicyController, ReplayView,
-                     load_agent, make_agent, seeded_episodes, train_online)
+                     make_agent, seeded_episodes, train_online)
+# bench/tracing.py wraps the loader here as well as in cli and evalharness
+from .agents import load_agent  # noqa: F401
 from .buildsim import (TRAIN_PRESETS, BuildingEnv, EnvConfig, EpisodeDriver,
                        run_episode)
-from .errors import DataError, SpecError, UsageError
+from .errors import DataError, SimulationFault, SpecError, UsageError
 from .fingerprint import bad_fields, fingerprint
 
 MAGIC = b"HVDS0001"
@@ -253,16 +256,15 @@ def collect_final_buffer(env: BuildingEnv, algo: str, total_steps: int,
 def collect_trained(env: BuildingEnv, expert, total_steps: int,
                     epsilon: float = 0.1, sigma: float = 0.1, seed: int = 0
                     ) -> Dataset:
-    """Scenario 2: roll out a frozen expert, perturbing steps at rate epsilon.
+    """Scenario 2: roll out the frozen ``expert`` Agent, perturbing steps at
+    rate epsilon.
 
-    ``expert`` is an Agent or a checkpoint path. Each step independently
-    gets Gaussian noise of scale sigma on the normalized action with
-    probability epsilon, then the action is clipped to [-1, 1]. Whole
-    episodes are collected, as many as it takes to store at least
-    ``total_steps`` transitions, and they all step in lockstep with one
-    expert forward pass per step. They begin together and share one
-    horizon, and a fault ends the collection, so every step finds them all
-    at one step index t.
+    Each step independently gets Gaussian noise of scale sigma on the
+    normalized action with probability epsilon, then the action is clipped
+    to [-1, 1]. Whole episodes are collected, as many as it takes to store
+    at least ``total_steps`` transitions, and they all step in lockstep
+    with one expert forward pass per step, so every step finds them all at
+    one step index t. A simulator fault in any of them ends the collection.
 
     The perturbations are drawn before the rollout, in the order one
     episode after another would consume them: episode by episode and step
@@ -272,18 +274,16 @@ def collect_trained(env: BuildingEnv, expert, total_steps: int,
     on the seed, not on how the episodes are batched.
     """
     recipe = Recipe("trained", total_steps, epsilon, sigma, seed=seed)
-    if isinstance(expert, (str, Path)):
-        expert, _ = load_agent(expert)
     # whole episodes: the last one starts before total_steps is reached
     n = -(-total_steps // env.horizon)
     noise = perturbations(np.random.default_rng(seed), n * env.horizon,
                           expert.act_dim, epsilon, sigma)
     t = 0                   # the step index every episode is at
 
-    def choose(windows, counts, lanes):
+    def choose(windows, counts):
         policy = expert.policy_action(windows, counts)
         acts = np.clip(policy, -1.0, 1.0).astype(np.float32)
-        for k in lanes:     # every episode runs, so row k is episode k
+        for k in range(n):  # row k is episode k
             d = noise[k * env.horizon + t]
             if d is not None:
                 acts[k] = np.clip(policy[k] + d, -1.0, 1.0)
@@ -300,13 +300,10 @@ def collect_trained(env: BuildingEnv, expert, total_steps: int,
     dones = np.empty((n, env.horizon), dtype=bool)
     while driver.running:
         steps = driver.step()
-        for *_, fault in steps:
-            if fault is not None:
-                raise fault
         obs_n[:, t] = controller.obs_n
         act_n[:, t] = controller.act_n
-        rewards[:, t] = [s[3] for s in steps]
-        dones[:, t] = [s[4] for s in steps]
+        rewards[:, t] = [s[2] for s in steps]
+        dones[:, t] = [s[3] for s in steps]
         t += 1
     view = ReplayView(obs_n.reshape(n * env.horizon, -1),
                       act_n.reshape(n * env.horizon, -1), rewards.ravel(),
@@ -367,12 +364,12 @@ def expert_reference_return(env_template: BuildingEnv, expert: Agent,
             for preset in dict.fromkeys(presets)}
     controller = PolicyController(expert, env_template.obs_spec,
                                   env_template.act_spec)
-    trajs = run_episode([(envs[p], seed) for p, seed in zip(presets, seeds)],
-                        controller)
-    for traj in trajs:
-        if traj.fault is not None:
-            raise DataError(f"expert reference rollout hit a simulator "
-                            f"fault: {traj.fault}")
+    try:
+        trajs = run_episode([(envs[p], seed)
+                             for p, seed in zip(presets, seeds)], controller)
+    except SimulationFault as e:
+        raise DataError(f"expert reference rollout hit a simulator "
+                        f"fault: {e}") from None
     return [float(traj.rewards.sum()) for traj in trajs]
 
 

@@ -66,7 +66,7 @@ from .container import atomic_write, read_json, read_text, write_json
 from .datagen import (Dataset, Recipe, build_quality_report,
                       collect_final_buffer, collect_trained, preset_rotation,
                       read_dataset, subsample, write_dataset)
-from .errors import DataError, SimulationFault, SpecError, UsageError
+from .errors import DataError, SpecError, UsageError
 from .fingerprint import bad_fields, fingerprint, to_jsonable
 
 # observation channels holding zone temperatures, per environment kind
@@ -158,15 +158,13 @@ def evaluate_policy(policy, env: BuildingEnv, weather: str | None = None,
                     seeds=(0,), out_dir=None) -> list:
     """Deterministic-action rollouts, one RunReport per seed.
 
-    ``policy`` is an Agent, a checkpoint path, or a plain controller
-    callable. The seeds' episodes run in lockstep. Each rollout is exported
-    to CSV and the violation fraction is recounted from the file; a
-    mismatch aborts. The first seed whose rollout faulted raises its
-    `SimulationFault`, after the seeds before it are written.
+    ``policy`` is an Agent or a plain controller callable. The seeds'
+    episodes run in lockstep and end together; a simulator fault in any of
+    them raises its `SimulationFault` before any CSV is written. Each
+    rollout is exported to CSV and the violation fraction is recounted
+    from the file; a mismatch aborts.
     """
     run_env = env.variant(weather)
-    if isinstance(policy, (str, Path)):
-        policy, _ = load_agent(policy)
     if isinstance(policy, Agent):
         controller = PolicyController(policy, run_env.obs_spec,
                                       run_env.act_spec)
@@ -184,9 +182,6 @@ def evaluate_policy(policy, env: BuildingEnv, weather: str | None = None,
     with (nullcontext(out_dir) if out_dir is not None
           else tempfile.TemporaryDirectory()) as csv_dir:
         for seed, traj in zip(seeds, trajs):
-            if traj.fault is not None:
-                raise SimulationFault(f"evaluation rollout faulted: "
-                                      f"{traj.fault}")
             report = RunReport(
                 avg_reward=float(traj.rewards.mean()),
                 violation=violation_fraction(traj.zone_temps, rp.band_low,
@@ -424,7 +419,7 @@ def ensure_expert(cfg: HarnessConfig) -> str:
 
 def collect(env: BuildingEnv, recipe: Recipe, expert=None) -> Dataset:
     """The dataset ``recipe`` collects on ``env``, its ``size`` aside; the
-    trained scenario rolls out ``expert``, an Agent or a checkpoint path.
+    trained scenario rolls out the ``expert`` Agent.
     A final buffer that completes no episode is a UsageError up front.
     bench/tracing.py wraps the collectors where this module names them."""
     if recipe.scenario == "trained":

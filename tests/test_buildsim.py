@@ -18,6 +18,7 @@ from hvacrl.buildsim import (
     BuildingEnv,
     EnvConfig,
     EnvState,
+    EpisodeDriver,
     GainSchedule,
     PowerBreakdown,
     SyntheticWeather,
@@ -33,7 +34,7 @@ from hvacrl.buildsim import (
     weather_at,
     write_trajectory_csv,
 )
-from hvacrl.errors import DataError, SpecError
+from hvacrl.errors import DataError, SimulationFault, SpecError
 
 
 def flat_weather(mean_c, dt_s=600.0, rh=50.0):
@@ -366,7 +367,7 @@ class TestEpisodes:
     def test_rule_trajectory_bytes_are_pinned(self, kind, days):
         env = BuildingEnv(EnvConfig(kind=kind, days=days))
         [traj] = run_episode([(env, 3)], lambda o: rule_controller(o, kind))
-        assert len(traj) == env.horizon and traj.fault is None
+        assert len(traj) == env.horizon
         digest = hashlib.sha256()
         for name in ("obs", "actions", "rewards", "zone_temps",
                      "total_power_w"):
@@ -376,41 +377,24 @@ class TestEpisodes:
         assert digest.hexdigest() == self.GOLDEN[kind, days]
 
     @pytest.mark.parametrize("kind", ["dc", "mu"])
-    def test_fault_on_first_step_records_empty_trajectory(self, kind):
-        env = BuildingEnv(EnvConfig(kind=kind, days=1.0))
-        nan_action = np.full(env.act_spec.size, np.nan)
-        [traj] = run_episode([(env, 3)], lambda o: nan_action)
-        assert len(traj) == 0
-        assert traj.fault is not None and "non-finite" in traj.fault
-        assert traj.actions.shape == (0, env.act_spec.size)
-        assert traj.zone_temps.shape == (0, env.n_zones)
-        assert traj.obs.shape == (1, env.obs_spec.size)
-
-    def test_fault_ends_only_its_own_lockstep_episode(self):
-        env = BuildingEnv(EnvConfig(kind="dc", days=0.25))
-        seeds = [3, 4, 5]
-        rule = lambda o: rule_controller(o, "dc")
+    def test_fault_in_one_lane_raises(self, kind):
+        env = BuildingEnv(EnvConfig(kind=kind, days=0.25))
+        rule = lambda o: rule_controller(o, kind)
         nan_action = np.full(env.act_spec.size, np.nan)
         calls = iter(range(10 ** 6))
 
         def controller(obs):
-            # running lanes are called in lane order: seed 4's sixth step
+            # lanes are called in lane order: the second lane's sixth step
             return nan_action if next(calls) == 3 * 5 + 1 else rule(obs)
 
-        trajs = run_episode([(env, s) for s in seeds], controller)
-        alone = [run_episode([(env, s)], rule)[0] for s in seeds]
-        assert [t.seed for t in trajs] == seeds
-        for k in (0, 2):
-            assert trajs[k].fault is None
-            for name in ("obs", "actions", "rewards", "zone_temps",
-                         "total_power_w", "terminals"):
-                assert np.array_equal(getattr(trajs[k], name),
-                                      getattr(alone[k], name))
-        faulted = trajs[1]
-        assert "non-finite" in faulted.fault and len(faulted) == 5
-        # the observation the faulted action was chosen from closes it
-        assert np.array_equal(faulted.obs, alone[1].obs[:6])
-        assert np.array_equal(faulted.actions, alone[1].actions[:5])
+        with pytest.raises(SimulationFault, match="non-finite"):
+            run_episode([(env, s) for s in (3, 4, 5)], controller)
+
+    def test_lanes_of_two_horizons_are_rejected(self):
+        env = BuildingEnv(EnvConfig(kind="dc", days=0.25))
+        with pytest.raises(SpecError, match="one horizon"):
+            EpisodeDriver([(env, 3), (env.variant(days=0.5), 4)],
+                          lambda o: rule_controller(o, "dc"))
 
     def test_recording_holds_about_one_copy_of_the_trajectory(self):
         env = BuildingEnv(EnvConfig(kind="dc", days=30.0))
