@@ -377,6 +377,20 @@ class TestEpisodes:
         assert digest.hexdigest() == self.GOLDEN[kind, days]
 
     @pytest.mark.parametrize("kind", ["dc", "mu"])
+    def test_fault_on_first_step_raises(self, kind):
+        env = BuildingEnv(EnvConfig(kind=kind, days=1.0))
+        nan_action = np.full(env.act_spec.size, np.nan)
+        with pytest.raises(SimulationFault, match="non-finite"):
+            run_episode([(env, 3)], lambda o: nan_action)
+        # the fault leaves nothing behind in the env: a rerun is unchanged
+        rule = lambda o: rule_controller(o, kind)
+        [a] = run_episode([(env, 3)], rule)
+        [b] = run_episode([(BuildingEnv(EnvConfig(kind=kind, days=1.0)), 3)],
+                          rule)
+        assert np.array_equal(a.obs, b.obs)
+        assert np.array_equal(a.actions, b.actions)
+
+    @pytest.mark.parametrize("kind", ["dc", "mu"])
     def test_fault_in_one_lane_raises(self, kind):
         env = BuildingEnv(EnvConfig(kind=kind, days=0.25))
         rule = lambda o: rule_controller(o, kind)
