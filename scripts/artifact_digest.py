@@ -22,7 +22,10 @@ or ``--help`` prints this text instead):
 * ``build_quality_report`` of the trained dataset against the expert;
 * ``RQ_RUNNERS`` "1"-"5" on a tiny `HarnessConfig` (one seed, one job):
   rq1 with all four algorithms (td3, sac, td3bc, cql), rq2 cql/sac, two
-  rq3 cells, rq4 sizes 72/360, rq5 L=1,2.
+  rq3 cells, rq4 sizes 72/360, rq5 L=1,2;
+* ``RQ_RUNNERS["4"]`` again on the same `HarnessConfig` with
+  ``env_kind="mu"``, under ``results-mu/``: a ``mu`` expert, its two
+  datasets and two cells.
 
 The script imports ``hvacrl`` from the ``src`` directory of its own
 checkout. Output is a JSON object mapping each file's path relative to
@@ -73,6 +76,8 @@ def run_pipeline(out: Path) -> None:
     cfg = HarnessConfig(out_dir=str(out / "results"), **HARNESS)
     for rq in ("1", "2", "3", "4", "5"):
         RQ_RUNNERS[rq](cfg)
+    RQ_RUNNERS["4"](HarnessConfig(out_dir=str(out / "results-mu"),
+                                  env_kind="mu", **HARNESS))
 
 
 def digests(out: Path) -> dict:

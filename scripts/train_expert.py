@@ -20,7 +20,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hvacrl.agents import load_agent  # noqa: E402
-from hvacrl.buildsim import EVAL_PRESET  # noqa: E402
+from hvacrl.buildsim import BUILDINGS  # noqa: E402
 from hvacrl.evalharness import (  # noqa: E402
     HarnessConfig,
     base_env,
@@ -33,7 +33,7 @@ from hvacrl.evalharness import (  # noqa: E402
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="results")
-    ap.add_argument("--env", choices=("dc", "mu"), default="dc")
+    ap.add_argument("--env", choices=tuple(BUILDINGS), default="dc")
     ap.add_argument("--steps", type=int, default=9_000,
                     help="online environment steps for expert training")
     ap.add_argument("--eval-days", type=float, default=30.0)
@@ -47,7 +47,7 @@ def main() -> int:
     print(f"expert checkpoint: {path}  ({time.time() - t0:.0f}s)")
 
     env = base_env(cfg)
-    holdout = EVAL_PRESET[args.env]
+    holdout = BUILDINGS[args.env].eval_preset
     seeds = tuple(range(args.eval_seeds))
     expert = evaluate_policy(load_agent(path)[0], env, weather=holdout,
                              seeds=seeds)

@@ -18,6 +18,9 @@ Zone dynamics are one explicit-Euler step per control interval:
 which is numerically stable provided dt < C_i / G_i,max; that bound is
 enforced when parameters are constructed.
 
+Each kind is declared once, as one `Building` record in `BUILDINGS`, and
+every question about a kind, in any module, is a lookup there.
+
 The per-step arithmetic (steps, weather, gains, reward, rule controller and
 the agents' vector conversions in `envcore`) runs on Python floats with the
 bits of the numpy array code it replaced, at a fraction of the dispatch
@@ -44,17 +47,15 @@ import io
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .envcore import (
+    DimSpec,
+    RewardParams,
+    VectorSpec,
     compute_reward,
-    datacenter_act_spec,
-    datacenter_obs_spec,
-    datacenter_reward_params,
-    mixeduse_act_spec,
-    mixeduse_obs_spec,
-    mixeduse_reward_params,
     ordered_sum,
     positive_part,
 )
@@ -149,55 +150,6 @@ class ThermalParams:
 
     def cop(self, t_out_c: float) -> float:
         return max(1.0, self.cop_nominal - self.cop_slope * (t_out_c - self.cop_ref_c))
-
-
-def datacenter_thermal() -> ThermalParams:
-    """Two server zones with dedicated supply loops, 10-minute control.
-
-    Calibrated so the default rule controller holds the comfort band for
-    most but not all of a 30-day episode on every weather preset: the
-    diurnal load swing is wide enough that its peaks outrun the rule's
-    proportional authority, while a modulating controller can track them.
-    """
-    return ThermalParams(
-        kind="dc",
-        zone_names=("west", "east"),
-        capacity_j_per_k=(6.4e7, 6.4e7),
-        outdoor_r_k_per_w=(0.05, 0.05),
-        coupling_r_k_per_w=((0, 1, 0.02),),
-        gains=GainSchedule(base_w=(35000.0, 35000.0),
-                           amplitude_w=(8000.0, 8000.0)),
-        max_flow_kg_s=(7.0, 7.0),
-        fan_coeff=30.0,
-        dt_s=600.0,
-    )
-
-
-def mixeduse_thermal() -> ThermalParams:
-    """Zones (zone4, zone5, six-zone aggregate); AHU1 -> zone5, AHU2 -> rest.
-
-    max_flow_kg_s holds each zone's design share of its AHU's peak flow.
-    Zone 4 gets a small share and a strong coupling to the aggregate, so
-    its hard-wired thermostat leaves it hovering at the band edge: it is
-    overcooled whenever AHU 2 works hard and drifts warm when idle.
-    """
-    return ThermalParams(
-        kind="mu",
-        zone_names=("zone4", "zone5", "avg6"),
-        capacity_j_per_k=(4.0e6, 1.2e7, 4.8e7),
-        outdoor_r_k_per_w=(0.08, 0.06, 0.015),
-        coupling_r_k_per_w=((0, 2, 0.02), (1, 2, 0.04)),
-        gains=GainSchedule(base_w=(600.0, 2500.0, 3000.0),
-                           amplitude_w=(300.0, 1500.0, 2000.0)),
-        max_flow_kg_s=(0.2, 1.2, 1.8),   # zone4/avg6 split AHU2's 2.0 kg/s
-        fan_coeff=80.0,
-        thermostat_gain=1.0,
-        dt_s=900.0,
-    )
-
-
-# zone 4's thermostat is fixed; the commanded zone setpoint never reaches it
-MIXEDUSE_FIXED_ZONE4_SETPOINT = 18.0
 
 
 # ---------------------------------------------------------------------------
@@ -308,16 +260,10 @@ WEATHER_PRESETS: dict[str, SyntheticWeather] = {
     "lamia": _mu_preset("lamia", 17.0, 9.0, 4.0, 61.0, 25),
 }
 
-TRAIN_PRESETS = {
-    "dc": ("chicago", "san_francisco", "sterling", "tampa"),
-    "mu": ("athens", "skiathos", "larisa", "trikala"),
-}
-EVAL_PRESET = {"dc": "hong_kong", "mu": "lamia"}
-
-
 def load_weather_trace(path, dt_s: float, name: str | None = None) -> WeatherTrace:
     """Read a `step,t_out_c,rh_pct` CSV into a trace; another header, no
-    rows or a row other than its step from 0 and two numbers is a DataError."""
+    rows or a row other than its step from 0 and two finite numbers is a
+    DataError."""
     path = Path(path)
     lines = list(csv.reader(io.StringIO(read_text(path))))
     if lines[:1] != [["step", "t_out_c", "rh_pct"]]:
@@ -330,6 +276,8 @@ def load_weather_trace(path, dt_s: float, name: str | None = None) -> WeatherTra
         raise DataError(f"{path}: rows must be 3 numbers: {e}") from None
     if steps != tuple(range(len(steps))):
         raise DataError(f"{path}: step column does not count from 0")
+    if not all(map(math.isfinite, temps + rhs)):
+        raise DataError(f"{path}: weather values must be finite")
     return WeatherTrace(name=name or path.stem, t_out_c=temps, rh_pct=rhs,
                         dt_s=dt_s)
 
@@ -381,30 +329,98 @@ def _advance_temps(temps: list, t_out: float, gains: list, hvac_w: list,
     return new
 
 
-def step_datacenter(state: EnvState, act: np.ndarray, params: ThermalParams,
-                    weather) -> tuple[EnvState, np.ndarray, PowerBreakdown]:
-    """One control interval from a physical action vector
-    [sp_west, sp_east, flow_west, flow_east]; returns the next state, its
-    physical observation vector and the interval's power."""
+# ---------------------------------------------------------------------------
+# buildings
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RuleGains:
+    deadband_c: float = 0.5
+    setpoint_gain: float = 2.0    # supply setpoint degC moved per degC of error
+    flow_gain: float = 0.6        # flow (kg/s or fraction) added per degC of error
+
+
+@dataclass(frozen=True)
+class Building:
+    """One environment kind: its parameters, weather presets, the
+    observation channels of its zone temperatures (``temp_slots``), and
+    the three ways its control interval differs from another kind's.
+
+    `step` is the interval for every kind. ``hvac(act, temps, thermal,
+    cop)`` gives each zone's HVAC heat and the fan and coil power of a
+    physical action, ``observe(temps, power, t_out, rh)`` the physical
+    observation, and ``rule(obs, building)`` the deadband baseline's action
+    for an observation list.
+    """
+    thermal: ThermalParams
+    obs_spec: VectorSpec
+    act_spec: VectorSpec
+    reward_params: RewardParams
+    rule_gains: RuleGains
+    train_presets: tuple[str, ...]
+    eval_preset: str
+    temp_slots: slice
+    hvac: Callable
+    observe: Callable
+    rule: Callable
+
+    def step(self, state: EnvState, act: np.ndarray,
+             weather) -> tuple[EnvState, np.ndarray, PowerBreakdown]:
+        """One control interval from a physical action vector; returns the
+        next state, its physical observation vector and the interval's
+        power."""
+        params = self.thermal
+        t_out, rh = weather_at(weather, state.step_index)
+        gains = params.gains.at(state.step_index * params.dt_s, state.gain_phase).tolist()
+        temps = state.zone_temps_c.tolist()
+        hvac_heat, fan_w, coil_w = self.hvac(act, temps, params, params.cop(t_out))
+        new_temps = _advance_temps(temps, t_out, gains, hvac_heat, params)
+        power = PowerBreakdown(ordered_sum(gains), fan_w, coil_w)
+        new_state = EnvState(np.array(new_temps), state.gain_phase, state.step_index + 1)
+        return new_state, self.observe(new_temps, power, t_out, rh), power
+
+
+def _dc_hvac(act, temps: list, params: ThermalParams, cop: float):
+    """[sp_west, sp_east, flow_west, flow_east]: each zone's loop supplies
+    its setpoint at its flow."""
     act = np.asarray(act, dtype=float)
     setpoints, flows = act[:2].tolist(), act[2:].tolist()
-    t_out, rh = weather_at(weather, state.step_index)
-    gains = params.gains.at(state.step_index * params.dt_s, state.gain_phase).tolist()
-    temps = state.zone_temps_c.tolist()
     cp = params.supply_cp
-
     hvac_heat = [f * cp * (sp - t) for f, sp, t in zip(flows, setpoints, temps)]
-    new_temps = _advance_temps(temps, t_out, gains, hvac_heat, params)
-
-    cop = params.cop(t_out)
     # the cubes stay one numpy power: Python's ** rounds some differently
     fan_w = ordered_sum(params.fan_coeff * c for c in np.power(act[2:], 3).tolist())
     coil_w = ordered_sum(f * cp * positive_part(t - sp)
                          for f, sp, t in zip(flows, setpoints, temps)) / cop
-    power = PowerBreakdown(ordered_sum(gains), fan_w, coil_w)
-    new_state = EnvState(np.array(new_temps), state.gain_phase, state.step_index + 1)
-    obs = assemble_observation(new_state, power, (t_out, rh), params)
-    return new_state, obs, power
+    return hvac_heat, fan_w, coil_w
+
+
+def _dc_observe(temps: list, power: PowerBreakdown, t_out: float,
+                rh: float) -> np.ndarray:
+    kw = 1e-3
+    return np.array([
+        power.total_w * kw, power.hvac_w * kw, power.building_w * kw,
+        t_out, rh, temps[0], temps[1], power.pue,
+    ])
+
+
+def _dc_rule(obs: list, b: Building) -> np.ndarray:
+    g, spec, params = b.rule_gains, b.act_spec, b.reward_params
+    values = [0.0] * 4
+    for i, (temp, target) in enumerate(zip(obs[b.temp_slots], params.target)):
+        err = temp - target
+        if abs(err) <= g.deadband_c:
+            values[i] = target
+            values[2 + i] = spec.dims[2 + i].low
+        else:
+            lo, hi = spec.dims[i].low, spec.dims[i].high
+            values[i] = min(max(target - g.setpoint_gain * err, lo), hi)
+            flo, fhi = spec.dims[2 + i].low, spec.dims[2 + i].high
+            values[2 + i] = min(max(flo + g.flow_gain * abs(err), flo), fhi)
+    return np.array(values)
+
+
+# zone 4's thermostat is fixed; the commanded zone setpoint never reaches it
+MIXEDUSE_FIXED_ZONE4_SETPOINT = 18.0
 
 
 def _damper(zone_temp: float, zone_set: float, supply_temp: float,
@@ -420,20 +436,13 @@ def _damper(zone_temp: float, zone_set: float, supply_temp: float,
     return min(max(opening, 0.0), 1.0)
 
 
-def step_mixeduse(state: EnvState, act: np.ndarray, params: ThermalParams,
-                  weather) -> tuple[EnvState, np.ndarray, PowerBreakdown]:
-    """One control interval from a physical action vector [zone_setpoint,
-    ahu1_setpoint, ahu2_setpoint, ahu1_flow, ahu2_flow]; returns as
-    `step_datacenter` does.
+def _mu_hvac(act, temps: list, params: ThermalParams, cop: float):
+    """[zone_setpoint, ahu1_setpoint, ahu2_setpoint, ahu1_flow, ahu2_flow].
 
     AHU 1 serves zone5 (index 1); AHU 2 serves zone4 and avg6 (0 and 2).
     Flows are fractions of each zone's design share of its AHU peak flow.
     """
     zone_set, sp1, sp2, f1, f2 = np.asarray(act, dtype=float).tolist()
-    t_out, rh = weather_at(weather, state.step_index)
-    gains = params.gains.at(state.step_index * params.dt_s, state.gain_phase).tolist()
-    temps = state.zone_temps_c.tolist()
-
     supply, flow_frac = (sp2, sp1, sp2), (f2, f1, f2)
     targets = (MIXEDUSE_FIXED_ZONE4_SETPOINT, zone_set, zone_set)
     hvac_heat = [
@@ -441,38 +450,135 @@ def step_mixeduse(state: EnvState, act: np.ndarray, params: ThermalParams,
         * params.supply_cp * (s - t)
         for t, target, s, f, m
         in zip(temps, targets, supply, flow_frac, params.max_flow_kg_s)]
-    new_temps = _advance_temps(temps, t_out, gains, hvac_heat, params)
-
-    cop = params.cop(t_out)
     # AHU fan work follows commanded flow even when dampers are shut
     ahu_peaks = (params.max_flow_kg_s[1], params.max_flow_kg_s[0] + params.max_flow_kg_s[2])
     fan_w = params.fan_coeff * ((f1 * ahu_peaks[0]) ** 3 + (f2 * ahu_peaks[1]) ** 3)
     cooling = ordered_sum(positive_part(-h) for h in hvac_heat)
     heating = ordered_sum(positive_part(h) for h in hvac_heat)
-    power = PowerBreakdown(building_w=ordered_sum(gains), fan_w=float(fan_w),
-                           coil_w=cooling / cop + heating)
-    new_state = EnvState(np.array(new_temps), state.gain_phase, state.step_index + 1)
-    obs = assemble_observation(new_state, power, (t_out, rh), params)
-    return new_state, obs, power
+    return hvac_heat, fan_w, cooling / cop + heating
 
 
-def assemble_observation(state: EnvState, power: PowerBreakdown,
-                         outdoor: tuple[float, float],
-                         params: ThermalParams) -> np.ndarray:
-    """Pure projection of (state, power breakdown, weather) onto the
-    physical observation vector of the kind's obs spec."""
-    t_out, rh = outdoor
+def _mu_observe(temps: list, power: PowerBreakdown, t_out: float,
+                rh: float) -> np.ndarray:
     kw = 1e-3
-    temps = state.zone_temps_c.tolist()
-    if params.kind == "dc":
-        return np.array([
-            power.total_w * kw, power.hvac_w * kw, power.building_w * kw,
-            t_out, rh, temps[0], temps[1], power.pue,
-        ])
     return np.array([
         power.total_w * kw, power.hvac_w * kw, power.building_w * kw,
         rh, t_out, temps[0], temps[1], temps[2],
     ])
+
+
+def _mu_rule(obs: list, b: Building) -> np.ndarray:
+    g, spec = b.rule_gains, b.act_spec
+    target = b.reward_params.target[1]   # shared comfort target
+    zone4, zone5, avg6 = obs[b.temp_slots]
+    err1 = zone5 - target
+    err2 = (zone4 - target + avg6 - target) / 2.0
+    values = [0.0] * 5
+    values[0] = min(max(target, spec.dims[0].low), spec.dims[0].high)
+    for slot, err in ((1, err1), (2, err2)):
+        lo, hi = spec.dims[slot].low, spec.dims[slot].high
+        if abs(err) <= g.deadband_c:
+            values[slot] = min(max(target, lo), hi)
+            values[3 + slot - 1] = 0.0
+        else:
+            values[slot] = min(max(target - g.setpoint_gain * err, lo), hi)
+            values[3 + slot - 1] = min(max(g.flow_gain * abs(err), 0.0), 1.0)
+    return np.array(values)
+
+
+# The rule gains are frozen against the default surrogates: each facility
+# sits below full band compliance (its proportional authority runs out at
+# load peaks) while staying far from runaway, which leaves the learned
+# controllers measurable room on both comfort and fan energy.
+BUILDINGS: dict[str, Building] = {
+    # Two server zones with dedicated supply loops, 10-minute control.
+    # Calibrated so the rule controller holds the comfort band for most
+    # but not all of a 30-day episode on every weather preset: the diurnal
+    # load swing is wide enough that its peaks outrun the rule's
+    # proportional authority, while a modulating controller can track them.
+    "dc": Building(
+        thermal=ThermalParams(
+            kind="dc",
+            zone_names=("west", "east"),
+            capacity_j_per_k=(6.4e7, 6.4e7),
+            outdoor_r_k_per_w=(0.05, 0.05),
+            coupling_r_k_per_w=((0, 1, 0.02),),
+            gains=GainSchedule(base_w=(35000.0, 35000.0),
+                               amplitude_w=(8000.0, 8000.0)),
+            max_flow_kg_s=(7.0, 7.0),
+            fan_coeff=30.0,
+            dt_s=600.0,
+        ),
+        obs_spec=VectorSpec("obs", (
+            DimSpec("total_power", 0.0, 200.0, "kW"),
+            DimSpec("hvac_power", 0.0, 200.0, "kW"),
+            DimSpec("building_power", 0.0, 200.0, "kW"),
+            DimSpec("outdoor_temp", -20.0, 50.0, "degC"),
+            DimSpec("outdoor_rh", 0.0, 100.0, "%RH"),
+            DimSpec("west_temp", 0.0, 50.0, "degC"),
+            DimSpec("east_temp", 0.0, 50.0, "degC"),
+            DimSpec("pue", 1.0, 5.0, "-"),
+        )),
+        act_spec=VectorSpec("act", (
+            DimSpec("west_setpoint", 10.0, 40.0, "degC"),
+            DimSpec("east_setpoint", 10.0, 40.0, "degC"),
+            DimSpec("west_flow", 1.75, 7.0, "kg/s"),
+            DimSpec("east_flow", 1.75, 7.0, "kg/s"),
+        )),
+        reward_params=RewardParams(0.5, 0.1, 1e-5, (22.0,) * 2, (21.0,) * 2,
+                                   (23.0,) * 2),
+        rule_gains=RuleGains(setpoint_gain=7.0, flow_gain=3.5),
+        train_presets=("chicago", "san_francisco", "sterling", "tampa"),
+        eval_preset="hong_kong",
+        temp_slots=slice(5, 7),
+        hvac=_dc_hvac, observe=_dc_observe, rule=_dc_rule,
+    ),
+    # Zones (zone4, zone5, six-zone aggregate); AHU1 -> zone5, AHU2 -> rest.
+    # max_flow_kg_s holds each zone's design share of its AHU's peak flow.
+    # Zone 4 gets a small share and a strong coupling to the aggregate, so
+    # its hard-wired thermostat leaves it hovering at the band edge: it is
+    # overcooled whenever AHU 2 works hard and drifts warm when idle.
+    "mu": Building(
+        thermal=ThermalParams(
+            kind="mu",
+            zone_names=("zone4", "zone5", "avg6"),
+            capacity_j_per_k=(4.0e6, 1.2e7, 4.8e7),
+            outdoor_r_k_per_w=(0.08, 0.06, 0.015),
+            coupling_r_k_per_w=((0, 2, 0.02), (1, 2, 0.04)),
+            gains=GainSchedule(base_w=(600.0, 2500.0, 3000.0),
+                               amplitude_w=(300.0, 1500.0, 2000.0)),
+            max_flow_kg_s=(0.2, 1.2, 1.8),   # zone4/avg6 split AHU2's 2.0 kg/s
+            fan_coeff=80.0,
+            thermostat_gain=1.0,
+            dt_s=900.0,
+        ),
+        obs_spec=VectorSpec("obs", (
+            DimSpec("total_power", 0.0, 50.0, "kW"),
+            DimSpec("hvac_power", 0.0, 50.0, "kW"),
+            DimSpec("building_power", 0.0, 10.0, "kW"),
+            DimSpec("outdoor_rh", 0.0, 100.0, "%RH"),
+            DimSpec("outdoor_temp", -10.0, 40.0, "degC"),
+            DimSpec("zone4_temp", 10.0, 40.0, "degC"),
+            DimSpec("zone5_temp", 10.0, 40.0, "degC"),
+            DimSpec("avg6_temp", 10.0, 40.0, "degC"),
+        )),
+        act_spec=VectorSpec("act", (
+            DimSpec("zone_setpoint", 16.0, 26.0, "degC"),
+            DimSpec("ahu1_setpoint", 10.0, 30.0, "degC"),
+            DimSpec("ahu2_setpoint", 10.0, 30.0, "degC"),
+            DimSpec("ahu1_flow", 0.0, 1.0, "-"),
+            DimSpec("ahu2_flow", 0.0, 1.0, "-"),
+        )),
+        # one comfort band shared by the three observed channels
+        reward_params=RewardParams(0.5, 0.1, 2e-5, (23.5,) * 3, (23.0,) * 3,
+                                   (24.0,) * 3),
+        rule_gains=RuleGains(setpoint_gain=14.0, flow_gain=3.5),
+        train_presets=("athens", "skiathos", "larisa", "trikala"),
+        eval_preset="lamia",
+        temp_slots=slice(5, 8),
+        hvac=_mu_hvac, observe=_mu_observe, rule=_mu_rule,
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +587,12 @@ def assemble_observation(state: EnvState, power: PowerBreakdown,
 
 @dataclass(frozen=True)
 class EnvConfig:
-    kind: str = "dc"                     # "dc" or "mu"
+    kind: str = "dc"                     # a key of BUILDINGS
     weather: str = ""                    # "preset:<name>" or "csv:<path>"; "" = eval preset
     days: float = 30.0
 
     def __post_init__(self):
-        if self.kind not in ("dc", "mu"):
+        if self.kind not in BUILDINGS:
             raise SpecError(f"unknown environment kind {self.kind!r}")
         if not self.days > 0:
             raise SpecError(f"days must be positive, got {self.days}")
@@ -496,9 +602,7 @@ class EnvConfig:
         """Control steps in an episode: ``days`` at the kind's thermal step;
         days that round to no step, or that no float can count in steps,
         are a SpecError."""
-        thermal = (datacenter_thermal() if self.kind == "dc"
-                   else mixeduse_thermal())
-        steps = self.days * SECONDS_PER_DAY / thermal.dt_s
+        steps = self.days * SECONDS_PER_DAY / BUILDINGS[self.kind].thermal.dt_s
         if not math.isfinite(steps):
             raise SpecError(f"days={self.days} is too long to count in steps")
         horizon = int(round(steps))
@@ -510,7 +614,7 @@ class EnvConfig:
     def weather_spec(self) -> str:
         """The weather this config runs: ``weather``, or the kind's
         evaluation preset when that is blank."""
-        return self.weather or f"preset:{EVAL_PRESET[self.kind]}"
+        return self.weather or f"preset:{BUILDINGS[self.kind].eval_preset}"
 
     def resolve_weather(self, dt_s: float):
         spec = self.weather_spec
@@ -528,7 +632,7 @@ class EnvConfig:
 
 
 class BuildingEnv:
-    """Stateful episode wrapper around the pure step functions.
+    """Stateful episode wrapper around its kind's `Building.step`.
 
     `reset` returns and `step` takes and returns float64 vectors in the
     physical units of `obs_spec` and `act_spec`.
@@ -536,19 +640,11 @@ class BuildingEnv:
 
     def __init__(self, config: EnvConfig):
         self.config = config
-        if config.kind == "dc":
-            self.thermal = datacenter_thermal()
-            self.reward_params = datacenter_reward_params()
-            self.obs_spec = datacenter_obs_spec()
-            self.act_spec = datacenter_act_spec()
-            self._step_fn = step_datacenter
-        else:
-            self.thermal = mixeduse_thermal()
-            self.reward_params = mixeduse_reward_params()
-            self.obs_spec = mixeduse_obs_spec()
-            self.act_spec = mixeduse_act_spec()
-            self._step_fn = step_mixeduse
-        self.weather = config.resolve_weather(self.thermal.dt_s)
+        self.building = b = BUILDINGS[config.kind]
+        self.reward_params = b.reward_params
+        self.obs_spec = b.obs_spec
+        self.act_spec = b.act_spec
+        self.weather = config.resolve_weather(b.thermal.dt_s)
         self.horizon = config.horizon
         self.state: EnvState | None = None
         self._steps_this_episode = 0
@@ -574,7 +670,7 @@ class BuildingEnv:
     def fingerprint(self) -> str:
         return fingerprint({
             "config": to_jsonable(self.config),
-            "thermal": to_jsonable(self.thermal),
+            "thermal": to_jsonable(self.building.thermal),
             "weather": to_jsonable(self.weather),
             "reward": to_jsonable(self.reward_params),
             "horizon": self.horizon,
@@ -582,13 +678,14 @@ class BuildingEnv:
 
     @property
     def n_zones(self) -> int:
-        return len(self.thermal.zone_names)
+        return len(self.building.thermal.zone_names)
 
     def reset(self, seed: int) -> np.ndarray:
         if seed < 0:
             raise UsageError(f"reset seed must be >= 0, got {seed}")
         rng = np.random.default_rng(seed)
-        steps_per_year = int(DAYS_PER_YEAR * SECONDS_PER_DAY / self.thermal.dt_s)
+        thermal = self.building.thermal
+        steps_per_year = int(DAYS_PER_YEAR * SECONDS_PER_DAY / thermal.dt_s)
         start = int(rng.integers(0, steps_per_year))
         phase = float(rng.uniform(0.0, 2.0 * math.pi))
         mid = np.array(self.reward_params.target)
@@ -598,17 +695,17 @@ class BuildingEnv:
         self._steps_this_episode = 0
         # initial observation: HVAC idle, building load only
         t_out, rh = weather_at(self.weather, start)
-        gains = self.thermal.gains.at(start * self.thermal.dt_s, phase)
+        gains = thermal.gains.at(start * thermal.dt_s, phase)
         power = PowerBreakdown(building_w=ordered_sum(gains.tolist()),
                                fan_w=0.0, coil_w=0.0)
-        return assemble_observation(self.state, power, (t_out, rh), self.thermal)
+        return self.building.observe(temps.tolist(), power, t_out, rh)
 
     def step(self, act: np.ndarray) -> tuple[np.ndarray, float, bool, dict]:
         if self.state is None:
             raise SpecError("step() before reset()")
         self.act_spec.validate_physical(act)
-        self.state, obs, power = self._step_fn(self.state, act, self.thermal,
-                                               self.weather)
+        self.state, obs, power = self.building.step(self.state, act,
+                                                    self.weather)
         terms = compute_reward(self.state.zone_temps_c, power.total_w,
                                self.reward_params)
         self._steps_this_episode += 1
@@ -621,59 +718,11 @@ class BuildingEnv:
 # rule-based baseline
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RuleGains:
-    deadband_c: float = 0.5
-    setpoint_gain: float = 2.0    # supply setpoint degC moved per degC of error
-    flow_gain: float = 0.6        # flow (kg/s or fraction) added per degC of error
-
-
-# Frozen against the default surrogates: each facility sits below full
-# band compliance (its proportional authority runs out at load peaks)
-# while staying far from runaway, which leaves the learned controllers
-# measurable room on both comfort and fan energy.
-DEFAULT_RULE_GAINS = {"dc": RuleGains(setpoint_gain=7.0, flow_gain=3.5),
-                      "mu": RuleGains(setpoint_gain=14.0, flow_gain=3.5)}
-# the action spec and reward parameters `rule_controller` reads on every
-# step, built once
-_RULE_SPECS = {"dc": (datacenter_act_spec(), datacenter_reward_params()),
-               "mu": (mixeduse_act_spec(), mixeduse_reward_params())}
-
-
 def rule_controller(obs: np.ndarray, kind: str) -> np.ndarray:
     """Deadband-plus-proportional baseline: a physical action vector from a
     physical observation vector, deterministic in the observation."""
-    g = DEFAULT_RULE_GAINS[kind]
-    spec, params = _RULE_SPECS[kind]
-    obs = np.asarray(obs, dtype=np.float64).tolist()
-    if kind == "dc":
-        values = [0.0] * 4
-        for i, (temp, target) in enumerate(zip(obs[5:7], params.target)):
-            err = temp - target
-            if abs(err) <= g.deadband_c:
-                values[i] = target
-                values[2 + i] = spec.dims[2 + i].low
-            else:
-                lo, hi = spec.dims[i].low, spec.dims[i].high
-                values[i] = min(max(target - g.setpoint_gain * err, lo), hi)
-                flo, fhi = spec.dims[2 + i].low, spec.dims[2 + i].high
-                values[2 + i] = min(max(flo + g.flow_gain * abs(err), flo), fhi)
-        return np.array(values)
-    target = params.target[1]   # shared comfort target
-    zone4, zone5, avg6 = obs[5:8]
-    err1 = zone5 - target
-    err2 = (zone4 - target + avg6 - target) / 2.0
-    values = [0.0] * 5
-    values[0] = min(max(target, spec.dims[0].low), spec.dims[0].high)
-    for slot, err in ((1, err1), (2, err2)):
-        lo, hi = spec.dims[slot].low, spec.dims[slot].high
-        if abs(err) <= g.deadband_c:
-            values[slot] = min(max(target, lo), hi)
-            values[3 + slot - 1] = 0.0
-        else:
-            values[slot] = min(max(target - g.setpoint_gain * err, lo), hi)
-            values[3 + slot - 1] = min(max(g.flow_gain * abs(err), 0.0), 1.0)
-    return np.array(values)
+    b = BUILDINGS[kind]
+    return b.rule(np.asarray(obs, dtype=np.float64).tolist(), b)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .agents import AgentConfig, load_agent, make_agent, train_offline
-from .buildsim import BuildingEnv, EnvConfig, rule_controller
+from .buildsim import BUILDINGS, BuildingEnv, EnvConfig, rule_controller
 from .container import append_jsonl, read_json, write_json
 from .datagen import (Recipe, build_quality_report, delta_stats,
                       read_dataset, write_dataset)
@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="subcommand")
 
     s = sub.add_parser("simulate", help="roll the rule controller's episode")
-    s.add_argument("--env", choices=("dc", "mu"))
+    s.add_argument("--env", choices=tuple(BUILDINGS))
     s.add_argument("--weather", help="preset:NAME or csv:PATH")
     s.add_argument("--days", type=float)
     s.add_argument("--seed", type=int, default=0)
@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("eval", help="evaluate a checkpoint deterministically")
     e.add_argument("--ckpt", required=True, metavar="PATH")
-    e.add_argument("--env", choices=("dc", "mu"))
+    e.add_argument("--env", choices=tuple(BUILDINGS))
     e.add_argument("--weather", help="preset:NAME or csv:PATH")
     e.add_argument("--days", type=float)
     e.add_argument("--seeds", type=int, default=1, metavar="K")

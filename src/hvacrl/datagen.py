@@ -47,8 +47,7 @@ from .agents import (Agent, AgentConfig, PolicyController, ReplayView,
                      make_agent, seeded_episodes, train_online)
 # bench/tracing.py wraps the loader here as well as in cli and evalharness
 from .agents import load_agent  # noqa: F401
-from .buildsim import (TRAIN_PRESETS, BuildingEnv, EnvConfig, EpisodeDriver,
-                       run_episode)
+from .buildsim import BuildingEnv, EnvConfig, EpisodeDriver, run_episode
 from .errors import DataError, SimulationFault, SpecError, UsageError
 from .fingerprint import bad_fields, fingerprint
 
@@ -154,7 +153,7 @@ def preset_rotation(env: BuildingEnv):
     """Environment factory that cycles training weather between episodes;
     a trace-driven environment keeps its trace."""
     names = ([env.config.weather] if env.config.weather.startswith("csv:")
-             else list(TRAIN_PRESETS[env.config.kind]))
+             else list(env.building.train_presets))
     return (lambda ep: env.variant(weather=names[ep % len(names)])), names
 
 

@@ -5,7 +5,9 @@ the evaluation harness all build on these definitions. An observation or
 action is a plain float64 vector laid out by a `VectorSpec`: in physical
 units at the simulator, and as unit-interval observations and [-1, 1]
 actions at the agents (`normalize_obs` converts an observation there,
-and `denormalize_action` an action back).
+and `denormalize_action` an action back). The two buildings' specs and
+reward parameters are declared with the rest of each building, in
+`buildsim.BUILDINGS`.
 """
 from __future__ import annotations
 
@@ -77,51 +79,6 @@ class VectorSpec:
         if any(v == v for _, v in bad):
             raise SpecError(f"{self.kind} values out of range for "
                             f"{[name for name, _ in bad]}")
-
-
-def mixeduse_obs_spec() -> VectorSpec:
-    return VectorSpec("obs", (
-        DimSpec("total_power", 0.0, 50.0, "kW"),
-        DimSpec("hvac_power", 0.0, 50.0, "kW"),
-        DimSpec("building_power", 0.0, 10.0, "kW"),
-        DimSpec("outdoor_rh", 0.0, 100.0, "%RH"),
-        DimSpec("outdoor_temp", -10.0, 40.0, "degC"),
-        DimSpec("zone4_temp", 10.0, 40.0, "degC"),
-        DimSpec("zone5_temp", 10.0, 40.0, "degC"),
-        DimSpec("avg6_temp", 10.0, 40.0, "degC"),
-    ))
-
-
-def datacenter_obs_spec() -> VectorSpec:
-    return VectorSpec("obs", (
-        DimSpec("total_power", 0.0, 200.0, "kW"),
-        DimSpec("hvac_power", 0.0, 200.0, "kW"),
-        DimSpec("building_power", 0.0, 200.0, "kW"),
-        DimSpec("outdoor_temp", -20.0, 50.0, "degC"),
-        DimSpec("outdoor_rh", 0.0, 100.0, "%RH"),
-        DimSpec("west_temp", 0.0, 50.0, "degC"),
-        DimSpec("east_temp", 0.0, 50.0, "degC"),
-        DimSpec("pue", 1.0, 5.0, "-"),
-    ))
-
-
-def mixeduse_act_spec() -> VectorSpec:
-    return VectorSpec("act", (
-        DimSpec("zone_setpoint", 16.0, 26.0, "degC"),
-        DimSpec("ahu1_setpoint", 10.0, 30.0, "degC"),
-        DimSpec("ahu2_setpoint", 10.0, 30.0, "degC"),
-        DimSpec("ahu1_flow", 0.0, 1.0, "-"),
-        DimSpec("ahu2_flow", 0.0, 1.0, "-"),
-    ))
-
-
-def datacenter_act_spec() -> VectorSpec:
-    return VectorSpec("act", (
-        DimSpec("west_setpoint", 10.0, 40.0, "degC"),
-        DimSpec("east_setpoint", 10.0, 40.0, "degC"),
-        DimSpec("west_flow", 1.75, 7.0, "kg/s"),
-        DimSpec("east_flow", 1.75, 7.0, "kg/s"),
-    ))
 
 
 def _clip(x: float, lo: float, hi: float) -> float:
@@ -200,15 +157,6 @@ class RewardParams:
     @property
     def n_zones(self) -> int:
         return len(self.target)
-
-
-def mixeduse_reward_params() -> RewardParams:
-    # Shared comfort band over the three observed channels (zone4, zone5, avg6).
-    return RewardParams(0.5, 0.1, 2e-5, (23.5,) * 3, (23.0,) * 3, (24.0,) * 3)
-
-
-def datacenter_reward_params() -> RewardParams:
-    return RewardParams(0.5, 0.1, 1e-5, (22.0,) * 2, (21.0,) * 2, (23.0,) * 2)
 
 
 @dataclass(frozen=True)

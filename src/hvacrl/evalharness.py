@@ -59,18 +59,14 @@ import numpy as np
 from .agents import (CHECKPOINT_MAGIC, OFFLINE_ALGOS, Agent, AgentConfig,
                      PolicyController, load_agent, make_agent, train_offline,
                      train_online)
-from .buildsim import (EVAL_PRESET, TRAIN_PRESETS, BuildingEnv, EnvConfig,
-                       read_trajectory_csv, rule_controller, run_episode,
-                       write_trajectory_csv)
+from .buildsim import (BUILDINGS, BuildingEnv, EnvConfig, read_trajectory_csv,
+                       rule_controller, run_episode, write_trajectory_csv)
 from .container import atomic_write, read_json, read_text, write_json
 from .datagen import (Dataset, Recipe, build_quality_report,
                       collect_final_buffer, collect_trained, preset_rotation,
                       read_dataset, subsample, write_dataset)
 from .errors import DataError, SpecError, UsageError
 from .fingerprint import bad_fields, fingerprint, to_jsonable
-
-# observation channels holding zone temperatures, per environment kind
-TEMP_CHANNELS = {"dc": slice(5, 7), "mu": slice(5, 8)}
 
 #: the headline metrics: a report's, a curve row's and a summary row's
 METRICS = ("avg_reward", "violation", "avg_power_kw")
@@ -150,7 +146,7 @@ def audit_violation_from_csv(csv_path, env_kind: str, band_low,
                              band_high) -> float:
     """Recount T.V. from an exported trajectory CSV (independent path)."""
     cols = read_trajectory_csv(csv_path)
-    temps = cols["obs"][:, TEMP_CHANNELS[env_kind]]
+    temps = cols["obs"][:, BUILDINGS[env_kind].temp_slots]
     return violation_fraction(temps, band_low, band_high)
 
 
@@ -208,7 +204,7 @@ def rule_baseline_report(env: BuildingEnv, presets=None,
     """Evaluate the deadband rule controller on every weather preset."""
     kind = env.config.kind
     if presets is None:
-        presets = list(TRAIN_PRESETS[kind]) + [EVAL_PRESET[kind]]
+        presets = [*env.building.train_presets, env.building.eval_preset]
     controller = lambda obs: rule_controller(obs, kind)
     controller.__name__ = "rule"
     return [report for preset in presets for report in evaluate_policy(
@@ -264,7 +260,7 @@ class HarnessConfig:
     rq5_train_steps: int = 1_000
 
     def __post_init__(self):
-        if self.env_kind not in ("dc", "mu"):
+        if self.env_kind not in BUILDINGS:
             raise UsageError(f"unknown environment kind {self.env_kind!r}")
         for name, low in (("seeds", 0), ("eval_seed", 0), ("jobs", 1)):
             if getattr(self, name) < low:

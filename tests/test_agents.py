@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hvacrl.agents import (AgentConfig, ReplayBuffer, ReplayView,
                            RolloutWindow, WindowBatch, load_agent, make_agent,
                            train_offline, train_online)
-from hvacrl.buildsim import EnvConfig, BuildingEnv, TRAIN_PRESETS
+from hvacrl.buildsim import BUILDINGS, EnvConfig, BuildingEnv
 from hvacrl.errors import DataError, DivergenceError, SpecError
 from hvacrl.neuralsub import tensor as T
 from hvacrl.neuralsub.layers import Module
@@ -962,7 +962,7 @@ class TestTrainLoops:
         assert np.array_equal(q1a, q1b)
 
     def test_online_training_fills_buffer_and_logs(self, tmp_path):
-        presets = TRAIN_PRESETS["dc"]
+        presets = BUILDINGS["dc"].train_presets
 
         def make_env(ep):
             name = presets[ep % len(presets)]

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from hvacrl import buildsim
 from hvacrl.buildsim import (
-    EVAL_PRESET,
-    TRAIN_PRESETS,
+    BUILDINGS,
     WEATHER_PRESETS,
     BuildingEnv,
     EnvConfig,
@@ -23,18 +22,16 @@ from hvacrl.buildsim import (
     PowerBreakdown,
     SyntheticWeather,
     WeatherTrace,
-    datacenter_thermal,
     load_weather_trace,
-    mixeduse_thermal,
     read_trajectory_csv,
     rule_controller,
     run_episode,
-    step_datacenter,
-    step_mixeduse,
     weather_at,
     write_trajectory_csv,
 )
 from hvacrl.errors import DataError, SimulationFault, SpecError
+
+DC, MU = BUILDINGS["dc"], BUILDINGS["mu"]
 
 
 def flat_weather(mean_c, dt_s=600.0, rh=50.0):
@@ -42,6 +39,12 @@ def flat_weather(mean_c, dt_s=600.0, rh=50.0):
     return SyntheticWeather(name="flat", mean_c=mean_c, annual_amp_c=0.0,
                             diurnal_amp_c=0.0, mean_rh=rh, rh_amp=0.0,
                             dt_s=dt_s, noise_scale=0.0)
+
+
+def with_thermal(building, **changes):
+    """``building`` with those thermal parameters changed."""
+    return dataclasses.replace(
+        building, thermal=dataclasses.replace(building.thermal, **changes))
 
 
 def dc_state(temps, step=0):
@@ -83,8 +86,8 @@ class TestWeather:
             weather_at(flat_weather(20.0), -1)
 
     def test_presets_cover_both_facilities(self):
-        for kind in ("dc", "mu"):
-            for name in TRAIN_PRESETS[kind] + (EVAL_PRESET[kind],):
+        for b in BUILDINGS.values():
+            for name in b.train_presets + (b.eval_preset,):
                 assert name in WEATHER_PRESETS
 
     @pytest.mark.parametrize("name", sorted(WEATHER_PRESETS))
@@ -117,39 +120,39 @@ class TestWeather:
         gap.write_text("step,t_out_c,rh_pct\n0,1,2\n2,3,4\n")
         with pytest.raises(DataError):
             load_weather_trace(gap, dt_s=600.0)
+        odd = tmp_path / "nonfinite.csv"
+        for row in ("0,nan,50", "0,10,inf"):
+            odd.write_text(f"step,t_out_c,rh_pct\n{row}\n")
+            with pytest.raises(DataError, match="finite"):
+                load_weather_trace(odd, dt_s=600.0)
 
 
 class TestStepDatacenter:
-    def quiet_thermal(self):
+    def quiet(self, **changes):
         # default fabric but no internal gains
-        base = datacenter_thermal()
-        return dataclasses.replace(
-            base, gains=GainSchedule((0.0, 0.0), (0.0, 0.0)))
+        return with_thermal(DC, gains=GainSchedule((0.0, 0.0), (0.0, 0.0)),
+                            **changes)
 
     def test_equilibrium_state_is_fixed_point(self):
-        params = self.quiet_thermal()
         state = dc_state([22.0, 22.0])
         act = np.array([22.0, 22.0, 1.75, 1.75])
-        new, obs, power = step_datacenter(state, act, params, flat_weather(22.0))
+        new, obs, power = self.quiet().step(state, act, flat_weather(22.0))
         assert np.array_equal(new.zone_temps_c, [22.0, 22.0])
         assert power.coil_w == 0.0
 
     def test_insulated_unforced_zones_hold_temperature(self):
-        base = self.quiet_thermal()
-        params = dataclasses.replace(base,
-                                     outdoor_r_k_per_w=(math.inf, math.inf))
+        building = self.quiet(outdoor_r_k_per_w=(math.inf, math.inf))
         state = dc_state([24.0, 24.0])
         act = np.array([24.0, 24.0, 1.75, 1.75])
-        new, _, _ = step_datacenter(state, act, params, flat_weather(35.0))
+        new, _, _ = building.step(state, act, flat_weather(35.0))
         assert np.array_equal(new.zone_temps_c, [24.0, 24.0])
 
     def test_one_step_matches_hand_evaluated_update(self):
         # worked example on the frozen defaults: both zones at 22 degC,
         # outdoor 30 degC, supply 16 degC at 4 kg/s, gains at their base
-        params = datacenter_thermal()
         state = dc_state([22.0, 22.0])
         act = np.array([16.0, 16.0, 4.0, 4.0])
-        new, obs, power = step_datacenter(state, act, params, flat_weather(30.0))
+        new, obs, power = DC.step(state, act, flat_weather(30.0))
 
         flux = (30.0 - 22.0) / 0.05 + 35000.0 + 4.0 * 1005.0 * (16.0 - 22.0)
         assert flux == 11040.0
@@ -173,43 +176,38 @@ class TestStepDatacenter:
         assert obs[7] == pytest.approx(power.pue)
 
     def test_cop_floor_at_one(self):
-        params = datacenter_thermal()
+        params = DC.thermal
         assert params.cop(15.0) == 3.5
         assert params.cop(100.0) == 1.0
 
     def test_nan_input_raises_simulation_fault(self):
         from hvacrl.errors import SimulationFault
-        params = datacenter_thermal()
         state = dc_state([np.nan, 22.0])
         act = np.array([16.0, 16.0, 4.0, 4.0])
         with pytest.raises(SimulationFault) as exc:
-            step_datacenter(state, act, params, flat_weather(30.0))
+            DC.step(state, act, flat_weather(30.0))
         assert exc.value.state_dump is not None
 
 
 class TestStepMixeduse:
     def test_zero_flow_means_zero_hvac_power(self):
-        params = mixeduse_thermal()
         state = EnvState(zone_temps_c=np.array([25.0, 25.0, 25.0]),
                          gain_phase=0.0, step_index=0)
         act = np.array([22.0, 15.0, 15.0, 0.0, 0.0])
-        new, _, power = step_mixeduse(state, act, params,
-                                      flat_weather(30.0, dt_s=900.0))
+        new, _, power = MU.step(state, act, flat_weather(30.0, dt_s=900.0))
         assert power.fan_w == 0.0
         assert power.coil_w == 0.0
         # temperatures still move with envelope and gains
         assert not np.array_equal(new.zone_temps_c, state.zone_temps_c)
 
     def test_zone4_ignores_commanded_setpoint(self):
-        params = mixeduse_thermal()
         act_low = np.array([16.0, 14.0, 14.0, 0.7, 0.7])
         act_high = np.array([26.0, 14.0, 14.0, 0.7, 0.7])
         outs = []
         for act in (act_low, act_high):
             state = EnvState(zone_temps_c=np.array([25.0, 25.0, 25.0]),
                              gain_phase=0.0, step_index=0)
-            new, _, _ = step_mixeduse(state, act, params,
-                                      flat_weather(30.0, dt_s=900.0))
+            new, _, _ = MU.step(state, act, flat_weather(30.0, dt_s=900.0))
             outs.append(new.zone_temps_c.copy())
         assert outs[0][0] == outs[1][0]          # zone 4 unaffected
         assert outs[0][1] != outs[1][1]          # zone 5 follows the command
@@ -218,12 +216,10 @@ class TestStepMixeduse:
         # worked example: all zones 25 degC, outdoor 30 degC, both AHUs at
         # 15 degC supply and half flow, commanded zone setpoint 22 degC;
         # every damper saturates fully open
-        params = mixeduse_thermal()
         state = EnvState(zone_temps_c=np.array([25.0, 25.0, 25.0]),
                          gain_phase=0.0, step_index=0)
         act = np.array([22.0, 15.0, 15.0, 0.5, 0.5])
-        new, _, power = step_mixeduse(state, act, params,
-                                      flat_weather(30.0, dt_s=900.0))
+        new, _, power = MU.step(state, act, flat_weather(30.0, dt_s=900.0))
 
         q4 = 0.5 * 0.2 * 1005.0 * (15.0 - 25.0)     # -1005 W
         q5 = 0.5 * 1.2 * 1005.0 * (15.0 - 25.0)     # -6030 W
@@ -243,13 +239,11 @@ class TestStepMixeduse:
         assert power.building_w == pytest.approx(6100.0)
 
     def test_damper_admits_warm_air_when_too_cold(self):
-        params = mixeduse_thermal()
         state = EnvState(zone_temps_c=np.array([18.0, 18.0, 18.0]),
                          gain_phase=0.0, step_index=0)
         # zone 5 below its 24 degC setpoint, supply warmer than the zone
         act = np.array([24.0, 28.0, 28.0, 1.0, 0.0])
-        new, _, power = step_mixeduse(state, act, params,
-                                      flat_weather(18.0, dt_s=900.0))
+        new, _, power = MU.step(state, act, flat_weather(18.0, dt_s=900.0))
         assert new.zone_temps_c[1] > 18.0
         assert power.coil_w > 0.0
 
@@ -257,18 +251,17 @@ class TestStepMixeduse:
 class TestInvariants:
     def test_insulated_network_conserves_thermal_energy(self):
         # no envelope, no gains, no flow: sum(C_i T_i) must stay constant
-        base = mixeduse_thermal()
-        params = dataclasses.replace(
-            base, outdoor_r_k_per_w=(math.inf,) * 3,
+        building = with_thermal(
+            MU, outdoor_r_k_per_w=(math.inf,) * 3,
             gains=GainSchedule((0.0,) * 3, (0.0,) * 3))
         state = EnvState(zone_temps_c=np.array([28.0, 19.0, 23.0]),
                          gain_phase=0.0, step_index=0)
         act = np.array([22.0, 15.0, 15.0, 0.0, 0.0])
         weather = flat_weather(35.0, dt_s=900.0)
-        caps = np.array(params.capacity_j_per_k)
+        caps = np.array(building.thermal.capacity_j_per_k)
         initial = float(caps @ state.zone_temps_c)
         for _ in range(10_000):
-            state, _, _ = step_mixeduse(state, act, params, weather)
+            state, _, _ = building.step(state, act, weather)
         final = float(caps @ state.zone_temps_c)
         assert abs(final - initial) / abs(initial) <= 1e-6
         # and the zones equilibrate toward each other
@@ -277,7 +270,7 @@ class TestInvariants:
     def test_euler_stability_guard_rejects_bad_dt(self):
         # wide-open flow gives G = 1/R_out + 1/R_coupling + m_max c_p
         # ~= 7105 W/K per zone, so dt must stay below C/G ~= 9008 s
-        base = datacenter_thermal()
+        base = DC.thermal
         with pytest.raises(SpecError, match="unstable"):
             dataclasses.replace(base, dt_s=10800.0)
         dataclasses.replace(base, dt_s=3600.0)   # still fine
@@ -429,6 +422,17 @@ class TestEpisodes:
         f3 = BuildingEnv(EnvConfig(kind="dc", days=3.0)).fingerprint()
         assert f1 == f2 != f3
 
+    # each kind's environment, observation and action fingerprints: every
+    # parameter, name, unit and range of both buildings reaches a pin
+    FINGERPRINTS = {"dc": ("ad7b9b755e3c", "ef4e1cbd9b45", "fc08a471f0c8"),
+                    "mu": ("d6aef95e92a5", "7423fa2b3f12", "ddeff7aca019")}
+
+    @pytest.mark.parametrize("kind", sorted(FINGERPRINTS))
+    def test_env_and_spec_fingerprints_are_pinned(self, kind):
+        env = BuildingEnv(EnvConfig(kind=kind))
+        assert (env.fingerprint(), env.obs_spec.fingerprint(),
+                env.act_spec.fingerprint()) == self.FINGERPRINTS[kind]
+
     def test_variant_keeps_parameters_and_reuses_unchanged_env(self):
         env = BuildingEnv(EnvConfig(kind="dc", days=1.0))
         assert env.variant() is env
@@ -436,7 +440,7 @@ class TestEpisodes:
         other = env.variant(weather="chicago", days=0.5)
         assert other.config.weather == "preset:chicago"
         assert other.horizon == env.horizon // 2
-        assert other.thermal == env.thermal
+        assert other.building is env.building
         assert other.reward_params == env.reward_params
         assert other.variant(weather="preset:chicago") is other
 

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hvacrl.agents import AgentConfig, load_agent, make_agent
-from hvacrl.buildsim import EVAL_PRESET, BuildingEnv, EnvConfig
+from hvacrl.buildsim import BUILDINGS, BuildingEnv, EnvConfig
 from hvacrl.cli import ENV_MAX_JOBS, ENV_OUT_DIR, default_config, main
 from hvacrl.datagen import (REFERENCE_SEED, expert_reference_return,
                             read_dataset, write_dataset)
@@ -526,10 +526,11 @@ class TestRegret:
         doc = json.loads(out.read_text())
         assert len(doc["deltas"]) == 2
         env = BuildingEnv(EnvConfig(kind="dc", days=ds.days))
+        holdout = BUILDINGS["dc"].eval_preset
         (r_opt,) = expert_reference_return(
-            env, load_agent(workspace["ckpt"])[0], [EVAL_PRESET["dc"]],
+            env, load_agent(workspace["ckpt"])[0], [holdout],
             ds.days, [REFERENCE_SEED])
-        assert doc["r_opt_by_preset"] == {EVAL_PRESET["dc"]: r_opt}
+        assert doc["r_opt_by_preset"] == {holdout: r_opt}
 
     def test_env_var_overrides_an_absolute_out_directory(self, workspace,
                                                          tmp_path):
@@ -727,6 +728,7 @@ class TestSweepAndReport:
         "rq5-batch-zero": ("5", {"rq5_batch": 0}),
         "expert-seed-negative": ("5", {"expert_seed": -1}),
         "eval-seed-negative": ("1", {"eval_seed": -1}),
+        "env-kind-unknown": ("4", {"env_kind": "xx"}),
     }
 
     @pytest.mark.parametrize("rq,harness", DAMAGED_HARNESS.values(),
@@ -971,6 +973,7 @@ DAMAGED_INPUTS = {
     "weather-not-a-number": _weather("step,t_out_c,rh_pct\n0,1,2\n1,x,3\n"),
     "weather-2-fields": _weather("step,t_out_c,rh_pct\n0,1,2\n1,3\n"),
     "weather-4-fields": _weather("step,t_out_c,rh_pct\n0,1,2\n1,3,4,5\n"),
+    "weather-nan": _weather("step,t_out_c,rh_pct\n0,nan,50\n"),
     "summary-not-utf8": _report("summary", b"cell,cell_fingerprint\n\xff,x\n"),
     "summary-dir": _report("summary", None),
     "summary-only-cell-columns": _summary_columns,

@@ -6,7 +6,7 @@ import pytest
 
 from hvacrl import datagen as dg
 from hvacrl.agents import AgentConfig, PolicyController, make_agent
-from hvacrl.buildsim import TRAIN_PRESETS, BuildingEnv, EnvConfig, run_episode
+from hvacrl.buildsim import BUILDINGS, BuildingEnv, EnvConfig, run_episode
 from hvacrl.envcore import normalize_obs
 from hvacrl.errors import DataError, SimulationFault, UsageError
 from hvacrl.fingerprint import canonical_json
@@ -173,7 +173,7 @@ class TestCollection:
         # 3 sigma of Binomial(288, 0.3) is about 23 around 86
         assert 60 <= md["noisy_steps"] <= 112
         assert len(md["weather_presets"]) == ds.num_episodes
-        assert set(md["weather_presets"]) <= set(TRAIN_PRESETS["dc"])
+        assert set(md["weather_presets"]) <= set(BUILDINGS["dc"].train_presets)
 
     def test_final_buffer_metadata_and_rotation(self):
         env = dc_env()
@@ -183,7 +183,7 @@ class TestCollection:
         assert md["scenario"] == "final_buffer"
         assert md["sigma"] == 0.2
         assert md["policy_fingerprint"] == agent.fingerprint()
-        assert md["weather_presets"] == list(TRAIN_PRESETS["dc"])[:3]
+        assert md["weather_presets"] == list(BUILDINGS["dc"].train_presets)[:3]
 
     def test_final_buffer_rejects_offline_algos(self):
         env = dc_env()

@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 
 from hvacrl import evalharness
 from hvacrl.agents import AgentConfig, make_agent
-from hvacrl.buildsim import (EVAL_PRESET, TRAIN_PRESETS, BuildingEnv,
-                             EnvConfig, rule_controller)
+from hvacrl.buildsim import BUILDINGS, BuildingEnv, EnvConfig, rule_controller
 from hvacrl.cli import main
 from hvacrl.datagen import read_dataset
 from hvacrl.errors import (DataError, DivergenceError,
@@ -25,7 +24,6 @@ from hvacrl.errors import (DataError, DivergenceError,
                            UsageError)
 from hvacrl.evalharness import (
     RQ4_NOISE,
-    TEMP_CHANNELS,
     HarnessConfig,
     CellResult,
     RunReport,
@@ -218,12 +216,12 @@ class TestEvaluatePolicy:
             evaluate_policy(wrong, env, seeds=(0,))
 
     def test_observed_temperature_channels_track_state(self):
-        for kind in ("dc", "mu"):
+        for kind, building in BUILDINGS.items():
             env = BuildingEnv(EnvConfig(kind=kind, days=0.5))
             obs = env.reset(seed=0)
             act = rule_controller(obs, kind)
             obs, _, _, info = env.step(act)
-            assert obs[TEMP_CHANNELS[kind]] == pytest.approx(
+            assert obs[building.temp_slots] == pytest.approx(
                 info["zone_temps"])
 
 
@@ -231,7 +229,8 @@ class TestRuleBaseline:
     def test_covers_training_and_holdout_presets(self):
         env = BuildingEnv(EnvConfig(kind="dc", days=0.5))
         reports = rule_baseline_report(env.variant(days=0.5), seeds=(0,))
-        expected = list(TRAIN_PRESETS["dc"]) + [EVAL_PRESET["dc"]]
+        dc = BUILDINGS["dc"]
+        expected = [*dc.train_presets, dc.eval_preset]
         assert [r.weather for r in reports] == expected
 
     def test_explicit_preset_list(self):
@@ -250,7 +249,7 @@ class TestHarnessConfig:
             HarnessConfig(jobs=0)
 
     def test_noise_point_defined_per_environment(self):
-        for kind in ("dc", "mu"):
+        for kind in BUILDINGS:
             eps, sigma = RQ4_NOISE[kind]
             assert 0.0 < eps <= 1.0 and sigma > 0.0
 
